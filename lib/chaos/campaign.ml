@@ -22,8 +22,7 @@ module Wal = Cloudtx_store.Wal
 module Tpc = Cloudtx_txn.Tpc
 module Resilience = Cloudtx_core.Resilience
 module Timeout_policy = Cloudtx_protocol.Timeout_policy
-module Json = Cloudtx_policy.Json
-module Codec = Cloudtx_protocol.Codec
+module Codec_bin = Cloudtx_protocol.Codec_bin
 module Tm = Cloudtx_protocol.Tm_machine
 
 type cell = { scheme : Scheme.t; level : Consistency.level }
@@ -77,6 +76,33 @@ let run_plan ?(dedup = true) ?(certify = false) ?variant ?journal_format
   let journal =
     Transport.enable_journal ?format:journal_format ?path:journal_path tr
   in
+  (* The journal's record stream is decoded once, as it is recorded, and
+     feeds the assertion layers that read it: the retry-budget count, the
+     audit and the certifier. *)
+  let audit = Audit.create ~version:Journal.format_version in
+  let cert = Certify.create () in
+  let peak_retries = Hashtbl.create 8 in
+  let count_retries =
+    (* Per TM *incarnation*: a coordinator restart recreates the machine
+       (a fresh create record) and legitimately re-earns the budget, so
+       the count resets there. *)
+    let current = Hashtbl.create 8 in
+    fun (r : Journal_io.record) ->
+      match r.Journal_io.body with
+      | Journal_io.Payload (Codec_bin.Create_tm _) ->
+        Hashtbl.replace current r.Journal_io.node 0
+      | Journal_io.Payload (Codec_bin.Tm_input Tm.Retry_fired) ->
+        let node = r.Journal_io.node in
+        let n = 1 + Option.value ~default:0 (Hashtbl.find_opt current node) in
+        Hashtbl.replace current node n;
+        if n > Option.value ~default:0 (Hashtbl.find_opt peak_retries node) then
+          Hashtbl.replace peak_retries node n
+      | _ -> ()
+  in
+  Journal_io.attach journal (fun r ->
+      count_retries r;
+      Audit.step audit r;
+      if certify then Certify.step cert r);
   (* The resilience gate (when on) shares the run's journal, so breaker
      and admission events land in the same record stream Watchtower and
      the regression tests replay. *)
@@ -215,9 +241,8 @@ let run_plan ?(dedup = true) ?(certify = false) ?variant ?journal_format
       plan.Plan.horizon plan.Plan.ops
     +. 1.
   in
-  (* Canonical JSONL lines whatever the journal format: binary contents
-     decode through {!Journal_io}, so the audit and certify layers below
-     assert the exact same records — a per-run cross-format guarantee. *)
+  (* A failing run carries its journal as canonical JSONL lines, whatever
+     the recording format. *)
   let journal_lines () =
     match Journal_io.of_contents (Journal.to_string journal) with
     | Ok loaded -> loaded.Journal_io.lines
@@ -379,41 +404,12 @@ let run_plan ?(dedup = true) ?(certify = false) ?variant ?journal_format
             raise (Violation (Printf.sprintf "untrusted commit %s: %s" txn why)))
       outcomes;
     (* Graceful degradation (adaptive policy): retransmission is
-       budgeted.  Count journaled [retry-fired] timer inputs per TM and
-       reject any machine that fired more than the budget (+1 covers a
-       retry already armed when the budget check trips). *)
+       budgeted.  Reject any TM that fired more journaled [retry-fired]
+       timer inputs than the budget (+1 covers a retry already armed
+       when the budget check trips). *)
     (match policy with
     | Timeout_policy.Fixed -> ()
     | Timeout_policy.Adaptive a ->
-      (* Per TM *incarnation*: a coordinator restart recreates the
-         machine (a fresh [create] record) and legitimately re-earns the
-         budget, so the count resets there. *)
-      let current = Hashtbl.create 8 and peak = Hashtbl.create 8 in
-      List.iter
-        (fun line ->
-          match Json.parse line with
-          | Error _ -> ()
-          | Ok j -> (
-            let str k = Result.bind (Json.member k j) Json.to_str in
-            match (str "dir", str "node") with
-            | Ok "create", Ok node -> Hashtbl.replace current node 0
-            | Ok "input", Ok node
-              when String.length node >= 3
-                   && String.equal (String.sub node 0 3) "tm-" -> (
-              match
-                Result.bind (Json.member "payload" j) (fun p ->
-                    Result.bind (Json.member "t" p) Json.to_str)
-              with
-              | Ok "retry-fired" ->
-                let n =
-                  1 + Option.value ~default:0 (Hashtbl.find_opt current node)
-                in
-                Hashtbl.replace current node n;
-                if n > Option.value ~default:0 (Hashtbl.find_opt peak node)
-                then Hashtbl.replace peak node n
-              | _ -> ())
-            | _ -> ()))
-        (journal_lines ());
       Hashtbl.iter
         (fun node n ->
           if n > a.Timeout_policy.retry_budget + 1 then
@@ -423,20 +419,19 @@ let run_plan ?(dedup = true) ?(certify = false) ?variant ?journal_format
                     "resilience: %s fired %d decision retries in one \
                      incarnation (budget %d)"
                     node n a.Timeout_policy.retry_budget)))
-        peak);
+        peak_retries);
     (* The journal itself must replay clean. *)
-    (match Audit.run ~lines:(journal_lines ()) with
+    (match Audit.finish audit with
     | Ok _ -> ()
     | Error why -> raise (Violation (Printf.sprintf "audit: %s" why)));
     (* Fourth assertion layer: the committed history must certify
        serializable — the safety half of the paper's "safe transactions"
        guarantee, decided from the same journal the audit replayed. *)
     (if certify then
-       match Certify.run ~lines:(journal_lines ()) with
-       | Ok { Certify.verdict = Certify.Serializable _; _ } -> ()
-       | Ok { Certify.verdict = Certify.Anomalous a; _ } ->
-         raise (Violation ("certify: " ^ Certify.describe_anomaly a))
-       | Error why -> raise (Violation (Printf.sprintf "certify: %s" why)));
+       match (Certify.finish cert).Certify.verdict with
+       | Certify.Serializable _ -> ()
+       | Certify.Anomalous a ->
+         raise (Violation ("certify: " ^ Certify.describe_anomaly a)));
       Ok ()
     with
     | Violation what -> fail what

@@ -1,5 +1,6 @@
 module Json = Cloudtx_policy.Json
 module Codec = Cloudtx_protocol.Codec
+module Codec_bin = Cloudtx_protocol.Codec_bin
 module Tm = Cloudtx_protocol.Tm_machine
 module Ps = Cloudtx_protocol.Ps_machine
 
@@ -25,13 +26,7 @@ exception Fail of string
 
 let failf fmt = Printf.ksprintf (fun m -> raise (Fail m)) fmt
 
-let or_fail ~seq what = function
-  | Ok v -> v
-  | Error m -> failf "seq %d: cannot decode %s: %s" seq what m
-
-(* A replayed action, kept alongside its canonical rendering so matching
-   a recorded action record is a string compare and the protocol checks
-   see the typed value. *)
+(* A replayed (or recorded) action of either machine kind. *)
 type replayed = Rtm of Tm.action | Rps of Ps.action
 
 type tm_state = { cfg : Tm.config; txn_id : string; m : Tm.t }
@@ -40,7 +35,7 @@ type kind = Tm_node of tm_state | Ps_node of { mutable ps : Ps.t }
 type node = {
   node_name : string;
   mutable kind : kind;
-  mutable pending : (string * replayed) list;
+  mutable pending : replayed list;
       (* this input's recorded-but-unmatched actions, FIFO *)
   mutable last_seq : int;  (* seq of this node's latest replayed record *)
 }
@@ -71,9 +66,10 @@ type state = {
   mutable protocol_messages : int;
   mutable proofs : int;
   mutable forced_logs : int;
-  mutable journal_version : int;
+  journal_version : int;
       (* from the header; replayed PS actions are rendered as that format
          version encoded them, so pre-v3 journals still byte-compare *)
+  mutable failure : string option;  (* the first one sticks *)
 }
 
 let txn_stats st txn =
@@ -95,8 +91,9 @@ let txn_stats st txn =
 
 let is_protocol msg = List.mem (Message.label msg) Message.protocol_labels
 
-let render_tm a = Codec.to_string (Codec.tm_action_to_json a)
-let render_ps ~version a = Codec.to_string (Codec.ps_action_to_json_at ~version a)
+let to_json ~version = function
+  | Rtm a -> Codec.tm_action_to_json a
+  | Rps a -> Codec.ps_action_to_json_at ~version a
 
 (* ------------------------------------------------------------------ *)
 (* Per-record protocol checks (run when the action record is matched,   *)
@@ -202,60 +199,40 @@ let note_ps_input st ~seq = function
 (* Record replay                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let handle_create st ~seq ~node_name payload =
-  let kind = or_fail ~seq "create kind" Result.(bind (Json.member "kind" payload) Json.to_str) in
-  match kind with
-  | "tm" ->
-    if Hashtbl.mem st.nodes node_name then
-      failf "seq %d (%s): duplicate TM create" seq node_name;
-    let cfg =
-      or_fail ~seq "TM config"
-        (Result.bind (Json.member "config" payload) Codec.config_of_json)
-    in
-    let txn =
-      or_fail ~seq "transaction"
-        (Result.bind (Json.member "txn" payload) Codec.transaction_of_json)
-    in
-    let submitted_at =
-      or_fail ~seq "submitted_at"
-        (Result.bind (Json.member "submitted_at" payload) Json.to_float)
-    in
-    let m = Tm.create cfg txn ~submitted_at in
-    let t = { cfg; txn_id = txn.Cloudtx_txn.Transaction.id; m } in
-    let pending = List.map (fun a -> (render_tm a, Rtm a)) (Tm.start m) in
-    Hashtbl.add st.nodes node_name { node_name; kind = Tm_node t; pending; last_seq = seq }
-  | "ps" ->
-    let variant =
-      or_fail ~seq "2PC variant"
-        (Result.bind (Json.member "variant" payload) Codec.variant_of_json)
-    in
-    let inquiry_timeout =
-      (* Optional: journals from before the termination protocol lack it. *)
-      match Json.member "inquiry_timeout" payload with
-      | Ok j -> ( match Json.to_float j with Ok f -> f | Error _ -> 0.)
-      | Error _ -> 0.
-    in
-    let fresh () = Ps.create ~name:node_name ~variant ~inquiry_timeout () in
-    (match Hashtbl.find_opt st.nodes node_name with
-    | None ->
-      Hashtbl.add st.nodes node_name
-        { node_name; kind = Ps_node { ps = fresh () }; pending = []; last_seq = seq }
-    | Some n -> (
-      (* A repeated participant create mirrors a crash reset. *)
-      if n.pending <> [] then
-        failf "seq %d (%s): create while %d recorded action(s) unmatched" seq
-          node_name (List.length n.pending);
-      match n.kind with
-      | Ps_node p -> p.ps <- fresh ()
-      | Tm_node _ -> failf "seq %d (%s): participant create over a TM" seq node_name))
-  | other -> failf "seq %d (%s): create kind %S unknown" seq node_name other
+let create_tm st ~seq ~node_name cfg txn ~submitted_at =
+  if Hashtbl.mem st.nodes node_name then
+    failf "seq %d (%s): duplicate TM create" seq node_name;
+  let m =
+    try Tm.create cfg txn ~submitted_at
+    with Invalid_argument m ->
+      failf "seq %d (%s): replayed machine rejected create: %s" seq node_name m
+  in
+  let t = { cfg; txn_id = txn.Cloudtx_txn.Transaction.id; m } in
+  let pending = List.map (fun a -> Rtm a) (Tm.start m) in
+  Hashtbl.add st.nodes node_name
+    { node_name; kind = Tm_node t; pending; last_seq = seq }
+
+let create_ps st ~seq ~node_name ~variant ~inquiry_timeout =
+  let fresh () = Ps.create ~name:node_name ~variant ~inquiry_timeout () in
+  match Hashtbl.find_opt st.nodes node_name with
+  | None ->
+    Hashtbl.add st.nodes node_name
+      { node_name; kind = Ps_node { ps = fresh () }; pending = []; last_seq = seq }
+  | Some n -> (
+    (* A repeated participant create mirrors a crash reset. *)
+    if n.pending <> [] then
+      failf "seq %d (%s): create while %d recorded action(s) unmatched" seq
+        node_name (List.length n.pending);
+    match n.kind with
+    | Ps_node p -> p.ps <- fresh ()
+    | Tm_node _ -> failf "seq %d (%s): participant create over a TM" seq node_name)
 
 let node_of st ~seq name =
   match Hashtbl.find_opt st.nodes name with
   | Some n -> n
   | None -> failf "seq %d (%s): record for a node never created" seq name
 
-let handle_input st ~seq ~node_name payload =
+let replay_input st ~seq ~node_name payload =
   let n = node_of st ~seq node_name in
   n.last_seq <- seq;
   if n.pending <> [] then
@@ -263,46 +240,67 @@ let handle_input st ~seq ~node_name payload =
       "seq %d (%s): input record while %d recorded action(s) unmatched \
        (reordered or dropped record?)"
       seq node_name (List.length n.pending);
-  match n.kind with
-  | Tm_node t ->
-    let input = or_fail ~seq "TM input" (Codec.tm_input_of_json payload) in
-    note_tm_input st ~seq ~node:node_name t input;
-    let actions =
-      try Tm.handle t.m input
-      with Invalid_argument m ->
-        failf "seq %d (%s): replayed machine rejected input: %s" seq node_name m
-    in
-    n.pending <- List.map (fun a -> (render_tm a, Rtm a)) actions
-  | Ps_node p ->
-    let input = or_fail ~seq "PS input" (Codec.ps_input_of_json payload) in
-    note_ps_input st ~seq input;
-    let actions =
-      try Ps.handle p.ps input
-      with Invalid_argument m ->
-        failf "seq %d (%s): replayed machine rejected input: %s" seq node_name m
-    in
-    n.pending <-
-      List.map
-        (fun a -> (render_ps ~version:st.journal_version a, Rps a))
-        actions
+  let step handle m input =
+    try handle m input
+    with Invalid_argument m ->
+      failf "seq %d (%s): replayed machine rejected input: %s" seq node_name m
+  in
+  n.pending <-
+    (match (n.kind, payload) with
+    | Tm_node t, Codec_bin.Tm_input input ->
+      note_tm_input st ~seq ~node:node_name t input;
+      List.map (fun a -> Rtm a) (step Tm.handle t.m input)
+    | Ps_node p, Codec_bin.Ps_input input ->
+      note_ps_input st ~seq input;
+      List.map (fun a -> Rps a) (step Ps.handle p.ps input)
+    | _ -> failf "seq %d (%s): input for the other machine kind" seq node_name)
 
-let handle_action st ~seq ~node_name payload =
+(* The replayed and recorded actions must render identically at the
+   journal's version ({!Journal_io} has checked that a JSONL record's
+   text is that rendering of what it decodes to). *)
+let match_action st ~seq ~node_name got =
   let n = node_of st ~seq node_name in
   n.last_seq <- seq;
-  let got = Codec.to_string payload in
   match n.pending with
   | [] ->
     failf "seq %d (%s): action record but the replayed machine emitted none"
       seq node_name
-  | (expected, replayed) :: rest ->
-    if not (String.equal expected got) then
+  | expected :: rest ->
+    let json = to_json ~version:st.journal_version in
+    if not (Json.same_rendering (json expected) (json got)) then
       failf "seq %d (%s): action diverges\n  expected %s\n  got      %s" seq
-        node_name expected got;
+        node_name
+        (Codec.to_string (json expected))
+        (Codec.to_string (json got));
     n.pending <- rest;
-    (match (replayed, n.kind) with
+    (match (expected, n.kind) with
     | Rtm a, Tm_node t -> check_tm_action st ~seq ~node:node_name t a
     | Rps a, _ -> check_ps_action st ~seq ~node:node_name a
     | Rtm _, Ps_node _ -> failf "seq %d (%s): internal kind mismatch" seq node_name)
+
+let replay st (r : Journal_io.record) =
+  let seq = r.Journal_io.seq and node_name = r.Journal_io.node in
+  let expected = st.records + 1 in
+  if seq <> expected then
+    failf "seq %d: expected seq %d — dropped or reordered record" seq expected;
+  st.records <- seq;
+  match r.Journal_io.body with
+  | Journal_io.Undecodable m ->
+    failf "seq %d (%s): cannot decode record: %s" seq node_name m
+  | Journal_io.Event _ ->
+    (* Driver-side resilience events (breaker transitions, admission
+       verdicts): not machine steps, nothing to replay. *)
+    ()
+  | Journal_io.Payload (Codec_bin.Create_tm { config; txn; submitted_at }) ->
+    create_tm st ~seq ~node_name config txn ~submitted_at
+  | Journal_io.Payload (Codec_bin.Create_ps { variant; inquiry_timeout }) ->
+    create_ps st ~seq ~node_name ~variant ~inquiry_timeout
+  | Journal_io.Payload ((Codec_bin.Tm_input _ | Codec_bin.Ps_input _) as p) ->
+    replay_input st ~seq ~node_name p
+  | Journal_io.Payload (Codec_bin.Tm_action a) ->
+    match_action st ~seq ~node_name (Rtm a)
+  | Journal_io.Payload (Codec_bin.Ps_action a) ->
+    match_action st ~seq ~node_name (Rps a)
 
 (* ------------------------------------------------------------------ *)
 (* End-of-journal checks                                               *)
@@ -344,95 +342,53 @@ let check_final st =
     st.txns
 
 (* ------------------------------------------------------------------ *)
-(* Envelope parsing                                                    *)
+(* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let check_header line =
-  match Json.parse line with
-  | Error m -> failf "line 1: bad journal header: %s" m
-  | Ok j -> (
-    (match Result.bind (Json.member "journal" j) Json.to_str with
-    | Ok "cloudtx" -> ()
-    | Ok other -> failf "line 1: journal kind %S unknown" other
-    | Error m -> failf "line 1: bad journal header: %s" m);
-    match Result.bind (Json.member "version" j) Json.to_int with
-    | Ok v when v >= 2 && v <= Codec.version -> v
-    | Ok v ->
-      failf "line 1: journal version %d unsupported (want 2..%d)" v
-        Codec.version
-    | Error m -> failf "line 1: bad journal header: %s" m)
+type t = state
 
-let handle_line st ~lineno line =
-  match Json.parse line with
-  | Error m -> failf "line %d: unparseable record: %s" lineno m
-  | Ok j ->
-    let seq =
-      match Result.bind (Json.member "seq" j) Json.to_int with
-      | Ok s -> s
-      | Error m -> failf "line %d: record without seq: %s" lineno m
-    in
-    let expected = st.records + 1 in
-    if seq <> expected then
-      failf "seq %d: expected seq %d — dropped or reordered record" seq expected;
-    st.records <- seq;
-    let node_name =
-      or_fail ~seq "node" (Result.bind (Json.member "node" j) Json.to_str)
-    in
-    let dir = or_fail ~seq "dir" (Result.bind (Json.member "dir" j) Json.to_str) in
-    let payload =
-      match Json.member "payload" j with
-      | Ok p -> p
-      | Error m -> failf "seq %d: record without payload: %s" seq m
-    in
-    (match dir with
-    | "create" -> handle_create st ~seq ~node_name payload
-    | "input" -> handle_input st ~seq ~node_name payload
-    | "action" -> handle_action st ~seq ~node_name payload
-    | "event" ->
-      (* Driver-side resilience events (breaker transitions, admission
-         verdicts): not machine steps, nothing to replay. *)
-      ()
-    | other -> failf "seq %d (%s): dir %S unknown" seq node_name other)
+let create ~version =
+  {
+    nodes = Hashtbl.create 16;
+    txns = Hashtbl.create 16;
+    records = 0;
+    transactions = 0;
+    commits = 0;
+    aborts = 0;
+    protocol_messages = 0;
+    proofs = 0;
+    forced_logs = 0;
+    journal_version = version;
+    failure = None;
+  }
 
-let run ~lines =
-  let st =
-    {
-      nodes = Hashtbl.create 16;
-      txns = Hashtbl.create 16;
-      records = 0;
-      transactions = 0;
-      commits = 0;
-      aborts = 0;
-      protocol_messages = 0;
-      proofs = 0;
-      forced_logs = 0;
-      journal_version = Codec.version;
-    }
-  in
-  try
-    (match lines with
-    | [] -> failf "empty journal"
-    | header :: records ->
-      st.journal_version <- check_header header;
-      List.iteri (fun i line -> handle_line st ~lineno:(i + 2) line) records);
-    check_final st;
-    Ok
-      {
-        records = st.records;
-        nodes = Hashtbl.length st.nodes;
-        transactions = st.transactions;
-        commits = st.commits;
-        aborts = st.aborts;
-        protocol_messages = st.protocol_messages;
-        proofs = st.proofs;
-        forced_logs = st.forced_logs;
-      }
-  with Fail m -> Error m
+let step st r =
+  if st.failure = None then
+    try replay st r with Fail m -> st.failure <- Some m
 
-(* Auto-detects the journal format: binary journals decode to the same
-   canonical JSONL lines ({!Journal_io}), so the byte-exact replay below
-   runs unchanged — and its verdict cannot depend on the format. *)
-let of_file path =
-  match Journal_io.of_file path with
-  | Error m -> Error m
-  | Ok loaded -> run ~lines:loaded.Journal_io.lines
+let finish st =
+  match st.failure with
+  | Some m -> Error m
+  | None -> (
+    try
+      check_final st;
+      Ok
+        {
+          records = st.records;
+          nodes = Hashtbl.length st.nodes;
+          transactions = st.transactions;
+          commits = st.commits;
+          aborts = st.aborts;
+          protocol_messages = st.protocol_messages;
+          proofs = st.proofs;
+          forced_logs = st.forced_logs;
+        }
+    with Fail m -> Error m)
+
+let audit fold =
+  Result.bind
+    (fold ~init:(fun version -> create ~version) (fun t r -> step t r; t))
+    finish
+
+let run ~lines = audit (Journal_io.fold_lines lines)
+let of_file path = audit (Journal_io.fold_file path)

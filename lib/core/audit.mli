@@ -42,12 +42,35 @@ type report = {
 
 val report_to_string : report -> string
 
-(** [run ~lines] audits one journal, header line first.  [Error] names
-    the first divergent [seq] and what was expected vs. recorded. *)
+(** {1 Incremental audit}
+
+    The auditor is a fold step over {!Journal_io.record}s, so a caller
+    that already decodes a journal (the chaos campaign) audits it in the
+    same pass as its other checks. *)
+
+type t
+
+(** [create ~version] — a fresh auditor for a journal whose header
+    carries format [version] (older versions render some actions
+    differently; replayed actions are compared at this version). *)
+val create : version:int -> t
+
+(** Replay one record.  The first failure sticks: later records are
+    ignored and {!finish} reports it. *)
+val step : t -> Journal_io.record -> unit
+
+(** End-of-journal checks (unmatched actions, AC1/AC2) and the report;
+    [Error] names the first divergent [seq] and what was expected vs.
+    recorded. *)
+val finish : t -> (report, string) result
+
+(** {1 Whole journals} *)
+
+(** [run ~lines] audits one journal, header line first. *)
 val run : lines:string list -> (report, string) result
 
 (** [of_file path] reads a journal (JSONL or binary, auto-detected) and
-    audits it.  Binary journals decode to the same canonical records a
-    JSONL journal holds ({!Journal_io}), so the byte-exact replay — and
-    the verdict — is identical across formats. *)
+    audits it.  Both formats decode to the same typed records
+    ({!Journal_io}), so the replay — and the verdict — is identical
+    across formats. *)
 val of_file : string -> (report, string) result

@@ -1,11 +1,7 @@
-module Json = Cloudtx_policy.Json
-module Codec = Cloudtx_protocol.Codec
 module Codec_bin = Cloudtx_protocol.Codec_bin
 module Tm = Cloudtx_protocol.Tm_machine
 module Ps = Cloudtx_protocol.Ps_machine
 module Cp = Cloudtx_obs.Critical_path
-
-type node_kind = Tm_node of string  (** transaction id *) | Ps_node
 
 (* A server-side interval carved out of the enclosing TM round-trip gap:
    a wait-die park ([lock.wait]) or a proof evaluation ([proof.eval]).
@@ -38,7 +34,7 @@ type txn_state = {
 type t = {
   agg : Cp.agg;
   keep : bool;
-  node_kinds : (string, node_kind) Hashtbl.t;
+  node_txns : (string, string) Hashtbl.t;  (** TM node → transaction. *)
   txns : (string, txn_state) Hashtbl.t;
   waits : (string, interval list ref) Hashtbl.t;  (** txn → closed+open. *)
   evals : (string, interval list ref) Hashtbl.t;
@@ -55,7 +51,7 @@ let create ?(keep_timelines = false) ?top_k () =
   {
     agg = Cp.agg_create ?top_k ();
     keep = keep_timelines;
-    node_kinds = Hashtbl.create 16;
+    node_txns = Hashtbl.create 16;
     txns = Hashtbl.create 16;
     waits = Hashtbl.create 16;
     evals = Hashtbl.create 16;
@@ -162,14 +158,10 @@ let plain kind = { c_kind = kind; c_peer = ""; c_detail = ""; c_carve = None }
    (an [Rtt_sample] is journaled at the same instant as the delivery it
    measures; letting it close the gap would steal the delivery's
    attribution). *)
-let classify_tm_input t st payload =
-  match Codec.tm_input_of_json payload with
-  | Error _ ->
-    t.decode_errors <- t.decode_errors + 1;
-    Some (plain Cp.Other)
-  | Ok (Tm.Rtt_sample _) -> None
-  | Ok (Tm.Watchdog_fired _) -> Some (plain Cp.Timeout_stall)
-  | Ok Tm.Retry_fired ->
+let classify_tm_input st = function
+  | Tm.Rtt_sample _ -> None
+  | Tm.Watchdog_fired _ -> Some (plain Cp.Timeout_stall)
+  | Tm.Retry_fired ->
     (* Blame the silence on the participants still owing a decision ack. *)
     Some
       {
@@ -178,7 +170,7 @@ let classify_tm_input t st payload =
         c_detail = "";
         c_carve = None;
       }
-  | Ok (Tm.Deliver { src; msg }) -> (
+  | Tm.Deliver { src; msg } -> (
     match msg with
     | Message.Master_version_reply _ ->
       Some
@@ -326,10 +318,8 @@ let finish_txn t st ~time_ms ~committed ~reason =
     t.order <- tl.Cp.txn :: t.order
   end
 
-let on_tm_action t st ~time_ms payload =
-  match Codec.tm_action_of_json payload with
-  | Error _ -> t.decode_errors <- t.decode_errors + 1
-  | Ok (Tm.Obs (Tm.Phase_open { span_name; _ })) -> (
+let on_tm_action t st ~time_ms = function
+  | Tm.Obs (Tm.Phase_open { span_name; _ }) -> (
     (* The same clock points Manager samples for the phase histograms,
        so per-phase segment totals reconcile with the registry. *)
     match span_name with
@@ -340,190 +330,89 @@ let on_tm_action t st ~time_ms payload =
       st.t_decided <- Some time_ms;
       st.t_phase <- "decide"
     | _ -> ())
-  | Ok (Tm.Send { dst; msg = Message.Decision _ }) ->
+  | Tm.Send { dst; msg = Message.Decision _ } ->
     if not (List.mem dst st.t_pending_decision) then
       st.t_pending_decision <- dst :: st.t_pending_decision
-  | Ok (Tm.Finish { committed; reason; _ }) ->
+  | Tm.Finish { committed; reason; _ } ->
     finish_txn t st ~time_ms ~committed ~reason:(Outcome.reason_name reason)
-  | Ok _ -> ()
+  | _ -> ()
 
-let on_tm t ~seq ~time_ms ~dir ~txn payload =
-  match Hashtbl.find_opt t.txns txn with
-  | None -> ()  (* Create evicted from a capped buffer: skip the txn. *)
-  | Some st ->
-    let cls =
-      match dir with
-      | "input" -> classify_tm_input t st payload
-      | "create" -> Some (plain Cp.Recovery)
-      | _ -> Some (plain Cp.Other)
-    in
-    (match cls with
-    | None -> ()  (* transparent record: the gap stays open *)
-    | Some cls ->
-      if time_ms > st.t_last then emit_gap t st ~seq ~time_ms cls;
-      st.t_last <- time_ms);
-    if dir = "action" then on_tm_action t st ~time_ms payload
+(* A TM record closes the gap on its node ([cls = None]: a transparent
+   record that leaves it open). *)
+let on_tm t ~seq ~time_ms st cls =
+  match cls with
+  | None -> ()
+  | Some cls ->
+    if time_ms > st.t_last then emit_gap t st ~seq ~time_ms cls;
+    st.t_last <- time_ms
 
-let on_ps_action t ~time_ms ~node payload =
-  match Codec.ps_action_of_json payload with
-  | Error _ -> t.decode_errors <- t.decode_errors + 1
-  | Ok (Ps.Wait_open { txn; query_id }) ->
+let on_ps_action t ~time_ms ~node = function
+  | Ps.Wait_open { txn; query_id } ->
     open_interval t.waits t.open_waits ~server:node ~txn ~time_ms
       ~detail:query_id
-  | Ok (Ps.Wait_close { txn; outcome; _ }) ->
+  | Ps.Wait_close { txn; outcome; _ } ->
     close_interval t.open_waits ~server:node ~txn ~time_ms ~detail:outcome
-  | Ok (Ps.Eval { txn; _ }) ->
+  | Ps.Eval { txn; _ } ->
     open_interval t.evals t.open_evals ~server:node ~txn ~time_ms ~detail:""
-  | Ok _ -> ()
+  | _ -> ()
 
-let on_ps_input t ~time_ms ~node payload =
-  match Codec.ps_input_of_json payload with
-  | Error _ -> t.decode_errors <- t.decode_errors + 1
-  | Ok (Ps.Evaluated { txn; _ }) ->
+let on_ps_input t ~time_ms ~node = function
+  | Ps.Evaluated { txn; _ } ->
     close_interval t.open_evals ~server:node ~txn ~time_ms ~detail:""
-  | Ok _ -> ()
+  | _ -> ()
 
-let on_create t ~seq ~time_ms ~node payload =
-  match Result.bind (Json.member "kind" payload) Json.to_str with
-  | Ok "tm" -> (
-    let decoded =
-      match Result.bind (Json.member "txn" payload) Codec.transaction_of_json with
-      | Error _ -> None
-      | Ok txn -> (
-        match Result.bind (Json.member "config" payload) Codec.config_of_json with
-        | Error _ -> None
-        | Ok cfg -> Some (txn.Cloudtx_txn.Transaction.id, cfg))
-    in
-    match decoded with
-    | None -> t.decode_errors <- t.decode_errors + 1
-    | Some (txn, cfg) ->
-      let submitted_at =
-        match Result.bind (Json.member "submitted_at" payload) Json.to_float with
-        | Ok ts -> ts
-        | Error _ -> time_ms
-      in
-      Hashtbl.replace t.node_kinds node (Tm_node txn);
-      on_tm_create t ~seq ~time_ms ~node ~txn
-        ~scheme:(Scheme.name cfg.Tm.scheme)
-        ~level:(Consistency.name cfg.Tm.level)
-        ~submitted_at)
-  | Ok _ -> Hashtbl.replace t.node_kinds node Ps_node
-  | Error _ -> t.decode_errors <- t.decode_errors + 1
-
-let feed_json t ~seq ~time_ms ~node ~dir payload =
-  match dir with
-  | "create" -> on_create t ~seq ~time_ms ~node payload
-  | "input" -> (
-    match Hashtbl.find_opt t.node_kinds node with
-    | Some (Tm_node txn) -> on_tm t ~seq ~time_ms ~dir ~txn payload
-    | Some Ps_node -> on_ps_input t ~time_ms ~node payload
-    | None -> (
-      (* Node never created in this journal (capped buffer): classify
-         by trying the participant decoder, as [Health] does. *)
-      match Codec.ps_input_of_json payload with
-      | Ok _ ->
-        Hashtbl.replace t.node_kinds node Ps_node;
-        on_ps_input t ~time_ms ~node payload
-      | Error _ -> ()))
-  | "action" -> (
-    match Hashtbl.find_opt t.node_kinds node with
-    | Some (Tm_node txn) -> on_tm t ~seq ~time_ms ~dir ~txn payload
-    | Some Ps_node -> on_ps_action t ~time_ms ~node payload
-    | None -> ())
+let step t (r : Journal_io.record) =
+  let { Journal_io.seq; time_ms; node; body } = r in
+  (* A TM whose create this stream never saw (evicted from a capped
+     buffer), or whose transaction already finished, is skipped. *)
+  let with_txn f =
+    match Hashtbl.find_opt t.node_txns node with
+    | None -> ()
+    | Some txn -> (
+      match Hashtbl.find_opt t.txns txn with None -> () | Some st -> f st)
+  in
+  match body with
+  | Journal_io.Undecodable _ -> t.decode_errors <- t.decode_errors + 1
   (* Driver-side resilience events: not machine steps, no latency edge. *)
-  | "event" -> ()
-  | _ -> t.decode_errors <- t.decode_errors + 1
-
-let feed t ~seq ~time_ms ~node ~dir ~payload =
-  match Json.parse payload with
-  | Ok j -> feed_json t ~seq ~time_ms ~node ~dir j
-  | Error _ -> t.decode_errors <- t.decode_errors + 1
-
-(* Observer payloads arrive in the journal's own format: JSON text for a
-   JSONL journal, [Codec_bin] bytes for a binary one. *)
-let feed_bin t ~seq ~time_ms ~node ~dir ~payload =
-  if String.equal dir "event" then ()
-    (* Raw JSON text, not a Codec_bin payload — and no latency edge. *)
-  else
-    match Codec_bin.payload_of_string payload with
-    | Ok p ->
-      let dir =
-        match p with
-        | Codec_bin.Create_tm _ | Codec_bin.Create_ps _ -> "create"
-        | Codec_bin.Tm_input _ | Codec_bin.Ps_input _ -> "input"
-        | Codec_bin.Tm_action _ | Codec_bin.Ps_action _ -> "action"
-      in
-      feed_json t ~seq ~time_ms ~node ~dir (Codec_bin.payload_to_json p)
-    | Error _ -> t.decode_errors <- t.decode_errors + 1
+  | Journal_io.Event _ -> ()
+  | Journal_io.Payload (Codec_bin.Create_tm { config; txn; submitted_at }) ->
+    let txn = txn.Cloudtx_txn.Transaction.id in
+    Hashtbl.replace t.node_txns node txn;
+    on_tm_create t ~seq ~time_ms ~node ~txn
+      ~scheme:(Scheme.name config.Tm.scheme)
+      ~level:(Consistency.name config.Tm.level)
+      ~submitted_at
+  | Journal_io.Payload (Codec_bin.Create_ps _) -> ()
+  | Journal_io.Payload (Codec_bin.Tm_input input) ->
+    with_txn (fun st -> on_tm t ~seq ~time_ms st (classify_tm_input st input))
+  | Journal_io.Payload (Codec_bin.Tm_action action) ->
+    with_txn (fun st ->
+        on_tm t ~seq ~time_ms st (Some (plain Cp.Other));
+        on_tm_action t st ~time_ms action)
+  | Journal_io.Payload (Codec_bin.Ps_input input) ->
+    on_ps_input t ~time_ms ~node input
+  | Journal_io.Payload (Codec_bin.Ps_action action) ->
+    on_ps_action t ~time_ms ~node action
 
 let attach ?keep_timelines ?top_k journal =
   let t = create ?keep_timelines ?top_k () in
-  let feed =
-    match Cloudtx_obs.Journal.format journal with
-    | Cloudtx_obs.Journal.Jsonl -> feed
-    | Cloudtx_obs.Journal.Binary -> feed_bin
-  in
-  Cloudtx_obs.Journal.add_observer journal (fun ~seq ~time_ms ~node ~dir ~payload ->
-      feed t ~seq ~time_ms ~node ~dir ~payload);
+  Journal_io.attach journal (step t);
   t
 
 (* ------------------------------------------------------------------ *)
 (* Offline replay                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let check_header line =
-  match Json.parse line with
-  | Error m -> Error (Printf.sprintf "line 1: bad journal header: %s" m)
-  | Ok j -> (
-    match Result.bind (Json.member "journal" j) Json.to_str with
-    | Ok "cloudtx" -> Ok ()
-    | Ok other -> Error (Printf.sprintf "line 1: journal kind %S unknown" other)
-    | Error m -> Error (Printf.sprintf "line 1: bad journal header: %s" m))
-
-let feed_line t ~lineno line =
-  match Json.parse line with
-  | Error m -> Error (Printf.sprintf "line %d: unparseable record: %s" lineno m)
-  | Ok j -> (
-    let ( let* ) = Result.bind in
-    let field what r =
-      Result.map_error
-        (fun m -> Printf.sprintf "line %d: record without %s: %s" lineno what m)
-        r
-    in
-    let* seq = field "seq" (Result.bind (Json.member "seq" j) Json.to_int) in
-    let* time_ms =
-      field "time_ms" (Result.bind (Json.member "time_ms" j) Json.to_float)
-    in
-    let* node = field "node" (Result.bind (Json.member "node" j) Json.to_str) in
-    let* dir = field "dir" (Result.bind (Json.member "dir" j) Json.to_str) in
-    let* payload = field "payload" (Json.member "payload" j) in
-    feed_json t ~seq ~time_ms ~node ~dir payload;
-    Ok ())
+let replay ?keep_timelines ?top_k fold =
+  fold ~init:(fun _ -> create ?keep_timelines ?top_k ()) (fun t r ->
+      step t r;
+      t)
 
 let of_lines ?keep_timelines ?top_k lines =
-  match lines with
-  | [] -> Error "empty journal"
-  | header :: records -> (
-    match check_header header with
-    | Error _ as e -> e
-    | Ok () ->
-      let t = create ?keep_timelines ?top_k () in
-      let rec go lineno = function
-        | [] -> Ok t
-        | line :: rest -> (
-          match feed_line t ~lineno line with
-          | Ok () -> go (lineno + 1) rest
-          | Error _ as e -> e)
-      in
-      go 2 records)
+  replay ?keep_timelines ?top_k (Journal_io.fold_lines lines)
 
-(* Format auto-detection via {!Journal_io}: a binary journal replays as
-   the same canonical records, and a corrupt frame surfaces as the
-   converter's error naming that frame. *)
 let of_file ?keep_timelines ?top_k path =
-  match Result.map (fun l -> l.Journal_io.lines) (Journal_io.of_file path) with
-  | Error m -> Error m
-  | Ok lines -> of_lines ?keep_timelines ?top_k lines
+  replay ?keep_timelines ?top_k (Journal_io.fold_file path)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

@@ -1,11 +1,11 @@
 (** Latency blame collector: flight-recorder records → critical-path
     timelines (DESIGN §9).
 
-    The protocol-aware half of the blame engine.  It consumes the same
-    per-record stream the {!Health} bridge does — live, as a journal
-    observer ({!attach}), or offline, by replaying a journal file or its
-    lines ({!of_file}/{!of_lines}, JSONL or binary via {!Journal_io}) —
-    and reconstructs, per transaction, the causal timeline of
+    The protocol-aware half of the blame engine: a fold {!step} over the
+    same typed {!Journal_io.record} stream the {!Health} bridge reads —
+    live, as a journal observer ({!attach}), or offline, by replaying a
+    journal file of either format or its lines ({!of_file}/{!of_lines})
+    — that reconstructs, per transaction, the causal timeline of
     {!Cloudtx_obs.Critical_path} segments:
 
     - The coordinator's machine steps are instantaneous in the
@@ -39,27 +39,21 @@ type t
     slowest timelines are kept. *)
 val create : ?keep_timelines:bool -> ?top_k:int -> unit -> t
 
-(** Feed one record with a JSON-text payload (JSONL observer shape). *)
-val feed :
-  t -> seq:int -> time_ms:float -> node:string -> dir:string -> payload:string -> unit
-
-(** Feed one record with a [Codec_bin] payload (binary observer shape). *)
-val feed_bin :
-  t -> seq:int -> time_ms:float -> node:string -> dir:string -> payload:string -> unit
+(** Feed one decoded journal record. *)
+val step : t -> Journal_io.record -> unit
 
 (** [attach journal] registers a collector on the journal's observer
-    list ({!Cloudtx_obs.Journal.add_observer}), dispatching on the
-    journal's format — the live path.  Composes with {!Health.attach}. *)
+    list through {!Journal_io.attach} — the live path.  Composes with
+    {!Health.attach}. *)
 val attach : ?keep_timelines:bool -> ?top_k:int -> Cloudtx_obs.Journal.t -> t
 
-(** Replay journal lines (header first).  [Error] names the first bad
-    line. *)
+(** Replay journal lines (header first).  [Error] names the first line
+    whose header or record envelope is bad. *)
 val of_lines :
   ?keep_timelines:bool -> ?top_k:int -> string list -> (t, string) result
 
-(** Replay a journal file, auto-detecting JSONL vs binary via
-    {!Journal_io.of_file}; [Error] names the first undecodable frame or
-    line. *)
+(** Replay a journal file of either format ({!Journal_io.fold_file});
+    [Error] names the first bad line or frame. *)
 val of_file :
   ?keep_timelines:bool -> ?top_k:int -> string -> (t, string) result
 

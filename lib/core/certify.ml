@@ -1,5 +1,4 @@
-module Json = Cloudtx_policy.Json
-module Codec = Cloudtx_protocol.Codec
+module Codec_bin = Cloudtx_protocol.Codec_bin
 module Tm = Cloudtx_protocol.Tm_machine
 module Ps = Cloudtx_protocol.Ps_machine
 module Query = Cloudtx_txn.Query
@@ -64,8 +63,6 @@ let anomaly_name = function
 (* Extraction: journal records -> history events                       *)
 (* ------------------------------------------------------------------ *)
 
-type node_kind = Tm_node of string | Ps_node
-
 (* Events the analysis walks, kept in journal order. *)
 type event =
   | Read of {
@@ -97,7 +94,7 @@ type event =
       (* Forget: workspace gone without an Apply *)
 
 type ex = {
-  kinds : (string, node_kind) Hashtbl.t;
+  tms : (string, string) Hashtbl.t;  (* TM node -> its transaction *)
   epochs : (string, int) Hashtbl.t;  (* PS node -> create count *)
   pending_exec : (string * string * string, bool * float) Hashtbl.t;
       (* (node, txn, query id) -> (snapshot, start ts) of the last Exec *)
@@ -110,7 +107,7 @@ type ex = {
 
 let create_ex () =
   {
-    kinds = Hashtbl.create 16;
+    tms = Hashtbl.create 16;
     epochs = Hashtbl.create 16;
     pending_exec = Hashtbl.create 64;
     first_seq = Hashtbl.create 16;
@@ -126,21 +123,6 @@ let note_txn ex ~seq txn =
   if not (Hashtbl.mem ex.first_seq txn) then Hashtbl.replace ex.first_seq txn seq
 
 let epoch_of ex node = Option.value ~default:1 (Hashtbl.find_opt ex.epochs node)
-
-let on_create ex ~node payload =
-  match Result.bind (Json.member "kind" payload) Json.to_str with
-  | Ok "tm" -> (
-    match Result.bind (Json.member "txn" payload) Codec.transaction_of_json with
-    | Ok txn -> Hashtbl.replace ex.kinds node (Tm_node txn.Transaction.id)
-    | Error _ -> ex.decode_errors <- ex.decode_errors + 1)
-  | Ok _ ->
-    Hashtbl.replace ex.kinds node Ps_node;
-    (* Repeated creates mark machine restarts: a new crash epoch. *)
-    let e =
-      match Hashtbl.find_opt ex.epochs node with Some e -> e + 1 | None -> 1
-    in
-    Hashtbl.replace ex.epochs node e
-  | Error _ -> ex.decode_errors <- ex.decode_errors + 1
 
 let on_ps_input ex ~seq ~node input =
   match input with
@@ -190,64 +172,27 @@ let on_tm_action ex ~txn action =
   | Tm.Finish { committed; _ } -> Hashtbl.replace ex.tm_outcome txn committed
   | _ -> ()
 
-let feed_json ex ~seq ~time_ms ~node ~dir payload =
+let step ex (r : Journal_io.record) =
+  let seq = r.Journal_io.seq and node = r.Journal_io.node in
   ex.records <- ex.records + 1;
-  match dir with
-  | "create" -> on_create ex ~node payload
-  | "input" -> (
-    match Hashtbl.find_opt ex.kinds node with
-    | Some Ps_node | None -> (
-      (* Unclassified node (create evicted from a capped buffer): try the
-         PS decoder — PS inputs are the only ones that matter here. *)
-      match Codec.ps_input_of_json payload with
-      | Ok input ->
-        if not (Hashtbl.mem ex.kinds node) then
-          Hashtbl.replace ex.kinds node Ps_node;
-        on_ps_input ex ~seq ~node input
-      | Error _ ->
-        if Hashtbl.mem ex.kinds node then
-          ex.decode_errors <- ex.decode_errors + 1)
-    | Some (Tm_node _) -> ())
-  | "action" -> (
-    match Hashtbl.find_opt ex.kinds node with
-    | Some (Tm_node txn) -> (
-      match Codec.tm_action_of_json payload with
-      | Ok action -> on_tm_action ex ~txn action
-      | Error _ -> ex.decode_errors <- ex.decode_errors + 1)
-    | Some Ps_node | None -> (
-      match Codec.ps_action_of_json payload with
-      | Ok action -> on_ps_action ex ~seq ~time_ms ~node action
-      | Error _ ->
-        if Hashtbl.mem ex.kinds node then
-          ex.decode_errors <- ex.decode_errors + 1))
+  match r.Journal_io.body with
+  | Journal_io.Undecodable _ -> ex.decode_errors <- ex.decode_errors + 1
   (* Driver-side resilience events: no data accesses, nothing to certify. *)
-  | "event" -> ()
-  | _ -> ex.decode_errors <- ex.decode_errors + 1
-
-let feed_line ex line =
-  match Json.parse line with
-  | Error _ -> ex.decode_errors <- ex.decode_errors + 1
-  | Ok j -> (
-    let get name decode = Result.bind (Json.member name j) decode in
-    match
-      ( get "seq" Json.to_int,
-        get "time_ms" Json.to_float,
-        get "node" Json.to_str,
-        get "dir" Json.to_str,
-        Json.member "payload" j )
-    with
-    | Ok seq, Ok time_ms, Ok node, Ok dir, Ok payload ->
-      feed_json ex ~seq ~time_ms ~node ~dir payload
-    | _ -> ex.decode_errors <- ex.decode_errors + 1)
-
-let check_header line =
-  match Json.parse line with
-  | Error m -> Error (Printf.sprintf "line 1: bad journal header: %s" m)
-  | Ok j -> (
-    match Result.bind (Json.member "journal" j) Json.to_str with
-    | Ok "cloudtx" -> Ok ()
-    | Ok other -> Error (Printf.sprintf "line 1: journal kind %S unknown" other)
-    | Error m -> Error (Printf.sprintf "line 1: bad journal header: %s" m))
+  | Journal_io.Event _ -> ()
+  | Journal_io.Payload (Codec_bin.Create_tm { txn; _ }) ->
+    Hashtbl.replace ex.tms node txn.Transaction.id
+  | Journal_io.Payload (Codec_bin.Create_ps _) ->
+    (* Repeated creates mark machine restarts: a new crash epoch. *)
+    Hashtbl.replace ex.epochs node
+      (match Hashtbl.find_opt ex.epochs node with Some e -> e + 1 | None -> 1)
+  | Journal_io.Payload (Codec_bin.Ps_input input) -> on_ps_input ex ~seq ~node input
+  | Journal_io.Payload (Codec_bin.Ps_action action) ->
+    on_ps_action ex ~seq ~time_ms:r.Journal_io.time_ms ~node action
+  | Journal_io.Payload (Codec_bin.Tm_action action) -> (
+    match Hashtbl.find_opt ex.tms node with
+    | Some txn -> on_tm_action ex ~txn action
+    | None -> ())
+  | Journal_io.Payload (Codec_bin.Tm_input _) -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Analysis: events -> version chains, read mappings, DSG              *)
@@ -595,6 +540,7 @@ let analyze ex =
 
   (* DSG edges with seq provenance. *)
   let raw_edges = ref [] in
+  let seen_edges = Hashtbl.create 64 in
   List.iter
     (fun (node, key) ->
       let c = chain node key in
@@ -647,16 +593,22 @@ let analyze ex =
   let edges =
     List.sort
       (fun a b ->
-        compare
-          (a.src_seq, a.dst_seq, kind_rank a.kind, a.src, a.dst, a.node, a.key)
-          (b.src_seq, b.dst_seq, kind_rank b.kind, b.src, b.dst, b.node, b.key))
+        (* By seqs first, without building tuples for the common case. *)
+        match Int.compare a.src_seq b.src_seq with
+        | 0 -> (
+          match Int.compare a.dst_seq b.dst_seq with
+          | 0 ->
+            compare
+              (kind_rank a.kind, a.src, a.dst, a.node, a.key)
+              (kind_rank b.kind, b.src, b.dst, b.node, b.key)
+          | c -> c)
+        | c -> c)
       !raw_edges
-    |> List.fold_left
-         (fun (seen, acc) e ->
+    |> List.filter (fun e ->
            let id = (e.src, e.dst, kind_rank e.kind, e.node, e.key) in
-           if List.mem id seen then (seen, acc) else (id :: seen, e :: acc))
-         ([], [])
-    |> snd |> List.rev
+           let fresh = not (Hashtbl.mem seen_edges id) in
+           if fresh then Hashtbl.replace seen_edges id ();
+           fresh)
   in
 
   (committed, aborted, versions, !reads_mapped, edges, dirty)
@@ -665,52 +617,61 @@ let analyze ex =
 (* Decision: topological witness, minimal cycle, SI membership         *)
 (* ------------------------------------------------------------------ *)
 
+module Int_set = Set.Make (Int)
+
 let decide ~committed ~edges ~dirty =
   match dirty with
   | a :: _ -> Anomalous a
   | [] ->
-    let nodes = committed in
-    let out u =
-      List.filter (fun e -> String.equal e.src u) edges
-    in
-    (* Kahn with deterministic tie-break: [committed] is already ordered
-       by first journal appearance, so the witness respects time. *)
-    let indeg = Hashtbl.create 16 in
-    List.iter (fun n -> Hashtbl.replace indeg n 0) nodes;
+    (* Out-edges of each transaction, in edge-list order. *)
+    let adj = Hashtbl.create 64 in
     List.iter
       (fun e ->
-        match Hashtbl.find_opt indeg e.dst with
-        | Some d -> Hashtbl.replace indeg e.dst (d + 1)
+        Hashtbl.replace adj e.src
+          (e :: Option.value ~default:[] (Hashtbl.find_opt adj e.src)))
+      (List.rev edges);
+    let out u = Option.value ~default:[] (Hashtbl.find_opt adj u) in
+    let nodes = Array.of_list committed in
+    let index = Hashtbl.create 16 in
+    Array.iteri (fun i n -> Hashtbl.replace index n i) nodes;
+    let indeg = Array.make (Array.length nodes) 0 in
+    List.iter
+      (fun e ->
+        match Hashtbl.find_opt index e.dst with
+        | Some i -> indeg.(i) <- indeg.(i) + 1
         | None -> ())
       edges;
+    (* Kahn, always taking the earliest ready transaction: [committed]
+       is ordered by first journal appearance, so the witness respects
+       time. *)
+    let ready = ref Int_set.empty in
+    Array.iteri (fun i d -> if d = 0 then ready := Int_set.add i !ready) indeg;
+    let taken = Array.make (Array.length nodes) false in
     let order = ref [] in
-    let remaining = ref nodes in
-    let progress = ref true in
-    while !progress do
-      progress := false;
-      match
-        List.find_opt (fun n -> Hashtbl.find indeg n = 0) !remaining
-      with
-      | Some n ->
-        progress := true;
-        order := n :: !order;
-        remaining := List.filter (fun m -> not (String.equal m n)) !remaining;
-        List.iter
-          (fun e ->
-            match Hashtbl.find_opt indeg e.dst with
-            | Some d -> Hashtbl.replace indeg e.dst (d - 1)
-            | None -> ())
-          (out n)
-      | None -> ()
+    while not (Int_set.is_empty !ready) do
+      let i = Int_set.min_elt !ready in
+      ready := Int_set.remove i !ready;
+      taken.(i) <- true;
+      order := nodes.(i) :: !order;
+      List.iter
+        (fun e ->
+          match Hashtbl.find_opt index e.dst with
+          | Some j ->
+            indeg.(j) <- indeg.(j) - 1;
+            if indeg.(j) = 0 then ready := Int_set.add j !ready
+          | None -> ())
+        (out nodes.(i))
     done;
-    if !remaining = [] then begin
+    let stuck = List.filteri (fun i _ -> not taken.(i)) committed in
+    if stuck = [] then begin
       (* Acyclic: serializable; the Fekete SI test is trivially met. *)
       Serializable { order = List.rev !order; si = true }
     end
     else begin
       (* Shortest cycle over the stuck subgraph, deterministically: BFS
          from each stuck node in order, neighbors in edge-list order. *)
-      let stuck = !remaining in
+      let is_stuck = Hashtbl.create 16 in
+      List.iter (fun n -> Hashtbl.replace is_stuck n ()) stuck;
       let best = ref None in
       List.iter
         (fun start ->
@@ -724,7 +685,7 @@ let decide ~committed ~edges ~dirty =
             let u = Queue.pop q in
             List.iter
               (fun e ->
-                if !found = None && List.mem e.dst (start :: stuck) then
+                if !found = None && Hashtbl.mem is_stuck e.dst then
                   if String.equal e.dst start then found := Some e
                   else if not (Hashtbl.mem visited e.dst) then begin
                     Hashtbl.replace visited e.dst ();
@@ -783,75 +744,33 @@ let decide ~committed ~edges ~dirty =
         }
     end
 
-(* Fekete snapshot-isolation test on a cyclic graph: SI only admits
-   cycles with two consecutive anti-dependency (rw) edges, so a cycle
-   avoiding rw->rw successions proves the history is not SI either.
-   Search the product graph (txn, arrived-via-rw) forbidding rw->rw. *)
-let si_test ~edges ~txns =
-  let states = List.concat_map (fun t -> [ (t, false); (t, true) ]) txns in
-  let succs (u, last_rw) =
-    List.filter_map
-      (fun e ->
-        if String.equal e.src u && not (last_rw && e.kind = Rw) then
-          Some (e.dst, e.kind = Rw)
-        else None)
-      edges
-  in
-  (* A cycle in the product graph = a base cycle with no rw->rw pair
-     anywhere (the carried flag closes the loop). *)
-  let color = Hashtbl.create 32 in
-  let cyclic = ref false in
-  let rec dfs s =
-    match Hashtbl.find_opt color s with
-    | Some `Done -> ()
-    | Some `Active -> cyclic := true
-    | None ->
-      Hashtbl.replace color s `Active;
-      List.iter (fun n -> if not !cyclic then dfs n) (succs s);
-      Hashtbl.replace color s `Done
-  in
-  List.iter (fun s -> if not !cyclic then dfs s) states;
-  not !cyclic
-
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let run ~lines =
-  match lines with
-  | [] -> Error "empty journal"
-  | header :: records -> (
-    match check_header header with
-    | Error _ as e -> e
-    | Ok () ->
-      let ex = create_ex () in
-      List.iter (fun line -> if String.trim line <> "" then feed_line ex line) records;
-      let committed, aborted, versions, reads_mapped, edges, dirty = analyze ex in
-      let verdict = decide ~committed ~edges ~dirty in
-      let verdict =
-        match verdict with
-        | Serializable { order; _ } ->
-          Serializable { order; si = si_test ~edges ~txns:committed }
-        | v -> v
-      in
-      Ok
-        {
-          records = ex.records;
-          decode_errors = ex.decode_errors;
-          committed;
-          aborted;
-          reads_mapped;
-          versions;
-          edges;
-          verdict;
-        })
+type t = ex
 
-(* Format auto-detection: binary journals decode to the same canonical
-   JSONL lines ({!Journal_io}), so verdicts are format-independent. *)
-let of_file path =
-  match Journal_io.of_file path with
-  | Error m -> Error m
-  | Ok loaded -> run ~lines:loaded.Journal_io.lines
+let create = create_ex
+
+let finish ex =
+  let committed, aborted, versions, reads_mapped, edges, dirty = analyze ex in
+  let verdict = decide ~committed ~edges ~dirty in
+  {
+    records = ex.records;
+    decode_errors = ex.decode_errors;
+    committed;
+    aborted;
+    reads_mapped;
+    versions;
+    edges;
+    verdict;
+  }
+
+let certify fold =
+  Result.map finish (fold ~init:(fun _ -> create ()) (fun ex r -> step ex r; ex))
+
+let run ~lines = certify (Journal_io.fold_lines lines)
+let of_file path = certify (Journal_io.fold_file path)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

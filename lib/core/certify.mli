@@ -1,7 +1,8 @@
 (** Serializability certifier: journal-driven history checking.
 
-    Replays nothing — it reads a flight-recorder journal (the same JSONL
-    stream {!Audit} replays and {!Health} watches), extracts each
+    Replays nothing — it folds over a flight-recorder journal's typed
+    records (the same {!Journal_io} stream {!Audit} replays and
+    {!Health} watches), extracts each
     committed transaction's read/write sets and the per-store version
     order, builds the direct serialization graph (DSG) and decides
     whether the committed history is serializable.
@@ -84,9 +85,27 @@ type report = {
   verdict : verdict;
 }
 
+(** {1 Incremental extraction}
+
+    A fold step over {!Journal_io.record}s; the analysis runs once, in
+    {!finish}. *)
+
+type t
+
+val create : unit -> t
+
+(** Extract one record's history events; an [Undecodable] record is
+    counted in [decode_errors] and skipped. *)
+val step : t -> Journal_io.record -> unit
+
+val finish : t -> report
+
+(** {1 Whole journals} *)
+
 (** Certify a journal given as its lines (header first).  [Error] only
-    for an unreadable header or an empty journal — record-level damage
-    is tolerated and counted in [decode_errors]. *)
+    for an empty journal, a bad header or an unparseable record envelope
+    (naming the line) — payload-level damage is tolerated and counted in
+    [decode_errors]. *)
 val run : lines:string list -> (report, string) result
 
 val of_file : string -> (report, string) result

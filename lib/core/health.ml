@@ -1,13 +1,10 @@
 module Json = Cloudtx_policy.Json
-module Codec = Cloudtx_protocol.Codec
 module Codec_bin = Cloudtx_protocol.Codec_bin
 module Tm = Cloudtx_protocol.Tm_machine
 module Ps = Cloudtx_protocol.Ps_machine
 module Monitor = Cloudtx_obs.Monitor
 module Proof = Cloudtx_policy.Proof
 module Policy = Cloudtx_policy.Policy
-
-type kind = Tm_node of string  (** transaction id *) | Ps_node
 
 (* Phase boundaries recovered from the journaled TM lifecycle: creation,
    the Obs Phase_open marks, and Finish — the same clock points
@@ -22,7 +19,7 @@ type phase_times = {
 type t = {
   monitor : Monitor.t;
   timeseries : Cloudtx_obs.Timeseries.t option;
-  kinds : (string, kind) Hashtbl.t;
+  tms : (string, string) Hashtbl.t;  (* TM node -> its transaction *)
   phase_times : (string, phase_times) Hashtbl.t;
   mutable decode_errors : int;
 }
@@ -31,7 +28,7 @@ let create ?timeseries monitor =
   {
     monitor;
     timeseries;
-    kinds = Hashtbl.create 16;
+    tms = Hashtbl.create 16;
     phase_times = Hashtbl.create 16;
     decode_errors = 0;
   }
@@ -69,46 +66,25 @@ let emit_proofs t ~seq ~time_ms ~txn proofs =
 (* Per-record event extraction                                         *)
 (* ------------------------------------------------------------------ *)
 
-let on_create t ~seq ~time_ms ~node payload =
-  match Result.bind (Json.member "kind" payload) Json.to_str with
-  | Ok "tm" -> (
-    let decoded =
-      match Result.bind (Json.member "txn" payload) Codec.transaction_of_json with
-      | Error _ -> None
-      | Ok txn -> (
-        match Result.bind (Json.member "config" payload) Codec.config_of_json with
-        | Error _ -> None
-        | Ok cfg -> Some (txn.Cloudtx_txn.Transaction.id, cfg))
-    in
-    match decoded with
-    | None ->
-      t.decode_errors <- t.decode_errors + 1;
-      emit t ~seq ~time_ms (Monitor.Activity { node })
-    | Some (txn, cfg) ->
-      Hashtbl.replace t.kinds node (Tm_node txn);
-      Hashtbl.replace t.phase_times txn
-        { begun_at = time_ms; prepare_at = None; decided_at = None };
-      emit t ~seq ~time_ms
-        (Monitor.Txn_begin
-           {
-             txn;
-             node;
-             scheme = Scheme.name cfg.Tm.scheme;
-             level = Consistency.name cfg.Tm.level;
-           }))
-  | Ok _ ->
-    Hashtbl.replace t.kinds node Ps_node;
-    emit t ~seq ~time_ms (Monitor.Activity { node })
-  | Error _ ->
-    t.decode_errors <- t.decode_errors + 1;
-    emit t ~seq ~time_ms (Monitor.Activity { node })
+let on_create_tm t ~seq ~time_ms ~node (cfg : Tm.config) txn =
+  let txn = txn.Cloudtx_txn.Transaction.id in
+  Hashtbl.replace t.tms node txn;
+  Hashtbl.replace t.phase_times txn
+    { begun_at = time_ms; prepare_at = None; decided_at = None };
+  emit t ~seq ~time_ms
+    (Monitor.Txn_begin
+       {
+         txn;
+         node;
+         scheme = Scheme.name cfg.Tm.scheme;
+         level = Consistency.name cfg.Tm.level;
+       })
 
-let on_tm_input t ~seq ~time_ms ~node ~txn payload =
+let on_tm_input t ~seq ~time_ms ~txn input =
   (* Any input means the TM machine stepped. *)
   emit t ~seq ~time_ms (Monitor.Txn_step { txn });
-  match Codec.tm_input_of_json payload with
-  | Error _ -> t.decode_errors <- t.decode_errors + 1
-  | Ok (Tm.Deliver { msg; _ }) -> (
+  match input with
+  | Tm.Deliver { msg; _ } -> (
     match msg with
     | Message.Master_version_reply { policies; _ } ->
       emit_masters t ~seq ~time_ms policies
@@ -116,7 +92,7 @@ let on_tm_input t ~seq ~time_ms ~node ~txn payload =
     | Message.Commit_reply { txn; proofs; _ } ->
       emit_proofs t ~seq ~time_ms ~txn proofs
     | _ -> ())
-  | Ok (Tm.Watchdog_fired _ | Tm.Retry_fired | Tm.Rtt_sample _) -> ignore node
+  | Tm.Watchdog_fired _ | Tm.Retry_fired | Tm.Rtt_sample _ -> ()
 
 let emit_latency t ~seq ~time_ms txn =
   match Hashtbl.find_opt t.phase_times txn with
@@ -137,12 +113,8 @@ let emit_latency t ~seq ~time_ms txn =
            decide_ms = Option.map (fun d -> time_ms -. d) pt.decided_at;
          })
 
-let on_tm_action t ~seq ~time_ms ~node ~txn payload =
-  match Codec.tm_action_of_json payload with
-  | Error _ ->
-    t.decode_errors <- t.decode_errors + 1;
-    emit t ~seq ~time_ms (Monitor.Activity { node })
-  | Ok (Tm.Obs (Tm.Phase_open { span_name; _ })) ->
+let on_tm_action t ~seq ~time_ms ~node ~txn = function
+  | Tm.Obs (Tm.Phase_open { span_name; _ }) ->
     (match Hashtbl.find_opt t.phase_times txn with
     | Some pt -> (
       (* The same clock points Manager samples: prepare opening starts
@@ -154,7 +126,7 @@ let on_tm_action t ~seq ~time_ms ~node ~txn payload =
       | _ -> ())
     | None -> ());
     emit t ~seq ~time_ms (Monitor.Activity { node })
-  | Ok (Tm.Finish { committed; reason; _ }) ->
+  | Tm.Finish { committed; reason; _ } ->
     emit_latency t ~seq ~time_ms txn;
     emit t ~seq ~time_ms
       (Monitor.Txn_end
@@ -164,53 +136,42 @@ let on_tm_action t ~seq ~time_ms ~node ~txn payload =
            reason = Outcome.reason_name reason;
            killed = reason = Outcome.Wait_die;
          })
-  | Ok (Tm.Send { msg = Message.Policy_update { policies; _ }; _ }) ->
+  | Tm.Send { msg = Message.Policy_update { policies; _ }; _ } ->
     (* Fresh bodies the TM relays came from the master. *)
     emit_masters t ~seq ~time_ms policies;
     emit t ~seq ~time_ms (Monitor.Activity { node })
-  | Ok _ -> emit t ~seq ~time_ms (Monitor.Activity { node })
+  | _ -> emit t ~seq ~time_ms (Monitor.Activity { node })
 
-let on_ps_input t ~seq ~time_ms ~node payload =
-  match Codec.ps_input_of_json payload with
-  | Error _ ->
-    t.decode_errors <- t.decode_errors + 1;
-    emit t ~seq ~time_ms (Monitor.Activity { node })
-  | Ok (Ps.Prepared { txn; vote }) ->
+let emit_replicas t ~seq ~time_ms ~node policies =
+  List.iter
+    (fun (p : Policy.t) ->
+      emit t ~seq ~time_ms
+        (Monitor.Replica_version
+           { node; domain = p.Policy.domain; version = p.Policy.version }))
+    policies
+
+let on_ps_input t ~seq ~time_ms ~node = function
+  | Ps.Prepared { txn; vote } ->
     emit t ~seq ~time_ms (Monitor.Vote { txn; node; vote })
-  | Ok (Ps.Evaluated { txn; proofs; policies; _ }) ->
+  | Ps.Evaluated { txn; proofs; policies; _ } ->
     emit_proofs t ~seq ~time_ms ~txn proofs;
-    List.iter
-      (fun (p : Policy.t) ->
-        emit t ~seq ~time_ms
-          (Monitor.Replica_version
-             { node; domain = p.Policy.domain; version = p.Policy.version }))
-      policies
-  | Ok (Ps.Deliver { msg; _ }) -> (
+    emit_replicas t ~seq ~time_ms ~node policies
+  | Ps.Deliver { msg; _ } ->
     (match msg with
     | Message.Propagate_policy { policy } -> emit_masters t ~seq ~time_ms [ policy ]
     | Message.Policy_update { policies; _ } -> emit_masters t ~seq ~time_ms policies
     | _ -> ());
-    emit t ~seq ~time_ms (Monitor.Activity { node }))
-  | Ok _ -> emit t ~seq ~time_ms (Monitor.Activity { node })
-
-let on_ps_action t ~seq ~time_ms ~node payload =
-  match Codec.ps_action_of_json payload with
-  | Error _ ->
-    t.decode_errors <- t.decode_errors + 1;
     emit t ~seq ~time_ms (Monitor.Activity { node })
-  | Ok (Ps.Install { policies; _ }) ->
-    List.iter
-      (fun (p : Policy.t) ->
-        emit t ~seq ~time_ms
-          (Monitor.Replica_version
-             { node; domain = p.Policy.domain; version = p.Policy.version }))
-      policies
-  | Ok (Ps.Prepare { policy_versions; _ }) ->
+  | _ -> emit t ~seq ~time_ms (Monitor.Activity { node })
+
+let on_ps_action t ~seq ~time_ms ~node = function
+  | Ps.Install { policies; _ } -> emit_replicas t ~seq ~time_ms ~node policies
+  | Ps.Prepare { policy_versions; _ } ->
     List.iter
       (fun (domain, version) ->
         emit t ~seq ~time_ms (Monitor.Replica_version { node; domain; version }))
       policy_versions
-  | Ok _ -> emit t ~seq ~time_ms (Monitor.Activity { node })
+  | _ -> emit t ~seq ~time_ms (Monitor.Activity { node })
 
 (* dir="event" records: driver-side resilience events (breaker
    transitions, admission rejections) journaled as JSON text on the
@@ -219,144 +180,63 @@ let on_ps_action t ~seq ~time_ms ~node payload =
    through as plain activity (forward compatibility, not an error). *)
 let on_event t ~seq ~time_ms ~node payload =
   let str k = Result.bind (Json.member k payload) Json.to_str in
+  let malformed () =
+    t.decode_errors <- t.decode_errors + 1;
+    emit t ~seq ~time_ms (Monitor.Activity { node })
+  in
   match str "event" with
   | Ok "breaker" -> (
     match (str "server", str "from", str "to") with
     | Ok server, Ok from_, Ok to_ ->
       emit t ~seq ~time_ms (Monitor.Breaker_transition { server; from_; to_ })
-    | _ ->
-      t.decode_errors <- t.decode_errors + 1;
-      emit t ~seq ~time_ms (Monitor.Activity { node }))
+    | _ -> malformed ())
   | Ok "admission" -> (
     match (str "txn", str "reason") with
     | Ok txn, Ok reason ->
       let server = Result.to_option (str "server") in
       emit t ~seq ~time_ms (Monitor.Admission_reject { txn; reason; server })
-    | _ ->
-      t.decode_errors <- t.decode_errors + 1;
-      emit t ~seq ~time_ms (Monitor.Activity { node }))
+    | _ -> malformed ())
   | Ok _ -> emit t ~seq ~time_ms (Monitor.Activity { node })
-  | Error _ ->
-    t.decode_errors <- t.decode_errors + 1;
-    emit t ~seq ~time_ms (Monitor.Activity { node })
+  | Error _ -> malformed ()
 
-let feed_json t ~seq ~time_ms ~node ~dir payload =
-  match dir with
-  | "create" -> on_create t ~seq ~time_ms ~node payload
-  | "event" -> on_event t ~seq ~time_ms ~node payload
-  | "input" -> (
-    match Hashtbl.find_opt t.kinds node with
-    | Some (Tm_node txn) -> on_tm_input t ~seq ~time_ms ~node ~txn payload
-    | Some Ps_node -> on_ps_input t ~seq ~time_ms ~node payload
-    | None ->
-      (* Node never created in this journal (e.g. a capped buffer dropped
-         the create): classify by trying both decoders. *)
-      (match Codec.ps_input_of_json payload with
-      | Ok _ ->
-        Hashtbl.replace t.kinds node Ps_node;
-        on_ps_input t ~seq ~time_ms ~node payload
-      | Error _ -> emit t ~seq ~time_ms (Monitor.Activity { node })))
-  | "action" -> (
-    match Hashtbl.find_opt t.kinds node with
-    | Some (Tm_node txn) -> on_tm_action t ~seq ~time_ms ~node ~txn payload
-    | Some Ps_node -> on_ps_action t ~seq ~time_ms ~node payload
-    | None -> emit t ~seq ~time_ms (Monitor.Activity { node }))
-  | _ ->
+(* A TM record from a node whose create this stream never saw (evicted
+   from a capped buffer) only advances the monitor's clock. *)
+let step t (r : Journal_io.record) =
+  let { Journal_io.seq; time_ms; node; body } = r in
+  let activity () = emit t ~seq ~time_ms (Monitor.Activity { node }) in
+  let with_txn f =
+    match Hashtbl.find_opt t.tms node with
+    | Some txn -> f txn
+    | None -> activity ()
+  in
+  match body with
+  | Journal_io.Undecodable _ ->
     t.decode_errors <- t.decode_errors + 1;
-    emit t ~seq ~time_ms (Monitor.Activity { node })
-
-let feed t ~seq ~time_ms ~node ~dir ~payload =
-  match Json.parse payload with
-  | Ok j -> feed_json t ~seq ~time_ms ~node ~dir j
-  | Error _ ->
-    t.decode_errors <- t.decode_errors + 1;
-    emit t ~seq ~time_ms (Monitor.Activity { node })
-
-(* Observer payloads arrive in the journal's own format: JSON text for a
-   JSONL journal, [Codec_bin] bytes for a binary one. *)
-let feed_bin t ~seq ~time_ms ~node ~dir ~payload =
-  if String.equal dir "event" then
-    (* Event frames carry JSON text as the raw payload, not Codec_bin
-       bytes. *)
-    match Json.parse payload with
-    | Ok j -> on_event t ~seq ~time_ms ~node j
-    | Error _ ->
-      t.decode_errors <- t.decode_errors + 1;
-      emit t ~seq ~time_ms (Monitor.Activity { node })
-  else
-    match Codec_bin.payload_of_string payload with
-    | Ok p ->
-      let dir =
-        match p with
-        | Codec_bin.Create_tm _ | Codec_bin.Create_ps _ -> "create"
-        | Codec_bin.Tm_input _ | Codec_bin.Ps_input _ -> "input"
-        | Codec_bin.Tm_action _ | Codec_bin.Ps_action _ -> "action"
-      in
-      feed_json t ~seq ~time_ms ~node ~dir (Codec_bin.payload_to_json p)
-    | Error _ ->
-      t.decode_errors <- t.decode_errors + 1;
-      emit t ~seq ~time_ms (Monitor.Activity { node })
+    activity ()
+  | Journal_io.Event payload -> on_event t ~seq ~time_ms ~node payload
+  | Journal_io.Payload (Codec_bin.Create_tm { config; txn; _ }) ->
+    on_create_tm t ~seq ~time_ms ~node config txn
+  | Journal_io.Payload (Codec_bin.Create_ps _) -> activity ()
+  | Journal_io.Payload (Codec_bin.Tm_input input) ->
+    with_txn (fun txn -> on_tm_input t ~seq ~time_ms ~txn input)
+  | Journal_io.Payload (Codec_bin.Tm_action action) ->
+    with_txn (fun txn -> on_tm_action t ~seq ~time_ms ~node ~txn action)
+  | Journal_io.Payload (Codec_bin.Ps_input input) ->
+    on_ps_input t ~seq ~time_ms ~node input
+  | Journal_io.Payload (Codec_bin.Ps_action action) ->
+    on_ps_action t ~seq ~time_ms ~node action
 
 let attach ?timeseries journal monitor =
   let t = create ?timeseries monitor in
-  let feed =
-    match Cloudtx_obs.Journal.format journal with
-    | Cloudtx_obs.Journal.Jsonl -> feed
-    | Cloudtx_obs.Journal.Binary -> feed_bin
-  in
-  Cloudtx_obs.Journal.add_observer journal (fun ~seq ~time_ms ~node ~dir ~payload ->
-      feed t ~seq ~time_ms ~node ~dir ~payload);
+  Journal_io.attach journal (step t);
   t
 
 (* ------------------------------------------------------------------ *)
 (* Offline replay                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let check_header line =
-  match Json.parse line with
-  | Error m -> Error (Printf.sprintf "line 1: bad journal header: %s" m)
-  | Ok j -> (
-    match Result.bind (Json.member "journal" j) Json.to_str with
-    | Ok "cloudtx" -> Ok ()
-    | Ok other -> Error (Printf.sprintf "line 1: journal kind %S unknown" other)
-    | Error m -> Error (Printf.sprintf "line 1: bad journal header: %s" m))
-
-let feed_line t ~lineno line =
-  match Json.parse line with
-  | Error m -> Error (Printf.sprintf "line %d: unparseable record: %s" lineno m)
-  | Ok j -> (
-    let ( let* ) = Result.bind in
-    let field what r =
-      Result.map_error
-        (fun m -> Printf.sprintf "line %d: record without %s: %s" lineno what m)
-        r
-    in
-    let* seq = field "seq" (Result.bind (Json.member "seq" j) Json.to_int) in
-    let* time_ms =
-      field "time_ms" (Result.bind (Json.member "time_ms" j) Json.to_float)
-    in
-    let* node = field "node" (Result.bind (Json.member "node" j) Json.to_str) in
-    let* dir = field "dir" (Result.bind (Json.member "dir" j) Json.to_str) in
-    let* payload = field "payload" (Json.member "payload" j) in
-    feed_json t ~seq ~time_ms ~node ~dir payload;
-    Ok ())
-
-(* Format auto-detection via {!Journal_io}: a binary journal replays as
-   the same canonical records. *)
 let of_file ?timeseries path monitor =
-  match Result.map (fun l -> l.Journal_io.lines) (Journal_io.of_file path) with
-  | Error m -> Error m
-  | Ok [] -> Error "empty journal"
-  | Ok (header :: records) -> (
-    match check_header header with
-    | Error _ as e -> e
-    | Ok () ->
-      let t = create ?timeseries monitor in
-      let rec go n lineno = function
-        | [] -> Ok n
-        | line :: rest -> (
-          match feed_line t ~lineno line with
-          | Ok () -> go (n + 1) (lineno + 1) rest
-          | Error _ as e -> e)
-      in
-      go 0 2 records)
+  let t = create ?timeseries monitor in
+  Journal_io.fold_file path ~init:(fun _ -> 0) (fun n r ->
+      step t r;
+      n + 1)

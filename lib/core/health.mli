@@ -2,16 +2,17 @@
     {!Cloudtx_obs.Monitor} events.
 
     The monitor itself ([lib/obs]) is protocol-blind; this module owns the
-    protocol-aware half of the Watchtower — it reads each journal record
-    (live through {!attach}, or offline from a file through {!of_file}),
-    decodes the payload with {!Cloudtx_protocol.Codec}, and emits the
-    neutral {!Cloudtx_obs.Monitor.event}s the SLO rules consume:
-    transaction begin/step/end, master and replica policy versions,
-    prepare votes and proof evaluations.
+    protocol-aware half of the Watchtower — a fold {!step} over the typed
+    {!Journal_io.record} stream (live through {!attach}, or offline from
+    a file of either format through {!of_file}) that emits the neutral
+    {!Cloudtx_obs.Monitor.event}s the SLO rules consume: transaction
+    begin/step/end, master and replica policy versions, prepare votes and
+    proof evaluations.
 
-    Decoding is best-effort: a record whose payload does not decode still
-    advances the monitor's clock (as [Activity]) and is counted in
-    {!decode_errors}; the bridge never raises on malformed input. *)
+    Best-effort: an [Undecodable] record still advances the monitor's
+    clock (as [Activity]) and is counted in {!decode_errors}, as is a
+    malformed resilience event; the bridge never raises on malformed
+    input. *)
 
 type t
 
@@ -24,10 +25,8 @@ type t
     histograms sample, so offline replay reproduces them exactly. *)
 val create : ?timeseries:Cloudtx_obs.Timeseries.t -> Cloudtx_obs.Monitor.t -> t
 
-(** Feed one journal record; [payload] is the raw JSON fragment from the
-    record envelope. *)
-val feed :
-  t -> seq:int -> time_ms:float -> node:string -> dir:string -> payload:string -> unit
+(** Feed one decoded journal record. *)
+val step : t -> Journal_io.record -> unit
 
 (** Records whose payload failed to decode so far. *)
 val decode_errors : t -> int
@@ -45,7 +44,8 @@ val attach :
 
 (** [of_file path monitor] replays a journal file through the monitor in
     journal order — the [watch] path.  Returns the number of records fed,
-    or [Error] on an unreadable file or a bad header line.  Unlike
+    or [Error] on an unreadable file, a bad header or a record envelope
+    that does not parse (naming the line or frame).  Unlike
     {!Audit.of_file} this tolerates seq gaps (a capped in-memory buffer
     legitimately drops oldest records); each record's own [seq] is what
     lands in alert evidence. *)

@@ -392,56 +392,60 @@ let decode_frame_body s pos len =
   in
   { seq; time_ms; node; dir; payload = String.sub s p (limit - p) }
 
-let decode_binary s =
+let fold_binary s ~init f =
   let magic_len = String.length binary_magic in
   if not (is_binary s) then Error "not a binary journal: bad magic"
   else if String.length s < magic_len + 1 then
     Error "binary journal truncated before version byte"
-  else begin
+  else
     let version = Char.code s.[magic_len] in
-    let total = String.length s in
-    let frames = ref [] in
-    let last_seq = ref 0 in
-    let pos = ref (magic_len + 1) in
-    let torn = ref 0 in
-    try
-      while !pos < total do
-        if !pos + 4 > total then begin
-          torn := total - !pos;
-          pos := total
-        end
-        else begin
-          let len = read_u32_le s !pos in
-          if !pos + 4 + len + 4 > total then begin
+    match init version with
+    | Error m -> Error m
+    | Ok acc -> (
+      let acc = ref acc in
+      let total = String.length s in
+      let count = ref 0 in
+      let last_seq = ref 0 in
+      let pos = ref (magic_len + 1) in
+      let torn = ref 0 in
+      let bad what =
+        Bad_frame
+          (Printf.sprintf "frame %d (expected seq %d): %s" (!count + 1)
+             (!last_seq + 1) what)
+      in
+      try
+        while !pos < total do
+          if !pos + 4 > total then begin
             torn := total - !pos;
             pos := total
           end
           else begin
-            let body_pos = !pos + 4 in
-            let want = read_u32_le s (body_pos + len) in
-            let got = fnv1a_32 s body_pos len in
-            if want <> got then
-              raise
-                (Bad_frame
-                   (Printf.sprintf
-                      "frame %d (expected seq %d): checksum mismatch"
-                      (List.length !frames + 1)
-                      (!last_seq + 1)));
-            let fr =
-              try decode_frame_body s body_pos len
-              with Bad_frame m ->
-                raise
-                  (Bad_frame
-                     (Printf.sprintf "frame %d (expected seq %d): %s"
-                        (List.length !frames + 1)
-                        (!last_seq + 1) m))
-            in
-            last_seq := fr.seq;
-            frames := fr :: !frames;
-            pos := body_pos + len + 4
+            let len = read_u32_le s !pos in
+            if !pos + 4 + len + 4 > total then begin
+              torn := total - !pos;
+              pos := total
+            end
+            else begin
+              let body_pos = !pos + 4 in
+              let want = read_u32_le s (body_pos + len) in
+              let got = fnv1a_32 s body_pos len in
+              if want <> got then raise (bad "checksum mismatch");
+              let fr =
+                try decode_frame_body s body_pos len
+                with Bad_frame m -> raise (bad m)
+              in
+              last_seq := fr.seq;
+              incr count;
+              acc := f !acc fr;
+              pos := body_pos + len + 4
+            end
           end
-        end
-      done;
-      Ok { version; frames = List.rev !frames; torn_bytes = !torn }
-    with Bad_frame m -> Error m
-  end
+        done;
+        Ok (version, !acc, !torn)
+      with Bad_frame m -> Error m)
+
+let decode_binary s =
+  Result.map
+    (fun (version, frames, torn_bytes) ->
+      { version; frames = List.rev frames; torn_bytes })
+    (fold_binary s ~init:(fun _ -> Ok []) (fun acc fr -> fr :: acc))

@@ -208,3 +208,13 @@ type decoded = {
     complete} frame whose checksum does not match its body is an error
     naming the frame and the seq it was expected to carry. *)
 val decode_binary : string -> (decoded, string) result
+
+(** [fold_binary s ~init f] — {!decode_binary} one frame at a time,
+    without building the frame list: [init] sees the header's version
+    (an [Error] stops there), then [f] folds over the frames in order.
+    Returns the version, the result and the torn byte count. *)
+val fold_binary :
+  string ->
+  init:(int -> ('a, string) result) ->
+  ('a -> frame -> 'a) ->
+  (int * 'a * int, string) result

@@ -59,6 +59,22 @@ let to_string t =
   go t;
   Buffer.contents buf
 
+let rec same_rendering a b =
+  match (a, b) with
+  | Int x, Int y -> x = y
+  | Float x, Float y
+    when Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) ->
+    true
+  | (Int _ | Float _), (Int _ | Float _) ->
+    String.equal (to_string a) (to_string b)
+  | String x, String y -> String.equal x y
+  | Bool x, Bool y -> x = y
+  | Null, Null -> true
+  | List xs, List ys -> List.equal same_rendering xs ys
+  | Obj xs, Obj ys ->
+    List.equal (fun (k, x) (l, y) -> String.equal k l && same_rendering x y) xs ys
+  | _ -> false
+
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)

@@ -17,6 +17,11 @@ type t =
 (** Compact rendering (no insignificant whitespace). *)
 val to_string : t -> string
 
+(** [same_rendering a b] iff [to_string a = to_string b], decided
+    without rendering whole trees (a parsed ["5"] is [Int 5], which
+    renders like [Float 5.]). *)
+val same_rendering : t -> t -> bool
+
 (** [parse s] parses exactly one JSON value spanning the whole input.
     Returns [Error description] on malformed input. *)
 val parse : string -> (t, string) result

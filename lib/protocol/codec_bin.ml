@@ -5,9 +5,9 @@
    [Cloudtx_obs.Wbuf.t] — the journal's reused frame writer — with no
    intermediate JSON or string copies, which is what makes the binary
    journal's hot path allocation-lean.  Decoders rebuild the typed value
-   and never raise; [payload_to_json] then re-renders through {!Codec},
-   so a decoded binary record produces byte-identical canonical JSON to
-   what a JSONL journal would have recorded.  See codec_bin.mli. *)
+   and never raise; [payload_to_json] renders a payload as the
+   byte-identical canonical JSON a JSONL journal would have recorded.
+   See codec_bin.mli. *)
 
 module Wbuf = Cloudtx_obs.Wbuf
 module Json = Cloudtx_policy.Json
@@ -1343,6 +1343,11 @@ let payload_of_string s =
     else Ok p
   | exception Corrupt m -> Error m
 
+let payload_dir = function
+  | Create_tm _ | Create_ps _ -> "create"
+  | Tm_input _ | Ps_input _ -> "input"
+  | Tm_action _ | Ps_action _ -> "action"
+
 let payload_to_string p =
   let b = Wbuf.create 128 in
   emit_payload b p;
@@ -1385,8 +1390,11 @@ let payload_of_json ~dir ~kind j =
       Ok (Create_tm { config; txn; submitted_at })
     | Ok "ps" ->
       let* variant = Result.bind (member "variant" j) Codec.variant_of_json in
+      (* Absent in journals from before the termination protocol. *)
       let* inquiry_timeout =
-        Result.bind (member "inquiry_timeout" j) to_float
+        match member "inquiry_timeout" j with
+        | Ok t -> to_float t
+        | Error _ -> Ok 0.
       in
       Ok (Create_ps { variant; inquiry_timeout })
     | Ok other -> Error (Printf.sprintf "create kind %S unknown" other))

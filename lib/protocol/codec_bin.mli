@@ -13,10 +13,13 @@
       non-[Fixed] timeout policy appended after the config — kind 0
       keeps the v3 layout byte-for-byte), so a binary journal decodes
       without tracking per-node machine kinds.
-    - {b Canonical JSON on decode.}  {!payload_to_json} re-renders a
-      decoded payload through {!Codec}, so a binary record converts to
+    - {b One typed payload for both formats.}  {!payload_of_string}
+      (binary) and {!payload_of_json} (JSONL) decode to the same
+      {!payload} sum, which is what every journal consumer reads; the
+      typed record stream is [Cloudtx_core.Journal_io]'s.
+      {!payload_to_json} re-renders a payload through {!Codec} to
       exactly the canonical JSON a JSONL journal would have recorded —
-      the byte-exact audit contract across formats.
+      used only to render records back to JSONL text.
 
     Wire grammar (composed inside the journal's checksummed frames; see
     DESIGN.md): variant tags are single bytes in declaration order,
@@ -70,6 +73,10 @@ val emit_ps_action_payload : Wbuf.t -> Ps_machine.action -> unit
 
 (** {1 Whole payloads} *)
 
+(** The journal envelope [dir] a payload is recorded under: ["create"],
+    ["input"] or ["action"]. *)
+val payload_dir : payload -> string
+
 val emit_payload : Wbuf.t -> payload -> unit
 val payload_to_string : payload -> string
 
@@ -85,9 +92,10 @@ val payload_to_json : payload -> Json.t
 
 type node_kind = Tm | Ps
 
-(** Decode a JSONL record's payload into a typed {!payload} (for
-    JSONL→binary conversion).  [dir] is the record's envelope dir;
-    [kind] resolves whether an input/action belongs to a TM or PS node
-    (the converter tracks this from create records). *)
+(** Decode a JSONL record's payload into a typed {!payload}.  [dir] is
+    the record's envelope dir; [kind] resolves whether an input/action
+    belongs to a TM or PS node (the caller tracks this from create
+    records).  A participant create without [inquiry_timeout] (journals
+    from before the termination protocol) decodes with [0.]. *)
 val payload_of_json :
   dir:string -> kind:node_kind -> Json.t -> (payload, string) result

@@ -8,18 +8,23 @@ let size h = h.len
 
 let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
-let grow h entry =
+(* What every slot at or past [len] holds, so no popped entry (and the
+   closure it carries) stays reachable from the array.  Those slots are
+   never read, so its value, typed as any ['a], is never seen. *)
+let vacant = { time = 0.; seq = 0; value = () }
+let vacant () : 'a entry = Obj.magic vacant
+
+let grow h =
   let capacity = Array.length h.data in
   if h.len = capacity then begin
-    let bigger = Array.make (max 16 (2 * capacity)) entry in
+    let bigger = Array.make (max 16 (2 * capacity)) (vacant ()) in
     Array.blit h.data 0 bigger 0 h.len;
     h.data <- bigger
   end
 
 let push h ~time ~seq value =
-  let entry = { time; seq; value } in
-  grow h entry;
-  h.data.(h.len) <- entry;
+  grow h;
+  h.data.(h.len) <- { time; seq; value };
   h.len <- h.len + 1;
   (* Sift up. *)
   let i = ref (h.len - 1) in
@@ -41,8 +46,9 @@ let pop h =
   else begin
     let top = h.data.(0) in
     h.len <- h.len - 1;
+    h.data.(0) <- h.data.(h.len);
+    h.data.(h.len) <- vacant ();
     if h.len > 0 then begin
-      h.data.(0) <- h.data.(h.len);
       (* Sift down. *)
       let i = ref 0 in
       let continue = ref true in

@@ -266,6 +266,47 @@ let test_truncated_journal () =
   let tampered = List.filteri (fun i _ -> i < last_action) lines in
   expect_rejected "truncated journal" tampered
 
+(* Equality of meaning is equality of bytes: an action record that still
+   decodes to the replayed action but is not its canonical rendering (an
+   extra field, two fields swapped) is rejected, naming its seq. *)
+let test_non_canonical_action () =
+  let module Json = Cloudtx_policy.Json in
+  let lines = Lazy.force baseline in
+  let rewrite what edit =
+    let hit = ref None in
+    let tampered =
+      List.map
+        (fun l ->
+          if !hit = None && contains l "\"dir\":\"action\"" then
+            match Json.parse l with
+            | Ok (Json.Obj fields) -> (
+              match (List.assoc "payload" fields, List.assoc "seq" fields) with
+              | Json.Obj payload, Json.Int seq -> (
+                match edit payload with
+                | Some payload ->
+                  hit := Some seq;
+                  let prefix, _ = split_payload l in
+                  prefix ^ Json.to_string (Json.Obj payload) ^ "}"
+                | None -> l)
+              | _ -> l)
+            | _ -> l
+          else l)
+        lines
+    in
+    match !hit with
+    | None -> Alcotest.failf "%s: no action record to tamper with" what
+    | Some seq -> (
+      match Audit.run ~lines:tampered with
+      | Ok _ -> Alcotest.failf "%s: non-canonical action passed the audit" what
+      | Error e ->
+        if not (contains e (Printf.sprintf "seq %d " seq)) then
+          Alcotest.failf "%s: diagnostic does not name seq %d: %s" what seq e)
+  in
+  rewrite "extra field" (fun payload -> Some (payload @ [ ("extra", Json.Bool true) ]));
+  rewrite "swapped fields" (function
+    | tag :: a :: b :: rest -> Some (tag :: b :: a :: rest)
+    | _ -> None)
+
 (* --- format compatibility --------------------------------------------- *)
 
 (* Journals recorded before codec v3 lack the Apply write stamps; the
@@ -338,6 +379,8 @@ let () =
           Alcotest.test_case "flipped vote" `Quick test_flipped_vote;
           Alcotest.test_case "stale version" `Quick test_stale_version;
           Alcotest.test_case "truncated journal" `Quick test_truncated_journal;
+          Alcotest.test_case "non-canonical action" `Quick
+            test_non_canonical_action;
         ] );
       ( "compat",
         [

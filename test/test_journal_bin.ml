@@ -1,13 +1,19 @@
 (* The binary flight-recorder format: frame round-trips, corruption
-   handling (torn tail tolerated, checksum damage rejected by seq), and
-   cross-format equivalence — the audit and certify verdicts must not
-   depend on which encoding the journal was recorded in. *)
+   handling (torn tail tolerated, checksum damage rejected by seq),
+   cross-format equivalence — no consumer's output may depend on which
+   encoding the journal was recorded in — and byte-mutation fuzzing of
+   both record decoders. *)
 
 module Journal = Cloudtx_obs.Journal
 module Wbuf = Cloudtx_obs.Wbuf
 module Journal_io = Cloudtx_core.Journal_io
 module Audit = Cloudtx_core.Audit
 module Certify = Cloudtx_core.Certify
+module Blame = Cloudtx_core.Blame
+module Health = Cloudtx_core.Health
+module Report_io = Cloudtx_core.Report_io
+module Monitor = Cloudtx_obs.Monitor
+module Report = Cloudtx_obs.Report
 module Manager = Cloudtx_core.Manager
 module Scheme = Cloudtx_core.Scheme
 module Consistency = Cloudtx_core.Consistency
@@ -182,9 +188,43 @@ let test_single_bit_flips_caught () =
 (* Cross-format equivalence                                            *)
 (* ------------------------------------------------------------------ *)
 
+let with_temp_file contents f =
+  let path = Filename.temp_file "cloudtx_journal" ".journal" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents);
+      f path)
+
+(* Every consumer's file entry point on one journal, rendered for
+   comparison. *)
+let consumer_views cell path =
+  let ok what = function
+    | Ok v -> v
+    | Error why -> Alcotest.failf "%s: %s failed: %s" cell what why
+  in
+  let certify = ok "certify" (Certify.of_file path) in
+  let monitor = Monitor.create () in
+  let watched = ok "watch" (Health.of_file path monitor) in
+  let report, _ = ok "report" (Report_io.of_journal path) in
+  [
+    ("audit", Audit.report_to_string (ok "audit" (Audit.of_file path)));
+    ( "certify",
+      Printf.sprintf "%s; %d records, %d decode errors; %s" (Certify.summary certify)
+        certify.Certify.records certify.Certify.decode_errors
+        (Cloudtx_obs.Dsg.to_json (Certify.to_dsg certify)) );
+    ("blame", Blame.to_json (ok "blame" (Blame.of_file path)));
+    ( "watch",
+      Printf.sprintf "%d records; alerts: %s" watched
+        (String.concat "; " (Report_io.alert_lines_of_monitor monitor)) );
+    ("report", Report.to_json report);
+  ]
+
 (* All eight (scheme, level) cells: a natively-binary journal converts
-   to JSONL and back byte-exactly, and audit + certify reach identical
-   verdicts on both encodings. *)
+   to JSONL and back byte-exactly, audit + certify reach identical
+   verdicts on both encodings' lines, and every consumer's [of_file]
+   renders identical output on the binary file and on its JSONL
+   conversion — the binary and JSONL typed decoders compared directly. *)
 let test_cross_format_equivalence () =
   List.iter
     (fun scheme ->
@@ -217,16 +257,106 @@ let test_cross_format_equivalence () =
             Alcotest.(check bool) (cell ^ ": audit reports identical") true (a = b)
           | Error why, _ | _, Error why ->
             Alcotest.failf "%s: audit failed: %s" cell why);
-          match (Certify.run ~lines:bin_lines, Certify.run ~lines:jsonl_lines) with
+          (match (Certify.run ~lines:bin_lines, Certify.run ~lines:jsonl_lines) with
           | Ok a, Ok b ->
             Alcotest.(check string)
               (cell ^ ": certify verdicts identical")
               (Certify.summary a) (Certify.summary b);
             Alcotest.(check bool) (cell ^ ": certify reports identical") true (a = b)
           | Error why, _ | _, Error why ->
-            Alcotest.failf "%s: certify failed: %s" cell why)
+            Alcotest.failf "%s: certify failed: %s" cell why);
+          let views contents = with_temp_file contents (consumer_views cell) in
+          Alcotest.(check (list (pair string string)))
+            (cell ^ ": every consumer identical on both files")
+            (views jsonl) (views bin))
         [ Consistency.View; Consistency.Global ])
     Scheme.all
+
+(* ------------------------------------------------------------------ *)
+(* Fuzzing the record decoders                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* One small recorded run per format, shared by the properties. *)
+let corpus =
+  lazy
+    ( record_cell ~txns:2 ~format:Journal.Jsonl Scheme.Continuous Consistency.Global,
+      record_cell ~txns:2 ~format:Journal.Binary Scheme.Continuous Consistency.Global )
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1)) in
+  go 0
+
+(* The decoder contract under damage: never raise; either an [Error]
+   naming the line or frame, or records, any undecodable one counted as
+   such by a best-effort consumer. *)
+let decodes_or_names_position contents =
+  let undecodable = ref 0 in
+  match
+    Journal_io.fold contents ~init:(fun _ -> ()) (fun () r ->
+        match r.Journal_io.body with
+        | Journal_io.Undecodable _ -> incr undecodable
+        | Journal_io.Payload _ | Journal_io.Event _ -> ())
+  with
+  | exception e -> QCheck.Test.fail_reportf "decoder raised %s" (Printexc.to_string e)
+  | Error why ->
+    contains why "line" || contains why "frame" || contains why "header"
+    || contains why "magic"
+    || QCheck.Test.fail_reportf "error names no position: %s" why
+  | Ok () ->
+    let certify =
+      Journal_io.fold contents ~init:(fun _ -> Certify.create ()) (fun c r ->
+          Certify.step c r;
+          c)
+    in
+    (match certify with
+    | Ok c when (Certify.finish c).Certify.decode_errors = !undecodable -> true
+    | Ok c ->
+      QCheck.Test.fail_reportf "%d undecodable records, certify counted %d"
+        !undecodable (Certify.finish c).Certify.decode_errors
+    | Error why -> QCheck.Test.fail_reportf "second decode disagreed: %s" why)
+
+(* 1-4 bytes overwritten with arbitrary values at arbitrary offsets. *)
+let mutations =
+  QCheck.(list_of_size Gen.(1 -- 4) (pair (int_bound 1_000_000) (int_bound 255)))
+
+let mutate s edits =
+  let b = Bytes.of_string s in
+  List.iter
+    (fun (pos, byte) -> Bytes.set b (pos mod Bytes.length b) (Char.chr byte))
+    edits;
+  Bytes.to_string b
+
+let prop_jsonl_mutation =
+  QCheck.Test.make ~name:"JSONL decoder: mutated bytes never raise" ~count:300
+    mutations (fun edits ->
+      let jsonl, _ = Lazy.force corpus in
+      decodes_or_names_position (mutate jsonl edits))
+
+(* Binary frames are checksummed, so raw mutations mostly stop at the
+   frame layer; also re-frame a mutated payload with a valid checksum to
+   reach the payload decoder. *)
+let prop_binary_mutation =
+  QCheck.Test.make ~name:"binary decoder: mutated bytes never raise" ~count:300
+    QCheck.(pair mutations small_nat)
+    (fun (edits, frame_i) ->
+      let _, bin = Lazy.force corpus in
+      let frames = (decode_ok bin).Journal.frames in
+      let target = frame_i mod List.length frames in
+      let buf = Buffer.create (String.length bin) in
+      Buffer.add_string buf (Journal.binary_header ~version:Journal.format_version);
+      List.iteri
+        (fun i (f : Journal.frame) ->
+          let payload =
+            if i = target && f.Journal.payload <> "" then mutate f.Journal.payload edits
+            else f.Journal.payload
+          in
+          Journal.encode_frame buf ~seq:f.Journal.seq ~time_ms:f.Journal.time_ms
+            ~node:f.Journal.node ~dir:f.Journal.dir
+            ~emit:(fun w -> Wbuf.str w payload))
+        frames;
+      decodes_or_names_position (mutate bin edits)
+      && decodes_or_names_position (Buffer.contents buf))
 
 (* ------------------------------------------------------------------ *)
 
@@ -252,4 +382,7 @@ let () =
           Alcotest.test_case "all cells, both formats, same verdicts" `Quick
             test_cross_format_equivalence;
         ] );
+      ( "fuzz",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_jsonl_mutation; prop_binary_mutation ] );
     ]

@@ -110,6 +110,35 @@ let test_heap_peek () =
   Event_heap.push h ~time:4.2 ~seq:0 ();
   Alcotest.(check (option (float 1e-9))) "peek" (Some 4.2) (Event_heap.peek_time h)
 
+(* Push a value per time, pop the earliest; a weak pointer to it.  The
+   values are allocated here, so nothing on the caller's stack keeps the
+   popped one alive. *)
+let push_then_pop_first h ~times =
+  let w = Weak.create 1 in
+  List.iteri
+    (fun i time ->
+      let v = ref i in
+      if i = 0 then Weak.set w 0 (Some v);
+      Event_heap.push h ~time ~seq:i v)
+    times;
+  ignore (Sys.opaque_identity (Event_heap.pop h));
+  w
+[@@inline never]
+
+(* A popped value (the simulator's event closure) must not stay
+   reachable from the heap's array, whether the heap drained or not. *)
+let test_heap_releases_popped () =
+  let drained = Event_heap.create () in
+  let w_drained = push_then_pop_first drained ~times:[ 1. ] in
+  let busy = Event_heap.create () in
+  let w_busy = push_then_pop_first busy ~times:[ 1.; 5.; 3.; 4.; 2. ] in
+  Gc.full_major ();
+  Alcotest.(check bool) "drained heap released it" false (Weak.check w_drained 0);
+  Alcotest.(check bool) "busy heap released it" false (Weak.check w_busy 0);
+  Alcotest.(check int) "survivors kept" 4 (Event_heap.size busy);
+  Alcotest.(check (option (float 0.))) "next is earliest" (Some 2.)
+    (Event_heap.peek_time busy)
+
 let prop_heap_sorted =
   QCheck.Test.make ~name:"heap pops in (time, seq) order" ~count:200
     QCheck.(list_of_size Gen.(0 -- 100) (float_range 0. 1000.))
@@ -440,6 +469,8 @@ let () =
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "FIFO ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "peek" `Quick test_heap_peek;
+          Alcotest.test_case "popped values released" `Quick
+            test_heap_releases_popped;
           qc prop_heap_sorted;
         ] );
       ( "engine",
