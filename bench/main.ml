@@ -20,13 +20,12 @@
 
 module Cluster = Cloudtx_core.Cluster
 module Manager = Cloudtx_core.Manager
-module Scheme = Cloudtx_core.Scheme
-module Consistency = Cloudtx_core.Consistency
+module Scheme = Cloudtx_protocol.Scheme
+module Consistency = Cloudtx_protocol.Consistency
 module Complexity = Cloudtx_core.Complexity
-module Outcome = Cloudtx_core.Outcome
-module Message = Cloudtx_core.Message
+module Outcome = Cloudtx_protocol.Outcome
+module Message = Cloudtx_protocol.Message
 module Participant = Cloudtx_core.Participant
-module Counter = Cloudtx_metrics.Counter
 module Table = Cloudtx_metrics.Table
 module Timeline = Cloudtx_metrics.Timeline
 module Sample_set = Cloudtx_metrics.Sample_set
@@ -357,6 +356,23 @@ let section_figure1 () =
     "  agree with each other); global consistency blocks it for every scheme";
   print_endline "  that validates or version-checks against the master."
 
+(* The wire view of a traced run, as the figures below chart it. *)
+let sends tracer =
+  List.filter_map
+    (fun { Trace.time; kind } ->
+      match kind with
+      | Trace.Send { src; dst; label } -> Some (time, src, dst, label)
+      | Trace.Recv _ | Trace.Drop _ | Trace.Mark _ -> None)
+    (Trace.of_tracer tracer)
+
+let marks tracer =
+  List.filter_map
+    (fun { Trace.time; kind } ->
+      match kind with
+      | Trace.Mark { node; label } -> Some (time, node, label)
+      | Trace.Send _ | Trace.Recv _ | Trace.Drop _ -> None)
+    (Trace.of_tracer tracer)
+
 (* ------------------------------------------------------------------ *)
 (* Figure 2                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -369,6 +385,7 @@ let section_figure2 () =
     Scenario.retail ~latency:(Latency.Constant 1.) ~n_servers:2 ~n_subjects:1 ()
   in
   let cluster = scenario.Scenario.cluster in
+  let tracer = Transport.enable_tracing (Cluster.transport cluster) in
   let txn =
     Scenario.spread_transaction scenario ~id:"t1" ~subject:"clerk-1" ~queries:2 ()
   in
@@ -376,11 +393,10 @@ let section_figure2 () =
     Manager.run_one cluster (Manager.config Scheme.Deferred Consistency.Global) txn
   in
   ignore outcome;
-  let trace = Transport.trace (Cluster.transport cluster) in
   List.iter
     (fun (time, src, dst, label) ->
       Printf.printf "  %7.2fms  %-14s -> %-14s  %s\n" time src dst label)
-    (Trace.messages trace)
+    (sends tracer)
 
 (* ------------------------------------------------------------------ *)
 (* Figures 3-6                                                         *)
@@ -398,6 +414,7 @@ let section_figures_3_to_6 () =
           ~n_subjects:1 ()
       in
       let cluster = scenario.Scenario.cluster in
+      let tracer = Transport.enable_tracing (Cluster.transport cluster) in
       let txn =
         Scenario.spread_transaction scenario ~id:"t1" ~subject:"clerk-1"
           ~queries:3 ()
@@ -405,7 +422,7 @@ let section_figures_3_to_6 () =
       let outcome =
         Manager.run_one cluster (Manager.config scheme Consistency.View) txn
       in
-      let trace = Transport.trace (Cluster.transport cluster) in
+      let marks = marks tracer in
       let t_start = outcome.Outcome.submitted_at in
       let t_end = outcome.Outcome.finished_at in
       let starts_with prefix s =
@@ -419,7 +436,7 @@ let section_figures_3_to_6 () =
             else if starts_with "query_start:" label then Some (time, `Query)
             else if starts_with "proof_eval:" label then Some (time, `Proof)
             else None)
-          (Trace.marks trace)
+          marks
       in
       let syncs =
         List.filter_map
@@ -427,7 +444,7 @@ let section_figures_3_to_6 () =
             if node = "tm-t1" && starts_with "sync:" label then
               Some (time, `Sync)
             else None)
-          (Trace.marks trace)
+          marks
       in
       let rows =
         List.map
@@ -470,6 +487,7 @@ let section_figure7 () =
     Scenario.retail ~latency:(Latency.Constant 1.) ~n_servers:2 ~n_subjects:1 ()
   in
   let cluster = scenario.Scenario.cluster in
+  let tracer = Transport.enable_tracing (Cluster.transport cluster) in
   let txn =
     Scenario.spread_transaction scenario ~id:"t1" ~subject:"clerk-1" ~queries:2 ()
   in
@@ -478,7 +496,6 @@ let section_figure7 () =
     (Manager.run_one cluster
        (Manager.config Scheme.Incremental_punctual Consistency.View)
        txn);
-  let trace = Transport.trace (Cluster.transport cluster) in
   print_endline "  voting and decision phases on the wire:";
   List.iter
     (fun (time, src, dst, label) ->
@@ -487,7 +504,7 @@ let section_figure7 () =
       | "decision-ack" ->
         Printf.printf "  %7.2fms  %-12s -> %-12s  %s\n" time src dst label
       | _ -> ())
-    (Trace.messages trace)
+    (sends tracer)
 
 (* ------------------------------------------------------------------ *)
 (* Section VI-B trade-off (the announced simulation study)             *)
@@ -620,6 +637,7 @@ let section_logging () =
      TM forces its decision: 2n + 1, exactly 2PC's log complexity. *)
   let scenario = Scenario.retail ~n_servers:n ~n_subjects:1 () in
   let cluster = scenario.Scenario.cluster in
+  let registry = Transport.enable_metrics (Cluster.transport cluster) in
   let txn =
     Scenario.spread_transaction scenario ~id:"t1" ~subject:"clerk-1" ~queries:n ()
   in
@@ -632,7 +650,7 @@ let section_logging () =
       0 scenario.Scenario.servers
   in
   let tm_forces =
-    Counter.get (Transport.counters (Cluster.transport cluster)) "log_force:tm"
+    Registry.counter registry "log_force_total" [ ("site", "tm") ]
   in
   Printf.printf
     "  2PVC (deferred/view, n=%d): participants forced %d, TM forced %d -- total %d = 2n+1\n"
@@ -691,15 +709,16 @@ let ablation_master_mode () =
     let txn =
       Scenario.spread_transaction scenario ~id:"t1" ~subject:"clerk-1" ~queries:4 ()
     in
-    let counters = Transport.counters (Cluster.transport cluster) in
-    let before = Table1.protocol_messages counters in
+    let registry = Transport.enable_metrics (Cluster.transport cluster) in
+    let before = Table1.protocol_messages registry in
     let o =
       Manager.run_one cluster
         (Manager.config ~master_mode:mode Scheme.Deferred Consistency.Global)
         txn
     in
-    (o, Table1.protocol_messages counters - before,
-     Counter.get counters "msg:master-version-reply")
+    (o, Table1.protocol_messages registry - before,
+     Registry.counter registry "messages_total"
+       [ ("type", "master-version-reply") ])
   in
   let o1, m1, f1 = run `Every_round in
   let o2, m2, f2 = run `Once in

@@ -11,9 +11,9 @@
 
 module Cluster = Cloudtx_core.Cluster
 module Manager = Cloudtx_core.Manager
-module Scheme = Cloudtx_core.Scheme
-module Consistency = Cloudtx_core.Consistency
-module Outcome = Cloudtx_core.Outcome
+module Scheme = Cloudtx_protocol.Scheme
+module Consistency = Cloudtx_protocol.Consistency
+module Outcome = Cloudtx_protocol.Outcome
 module Transport = Cloudtx_sim.Transport
 module Trace = Cloudtx_sim.Trace
 module Latency = Cloudtx_sim.Latency
@@ -458,70 +458,64 @@ let dump_obs cluster ~trace_out ~metrics_json ~metrics_prom ~journal_out =
    the same (scheme, level, n, u) — the measured means must sit at or
    below them (Table I is a worst case; see also `cloudtx table1`). *)
 let obs_summary reg ~scheme ~level ~servers ~queries ~txns =
-  if Registry.enabled reg then begin
-    let labels =
-      [ ("scheme", Scheme.name scheme); ("consistency", Consistency.name level) ]
-    in
-    let commits = Registry.counter reg "txn_total" (("outcome", "commit") :: labels) in
-    let aborts = Registry.counter reg "txn_total" (("outcome", "abort") :: labels) in
-    let messages = Registry.counter_total reg "messages_total" in
-    (* Protocol accounting, same filter as Experiment/Table1: query
-       execution traffic is not part of Table I's message complexity. *)
-    let protocol_messages =
-      List.fold_left
-        (fun acc label -> acc + Registry.counter reg "messages_total" [ ("type", label) ])
-        0 Cloudtx_core.Message.protocol_labels
-    in
-    let proofs = Registry.counter_total reg "proofs_total" in
-    let forces = Registry.counter_total reg "log_force_total" in
-    Format.printf "observability summary@.";
-    Format.printf "  txns      : %d commit / %d abort@." commits aborts;
-    Format.printf
-      "  totals    : %d messages (%d protocol), %d proofs, %d forced log writes@."
-      messages protocol_messages proofs forces;
-    let phase_rows =
-      List.filter_map
-        (fun (label, metric) ->
-          match Registry.histogram reg metric labels with
-          | None -> None
-          | Some h ->
-            Some
-              [
-                label;
-                string_of_int (Cloudtx_obs.Histogram.count h);
-                Printf.sprintf "%.2f" (Cloudtx_obs.Histogram.percentile h 50.);
-                Printf.sprintf "%.2f" (Cloudtx_obs.Histogram.percentile h 95.);
-                Printf.sprintf "%.2f" (Cloudtx_obs.Histogram.percentile h 99.);
-              ])
-        [
-          ("execute", "phase_execute_ms");
-          ("commit", "phase_commit_ms");
-          ("decide", "phase_decide_ms");
-          ("end-to-end", "txn_latency_ms");
-        ]
-    in
-    if phase_rows <> [] then
-      Table.print
-        ~title:
-          (Printf.sprintf "phase latency (ms), %s/%s" (Scheme.name scheme)
-             (Consistency.name level))
-        ~headers:[ "phase"; "count"; "p50"; "p95"; "p99" ]
-        phase_rows;
-    (* Worst case assumes every query lands on a distinct server. *)
-    let n = min servers queries and u = queries in
-    let analytic_msgs = Complexity.messages scheme level ~n ~u ~r:1 in
-    let analytic_proofs = Complexity.proofs scheme level ~n ~u ~r:1 in
-    Format.printf
-      "  analytic  : <= %d msgs/txn, <= %d proofs/txn at n=%d u=%d r=1@."
-      analytic_msgs analytic_proofs n u;
-    Format.printf "  Table I   : %s msgs, %s proofs (worst-case r)@."
-      (Complexity.formula scheme level `Messages)
-      (Complexity.formula scheme level `Proofs);
-    if txns > 0 then
-      Format.printf "  measured  : %.1f protocol msgs/txn, %.1f proofs/txn@."
-        (float_of_int protocol_messages /. float_of_int txns)
-        (float_of_int proofs /. float_of_int txns)
-  end
+  let labels =
+    [ ("scheme", Scheme.name scheme); ("consistency", Consistency.name level) ]
+  in
+  let commits = Registry.counter reg "txn_total" (("outcome", "commit") :: labels) in
+  let aborts = Registry.counter reg "txn_total" (("outcome", "abort") :: labels) in
+  let messages = Registry.counter_total reg "messages_total" in
+  (* Query execution traffic is not part of Table I's message
+     complexity. *)
+  let protocol_messages = Table1.protocol_messages reg in
+  let proofs = Registry.counter_total reg "proofs_total" in
+  let forces = Registry.counter_total reg "log_force_total" in
+  Format.printf "observability summary@.";
+  Format.printf "  txns      : %d commit / %d abort@." commits aborts;
+  Format.printf
+    "  totals    : %d messages (%d protocol), %d proofs, %d forced log writes@."
+    messages protocol_messages proofs forces;
+  let phase_rows =
+    List.filter_map
+      (fun (label, metric) ->
+        match Registry.histogram reg metric labels with
+        | None -> None
+        | Some h ->
+          Some
+            [
+              label;
+              string_of_int (Cloudtx_obs.Histogram.count h);
+              Printf.sprintf "%.2f" (Cloudtx_obs.Histogram.percentile h 50.);
+              Printf.sprintf "%.2f" (Cloudtx_obs.Histogram.percentile h 95.);
+              Printf.sprintf "%.2f" (Cloudtx_obs.Histogram.percentile h 99.);
+            ])
+      [
+        ("execute", "phase_execute_ms");
+        ("commit", "phase_commit_ms");
+        ("decide", "phase_decide_ms");
+        ("end-to-end", "txn_latency_ms");
+      ]
+  in
+  if phase_rows <> [] then
+    Table.print
+      ~title:
+        (Printf.sprintf "phase latency (ms), %s/%s" (Scheme.name scheme)
+           (Consistency.name level))
+      ~headers:[ "phase"; "count"; "p50"; "p95"; "p99" ]
+      phase_rows;
+  (* Worst case assumes every query lands on a distinct server. *)
+  let n = min servers queries and u = queries in
+  let analytic_msgs = Complexity.messages scheme level ~n ~u ~r:1 in
+  let analytic_proofs = Complexity.proofs scheme level ~n ~u ~r:1 in
+  Format.printf
+    "  analytic  : <= %d msgs/txn, <= %d proofs/txn at n=%d u=%d r=1@."
+    analytic_msgs analytic_proofs n u;
+  Format.printf "  Table I   : %s msgs, %s proofs (worst-case r)@."
+    (Complexity.formula scheme level `Messages)
+    (Complexity.formula scheme level `Proofs);
+  if txns > 0 then
+    Format.printf "  measured  : %.1f protocol msgs/txn, %.1f proofs/txn@."
+      (float_of_int protocol_messages /. float_of_int txns)
+      (float_of_int proofs /. float_of_int txns)
 
 (* ------------------------------------------------------------------ *)
 (* run                                                                 *)
@@ -577,9 +571,12 @@ let run_cmd verbose scheme level servers queries txns seed update_period
     (Running_stats.mean stats.Experiment.proofs);
   Format.printf "  messages  : mean %.1f per txn (protocol accounting)@."
     (Running_stats.mean stats.Experiment.protocol_messages);
-  obs_summary
-    (Transport.registry (Cluster.transport scenario.Scenario.cluster))
-    ~scheme ~level ~servers ~queries ~txns;
+  (* The run turned the registry on for its message counts; the summary
+     is for runs that asked for metrics. *)
+  if metrics_json <> None || metrics_prom <> None then
+    obs_summary
+      (Transport.registry (Cluster.transport scenario.Scenario.cluster))
+      ~scheme ~level ~servers ~queries ~txns;
   finish_monitor ?metrics_out mon;
   dump_obs scenario.Scenario.cluster ~trace_out ~metrics_json ~metrics_prom
     ~journal_out
@@ -631,11 +628,12 @@ let trace_cmd verbose scheme level servers queries format trace_out metrics_json
     enable_monitor cluster ~monitor ~alerts_out ~rules ~journal_format
       ~metrics_interval ~metrics_out
   in
+  let tracer = Transport.enable_tracing (Cluster.transport cluster) in
   let txn =
     Scenario.spread_transaction scenario ~id:"t1" ~subject:"clerk-1" ~queries ()
   in
   let outcome = Manager.run_one cluster (Manager.config scheme level) txn in
-  let trace = Transport.trace (Cluster.transport cluster) in
+  let trace = Trace.of_tracer tracer in
   (match format with
   | "text" ->
     Format.printf "%a@.@." Outcome.pp outcome;

@@ -7,9 +7,9 @@
 
 module Banking = Cloudtx_workload.Banking
 module Manager = Cloudtx_core.Manager
-module Scheme = Cloudtx_core.Scheme
-module Consistency = Cloudtx_core.Consistency
-module Outcome = Cloudtx_core.Outcome
+module Scheme = Cloudtx_protocol.Scheme
+module Consistency = Cloudtx_protocol.Consistency
+module Outcome = Cloudtx_protocol.Outcome
 module Splitmix = Cloudtx_sim.Splitmix
 
 let show label (o : Outcome.t) =

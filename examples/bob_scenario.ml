@@ -22,9 +22,9 @@
 
 module Cluster = Cloudtx_core.Cluster
 module Manager = Cloudtx_core.Manager
-module Scheme = Cloudtx_core.Scheme
-module Consistency = Cloudtx_core.Consistency
-module Outcome = Cloudtx_core.Outcome
+module Scheme = Cloudtx_protocol.Scheme
+module Consistency = Cloudtx_protocol.Consistency
+module Outcome = Cloudtx_protocol.Outcome
 module Rule = Cloudtx_policy.Rule
 module Ca = Cloudtx_policy.Ca
 module Credential = Cloudtx_policy.Credential

@@ -14,8 +14,8 @@
    Run with: dune exec examples/policy_churn.exe *)
 
 module Manager = Cloudtx_core.Manager
-module Scheme = Cloudtx_core.Scheme
-module Consistency = Cloudtx_core.Consistency
+module Scheme = Cloudtx_protocol.Scheme
+module Consistency = Cloudtx_protocol.Consistency
 module Scenario = Cloudtx_workload.Scenario
 module Generator = Cloudtx_workload.Generator
 module Churn = Cloudtx_workload.Churn

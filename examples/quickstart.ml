@@ -5,10 +5,10 @@
 
 module Cluster = Cloudtx_core.Cluster
 module Manager = Cloudtx_core.Manager
-module Scheme = Cloudtx_core.Scheme
-module Consistency = Cloudtx_core.Consistency
-module Outcome = Cloudtx_core.Outcome
-module View = Cloudtx_core.View
+module Scheme = Cloudtx_protocol.Scheme
+module Consistency = Cloudtx_protocol.Consistency
+module Outcome = Cloudtx_protocol.Outcome
+module View = Cloudtx_protocol.View
 module Scenario = Cloudtx_workload.Scenario
 module Proof = Cloudtx_policy.Proof
 module Server = Cloudtx_store.Server

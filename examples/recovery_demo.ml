@@ -17,9 +17,9 @@
 
 module Cluster = Cloudtx_core.Cluster
 module Manager = Cloudtx_core.Manager
-module Scheme = Cloudtx_core.Scheme
-module Consistency = Cloudtx_core.Consistency
-module Outcome = Cloudtx_core.Outcome
+module Scheme = Cloudtx_protocol.Scheme
+module Consistency = Cloudtx_protocol.Consistency
+module Outcome = Cloudtx_protocol.Outcome
 module Participant = Cloudtx_core.Participant
 module Transport = Cloudtx_sim.Transport
 module Trace = Cloudtx_sim.Trace
@@ -38,6 +38,7 @@ let () =
   in
   let cluster = scenario.Cloudtx_workload.Scenario.cluster in
   let transport = Cluster.transport cluster in
+  let tracer = Transport.enable_tracing transport in
   let txn =
     Scenario.spread_transaction scenario ~id:"t1" ~subject:"clerk-1" ~queries:3 ()
   in
@@ -88,7 +89,7 @@ let () =
   (* Show the termination protocol in the trace: the Inquiry and the
      re-sent decision. *)
   Format.printf "@.tail of the message trace:@.";
-  let entries = Trace.entries (Transport.trace transport) in
+  let entries = Trace.of_tracer tracer in
   let n = List.length entries in
   List.iteri
     (fun i e -> if i >= n - 12 then Format.printf "  %a@." Trace.pp_entry e)
@@ -117,6 +118,7 @@ let run_coordinator_crash variant =
   in
   let cluster = scenario.Cloudtx_workload.Scenario.cluster in
   let transport = Cluster.transport cluster in
+  let tracer = Transport.enable_tracing transport in
   let txn =
     Scenario.spread_transaction scenario ~id:"t1" ~subject:"clerk-1" ~queries:3
       ()
@@ -154,7 +156,7 @@ let run_coordinator_crash variant =
     List.length
       (List.filter
          (fun e -> contains_inquiry (Format.asprintf "%a" Trace.pp_entry e))
-         (Trace.entries (Transport.trace transport)))
+         (Trace.of_tracer tracer))
   in
   (match !result with
   | Some o ->

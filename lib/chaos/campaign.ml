@@ -1,10 +1,10 @@
-module Scheme = Cloudtx_core.Scheme
-module Consistency = Cloudtx_core.Consistency
+module Scheme = Cloudtx_protocol.Scheme
+module Consistency = Cloudtx_protocol.Consistency
 module Cluster = Cloudtx_core.Cluster
 module Manager = Cloudtx_core.Manager
 module Participant = Cloudtx_core.Participant
 module Master = Cloudtx_core.Master
-module Outcome = Cloudtx_core.Outcome
+module Outcome = Cloudtx_protocol.Outcome
 module Audit = Cloudtx_core.Audit
 module Certify = Cloudtx_core.Certify
 module Trusted = Cloudtx_core.Trusted

@@ -1,8 +1,8 @@
 (** Deterministic fault campaigns over the scheme × consistency grid.
 
     A campaign sweeps seeded random {!Plan}s across cells of the
-    {!Cloudtx_core.Scheme} × {!Cloudtx_core.Consistency} grid.  Each plan
-    runs three staggered multi-server write transactions under the
+    {!Cloudtx_protocol.Scheme} × {!Cloudtx_protocol.Consistency} grid.
+    Each plan runs three staggered multi-server write transactions under the
     simulator with the flight recorder enabled, injects the plan's
     faults, heals everything after the fault horizon, runs to quiescence
     and then asserts:
@@ -22,8 +22,8 @@
     simulated run, so identical seeds give identical verdicts. *)
 
 type cell = {
-  scheme : Cloudtx_core.Scheme.t;
-  level : Cloudtx_core.Consistency.level;
+  scheme : Cloudtx_protocol.Scheme.t;
+  level : Cloudtx_protocol.Consistency.level;
 }
 
 val cell_name : cell -> string

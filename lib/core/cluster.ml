@@ -25,6 +25,7 @@ type t = {
   context : Rule.fact list ref;
   domain_of : string -> string;
   prop_rng : Splitmix.t;
+  proofs : (string, int ref) Hashtbl.t; (* txn in flight -> proofs so far *)
 }
 
 let master_name = "master"
@@ -69,6 +70,10 @@ let create ?(seed = 1L) ?(latency = Latency.lan) ?ocsp_latency ?(cas = [])
         fun () -> Latency.sample model rng)
       ocsp_latency
   in
+  let proofs = Hashtbl.create 16 in
+  let on_proof ~txn =
+    match Hashtbl.find_opt proofs txn with Some n -> incr n | None -> ()
+  in
   let participants =
     List.map
       (fun spec ->
@@ -84,14 +89,24 @@ let create ?(seed = 1L) ?(latency = Latency.lan) ?ocsp_latency ?(cas = [])
                  (Admin.latest admin)))
           admins;
         let participant =
-          Participant.create ~transport ~server ~env ~domain_of ?variant
-            ?ocsp_delay ?proof_cache ?dedup ?inquiry_timeout ()
+          Participant.create ~transport ~server ~env ~domain_of ~on_proof
+            ?variant ?ocsp_delay ?proof_cache ?dedup ?inquiry_timeout ()
         in
         (spec.s_name, participant))
       servers
   in
   let prop_rng = Transport.fork_rng transport in
-  { transport; master; participants; admins; cas; context; domain_of; prop_rng }
+  {
+    transport;
+    master;
+    participants;
+    admins;
+    cas;
+    context;
+    domain_of;
+    prop_rng;
+    proofs;
+  }
 
 let transport t = t.transport
 let master t = t.master
@@ -105,6 +120,14 @@ let participant t name =
 let ca t name = List.assoc_opt name t.cas
 let domain_of t item = t.domain_of item
 let set_context t facts = t.context := facts
+let track_proofs t ~txn = Hashtbl.replace t.proofs txn (ref 0)
+
+let take_proofs t ~txn =
+  match Hashtbl.find_opt t.proofs txn with
+  | Some n ->
+    Hashtbl.remove t.proofs txn;
+    !n
+  | None -> 0
 
 let publish t ~domain ?accept_capabilities ~delay rules =
   let admin =

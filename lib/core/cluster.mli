@@ -66,6 +66,16 @@ val domain_of : t -> string -> string
     (e.g. the requester moved to another region). *)
 val set_context : t -> Cloudtx_policy.Rule.fact list -> unit
 
+(** Per-transaction proof tallies, the source of
+    [Outcome.proofs_evaluated].  [track_proofs t ~txn] starts counting the
+    proofs any participant evaluates for [txn]; [take_proofs t ~txn]
+    returns the count and forgets the tally (0 when untracked).  The
+    manager brackets each transaction with the pair, so only transactions
+    in flight hold a tally. *)
+val track_proofs : t -> txn:string -> unit
+
+val take_proofs : t -> txn:string -> int
+
 (** [publish t ~domain ~delay rules] publishes the next policy version at
     the master and schedules its propagation to each server: [delay]
     returns the per-server lag in milliseconds — [infinity] means the

@@ -3,7 +3,6 @@
    in the machine; this file only interprets its actions. *)
 
 module Transport = Cloudtx_sim.Transport
-module Counter = Cloudtx_metrics.Counter
 module Tracer = Cloudtx_obs.Tracer
 module Registry = Cloudtx_obs.Registry
 module Journal = Cloudtx_obs.Journal
@@ -166,7 +165,7 @@ let finish d (cfg : config) ~committed ~reason ~commit_rounds =
   else begin
   d.finished <- true;
   let txn_id = d.txn_id in
-  let counters = Transport.counters (transport d) in
+  let proofs = Cluster.take_proofs d.cluster ~txn:txn_id in
   let reg = registry d in
   let submitted_at = Tm.submitted_at d.machine in
   if Registry.enabled reg then begin
@@ -176,8 +175,7 @@ let finish d (cfg : config) ~committed ~reason ~commit_rounds =
       (("outcome", if committed then "commit" else "abort") :: labels);
     Registry.observe reg "txn_latency_ms" labels (finished_at -. submitted_at);
     Registry.observe reg "commit_rounds" labels (float_of_int commit_rounds);
-    Registry.observe reg "proofs_per_txn" labels
-      (float_of_int (Counter.get counters ("proofs:" ^ txn_id)));
+    Registry.observe reg "proofs_per_txn" labels (float_of_int proofs);
     if Float.is_finite d.commit_started_at then begin
       Registry.observe reg "phase_execute_ms" labels
         (d.commit_started_at -. submitted_at);
@@ -198,7 +196,7 @@ let finish d (cfg : config) ~committed ~reason ~commit_rounds =
       submitted_at;
       finished_at = now d;
       commit_rounds;
-      proofs_evaluated = Counter.get counters ("proofs:" ^ txn_id);
+      proofs_evaluated = proofs;
       view = Tm.view d.machine;
     }
   in
@@ -225,7 +223,6 @@ let rec perform d (cfg : config) (a : Tm.action) =
       d.durable <-
         Some (commit, Tm.reason d.machine, Tm.decision_targets d.machine)
     | None -> ());
-    Counter.incr (Transport.counters (transport d)) "log_force:tm";
     if Registry.enabled (registry d) then
       Registry.incr (registry d) "log_force_total" [ ("site", "tm") ]
   | Tm.Mark label -> Transport.mark (transport d) ~node:d.name label
@@ -347,6 +344,7 @@ let submit_handle ?ts ?(dedup = true) ?resilience cluster (cfg : config) txn
         on_done o
   in
   let machine = Tm.create cfg txn ~submitted_at in
+  Cluster.track_proofs cluster ~txn:txn.Transaction.id;
   let d =
     {
       cluster;
@@ -375,8 +373,10 @@ let submit_handle ?ts ?(dedup = true) ?resilience cluster (cfg : config) txn
   in
   Transport.register_seq transport name (fun ~src ~seq msg ->
       if d.machine_dead then ()
-      else if d.dedup && Hashtbl.mem d.seen seq then
-        Transport.mark transport ~node:name ("dedup:" ^ Message.label msg)
+      else if d.dedup && Hashtbl.mem d.seen seq then begin
+        if Tracer.enabled (Transport.tracer transport) then
+          Transport.mark transport ~node:name ("dedup:" ^ Message.label msg)
+      end
       else begin
         if d.dedup then Hashtbl.replace d.seen seq ();
         (* Measured request->first-reply RTT feeds the adaptive timeout

@@ -4,7 +4,6 @@
    file only interprets its actions and feeds local results back. *)
 
 module Transport = Cloudtx_sim.Transport
-module Counter = Cloudtx_metrics.Counter
 module Server = Cloudtx_store.Server
 module Query = Cloudtx_txn.Query
 module Tpc = Cloudtx_txn.Tpc
@@ -41,6 +40,7 @@ type t = {
          enables the journal, so the record is emitted lazily at the
          first journaled step (and again after a crash reset). *)
   ocsp_delay : (unit -> float) option;
+  on_proof : txn:string -> unit;
   proof_cache : (string, string list) Hashtbl.t option;
   dedup : bool;
   seen : (int, unit) Hashtbl.t;
@@ -104,13 +104,11 @@ let policy_for t domain =
 let evaluate_proof_fn t ~txn ~subject ~credentials (q : Query.t) =
   let domain = domain_of_query t q in
   let policy = policy_for t domain in
-  let counters = Transport.counters t.transport in
-  Counter.incr counters "proofs";
-  Counter.incr counters ("proofs:" ^ txn);
-  mark t (Printf.sprintf "proof_eval:%s:%s" txn q.Query.id);
+  t.on_proof ~txn;
   let tr = tracer t in
   let span =
     if Tracer.enabled tr then begin
+      mark t (Printf.sprintf "proof_eval:%s:%s" txn q.Query.id);
       let span = Tracer.start tr ~track:(name t) "proof_eval" in
       Tracer.set_attr tr span "txn" txn;
       Tracer.set_attr tr span "query" q.Query.id;
@@ -309,7 +307,7 @@ and perform t (a : Ps.action) =
       (fun (p : Policy.t) ->
         match Replica.install (Server.replica t.server) p with
         | `Installed ->
-          if announce then
+          if announce && Tracer.enabled (tracer t) then
             mark t
               (Printf.sprintf "policy_installed:%s:v%d" p.Policy.domain
                  p.Policy.version)
@@ -356,8 +354,9 @@ let handle t ~src msg =
   dispatch t (Ps.Deliver { src; msg });
   drain_releases t
 
-let create ~transport ~server ~env ~domain_of ?(variant = Tpc.Basic) ?ocsp_delay
-    ?(proof_cache = false) ?(dedup = true) ?(inquiry_timeout = 0.) () =
+let create ~transport ~server ~env ~domain_of ~on_proof ?(variant = Tpc.Basic)
+    ?ocsp_delay ?(proof_cache = false) ?(dedup = true) ?(inquiry_timeout = 0.)
+    () =
   let t =
     {
       transport;
@@ -369,6 +368,7 @@ let create ~transport ~server ~env ~domain_of ?(variant = Tpc.Basic) ?ocsp_delay
       variant;
       journaled = false;
       ocsp_delay;
+      on_proof;
       proof_cache = (if proof_cache then Some (Hashtbl.create 64) else None);
       dedup;
       seen = Hashtbl.create 64;
@@ -379,8 +379,7 @@ let create ~transport ~server ~env ~domain_of ?(variant = Tpc.Basic) ?ocsp_delay
   in
   Transport.register_seq transport (Server.name server) (fun ~src ~seq msg ->
       if t.dedup && Hashtbl.mem t.seen seq then begin
-        Counter.incr (Transport.counters transport) "dedup_dropped";
-        mark t ("dedup:" ^ Message.label msg)
+        if Tracer.enabled (tracer t) then mark t ("dedup:" ^ Message.label msg)
       end
       else begin
         if t.dedup then Hashtbl.replace t.seen seq ();

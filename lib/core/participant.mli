@@ -15,11 +15,12 @@ module Transport = Cloudtx_sim.Transport
 
 type t
 
-(** [create ~transport ~server ~env ~domain_of ()] registers the node
-    under the server's name.  [domain_of] maps a data item to its
+(** [create ~transport ~server ~env ~domain_of ~on_proof ()] registers
+    the node under the server's name.  [domain_of] maps a data item to its
     administrative domain; [env] resolves credential issuers for proof
-    evaluation; [variant] selects the decision-logging discipline
-    (default {!Cloudtx_txn.Tpc.Basic}).
+    evaluation; [on_proof ~txn] runs once per proof evaluated for [txn];
+    [variant] selects the decision-logging discipline (default
+    {!Cloudtx_txn.Tpc.Basic}).
 
     [proof_cache] memoizes the inference step of proof evaluation (see
     {!Cloudtx_policy.Proof.evaluate}); truth values are unchanged, only
@@ -46,6 +47,7 @@ val create :
   server:Cloudtx_store.Server.t ->
   env:Cloudtx_policy.Proof.env ->
   domain_of:(string -> string) ->
+  on_proof:(txn:string -> unit) ->
   ?variant:Cloudtx_txn.Tpc.variant ->
   ?ocsp_delay:(unit -> float) ->
   ?proof_cache:bool ->

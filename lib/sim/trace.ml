@@ -1,3 +1,5 @@
+module Tracer = Cloudtx_obs.Tracer
+
 type kind =
   | Send of { src : string; dst : string; label : string }
   | Recv of { src : string; dst : string; label : string }
@@ -6,39 +8,35 @@ type kind =
 
 type entry = { time : float; kind : kind }
 
-type t = { mutable entries : entry list; mutable length : int }
-(* Stored reversed; [entries] reverses on read. *)
+let emit tracer kind =
+  let wire name ~track ~peer label =
+    Tracer.instant tracer ~track
+      ~attrs:[ ("peer", peer); ("label", label) ]
+      name
+  in
+  match kind with
+  | Send { src; dst; label } -> wire "send" ~track:src ~peer:dst label
+  | Recv { src; dst; label } -> wire "recv" ~track:dst ~peer:src label
+  | Drop { src; dst; label } -> wire "drop" ~track:src ~peer:dst label
+  | Mark { node; label } -> Tracer.instant tracer ~track:node label
 
-let create () = { entries = []; length = 0 }
-
-let record t ~time kind =
-  t.entries <- { time; kind } :: t.entries;
-  t.length <- t.length + 1
-
-let entries t = List.rev t.entries
-let length t = t.length
-
-let clear t =
-  t.entries <- [];
-  t.length <- 0
-
-let marks ?node ?label t =
-  let matches want got = match want with None -> true | Some w -> String.equal w got in
+let of_tracer tracer =
   List.filter_map
-    (fun e ->
-      match e.kind with
-      | Mark { node = n; label = l } when matches node n && matches label l ->
-        Some (e.time, n, l)
-      | Mark _ | Send _ | Recv _ | Drop _ -> None)
-    (entries t)
-
-let messages t =
-  List.filter_map
-    (fun e ->
-      match e.kind with
-      | Send { src; dst; label } -> Some (e.time, src, dst, label)
-      | Recv _ | Drop _ | Mark _ -> None)
-    (entries t)
+    (fun (s : Tracer.span) ->
+      let entry kind = Some { time = s.start; kind } in
+      if not s.instant then None
+      else
+        match (s.name, s.attrs) with
+        | "send", [ ("peer", dst); ("label", label) ] ->
+          entry (Send { src = s.track; dst; label })
+        | "recv", [ ("peer", src); ("label", label) ] ->
+          entry (Recv { src; dst = s.track; label })
+        | "drop", [ ("peer", dst); ("label", label) ] ->
+          entry (Drop { src = s.track; dst; label })
+        | label, [] when s.parent = Tracer.no_span ->
+          entry (Mark { node = s.track; label })
+        | _ -> None)
+    (Tracer.spans tracer)
 
 let pp_entry ppf { time; kind } =
   match kind with
@@ -50,18 +48,18 @@ let pp_entry ppf { time; kind } =
     Format.fprintf ppf "%10.3f  %s -x %s : %s (dropped)" time src dst label
   | Mark { node; label } -> Format.fprintf ppf "%10.3f  [%s] %s" time node label
 
-let to_string t =
+let to_string entries =
   let buf = Buffer.create 1024 in
   List.iter
     (fun e -> Buffer.add_string buf (Format.asprintf "%a@." pp_entry e))
-    (entries t);
+    entries;
   Buffer.contents buf
 
 (* Mermaid identifiers cannot contain '-'. *)
 let mermaid_id name =
   String.map (function '-' | ' ' | ':' -> '_' | c -> c) name
 
-let to_mermaid t =
+let to_mermaid entries =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "sequenceDiagram\n";
   (* Declare participants in first-appearance order for stable columns. *)
@@ -81,7 +79,7 @@ let to_mermaid t =
         declare dst
       | Mark { node; _ } -> declare node
       | Recv _ -> ())
-    (entries t);
+    entries;
   List.iter
     (fun e ->
       match e.kind with
@@ -98,10 +96,10 @@ let to_mermaid t =
           (Printf.sprintf "  Note over %s: %s @%.2fms\n" (mermaid_id node) label
              e.time)
       | Recv _ -> ())
-    (entries t);
+    entries;
   Buffer.contents buf
 
-let to_jsonl t =
+let to_jsonl entries =
   let module Json = Cloudtx_obs.Json in
   let buf = Buffer.create 1024 in
   let row time kind src dst label =
@@ -121,7 +119,7 @@ let to_jsonl t =
       | Recv { src; dst; label } -> row e.time "recv" src dst label
       | Drop { src; dst; label } -> row e.time "drop" src dst label
       | Mark { node; label } -> row e.time "mark" node "" label)
-    (entries t);
+    entries;
   Buffer.contents buf
 
 let csv_quote s =
@@ -137,7 +135,7 @@ let csv_quote s =
   end
   else s
 
-let to_csv t =
+let to_csv entries =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "time,kind,src,dst,label\n";
   let row time kind src dst label =
@@ -152,5 +150,5 @@ let to_csv t =
       | Recv { src; dst; label } -> row e.time "recv" src dst label
       | Drop { src; dst; label } -> row e.time "drop" src dst label
       | Mark { node; label } -> row e.time "mark" node "" label)
-    (entries t);
+    entries;
   Buffer.contents buf

@@ -1,9 +1,15 @@
-(** Append-only record of everything observable in a simulation run.
+(** The wire view of a simulation run: every send, delivery, drop and
+    protocol mark, in the order they happened.
 
-    The benchmark harness replays traces to regenerate the paper's figures:
-    message sequence charts (Figures 2 and 7) come from [Send]/[Recv]
-    entries, and the proof-evaluation timelines (Figures 3-6) from [Mark]
-    entries tagged by the protocol layer. *)
+    {!Transport} emits each wire event as an instant on its span tracer
+    (see {!Transport.enable_tracing}) and {!of_tracer} reads them back, so
+    the view costs nothing unless tracing is on.  This module owns both
+    directions of that encoding.
+
+    The benchmark harness renders the paper's figures from this view:
+    message sequence charts (Figures 2 and 7) from [Send] entries, and the
+    proof-evaluation timelines (Figures 3-6) from [Mark] entries tagged by
+    the protocol layer. *)
 
 type kind =
   | Send of { src : string; dst : string; label : string }
@@ -16,44 +22,37 @@ type kind =
 
 type entry = { time : float; kind : kind }
 
-type t
+(** [emit tracer kind] records [kind] as an instant at the tracer's clock:
+    a wire event on its sender's track ([Recv] on its receiver's) with the
+    other endpoint under ["peer"] and the message under ["label"]; a
+    [Mark] on its node's track, named by its label, with no attributes.
+    Callers guard on {!Cloudtx_obs.Tracer.enabled} so a disabled tracer
+    allocates nothing. *)
+val emit : Cloudtx_obs.Tracer.t -> kind -> unit
 
-val create : unit -> t
-
-(** [record t ~time kind] appends an entry. *)
-val record : t -> time:float -> kind -> unit
-
-(** Entries in chronological (= insertion) order. *)
-val entries : t -> entry list
-
-val length : t -> int
-val clear : t -> unit
-
-(** [marks t ~node ~label] is the times of [Mark] entries matching both
-    filters ([None] matches anything). *)
-val marks : ?node:string -> ?label:string -> t -> (float * string * string) list
-
-(** [messages t] is every [Send] entry as [(time, src, dst, label)]. *)
-val messages : t -> (float * string * string * string) list
+(** [of_tracer tracer] is every instant {!emit} recorded, in emission
+    order.  Spans and instants with other shapes (such as ["wal.force"])
+    are skipped. *)
+val of_tracer : Cloudtx_obs.Tracer.t -> entry list
 
 val pp_entry : Format.formatter -> entry -> unit
 
-(** Multi-line rendering of the whole trace, one entry per line. *)
-val to_string : t -> string
+(** {1 Renderers} *)
 
-(** {1 Exporters} *)
+(** Multi-line rendering, one {!pp_entry} per line. *)
+val to_string : entry list -> string
 
 (** Mermaid [sequenceDiagram] source: one arrow per delivered message
     ([Send] entries whose delivery is also traced render once), notes for
     [Mark] entries, dashed arrows for drops.  Paste into any mermaid
     renderer to get the paper's Figure 2/7-style charts. *)
-val to_mermaid : t -> string
+val to_mermaid : entry list -> string
 
 (** CSV export: [time,kind,src,dst,label] with RFC-4180 quoting; header
     row included. [Mark] entries put the node in [src]. *)
-val to_csv : t -> string
+val to_csv : entry list -> string
 
 (** JSONL export: one JSON object per entry with [time_ms], [kind]
     ([send]/[recv]/[drop]/[mark]), [src]/[dst] where applicable and
     [label].  [Mark] entries put the node in [src]. *)
-val to_jsonl : t -> string
+val to_jsonl : entry list -> string

@@ -1,11 +1,8 @@
-module Counter = Cloudtx_metrics.Counter
 module Obs = Cloudtx_obs
 
 type 'msg t = {
   engine : Engine.t;
   network : Network.t;
-  trace : Trace.t;
-  counters : Counter.t;
   label_of : 'msg -> string;
   handlers : (string, src:string -> seq:int -> 'msg -> unit) Hashtbl.t;
   crashed : (string, unit) Hashtbl.t;
@@ -23,8 +20,6 @@ let create ?(seed = 42L) ?(latency = Latency.lan) ?(drop = 0.) ~label_of () =
   {
     engine = Engine.create ();
     network = Network.create ~drop ~latency ~rng:net_rng ();
-    trace = Trace.create ();
-    counters = Counter.create ();
     label_of;
     handlers = Hashtbl.create 16;
     crashed = Hashtbl.create 4;
@@ -38,8 +33,6 @@ let create ?(seed = 42L) ?(latency = Latency.lan) ?(drop = 0.) ~label_of () =
 
 let engine t = t.engine
 let network t = t.network
-let trace t = t.trace
-let counters t = t.counters
 let tracer t = t.tracer
 let registry t = t.registry
 let journal t = t.journal
@@ -105,32 +98,24 @@ let crash t name = Hashtbl.replace t.crashed name ()
 let recover t name = Hashtbl.remove t.crashed name
 let crashed t name = Hashtbl.mem t.crashed name
 
-(* Network events double as tracer instants so one exported artifact
-   carries both the protocol spans and the wire-level view.  The instant
-   lands on [src]'s track with the other endpoint under "peer". *)
-let span_net t ~event ~src ~dst label =
-  if Obs.Tracer.enabled t.tracer then
-    Obs.Tracer.instant t.tracer ~track:src
-      ~attrs:[ ("peer", dst); ("label", label) ]
-      event
+(* Wire events are tracer instants, so one exported artifact carries both
+   the protocol spans and the wire view ({!Trace.of_tracer} reads it back).
+   Each emit sits behind its own guard so the untraced path allocates no
+   [Trace.kind]. *)
+let traced t = Obs.Tracer.enabled t.tracer
 
 let send t ~src ~dst msg =
   let label = t.label_of msg in
-  Counter.incr t.counters "messages";
-  Counter.incr t.counters ("msg:" ^ label);
   if Obs.Registry.enabled t.registry then
     Obs.Registry.incr t.registry "messages_total" [ ("type", label) ];
-  Trace.record t.trace ~time:(now t) (Trace.Send { src; dst; label });
-  span_net t ~event:"send" ~src ~dst label;
+  if traced t then Trace.emit t.tracer (Trace.Send { src; dst; label });
   match Hashtbl.find_opt t.handlers dst with
   | None ->
-    Trace.record t.trace ~time:(now t) (Trace.Drop { src; dst; label });
-    span_net t ~event:"drop" ~src ~dst label
+    if traced t then Trace.emit t.tracer (Trace.Drop { src; dst; label })
   | Some _ -> (
     match Network.fate t.network ~src ~dst with
     | `Lost ->
-      Trace.record t.trace ~time:(now t) (Trace.Drop { src; dst; label });
-      span_net t ~event:"drop" ~src ~dst label
+      if traced t then Trace.emit t.tracer (Trace.Drop { src; dst; label })
     | `Deliver_each delays ->
       (* Every copy of this logical send shares one wire seq, so receivers
          can recognise duplicates. Handlers are looked up at delivery time:
@@ -142,21 +127,17 @@ let send t ~src ~dst msg =
           Engine.schedule t.engine ~delay (fun () ->
               match Hashtbl.find_opt t.handlers dst with
               | Some handler when not (Hashtbl.mem t.crashed dst) ->
-                Trace.record t.trace ~time:(now t)
-                  (Trace.Recv { src; dst; label });
-                span_net t ~event:"recv" ~src:dst ~dst:src label;
+                if traced t then
+                  Trace.emit t.tracer (Trace.Recv { src; dst; label });
                 handler ~src ~seq msg
               | _ ->
-                Trace.record t.trace ~time:(now t)
-                  (Trace.Drop { src; dst; label });
-                span_net t ~event:"drop" ~src ~dst label))
+                if traced t then
+                  Trace.emit t.tracer (Trace.Drop { src; dst; label })))
         delays)
 
 let at t ~delay f = Engine.schedule t.engine ~delay f
 
 let mark t ~node label =
-  Trace.record t.trace ~time:(now t) (Trace.Mark { node; label });
-  if Obs.Tracer.enabled t.tracer then
-    Obs.Tracer.instant t.tracer ~track:node label
+  if traced t then Trace.emit t.tracer (Trace.Mark { node; label })
 
 let run ?until ?max_steps t = Engine.run ?until ?max_steps t.engine

@@ -1,10 +1,13 @@
 (** Message delivery fabric connecting simulated nodes.
 
-    A ['msg Transport.t] owns the engine, network model and trace for one
-    simulated cluster.  Nodes register a handler under their name; [send]
-    consults the network model, records the trace entries, counts the
-    message (the unit of the paper's message-complexity metric) and
-    schedules the receiver's handler.
+    A ['msg Transport.t] owns the engine, network model and observability
+    sinks for one simulated cluster.  Nodes register a handler under their
+    name; [send] consults the network model and schedules the receiver's
+    handler.  The sinks (tracer, registry, journal) are off until enabled:
+    with the tracer on, every send, delivery, drop and {!mark} becomes a
+    {!Trace} instant; with the registry on, every send bumps
+    [messages_total{type}] (the unit of the paper's message-complexity
+    metric).
 
     Crashed nodes silently swallow traffic, modelling fail-stop servers for
     the recovery experiments. *)
@@ -12,7 +15,7 @@
 type 'msg t
 
 (** [create ~label_of ()] builds an empty fabric with its own engine.
-    [label_of] renders a message for traces and counters; [latency]
+    [label_of] renders a message for traces and metrics; [latency]
     defaults to {!Latency.lan}; [seed] fixes all randomness. *)
 val create :
   ?seed:int64 ->
@@ -24,8 +27,6 @@ val create :
 
 val engine : _ t -> Engine.t
 val network : _ t -> Network.t
-val trace : _ t -> Trace.t
-val counters : _ t -> Cloudtx_metrics.Counter.t
 
 (** The fabric's span tracer; {!Cloudtx_obs.Tracer.noop} until
     {!enable_tracing} is called, so instrumentation is free by default. *)
@@ -38,7 +39,7 @@ val registry : _ t -> Cloudtx_obs.Registry.t
 (** [enable_tracing t] installs (once) and returns a live tracer clocked
     by simulated time, so exported traces are deterministic.  Every
     [send]/[mark] from then on also lands in the tracer as an instant
-    event, bridging the {!Trace} view into the span artifact. *)
+    event; {!Trace.of_tracer} reads them back as the wire view. *)
 val enable_tracing : _ t -> Cloudtx_obs.Tracer.t
 
 (** [enable_metrics t] installs (once) and returns a live registry; also
@@ -109,15 +110,18 @@ val recover : _ t -> string -> unit
 
 val crashed : _ t -> string -> bool
 
-(** [send t ~src ~dst msg] counts the message under ["messages"] and
-    ["msg:<label>"], traces it, and schedules delivery per the network
-    model. Unknown destinations are traced as drops. *)
+(** [send t ~src ~dst msg] schedules delivery per the network model.
+    With the registry on it bumps [messages_total{type=<label>}]; with the
+    tracer on it emits the send and, later, each delivery or drop.
+    Unknown destinations are traced as drops. *)
 val send : 'msg t -> src:string -> dst:string -> 'msg -> unit
 
 (** [at t ~delay f] schedules local work (not a message, not counted). *)
 val at : _ t -> delay:float -> (unit -> unit) -> unit
 
-(** [mark t ~node label] records a protocol annotation in the trace. *)
+(** [mark t ~node label] records a protocol annotation in the trace; a
+    no-op while tracing is off, so callers that build [label] guard on
+    [Cloudtx_obs.Tracer.enabled (tracer t)]. *)
 val mark : _ t -> node:string -> string -> unit
 
 (** Run the engine (see {!Engine.run}). *)

@@ -1,11 +1,9 @@
 module Running_stats = Cloudtx_metrics.Running_stats
 module Sample_set = Cloudtx_metrics.Sample_set
-module Counter = Cloudtx_metrics.Counter
 module Transport = Cloudtx_sim.Transport
 module Engine = Cloudtx_sim.Engine
 module Manager = Cloudtx_core.Manager
-module Message = Cloudtx_core.Message
-module Outcome = Cloudtx_core.Outcome
+module Outcome = Cloudtx_protocol.Outcome
 module Cluster = Cloudtx_core.Cluster
 module Transaction = Cloudtx_txn.Transaction
 
@@ -36,11 +34,6 @@ let empty () =
     restarts = 0;
   }
 
-let protocol_message_total counters =
-  List.fold_left
-    (fun acc label -> acc + Counter.get counters ("msg:" ^ label))
-    0 Message.protocol_labels
-
 let fold_outcome stats ?(messages = -1) (o : Outcome.t) =
   Sample_set.add stats.latency_ms (Outcome.latency o);
   Running_stats.add stats.proofs (float_of_int o.Outcome.proofs_evaluated);
@@ -58,11 +51,11 @@ let run_sequential (scenario : Scenario.t) config ~n make =
   let cluster = scenario.Scenario.cluster in
   let transport = Cluster.transport cluster in
   let engine = Transport.engine transport in
-  let counters = Transport.counters transport in
+  let registry = Transport.enable_metrics transport in
   let stats = ref (empty ()) in
   for i = 0 to n - 1 do
     let txn = make ~i in
-    let before = protocol_message_total counters in
+    let before = Table1.protocol_messages registry in
     let result = ref None in
     Manager.submit cluster config txn ~on_done:(fun o -> result := Some o);
     (* Step the engine just far enough: background churn interleaves at
@@ -75,7 +68,7 @@ let run_sequential (scenario : Scenario.t) config ~n make =
       failwith
         (Printf.sprintf "Experiment: %s never completed" txn.Transaction.id)
     | Some o ->
-      let after = protocol_message_total counters in
+      let after = Table1.protocol_messages registry in
       stats := fold_outcome !stats ~messages:(after - before) o
   done;
   let s = !stats in
@@ -91,13 +84,13 @@ let run_open ?(max_restarts = 0) (scenario : Scenario.t) config ~arrivals make =
   let rec submit ~ts ~attempt (txn : Transaction.t) =
     Manager.submit ?ts cluster config txn ~on_done:(fun o ->
         if
-          (not o.Cloudtx_core.Outcome.committed)
-          && o.Cloudtx_core.Outcome.reason = Cloudtx_core.Outcome.Wait_die
+          (not o.Outcome.committed)
+          && o.Outcome.reason = Outcome.Wait_die
           && attempt < max_restarts
         then begin
           incr restarts;
           let original_ts =
-            Option.value ~default:o.Cloudtx_core.Outcome.submitted_at ts
+            Option.value ~default:o.Outcome.submitted_at ts
           in
           let retry =
             Transaction.make

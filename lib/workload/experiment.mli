@@ -4,7 +4,7 @@
 module Running_stats = Cloudtx_metrics.Running_stats
 module Sample_set = Cloudtx_metrics.Sample_set
 module Manager = Cloudtx_core.Manager
-module Outcome = Cloudtx_core.Outcome
+module Outcome = Cloudtx_protocol.Outcome
 module Transaction = Cloudtx_txn.Transaction
 
 type stats = {
@@ -14,8 +14,9 @@ type stats = {
   latency_ms : Sample_set.t;
   proofs : Running_stats.t;
   protocol_messages : Running_stats.t;
-      (** Per transaction, summed over {!Cloudtx_core.Message.protocol_labels}
-          (only meaningful for sequential runs). *)
+      (** Per transaction, summed over
+          {!Cloudtx_protocol.Message.protocol_labels} (only meaningful for
+          sequential runs). *)
   commit_rounds : Running_stats.t;
   restarts : int;  (** Wait-die victims resubmitted (open runs only). *)
 }
@@ -26,7 +27,9 @@ val commit_ratio : stats -> float
     a time: transaction [i] (from [make ~i]) is submitted, the engine is
     stepped until its outcome lands, then the next is submitted.
     Background churn events interleave at their scheduled instants.
-    Per-transaction protocol-message counts come from counter deltas. *)
+    Per-transaction protocol-message counts are deltas of
+    {!Table1.protocol_messages}, so the run enables the transport's
+    metrics registry. *)
 val run_sequential :
   Scenario.t -> Manager.config -> n:int -> (i:int -> Transaction.t) -> stats
 

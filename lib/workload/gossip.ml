@@ -2,7 +2,7 @@ module Transport = Cloudtx_sim.Transport
 module Splitmix = Cloudtx_sim.Splitmix
 module Cluster = Cloudtx_core.Cluster
 module Participant = Cloudtx_core.Participant
-module Message = Cloudtx_core.Message
+module Message = Cloudtx_protocol.Message
 module Server = Cloudtx_store.Server
 module Replica = Cloudtx_policy.Replica
 

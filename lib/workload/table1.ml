@@ -1,12 +1,12 @@
-module Scheme = Cloudtx_core.Scheme
-module Consistency = Cloudtx_core.Consistency
+module Scheme = Cloudtx_protocol.Scheme
+module Consistency = Cloudtx_protocol.Consistency
 module Complexity = Cloudtx_core.Complexity
-module Outcome = Cloudtx_core.Outcome
+module Outcome = Cloudtx_protocol.Outcome
 module Manager = Cloudtx_core.Manager
 module Cluster = Cloudtx_core.Cluster
-module Message = Cloudtx_core.Message
-module Counter = Cloudtx_metrics.Counter
+module Message = Cloudtx_protocol.Message
 module Transport = Cloudtx_sim.Transport
+module Registry = Cloudtx_obs.Registry
 
 type staleness = Fresh | View_worst | Global_worst
 
@@ -21,9 +21,10 @@ let worst_for scheme (level : Consistency.level) =
   | (Scheme.Deferred | Scheme.Punctual), Consistency.Global -> Global_worst
   | (Scheme.Incremental_punctual | Scheme.Continuous), _ -> Fresh
 
-let protocol_messages counters =
+let protocol_messages registry =
   List.fold_left
-    (fun acc label -> acc + Counter.get counters ("msg:" ^ label))
+    (fun acc label ->
+      acc + Registry.counter registry "messages_total" [ ("type", label) ])
     0 Message.protocol_labels
 
 type measurement = { outcome : Outcome.t; messages : int; proofs : int }
@@ -46,10 +47,10 @@ let run_case ?(n_servers = 4) ?(queries = 4) scheme level staleness =
   let txn =
     Scenario.spread_transaction scenario ~id:"t1" ~subject:"clerk-1" ~queries ()
   in
-  let counters = Transport.counters (Cluster.transport cluster) in
-  let before = protocol_messages counters in
+  let registry = Transport.enable_metrics (Cluster.transport cluster) in
+  let before = protocol_messages registry in
   let outcome = Manager.run_one cluster (Manager.config scheme level) txn in
-  let after = protocol_messages counters in
+  let after = protocol_messages registry in
   {
     outcome;
     messages = after - before;

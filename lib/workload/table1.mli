@@ -6,9 +6,9 @@
     case, run one transaction, and report measured protocol messages and
     proof evaluations next to the paper's closed forms. *)
 
-module Scheme = Cloudtx_core.Scheme
-module Consistency = Cloudtx_core.Consistency
-module Outcome = Cloudtx_core.Outcome
+module Scheme = Cloudtx_protocol.Scheme
+module Consistency = Cloudtx_protocol.Consistency
+module Outcome = Cloudtx_protocol.Outcome
 
 type staleness =
   | Fresh  (** No churn: single-round validation (r = 1). *)
@@ -34,7 +34,8 @@ type measurement = {
 
 (** [run_case scheme level staleness] builds a fresh deployment with
     [n_servers] (default 4) servers, runs one [queries]-query (default 4)
-    spread transaction and measures it. *)
+    spread transaction and measures it off the deployment's metrics
+    registry. *)
 val run_case :
   ?n_servers:int ->
   ?queries:int ->
@@ -48,6 +49,8 @@ val run_case :
     proof formula, analytic, measured. *)
 val matrix_rows : n:int -> u:int -> string list list
 
-(** Sum of the protocol-message counters (paper accounting: excludes
-    master-version requests, query shipping and policy propagation). *)
-val protocol_messages : Cloudtx_metrics.Counter.t -> int
+(** Sum of the registry's [messages_total] over
+    {!Cloudtx_protocol.Message.protocol_labels} (paper accounting:
+    excludes master-version requests, query shipping and policy
+    propagation).  0 on a disabled registry. *)
+val protocol_messages : Cloudtx_obs.Registry.t -> int

@@ -3,8 +3,8 @@
    Three angles:
    - clean journals from every scheme x consistency-level cell audit with
      zero divergences;
-   - the auditor's recomputed Table I counts equal both the live metric
-     counters and the paper's closed forms;
+   - the auditor's recomputed Table I counts equal both the live metrics
+     registry and the paper's closed forms;
    - each tampering kind (dropped record, reordered delivery, flipped
      vote, stale policy version) is rejected with a diagnostic naming the
      first divergent seq. *)
@@ -13,9 +13,9 @@ module Audit = Cloudtx_core.Audit
 module Cluster = Cloudtx_core.Cluster
 module Manager = Cloudtx_core.Manager
 module Complexity = Cloudtx_core.Complexity
-module Outcome = Cloudtx_core.Outcome
-module Scheme = Cloudtx_core.Scheme
-module Consistency = Cloudtx_core.Consistency
+module Outcome = Cloudtx_protocol.Outcome
+module Scheme = Cloudtx_protocol.Scheme
+module Consistency = Cloudtx_protocol.Consistency
 module Scenario = Cloudtx_workload.Scenario
 module Table1 = Cloudtx_workload.Table1
 module Transport = Cloudtx_sim.Transport
@@ -59,7 +59,7 @@ let run_cell ?(n_servers = 4) ?(queries = 4) scheme level staleness =
     Scenario.spread_transaction scenario ~id:"t1" ~subject:"clerk-1" ~queries ()
   in
   let outcome = Manager.run_one cluster (Manager.config scheme level) txn in
-  (lines_of journal, outcome, registry, Transport.counters transport)
+  (lines_of journal, outcome, registry)
 
 let audit_ok what lines =
   match Audit.run ~lines with
@@ -72,7 +72,7 @@ let test_every_cell_audits_clean () =
   List.iter
     (fun (scheme, level) ->
       let what = cell_name scheme level in
-      let lines, outcome, _, _ =
+      let lines, outcome, _ =
         run_cell scheme level (Table1.worst_for scheme level)
       in
       let report = audit_ok what lines in
@@ -92,14 +92,14 @@ let test_counts_match_registry_and_closed_forms () =
     (fun (scheme, level) ->
       let what = cell_name scheme level in
       let staleness = Table1.worst_for scheme level in
-      let lines, outcome, registry, counters =
+      let lines, outcome, registry =
         run_cell ~n_servers:n ~queries:u scheme level staleness
       in
       let report = audit_ok what lines in
-      (* Recomputed from the journal alone = live transport counters. *)
+      (* Recomputed from the journal alone = live registry. *)
       Alcotest.(check int)
-        (what ^ ": protocol messages, journal vs counters")
-        (Table1.protocol_messages counters)
+        (what ^ ": protocol messages, journal vs registry")
+        (Table1.protocol_messages registry)
         report.Audit.protocol_messages;
       Alcotest.(check int)
         (what ^ ": proofs, journal vs registry")
@@ -157,7 +157,7 @@ let split_payload line =
 
 let baseline =
   lazy
-    (let lines, _, _, _ =
+    (let lines, _, _ =
        run_cell Scheme.Deferred Consistency.Global Table1.Fresh
      in
      lines)
@@ -317,7 +317,7 @@ let test_v2_journal_still_audits () =
   let module Json = Cloudtx_policy.Json in
   let module Codec = Cloudtx_protocol.Codec in
   let module Ps = Cloudtx_protocol.Ps_machine in
-  let lines, _, _, _ =
+  let lines, _, _ =
     run_cell Scheme.Deferred Consistency.Global Table1.Global_worst
   in
   let v3_report = audit_ok "v3 original" lines in

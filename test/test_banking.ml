@@ -4,9 +4,9 @@
 
 module Banking = Cloudtx_workload.Banking
 module Manager = Cloudtx_core.Manager
-module Scheme = Cloudtx_core.Scheme
-module Consistency = Cloudtx_core.Consistency
-module Outcome = Cloudtx_core.Outcome
+module Scheme = Cloudtx_protocol.Scheme
+module Consistency = Cloudtx_protocol.Consistency
+module Outcome = Cloudtx_protocol.Outcome
 module Trusted = Cloudtx_core.Trusted
 module Master = Cloudtx_core.Master
 module Cluster = Cloudtx_core.Cluster

@@ -18,9 +18,9 @@ module Registry = Cloudtx_obs.Registry
 module Histogram = Cloudtx_obs.Histogram
 module Cluster = Cloudtx_core.Cluster
 module Manager = Cloudtx_core.Manager
-module Scheme = Cloudtx_core.Scheme
-module Consistency = Cloudtx_core.Consistency
-module Outcome = Cloudtx_core.Outcome
+module Scheme = Cloudtx_protocol.Scheme
+module Consistency = Cloudtx_protocol.Consistency
+module Outcome = Cloudtx_protocol.Outcome
 module Scenario = Cloudtx_workload.Scenario
 module Transport = Cloudtx_sim.Transport
 module Plan = Cloudtx_chaos.Plan

@@ -13,9 +13,9 @@ module Certify = Cloudtx_core.Certify
 module Audit = Cloudtx_core.Audit
 module Cluster = Cloudtx_core.Cluster
 module Manager = Cloudtx_core.Manager
-module Outcome = Cloudtx_core.Outcome
-module Scheme = Cloudtx_core.Scheme
-module Consistency = Cloudtx_core.Consistency
+module Outcome = Cloudtx_protocol.Outcome
+module Scheme = Cloudtx_protocol.Scheme
+module Consistency = Cloudtx_protocol.Consistency
 module Scenario = Cloudtx_workload.Scenario
 module Table1 = Cloudtx_workload.Table1
 module Transport = Cloudtx_sim.Transport

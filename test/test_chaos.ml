@@ -11,8 +11,8 @@ module Plan = Cloudtx_chaos.Plan
 module Campaign = Cloudtx_chaos.Campaign
 module Shrink = Cloudtx_chaos.Shrink
 module Audit = Cloudtx_core.Audit
-module Scheme = Cloudtx_core.Scheme
-module Consistency = Cloudtx_core.Consistency
+module Scheme = Cloudtx_protocol.Scheme
+module Consistency = Cloudtx_protocol.Consistency
 
 let describe (c : Campaign.case) =
   Printf.sprintf "%s seed=%Ld: %s"

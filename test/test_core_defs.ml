@@ -2,11 +2,11 @@
    consistency predicates, views, schemes, Table I formulas, the shared
    validation-round logic, and the trusted-transaction checks. *)
 
-module Consistency = Cloudtx_core.Consistency
-module View = Cloudtx_core.View
-module Scheme = Cloudtx_core.Scheme
+module Consistency = Cloudtx_protocol.Consistency
+module View = Cloudtx_protocol.View
+module Scheme = Cloudtx_protocol.Scheme
 module Complexity = Cloudtx_core.Complexity
-module Validation = Cloudtx_core.Validation
+module Validation = Cloudtx_protocol.Validation
 module Trusted = Cloudtx_core.Trusted
 module Proof = Cloudtx_policy.Proof
 module Policy = Cloudtx_policy.Policy

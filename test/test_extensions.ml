@@ -5,12 +5,12 @@
 
 module Cluster = Cloudtx_core.Cluster
 module Manager = Cloudtx_core.Manager
-module Scheme = Cloudtx_core.Scheme
-module Consistency = Cloudtx_core.Consistency
-module Outcome = Cloudtx_core.Outcome
+module Scheme = Cloudtx_protocol.Scheme
+module Consistency = Cloudtx_protocol.Consistency
+module Outcome = Cloudtx_protocol.Outcome
 module Participant = Cloudtx_core.Participant
-module Message = Cloudtx_core.Message
-module Counter = Cloudtx_metrics.Counter
+module Message = Cloudtx_protocol.Message
+module Registry = Cloudtx_obs.Registry
 module Transport = Cloudtx_sim.Transport
 module Latency = Cloudtx_sim.Latency
 module Scenario = Cloudtx_workload.Scenario
@@ -24,6 +24,10 @@ module Ca = Cloudtx_policy.Ca
 module Query = Cloudtx_txn.Query
 module Transaction = Cloudtx_txn.Transaction
 
+(* Messages of one wire type sent since the registry was enabled. *)
+let messages registry label =
+  Registry.counter registry "messages_total" [ ("type", label) ]
+
 (* ------------------------------------------------------------------ *)
 (* Read-only optimization                                              *)
 (* ------------------------------------------------------------------ *)
@@ -36,15 +40,15 @@ let read_only_txn scenario =
 let run_ro ~optimize =
   let scenario = Scenario.retail ~n_servers:3 ~n_subjects:1 () in
   let cluster = scenario.Scenario.cluster in
-  let counters = Transport.counters (Cluster.transport cluster) in
-  let before = Table1.protocol_messages counters in
+  let registry = Transport.enable_metrics (Cluster.transport cluster) in
+  let before = Table1.protocol_messages registry in
   let outcome =
     Manager.run_one cluster
       (Manager.config ~read_only_optimization:optimize Scheme.Incremental_punctual
          Consistency.View)
       (read_only_txn scenario)
   in
-  let after = Table1.protocol_messages counters in
+  let after = Table1.protocol_messages registry in
   let forced =
     List.fold_left
       (fun acc name ->
@@ -86,7 +90,7 @@ let test_read_only_mixed_writers () =
       ~credentials:(scenario.Scenario.credentials_of "clerk-1")
       qs
   in
-  let counters = Transport.counters (Cluster.transport cluster) in
+  let registry = Transport.enable_metrics (Cluster.transport cluster) in
   let outcome =
     Manager.run_one cluster
       (Manager.config ~read_only_optimization:true Scheme.Incremental_punctual
@@ -96,8 +100,8 @@ let test_read_only_mixed_writers () =
   Alcotest.(check bool) "committed" true outcome.Outcome.committed;
   (* Exactly one decision and one ack. *)
   Alcotest.(check int) "one decision" 1
-    (Counter.get counters "msg:decision-commit");
-  Alcotest.(check int) "one ack" 1 (Counter.get counters "msg:decision-ack");
+    (messages registry "decision-commit");
+  Alcotest.(check int) "one ack" 1 (messages registry "decision-ack");
   let server2 = Participant.server (Cluster.participant cluster "server-2") in
   Alcotest.(check bool) "write applied" true
     (Server.get server2 "s2-k1" = Some (Value.Int 5));
@@ -116,16 +120,16 @@ let test_read_only_not_offered_when_validating () =
      with the flag on: update rounds may need the participant. *)
   let scenario = Scenario.retail ~n_servers:3 ~n_subjects:1 () in
   let cluster = scenario.Scenario.cluster in
+  let registry = Transport.enable_metrics (Cluster.transport cluster) in
   let outcome =
     Manager.run_one cluster
       (Manager.config ~read_only_optimization:true Scheme.Deferred
          Consistency.View)
       (read_only_txn scenario)
   in
-  let counters = Transport.counters (Cluster.transport cluster) in
   Alcotest.(check bool) "committed" true outcome.Outcome.committed;
   Alcotest.(check int) "full decision phase" 3
-    (Counter.get counters "msg:decision-commit")
+    (messages registry "decision-commit")
 
 (* ------------------------------------------------------------------ *)
 (* Master modes                                                        *)
@@ -144,13 +148,13 @@ let test_master_once_fetches_once () =
     let txn =
       Scenario.spread_transaction scenario ~id:"t1" ~subject:"clerk-1" ~queries:4 ()
     in
-    let counters = Transport.counters (Cluster.transport cluster) in
+    let registry = Transport.enable_metrics (Cluster.transport cluster) in
     let outcome =
       Manager.run_one cluster
         (Manager.config ~master_mode:mode Scheme.Deferred Consistency.Global)
         txn
     in
-    (outcome, Counter.get counters "msg:master-version-reply")
+    (outcome, messages registry "master-version-reply")
   in
   let o_every, fetches_every = run `Every_round in
   let o_once, fetches_once = run `Once in
@@ -260,14 +264,14 @@ let test_multi_domain_targeted_updates () =
     (Cluster.publish cluster ~domain:"hr"
        ~delay:(`Fixed (fun _ -> infinity))
        (clerkish "hr_clerk"));
-  let counters = Transport.counters (Cluster.transport cluster) in
+  let registry = Transport.enable_metrics (Cluster.transport cluster) in
   let outcome =
     Manager.run_one cluster (Manager.config Scheme.Deferred Consistency.Global) txn
   in
   Alcotest.(check bool) "committed" true outcome.Outcome.committed;
   Alcotest.(check int) "two rounds" 2 outcome.Outcome.commit_rounds;
   Alcotest.(check int) "exactly one update" 1
-    (Counter.get counters "msg:policy-update");
+    (messages registry "policy-update");
   (* Proofs: 2 initial + 1 hr re-evaluation. *)
   Alcotest.(check int) "proofs" 3 outcome.Outcome.proofs_evaluated
 

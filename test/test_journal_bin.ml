@@ -15,8 +15,8 @@ module Report_io = Cloudtx_core.Report_io
 module Monitor = Cloudtx_obs.Monitor
 module Report = Cloudtx_obs.Report
 module Manager = Cloudtx_core.Manager
-module Scheme = Cloudtx_core.Scheme
-module Consistency = Cloudtx_core.Consistency
+module Scheme = Cloudtx_protocol.Scheme
+module Consistency = Cloudtx_protocol.Consistency
 module Cluster = Cloudtx_core.Cluster
 module Codec_bin = Cloudtx_protocol.Codec_bin
 module Transport = Cloudtx_sim.Transport

@@ -1,48 +1,11 @@
 (* Unit and property tests for cloudtx_metrics. *)
 
-module Counter = Cloudtx_metrics.Counter
 module Running_stats = Cloudtx_metrics.Running_stats
 module Sample_set = Cloudtx_metrics.Sample_set
 module Table = Cloudtx_metrics.Table
 module Timeline = Cloudtx_metrics.Timeline
 
 let close ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
-
-(* ------------------------------------------------------------------ *)
-(* Counter                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_counter_basic () =
-  let c = Counter.create () in
-  Alcotest.(check int) "missing is zero" 0 (Counter.get c "x");
-  Counter.incr c "x";
-  Counter.incr c "x";
-  Counter.add c "y" 5;
-  Alcotest.(check int) "x" 2 (Counter.get c "x");
-  Alcotest.(check int) "y" 5 (Counter.get c "y");
-  Counter.add c "y" (-2);
-  Alcotest.(check int) "y after negative add" 3 (Counter.get c "y")
-
-let test_counter_reset_and_list () =
-  let c = Counter.create () in
-  Counter.add c "b" 2;
-  Counter.add c "a" 1;
-  Alcotest.(check (list (pair string int)))
-    "sorted list"
-    [ ("a", 1); ("b", 2) ]
-    (Counter.to_list c);
-  Counter.reset c;
-  Alcotest.(check int) "reset" 0 (Counter.get c "b")
-
-let test_counter_merge () =
-  let a = Counter.create () and b = Counter.create () in
-  Counter.add a "x" 1;
-  Counter.add a "y" 2;
-  Counter.add b "y" 3;
-  Counter.add b "z" 4;
-  let m = Counter.merge a b in
-  Alcotest.(check (list (pair string int)))
-    "merged" [ ("x", 1); ("y", 5); ("z", 4) ] (Counter.to_list m)
 
 (* ------------------------------------------------------------------ *)
 (* Running_stats                                                       *)
@@ -225,12 +188,6 @@ let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "metrics"
     [
-      ( "counter",
-        [
-          Alcotest.test_case "basic" `Quick test_counter_basic;
-          Alcotest.test_case "reset and list" `Quick test_counter_reset_and_list;
-          Alcotest.test_case "merge" `Quick test_counter_merge;
-        ] );
       ( "running_stats",
         [
           Alcotest.test_case "empty" `Quick test_stats_empty;

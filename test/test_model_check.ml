@@ -12,7 +12,7 @@
    - AC3 (stability): the coordinator decides exactly once;
    - termination: with every message delivered, every machine finishes.
 
-   {!Cloudtx_core.Validation} is checked for reply-order invariance: the
+   {!Cloudtx_protocol.Validation} is checked for reply-order invariance: the
    resolution of a voting round must not depend on arrival order.
 
    The sans-IO {!Cloudtx_protocol.Tm_machine} / {!Cloudtx_protocol.Ps_machine}
@@ -24,7 +24,7 @@
    trusted-transaction soundness obligation of Section V). *)
 
 module Tpc = Cloudtx_txn.Tpc
-module Validation = Cloudtx_core.Validation
+module Validation = Cloudtx_protocol.Validation
 module Policy = Cloudtx_policy.Policy
 module Proof = Cloudtx_policy.Proof
 module Splitmix = Cloudtx_sim.Splitmix

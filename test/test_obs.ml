@@ -268,17 +268,34 @@ let test_jsonl_export () =
   Alcotest.(check bool) "open span end_ms is null" true has_null_end
 
 let test_sim_trace_jsonl () =
-  let trace = Cloudtx_sim.Trace.create () in
-  Cloudtx_sim.Trace.record trace ~time:1.
-    (Cloudtx_sim.Trace.Send { src = "a"; dst = "b"; label = "m \"x\"" });
-  Cloudtx_sim.Trace.record trace ~time:2.
-    (Cloudtx_sim.Trace.Mark { node = "a"; label = "sync" });
+  let module Trace = Cloudtx_sim.Trace in
+  let entries =
+    [
+      {
+        Trace.time = 1.;
+        kind = Send { src = "a"; dst = "b"; label = "m \"x\"" };
+      };
+      { Trace.time = 1.; kind = Recv { src = "a"; dst = "b"; label = "m" } };
+      { Trace.time = 2.; kind = Drop { src = "b"; dst = "a"; label = "n" } };
+      { Trace.time = 2.; kind = Mark { node = "a"; label = "sync" } };
+    ]
+  in
+  (* The wire view survives its encoding as tracer instants. *)
+  let now = ref 0. in
+  let tracer = Tracer.create ~clock:(fun () -> !now) () in
+  List.iter
+    (fun (e : Trace.entry) ->
+      now := e.time;
+      Trace.emit tracer e.kind)
+    entries;
+  Alcotest.(check bool) "tracer round-trip" true
+    (Trace.of_tracer tracer = entries);
   let lines =
-    Cloudtx_sim.Trace.to_jsonl trace
+    Trace.to_jsonl entries
     |> String.split_on_char '\n'
     |> List.filter (fun l -> l <> "")
   in
-  Alcotest.(check int) "two lines" 2 (List.length lines);
+  Alcotest.(check int) "one line per entry" 4 (List.length lines);
   List.iter
     (fun line ->
       match Json.parse line with
@@ -516,7 +533,8 @@ let test_wait_die_kill_links_spans () =
   let transport = Cluster.transport cluster in
   let tracer = Transport.enable_tracing transport in
   let config =
-    Manager.config Cloudtx_core.Scheme.Deferred Cloudtx_core.Consistency.View
+    Manager.config Cloudtx_protocol.Scheme.Deferred
+      Cloudtx_protocol.Consistency.View
   in
   let two_step id warmup =
     Transaction.make ~id ~subject:"s"
@@ -727,7 +745,8 @@ let test_journal_dropped_counter_wired () =
   let reg = Transport.enable_metrics transport in
   let journal = Transport.enable_journal ~max_buffer_bytes:512 transport in
   let config =
-    Manager.config Cloudtx_core.Scheme.Deferred Cloudtx_core.Consistency.View
+    Manager.config Cloudtx_protocol.Scheme.Deferred
+      Cloudtx_protocol.Consistency.View
   in
   let txn =
     Transaction.make ~id:"t1" ~subject:"s"

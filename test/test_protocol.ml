@@ -6,15 +6,14 @@
 
 module Cluster = Cloudtx_core.Cluster
 module Manager = Cloudtx_core.Manager
-module Scheme = Cloudtx_core.Scheme
-module Consistency = Cloudtx_core.Consistency
+module Scheme = Cloudtx_protocol.Scheme
+module Consistency = Cloudtx_protocol.Consistency
 module Complexity = Cloudtx_core.Complexity
-module Outcome = Cloudtx_core.Outcome
-module Message = Cloudtx_core.Message
+module Outcome = Cloudtx_protocol.Outcome
+module Message = Cloudtx_protocol.Message
 module Trusted = Cloudtx_core.Trusted
 module Master = Cloudtx_core.Master
 module Participant = Cloudtx_core.Participant
-module Counter = Cloudtx_metrics.Counter
 module Transport = Cloudtx_sim.Transport
 module Latency = Cloudtx_sim.Latency
 module Splitmix = Cloudtx_sim.Splitmix
@@ -22,6 +21,7 @@ module Scenario = Cloudtx_workload.Scenario
 module Churn = Cloudtx_workload.Churn
 module Generator = Cloudtx_workload.Generator
 module Experiment = Cloudtx_workload.Experiment
+module Table1 = Cloudtx_workload.Table1
 module Server = Cloudtx_store.Server
 module Value = Cloudtx_store.Value
 module Ca = Cloudtx_policy.Ca
@@ -30,11 +30,6 @@ let all_combos =
   List.concat_map
     (fun s -> [ (s, Consistency.View); (s, Consistency.Global) ])
     Scheme.all
-
-let protocol_messages counters =
-  List.fold_left
-    (fun acc label -> acc + Counter.get counters ("msg:" ^ label))
-    0 Message.protocol_labels
 
 let latest_of scenario domain =
   Master.latest (Cluster.master scenario.Scenario.cluster) ~domain
@@ -116,10 +111,12 @@ let run_complexity_case ?(n_servers = 4) ?(queries = 4) scheme level staleness =
   let txn =
     Scenario.spread_transaction scenario ~id:"t1" ~subject:"clerk-1" ~queries ()
   in
-  let counters = Transport.counters (Cluster.transport cluster) in
-  let before = protocol_messages counters in
+  let registry = Transport.enable_metrics (Cluster.transport cluster) in
+  let before = Table1.protocol_messages registry in
   let outcome = Manager.run_one cluster (Manager.config scheme level) txn in
-  let after = protocol_messages counters in
+  let after = Table1.protocol_messages registry in
+  (* The proof tally behind [proofs_evaluated] is gone once it finished. *)
+  Alcotest.(check int) "tally dropped" 0 (Cluster.take_proofs cluster ~txn:"t1");
   (outcome, after - before)
 
 let test_table1_fresh_exact () =

@@ -8,9 +8,9 @@
 
 module Cluster = Cloudtx_core.Cluster
 module Manager = Cloudtx_core.Manager
-module Scheme = Cloudtx_core.Scheme
-module Consistency = Cloudtx_core.Consistency
-module Outcome = Cloudtx_core.Outcome
+module Scheme = Cloudtx_protocol.Scheme
+module Consistency = Cloudtx_protocol.Consistency
+module Outcome = Cloudtx_protocol.Outcome
 module Participant = Cloudtx_core.Participant
 module Transport = Cloudtx_sim.Transport
 module Latency = Cloudtx_sim.Latency
@@ -280,6 +280,7 @@ let test_forced_log_counts_2pvc () =
      prepared + decision (2n), and the TM's decision force is traced. *)
   let s = scenario () in
   let cluster = s.Scenario.cluster in
+  let registry = Transport.enable_metrics (Cluster.transport cluster) in
   let config = Manager.config Scheme.Deferred Consistency.View in
   let result = ref None in
   Manager.submit cluster config (txn_of s) ~on_done:(fun o -> result := Some o);
@@ -295,9 +296,7 @@ let test_forced_log_counts_2pvc () =
   in
   Alcotest.(check int) "participants force 2n" 6 participant_forces;
   let tm_forces =
-    Cloudtx_metrics.Counter.get
-      (Transport.counters (Cluster.transport cluster))
-      "log_force:tm"
+    Cloudtx_obs.Registry.counter registry "log_force_total" [ ("site", "tm") ]
   in
   Alcotest.(check int) "TM forces its decision" 1 tm_forces
 

@@ -11,11 +11,11 @@
 module Manager = Cloudtx_core.Manager
 module Cluster = Cloudtx_core.Cluster
 module Participant = Cloudtx_core.Participant
-module Outcome = Cloudtx_core.Outcome
+module Outcome = Cloudtx_protocol.Outcome
 module Resilience = Cloudtx_core.Resilience
 module Audit = Cloudtx_core.Audit
-module Scheme = Cloudtx_core.Scheme
-module Consistency = Cloudtx_core.Consistency
+module Scheme = Cloudtx_protocol.Scheme
+module Consistency = Cloudtx_protocol.Consistency
 module Timeout_policy = Cloudtx_protocol.Timeout_policy
 module Transport = Cloudtx_sim.Transport
 module Latency = Cloudtx_sim.Latency

@@ -7,7 +7,7 @@ module Latency = Cloudtx_sim.Latency
 module Network = Cloudtx_sim.Network
 module Transport = Cloudtx_sim.Transport
 module Trace = Cloudtx_sim.Trace
-module Counter = Cloudtx_metrics.Counter
+module Registry = Cloudtx_obs.Registry
 
 (* ------------------------------------------------------------------ *)
 (* Splitmix                                                            *)
@@ -337,6 +337,7 @@ let make_transport () =
 
 let test_transport_delivery () =
   let t = make_transport () in
+  let registry = Transport.enable_metrics t in
   let inbox = ref [] in
   Transport.register t "alice" (fun ~src msg -> inbox := (src, msg) :: !inbox);
   Transport.register t "bob" (fun ~src:_ _ -> ());
@@ -348,9 +349,9 @@ let test_transport_delivery () =
     [ ("bob", "hello"); ("bob", "world") ]
     (List.rev !inbox);
   Alcotest.(check int) "messages counted" 2
-    (Counter.get (Transport.counters t) "messages");
+    (Registry.counter_total registry "messages_total");
   Alcotest.(check int) "labeled" 1
-    (Counter.get (Transport.counters t) "msg:hello")
+    (Registry.counter registry "messages_total" [ ("type", "hello") ])
 
 let test_transport_duplicate_registration () =
   let t = make_transport () in
@@ -375,6 +376,7 @@ let test_transport_crash_swallows () =
 
 let test_transport_unknown_destination () =
   let t = make_transport () in
+  let tracer = Transport.enable_tracing t in
   Transport.register t "a" (fun ~src:_ _ -> ());
   Transport.send t ~src:"a" ~dst:"ghost" "m";
   ignore (Transport.run t);
@@ -382,37 +384,40 @@ let test_transport_unknown_destination () =
     List.filter
       (fun (e : Trace.entry) ->
         match e.Trace.kind with Trace.Drop _ -> true | _ -> false)
-      (Trace.entries (Transport.trace t))
+      (Trace.of_tracer tracer)
   in
   Alcotest.(check int) "traced as drop" 1 (List.length drops)
 
 let test_trace_marks_and_messages () =
   let t = make_transport () in
+  let tracer = Transport.enable_tracing t in
   Transport.register t "a" (fun ~src:_ _ -> ());
   Transport.register t "b" (fun ~src:_ _ -> ());
   Transport.mark t ~node:"a" "proof_eval";
   Transport.send t ~src:"a" ~dst:"b" "ping";
   ignore (Transport.run t);
-  let trace = Transport.trace t in
-  Alcotest.(check int) "one mark" 1
-    (List.length (Trace.marks ~node:"a" ~label:"proof_eval" trace));
-  Alcotest.(check int) "no mark for b" 0
-    (List.length (Trace.marks ~node:"b" trace));
-  match Trace.messages trace with
-  | [ (_, src, dst, label) ] ->
-    Alcotest.(check string) "src" "a" src;
-    Alcotest.(check string) "dst" "b" dst;
-    Alcotest.(check string) "label" "ping" label
-  | other -> Alcotest.failf "expected one message, got %d" (List.length other)
+  (* A wal.force-style instant with attributes is not a mark, and spans
+     are not wire events. *)
+  Cloudtx_obs.Tracer.instant tracer ~track:"b" ~attrs:[ ("record", "x") ] "w";
+  Cloudtx_obs.Tracer.finish tracer (Cloudtx_obs.Tracer.start tracer "span");
+  Alcotest.(check (list string))
+    "mark, send, delivery"
+    [
+      "     0.000  [a] proof_eval";
+      "     0.000  a -> b : ping";
+      "     1.000  a => b : ping (delivered)";
+    ]
+    (List.map (Format.asprintf "%a" Trace.pp_entry) (Trace.of_tracer tracer))
 
 let test_trace_exporters () =
   let t = make_transport () in
+  let tracer = Transport.enable_tracing t in
   Transport.register t "node-a" (fun ~src:_ _ -> ());
   Transport.register t "node-b" (fun ~src:_ _ -> ());
   Transport.mark t ~node:"node-a" "begin";
   Transport.send t ~src:"node-a" ~dst:"node-b" "ping, with comma";
   ignore (Transport.run t);
-  let trace = Transport.trace t in
+  let trace = Trace.of_tracer tracer in
   let mermaid = Trace.to_mermaid trace in
   Alcotest.(check bool) "mermaid header" true
     (String.length mermaid > 15 && String.sub mermaid 0 15 = "sequenceDiagram");
@@ -435,17 +440,37 @@ let test_trace_exporters () =
          n > 0 && String.contains l '"')
        lines)
 
+(* With tracer and registry off the fabric keeps nothing per message:
+   its reachable size after 10 000 send-then-run cycles equals its size
+   after 10. *)
+let test_transport_flat_memory () =
+  let t = make_transport () in
+  Transport.register t "a" (fun ~src:_ _ -> ());
+  Transport.register t "b" (fun ~src:_ _ -> ());
+  let cycles n =
+    for _ = 1 to n do
+      Transport.send t ~src:"a" ~dst:"b" "ping";
+      ignore (Transport.run t)
+    done
+  in
+  cycles 10;
+  let after_10 = Obj.reachable_words (Obj.repr t) in
+  cycles 9_990;
+  Alcotest.(check int) "reachable words" after_10
+    (Obj.reachable_words (Obj.repr t))
+
 let test_deterministic_replay () =
   (* Two transports with the same seed produce identical traces. *)
   let run () =
     let t = Transport.create ~seed:77L ~latency:Latency.lan ~label_of:Fun.id () in
+    let tracer = Transport.enable_tracing t in
     Transport.register t "a" (fun ~src:_ _ -> ());
     Transport.register t "b" (fun ~src:_ _ -> ());
     for i = 1 to 20 do
       Transport.send t ~src:"a" ~dst:"b" (Printf.sprintf "m%d" i)
     done;
     ignore (Transport.run t);
-    Trace.to_string (Transport.trace t)
+    Trace.to_string (Trace.of_tracer tracer)
   in
   Alcotest.(check string) "identical traces" (run ()) (run ())
 
@@ -504,6 +529,8 @@ let () =
             test_transport_unknown_destination;
           Alcotest.test_case "trace" `Quick test_trace_marks_and_messages;
           Alcotest.test_case "trace exporters" `Quick test_trace_exporters;
+          Alcotest.test_case "keeps nothing per message" `Quick
+            test_transport_flat_memory;
           Alcotest.test_case "deterministic replay" `Quick
             test_deterministic_replay;
         ] );

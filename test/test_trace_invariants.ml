@@ -3,15 +3,15 @@
    every span's parent exists, a committed transaction's [2pvc.commit]
    phase is preceded by its [2pvc.prepare], commit-phase aborts carry a
    prepare too, and the number of [proof_eval] spans on a fresh run equals
-   the Table I closed form (and the TM's own proof counter). *)
+   the Table I closed form (and the outcome's proof tally). *)
 
 module Scenario = Cloudtx_workload.Scenario
 module Cluster = Cloudtx_core.Cluster
 module Manager = Cloudtx_core.Manager
 module Complexity = Cloudtx_core.Complexity
-module Scheme = Cloudtx_core.Scheme
-module Consistency = Cloudtx_core.Consistency
-module Outcome = Cloudtx_core.Outcome
+module Scheme = Cloudtx_protocol.Scheme
+module Consistency = Cloudtx_protocol.Consistency
+module Outcome = Cloudtx_protocol.Outcome
 module Transport = Cloudtx_sim.Transport
 module Tracer = Cloudtx_obs.Tracer
 module Value = Cloudtx_store.Value
@@ -162,8 +162,8 @@ let test_commit_phase_abort_preceded_by_prepare () =
 
 let test_proof_eval_count_matches_table1 () =
   (* Fresh replicas, one voting round: the measured proof evaluations on
-     the trace must equal both the TM's counter and the Table I closed
-     form at r = 1. *)
+     the trace must equal both the outcome's proof tally and the Table I
+     closed form at r = 1. *)
   List.iter
     (fun (scheme, level) ->
       let ctx = combo_name scheme level in
@@ -173,7 +173,7 @@ let test_proof_eval_count_matches_table1 () =
         1 outcome.Outcome.commit_rounds;
       let measured = List.length (find_all "proof_eval" spans) in
       Alcotest.(check int)
-        (ctx ^ ": tracer agrees with the TM's proof counter")
+        (ctx ^ ": tracer agrees with the outcome's proof tally")
         outcome.Outcome.proofs_evaluated measured;
       let analytic = Complexity.proofs scheme level ~n:2 ~u:2 ~r:1 in
       Alcotest.(check int)

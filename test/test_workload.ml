@@ -8,9 +8,9 @@ module Churn = Cloudtx_workload.Churn
 module Experiment = Cloudtx_workload.Experiment
 module Cluster = Cloudtx_core.Cluster
 module Manager = Cloudtx_core.Manager
-module Scheme = Cloudtx_core.Scheme
-module Consistency = Cloudtx_core.Consistency
-module Outcome = Cloudtx_core.Outcome
+module Scheme = Cloudtx_protocol.Scheme
+module Consistency = Cloudtx_protocol.Consistency
+module Outcome = Cloudtx_protocol.Outcome
 module Master = Cloudtx_core.Master
 module Splitmix = Cloudtx_sim.Splitmix
 module Transaction = Cloudtx_txn.Transaction
