@@ -18,6 +18,11 @@ type t = private {
   version : version;
   rules : Rule.t list;
   accept_capabilities : bool;
+  mutable plan : Infer.plan option;
+      (** {!effective_rules} compiled, filled in at the policy's first
+          evaluation and kept for the later ones until {!forget_plan}.
+          A cache, not content: structural equality sees it, so compare
+          policies by their other fields. *)
 }
 
 (** [create ~domain rules] is version 1 of the domain's policy. *)
@@ -40,8 +45,14 @@ val capability_fact : subject:string -> action:string -> item:string -> Rule.fac
 (** Effective rule set: [rules] plus the capability rule when enabled. *)
 val effective_rules : t -> Rule.t list
 
+(** [forget_plan t] drops [t]'s compiled plan; its next evaluation
+    compiles it again. *)
+val forget_plan : t -> unit
+
 (** [permits t ~facts ~subject ~action ~item] — single saturation, single
-    goal. *)
+    goal.  The first evaluation of a policy value compiles its rules
+    ({!Infer.compile}) and raises [Invalid_argument] if they recurse
+    through negation. *)
 val permits :
   t -> facts:Rule.fact list -> subject:string -> action:string -> item:string -> bool
 

@@ -5,7 +5,10 @@ let create () : t = Hashtbl.create 8
 let install t (p : Policy.t) =
   match Hashtbl.find_opt t p.Policy.domain with
   | Some held when held.Policy.version >= p.Policy.version -> `Stale
-  | Some _ | None ->
+  | held ->
+    (* Superseded versions stay reachable (the administrator's history,
+       messages in flight); without this each would keep its plan. *)
+    Option.iter Policy.forget_plan held;
     Hashtbl.replace t p.Policy.domain p;
     `Installed
 

@@ -12,7 +12,9 @@ type t
 val create : unit -> t
 
 (** [install t p] applies the update unless the replica already holds the
-    same or a newer version of that domain. *)
+    same or a newer version of that domain.  The policy it replaces drops
+    its compiled plan ({!Policy.forget_plan}), so a plan lives only while
+    its policy is installed somewhere and evaluated. *)
 val install : t -> Policy.t -> [ `Installed | `Stale ]
 
 val get : t -> domain:string -> Policy.t option

@@ -65,18 +65,27 @@ let const_needs_quoting s =
   || (not (String.for_all ident_char s))
   || String.equal s "not"
 
-let pp_term ppf = function
-  | Var x -> Format.fprintf ppf "%s" (String.capitalize_ascii x)
-  | Const s ->
-    if const_needs_quoting s then Format.fprintf ppf "\"%s\"" s
-    else Format.fprintf ppf "%s" s
+(* Built in a [Buffer], not through [Format]: credential signatures and
+   proof-cache keys render every fact on every proof. *)
+let atom_to_string a =
+  let b = Buffer.create 32 in
+  Buffer.add_string b a.pred;
+  Buffer.add_char b '(';
+  List.iteri
+    (fun i term ->
+      if i > 0 then Buffer.add_string b ", ";
+      match term with
+      | Var x -> Buffer.add_string b (String.capitalize_ascii x)
+      | Const s when const_needs_quoting s ->
+        Buffer.add_char b '"';
+        Buffer.add_string b s;
+        Buffer.add_char b '"'
+      | Const s -> Buffer.add_string b s)
+    a.args;
+  Buffer.add_char b ')';
+  Buffer.contents b
 
-let pp_atom ppf a =
-  Format.fprintf ppf "%s(%a)" a.pred
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-       pp_term)
-    a.args
+let pp_atom ppf a = Format.pp_print_string ppf (atom_to_string a)
 
 let pp_literal ppf = function
   | Pos a -> pp_atom ppf a
@@ -92,5 +101,4 @@ let pp ppf r =
          pp_literal)
       body
 
-let atom_to_string a = Format.asprintf "%a" pp_atom a
 let to_string r = Format.asprintf "%a" pp r

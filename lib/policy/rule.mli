@@ -18,7 +18,7 @@
     ]}
 
     Negation must be {e stratified} (no recursion through [not]); the
-    engine checks this at saturation time ({!Infer.saturate}). *)
+    engine checks this when it compiles a rule set ({!Infer.compile}). *)
 
 type term = Var of string | Const of string
 
@@ -66,5 +66,8 @@ val atom_equal : atom -> atom -> bool
 
 val pp_atom : Format.formatter -> atom -> unit
 val pp : Format.formatter -> t -> unit
+
+(** The text of an atom, as [pp_atom] prints it. Credential signature
+    payloads and proof-cache keys are built from it. *)
 val atom_to_string : atom -> string
 val to_string : t -> string

@@ -1,17 +1,25 @@
 type lookup = string -> Value.t option
 
-type t = { name : string; check : lookup -> bool }
+type t = { name : string; keys : string list; check : lookup -> bool }
 
-let make ~name check = { name; check }
+(* The combinators below read only the keys they declare, so they build
+   the record directly; [make] wraps a caller's check instead. *)
+let declared ~name ~keys check = { name; keys; check }
+
+let make ~name ~keys check =
+  let scoped lookup k = if List.mem k keys then lookup k else None in
+  declared ~name ~keys (fun lookup -> check (scoped lookup))
 
 let int_at lookup key = Option.bind (lookup key) Value.as_int
 
 let non_negative key =
-  make ~name:(Printf.sprintf "non_negative(%s)" key) (fun lookup ->
+  declared ~name:(Printf.sprintf "non_negative(%s)" key) ~keys:[ key ]
+    (fun lookup ->
       match int_at lookup key with Some n -> n >= 0 | None -> false)
 
 let range key ~lo ~hi =
-  make ~name:(Printf.sprintf "range(%s,%d,%d)" key lo hi) (fun lookup ->
+  declared ~name:(Printf.sprintf "range(%s,%d,%d)" key lo hi) ~keys:[ key ]
+    (fun lookup ->
       match int_at lookup key with Some n -> n >= lo && n <= hi | None -> false)
 
 let sum_of lookup keys =
@@ -23,13 +31,13 @@ let sum_of lookup keys =
     (Some 0) keys
 
 let sum_at_most keys ~bound =
-  make ~name:(Printf.sprintf "sum_at_most(%s,%d)" (String.concat "+" keys) bound)
-    (fun lookup ->
+  declared ~name:(Printf.sprintf "sum_at_most(%s,%d)" (String.concat "+" keys) bound)
+    ~keys (fun lookup ->
       match sum_of lookup keys with Some s -> s <= bound | None -> false)
 
 let sum_preserved keys ~total =
-  make ~name:(Printf.sprintf "sum_preserved(%s,%d)" (String.concat "+" keys) total)
-    (fun lookup ->
+  declared ~name:(Printf.sprintf "sum_preserved(%s,%d)" (String.concat "+" keys) total)
+    ~keys (fun lookup ->
       match sum_of lookup keys with Some s -> s = total | None -> false)
 
 let check_all constraints lookup =

@@ -158,13 +158,16 @@ let promote key s granted killed =
 let release_all t ~txn =
   let granted = ref [] in
   let killed = ref [] in
+  let mine r = String.equal r.txn txn in
+  let others r = not (mine r) in
+  (* Key order matters: the promotions and kills go back in this order. *)
   Hashtbl.iter
     (fun key s ->
-      let before = List.length s.holders + List.length s.queue in
-      s.holders <- List.filter (fun r -> not (String.equal r.txn txn)) s.holders;
-      s.queue <- List.filter (fun r -> not (String.equal r.txn txn)) s.queue;
-      let after = List.length s.holders + List.length s.queue in
-      if after < before then promote key s granted killed)
+      if List.exists mine s.holders || List.exists mine s.queue then begin
+        s.holders <- List.filter others s.holders;
+        s.queue <- List.filter others s.queue;
+        promote key s granted killed
+      end)
     t.table;
   let result = { granted = List.rev !granted; killed = List.rev !killed } in
   (match t.observer with

@@ -1,4 +1,5 @@
 module Replica = Cloudtx_policy.Replica
+module Int_set = Set.Make (Int)
 
 type workspace = {
   ts : float;
@@ -14,7 +15,13 @@ type t = {
   replica : Replica.t;
   locks : Lock_manager.t;
   wal : Wal.t;
-  constraints : Integrity.t list;
+  constraints : Integrity.t array; (* declaration order *)
+  on_key : (string, int list) Hashtbl.t;
+      (* key -> indices of the constraints that read it *)
+  mutable violated : Int_set.t;
+      (* indices of the constraints the committed state violates; kept
+         exact by re-checking the constraints on every key a commit or a
+         redo changes *)
   workspaces : (string, workspace) Hashtbl.t;
 }
 
@@ -26,6 +33,19 @@ let create ~name ?(constraints = []) ~items () =
       Hashtbl.replace data k v;
       Hashtbl.replace versions k [ (0., Some v) ])
     items;
+  let constraints = Array.of_list constraints in
+  let on_key = Hashtbl.create 64 in
+  let violated = ref Int_set.empty in
+  Array.iteri
+    (fun i (c : Integrity.t) ->
+      List.iter
+        (fun k ->
+          Hashtbl.replace on_key k
+            (i :: Option.value ~default:[] (Hashtbl.find_opt on_key k)))
+        c.Integrity.keys;
+      if not (c.Integrity.check (Hashtbl.find_opt data)) then
+        violated := Int_set.add i !violated)
+    constraints;
   {
     name;
     data;
@@ -34,6 +54,8 @@ let create ~name ?(constraints = []) ~items () =
     locks = Lock_manager.create ();
     wal = Wal.create ();
     constraints;
+    on_key;
+    violated = !violated;
     workspaces = Hashtbl.create 16;
   }
 
@@ -134,8 +156,43 @@ let execute t ~txn ~reads ~writes =
     Executed (List.map (fun k -> (k, overlay t ~txn k)) reads)
   end
 
+(* [acc] plus the indices of the constraints that read the key of each
+   [(key, _)] in [writes]. *)
+let constraints_on t writes acc =
+  List.fold_left
+    (fun acc (k, _) ->
+      match Hashtbl.find_opt t.on_key k with
+      | None -> acc
+      | Some is -> List.fold_left (fun acc i -> Int_set.add i acc) acc is)
+    acc writes
+
+(* A constraint reads only its declared keys, so one whose keys the
+   workspace leaves alone sees committed values, and its verdict there is
+   already known: violated iff it is in [t.violated]. *)
 let integrity_violations t ~txn =
-  Integrity.check_all t.constraints (overlay t ~txn)
+  let writes =
+    match Hashtbl.find_opt t.workspaces txn with Some w -> w.writes | None -> []
+  in
+  let lookup = overlay t ~txn in
+  Int_set.fold
+    (fun i acc ->
+      let c = t.constraints.(i) in
+      if c.Integrity.check lookup then acc else c.Integrity.name :: acc)
+    (constraints_on t writes t.violated)
+    []
+  |> List.rev
+
+(* Committed values at the keys of [writes] have changed: re-check the
+   constraints that read them. *)
+let recheck t writes =
+  let committed = Hashtbl.find_opt t.data in
+  Int_set.iter
+    (fun i ->
+      t.violated <-
+        (if t.constraints.(i).Integrity.check committed then
+           Int_set.remove i t.violated
+         else Int_set.add i t.violated))
+    (constraints_on t writes Int_set.empty)
 
 (* Keys the workspace touches, in first-write order, with their resolved
    post-transaction values (unresolvable updates drop the key). *)
@@ -168,7 +225,8 @@ let prepare t ~txn ~time ~proof_truth ~policy_versions =
   vote
 
 let apply_writes t writes =
-  List.iter (fun (k, v) -> Hashtbl.replace t.data k v) writes
+  List.iter (fun (k, v) -> Hashtbl.replace t.data k v) writes;
+  recheck t writes
 
 let record_version t ~time k v =
   let chain = Option.value ~default:[] (Hashtbl.find_opt t.versions k) in
@@ -176,14 +234,17 @@ let record_version t ~time k v =
 
 let settle t ~txn ~time ~forced ~commit =
   ignore (Wal.append t.wal ~time ~forced (Wal.Decision { txn; commit }));
-  (if commit && Hashtbl.mem t.workspaces txn then
+  (if commit && Hashtbl.mem t.workspaces txn then begin
+     let writes = resolved_writes t ~txn in
      List.iter
        (fun (k, v) ->
          record_version t ~time k v;
          match v with
          | Some v -> Hashtbl.replace t.data k v
          | None -> Hashtbl.remove t.data k)
-       (resolved_writes t ~txn));
+       writes;
+     recheck t writes
+   end);
   Hashtbl.remove t.workspaces txn;
   Lock_manager.release_all t.locks ~txn
 

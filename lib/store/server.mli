@@ -78,7 +78,15 @@ val execute :
 val overlay : t -> txn:string -> Integrity.lookup
 
 (** Violated-constraint names for [txn]'s hypothetical state (empty = the
-    participant can vote YES). *)
+    participant can vote YES), in declaration order: the same list as
+    [Integrity.check_all] over every constraint on {!overlay}.
+
+    Cost: it evaluates only the constraints that read a key [txn] writes,
+    plus those the committed state already violates, so a vote costs what
+    the transaction touches, not what the server holds.  A read-only
+    check evaluates only the violated ones.  The server keeps that
+    violated set by re-checking, on each commit and each recovery redo,
+    the constraints on the keys it changed. *)
 val integrity_violations : t -> txn:string -> string list
 
 (** [prepare t ~txn ~time ~proof_truth ~policy_versions] computes the

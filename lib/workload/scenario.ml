@@ -74,11 +74,15 @@ let retail ?(seed = 7L) ?(latency = Cloudtx_sim.Latency.lan) ?ocsp_latency
     ?(items_per_server = 8) ?(n_subjects = 4) () =
   let domain = "retail" in
   let ca = Ca.create "corp-ca" in
-  let keys si = List.init items_per_server (fun ki -> key_name si ki) in
+  (* Built once: [Generator.generate] asks for every server's keys on
+     every transaction. *)
+  let keys =
+    Array.init n_servers (fun si -> List.init items_per_server (key_name si))
+  in
   let specs =
     List.init n_servers (fun si ->
-        let items = List.map (fun k -> (k, Value.Int 100)) (keys si) in
-        let constraints = List.map Integrity.non_negative (keys si) in
+        let items = List.map (fun k -> (k, Value.Int 100)) keys.(si) in
+        let constraints = List.map Integrity.non_negative keys.(si) in
         Cluster.server_spec ~name:(server_name si) ~constraints ~items ())
   in
   let cluster =
@@ -106,7 +110,7 @@ let retail ?(seed = 7L) ?(latency = Cloudtx_sim.Latency.lan) ?ocsp_latency
       | [] -> invalid_arg (Printf.sprintf "Scenario.keys_of: unknown server %s" name)
       | s :: rest -> if String.equal s name then i else index (i + 1) rest
     in
-    keys (index 0 servers)
+    keys.(index 0 servers)
   in
   {
     cluster;

@@ -405,7 +405,11 @@ let test_replica_monotone () =
   let a = Admin.create ~domain:"app" [] in
   let v1 = Admin.latest a in
   let v2 = Admin.publish a [] in
+  Alcotest.(check bool) "install v1" true (Replica.install r v1 = `Installed);
+  ignore (Policy.permits v1 ~facts:[] ~subject:"s" ~action:"a" ~item:"i");
+  Alcotest.(check bool) "evaluation compiled v1" true (Option.is_some v1.Policy.plan);
   Alcotest.(check bool) "install v2" true (Replica.install r v2 = `Installed);
+  Alcotest.(check bool) "superseded v1 dropped its plan" true (v1.Policy.plan = None);
   Alcotest.(check bool) "v1 is stale" true (Replica.install r v1 = `Stale);
   Alcotest.(check (option int)) "holds v2" (Some 2) (Replica.version r ~domain:"app");
   Alcotest.(check (list string)) "domains" [ "app" ] (Replica.domains r)
@@ -609,6 +613,280 @@ let test_proof_context_facts () =
   in
   Alcotest.(check bool) "context grants" true p.Proof.result
 
+(* ------------------------------------------------------------------ *)
+(* Compiled plans against the naive engine                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference: naive bottom-up evaluation, re-stratifying on every
+   call and matching every body atom against the whole fact set. *)
+module Naive = struct
+  module Fact_set = Set.Make (struct
+    type t = string * string list
+
+    let compare = compare
+  end)
+
+  let key_of_fact (a : Rule.fact) =
+    ( a.Rule.pred,
+      List.map
+        (function
+          | Rule.Const s -> s
+          | Rule.Var x ->
+            invalid_arg (Printf.sprintf "Infer: non-ground fact (variable %s)" x))
+        a.Rule.args )
+
+  let match_atom env (atom : Rule.atom) (pred, args) =
+    if (not (String.equal atom.Rule.pred pred))
+       || List.length atom.Rule.args <> List.length args
+    then None
+    else
+      List.fold_left2
+        (fun env term value ->
+          match (env, term) with
+          | None, _ -> None
+          | Some env, Rule.Const c -> if String.equal c value then Some env else None
+          | Some env, Rule.Var x -> (
+            match List.assoc_opt x env with
+            | Some bound -> if String.equal bound value then Some env else None
+            | None -> Some ((x, value) :: env)))
+        (Some env) atom.Rule.args args
+
+  let instantiate env (atom : Rule.atom) =
+    {
+      atom with
+      Rule.args =
+        List.map
+          (function
+            | Rule.Const _ as t -> t
+            | Rule.Var x -> Rule.Const (List.assoc x env))
+          atom.Rule.args;
+    }
+
+  let solve db (r : Rule.t) =
+    let rec positives env = function
+      | [] -> [ env ]
+      | atom :: rest ->
+        Fact_set.fold
+          (fun fact acc ->
+            match match_atom env atom fact with
+            | None -> acc
+            | Some env' -> positives env' rest @ acc)
+          db []
+    in
+    List.filter
+      (fun env ->
+        List.for_all
+          (fun neg -> not (Fact_set.mem (key_of_fact (instantiate env neg)) db))
+          (Rule.negative_body r))
+      (positives [] (Rule.positive_body r))
+
+  let stratify rules =
+    let strata = Hashtbl.create 16 in
+    let get p = Option.value ~default:0 (Hashtbl.find_opt strata p) in
+    let n_preds =
+      List.length
+        (List.sort_uniq String.compare
+           (List.concat_map
+              (fun (r : Rule.t) ->
+                r.Rule.head.Rule.pred
+                :: List.map
+                     (fun (a : Rule.atom) -> a.Rule.pred)
+                     (Rule.positive_body r @ Rule.negative_body r))
+              rules))
+    in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      List.iter
+        (fun (r : Rule.t) ->
+          let h = r.Rule.head.Rule.pred in
+          let bump target =
+            if get h < target then begin
+              if target > n_preds then
+                invalid_arg "Infer: rules are not stratifiable (negation cycle)";
+              Hashtbl.replace strata h target;
+              changed := true
+            end
+          in
+          List.iter (fun (a : Rule.atom) -> bump (get a.Rule.pred)) (Rule.positive_body r);
+          List.iter
+            (fun (a : Rule.atom) -> bump (get a.Rule.pred + 1))
+            (Rule.negative_body r))
+        rules
+    done;
+    let tagged = List.map (fun (r : Rule.t) -> (get r.Rule.head.Rule.pred, r)) rules in
+    let max_stratum = List.fold_left (fun acc (s, _) -> max acc s) 0 tagged in
+    List.init (max_stratum + 1) (fun s ->
+        List.filter_map (fun (s', r) -> if s = s' then Some r else None) tagged)
+
+  let saturate ~rules ~facts =
+    let db = ref (Fact_set.of_list (List.map key_of_fact facts)) in
+    let run_stratum stratum_rules =
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        List.iter
+          (fun (r : Rule.t) ->
+            List.iter
+              (fun env ->
+                let derived = key_of_fact (instantiate env r.Rule.head) in
+                if not (Fact_set.mem derived !db) then begin
+                  db := Fact_set.add derived !db;
+                  changed := true
+                end)
+              (solve !db r))
+          stratum_rules
+      done
+    in
+    List.iter run_stratum (stratify rules);
+    !db
+
+  let facts db = List.map (fun (p, args) -> Rule.fact p args) (Fact_set.elements db)
+end
+
+(* Random programs over a fixed vocabulary.  Each predicate has a level;
+   a rule reads positively at or below its head's level and negates
+   strictly below it, so the program is stratified, except for the
+   occasional rule that negates anything (which may close a cycle). *)
+let vocabulary =
+  [| ("req_item", 1, 0); ("req_action", 1, 0); ("role", 2, 0); ("flag", 1, 0);
+     ("capability", 3, 0); ("mid", 2, 1); ("blocked", 1, 2); ("permit", 3, 3) |]
+
+let constants = [| "a"; "b"; "read"; "write" |]
+
+let gen_program =
+  let open QCheck.Gen in
+  let derived = Array.of_list (List.filter (fun (_, _, l) -> l > 0) (Array.to_list vocabulary)) in
+  let term vars =
+    frequency
+      [ (3, map (fun i -> Rule.v vars.(i)) (0 -- (Array.length vars - 1)));
+        (1, map Rule.c (oneofa constants)) ]
+  in
+  let atom_of vars (pred, arity, _) = map (Rule.atom pred) (list_repeat arity (term vars)) in
+  let rule =
+    oneofa derived >>= fun ((_, _, level) as head) ->
+    let below ok = Array.of_list (List.filter ok (Array.to_list vocabulary)) in
+    let positive = below (fun (_, _, l) -> l <= level) in
+    bool >>= fun wild ->
+    let negatable = if wild then vocabulary else below (fun (_, _, l) -> l < level) in
+    list_size (1 -- 3) (oneofa positive >>= atom_of [| "x"; "y"; "z" |]) >>= fun pos ->
+    (* The head and the negations may use only what the positives bind. *)
+    let bound =
+      List.sort_uniq String.compare
+        (List.concat_map
+           (fun (a : Rule.atom) ->
+             List.filter_map (function Rule.Var x -> Some x | Rule.Const _ -> None) a.Rule.args)
+           pos)
+    in
+    let ground_term =
+      match bound with
+      | [] -> map Rule.c (oneofa constants)
+      | _ -> term (Array.of_list bound)
+    in
+    let ground_atom (pred, arity, _) = map (Rule.atom pred) (list_repeat arity ground_term) in
+    list_size (0 -- 1) (oneofa negatable >>= ground_atom) >>= fun neg ->
+    map
+      (fun h ->
+        Rule.rule_literals h
+          (List.map (fun a -> Rule.Pos a) pos @ List.map (fun a -> Rule.Neg a) neg))
+      (ground_atom head)
+  in
+  let fact =
+    oneofa vocabulary >>= fun (pred, arity, _) ->
+    map (Rule.fact pred) (list_repeat arity (oneofa constants))
+  in
+  triple
+    (list_size (0 -- 6) rule)
+    (list_size (0 -- 12) fact)
+    (pair (oneofa constants) (oneofa constants))
+
+let print_program (rules, facts, (subject, action)) =
+  Printf.sprintf "%s\nfacts: %s\nrequest: %s %s"
+    (Cloudtx_policy.Datalog.print_program rules)
+    (String.concat " " (List.map Rule.atom_to_string facts))
+    subject action
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let prop_saturate_matches_naive =
+  QCheck.Test.make ~name:"saturate = naive reference" ~count:500
+    (QCheck.make ~print:print_program gen_program)
+    (fun (rules, facts, _) ->
+      let facts_of db = List.map Rule.atom_to_string (Infer.facts db) in
+      let compiled = outcome (fun () -> facts_of (Infer.saturate ~rules ~facts)) in
+      let naive =
+        outcome (fun () ->
+            List.map Rule.atom_to_string (Naive.facts (Naive.saturate ~rules ~facts)))
+      in
+      compiled = naive)
+
+let prop_permits_all_matches_naive =
+  QCheck.Test.make ~name:"permits_all = naive reference" ~count:500
+    (QCheck.make ~print:print_program gen_program)
+    (fun (rules, facts, (subject, action)) ->
+      let policy = Policy.of_wire ~domain:"d" ~version:1 ~accept_capabilities:true rules in
+      let items = Array.to_list constants in
+      let naive =
+        outcome (fun () ->
+            let db = Naive.saturate ~rules:(Policy.effective_rules policy) ~facts in
+            List.filter
+              (fun item -> not (Naive.Fact_set.mem ("permit", [ subject; action; item ]) db))
+              items)
+      in
+      let compiled () =
+        outcome (fun () -> Policy.permits_all policy ~facts ~subject ~action ~items)
+      in
+      (* The second call runs the plan the first one compiled. *)
+      let first = compiled () in
+      first = naive && compiled () = naive)
+
+let tricky_constants =
+  [ ""; "not"; "Bob"; "9lives"; "_u"; "x-y"; "a b"; "say \"hi\""; "ok"; "permit"; "é" ]
+
+let gen_atom =
+  let open QCheck.Gen in
+  let const =
+    frequency
+      [ (3, oneofl tricky_constants);
+        (1, string_size ~gen:(char_range ' ' '~') (0 -- 8)) ]
+  in
+  let term =
+    frequency
+      [ (1, map Rule.v (oneofl [ "x"; "who"; "s_1"; "long_variable_name" ]));
+        (3, map Rule.c const) ]
+  in
+  map2 Rule.atom (oneofl [ "p"; "permit"; "req_item" ]) (list_size (0 -- 12) term)
+
+(* The atom printer as it was written with [Format]: credential signature
+   payloads, proof-cache keys and journals carry its bytes. *)
+let reference_atom (a : Rule.atom) =
+  let needs_quoting s =
+    let ident_char c =
+      (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+      || c = '_' || c = '-'
+    in
+    String.length s = 0
+    || ((not (s.[0] >= 'a' && s.[0] <= 'z')) && s.[0] <> '_')
+    || (not (String.for_all ident_char s))
+    || String.equal s "not"
+  in
+  let pp_term ppf = function
+    | Rule.Var x -> Format.fprintf ppf "%s" (String.capitalize_ascii x)
+    | Rule.Const s ->
+      if needs_quoting s then Format.fprintf ppf "\"%s\"" s else Format.fprintf ppf "%s" s
+  in
+  Format.asprintf "%s(%a)" a.Rule.pred
+    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") pp_term)
+    a.Rule.args
+
+let prop_atom_to_string_matches_reference =
+  QCheck.Test.make ~name:"atom_to_string = Format reference" ~count:500
+    (QCheck.make ~print:reference_atom gen_atom)
+    (fun a ->
+      let expected = reference_atom a in
+      String.equal (Rule.atom_to_string a) expected
+      && String.equal (Format.asprintf "%a" Rule.pp_atom a) expected)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "policy"
@@ -618,6 +896,7 @@ let () =
           Alcotest.test_case "construction" `Quick test_rule_construction;
           Alcotest.test_case "range restriction" `Quick test_rule_range_restriction;
           Alcotest.test_case "fact equality" `Quick test_fact_rejects_vars;
+          qc prop_atom_to_string_matches_reference;
         ] );
       ( "inference",
         [
@@ -628,6 +907,8 @@ let () =
           Alcotest.test_case "query bindings" `Quick test_infer_query_bindings;
           Alcotest.test_case "non-ground errors" `Quick test_infer_nonground_errors;
           qc prop_infer_monotone;
+          qc prop_saturate_matches_naive;
+          qc prop_permits_all_matches_naive;
         ] );
       ( "negation",
         [

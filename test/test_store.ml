@@ -529,6 +529,272 @@ let test_server_crash_loses_unforced_tail () =
     | `Prepared _ -> true
     | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Constraint index: votes over the write set                          *)
+(* ------------------------------------------------------------------ *)
+
+(* What a case does to one server, one step at a time. *)
+type index_step =
+  | Txn of (string * Value.update) list * [ `Commit | `Commit_unfinished | `Abort ]
+      (** One transaction: execute, prepare, decide.  An unfinished commit
+          leaves no end record, so a later crash redoes it. *)
+  | Skew of (string * Value.update) * (string * Value.update)
+      (** Two concurrent writers of different keys, both committed. *)
+  | Crash  (** Crash, then recover: redo of unfinished commits. *)
+  | Crash_in_doubt of (string * Value.update) list
+      (** Prepare, crash, recover the in-doubt workspace, commit. *)
+
+type index_case = {
+  items : (string * Value.t) list;
+  constraints : Integrity.t list;
+  steps : index_step list;
+}
+
+(* The reference: every constraint, evaluated on the hypothetical state. *)
+let full_scan constraints s ~txn =
+  Integrity.check_all constraints (Server.overlay s ~txn)
+
+(* Runs [case], checking after every change that each vote and the
+   read-only check (a transaction with no workspace) equal the full scan.
+   The first disagreement is returned. *)
+let run_index_case case =
+  let s = Server.create ~name:"idx" ~constraints:case.constraints ~items:case.items () in
+  let clock = ref 0. and seq = ref 0 in
+  let tick () = clock := !clock +. 1.; !clock in
+  let problems = ref [] in
+  let agree where ~txn =
+    let got = Server.integrity_violations s ~txn in
+    let want = full_scan case.constraints s ~txn in
+    if got <> want then
+      problems :=
+        Printf.sprintf "%s (%s): index [%s], full scan [%s]" where txn
+          (String.concat "; " got) (String.concat "; " want)
+        :: !problems
+  in
+  let open_txn writes =
+    incr seq;
+    let txn = Printf.sprintf "t%d" !seq in
+    Server.begin_work s ~txn ~ts:(float_of_int !seq) ~time:(tick ());
+    (match Server.execute s ~txn ~reads:[] ~writes with
+    | Server.Executed _ -> ()
+    | Server.Blocked | Server.Die -> Alcotest.fail "writers of distinct keys conflicted");
+    agree "vote" ~txn;
+    ignore (Server.prepare s ~txn ~time:(tick ()) ~proof_truth:true ~policy_versions:[]);
+    txn
+  in
+  List.iter
+    (fun step ->
+      (match step with
+      | Txn (writes, decision) -> (
+        let txn = open_txn writes in
+        match decision with
+        | `Abort -> ignore (Server.abort s ~txn ~time:(tick ()))
+        | `Commit_unfinished -> ignore (Server.commit s ~txn ~time:(tick ()))
+        | `Commit ->
+          ignore (Server.commit s ~txn ~time:(tick ()));
+          Server.finish s ~txn ~time:(tick ()))
+      | Skew (w1, w2) ->
+        let t1 = open_txn [ w1 ] in
+        let t2 = open_txn [ w2 ] in
+        List.iter
+          (fun txn ->
+            ignore (Server.commit s ~txn ~time:(tick ()));
+            Server.finish s ~txn ~time:(tick ()))
+          [ t1; t2 ]
+      | Crash ->
+        Server.crash s;
+        ignore (Server.recover s ~time:(tick ()))
+      | Crash_in_doubt writes ->
+        let txn = open_txn writes in
+        Server.crash s;
+        ignore (Server.recover s ~time:(tick ()));
+        agree "in-doubt vote" ~txn;
+        ignore (Server.commit s ~txn ~time:(tick ()));
+        Server.finish s ~txn ~time:(tick ()));
+      agree "read-only check" ~txn:"idle")
+    case.steps;
+  List.rev !problems
+
+let index_keys = [| "a"; "b"; "c"; "d"; "e"; "f" |]
+
+let gen_index_case =
+  let open QCheck.Gen in
+  let key = oneofa index_keys in
+  let keys = map (List.sort_uniq String.compare) (list_size (1 -- 3) key) in
+  let constraint_ =
+    oneof
+      [
+        map Integrity.non_negative key;
+        map3 (fun k lo span -> Integrity.range k ~lo ~hi:(lo + span)) key (-5 -- 10) (0 -- 30);
+        map2 (fun ks bound -> Integrity.sum_at_most ks ~bound) keys (0 -- 60);
+        map2 (fun ks total -> Integrity.sum_preserved ks ~total) keys (0 -- 60);
+      ]
+  in
+  (* Text values make [Add] yield nothing, so keys go missing. *)
+  let value =
+    frequency [ (8, map (fun n -> Value.Int n) (-3 -- 25)); (1, return (Value.Text "t")) ]
+  in
+  let update =
+    frequency
+      [
+        (3, map (fun v -> Value.Set v) value);
+        (3, map (fun n -> Value.Add n) (-15 -- 15));
+      ]
+  in
+  let write = pair key update in
+  (* Distinct keys, so one transaction's locks never block the other's. *)
+  let writes =
+    map
+      (List.sort_uniq (fun (k, _) (k', _) -> String.compare k k'))
+      (list_size (1 -- 3) write)
+  in
+  let skew =
+    map3
+      (fun i j (u1, u2) ->
+        let k1 = index_keys.(i) and k2 = index_keys.((i + 1 + j) mod Array.length index_keys) in
+        Skew ((k1, u1), (k2, u2)))
+      (0 -- 5) (0 -- 4) (pair update update)
+  in
+  let step =
+    frequency
+      [
+        ( 6,
+          map2
+            (fun w d -> Txn (w, d))
+            writes
+            (oneofl [ `Commit; `Commit; `Commit_unfinished; `Abort ]) );
+        (2, skew);
+        (1, return Crash);
+        (1, map (fun w -> Crash_in_doubt w) writes);
+      ]
+  in
+  map3
+    (fun values constraints steps ->
+      { items = List.combine (Array.to_list index_keys) values; constraints; steps })
+    (list_repeat (Array.length index_keys) value)
+    (list_size (1 -- 8) constraint_)
+    (list_size (1 -- 12) step)
+
+let print_index_case case =
+  let update = function
+    | Value.Set v -> "=" ^ Value.to_string v
+    | Value.Add n -> Printf.sprintf "+%d" n
+  in
+  let writes ws = String.concat "," (List.map (fun (k, u) -> k ^ update u) ws) in
+  Printf.sprintf "items %s; constraints %s; steps %s"
+    (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ Value.to_string v) case.items))
+    (String.concat "," (List.map (fun (c : Integrity.t) -> c.Integrity.name) case.constraints))
+    (String.concat " | "
+       (List.map
+          (function
+            | Txn (ws, `Commit) -> "commit " ^ writes ws
+            | Txn (ws, `Commit_unfinished) -> "commit-unfinished " ^ writes ws
+            | Txn (ws, `Abort) -> "abort " ^ writes ws
+            | Skew (w1, w2) -> "skew " ^ writes [ w1; w2 ]
+            | Crash -> "crash"
+            | Crash_in_doubt ws -> "crash-in-doubt " ^ writes ws)
+          case.steps))
+
+let prop_index_matches_full_scan =
+  QCheck.Test.make ~name:"index votes = full scan" ~count:500
+    (QCheck.make ~print:print_index_case gen_index_case)
+    (fun case ->
+      match run_index_case case with
+      | [] -> true
+      | problems -> QCheck.Test.fail_report (String.concat "\n" problems))
+
+(* The cases the random ones must reach, spelled out. *)
+let test_index_named_cases () =
+  let i n = Value.Int n in
+  let case name items constraints steps =
+    Alcotest.(check (list string)) name []
+      (run_index_case { items; constraints; steps })
+  in
+  case "opening data already violates"
+    [ ("a", i (-1)); ("b", i 5) ]
+    [ Integrity.non_negative "a"; Integrity.non_negative "b" ]
+    [ Txn ([ ("b", Value.Set (i 7)) ], `Commit); Txn ([ ("a", Value.Set (i 1)) ], `Commit) ];
+  case "write skew leaves committed state violated"
+    [ ("a", i 4); ("b", i 4) ]
+    [ Integrity.sum_at_most [ "a"; "b" ] ~bound:10 ]
+    [ Skew (("a", Value.Set (i 6)), ("b", Value.Set (i 6))); Txn ([ ("a", Value.Add (-5)) ], `Commit) ];
+  case "Add on a missing key"
+    [ ("a", Value.Text "t"); ("b", i 3) ]
+    [ Integrity.non_negative "a"; Integrity.sum_preserved [ "a"; "b" ] ~total:3 ]
+    [
+      Txn ([ ("a", Value.Add 1) ], `Commit);
+      Txn ([ ("a", Value.Add 2) ], `Commit);
+      Txn ([ ("a", Value.Set (i 0)) ], `Commit);
+    ];
+  case "crash followed by recover redo"
+    [ ("a", i 5) ]
+    [ Integrity.range "a" ~lo:0 ~hi:10 ]
+    [
+      Txn ([ ("a", Value.Set (i 20)) ], `Commit_unfinished);
+      Txn ([ ("a", Value.Set (i 3)) ], `Commit);
+      Crash;
+      Crash_in_doubt [ ("a", Value.Add 1) ];
+    ]
+
+(* A [make] check that reads a key it does not declare sees that key as
+   absent in every state, so the index and the full scan still agree. *)
+let test_make_hides_undeclared_keys () =
+  let seen = ref [] in
+  let leaky =
+    Integrity.make ~name:"leaky(a)" ~keys:[ "a" ] (fun lookup ->
+        let b = lookup "b" in
+        seen := b :: !seen;
+        match (lookup "a", b) with
+        | Some (Value.Int a), Some (Value.Int b) -> a + b <= 10
+        | Some (Value.Int a), None -> a <= 10
+        | _ -> false)
+  in
+  Alcotest.(check (list string)) "index = full scan" []
+    (run_index_case
+       {
+         items = [ ("a", Value.Int 4); ("b", Value.Int 4) ];
+         constraints = [ leaky ];
+         steps =
+           [
+             Txn ([ ("b", Value.Set (Value.Int 20)) ], `Commit);
+             Txn ([ ("a", Value.Add 1) ], `Commit);
+           ];
+       });
+  Alcotest.(check bool) "the check ran" true (!seen <> []);
+  Alcotest.(check bool) "b always reads as absent" true (List.for_all Option.is_none !seen)
+
+(* A vote evaluates only the constraints on the keys it writes plus those
+   the committed state already violates; a read-only check only the
+   latter.  The server holds 1 024 items, one counting constraint each. *)
+let test_index_scope () =
+  let key i = Printf.sprintf "k%d" i in
+  let evaluated = ref [] in
+  let counting k =
+    Integrity.make ~name:("counted(" ^ k ^ ")") ~keys:[ k ] (fun lookup ->
+        evaluated := k :: !evaluated;
+        match lookup k with Some (Value.Int n) -> n >= 0 | _ -> false)
+  in
+  let items = List.init 1024 (fun i -> (key i, Value.Int (if i = 7 then -1 else 100))) in
+  let s =
+    Server.create ~name:"big" ~constraints:(List.map (fun (k, _) -> counting k) items) ~items ()
+  in
+  Alcotest.(check int) "creation checks every constraint once" 1024 (List.length !evaluated);
+  evaluated := [];
+  Server.begin_work s ~txn:"w" ~ts:1. ~time:0.;
+  ignore (Server.execute s ~txn:"w" ~reads:[] ~writes:[ (key 42, Value.Add (-1)) ]);
+  let vote = Server.prepare s ~txn:"w" ~time:1. ~proof_truth:true ~policy_versions:[] in
+  Alcotest.(check bool) "k7 still violated: NO" false vote;
+  Alcotest.(check (list string)) "prepare: the written key and the violated one"
+    [ key 42; key 7 ]
+    (List.sort_uniq String.compare !evaluated);
+  evaluated := [];
+  Alcotest.(check (list string)) "read-only check names k7" [ "counted(k7)" ]
+    (Server.integrity_violations s ~txn:"reader");
+  Alcotest.(check (list string)) "read-only check: the violated one only" [ key 7 ] !evaluated;
+  evaluated := [];
+  ignore (Server.commit s ~txn:"w" ~time:2.);
+  Alcotest.(check (list string)) "commit re-checks the written key only" [ key 42 ] !evaluated
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "store"
@@ -551,6 +817,11 @@ let () =
         [
           Alcotest.test_case "combinators" `Quick test_integrity_combinators;
           Alcotest.test_case "sums" `Quick test_integrity_sums;
+          Alcotest.test_case "index named cases" `Quick test_index_named_cases;
+          Alcotest.test_case "index scope" `Quick test_index_scope;
+          Alcotest.test_case "make hides undeclared keys" `Quick
+            test_make_hides_undeclared_keys;
+          qc prop_index_matches_full_scan;
         ] );
       ( "wal",
         [
