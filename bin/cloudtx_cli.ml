@@ -357,7 +357,7 @@ let alerts_sink = function
 (* One Health bridge per journal: the monitor and the windowed time
    series share one attach (the bridge feeds the monitor first, then
    the timeseries, per record); further consumers — the blame collector
-   — register their own {!Cloudtx_obs.Journal.add_observer} tap. *)
+   — attach too and receive the same decoded record. *)
 type live_monitor = {
   lm_monitor : Monitor.t;
   lm_timeseries : Timeseries.t option;

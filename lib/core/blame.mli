@@ -42,9 +42,9 @@ val create : ?keep_timelines:bool -> ?top_k:int -> unit -> t
 (** Feed one decoded journal record. *)
 val step : t -> Journal_io.record -> unit
 
-(** [attach journal] registers a collector on the journal's observer
-    list through {!Journal_io.attach} — the live path.  Composes with
-    {!Health.attach}. *)
+(** [attach journal] registers a collector on the journal's decoded
+    records through {!Journal_io.attach} — the live path.  Composes with
+    {!Health.attach}, sharing each record's one decode. *)
 val attach : ?keep_timelines:bool -> ?top_k:int -> Cloudtx_obs.Journal.t -> t
 
 (** Replay journal lines (header first).  [Error] names the first line

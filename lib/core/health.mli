@@ -31,10 +31,10 @@ val step : t -> Journal_io.record -> unit
 (** Records whose payload failed to decode so far. *)
 val decode_errors : t -> int
 
-(** [attach journal monitor] registers a streaming observer on [journal]
-    (see {!Cloudtx_obs.Journal.add_observer}) feeding [monitor] — the
-    live [--monitor] path.  Composes with other observers (e.g. a
-    [Blame] collector) in registration order.  Returns the bridge for
+(** [attach journal monitor] feeds [monitor] from [journal]'s decoded
+    records ({!Journal_io.attach}) — the live [--monitor] path.  Shares
+    each record's one decode with the journal's other consumers (e.g. a
+    [Blame] collector), in attach order.  Returns the bridge for
     {!decode_errors}. *)
 val attach :
   ?timeseries:Cloudtx_obs.Timeseries.t ->

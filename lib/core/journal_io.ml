@@ -191,19 +191,36 @@ let read_file path =
 
 let fold_file path ~init f = Result.bind (read_file path) (fun s -> fold s ~init f)
 
+(* The journal's one decoding observer: each record is decoded once and
+   the same value handed to every consumer, in attach order. *)
+type consumers = { mutable consumers : (record -> unit) list }
+type Journal.tap += Decoded of consumers
+
 let attach journal f =
-  let decode =
-    match Journal.format journal with
-    | Journal.Binary -> fun ~node:_ ~dir payload -> decode_frame ~dir payload
-    | Journal.Jsonl ->
-      let kinds = Hashtbl.create 16 in
-      fun ~node ~dir payload ->
-        match Json.parse payload with
-        | Ok j -> decode_json ~version:Journal.format_version kinds ~node ~dir j
-        | Error m -> Undecodable m
-  in
-  Journal.add_observer journal (fun ~seq ~time_ms ~node ~dir ~payload ->
-      f { seq; time_ms; node; body = decode ~node ~dir payload })
+  match
+    List.find_map
+      (function Decoded d -> Some d | _ -> None)
+      (Journal.taps journal)
+  with
+  | Some d -> d.consumers <- d.consumers @ [ f ]
+  | None when Journal.enabled journal ->
+    let d = { consumers = [ f ] } in
+    Journal.add_tap journal (Decoded d);
+    let decode =
+      match Journal.format journal with
+      | Journal.Binary -> fun ~node:_ ~dir payload -> decode_frame ~dir payload
+      | Journal.Jsonl ->
+        let kinds = Hashtbl.create 16 in
+        fun ~node ~dir payload ->
+          match Json.parse payload with
+          | Ok j ->
+            decode_json ~version:Journal.format_version kinds ~node ~dir j
+          | Error m -> Undecodable m
+    in
+    Journal.add_observer journal (fun ~seq ~time_ms ~node ~dir ~payload ->
+        let r = { seq; time_ms; node; body = decode ~node ~dir payload } in
+        List.iter (fun f -> f r) d.consumers)
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Canonical JSONL: a rendering of the records                         *)

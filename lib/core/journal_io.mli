@@ -55,9 +55,14 @@ val fold_lines :
 val fold_file :
   string -> init:(int -> 'a) -> ('a -> record -> 'a) -> ('a, string) result
 
-(** [attach journal f] registers a live observer on [journal] (see
-    [Journal.add_observer]) that decodes each observed payload once and
-    passes [f] the record. *)
+(** [attach journal f] feeds [f] every record [journal] records from
+    now on, decoded, as it is recorded.  A journal has one decoding
+    observer ([Journal.add_observer]), registered by its first [attach]
+    and kept with the journal ([Journal.add_tap]): each record is
+    decoded once and the same record value is handed to every attached
+    [f], in attach order.  So all decoded consumers see a record at the
+    first [attach]'s place among the journal's raw observers.  No-op on
+    a disabled journal such as [Journal.noop], which keeps nothing. *)
 val attach : Journal.t -> (record -> unit) -> unit
 
 (** A journal rendered as canonical JSONL. *)

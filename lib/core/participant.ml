@@ -389,6 +389,24 @@ let create ~transport ~server ~env ~domain_of ~on_proof ?(variant = Tpc.Basic)
      the CLI enables observability after the cluster is built, and the
      enabled checks keep the default path allocation-free. *)
   let node = Server.name server in
+  (* Registry cells, resolved at their first write. *)
+  let appends = Hashtbl.create 8 in
+  let append_cell reg tag =
+    match Hashtbl.find_opt appends tag with
+    | Some c -> c
+    | None ->
+      let c =
+        Registry.counter_cell reg "wal_append_total"
+          [ ("server", node); ("record", tag) ]
+      in
+      Hashtbl.add appends tag c;
+      c
+  in
+  let forces =
+    lazy
+      (Registry.counter_cell (Transport.registry transport) "log_force_total"
+         [ ("site", node) ])
+  in
   Wal.set_observer (Server.wal server)
     (Some
        (fun ~time:_ ~forced ~tag ->
@@ -397,9 +415,8 @@ let create ~transport ~server ~env ~domain_of ~on_proof ?(variant = Tpc.Basic)
            Tracer.instant tr ~track:node ~attrs:[ ("record", tag) ] "wal.force";
          let reg = Transport.registry transport in
          if Registry.enabled reg then begin
-           Registry.incr reg "wal_append_total"
-             [ ("server", node); ("record", tag) ];
-           if forced then Registry.incr reg "log_force_total" [ ("site", node) ]
+           Registry.incr_cell (append_cell reg tag);
+           if forced then Registry.incr_cell (Lazy.force forces)
          end));
   Lock_manager.set_observer
     (Server.locks server)

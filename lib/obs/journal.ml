@@ -130,15 +130,33 @@ let encode_frame buf ~seq ~time_ms ~node ~dir ~emit =
   Buffer.add_subbytes buf (Wbuf.unsafe_bytes w) 0 (Wbuf.length w)
 
 (* ------------------------------------------------------------------ *)
-(* Sink                                                                *)
+(* In-memory buffer                                                    *)
 (* ------------------------------------------------------------------ *)
+
+(* Encoded entries — JSONL lines with their newline, or binary frames —
+   are packed oldest first into fixed-size byte chunks, so a buffered
+   entry costs its bytes and no heap block of its own.  [head] is where
+   a chunk's oldest unevicted entry starts and [fill] where the next one
+   goes.  An entry never straddles two chunks; one larger than
+   [chunk_size] gets a chunk of its own. *)
+let chunk_size = 65536
+
+type chunk = { bytes : Bytes.t; mutable head : int; mutable fill : int }
+
+let no_chunk = { bytes = Bytes.empty; head = 0; fill = 0 }
+
+type tap = ..
 
 type t = {
   live : bool;
   format : format;
   clock : unit -> float;
-  entries : string Queue.t;
-      (** Encoded entries: JSONL lines (no newline) or binary frames. *)
+  chunks : chunk Queue.t;  (** Oldest first; the last is [tail]. *)
+  mutable tail : chunk;  (** Takes new entries; [no_chunk] when empty. *)
+  mutable spare : Bytes.t;
+      (** A fully evicted chunk kept for the next one, or [Bytes.empty]:
+          a capped journal then reuses its chunks instead of churning
+          the major heap, which keeps its peak heap down. *)
   mutable buffered_bytes : int;
   max_buffer_bytes : int;
   mutable dropped : int;
@@ -148,9 +166,10 @@ type t = {
     (seq:int -> time_ms:float -> node:string -> dir:string -> payload:string -> unit)
     list;
       (** Registration order; fan-out per record.  Empty = zero cost. *)
+  mutable taps : tap list;
   mutable on_drop : (int -> unit) option;
   scratch : Buffer.t;  (** JSONL line under construction. *)
-  wbody : Wbuf.t;  (** Binary frame body under construction. *)
+  wbody : Wbuf.t;  (** Binary frame under construction. *)
 }
 
 let noop =
@@ -158,13 +177,16 @@ let noop =
     live = false;
     format = Jsonl;
     clock = (fun () -> 0.);
-    entries = Queue.create ();
+    chunks = Queue.create ();
+    tail = no_chunk;
+    spare = Bytes.empty;
     buffered_bytes = 0;
     max_buffer_bytes = max_int;
     dropped = 0;
     seq = 0;
     oc = None;
     observers = [];
+    taps = [];
     on_drop = None;
     scratch = Buffer.create 0;
     wbody = Wbuf.create 16;
@@ -176,13 +198,16 @@ let create ~clock ?(format = Jsonl) ?(max_buffer_bytes = max_int) ?path () =
       live = true;
       format;
       clock;
-      entries = Queue.create ();
+      chunks = Queue.create ();
+      tail = no_chunk;
+      spare = Bytes.empty;
       buffered_bytes = 0;
       max_buffer_bytes = max 0 max_buffer_bytes;
       dropped = 0;
       seq = 0;
       oc = None;
       observers = [];
+      taps = [];
       on_drop = None;
       scratch = Buffer.create 256;
       wbody = Wbuf.create 256;
@@ -203,58 +228,92 @@ let create ~clock ?(format = Jsonl) ?(max_buffer_bytes = max_int) ?path () =
 let enabled t = t.live
 let format t = t.format
 let add_observer t f = if t.live then t.observers <- t.observers @ [ f ]
+let taps t = t.taps
+let add_tap t x = if t.live then t.taps <- x :: t.taps
 let set_on_drop t f = if t.live then t.on_drop <- Some f
 
-(* Bytes charged against the in-memory cap: the actual encoded size of
-   the entry in its format — JSONL pays for its newline, binary frames
-   are self-delimiting. *)
-let entry_cost t entry =
-  String.length entry + (match t.format with Jsonl -> 1 | Binary -> 0)
+(* The oldest entry's length, read from the entry itself: a frame's
+   length prefix, or a line's newline. *)
+let head_length t c =
+  match t.format with
+  | Binary ->
+    8 + (Int32.to_int (Bytes.get_int32_le c.bytes c.head) land 0xffffffff)
+  | Jsonl -> Bytes.index_from c.bytes c.head '\n' + 1 - c.head
 
-let evict t =
-  let n = ref 0 in
-  while
-    t.buffered_bytes > t.max_buffer_bytes && not (Queue.is_empty t.entries)
-  do
-    let entry = Queue.pop t.entries in
-    t.buffered_bytes <- t.buffered_bytes - entry_cost t entry;
-    incr n
-  done;
-  if !n > 0 then begin
-    t.dropped <- t.dropped + !n;
-    match t.on_drop with None -> () | Some f -> f !n
+let evict_oldest t =
+  let c = Queue.peek t.chunks in
+  let n = head_length t c in
+  c.head <- c.head + n;
+  t.buffered_bytes <- t.buffered_bytes - n;
+  if c.head = c.fill then begin
+    ignore (Queue.pop t.chunks : chunk);
+    if c == t.tail then t.tail <- no_chunk;
+    if Bytes.length c.bytes = chunk_size then t.spare <- c.bytes
   end
 
-(* Shared tail of the record paths: buffer the encoded entry, charge the
-   cap, write through, notify the observers. *)
-let push_entry t ~time_ms ~node ~dir entry payload_pos payload_len =
-  Queue.push entry t.entries;
-  t.buffered_bytes <- t.buffered_bytes + entry_cost t entry;
-  evict t;
-  (match t.oc with
-  | None -> ()
-  | Some oc -> (
-    output_string oc entry;
-    match t.format with Jsonl -> output_char oc '\n' | Binary -> ()));
-  match t.observers with
-  | [] -> ()
-  | observers ->
-    let payload = String.sub entry payload_pos payload_len in
-    List.iter
-      (fun f -> f ~seq:t.seq ~time_ms ~node ~dir ~payload)
-      observers
+let note_dropped t n =
+  if n > 0 then begin
+    t.dropped <- t.dropped + n;
+    match t.on_drop with None -> () | Some f -> f n
+  end
+
+(* Charge an [n]-byte entry against the cap, evicting oldest first until
+   it fits; [false] when the entry alone exceeds the cap, so it goes the
+   way of everything buffered before it.  Every entry is at least one
+   byte long, so a buffer holding none holds no bytes. *)
+let admit t n =
+  let evicted = ref 0 in
+  while t.buffered_bytes > 0 && t.buffered_bytes + n > t.max_buffer_bytes do
+    evict_oldest t;
+    incr evicted
+  done;
+  let fits = n <= t.max_buffer_bytes in
+  if fits then t.buffered_bytes <- t.buffered_bytes + n else incr evicted;
+  note_dropped t !evicted;
+  fits
+
+(* The chunk that takes the next [n]-byte entry, at its [fill]. *)
+let room t n =
+  let c = t.tail in
+  if Bytes.length c.bytes - c.fill >= n then c
+  else begin
+    let bytes =
+      if n > chunk_size then Bytes.create n
+      else if Bytes.length t.spare = chunk_size then begin
+        let b = t.spare in
+        t.spare <- Bytes.empty;
+        b
+      end
+      else Bytes.create chunk_size
+    in
+    let c = { bytes; head = 0; fill = 0 } in
+    Queue.push c t.chunks;
+    t.tail <- c;
+    c
+  end
+
+let notify t ~time_ms ~node ~dir payload =
+  List.iter (fun f -> f ~seq:t.seq ~time_ms ~node ~dir ~payload) t.observers
 
 (* Binary record: the whole frame is built in the reused writer
-   (checksum straight over its backing bytes), then extracted as the
-   entry string — one allocation per record. *)
+   (checksum straight over its backing bytes), then blitted into the
+   buffer and written through from there. *)
 let push_binary t ~time_ms ~node ~dir ~emit =
   let w = t.wbody in
   Wbuf.clear w;
   let span = frame_into w ~seq:t.seq ~time_ms ~node ~dir ~emit in
-  push_entry t ~time_ms ~node ~dir
-    (Wbuf.contents w)
-    (span lsr 31)
-    (span land ((1 lsl 31) - 1))
+  let n = Wbuf.length w in
+  if admit t n then begin
+    let c = room t n in
+    Bytes.blit (Wbuf.unsafe_bytes w) 0 c.bytes c.fill n;
+    c.fill <- c.fill + n
+  end;
+  (match t.oc with None -> () | Some oc -> output oc (Wbuf.unsafe_bytes w) 0 n);
+  match t.observers with
+  | [] -> ()
+  | _ ->
+    notify t ~time_ms ~node ~dir
+      (Wbuf.sub_string w (span lsr 31) (span land ((1 lsl 31) - 1)))
 
 (* [emit] renders the payload as JSON text.  On a binary journal the
    rendered text is stored as the frame's raw payload bytes. *)
@@ -262,20 +321,28 @@ let record_bytes t ~node ~dir ~emit =
   if t.live then begin
     t.seq <- t.seq + 1;
     let time_ms = t.clock () in
+    let buf = t.scratch in
+    Buffer.clear buf;
     match t.format with
     | Jsonl ->
-      let buf = t.scratch in
-      Buffer.clear buf;
       add_jsonl_prefix buf ~seq:t.seq ~time_ms ~node ~dir;
       let p0 = Buffer.length buf in
       emit buf;
       let p1 = Buffer.length buf in
-      Buffer.add_char buf '}';
-      push_entry t ~time_ms ~node ~dir (Buffer.contents buf) p0 (p1 - p0)
+      Buffer.add_string buf "}\n";
+      let n = Buffer.length buf in
+      if admit t n then begin
+        let c = room t n in
+        Buffer.blit buf 0 c.bytes c.fill n;
+        c.fill <- c.fill + n
+      end;
+      (match t.oc with None -> () | Some oc -> Buffer.output_buffer oc buf);
+      (match t.observers with
+      | [] -> ()
+      | _ -> notify t ~time_ms ~node ~dir (Buffer.sub buf p0 (p1 - p0)))
     | Binary ->
-      Buffer.clear t.scratch;
-      emit t.scratch;
-      let payload = Buffer.contents t.scratch in
+      emit buf;
+      let payload = Buffer.contents buf in
       push_binary t ~time_ms ~node ~dir ~emit:(fun w -> Wbuf.str w payload)
   end
 
@@ -293,7 +360,10 @@ let record_frame t ~node ~dir ~emit =
   end
 
 let record t ~node ~dir ~payload =
-  record_bytes t ~node ~dir ~emit:(fun buf -> Buffer.add_string buf payload)
+  match t.format with
+  | Jsonl ->
+    record_bytes t ~node ~dir ~emit:(fun buf -> Buffer.add_string buf payload)
+  | Binary -> record_frame t ~node ~dir ~emit:(fun w -> Wbuf.str w payload)
 
 let length t = t.seq
 let dropped t = t.dropped
@@ -304,16 +374,15 @@ let to_string t =
     | Jsonl -> header ^ "\n"
     | Binary -> binary_header ~version:format_version
   in
-  let buf = Buffer.create (t.buffered_bytes + String.length hdr) in
-  Buffer.add_string buf hdr;
+  let out = Bytes.create (String.length hdr + t.buffered_bytes) in
+  Bytes.blit_string hdr 0 out 0 (String.length hdr);
+  let pos = ref (String.length hdr) in
   Queue.iter
-    (fun entry ->
-      Buffer.add_string buf entry;
-      match t.format with
-      | Jsonl -> Buffer.add_char buf '\n'
-      | Binary -> ())
-    t.entries;
-  Buffer.contents buf
+    (fun c ->
+      Bytes.blit c.bytes c.head out !pos (c.fill - c.head);
+      pos := !pos + c.fill - c.head)
+    t.chunks;
+  Bytes.unsafe_to_string out
 
 let close t =
   match t.oc with

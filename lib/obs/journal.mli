@@ -33,8 +33,17 @@
     self-delimiting): once exceeded, the oldest buffered entries are
     evicted (drop-oldest) and counted in {!dropped} — the resulting
     [seq] gap is exactly what the replay auditor flags, so a truncated
-    buffer is self-describing.  Eviction never affects the write-through
-    file or {!add_observer} delivery.
+    buffer is self-describing.  An entry larger than the cap is evicted
+    as it is recorded.  Eviction never affects the write-through file or
+    {!add_observer} delivery.
+
+    The buffer packs entries into 64 KiB byte chunks, oldest first; an
+    entry larger than a chunk gets a chunk of its own, and a fully
+    evicted chunk is freed (one is kept for reuse).  So the buffer holds
+    its encoded bytes plus the evicted start of the oldest chunk, the
+    unused end of the newest, one spare chunk, and at each chunk's end
+    fewer bytes than the entry that did not fit there — no heap block
+    per entry.
 
     Zero cost when disabled: {!noop} never records and every operation is
     a single branch.  Instrumentation that renders payloads must guard on
@@ -86,6 +95,22 @@ val add_observer :
   (seq:int -> time_ms:float -> node:string -> dir:string -> payload:string -> unit) ->
   unit
 
+(** {1 Per-journal state}
+
+    A layer above can keep its state for a journal with the journal
+    itself, so that state lives exactly as long as the journal does
+    ([Cloudtx_core.Journal_io.attach] keeps its one decoding observer
+    here). *)
+
+type tap = ..
+
+(** The taps added so far, most recent first. *)
+val taps : t -> tap list
+
+(** [add_tap t x] adds [x] to [t]'s taps.  No-op on {!noop}, which
+    keeps nothing. *)
+val add_tap : t -> tap -> unit
+
 (** [set_on_drop t f] — [f n] is called whenever [n] buffered records are
     evicted by the byte cap (for wiring a [journal.dropped] counter). *)
 val set_on_drop : t -> (int -> unit) -> unit
@@ -94,8 +119,9 @@ val set_on_drop : t -> (int -> unit) -> unit
 val dropped : t -> int
 
 (** [record t ~node ~dir ~payload] appends one record; [payload] must be
-    a valid, canonically-rendered JSON fragment for a JSONL journal, or
-    the raw [Codec_bin] payload bytes for a binary one. *)
+    a valid, canonically-rendered JSON fragment for a JSONL journal (so
+    it holds no newline: the buffer finds a line's end by its newline),
+    or the raw [Codec_bin] payload bytes for a binary one. *)
 val record : t -> node:string -> dir:string -> payload:string -> unit
 
 (** [record_bytes t ~node ~dir ~emit] — allocation-lean append for JSONL

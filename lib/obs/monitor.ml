@@ -42,13 +42,16 @@ type t = {
   notify : [ `Fire | `Resolve ] -> Slo.alert -> unit;
   (* rule state *)
   txns : (string, txn_state) Hashtbl.t;  (* open transactions *)
+  mutable oldest_step : float;
+      (* a lower bound on every open transaction's [last_step_at] *)
   master : (string, int) Hashtbl.t;  (* domain -> observed master version *)
   replicas : (string * string, replica_state) Hashtbl.t;  (* node, domain *)
   peak_lag : (string, int * string) Hashtbl.t;  (* node -> worst lag, domain *)
   window : bool Queue.t;  (* last abort_window outcomes; true = abort *)
   mutable window_aborts : int;
   kills : (string, int) Hashtbl.t;  (* base txn -> consecutive wait-die *)
-  yes_votes : (string * string, int) Hashtbl.t;  (* txn, node -> vote seq *)
+  yes_votes : (string, (string * int) list) Hashtbl.t;
+      (* txn -> (node, vote seq) of each standing YES vote *)
   flips : (string, float Queue.t) Hashtbl.t;
       (* server -> breaker transition times inside the flap window *)
   rejects : float Queue.t;  (* admission rejection times inside the window *)
@@ -68,6 +71,7 @@ let create ?(rules = Slo.default) ?(registry = Registry.noop)
     console;
     notify;
     txns = Hashtbl.create 16;
+    oldest_step = infinity;
     master = Hashtbl.create 4;
     replicas = Hashtbl.create 16;
     peak_lag = Hashtbl.create 16;
@@ -147,40 +151,54 @@ let fire t ~seq ~time_ms ~rule ~severity ~subject ~node ~detail =
     t.log (Slo.log_line `Fire a);
     t.notify `Fire a
 
+(* [detail] is rendered only when an open alert is resolved. *)
 let resolve t ~seq ~time_ms ~rule ~subject ~detail =
-  match Hashtbl.find_opt t.active (rule, subject) with
-  | None -> ()
-  | Some (a : Slo.alert) ->
-    Hashtbl.remove t.active (rule, subject);
-    a.Slo.last_seq <- seq;
-    a.Slo.detail <- detail;
-    a.Slo.resolved_at <- Some time_ms;
-    Hashtbl.replace t.active_per_rule rule
-      (max 0
-         (Option.value ~default:1 (Hashtbl.find_opt t.active_per_rule rule) - 1));
-    set_active_gauge t rule;
-    t.console (Slo.console_line `Resolve a);
-    t.log (Slo.log_line `Resolve a);
-    t.notify `Resolve a
+  if Hashtbl.length t.active > 0 then
+    match Hashtbl.find_opt t.active (rule, subject) with
+    | None -> ()
+    | Some (a : Slo.alert) ->
+      Hashtbl.remove t.active (rule, subject);
+      a.Slo.last_seq <- seq;
+      a.Slo.detail <- detail ();
+      a.Slo.resolved_at <- Some time_ms;
+      Hashtbl.replace t.active_per_rule rule
+        (max 0
+           (Option.value ~default:1 (Hashtbl.find_opt t.active_per_rule rule)
+           - 1));
+      set_active_gauge t rule;
+      t.console (Slo.console_line `Resolve a);
+      t.log (Slo.log_line `Resolve a);
+      t.notify `Resolve a
 
 (* ------------------------------------------------------------------ *)
 (* Rules                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* stuck_txn: no TM machine step for > stuck_ms while unfinished. *)
+(* stuck_txn: no TM machine step for > stuck_ms while unfinished.  No
+   open transaction can be stuck until [stuck_ms] has passed since
+   [oldest_step], so only then does the sweep walk them, and it moves
+   the bound up to the oldest step it saw. *)
 let sweep_stuck t ~seq ~time_ms =
-  if Float.is_finite t.rules.Slo.stuck_ms then
+  let stuck_ms = t.rules.Slo.stuck_ms in
+  if Float.is_finite stuck_ms && time_ms -. t.oldest_step > stuck_ms then begin
+    let oldest = ref infinity in
     Hashtbl.iter
       (fun txn (s : txn_state) ->
+        oldest := Float.min !oldest s.last_step_at;
         let idle = time_ms -. s.last_step_at in
-        if idle > t.rules.Slo.stuck_ms then
+        if idle > stuck_ms then
           fire t ~seq ~time_ms ~rule:"stuck_txn" ~severity:Slo.Critical
             ~subject:txn ~node:s.tm_node
             ~detail:
               (Printf.sprintf
                  "no machine step for %.1fms (last step seq %d at %.1fms)" idle
                  s.last_step_seq s.last_step_at))
-      t.txns
+      t.txns;
+    t.oldest_step <- !oldest
+  end
+
+let note_step t ~time_ms =
+  t.oldest_step <- Float.min t.oldest_step time_ms
 
 let staleness_subject node domain = node ^ "/" ^ domain
 
@@ -202,7 +220,8 @@ let check_staleness t ~seq ~time_ms node domain =
         r.lag_since <- None;
         resolve t ~seq ~time_ms ~rule:"policy_staleness"
           ~subject:(staleness_subject node domain)
-          ~detail:(Printf.sprintf "replica caught up to master v%d" master)
+          ~detail:(fun () ->
+            Printf.sprintf "replica caught up to master v%d" master)
       end
       else begin
         if r.lag_since = None then r.lag_since <- Some time_ms;
@@ -271,9 +290,9 @@ let note_outcome t ~seq ~time_ms ~committed =
                t.window_aborts len (100. *. rate))
       else
         resolve t ~seq ~time_ms ~rule:"abort_storm" ~subject:"cluster"
-          ~detail:
-            (Printf.sprintf "abort rate back to %.0f%% over the last %d"
-               (100. *. rate) len)
+          ~detail:(fun () ->
+            Printf.sprintf "abort rate back to %.0f%% over the last %d"
+              (100. *. rate) len)
     end
   end
 
@@ -308,18 +327,27 @@ let note_kill t ~seq ~time_ms txn ~killed ~committed =
     Hashtbl.remove t.kills base;
     if committed then
       resolve t ~seq ~time_ms ~rule:"livelock" ~subject:base
-        ~detail:(Printf.sprintf "%s committed" txn)
+        ~detail:(fun () -> Printf.sprintf "%s committed" txn)
   end
 
 (* vote_anomaly: a participant that voted YES whose later proof
    evaluation for the same transaction failed. *)
 let note_vote t ~seq txn node vote =
-  if vote then Hashtbl.replace t.yes_votes (txn, node) seq
-  else Hashtbl.remove t.yes_votes (txn, node)
+  let others =
+    match Hashtbl.find_opt t.yes_votes txn with
+    | Some votes -> List.remove_assoc node votes
+    | None -> []
+  in
+  match (vote, others) with
+  | true, _ -> Hashtbl.replace t.yes_votes txn ((node, seq) :: others)
+  | false, [] -> Hashtbl.remove t.yes_votes txn
+  | false, _ -> Hashtbl.replace t.yes_votes txn others
 
 let note_proof t ~seq ~time_ms txn node domain ~result =
   if not result then
-    match Hashtbl.find_opt t.yes_votes (txn, node) with
+    match
+      Option.bind (Hashtbl.find_opt t.yes_votes txn) (List.assoc_opt node)
+    with
     | None -> ()
     | Some vote_seq ->
       fire t ~seq ~time_ms ~rule:"vote_anomaly" ~severity:Slo.Critical
@@ -357,8 +385,8 @@ let note_breaker t ~seq ~time_ms server ~from_ ~to_ =
              from_ to_)
     else
       resolve t ~seq ~time_ms ~rule:"breaker_flap" ~subject:server
-        ~detail:
-          (Printf.sprintf "%d transitions in window (latest %s->%s)" n from_ to_)
+        ~detail:(fun () ->
+          Printf.sprintf "%d transitions in window (latest %s->%s)" n from_ to_)
   end
 
 (* admission_storm: [reject_count] admission rejections — bounded
@@ -384,14 +412,12 @@ let note_reject t ~seq ~time_ms ~txn ~reason ~server =
              txn reason where)
     else
       resolve t ~seq ~time_ms ~rule:"admission_storm" ~subject:"cluster"
-        ~detail:(Printf.sprintf "%d rejections in window" n)
+        ~detail:(fun () -> Printf.sprintf "%d rejections in window" n)
   end
 
 let forget_txn t txn =
   Hashtbl.remove t.txns txn;
-  Hashtbl.filter_map_inplace
-    (fun (vt, _) seq -> if String.equal vt txn then None else Some seq)
-    t.yes_votes
+  Hashtbl.remove t.yes_votes txn
 
 (* ------------------------------------------------------------------ *)
 (* Event dispatch                                                      *)
@@ -401,24 +427,26 @@ let observe t ~seq ~time_ms event =
   (match event with
   | Txn_begin { txn; node; scheme = _; level = _ } ->
     Hashtbl.replace t.txns txn
-      { tm_node = node; last_step_at = time_ms; last_step_seq = seq }
+      { tm_node = node; last_step_at = time_ms; last_step_seq = seq };
+    note_step t ~time_ms
   | Txn_step { txn } -> (
     match Hashtbl.find_opt t.txns txn with
     | None -> ()
     | Some s ->
       s.last_step_at <- time_ms;
       s.last_step_seq <- seq;
+      note_step t ~time_ms;
       resolve t ~seq ~time_ms ~rule:"stuck_txn" ~subject:txn
-        ~detail:"machine stepped again")
+        ~detail:(fun () -> "machine stepped again"))
   | Txn_end { txn; committed; reason; killed } ->
     resolve t ~seq ~time_ms ~rule:"stuck_txn" ~subject:txn
-      ~detail:
-        (Printf.sprintf "transaction finished (%s)"
-           (if committed then "commit" else "abort: " ^ reason));
+      ~detail:(fun () ->
+        Printf.sprintf "transaction finished (%s)"
+          (if committed then "commit" else "abort: " ^ reason));
     if not committed then
       (* The abort contained whatever the YES vote would have admitted. *)
       resolve t ~seq ~time_ms ~rule:"vote_anomaly" ~subject:txn
-        ~detail:(Printf.sprintf "transaction aborted (%s)" reason);
+        ~detail:(fun () -> Printf.sprintf "transaction aborted (%s)" reason);
     forget_txn t txn;
     note_outcome t ~seq ~time_ms ~committed;
     note_kill t ~seq ~time_ms txn ~killed ~committed

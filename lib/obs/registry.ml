@@ -1,8 +1,11 @@
 type labels = (string * string) list
 
+type counter = int ref
+type gauge = { mutable value : float }
+
 type cell =
-  | Counter of int ref
-  | Gauge of float ref
+  | Counter of counter
+  | Gauge of gauge
   | Hist of Histogram.t
 
 type t = {
@@ -49,8 +52,8 @@ let incr ?(by = 1) t name labels =
 
 let set_gauge t name labels v =
   if t.enabled then
-    match cell t name labels (fun () -> Gauge (ref 0.)) with
-    | Gauge r -> r := v
+    match cell t name labels (fun () -> Gauge { value = 0. }) with
+    | Gauge g -> g.value <- v
     | c -> type_error name c "gauge"
 
 let observe t name labels v =
@@ -61,6 +64,24 @@ let observe t name labels v =
     with
     | Hist h -> Histogram.observe h v
     | c -> type_error name c "histogram"
+
+let counter_cell t name labels =
+  if not t.enabled then ref 0
+  else
+    match cell t name labels (fun () -> Counter (ref 0)) with
+    | Counter r -> r
+    | c -> type_error name c "counter"
+
+let incr_cell r = r := !r + 1
+
+let gauge_cell t name labels =
+  if not t.enabled then { value = 0. }
+  else
+    match cell t name labels (fun () -> Gauge { value = 0. }) with
+    | Gauge g -> g
+    | c -> type_error name c "gauge"
+
+let set_cell g v = g.value <- v
 
 let find t name labels = Hashtbl.find_opt t.cells (name, canonical labels)
 
@@ -76,7 +97,9 @@ let counter_total t name =
     t.cells 0
 
 let gauge t name labels =
-  match find t name labels with Some (Gauge r) -> Some !r | Some _ | None -> None
+  match find t name labels with
+  | Some (Gauge g) -> Some g.value
+  | Some _ | None -> None
 
 let histogram t name labels =
   match find t name labels with Some (Hist h) -> Some h | Some _ | None -> None
@@ -84,7 +107,7 @@ let histogram t name labels =
 let series t =
   let value = function
     | Counter r -> `Counter !r
-    | Gauge r -> `Gauge !r
+    | Gauge g -> `Gauge g.value
     | Hist h -> `Histogram h
   in
   Hashtbl.fold

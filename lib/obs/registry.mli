@@ -34,6 +34,28 @@ val incr : ?by:int -> t -> string -> labels -> unit
 val set_gauge : t -> string -> labels -> float -> unit
 val observe : t -> string -> labels -> float -> unit
 
+(** {1 Resolved cells}
+
+    A write site on a hot path can resolve its series once and then
+    write the cell directly; the series and every export are exactly
+    what {!incr} and {!set_gauge} would produce.  Resolving creates the
+    series (at 0), so resolve a cell at its first write, after checking
+    {!enabled}: on a disabled registry the cell is detached and its
+    writes go nowhere. *)
+
+type counter
+type gauge
+
+(** @raise Invalid_argument if the series exists with another type. *)
+val counter_cell : t -> string -> labels -> counter
+
+val incr_cell : counter -> unit
+
+(** @raise Invalid_argument if the series exists with another type. *)
+val gauge_cell : t -> string -> labels -> gauge
+
+val set_cell : gauge -> float -> unit
+
 (** {1 Reads} *)
 
 (** Counter value for an exact label set; 0 when absent. *)

@@ -10,6 +10,8 @@ type 'msg t = {
   mutable next_seq : int;
   mutable tracer : Obs.Tracer.t;
   mutable registry : Obs.Registry.t;
+  sent : (string, Obs.Registry.counter) Hashtbl.t;
+      (** [messages_total{type}] cells by label, resolved at first send. *)
   mutable journal : Obs.Journal.t;
   mutable timeseries : Obs.Timeseries.t option;
 }
@@ -27,6 +29,7 @@ let create ?(seed = 42L) ?(latency = Latency.lan) ?(drop = 0.) ~label_of () =
     next_seq = 0;
     tracer = Obs.Tracer.noop;
     registry = Obs.Registry.noop;
+    sent = Hashtbl.create 16;
     journal = Obs.Journal.noop;
     timeseries = None;
   }
@@ -48,11 +51,13 @@ let enable_metrics t =
   if not (Obs.Registry.enabled t.registry) then begin
     let registry = Obs.Registry.create () in
     t.registry <- registry;
+    let gauge =
+      lazy (Obs.Registry.gauge_cell registry "sim.pending_events" [])
+    in
     Engine.set_observer t.engine
       (Some
          (fun ~now:_ ~pending ->
-           Obs.Registry.set_gauge registry "sim.pending_events" []
-             (float_of_int pending)))
+           Obs.Registry.set_cell (Lazy.force gauge) (float_of_int pending)))
   end;
   t.registry
 
@@ -104,10 +109,20 @@ let crashed t name = Hashtbl.mem t.crashed name
    [Trace.kind]. *)
 let traced t = Obs.Tracer.enabled t.tracer
 
+let sent_cell t label =
+  match Hashtbl.find_opt t.sent label with
+  | Some c -> c
+  | None ->
+    let c =
+      Obs.Registry.counter_cell t.registry "messages_total" [ ("type", label) ]
+    in
+    Hashtbl.add t.sent label c;
+    c
+
 let send t ~src ~dst msg =
   let label = t.label_of msg in
   if Obs.Registry.enabled t.registry then
-    Obs.Registry.incr t.registry "messages_total" [ ("type", label) ];
+    Obs.Registry.incr_cell (sent_cell t label);
   if traced t then Trace.emit t.tracer (Trace.Send { src; dst; label });
   match Hashtbl.find_opt t.handlers dst with
   | None ->

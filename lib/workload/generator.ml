@@ -13,6 +13,23 @@ type params = {
 let default =
   { queries_per_txn = 4; write_ratio = 0.5; zipf_s = 0.; spread = `Round_robin }
 
+(* Each server's keys and Zipf sampler, built once per scenario and
+   skew. *)
+let samplers (scenario : Scenario.t) s =
+  match Hashtbl.find_opt scenario.Scenario.samplers s with
+  | Some z -> z
+  | None ->
+    let z =
+      Array.of_list
+        (List.map
+           (fun server ->
+             let keys = Array.of_list (scenario.Scenario.keys_of server) in
+             (keys, Zipf.create ~n:(Array.length keys) ~s))
+           scenario.Scenario.servers)
+    in
+    Hashtbl.add scenario.Scenario.samplers s z;
+    z
+
 let generate (scenario : Scenario.t) rng params ~id =
   if params.queries_per_txn <= 0 then
     invalid_arg "Generator.generate: queries_per_txn <= 0";
@@ -20,13 +37,7 @@ let generate (scenario : Scenario.t) rng params ~id =
   let servers = Array.of_list scenario.Scenario.servers in
   let subject = Splitmix.choice rng subjects in
   let start = Splitmix.int rng (Array.length servers) in
-  let zipfs =
-    Array.map
-      (fun s ->
-        let keys = Array.of_list (scenario.Scenario.keys_of s) in
-        (keys, Zipf.create ~n:(Array.length keys) ~s:params.zipf_s))
-      servers
-  in
+  let zipfs = samplers scenario params.zipf_s in
   let queries =
     List.init params.queries_per_txn (fun i ->
         let si =

@@ -15,6 +15,7 @@ type t = {
   servers : string list;
   keys_of : string -> string list;
   ca : Ca.t;
+  samplers : (float, (string array * Zipf.t) array) Hashtbl.t;
 }
 
 let permit_head = Rule.atom "permit" [ Rule.v "s"; Rule.v "a"; Rule.v "i" ]
@@ -74,8 +75,6 @@ let retail ?(seed = 7L) ?(latency = Cloudtx_sim.Latency.lan) ?ocsp_latency
     ?(items_per_server = 8) ?(n_subjects = 4) () =
   let domain = "retail" in
   let ca = Ca.create "corp-ca" in
-  (* Built once: [Generator.generate] asks for every server's keys on
-     every transaction. *)
   let keys =
     Array.init n_servers (fun si -> List.init items_per_server (key_name si))
   in
@@ -124,6 +123,7 @@ let retail ?(seed = 7L) ?(latency = Cloudtx_sim.Latency.lan) ?ocsp_latency
     servers;
     keys_of;
     ca;
+    samplers = Hashtbl.create 1;
   }
 
 let spread_transaction t ~id ~subject ~queries ?(start = 0) ?(writes = true) () =

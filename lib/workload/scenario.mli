@@ -22,6 +22,9 @@ type t = {
   servers : string list;
   keys_of : string -> string list;  (** Items hosted per server. *)
   ca : Cloudtx_policy.Ca.t;
+  samplers : (float, (string array * Zipf.t) array) Hashtbl.t;
+      (** [Generator.generate]'s memo: per Zipf skew, each server's keys
+          (in [servers] order) and its sampler over them. *)
 }
 
 (** The version-1 rule set: [permit(S, A, I) :- role(S, clerk)] for both

@@ -12,6 +12,9 @@
    explain output over a faulted cell is bit-reproducible. *)
 
 module Blame = Cloudtx_core.Blame
+module Health = Cloudtx_core.Health
+module Journal_io = Cloudtx_core.Journal_io
+module Monitor = Cloudtx_obs.Monitor
 module Cp = Cloudtx_obs.Critical_path
 module Journal = Cloudtx_obs.Journal
 module Registry = Cloudtx_obs.Registry
@@ -414,6 +417,58 @@ let test_observer_fan_out () =
     (Blame.to_json a) (Blame.to_json b)
 
 (* ------------------------------------------------------------------ *)
+(* Shared decode: one decoded record for every live consumer           *)
+(* ------------------------------------------------------------------ *)
+
+let test_shared_decode format () =
+  let scenario = Scenario.retail ~n_servers:4 ~n_subjects:1 () in
+  let cluster = scenario.Scenario.cluster in
+  let journal = Transport.enable_journal ~format (Cluster.transport cluster) in
+  let first = ref [] and raw = ref [] and second = ref [] in
+  Journal_io.attach journal (fun r -> first := r :: !first);
+  Journal.add_observer journal (fun ~seq ~time_ms:_ ~node:_ ~dir:_ ~payload:_ ->
+      raw := seq :: !raw);
+  Journal_io.attach journal (fun r -> second := r :: !second);
+  let txn =
+    Scenario.spread_transaction scenario ~id:"t1" ~subject:"clerk-1"
+      ~queries:4 ()
+  in
+  let outcome =
+    Manager.run_one cluster
+      (Manager.config Scheme.Deferred Consistency.View)
+      txn
+  in
+  Alcotest.(check bool) "committed" true outcome.Outcome.committed;
+  let every = List.init (Journal.length journal) (fun i -> i + 1) in
+  let seqs records = List.rev_map (fun r -> r.Journal_io.seq) records in
+  Alcotest.(check (list int)) "first consumer: every record, in order" every
+    (seqs !first);
+  Alcotest.(check (list int)) "raw observer: every record, in order" every
+    (List.rev !raw);
+  Alcotest.(check (list int)) "second consumer: every record, in order" every
+    (seqs !second);
+  Alcotest.(check bool) "both consumers get the same record value" true
+    (List.for_all2 ( == ) !first !second);
+  Alcotest.(check bool) "every record decodes" true
+    (List.for_all
+       (fun r ->
+         match r.Journal_io.body with
+         | Journal_io.Undecodable _ -> false
+         | Journal_io.Payload _ | Journal_io.Event _ -> true)
+       !first)
+
+let test_attach_noop_keeps_nothing () =
+  let size () = Obj.reachable_words (Obj.repr Journal.noop) in
+  let before = size () in
+  Journal_io.attach Journal.noop (fun _ ->
+      Alcotest.fail "noop delivered a record");
+  ignore (Blame.attach Journal.noop);
+  ignore (Health.attach Journal.noop (Monitor.create ()));
+  Journal.record Journal.noop ~node:"n" ~dir:"input" ~payload:"{}";
+  Alcotest.(check int) "no taps" 0 (List.length (Journal.taps Journal.noop));
+  Alcotest.(check int) "reachable words unchanged" before (size ())
+
+(* ------------------------------------------------------------------ *)
 (* Chaos journal: explain over a faulted cell is bit-reproducible      *)
 (* ------------------------------------------------------------------ *)
 
@@ -488,6 +543,12 @@ let () =
             `Slow test_registry_reconciliation_all_cells;
           Alcotest.test_case "observer fan-out: collectors agree" `Quick
             test_observer_fan_out;
+          Alcotest.test_case "shared decode: one record for all (JSONL)" `Quick
+            (test_shared_decode Journal.Jsonl);
+          Alcotest.test_case "shared decode: one record for all (binary)" `Quick
+            (test_shared_decode Journal.Binary);
+          Alcotest.test_case "attaching to noop keeps nothing" `Quick
+            test_attach_noop_keeps_nothing;
         ] );
       ( "chaos",
         [

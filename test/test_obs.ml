@@ -150,6 +150,30 @@ let test_disabled_registry () =
   Alcotest.(check int) "no cells" 0 (List.length (Registry.series Registry.noop));
   Alcotest.(check int) "counter reads zero" 0 (Registry.counter Registry.noop "c" [])
 
+(* A resolved cell is the series itself: writes through it and through
+   [incr]/[set_gauge] land in the same place and export the same way. *)
+let test_registry_resolved_cells () =
+  let by_name = Registry.create () and by_cell = Registry.create () in
+  let labels = [ ("type", "commit-request") ] in
+  Registry.incr by_name "messages_total" labels;
+  Registry.incr by_name "messages_total" labels;
+  Registry.set_gauge by_name "sim.pending_events" [] 3.;
+  let sent = Registry.counter_cell by_cell "messages_total" labels in
+  Registry.incr_cell sent;
+  Registry.incr by_cell "messages_total" labels;
+  Registry.set_cell (Registry.gauge_cell by_cell "sim.pending_events" []) 3.;
+  Alcotest.(check string) "same Prometheus exposition"
+    (Registry.to_prometheus by_name) (Registry.to_prometheus by_cell);
+  Alcotest.(check string) "same JSON snapshot" (Registry.to_json by_name)
+    (Registry.to_json by_cell);
+  Alcotest.check_raises "a gauge is not a counter"
+    (Invalid_argument
+       "Registry: sim.pending_events is a gauge, not a counter") (fun () ->
+      ignore (Registry.counter_cell by_cell "sim.pending_events" []));
+  Registry.incr_cell (Registry.counter_cell Registry.noop "c" []);
+  Alcotest.(check int) "noop keeps no series" 0
+    (List.length (Registry.series Registry.noop))
+
 (* ------------------------------------------------------------------ *)
 (* Histogram                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -764,6 +788,173 @@ let test_journal_dropped_counter_wired () =
     (Registry.counter_total reg "journal.dropped")
 
 (* ------------------------------------------------------------------ *)
+(* Chunked buffer = the string-queue buffer it replaced                *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference: the buffer journals kept before the chunked one — one
+   string per encoded entry in a queue, the cap charged in encoded bytes
+   (a JSONL line pays for its newline), evicting oldest first after each
+   push. *)
+module Queue_buffer = struct
+  type t = {
+    format : Journal.format;
+    cap : int;
+    entries : string Queue.t;
+    mutable bytes : int;
+    mutable dropped : int;
+    mutable drops : int list;  (** on_drop calls, most recent first *)
+    file : Buffer.t;  (** what the write-through file receives *)
+  }
+
+  let header = function
+    | Journal.Jsonl -> Journal.header ^ "\n"
+    | Journal.Binary -> Journal.binary_header ~version:Journal.format_version
+
+  let create format cap =
+    let file = Buffer.create 256 in
+    Buffer.add_string file (header format);
+    {
+      format;
+      cap = max 0 cap;
+      entries = Queue.create ();
+      bytes = 0;
+      dropped = 0;
+      drops = [];
+      file;
+    }
+
+  let cost t entry =
+    String.length entry + (match t.format with Journal.Jsonl -> 1 | Binary -> 0)
+
+  let record t ~seq ~time_ms ~node ~dir ~payload =
+    let entry =
+      match t.format with
+      | Journal.Jsonl -> Journal.render_jsonl ~seq ~time_ms ~node ~dir ~payload
+      | Journal.Binary ->
+        let buf = Buffer.create 64 in
+        Journal.encode_frame buf ~seq ~time_ms ~node ~dir ~emit:(fun w ->
+            Cloudtx_obs.Wbuf.str w payload);
+        Buffer.contents buf
+    in
+    Queue.push entry t.entries;
+    t.bytes <- t.bytes + cost t entry;
+    let n = ref 0 in
+    while t.bytes > t.cap && not (Queue.is_empty t.entries) do
+      t.bytes <- t.bytes - cost t (Queue.pop t.entries);
+      incr n
+    done;
+    if !n > 0 then begin
+      t.dropped <- t.dropped + !n;
+      t.drops <- !n :: t.drops
+    end;
+    Buffer.add_string t.file entry;
+    if t.format = Journal.Jsonl then Buffer.add_char t.file '\n'
+
+  let to_string t =
+    let buf = Buffer.create (t.bytes + 16) in
+    Buffer.add_string buf (header t.format);
+    Queue.iter
+      (fun e ->
+        Buffer.add_string buf e;
+        if t.format = Journal.Jsonl then Buffer.add_char buf '\n')
+      t.entries;
+    Buffer.contents buf
+end
+
+let chunk = 65536
+
+(* Payload sizes from empty to over two chunks; JSONL payloads hold no
+   newline, as rendered JSON never does. *)
+let gen_payload =
+  let open QCheck.Gen in
+  let* n =
+    frequency
+      [
+        (12, int_bound 300);
+        (3, int_range 300 5_000);
+        (2, int_range (chunk - 200) (chunk + 200));
+        (1, int_range (2 * chunk) ((2 * chunk) + 10_000));
+      ]
+  in
+  let* c = char_range 'a' 'z' in
+  return (String.make n c)
+
+(* How each record enters the journal: through [record], [record_bytes]
+   or (binary only) [record_frame] — all three must store the same
+   entry. *)
+type via = Record | Bytes_emit | Frame
+
+let gen_case =
+  let open QCheck.Gen in
+  let* format = oneofl [ Journal.Jsonl; Journal.Binary ] in
+  let* cap =
+    oneof
+      [
+        return 0;
+        int_range 1 40 (* below one record *);
+        int_range (chunk - 1_000) (chunk + 1_000);
+        int_range 1_000 (3 * chunk);
+        return max_int;
+      ]
+  in
+  let* records =
+    list_size (int_range 1 40)
+      (triple
+         (oneofl [ "n"; "tm-t1"; "server-12" ])
+         (oneofl [ "create"; "input"; "action"; "event"; "other" ])
+         (pair gen_payload (oneofl [ Record; Bytes_emit; Frame ])))
+  in
+  return (format, cap, records)
+
+let print_case (format, cap, records) =
+  Printf.sprintf "%s cap=%d records=[%s]" (Journal.format_name format) cap
+    (String.concat "; "
+       (List.map
+          (fun (node, dir, (p, _)) ->
+            Printf.sprintf "%s/%s/%dB" node dir (String.length p))
+          records))
+
+let prop_chunked_buffer_matches_queue (format, cap, records) =
+  let path = Filename.temp_file "cloudtx_chunked" ".journal" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let now = ref 0. in
+      let j =
+        Journal.create
+          ~clock:(fun () -> !now)
+          ~format ~max_buffer_bytes:cap ~path ()
+      in
+      let drops = ref [] in
+      Journal.set_on_drop j (fun n -> drops := n :: !drops);
+      let r = Queue_buffer.create format cap in
+      List.iteri
+        (fun i (node, dir, (payload, via)) ->
+          now := float_of_int i *. 0.25;
+          Queue_buffer.record r ~seq:(i + 1) ~time_ms:!now ~node ~dir ~payload;
+          match (via, format) with
+          | Frame, Journal.Binary ->
+            Journal.record_frame j ~node ~dir ~emit:(fun w ->
+                Cloudtx_obs.Wbuf.str w payload)
+          | Bytes_emit, _ ->
+            Journal.record_bytes j ~node ~dir ~emit:(fun b ->
+                Buffer.add_string b payload)
+          | (Record | Frame), _ -> Journal.record j ~node ~dir ~payload)
+        records;
+      Journal.close j;
+      let file = In_channel.with_open_bin path In_channel.input_all in
+      String.equal (Journal.to_string j) (Queue_buffer.to_string r)
+      && Journal.length j = List.length records
+      && Journal.dropped j = r.Queue_buffer.dropped
+      && !drops = r.Queue_buffer.drops
+      && String.equal file (Buffer.contents r.Queue_buffer.file))
+
+let test_chunked_buffer_matches_queue =
+  QCheck.Test.make ~name:"chunked buffer = string-queue buffer" ~count:150
+    (QCheck.make ~print:print_case gen_case)
+    prop_chunked_buffer_matches_queue
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "obs"
@@ -783,6 +974,7 @@ let () =
           Alcotest.test_case "cells" `Quick test_registry_cells;
           Alcotest.test_case "series sorted" `Quick test_registry_series_sorted;
           Alcotest.test_case "disabled fast path" `Quick test_disabled_registry;
+          Alcotest.test_case "resolved cells" `Quick test_registry_resolved_cells;
         ] );
       ( "histogram",
         [
@@ -829,5 +1021,6 @@ let () =
             test_record_frame_needs_binary;
           Alcotest.test_case "dropped counter wired" `Quick
             test_journal_dropped_counter_wired;
+          QCheck_alcotest.to_alcotest test_chunked_buffer_matches_queue;
         ] );
     ]

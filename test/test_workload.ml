@@ -110,6 +110,30 @@ let test_generator_validity () =
       t.Transaction.queries
   done
 
+(* The per-scenario sampler memo is keyed by skew: drawing with two
+   skews interleaved on one scenario gives exactly what each skew draws
+   on a scenario of its own. *)
+let test_generator_skews_share_scenario () =
+  let draw s ~zipf_s ~seed =
+    let rng = Splitmix.create seed in
+    let params = { Generator.default with zipf_s; queries_per_txn = 6 } in
+    List.init 30 (fun i ->
+        let t = Generator.generate s rng params ~id:(Printf.sprintf "g%d" i) in
+        List.concat_map Query.items t.Transaction.queries)
+  in
+  let fresh ~zipf_s ~seed =
+    draw (Scenario.retail ~items_per_server:32 ()) ~zipf_s ~seed
+  in
+  let shared = Scenario.retail ~items_per_server:32 () in
+  let flat = draw shared ~zipf_s:0. ~seed:5L in
+  let skewed = draw shared ~zipf_s:1.5 ~seed:6L in
+  let flat_again = draw shared ~zipf_s:0. ~seed:5L in
+  Alcotest.(check (list (list string))) "flat" (fresh ~zipf_s:0. ~seed:5L) flat;
+  Alcotest.(check (list (list string))) "skewed"
+    (fresh ~zipf_s:1.5 ~seed:6L) skewed;
+  Alcotest.(check (list (list string))) "flat again" flat flat_again;
+  Alcotest.(check bool) "the skews differ" true (flat <> skewed)
+
 let test_arrival_times () =
   let rng = Splitmix.create 3L in
   let times = Generator.arrival_times rng ~rate:0.1 ~horizon:1000. in
@@ -248,6 +272,8 @@ let () =
           Alcotest.test_case "spread transaction" `Quick
             test_spread_transaction_shape;
           Alcotest.test_case "generator validity" `Quick test_generator_validity;
+          Alcotest.test_case "generator skews share a scenario" `Quick
+            test_generator_skews_share_scenario;
           Alcotest.test_case "arrival times" `Quick test_arrival_times;
         ] );
       ( "churn",
