@@ -1,9 +1,10 @@
-(** Minimal JSON, for the policy/credential wire format.
+(** Minimal JSON, for the policy/credential wire format and every JSONL
+    reader (journals, reports, plans, WAL lines).
 
     Self-contained (the sealed environment carries no JSON package):
-    a value type, a renderer and a recursive-descent parser sufficient
-    for the codec's needs — objects, arrays, strings with escapes,
-    integers, booleans and null. *)
+    a value type, a renderer and a one-pass parser sufficient for the
+    codec's needs — objects, arrays, strings with escapes, numbers,
+    booleans and null. *)
 
 type t =
   | Null
@@ -22,8 +23,19 @@ val to_string : t -> string
     renders like [Float 5.]). *)
 val same_rendering : t -> t -> bool
 
-(** [parse s] parses exactly one JSON value spanning the whole input.
-    Returns [Error description] on malformed input. *)
+(** [parse s] parses exactly one JSON value spanning the whole input, in
+    one pass that allocates per value, not per character.  Returns
+    [Error description] on malformed input; the description names the
+    byte offset where parsing stopped.  Trees, error texts and offsets
+    are those of a character-at-a-time recursive descent, which
+    test/test_codec.ml keeps as the reference.
+
+    A number token is the longest run of [0-9 - + . e E]: an integer
+    when [int_of_string] accepts it, otherwise a float when
+    [float_of_string] does.  A float that is not finite (["1e999"]) is
+    an [Error "number out of range ..."]: {!to_string} could not write
+    it back.  A [\uXXXX] escape below 256 is that byte; any other stays
+    the six characters of its text. *)
 val parse : string -> (t, string) result
 
 (** {1 Accessors} — all return [Error] with a path-aware message. *)

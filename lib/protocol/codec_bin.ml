@@ -114,9 +114,12 @@ let read_f64 r =
   r.pos <- r.pos + 8;
   Int64.float_of_bits v
 
+(* A length or count is checked against the bytes left: a varint of nine
+   bytes decodes negative, and every list element takes a byte at least. *)
 let read_str r =
   let len = read_varint r in
-  if r.pos + len > r.limit then corrupt "unexpected end of payload in string";
+  if len < 0 || len > r.limit - r.pos then
+    corrupt "unexpected end of payload in string";
   let s = String.sub r.s r.pos len in
   r.pos <- r.pos + len;
   s
@@ -129,6 +132,7 @@ let read_opt f r =
 
 let read_list f r =
   let n = read_varint r in
+  if n < 0 || n > r.limit - r.pos then corrupt "list count %d out of range" n;
   let acc = ref [] in
   for _ = 1 to n do
     acc := f r :: !acc

@@ -269,7 +269,7 @@ let on_exec_result t ~txn ~(query : Query.t) ~evaluate ~reply_to st result =
   | Blocked ->
     emit t (Wait_open { txn; query_id = query.Query.id });
     st.pending <- Some { p_query = query; p_evaluate = evaluate; p_reply_to = reply_to };
-    mark t (Printf.sprintf "blocked:%s:%s" txn query.Query.id)
+    mark t ("blocked:" ^ txn ^ ":" ^ query.Query.id)
   | Die ->
     st.pending <- None;
     send t ~st:(Some st) ~after_proofs:0 ~dst:reply_to
@@ -314,7 +314,7 @@ let on_evaluated t ~txn ~proofs ~policies cont =
            { txn; round; integrity = vote; read_only = false; proofs; policies })
     | None ->
       let truth = List.for_all (fun (p : Proof.t) -> p.Proof.result) proofs in
-      mark t (Printf.sprintf "log_force:prepared:%s" txn);
+      mark t ("log_force:prepared:" ^ txn);
       st.after_prepare <-
         Some
           { ap_reply_to = reply_to; ap_round = round; ap_proofs = proofs;
@@ -343,7 +343,7 @@ let on_evaluated t ~txn ~proofs ~policies cont =
     send t ~st:(Some st0) ~after_proofs:0 ~dst:reply_to
       (Message.Commit_reply
          { txn; round; integrity = vote; read_only = true; proofs = []; policies });
-    mark t (Printf.sprintf "read_only_release:%s" txn);
+    mark t ("read_only_release:" ^ txn);
     emit t (Forget { txn });
     Hashtbl.remove t.txns txn
 
@@ -415,9 +415,9 @@ let dispatch t ~src msg =
     if Hashtbl.mem t.decided txn then
       (* Re-delivered query for a transaction this node already settled
          (e.g. unilaterally aborted): don't resurrect a workspace. *)
-      mark t (Printf.sprintf "stale:execute:%s" txn)
+      mark t ("stale:execute:" ^ txn)
     else begin
-      mark t (Printf.sprintf "query_start:%s:%s" txn query.Query.id);
+      mark t ("query_start:" ^ txn ^ ":" ^ query.Query.id);
       let st = state t ~txn ~ts ~subject ~credentials in
       touch t st ~txn;
       (* The MVCC fast path never blocks; lock-based execution reports its
@@ -431,7 +431,7 @@ let dispatch t ~src msg =
     | None ->
       (* Unknown (crashed away, or settled): stay silent, the TM's vote
          timeout owns this round. *)
-      mark t (Printf.sprintf "stale:validate-request:%s" txn)
+      mark t ("stale:validate-request:" ^ txn)
     | Some st ->
       touch t st ~txn;
       eval t ~txn st ~queries:st.queries ~with_proofs:true ~with_policies:true
@@ -443,7 +443,7 @@ let dispatch t ~src msg =
       (* No workspace here: this node cannot prepare, so vote NO rather
          than stay silent — the coordinator decides without waiting for
          its timeout. *)
-      mark t (Printf.sprintf "no_workspace:%s" txn);
+      mark t ("no_workspace:" ^ txn);
       send t ~st:None ~after_proofs:0 ~dst:src
         (Message.Commit_reply
            {
@@ -461,8 +461,9 @@ let dispatch t ~src msg =
            queries and later re-deliveries rebuilt only a subset.
            Preparing would silently commit a partial write set. *)
         mark t
-          (Printf.sprintf "partial_workspace:%s:%d/%d" txn
-             (List.length st.queries) expected);
+          ("partial_workspace:" ^ txn ^ ":"
+          ^ string_of_int (List.length st.queries)
+          ^ "/" ^ string_of_int expected);
         send t ~st:(Some st) ~after_proofs:0 ~dst:src
           (Message.Commit_reply
              {
@@ -485,7 +486,7 @@ let dispatch t ~src msg =
   | Message.Policy_update { txn; round; policies; reply_with } -> (
     emit t (Install { policies; announce = false });
     match Hashtbl.find_opt t.txns txn with
-    | None -> mark t (Printf.sprintf "stale:policy-update:%s" txn)
+    | None -> mark t ("stale:policy-update:" ^ txn)
     | Some st ->
       touch t st ~txn;
       eval t ~txn st ~queries:st.queries ~with_proofs:true ~with_policies:true
@@ -499,7 +500,7 @@ let dispatch t ~src msg =
         | Tpc.Presumed_abort, commit -> commit
         | Tpc.Presumed_commit, commit -> not commit
       in
-      if forced then mark t (Printf.sprintf "log_force:decision:%s" txn);
+      if forced then mark t ("log_force:decision:" ^ txn);
       let writes = if commit then commit_writes t st else [] in
       emit t (Apply { txn; commit; forced; writes });
       Hashtbl.remove t.txns txn;
@@ -511,10 +512,9 @@ let dispatch t ~src msg =
          way the ack — not a second apply — is what at-least-once delivery
          needs. *)
       mark t
-        (Printf.sprintf "%s:%s"
-           (if Hashtbl.mem t.decided txn then "dup:decision" else
-              "decision:no-trace")
-           txn);
+        ((if Hashtbl.mem t.decided txn then "dup:decision:"
+          else "decision:no-trace:")
+        ^ txn);
       send t ~st:None ~after_proofs:0 ~dst:src (Message.Decision_ack { txn }))
   | Message.Propagate_policy { policy } ->
     emit t (Install { policies = [ policy ]; announce = true })
@@ -542,7 +542,7 @@ let on_inquiry_fired t ~txn ~epoch =
     if st.inq_epoch = epoch then begin
       match st.integrity with
       | Some _ ->
-        mark t (Printf.sprintf "inquiry:%s" txn);
+        mark t ("inquiry:" ^ txn);
         send t ~st:(Some st) ~after_proofs:0 ~dst:("tm-" ^ txn)
           (Message.Inquiry { txn });
         touch t st ~txn
@@ -552,7 +552,7 @@ let on_inquiry_fired t ~txn ~epoch =
           st.pending <- None;
           emit t (Wait_close { txn; outcome = "abort"; killed_by = None })
         | None -> ());
-        mark t (Printf.sprintf "unilateral_abort:%s" txn);
+        mark t ("unilateral_abort:" ^ txn);
         emit t (Apply { txn; commit = false; forced = false; writes = [] });
         Hashtbl.remove t.txns txn;
         Hashtbl.replace t.decided txn ()
@@ -580,7 +580,7 @@ let on_recovered t ~decided ~in_doubt =
           }
         in
         Hashtbl.add t.txns txn st;
-        mark t (Printf.sprintf "in_doubt:%s" txn);
+        mark t ("in_doubt:" ^ txn);
         send t ~st:(Some st) ~after_proofs:0 ~dst:("tm-" ^ txn)
           (Message.Inquiry { txn });
         touch t st ~txn
@@ -596,25 +596,25 @@ let handle t input =
         | None ->
           (* The transaction settled (unilateral abort, decision) while
              this execution was in flight. *)
-          mark t (Printf.sprintf "stale:exec-result:%s" txn)
+          mark t ("stale:exec-result:" ^ txn)
         | Some st ->
           touch t st ~txn;
           on_exec_result t ~txn ~query ~evaluate ~reply_to st result)
       | Evaluated { txn; proofs; policies; cont } -> (
         match Hashtbl.find_opt t.txns txn with
-        | None -> mark t (Printf.sprintf "stale:evaluated:%s" txn)
+        | None -> mark t ("stale:evaluated:" ^ txn)
         | Some st ->
           touch t st ~txn;
           on_evaluated t ~txn ~proofs ~policies cont)
       | Prepared { txn; vote } -> (
         match Hashtbl.find_opt t.txns txn with
-        | None -> mark t (Printf.sprintf "stale:prepared:%s" txn)
+        | None -> mark t ("stale:prepared:" ^ txn)
         | Some st ->
           touch t st ~txn;
           on_prepared t ~txn ~vote)
       | Read_only_result { txn; reply_to; round; read_only; integrity_ok } -> (
         match Hashtbl.find_opt t.txns txn with
-        | None -> mark t (Printf.sprintf "stale:read-only-result:%s" txn)
+        | None -> mark t ("stale:read-only-result:" ^ txn)
         | Some st ->
           touch t st ~txn;
           if read_only then

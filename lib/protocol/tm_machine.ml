@@ -275,8 +275,7 @@ let decide s ~commit ~reason ~targets =
   let targets = List.filter (fun p -> not (List.mem p s.read_only)) targets in
   if targets <> [] then begin
     mark s
-      (Printf.sprintf "log_force:tm_decision:%s"
-         (if commit then "commit" else "abort"));
+      ("log_force:tm_decision:" ^ if commit then "commit" else "abort");
     emit s Force_log
   end;
   s.decision_targets <- targets;
@@ -303,7 +302,7 @@ let on_watchdog s ~epoch =
          be slow, not dead.  No resend (the request is still in flight or
          lost; either way the next expiry escalates). *)
       s.strikes <- s.strikes + 1;
-      mark s (Printf.sprintf "watchdog:strike:%d" s.strikes);
+      mark s ("watchdog:strike:" ^ string_of_int s.strikes);
       rearm_watchdog s
     | policy ->
       s.validation <- None;
@@ -463,7 +462,7 @@ let send_validate_requests s =
 
 let resolve_query_validation s =
   let v = validation s in
-  mark s (Printf.sprintf "sync:%s" s.txn.Transaction.id);
+  mark s ("sync:" ^ s.txn.Transaction.id);
   let res = Validation.resolve v in
   obs s (Round_close { resolution = Some (Validation.resolution_name res) });
   (match res with
@@ -497,7 +496,7 @@ let resolve_query_validation s =
 
 let resolve_commit s =
   let v = validation s in
-  mark s (Printf.sprintf "sync:%s" s.txn.Transaction.id);
+  mark s ("sync:" ^ s.txn.Transaction.id);
   s.commit_rounds <- Validation.round v;
   let res = Validation.resolve v in
   obs s (Round_close { resolution = Some (Validation.resolution_name res) });

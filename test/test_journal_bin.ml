@@ -316,6 +316,26 @@ let decodes_or_names_position contents =
         !undecodable (Certify.finish c).Certify.decode_errors
     | Error why -> QCheck.Test.fail_reportf "second decode disagreed: %s" why)
 
+(* A nine-byte varint decodes negative.  As a string length or a list
+   count it is an [Error], not an exception out of [String.sub] and not
+   an empty list. *)
+let test_negative_length_rejected () =
+  let negative = String.make 8 '\xff' ^ "\x7f" in
+  List.iter
+    (fun (what, bytes, want) ->
+      match Codec_bin.payload_of_string bytes with
+      | Error m when contains m want -> ()
+      | Error m -> Alcotest.failf "%s: unexpected error %S" what m
+      | Ok _ -> Alcotest.failf "%s: decoded" what
+      | exception e ->
+        Alcotest.failf "%s: raised %s" what (Printexc.to_string e))
+    [
+      (* A TM action whose first field is a string. *)
+      ("string length", "\003\004" ^ negative, "in string");
+      (* A PS input's [Evaluated]: the txn, then the proof list. *)
+      ("list count", "\004\002\001t" ^ negative, "list count");
+    ]
+
 (* 1-4 bytes overwritten with arbitrary values at arbitrary offsets. *)
 let mutations =
   QCheck.(list_of_size Gen.(1 -- 4) (pair (int_bound 1_000_000) (int_bound 255)))
@@ -376,6 +396,8 @@ let () =
             test_checksum_damage_named;
           Alcotest.test_case "every single-bit flip caught" `Quick
             test_single_bit_flips_caught;
+          Alcotest.test_case "negative lengths rejected" `Quick
+            test_negative_length_rejected;
         ] );
       ( "equivalence",
         [
