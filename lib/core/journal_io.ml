@@ -1,10 +1,12 @@
-(* The one journal decoder.  Every consumer (audit, certify, watch,
-   blame, report, the chaos campaign, the CLI) reads a journal through
-   here as a stream of typed records: a binary journal decodes frame by
-   frame straight to [Codec_bin.payload]s with no JSON at all, a JSONL
-   journal parses each line once and decodes its payload with the node
-   kinds learned from create records.  Canonical JSONL text is one
-   rendering of those records ([of_contents], [convert]). *)
+(* The one way into and out of a journal.  The drivers record typed
+   payloads and events through [record]/[record_event], the only code
+   that picks an encoding.  Every consumer (audit, certify, watch,
+   blame, report, the chaos campaign, the CLI) reads a journal back
+   through here as a stream of typed records: a binary journal decodes
+   frame by frame straight to [Codec_bin.payload]s with no JSON at all,
+   a JSONL journal parses each line once and decodes its payload with
+   the node kinds learned from create records.  Canonical JSONL text is
+   one rendering of those records ([of_contents], [convert]). *)
 
 module Journal = Cloudtx_obs.Journal
 module Codec = Cloudtx_protocol.Codec
@@ -221,6 +223,26 @@ let attach journal f =
         let r = { seq; time_ms; node; body = decode ~node ~dir payload } in
         List.iter (fun f -> f r) d.consumers)
   | None -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Recording: the one place a record's encoding is chosen              *)
+(* ------------------------------------------------------------------ *)
+
+let record journal ~node p =
+  if Journal.enabled journal then
+    let dir = Codec_bin.payload_dir p in
+    match Journal.format journal with
+    | Journal.Binary ->
+      Journal.record_frame journal ~node ~dir ~emit:Codec_bin.emit_payload p
+    | Journal.Jsonl ->
+      Journal.record journal ~node ~dir
+        ~payload:(Codec.to_string (Codec_bin.payload_to_json p))
+
+(* An event is JSON text in both formats (a binary frame carries the
+   text as its raw payload, which [decode_frame] parses back). *)
+let record_event journal ~node j =
+  if Journal.enabled journal then
+    Journal.record journal ~node ~dir:"event" ~payload:(Codec.to_string j)
 
 (* ------------------------------------------------------------------ *)
 (* Canonical JSONL: a rendering of the records                         *)

@@ -1,10 +1,13 @@
-(** The one journal decoder: a journal as a stream of typed records.
+(** The one way into and out of a journal: typed records in, a stream
+    of typed records back.
 
     The flight recorder writes journals in two formats (JSONL and
-    binary; see [Cloudtx_obs.Journal]).  Every consumer — {!Audit},
-    {!Certify}, {!Health}, {!Blame}, the chaos campaign — reads one
-    through this module, as {!record}s whose payload is already the
-    typed {!Cloudtx_protocol.Codec_bin.payload}:
+    binary; see [Cloudtx_obs.Journal]), and {!val:record} and
+    {!record_event} are the only writers that choose between them.
+    Every consumer — {!Audit}, {!Certify}, {!Health}, {!Blame}, the
+    chaos campaign — reads one through this module, as {!type:record}s
+    whose payload is already the typed
+    {!Cloudtx_protocol.Codec_bin.payload}:
 
     - a binary journal decodes one frame at a time
       ([Journal.fold_binary]) → [Codec_bin.payload_of_string], with no
@@ -64,6 +67,26 @@ val fold_file :
     first [attach]'s place among the journal's raw observers.  No-op on
     a disabled journal such as [Journal.noop], which keeps nothing. *)
 val attach : Journal.t -> (record -> unit) -> unit
+
+(** {1 Recording}
+
+    The only code that chooses a record's encoding.  Callers keep their
+    own [Journal.enabled] guard, so a disabled journal costs them no
+    payload; both functions are no-ops on one. *)
+
+(** [record journal ~node p] appends one machine step under
+    [Codec_bin.payload_dir p]: on a JSONL journal
+    [Codec_bin.payload_to_json p] rendered with [Codec.to_string], on a
+    binary one [Codec_bin.emit_payload] run inside the frame writer. *)
+val record :
+  Journal.t -> node:string -> Cloudtx_protocol.Codec_bin.payload -> unit
+
+(** [record_event journal ~node j] appends a [dir = "event"] record whose
+    payload is [j]'s JSON text, in both formats; it reads back as
+    [Event j]. *)
+val record_event : Journal.t -> node:string -> Cloudtx_policy.Json.t -> unit
+
+(** {1 Canonical JSONL and conversion} *)
 
 (** A journal rendered as canonical JSONL. *)
 type t = {

@@ -8,7 +8,6 @@ module Registry = Cloudtx_obs.Registry
 module Journal = Cloudtx_obs.Journal
 module Transaction = Cloudtx_txn.Transaction
 module Tm = Cloudtx_protocol.Tm_machine
-module Codec = Cloudtx_protocol.Codec
 module Codec_bin = Cloudtx_protocol.Codec_bin
 
 let log_src = Logs.Src.create "cloudtx.manager" ~doc:"Transaction manager"
@@ -72,32 +71,9 @@ let journal d = Transport.journal (transport d)
 (* Flight recorder: the input record followed immediately by its action
    records, all before any action is performed.  Nested dispatches are
    synchronous and happen inside [perform], so each input's actions are
-   journaled contiguously and replay ({!Audit}) is a per-node FIFO.
-   Binary journals skip the JSON tree entirely (Codec_bin emits straight
-   into the journal's reused frame writer). *)
-let journal_input j ~node input =
-  match Journal.format j with
-  | Journal.Jsonl ->
-    Journal.record j ~node ~dir:"input"
-      ~payload:(Codec.to_string (Codec.tm_input_to_json input))
-  | Journal.Binary ->
-    Journal.record_frame j ~node ~dir:"input" ~emit:(fun b ->
-        Codec_bin.emit_tm_input_payload b input)
-
+   journaled contiguously and replay ({!Audit}) is a per-node FIFO. *)
 let journal_actions j ~node actions =
-  match Journal.format j with
-  | Journal.Jsonl ->
-    List.iter
-      (fun a ->
-        Journal.record j ~node ~dir:"action"
-          ~payload:(Codec.to_string (Codec.tm_action_to_json a)))
-      actions
-  | Journal.Binary ->
-    List.iter
-      (fun a ->
-        Journal.record_frame j ~node ~dir:"action" ~emit:(fun b ->
-            Codec_bin.emit_tm_action_payload b a))
-      actions
+  List.iter (fun a -> Journal_io.record j ~node (Codec_bin.Tm_action a)) actions
 
 let scheme_labels (cfg : config) =
   [
@@ -237,7 +213,7 @@ let rec perform d (cfg : config) (a : Tm.action) =
 and dispatch d cfg input =
   let j = journal d in
   if Journal.enabled j then begin
-    journal_input j ~node:d.name input;
+    Journal_io.record j ~node:d.name (Codec_bin.Tm_input input);
     let actions = Tm.handle d.machine input in
     journal_actions j ~node:d.name actions;
     List.iter (perform d cfg) actions
@@ -403,21 +379,8 @@ let submit_handle ?ts ?(dedup = true) ?resilience cluster (cfg : config) txn
   let j = Transport.journal transport in
   let actions = Tm.start machine in
   if Journal.enabled j then begin
-    (match Journal.format j with
-    | Journal.Jsonl ->
-      Journal.record j ~node:name ~dir:"create"
-        ~payload:
-          (Codec.to_string
-             (Cloudtx_policy.Json.Obj
-                [
-                  ("kind", Cloudtx_policy.Json.String "tm");
-                  ("config", Codec.config_to_json cfg);
-                  ("txn", Codec.transaction_to_json txn);
-                  ("submitted_at", Cloudtx_policy.Json.Float submitted_at);
-                ]))
-    | Journal.Binary ->
-      Journal.record_frame j ~node:name ~dir:"create" ~emit:(fun b ->
-          Codec_bin.emit_create_tm b ~config:cfg ~txn ~submitted_at));
+    Journal_io.record j ~node:name
+      (Codec_bin.Create_tm { config = cfg; txn; submitted_at });
     journal_actions j ~node:name actions
   end;
   List.iter (perform d cfg) actions;

@@ -17,7 +17,6 @@ module Tracer = Cloudtx_obs.Tracer
 module Registry = Cloudtx_obs.Registry
 module Journal = Cloudtx_obs.Journal
 module Ps = Cloudtx_protocol.Ps_machine
-module Codec = Cloudtx_protocol.Codec
 module Codec_bin = Cloudtx_protocol.Codec_bin
 
 let log_src =
@@ -205,43 +204,15 @@ let rec dispatch t input =
   if Journal.enabled j then begin
     if not t.journaled then begin
       t.journaled <- true;
-      match Journal.format j with
-      | Journal.Jsonl ->
-        Journal.record j ~node:(name t) ~dir:"create"
-          ~payload:
-            (Codec.to_string
-               (Cloudtx_policy.Json.Obj
-                  [
-                    ("kind", Cloudtx_policy.Json.String "ps");
-                    ("variant", Codec.variant_to_json t.variant);
-                    ("inquiry_timeout", Cloudtx_policy.Json.Float t.inquiry_timeout);
-                  ]))
-      | Journal.Binary ->
-        Journal.record_frame j ~node:(name t) ~dir:"create" ~emit:(fun b ->
-            Codec_bin.emit_create_ps b ~variant:t.variant
-              ~inquiry_timeout:t.inquiry_timeout)
+      Journal_io.record j ~node:(name t)
+        (Codec_bin.Create_ps
+           { variant = t.variant; inquiry_timeout = t.inquiry_timeout })
     end;
-    (match Journal.format j with
-    | Journal.Jsonl ->
-      Journal.record j ~node:(name t) ~dir:"input"
-        ~payload:(Codec.to_string (Codec.ps_input_to_json input))
-    | Journal.Binary ->
-      Journal.record_frame j ~node:(name t) ~dir:"input" ~emit:(fun b ->
-          Codec_bin.emit_ps_input_payload b input));
+    Journal_io.record j ~node:(name t) (Codec_bin.Ps_input input);
     let actions = Ps.handle t.machine input in
-    (match Journal.format j with
-    | Journal.Jsonl ->
-      List.iter
-        (fun a ->
-          Journal.record j ~node:(name t) ~dir:"action"
-            ~payload:(Codec.to_string (Codec.ps_action_to_json a)))
-        actions
-    | Journal.Binary ->
-      List.iter
-        (fun a ->
-          Journal.record_frame j ~node:(name t) ~dir:"action" ~emit:(fun b ->
-              Codec_bin.emit_ps_action_payload b a))
-        actions);
+    List.iter
+      (fun a -> Journal_io.record j ~node:(name t) (Codec_bin.Ps_action a))
+      actions;
     List.iter (perform t) actions
   end
   else List.iter (perform t) (Ps.handle t.machine input)

@@ -14,11 +14,13 @@
    admission control bounds in-flight transactions and rejects the
    overflow deterministically ([Admission_rejected]).  Every breaker
    transition and admission reject is journaled as a dir="event" record
-   on the synthetic node "resilience" (JSON text in both journal
-   formats), which is how Watchtower sees them live and offline. *)
+   on the synthetic node "resilience": a [Json.t] handed to
+   [Journal_io.record_event], which writes its JSON text in both journal
+   formats.  That is how Watchtower sees them live and offline. *)
 
 module Journal = Cloudtx_obs.Journal
 module Registry = Cloudtx_obs.Registry
+module Json = Cloudtx_policy.Json
 
 type breaker_state = Closed | Open | Half_open
 
@@ -100,31 +102,35 @@ let fail_fasts t = t.fail_fasts
 (* Event journaling                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let journal_event t emit =
-  if Journal.enabled t.journal then
-    Journal.record_bytes t.journal ~node:"resilience" ~dir:"event" ~emit
-
+(* Each event is built only when the journal is on, so a disabled
+   journal costs no event tree. *)
 let note_transition t b ~to_ =
   let from = b.state in
   b.state <- to_;
   if Registry.enabled t.registry then
     Registry.incr t.registry "breaker_transitions_total"
       [ ("server", b.server); ("to", state_name to_) ];
-  journal_event t (fun buf ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"event\":\"breaker\",\"server\":%S,\"from\":%S,\"to\":%S}"
-           b.server (state_name from) (state_name to_)))
+  if Journal.enabled t.journal then
+    Journal_io.record_event t.journal ~node:"resilience"
+      (Json.Obj
+         [
+           ("event", Json.String "breaker");
+           ("server", Json.String b.server);
+           ("from", Json.String (state_name from));
+           ("to", Json.String (state_name to_));
+         ])
 
 let journal_reject t ~txn ~reason ~server =
-  journal_event t (fun buf ->
-      Buffer.add_string buf
-        (Printf.sprintf "{\"event\":\"admission\",\"txn\":%S,\"reason\":%S" txn
-           reason);
-      (match server with
-      | Some s -> Buffer.add_string buf (Printf.sprintf ",\"server\":%S" s)
-      | None -> ());
-      Buffer.add_char buf '}')
+  if Journal.enabled t.journal then
+    let server =
+      match server with Some s -> [ ("server", Json.String s) ] | None -> []
+    in
+    Journal_io.record_event t.journal ~node:"resilience"
+      (Json.Obj
+         (("event", Json.String "admission")
+         :: ("txn", Json.String txn)
+         :: ("reason", Json.String reason)
+         :: server))
 
 let set_in_flight_gauge t =
   if Registry.enabled t.registry then

@@ -77,8 +77,9 @@ val create :
 
 val enabled : t -> bool
 
-(** The journal's encoding.  Callers rendering payloads must dispatch on
-    this: JSON text for {!Jsonl}, [Codec_bin] bytes for {!Binary}. *)
+(** The journal's encoding.  [Cloudtx_core.Journal_io.record] is the
+    one writer that dispatches on it (JSON text for {!Jsonl}, [Codec_bin]
+    bytes for {!Binary}); the drivers hand it typed payloads. *)
 val format : t -> format
 
 (** [add_observer t f] registers a streaming tap: [f] is called once per
@@ -121,29 +122,22 @@ val dropped : t -> int
 (** [record t ~node ~dir ~payload] appends one record; [payload] must be
     a valid, canonically-rendered JSON fragment for a JSONL journal (so
     it holds no newline: the buffer finds a line's end by its newline),
-    or the raw [Codec_bin] payload bytes for a binary one. *)
+    or the raw [Codec_bin] payload bytes for a binary one.  On a binary
+    journal a JSON text payload is stored as the frame's raw bytes, as
+    for resilience events.  Observers are handed [payload] itself. *)
 val record : t -> node:string -> dir:string -> payload:string -> unit
 
-(** [record_bytes t ~node ~dir ~emit] — allocation-lean append for JSONL
-    journals: [emit] renders the payload as JSON text directly into the
-    journal's reused scratch buffer, skipping the intermediate payload
-    string.  Also works on a binary journal (the rendered text becomes
-    the frame's raw payload bytes), but binary sinks should prefer
-    {!record_frame}.  [emit] is not called when the journal is
-    disabled. *)
-val record_bytes :
-  t -> node:string -> dir:string -> emit:(Buffer.t -> unit) -> unit
-
-(** [record_frame t ~node ~dir ~emit] — allocation-lean append for
-    binary journals: [emit] writes raw payload bytes (a [Codec_bin]
-    emitter) straight into the journal's reused frame writer; the record
-    is framed with no intermediate copies.  [emit] is not called when
-    the journal is disabled.
+(** [record_frame t ~node ~dir ~emit v] — allocation-lean append for
+    binary journals: [emit w v] writes raw payload bytes (e.g.
+    [Codec_bin.emit_payload]) straight into the journal's reused frame
+    writer; the record is framed with no intermediate copies, and
+    passing the emitter and its value apart allocates no closure per
+    record.  [emit] is not called when the journal is disabled.
 
     @raise Invalid_argument on a live JSONL journal, whose payloads must
     be JSON text. *)
 val record_frame :
-  t -> node:string -> dir:string -> emit:(Wbuf.t -> unit) -> unit
+  t -> node:string -> dir:string -> emit:(Wbuf.t -> 'a -> unit) -> 'a -> unit
 
 (** Number of records appended so far (excluding the header). *)
 val length : t -> int
@@ -200,8 +194,8 @@ val encode_frame :
   unit
 
 (** [encode_frame_into w ...] appends the frame to [w] itself (at its
-    current position, no intermediate copy) — the zero-copy variant the
-    binary sink uses internally, exposed for streaming encoders. *)
+    current position, no intermediate copy), built as the binary sink
+    builds its frames — the zero-copy variant, for streaming encoders. *)
 val encode_frame_into :
   Wbuf.t ->
   seq:int ->

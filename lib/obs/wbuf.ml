@@ -14,11 +14,6 @@ type t = { mutable bytes : Bytes.t; mutable pos : int }
    [Int64.bits_of_float] intermediate unboxed. *)
 external unsafe_set_64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* Unaligned 32-bit load, for the checksum's word loop.  The compiler
-   keeps the [int32] unboxed because it is immediately converted to a
-   tagged int. *)
-external unsafe_get_32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
-
 let create n = { bytes = Bytes.create (max 16 n); pos = 0 }
 let clear w = w.pos <- 0
 let length w = w.pos
@@ -127,33 +122,3 @@ let add_wbuf dst src =
 
 let contents w = Bytes.sub_string w.bytes 0 w.pos
 let sub_string w pos len = Bytes.sub_string w.bytes pos len
-
-(* Word-wise FNV-1a, 32-bit, over the written span — no copy.
-
-   Standard byte-at-a-time FNV-1a is latency-bound: one 3-cycle multiply
-   per byte, serially dependent.  This variant runs the same xor/multiply
-   recurrence over 4-byte little-endian words (the 0-3 trailing bytes
-   are folded byte-wise, so no padding ambiguity), which is ~3x faster
-   and still provably detects any corruption: a flipped bit at position
-   j <= 31 of a word flips bit j of the following product (the prime is
-   odd, and lower bits are unchanged, so there is no carry into j), and
-   that difference persists through every later step into the low 32
-   bits kept at the end.  The per-step mask is skipped for the same
-   reason as in byte-wise FNV: low 32 bits of the state never depend on
-   higher bits. *)
-let fnv1a_32 w pos len =
-  let b = w.bytes in
-  let h = ref 0x811c9dc5 in
-  let i = ref pos in
-  let last_word = pos + len - 4 in
-  while !i <= last_word do
-    let word = Int32.to_int (unsafe_get_32 b !i) land 0xffffffff in
-    h := (!h lxor word) * 0x01000193;
-    i := !i + 4
-  done;
-  let limit = pos + len in
-  while !i < limit do
-    h := (!h lxor Char.code (Bytes.unsafe_get b !i)) * 0x01000193;
-    incr i
-  done;
-  !h land 0xffffffff

@@ -59,6 +59,3 @@ val add_wbuf : t -> t -> unit
 
 val contents : t -> string
 val sub_string : t -> int -> int -> string
-
-(** [fnv1a_32 w pos len] — FNV-1a (32-bit) over a written span. *)
-val fnv1a_32 : t -> int -> int -> int

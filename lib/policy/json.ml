@@ -18,8 +18,11 @@ let to_string t =
     | Bool b -> Buffer.add_string buf (string_of_bool b)
     | Int n -> Buffer.add_string buf (string_of_int n)
     | Float f ->
-      (* Round-trippable float rendering. *)
-      Buffer.add_string buf (Printf.sprintf "%.17g" f)
+      (* Round-trippable float rendering; "%.17g" writes -0. as "-0",
+         which would read back as [Int 0]. *)
+      Buffer.add_string buf
+        (if f = 0. && Float.sign_bit f then "-0.0"
+         else Printf.sprintf "%.17g" f)
     | String s -> Cloudtx_obs.Json.escape buf s
     | List items ->
       Buffer.add_char buf '[';

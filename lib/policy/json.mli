@@ -15,7 +15,9 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-(** Compact rendering (no insignificant whitespace). *)
+(** Compact rendering (no insignificant whitespace).  A finite float
+    renders so that {!parse} then {!to_float} give back its bits:
+    [Float (-0.)] is ["-0.0"], since ["-0"] reads as [Int 0]. *)
 val to_string : t -> string
 
 (** [same_rendering a b] iff [to_string a = to_string b], decided

@@ -6,7 +6,7 @@
    intermediate JSON or string copies, which is what makes the binary
    journal's hot path allocation-lean.  Decoders rebuild the typed value
    and never raise; [payload_to_json] renders a payload as the
-   byte-identical canonical JSON a JSONL journal would have recorded.
+   canonical JSON a JSONL journal records.
    See codec_bin.mli. *)
 
 module Wbuf = Cloudtx_obs.Wbuf
@@ -1270,47 +1270,34 @@ type payload =
 (* Kind 0 keeps the v3 frame layout byte-for-byte (and is always used
    under the Fixed policy); kind 6 is the same frame with the timeout
    policy appended after the config, used only when one is set. *)
-let emit_create_tm b ~config ~txn ~submitted_at =
-  (match config.Tm_machine.timeout_policy with
-  | Timeout_policy.Fixed -> add_tag b 0
-  | _ -> add_tag b 6);
-  emit_config b config;
-  (match config.Tm_machine.timeout_policy with
-  | Timeout_policy.Fixed -> ()
-  | p -> emit_timeout_policy b p);
-  emit_transaction b txn;
-  add_f64 b submitted_at
-
-let emit_create_ps b ~variant ~inquiry_timeout =
-  add_tag b 1;
-  emit_variant b variant;
-  add_f64 b inquiry_timeout
-
-let emit_tm_input_payload b i =
-  add_tag b 2;
-  emit_tm_input b i
-
-let emit_tm_action_payload b a =
-  add_tag b 3;
-  emit_tm_action b a
-
-let emit_ps_input_payload b i =
-  add_tag b 4;
-  emit_ps_input b i
-
-let emit_ps_action_payload b a =
-  add_tag b 5;
-  emit_ps_action b a
-
 let emit_payload b = function
   | Create_tm { config; txn; submitted_at } ->
-    emit_create_tm b ~config ~txn ~submitted_at
+    (match config.Tm_machine.timeout_policy with
+    | Timeout_policy.Fixed ->
+      add_tag b 0;
+      emit_config b config
+    | p ->
+      add_tag b 6;
+      emit_config b config;
+      emit_timeout_policy b p);
+    emit_transaction b txn;
+    add_f64 b submitted_at
   | Create_ps { variant; inquiry_timeout } ->
-    emit_create_ps b ~variant ~inquiry_timeout
-  | Tm_input i -> emit_tm_input_payload b i
-  | Tm_action a -> emit_tm_action_payload b a
-  | Ps_input i -> emit_ps_input_payload b i
-  | Ps_action a -> emit_ps_action_payload b a
+    add_tag b 1;
+    emit_variant b variant;
+    add_f64 b inquiry_timeout
+  | Tm_input i ->
+    add_tag b 2;
+    emit_tm_input b i
+  | Tm_action a ->
+    add_tag b 3;
+    emit_tm_action b a
+  | Ps_input i ->
+    add_tag b 4;
+    emit_ps_input b i
+  | Ps_action a ->
+    add_tag b 5;
+    emit_ps_action b a
 
 let read_payload r =
   match byte r with

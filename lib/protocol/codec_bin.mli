@@ -1,12 +1,14 @@
 (** Compact binary codec for flight-recorder journal payloads.
 
     {!Codec} is the canonical JSON vocabulary; this module is its
-    byte-for-byte-equivalent binary twin, used by binary journals
-    ([Cloudtx_obs.Journal.Binary]).  Design points:
+    byte-for-byte-equivalent binary twin, used by binary journals.
+    Design points:
 
-    - {b Allocation-lean encode.}  Every [emit_*] writes directly into a
-      caller-supplied [Cloudtx_obs.Wbuf.t] (the journal's reused frame
-      writer) — no intermediate JSON tree, no intermediate strings.
+    - {b Allocation-lean encode.}  {!emit_payload} writes directly into
+      a caller-supplied [Cloudtx_obs.Wbuf.t] (the journal's reused frame
+      writer) — no intermediate JSON tree, no intermediate strings.  The
+      drivers do not call it themselves: they hand a typed {!payload} to
+      [Cloudtx_core.Journal_io.record], which picks the encoding.
     - {b Self-describing payloads.}  A journal payload starts with a
       kind tag byte (0 create-tm, 1 create-ps, 2 tm-input, 3 tm-action,
       4 ps-input, 5 ps-action; since v4, 6 is create-tm with a
@@ -17,9 +19,9 @@
       (binary) and {!payload_of_json} (JSONL) decode to the same
       {!payload} sum, which is what every journal consumer reads; the
       typed record stream is [Cloudtx_core.Journal_io]'s.
-      {!payload_to_json} re-renders a payload through {!Codec} to
-      exactly the canonical JSON a JSONL journal would have recorded —
-      used only to render records back to JSONL text.
+      {!payload_to_json} is a payload's canonical JSON through
+      {!Codec}: what a JSONL journal records, and what a binary record
+      renders back to as JSONL text.
 
     Wire grammar (composed inside the journal's checksummed frames; see
     DESIGN.md): variant tags are single bytes in declaration order,
@@ -50,33 +52,15 @@ type payload =
   | Ps_input of Ps_machine.input
   | Ps_action of Ps_machine.action
 
-(** {1 Hot-path emitters}
-
-    Each writes one complete payload (kind tag included) into [b].
-    These are what the Manager/Participant drivers call for binary
-    journals, via [Journal.record_frame]. *)
-
-val emit_create_tm :
-  Wbuf.t ->
-  config:Tm_machine.config ->
-  txn:Cloudtx_txn.Transaction.t ->
-  submitted_at:float ->
-  unit
-
-val emit_create_ps :
-  Wbuf.t -> variant:Cloudtx_txn.Tpc.variant -> inquiry_timeout:float -> unit
-
-val emit_tm_input_payload : Wbuf.t -> Tm_machine.input -> unit
-val emit_tm_action_payload : Wbuf.t -> Tm_machine.action -> unit
-val emit_ps_input_payload : Wbuf.t -> Ps_machine.input -> unit
-val emit_ps_action_payload : Wbuf.t -> Ps_machine.action -> unit
-
 (** {1 Whole payloads} *)
 
 (** The journal envelope [dir] a payload is recorded under: ["create"],
     ["input"] or ["action"]. *)
 val payload_dir : payload -> string
 
+(** [emit_payload b p] writes one complete payload, kind tag included,
+    into [b] — the binary journal's one emitter, run inside the frame
+    writer by [Cloudtx_core.Journal_io.record]. *)
 val emit_payload : Wbuf.t -> payload -> unit
 val payload_to_string : payload -> string
 
@@ -86,8 +70,8 @@ val payload_of_string : string -> (payload, string) result
 
 (** {1 JSON bridge} *)
 
-(** Canonical JSON for a payload — byte-identical (once rendered with
-    [Codec.to_string]) to what the drivers record in a JSONL journal. *)
+(** Canonical JSON for a payload; rendered with [Codec.to_string], it
+    is the payload text of the payload's JSONL journal record. *)
 val payload_to_json : payload -> Json.t
 
 type node_kind = Tm | Ps

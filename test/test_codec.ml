@@ -516,6 +516,7 @@ let test_json_named_cases () =
   let cases =
     [
       ("-0", Ok (Json.Int 0));
+      ("-0.0", Ok (Json.Float (-0.)));
       ("007", Ok (Json.Int 7));
       ("123456789012345678", Ok (Json.Int 123456789012345678));
       ("-123456789012345678", Ok (Json.Int (-123456789012345678)));
@@ -560,6 +561,17 @@ let test_json_named_cases () =
         Alcotest.failf "%S: the reference gives %s" input
           (show (Reference.parse input)))
     cases
+
+(* -0. keeps its sign through text: rendered as "-0" it would read back
+   as [Int 0] and render as "0" on the next round trip. *)
+let test_json_negative_zero () =
+  Alcotest.(check string) "renders" "-0.0" (Json.to_string (Json.Float (-0.)));
+  let plan = { (Plan.random ~seed:3L ()) with Plan.horizon = -0. } in
+  let once = Plan.to_string plan in
+  let back = ok (Plan.of_string once) in
+  Alcotest.(check bool) "the plan's horizon keeps its sign" true
+    (Float.sign_bit back.Plan.horizon);
+  Alcotest.(check string) "the plan's text is stable" once (Plan.to_string back)
 
 (* A non-finite float would render as "inf", which no parser reads back,
    so the scanner rejects it where it stands. *)
@@ -856,11 +868,14 @@ let credential_corpus =
            ~facts:[] ~issued_at:0.25 ~expires_at:9.;
        |])
 
-(* Seeded plans of the v2 grammar: fail-stop and gray ops. *)
+(* Seeded plans of the v2 grammar: fail-stop and gray ops, and one whose
+   horizon is -0. *)
 let plan_corpus =
   lazy
-    (Array.init 6 (fun i ->
-         Plan.to_string (Plan.random ~seed:(Int64.of_int (i + 1)) ())))
+    (Array.map Plan.to_string
+       (Array.append
+          (Array.init 6 (fun i -> Plan.random ~seed:(Int64.of_int (i + 1)) ()))
+          [| { (Plan.random ~seed:7L ()) with Plan.horizon = -0. } |]))
 
 let prop_policy_fuzz =
   fuzz_corpus ~name:"policy decoder under damage" ~count:1000 policy_corpus
@@ -944,6 +959,8 @@ let () =
           qc prop_json_string_roundtrip;
           Alcotest.test_case "named cases = reference" `Quick
             test_json_named_cases;
+          Alcotest.test_case "negative zero round-trips" `Quick
+            test_json_negative_zero;
           Alcotest.test_case "non-finite numbers rejected" `Quick
             test_json_non_finite_rejected;
           Alcotest.test_case "chaos journal lines = reference" `Quick

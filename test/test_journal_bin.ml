@@ -19,6 +19,7 @@ module Scheme = Cloudtx_protocol.Scheme
 module Consistency = Cloudtx_protocol.Consistency
 module Cluster = Cloudtx_core.Cluster
 module Codec_bin = Cloudtx_protocol.Codec_bin
+module Tm_machine = Cloudtx_protocol.Tm_machine
 module Transport = Cloudtx_sim.Transport
 module Splitmix = Cloudtx_sim.Splitmix
 module Scenario = Cloudtx_workload.Scenario
@@ -378,6 +379,42 @@ let prop_binary_mutation =
       decodes_or_names_position (mutate bin edits)
       && decodes_or_names_position (Buffer.contents buf))
 
+(* A -0. keeps its sign through a JSONL journal: recorded natively in
+   each format, each converts to the other byte for byte. *)
+let test_negative_zero_cross_format () =
+  let txn =
+    Cloudtx_txn.Transaction.make ~id:"t1" ~subject:"alice"
+      [
+        Cloudtx_txn.Query.make ~id:"t1-q1" ~server:"server-1" ~reads:[ "k" ] ();
+      ]
+  in
+  let payloads =
+    [
+      Codec_bin.Create_tm
+        {
+          config = Tm_machine.config Scheme.Deferred Consistency.View;
+          txn;
+          submitted_at = -0.;
+        };
+      Codec_bin.Tm_action (Tm_machine.Arm_retry { delay = -0. });
+    ]
+  in
+  let recorded format =
+    let journal = Journal.create ~clock:(fun () -> 0.) ~format () in
+    List.iter (Journal_io.record journal ~node:"tm-t1") payloads;
+    Journal.to_string journal
+  in
+  let jsonl = recorded Journal.Jsonl and bin = recorded Journal.Binary in
+  let convert to_ contents =
+    match Journal_io.convert ~to_ contents with
+    | Ok s -> s
+    | Error why -> Alcotest.failf "convert failed: %s" why
+  in
+  Alcotest.(check string) "JSONL to binary = native binary" bin
+    (convert Journal.Binary jsonl);
+  Alcotest.(check string) "binary to JSONL = native JSONL" jsonl
+    (convert Journal.Jsonl bin)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -403,6 +440,8 @@ let () =
         [
           Alcotest.test_case "all cells, both formats, same verdicts" `Quick
             test_cross_format_equivalence;
+          Alcotest.test_case "negative zero converts both ways" `Quick
+            test_negative_zero_cross_format;
         ] );
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest

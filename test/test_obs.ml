@@ -752,10 +752,12 @@ let test_record_frame_needs_binary () =
   let journal = Journal.create ~clock:(fun () -> 0.) () in
   Alcotest.check_raises "JSONL journal rejects record_frame"
     (Invalid_argument "Journal.record_frame: JSONL journal") (fun () ->
-      Journal.record_frame journal ~node:"n" ~dir:"input" ~emit:(fun _ -> ()));
+      Journal.record_frame journal ~node:"n" ~dir:"input"
+        ~emit:(fun _ () -> ()) ());
   (* Disabled journal: no dispatch, no emit. *)
-  Journal.record_frame Journal.noop ~node:"n" ~dir:"input" ~emit:(fun _ ->
-      Alcotest.fail "emit ran on a disabled journal")
+  Journal.record_frame Journal.noop ~node:"n" ~dir:"input"
+    ~emit:(fun _ () -> Alcotest.fail "emit ran on a disabled journal")
+    ()
 
 let test_journal_dropped_counter_wired () =
   (* Through the transport: evictions land on the registry's
@@ -879,10 +881,9 @@ let gen_payload =
   let* c = char_range 'a' 'z' in
   return (String.make n c)
 
-(* How each record enters the journal: through [record], [record_bytes]
-   or (binary only) [record_frame] — all three must store the same
-   entry. *)
-type via = Record | Bytes_emit | Frame
+(* How each record enters the journal: through [record] or (binary
+   only) [record_frame] — both must store the same entry. *)
+type via = Record | Frame
 
 let gen_case =
   let open QCheck.Gen in
@@ -902,7 +903,7 @@ let gen_case =
       (triple
          (oneofl [ "n"; "tm-t1"; "server-12" ])
          (oneofl [ "create"; "input"; "action"; "event"; "other" ])
-         (pair gen_payload (oneofl [ Record; Bytes_emit; Frame ])))
+         (pair gen_payload (oneofl [ Record; Frame ])))
   in
   return (format, cap, records)
 
@@ -934,11 +935,8 @@ let prop_chunked_buffer_matches_queue (format, cap, records) =
           Queue_buffer.record r ~seq:(i + 1) ~time_ms:!now ~node ~dir ~payload;
           match (via, format) with
           | Frame, Journal.Binary ->
-            Journal.record_frame j ~node ~dir ~emit:(fun w ->
-                Cloudtx_obs.Wbuf.str w payload)
-          | Bytes_emit, _ ->
-            Journal.record_bytes j ~node ~dir ~emit:(fun b ->
-                Buffer.add_string b payload)
+            Journal.record_frame j ~node ~dir ~emit:Cloudtx_obs.Wbuf.str
+              payload
           | (Record | Frame), _ -> Journal.record j ~node ~dir ~payload)
         records;
       Journal.close j;

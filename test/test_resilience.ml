@@ -24,6 +24,10 @@ module Monitor = Cloudtx_obs.Monitor
 module Slo = Cloudtx_obs.Slo
 module Plan = Cloudtx_chaos.Plan
 module Campaign = Cloudtx_chaos.Campaign
+module Journal = Cloudtx_obs.Journal
+module Journal_io = Cloudtx_core.Journal_io
+module Health = Cloudtx_core.Health
+module Json = Cloudtx_policy.Json
 
 let adaptive_of = function
   | Timeout_policy.Adaptive a -> a
@@ -252,6 +256,99 @@ let test_admission_storm_rule () =
     Alcotest.(check string) "subject" "cluster" a.Slo.subject
   | alerts -> Alcotest.failf "expected one alert, got %d" (List.length alerts)
 
+(* Breaker and admission events are journaled as JSON in both formats,
+   so names holding non-ASCII or control bytes read back unchanged and
+   the Watchtower sees both events, live and offline. *)
+let test_event_names_round_trip () =
+  let server = "s\xc3\xa9" and txn = "t\x02" in
+  let rules =
+    {
+      quiet with
+      Slo.flap_window = 100.;
+      flap_transitions = 1;
+      reject_window = 100.;
+      reject_count = 1;
+    }
+  in
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  let saw_both what m =
+    match Monitor.alerts m with
+    | [ flap; storm ] ->
+      Alcotest.(check string) (what ^ ": breaker rule") "breaker_flap"
+        flap.Slo.rule;
+      Alcotest.(check string) (what ^ ": breaker server") server
+        flap.Slo.subject;
+      Alcotest.(check string) (what ^ ": admission rule") "admission_storm"
+        storm.Slo.rule;
+      Alcotest.(check bool) (what ^ ": rejected txn") true
+        (contains storm.Slo.detail ("latest " ^ txn ^ ":"))
+    | alerts ->
+      Alcotest.failf "%s: expected two alerts, got %d" what
+        (List.length alerts)
+  in
+  List.iter
+    (fun format ->
+      let name = Journal.format_name format in
+      let journal = Journal.create ~clock:(fun () -> 0.) ~format () in
+      let live = Monitor.create ~rules () in
+      let live_health = Health.attach journal live in
+      let r =
+        Resilience.create ~journal
+          (Resilience.config ~failure_threshold:1 ~max_in_flight:1 ())
+      in
+      (* A timed-out transaction trips the server's breaker... *)
+      (match Resilience.admit r ~txn:"t1" ~servers:[ server ] ~now:1. with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "expected admission");
+      Resilience.note_outcome r ~txn:"t1" ~servers:[ server ] ~now:2.
+        ~reason:Outcome.Timed_out;
+      (* ...and with one transaction in flight the next is rejected. *)
+      (match Resilience.admit r ~txn:"t2" ~servers:[] ~now:3. with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "expected admission");
+      (match Resilience.admit r ~txn ~servers:[] ~now:4. with
+      | Error `Admission -> ()
+      | Ok () | Error (`Breaker _) -> Alcotest.fail "expected a reject");
+      let contents = Journal.to_string journal in
+      (match
+         Journal_io.fold contents ~init:(fun _ -> []) (fun acc r ->
+             match r.Journal_io.body with
+             | Journal_io.Event j -> j :: acc
+             | Journal_io.Payload _ -> acc
+             | Journal_io.Undecodable m ->
+               Alcotest.failf "%s: seq %d undecodable: %s" name
+                 r.Journal_io.seq m)
+       with
+      | Error m -> Alcotest.failf "%s: %s" name m
+      | Ok [ reject; breaker ] ->
+        let field k j = Result.bind (Json.member k j) Json.to_str in
+        Alcotest.(check (result string string)) (name ^ ": breaker server")
+          (Ok server) (field "server" breaker);
+        Alcotest.(check (result string string)) (name ^ ": rejected txn")
+          (Ok txn) (field "txn" reject)
+      | Ok events ->
+        Alcotest.failf "%s: expected two events, got %d" name
+          (List.length events));
+      Alcotest.(check int) (name ^ ": live decode errors") 0
+        (Health.decode_errors live_health);
+      saw_both (name ^ " live") live;
+      let offline = Monitor.create ~rules () in
+      let health = Health.create offline in
+      (match
+         Journal_io.fold contents ~init:(fun _ -> ()) (fun () ->
+             Health.step health)
+       with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "%s: %s" name m);
+      Alcotest.(check int) (name ^ ": offline decode errors") 0
+        (Health.decode_errors health);
+      saw_both (name ^ " offline") offline)
+    [ Journal.Jsonl; Journal.Binary ]
+
 (* ------------------------------------------------------------------ *)
 (* Plan grammar v2                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -426,6 +523,8 @@ let () =
           Alcotest.test_case "breaker flap rule" `Quick test_breaker_flap_rule;
           Alcotest.test_case "admission storm rule" `Quick
             test_admission_storm_rule;
+          Alcotest.test_case "event names survive both formats" `Quick
+            test_event_names_round_trip;
         ] );
       ( "plan-v2",
         [
