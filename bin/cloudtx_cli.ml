@@ -198,8 +198,8 @@ let metrics_interval_arg =
            commit/abort throughput, per-phase latency sketch quantiles, \
            policy staleness and alert gauges.  Implies the in-memory flight \
            recorder.  Write the snapshot with $(b,--metrics-out); \
-           $(b,cloudtx report) rebuilds the identical report from either \
-           the snapshot or the journal.")
+           $(b,cloudtx report) rebuilds the report from the journal and \
+           checks the snapshot against it.")
 
 let metrics_out_arg =
   Arg.(
@@ -209,8 +209,8 @@ let metrics_out_arg =
         ~doc:
           "Write the windowed time-series snapshot (JSONL: header, one \
            record per window, totals) to $(docv).  Window width comes from \
-           $(b,--metrics-interval) (default 100 ms).  Feed it to \
-           $(b,cloudtx report --metrics).")
+           $(b,--metrics-interval) (default 100 ms).  Check it against the \
+           journal with $(b,cloudtx report JOURNAL --metrics).")
 
 (* The SLO rule thresholds, shared by run/trace --monitor, watch and
    health. *)
@@ -420,9 +420,10 @@ let finish_monitor ?metrics_out = function
     if lm.lm_chatty then monitor_summary lm.lm_monitor;
     (match (metrics_out, lm.lm_timeseries) with
     | Some path, Some ts ->
-      write_file path (Timeseries.to_jsonl ts);
+      let report = Report.of_timeseries ts in
+      write_file path (Report.to_snapshot report);
       Format.printf "wrote %s (windowed metrics, %d window(s))@." path
-        (List.length (Timeseries.cells ts))
+        (List.length report.Report.windows)
     | _ -> ());
     lm.lm_close ()
 
@@ -691,6 +692,11 @@ let audit_term =
 (* certify: journal-driven serializability certification               *)
 (* ------------------------------------------------------------------ *)
 
+(* Best-effort replays (certify, watch) skip records they cannot decode;
+   they say how many, so a damaged journal is never silently accepted. *)
+let print_skipped n =
+  if n > 0 then Format.printf "  %d undecodable record(s) skipped@." n
+
 let certify_cmd path dot_out json_out =
   match Certify.of_file path with
   | Error why ->
@@ -714,11 +720,13 @@ let certify_cmd path dot_out json_out =
     | Certify.Serializable _ ->
       Format.printf "%s: history certified@.  %s@." path
         (Certify.summary report);
+      print_skipped report.Certify.decode_errors;
       export ()
     | Certify.Anomalous a ->
       Format.printf "%s: NOT SERIALIZABLE@.  %s@.  %s@." path
         (Certify.summary report)
         (Certify.describe_anomaly a);
+      print_skipped report.Certify.decode_errors;
       export ();
       exit 1)
 
@@ -754,7 +762,12 @@ let certify_term =
 let watch_cmd path rules alerts_out =
   let log, close_log = alerts_sink alerts_out in
   let monitor = Monitor.create ~rules ?log ~console:print_endline () in
-  match Health.of_file path monitor with
+  let health = Health.create monitor in
+  match
+    Journal_io.fold_file path ~init:(fun _ -> 0) (fun n r ->
+        Health.step health r;
+        n + 1)
+  with
   | Error why ->
     Format.eprintf "%s: cannot watch journal@.  %s@." path why;
     exit 2
@@ -764,6 +777,7 @@ let watch_cmd path rules alerts_out =
       path records
       (Monitor.fired_total monitor)
       (List.length open_alerts);
+    print_skipped (Health.decode_errors health);
     monitor_summary monitor;
     close_log ();
     if Monitor.unresolved_critical monitor > 0 then exit 1
@@ -784,56 +798,46 @@ let watch_term =
     $ rules_term $ alerts_out_arg)
 
 (* ------------------------------------------------------------------ *)
-(* report: journal / metrics snapshot -> flight-deck report            *)
+(* report: journal -> flight-deck report, checked against a snapshot   *)
 (* ------------------------------------------------------------------ *)
 
 let report_cmd journal metrics alerts window rules json_out md_out =
-  let offline =
-    Option.map
-      (fun path ->
-        match Report_io.of_journal ~rules ?width_ms:window path with
-        | Ok pair -> pair
-        | Error why ->
-          Format.eprintf "%s: cannot build report@.  %s@." path why;
-          exit 2)
-      journal
-  in
-  let live =
-    Option.map
-      (fun path ->
-        match Report_io.of_snapshot_file path with
-        | Ok r -> r
-        | Error why ->
-          Format.eprintf "%s: cannot parse metrics snapshot@.  %s@." path why;
-          exit 2)
-      metrics
-  in
   let report, monitor =
-    match (offline, live) with
-    | None, None ->
-      Format.eprintf
-        "cloudtx report: need a JOURNAL argument, --metrics SNAPSHOT, or both@.";
+    match Report_io.of_journal ~rules ?width_ms:window journal with
+    | Ok pair -> pair
+    | Error why ->
+      Format.eprintf "%s: cannot build report@.  %s@." journal why;
       exit 2
-    | Some (r, m), None -> (r, Some m)
-    | None, Some r -> (r, None)
-    | Some (r_journal, m), Some r_snapshot ->
-      (* Both inputs: the consistency gate.  The live snapshot and the
-         offline replay must render byte-identical JSON — same windows,
-         same counts, same sketch quantiles — or the flight deck cannot
-         be trusted. *)
-      let a = Report.to_json r_journal and b = Report.to_json r_snapshot in
-      if not (String.equal a b) then begin
+  in
+  (* The consistency gate: the live snapshot must be, byte for byte, the
+     snapshot of the offline replay — same windows, same counts, same
+     sketch quantiles — or the flight deck cannot be trusted.  The file
+     is compared, never interpreted; a snapshot is a header, one line per
+     window and a totals line. *)
+  Option.iter
+    (fun path ->
+      let snapshot =
+        match In_channel.with_open_bin path In_channel.input_all with
+        | contents -> contents
+        | exception Sys_error why ->
+          Format.eprintf "%s: cannot read metrics snapshot@.  %s@." path why;
+          exit 2
+      in
+      let windows = List.length report.Report.windows in
+      if not (String.equal snapshot (Report.to_snapshot report)) then begin
+        let lines =
+          String.split_on_char '\n' snapshot
+          |> List.filter (fun l -> String.trim l <> "")
+        in
         Format.eprintf
           "report: online/offline DIVERGENCE@.  journal replay and metrics \
            snapshot disagree (%d vs %d window(s))@."
-          (List.length r_journal.Report.windows)
-          (List.length r_snapshot.Report.windows);
+          windows
+          (Stdlib.max 0 (List.length lines - 2));
         exit 2
       end;
-      Format.printf "online/offline reports agree (%d window(s))@."
-        (List.length r_journal.Report.windows);
-      (r_journal, Some m)
-  in
+      Format.printf "online/offline reports agree (%d window(s))@." windows)
+    metrics;
   let alert_lines =
     match alerts with
     | Some path -> (
@@ -842,23 +846,17 @@ let report_cmd journal metrics alerts window rules json_out md_out =
       | Error why ->
         Format.eprintf "%s: cannot parse alerts file@.  %s@." path why;
         exit 2)
-    | None -> (
-      match monitor with
-      | Some m -> Report_io.alert_lines_of_monitor m
-      | None -> [])
+    | None -> Report_io.alert_lines_of_monitor monitor
   in
   (* The blame decomposition (DESIGN §9) rides on the markdown view
-     only, so the JSON byte-identity gate above stays a pure function
-     of the windowed series. *)
+     only, so the snapshot gate above stays a pure function of the
+     windowed series. *)
   let blame_lines =
-    match journal with
-    | None -> []
-    | Some path -> (
-      match Blame.of_file path with
-      | Ok b -> Blame.to_markdown_lines b
-      | Error why ->
-        Format.eprintf "%s: cannot build blame section@.  %s@." path why;
-        exit 2)
+    match Blame.of_file journal with
+    | Ok b -> Blame.to_markdown_lines b
+    | Error why ->
+      Format.eprintf "%s: cannot build blame section@.  %s@." journal why;
+      exit 2
   in
   let json () = Report.to_json report in
   let md () = Report.to_markdown ~alert_lines ~blame_lines report in
@@ -878,22 +876,22 @@ let report_term =
   Term.(
     const report_cmd
     $ Arg.(
-        value
+        required
         & pos 0 (some file) None
         & info [] ~docv:"JOURNAL"
             ~doc:
               "Flight-recorder journal written by $(b,--journal-out) (JSONL \
                or binary, auto-detected); replayed through the Watchtower \
-               and the windowed time series to rebuild the report offline.")
+               and the windowed time series to build the report.")
     $ Arg.(
         value
         & opt (some file) None
         & info [ "metrics" ] ~docv:"SNAPSHOT"
             ~doc:
               "Windowed metrics snapshot written by $(b,--metrics-out); the \
-               live path's artifact.  With both $(i,JOURNAL) and \
-               $(b,--metrics), the two reports must render byte-identical \
-               JSON — exit 2 on divergence.")
+               live path's artifact.  It must equal, byte for byte, the \
+               snapshot of the $(i,JOURNAL) replay — exit 2 on divergence, \
+               a damaged or foreign file included.")
     $ Arg.(
         value
         & opt (some file) None
@@ -901,17 +899,16 @@ let report_term =
             ~doc:
               "Alert-transition JSONL written by $(b,--alerts-out); rendered \
                as the markdown report's alert timeline.  Default: the \
-               journal replay's own alert transitions, when a journal is \
-               given.")
+               journal replay's own alert transitions, as $(b,cloudtx \
+               watch) prints them.")
     $ Arg.(
         value
         & opt (some float) None
         & info [ "window" ] ~docv:"MS"
             ~doc:
-              "Window width for journal replay (default 100 ms).  Ignored \
-               for $(b,--metrics) snapshots, which carry their own width — \
-               when comparing both, this must match the snapshot's width or \
-               the reports diverge.")
+              "Window width for journal replay (default 100 ms).  With \
+               $(b,--metrics), this must match the width the snapshot was \
+               written with ($(b,--metrics-interval)) or the two diverge.")
     $ rules_term
     $ Arg.(
         value
@@ -1738,8 +1735,9 @@ let chaos_term =
             ~doc:
               "Aggregate a windowed time series live over each run and \
                write the snapshot JSONL to $(docv) whatever the verdict \
-               (each run overwrites it; see $(b,--journal-out)).  Feed it \
-               to $(b,cloudtx report --metrics).")
+               (each run overwrites it; see $(b,--journal-out)).  Check it \
+               against that journal with $(b,cloudtx report JOURNAL \
+               --metrics).")
     $ Arg.(
         value & flag
         & info [ "explain-worst" ]
@@ -1913,9 +1911,8 @@ let cmds =
          ~doc:
            "Build the flight-deck report (throughput curve, per-phase \
             quantiles per window, staleness trajectory, alert timeline, \
-            saturation knee) from a journal, a --metrics-out snapshot, or \
-            both — with both, the online and offline reports must agree \
-            byte-for-byte.")
+            saturation knee) from a journal; with --metrics, check a \
+            --metrics-out snapshot against it byte-for-byte.")
       report_term;
     Cmd.v
       (Cmd.info "explain"

@@ -16,6 +16,7 @@ module Latency = Cloudtx_sim.Latency
 module Journal = Cloudtx_obs.Journal
 module Monitor = Cloudtx_obs.Monitor
 module Timeseries = Cloudtx_obs.Timeseries
+module Report = Cloudtx_obs.Report
 module Health = Cloudtx_core.Health
 module Server = Cloudtx_store.Server
 module Wal = Cloudtx_store.Wal
@@ -253,7 +254,8 @@ let run_plan ?(dedup = true) ?(certify = false) ?variant ?journal_format
     match (metrics_path, Transport.timeseries tr) with
     | Some path, Some ts ->
       Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc (Timeseries.to_jsonl ts))
+          Out_channel.output_string oc
+            (Report.to_snapshot (Report.of_timeseries ts)))
     | _ -> ()
   in
   let result =

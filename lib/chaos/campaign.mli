@@ -50,7 +50,7 @@ type failure = {
     canonical records;
     [journal_path] additionally writes the journal through to a file;
     [metrics_path] writes a windowed-metrics snapshot JSONL
-    ({!Cloudtx_obs.Timeseries.to_jsonl}, window width [metrics_width_ms])
+    ({!Cloudtx_obs.Report.to_snapshot}, window width [metrics_width_ms])
     built live from the run's journal stream — written whatever the
     verdict, so a failing cell still yields a flight deck;
     [variant] selects the participants' decision-logging discipline;

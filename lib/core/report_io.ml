@@ -1,5 +1,4 @@
 module Json = Cloudtx_policy.Json
-module Obs = Cloudtx_obs
 module Report = Cloudtx_obs.Report
 module Timeseries = Cloudtx_obs.Timeseries
 module Monitor = Cloudtx_obs.Monitor
@@ -19,140 +18,20 @@ let of_journal ?(rules = Slo.default) ?width_ms path =
   | Ok _fed -> Ok (Report.of_timeseries ts, monitor)
 
 (* ------------------------------------------------------------------ *)
-(* Live path: snapshot JSONL                                           *)
+(* Alert timelines                                                     *)
 (* ------------------------------------------------------------------ *)
 
+let alert_lines_of_monitor = Monitor.console_lines
+
 let ( let* ) = Json.( let* )
-
-let stats_of_json j =
-  let* count = Result.bind (Json.member "count" j) Json.to_int in
-  let* p50 = Result.bind (Json.member "p50" j) Json.to_float in
-  let* p99 = Result.bind (Json.member "p99" j) Json.to_float in
-  let* p999 = Result.bind (Json.member "p999" j) Json.to_float in
-  let* max = Result.bind (Json.member "max" j) Json.to_float in
-  Ok { Report.count; p50; p99; p999; max }
-
-let phases_of_json j =
-  match j with
-  | Json.Obj members ->
-    List.fold_left
-      (fun acc (name, sj) ->
-        let* acc = acc in
-        let* s = stats_of_json sj in
-        Ok ((name, s) :: acc))
-      (Ok []) members
-    |> Result.map List.rev
-  | _ -> Error "phases: not an object"
-
 let int_field name j = Result.bind (Json.member name j) Json.to_int
 let float_field name j = Result.bind (Json.member name j) Json.to_float
-
-let window_of_json j =
-  let* index = int_field "window" j in
-  let* start_ms = float_field "start_ms" j in
-  let* begun = int_field "begun" j in
-  let* commits = int_field "commits" j in
-  let* aborts = int_field "aborts" j in
-  let* killed = int_field "killed" j in
-  let* staleness = int_field "staleness" j in
-  let* alerts_fired = int_field "alerts_fired" j in
-  let* alerts_resolved = int_field "alerts_resolved" j in
-  let* alerts_open = int_field "alerts_open" j in
-  let* phases = Result.bind (Json.member "phases" j) phases_of_json in
-  Ok
-    {
-      Report.index;
-      start_ms;
-      begun;
-      commits;
-      aborts;
-      killed;
-      staleness;
-      alerts_fired;
-      alerts_resolved;
-      alerts_open;
-      phases;
-    }
-
-let totals_of_json j =
-  let* begun = int_field "begun" j in
-  let* commits = int_field "commits" j in
-  let* aborts = int_field "aborts" j in
-  let* killed = int_field "killed" j in
-  let* staleness = int_field "staleness" j in
-  let* alerts_fired = int_field "alerts_fired" j in
-  let* alerts_resolved = int_field "alerts_resolved" j in
-  let* alerts_open = int_field "alerts_open" j in
-  let* phases = Result.bind (Json.member "phases" j) phases_of_json in
-  Ok
-    {
-      Report.begun;
-      commits;
-      aborts;
-      killed;
-      staleness;
-      alerts_fired;
-      alerts_resolved;
-      alerts_open;
-      phases;
-    }
 
 let non_empty_lines s =
   String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "")
 
 let lineno_err n r =
   Result.map_error (fun m -> Printf.sprintf "line %d: %s" n m) r
-
-let of_snapshot contents =
-  match non_empty_lines contents with
-  | [] -> Error "empty snapshot"
-  | header :: rest -> (
-    let* h = lineno_err 1 (Json.parse header) in
-    let* kind = lineno_err 1 (Result.bind (Json.member "metrics" h) Json.to_str) in
-    if kind <> "cloudtx" then
-      Error (Printf.sprintf "line 1: snapshot kind %S unknown" kind)
-    else
-      let* version = lineno_err 1 (int_field "version" h) in
-      if version <> Timeseries.format_version then
-        Error (Printf.sprintf "line 1: snapshot version %d unsupported" version)
-      else
-        let* width_ms = lineno_err 1 (float_field "width_ms" h) in
-        let rec go n windows = function
-          | [] -> Error "snapshot without a totals line"
-          | line :: rest -> (
-            let* j = lineno_err n (Json.parse line) in
-            match Json.member "totals" j with
-            | Ok tj ->
-              if rest <> [] then
-                Error (Printf.sprintf "line %d: records after totals" n)
-              else
-                let* totals = lineno_err n (totals_of_json tj) in
-                Ok
-                  (Report.make ~width_ms ~windows:(List.rev windows) ~totals)
-            | Error _ ->
-              let* w = lineno_err n (window_of_json j) in
-              go (n + 1) (w :: windows) rest)
-        in
-        go 2 [] rest)
-
-let of_snapshot_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | contents -> of_snapshot contents
-  | exception Sys_error m -> Error m
-
-(* ------------------------------------------------------------------ *)
-(* Alert timelines                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let alert_lines_of_monitor monitor =
-  List.concat_map
-    (fun (a : Slo.alert) ->
-      Slo.console_line `Fire a
-      ::
-      (match a.Slo.resolved_at with
-      | Some _ -> [ Slo.console_line `Resolve a ]
-      | None -> []))
-    (Monitor.alerts monitor)
 
 let alert_line_of_json j =
   let* event = Result.bind (Json.member "event" j) Json.to_str in

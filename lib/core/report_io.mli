@@ -1,19 +1,13 @@
 (** Building {!Cloudtx_obs.Report}s from files.
 
-    [Obs] owns the report data and its renderings but cannot parse JSON
-    (the parser lives in [Cloudtx_policy.Json], above it in the
-    dependency order), so the file-facing constructors live here:
-
-    - {!of_journal} replays a flight-recorder journal (either format)
-      through {!Health} into a fresh monitor + {!Cloudtx_obs.Timeseries}
-      — the offline path;
-    - {!of_snapshot} reconstructs the report from a [--metrics-out]
-      snapshot JSONL ({!Cloudtx_obs.Timeseries.to_jsonl}) — the live
-      path's artifact.
-
-    The two must agree: a report built either way over the same run
-    renders byte-identical JSON (asserted by [cloudtx report JOURNAL
-    --metrics SNAPSHOT] and the test suite). *)
+    [Obs] owns the report and its renderings but cannot parse JSON (the
+    parser lives in [Cloudtx_policy.Json], above it in the dependency
+    order), so the file-facing constructors live here.  A report has one
+    source, the journal: {!of_journal} replays a flight-recorder journal
+    (either format) through {!Health} into a fresh monitor and
+    {!Cloudtx_obs.Timeseries}.  A [--metrics-out] snapshot is never read
+    back: [cloudtx report JOURNAL --metrics SNAPSHOT] compares its bytes
+    with {!Cloudtx_obs.Report.to_snapshot} of the replay. *)
 
 (** [of_journal path] — [rules] (default {!Cloudtx_obs.Slo.default})
     drive the Watchtower evaluation whose alert transitions land in the
@@ -26,16 +20,11 @@ val of_journal :
   string ->
   (Cloudtx_obs.Report.t * Cloudtx_obs.Monitor.t, string) result
 
-(** Parse snapshot JSONL contents (header, dense window lines, totals). *)
-val of_snapshot : string -> (Cloudtx_obs.Report.t, string) result
-
-val of_snapshot_file : string -> (Cloudtx_obs.Report.t, string) result
-
 (** Alert-timeline lines for {!Cloudtx_obs.Report.to_markdown}: one
     human-readable line per transition record of an [--alerts-out]
     JSONL file (header skipped). *)
 val alert_lines_of_file : string -> (string list, string) result
 
-(** The same rendering for a live monitor's alerts: fire line, then
-    resolve line when resolved, in firing order. *)
+(** The same timeline for a monitor: its {!Cloudtx_obs.Monitor.console_lines},
+    the lines [watch] prints, in the order they were emitted. *)
 val alert_lines_of_monitor : Cloudtx_obs.Monitor.t -> string list

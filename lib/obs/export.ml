@@ -127,27 +127,3 @@ let to_chrome t =
     spans;
   Buffer.add_string buf "]}";
   Buffer.contents buf
-
-let to_jsonl t =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun (s : Tracer.span) ->
-      let fields =
-        [ ("id", string_of_int s.Tracer.id) ]
-        @ (if s.Tracer.parent = Tracer.no_span then []
-           else [ ("parent", string_of_int s.Tracer.parent) ])
-        @ [
-            ("name", Json.quote s.Tracer.name);
-            ("track", Json.quote s.Tracer.track);
-            ("start_ms", Json.number s.Tracer.start);
-            ( "end_ms",
-              if Float.is_nan s.Tracer.finish then "null"
-              else Json.number s.Tracer.finish );
-            ("kind", if s.Tracer.instant then {|"instant"|} else {|"span"|});
-            ("attrs", args_json s.Tracer.attrs);
-          ]
-      in
-      Buffer.add_string buf (Json.obj fields);
-      Buffer.add_char buf '\n')
-    (Tracer.spans t);
-  Buffer.contents buf

@@ -2,9 +2,7 @@
 
     {!to_chrome} renders Chrome [trace_event] JSON — load the file in
     [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto} to see the
-    transaction lifecycle laid out per node.  {!to_jsonl} emits one JSON
-    object per span for ad-hoc processing (jq, pandas, consistency
-    checkers that consume per-transaction event histories). *)
+    transaction lifecycle laid out per node. *)
 
 (** Chrome trace-event JSON.  Each distinct span track becomes a thread
     (named via [thread_name] metadata); spans are complete ([ph = "X"])
@@ -17,8 +15,3 @@
     transaction's [txn] span, so the UI draws the victim->killer arrow
     instead of burying the relationship in args. *)
 val to_chrome : Tracer.t -> string
-
-(** One JSON object per span: [id], [parent] (absent for roots), [name],
-    [track], [start_ms], [end_ms] ([null] while open), [kind]
-    (["span"] or ["instant"]) and [attrs]. *)
-val to_jsonl : Tracer.t -> string

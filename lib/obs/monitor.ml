@@ -60,6 +60,7 @@ type t = {
   mutable all : Slo.alert list;  (* reverse firing order *)
   mutable next_id : int;
   active_per_rule : (string, int) Hashtbl.t;
+  mutable transcript : string list;  (* console lines, newest first *)
 }
 
 let create ?(rules = Slo.default) ?(registry = Registry.noop)
@@ -85,12 +86,14 @@ let create ?(rules = Slo.default) ?(registry = Registry.noop)
     all = [];
     next_id = 0;
     active_per_rule = Hashtbl.create 8;
+    transcript = [];
   }
 
 let rules t = t.rules
 let alerts t = List.rev t.all
 let open_alerts t = List.filter Slo.is_open (alerts t)
 let fired_total t = List.length t.all
+let console_lines t = List.rev t.transcript
 
 let unresolved_critical t =
   List.length
@@ -115,6 +118,10 @@ let set_active_gauge t rule =
       [ ("rule", rule) ]
       (float_of_int
          (Option.value ~default:0 (Hashtbl.find_opt t.active_per_rule rule)))
+
+let say t line =
+  t.transcript <- line :: t.transcript;
+  t.console line
 
 let fire t ~seq ~time_ms ~rule ~severity ~subject ~node ~detail =
   match Hashtbl.find_opt t.active (rule, subject) with
@@ -147,7 +154,7 @@ let fire t ~seq ~time_ms ~rule ~severity ~subject ~node ~detail =
         [ ("rule", rule); ("severity", Slo.severity_name severity) ];
       set_active_gauge t rule
     end;
-    t.console (Slo.console_line `Fire a);
+    say t (Slo.console_line `Fire a);
     t.log (Slo.log_line `Fire a);
     t.notify `Fire a
 
@@ -166,7 +173,7 @@ let resolve t ~seq ~time_ms ~rule ~subject ~detail =
            (Option.value ~default:1 (Hashtbl.find_opt t.active_per_rule rule)
            - 1));
       set_active_gauge t rule;
-      t.console (Slo.console_line `Resolve a);
+      say t (Slo.console_line `Resolve a);
       t.log (Slo.log_line `Resolve a);
       t.notify `Resolve a
 

@@ -94,6 +94,11 @@ val open_alerts : t -> Slo.alert list
 
 val fired_total : t -> int
 
+(** Every line handed to [console] so far, in emission order: the alert
+    transitions as they were announced, kept whether or not a [console]
+    sink was given. *)
+val console_lines : t -> string list
+
 (** Open alerts with severity {!Slo.Critical} — the exit-code gate for
     [cloudtx watch] and [cloudtx health]. *)
 val unresolved_critical : t -> int

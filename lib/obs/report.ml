@@ -1,42 +1,16 @@
-type stats = { count : int; p50 : float; p99 : float; p999 : float; max : float }
-
-type window = {
-  index : int;
-  start_ms : float;
-  begun : int;
-  commits : int;
-  aborts : int;
-  killed : int;
-  staleness : int;
-  alerts_fired : int;
-  alerts_resolved : int;
-  alerts_open : int;
-  phases : (string * stats) list;
-}
-
-type totals = {
-  begun : int;
-  commits : int;
-  aborts : int;
-  killed : int;
-  staleness : int;
-  alerts_fired : int;
-  alerts_resolved : int;
-  alerts_open : int;
-  phases : (string * stats) list;
-}
-
 type t = {
   width_ms : float;
-  windows : window list;
-  totals : totals;
+  windows : Timeseries.cell list;
+  totals : Timeseries.totals;
   knee : int option;
 }
 
-let finished (w : window) = w.commits + w.aborts
+let finished (w : Timeseries.cell) = w.commits + w.aborts
 
-let total_p99 (w : window) =
-  Option.map (fun s -> s.p99) (List.assoc_opt "total" w.phases)
+let total_p99 (w : Timeseries.cell) =
+  Option.map
+    (fun (s : Timeseries.stats) -> s.p99)
+    (List.assoc_opt "total" w.phases)
 
 (* First window whose total-phase p99 inflected (>= 1.5x the best earlier
    p99) while throughput flattened (finished count <= 1.1x the best
@@ -44,7 +18,7 @@ let total_p99 (w : window) =
 let detect_knee windows =
   let rec go best_p99 best_tp = function
     | [] -> None
-    | (w : window) :: rest -> (
+    | (w : Timeseries.cell) :: rest -> (
       match total_p99 w with
       | None -> go best_p99 best_tp rest
       | Some p99 ->
@@ -71,70 +45,21 @@ let make ~width_ms ~windows ~totals =
   { width_ms; windows; totals; knee = detect_knee windows }
 
 let of_timeseries ts =
-  let window_of (c : Timeseries.cell) =
-    {
-      index = c.Timeseries.index;
-      start_ms = c.Timeseries.start_ms;
-      begun = c.Timeseries.begun;
-      commits = c.Timeseries.commits;
-      aborts = c.Timeseries.aborts;
-      killed = c.Timeseries.killed;
-      staleness = c.Timeseries.staleness;
-      alerts_fired = c.Timeseries.alerts_fired;
-      alerts_resolved = c.Timeseries.alerts_resolved;
-      alerts_open = c.Timeseries.alerts_open;
-      phases =
-        List.map
-          (fun (name, (s : Timeseries.stats)) ->
-            ( name,
-              {
-                count = s.Timeseries.count;
-                p50 = s.Timeseries.p50;
-                p99 = s.Timeseries.p99;
-                p999 = s.Timeseries.p999;
-                max = s.Timeseries.max;
-              } ))
-          c.Timeseries.phases;
-    }
-  in
-  let tot = Timeseries.totals ts in
-  let totals =
-    {
-      begun = tot.Timeseries.begun;
-      commits = tot.Timeseries.commits;
-      aborts = tot.Timeseries.aborts;
-      killed = tot.Timeseries.killed;
-      staleness = tot.Timeseries.staleness;
-      alerts_fired = tot.Timeseries.alerts_fired;
-      alerts_resolved = tot.Timeseries.alerts_resolved;
-      alerts_open = tot.Timeseries.alerts_open;
-      phases =
-        List.map
-          (fun (name, (s : Timeseries.stats)) ->
-            ( name,
-              {
-                count = s.Timeseries.count;
-                p50 = s.Timeseries.p50;
-                p99 = s.Timeseries.p99;
-                p999 = s.Timeseries.p999;
-                max = s.Timeseries.max;
-              } ))
-          tot.Timeseries.phases;
-    }
-  in
-  make ~width_ms:(Timeseries.width_ms ts)
-    ~windows:(List.map window_of (Timeseries.cells ts))
-    ~totals
+  make ~width_ms:(Timeseries.width_ms ts) ~windows:(Timeseries.cells ts)
+    ~totals:(Timeseries.totals ts)
 
 let throughput t w = float_of_int (finished w) *. 1000. /. t.width_ms
 
 (* ------------------------------------------------------------------ *)
-(* JSON rendering                                                      *)
+(* JSON and snapshot rendering                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The report JSON's and the snapshot's format versions; bump one on any
+   change to that rendering's shape. *)
 let format_version = 1
+let snapshot_version = 1
 
-let stats_json (s : stats) =
+let stats_json (s : Timeseries.stats) =
   Json.obj
     [
       ("count", string_of_int s.count);
@@ -144,41 +69,42 @@ let stats_json (s : stats) =
       ("max", Json.number s.max);
     ]
 
-let phases_json phases =
-  Json.obj (List.map (fun (name, s) -> (name, stats_json s)) phases)
+(* The counters a window and the totals both carry, in rendering order. *)
+let counters ~begun ~commits ~aborts ~killed ~staleness ~alerts_fired
+    ~alerts_resolved ~alerts_open ~phases =
+  [
+    ("begun", string_of_int begun);
+    ("commits", string_of_int commits);
+    ("aborts", string_of_int aborts);
+    ("killed", string_of_int killed);
+    ("staleness", string_of_int staleness);
+    ("alerts_fired", string_of_int alerts_fired);
+    ("alerts_resolved", string_of_int alerts_resolved);
+    ("alerts_open", string_of_int alerts_open);
+    ("phases", Json.obj (List.map (fun (name, s) -> (name, stats_json s)) phases));
+  ]
 
-let window_json t (w : window) =
+(* [derived] fields (the report's throughput) follow the window's start. *)
+let window_json ?(derived = []) (w : Timeseries.cell) =
   Json.obj
-    [
-      ("window", string_of_int w.index);
-      ("start_ms", Json.number w.start_ms);
-      ("throughput_tps", Json.number (throughput t w));
-      ("begun", string_of_int w.begun);
-      ("commits", string_of_int w.commits);
-      ("aborts", string_of_int w.aborts);
-      ("killed", string_of_int w.killed);
-      ("staleness", string_of_int w.staleness);
-      ("alerts_fired", string_of_int w.alerts_fired);
-      ("alerts_resolved", string_of_int w.alerts_resolved);
-      ("alerts_open", string_of_int w.alerts_open);
-      ("phases", phases_json w.phases);
-    ]
+    ((("window", string_of_int w.index) :: ("start_ms", Json.number w.start_ms)
+     :: derived)
+    @ counters ~begun:w.begun ~commits:w.commits ~aborts:w.aborts
+        ~killed:w.killed ~staleness:w.staleness ~alerts_fired:w.alerts_fired
+        ~alerts_resolved:w.alerts_resolved ~alerts_open:w.alerts_open
+        ~phases:w.phases)
 
-let totals_json (tot : totals) =
+let totals_json (tot : Timeseries.totals) =
   Json.obj
-    [
-      ("begun", string_of_int tot.begun);
-      ("commits", string_of_int tot.commits);
-      ("aborts", string_of_int tot.aborts);
-      ("killed", string_of_int tot.killed);
-      ("staleness", string_of_int tot.staleness);
-      ("alerts_fired", string_of_int tot.alerts_fired);
-      ("alerts_resolved", string_of_int tot.alerts_resolved);
-      ("alerts_open", string_of_int tot.alerts_open);
-      ("phases", phases_json tot.phases);
-    ]
+    (counters ~begun:tot.begun ~commits:tot.commits ~aborts:tot.aborts
+       ~killed:tot.killed ~staleness:tot.staleness
+       ~alerts_fired:tot.alerts_fired ~alerts_resolved:tot.alerts_resolved
+       ~alerts_open:tot.alerts_open ~phases:tot.phases)
 
 let to_json t =
+  let window w =
+    window_json ~derived:[ ("throughput_tps", Json.number (throughput t w)) ] w
+  in
   Json.obj
     [
       ("report", {|"cloudtx"|});
@@ -187,9 +113,21 @@ let to_json t =
       ( "knee",
         match t.knee with None -> "null" | Some i -> string_of_int i );
       ("totals", totals_json t.totals);
-      ( "windows",
-        "[" ^ String.concat "," (List.map (window_json t) t.windows) ^ "]" );
+      ("windows", "[" ^ String.concat "," (List.map window t.windows) ^ "]");
     ]
+
+let to_snapshot t =
+  let header =
+    Json.obj
+      [
+        ("metrics", {|"cloudtx"|});
+        ("version", string_of_int snapshot_version);
+        ("width_ms", Json.number t.width_ms);
+      ]
+  in
+  String.concat "\n"
+    ((header :: List.map window_json t.windows)
+    @ [ Json.obj [ ("totals", totals_json t.totals) ]; "" ])
 
 (* ------------------------------------------------------------------ *)
 (* Markdown rendering                                                  *)
@@ -197,7 +135,7 @@ let to_json t =
 
 let ms v = Printf.sprintf "%.2f" v
 
-let phase_cell (w : window) name pick =
+let phase_cell (w : Timeseries.cell) name pick =
   match List.assoc_opt name w.phases with
   | None -> "-"
   | Some s -> ms (pick s)
@@ -263,7 +201,7 @@ let to_markdown ?(alert_lines = []) ?(blame_lines = []) t =
      decide p99 | total p50 | total p99 | total p999 |";
   add_line buf "|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|";
   List.iter
-    (fun w ->
+    (fun (w : Timeseries.cell) ->
       add_line buf "| %d | %s | %s | %s | %s | %s | %s | %s | %s | %s |"
         w.index
         (phase_cell w "execute" (fun s -> s.p50))
@@ -282,7 +220,7 @@ let to_markdown ?(alert_lines = []) ?(blame_lines = []) t =
   add_line buf "| phase | count | p50 | p99 | p999 | max |";
   add_line buf "|:---|---:|---:|---:|---:|---:|";
   List.iter
-    (fun (name, s) ->
+    (fun (name, (s : Timeseries.stats)) ->
       add_line buf "| %s | %d | %s | %s | %s | %s |" name s.count (ms s.p50)
         (ms s.p99) (ms s.p999) (ms s.max))
     tot.phases;

@@ -1,12 +1,13 @@
 (** Run report: the rendered view of a {!Timeseries}.
 
-    A report is pure data — per-window counters and phase quantiles plus
-    whole-run totals — rendered two ways: machine-readable JSON
-    ({!to_json}) and human-readable markdown ({!to_markdown}).  It can
-    be built directly from a {!Timeseries} ({!of_timeseries}) or
-    reconstructed from a snapshot JSONL (see [Cloudtx_core.Report_io]);
-    both constructions carry the same numbers, so the two JSON renderings
-    are byte-identical — the online/offline agreement gate.
+    A report is the series' per-window cells and whole-run totals plus
+    the detected saturation knee, rendered three ways: machine-readable
+    JSON ({!to_json}), human-readable markdown ({!to_markdown}) and the
+    [--metrics-out] snapshot JSONL ({!to_snapshot}).  The snapshot is
+    the live path's artifact and a check, not a second source: [cloudtx
+    report JOURNAL --metrics SNAPSHOT] compares its bytes with
+    {!to_snapshot} of the journal replay's report — the online/offline
+    agreement gate.
 
     {b Saturation-knee heuristic} (first cut, see DESIGN §8): the knee is
     the first window [i] with total-phase data such that its p99 is at
@@ -16,55 +17,34 @@
     (fewer than two windows with latency data, or latency never
     inflects). *)
 
-type stats = { count : int; p50 : float; p99 : float; p999 : float; max : float }
-
-type window = {
-  index : int;
-  start_ms : float;
-  begun : int;
-  commits : int;
-  aborts : int;
-  killed : int;
-  staleness : int;
-  alerts_fired : int;
-  alerts_resolved : int;
-  alerts_open : int;
-  phases : (string * stats) list;
-}
-
-type totals = {
-  begun : int;
-  commits : int;
-  aborts : int;
-  killed : int;
-  staleness : int;
-  alerts_fired : int;
-  alerts_resolved : int;
-  alerts_open : int;
-  phases : (string * stats) list;
-}
-
 type t = {
   width_ms : float;
-  windows : window list;
-  totals : totals;
+  windows : Timeseries.cell list;
+  totals : Timeseries.totals;
   knee : int option;  (** Window index of the detected saturation knee. *)
 }
 
 (** [make ~width_ms ~windows ~totals] assembles a report and runs the
-    knee detector — the constructor snapshot parsing goes through. *)
-val make : width_ms:float -> windows:window list -> totals:totals -> t
+    knee detector. *)
+val make :
+  width_ms:float -> windows:Timeseries.cell list -> totals:Timeseries.totals -> t
 
 val of_timeseries : Timeseries.t -> t
 
 (** Finished transactions per second in a window (commits + aborts over
     the window width). *)
-val throughput : t -> window -> float
+val throughput : t -> Timeseries.cell -> float
 
 (** Machine-readable report.  Contains nothing wall-clock- or
     path-dependent: two reports over the same series render the same
     bytes. *)
 val to_json : t -> string
+
+(** The windowed-metrics snapshot ([--metrics-out]): a header line
+    [{"metrics":"cloudtx","version":V,"width_ms":W}], one line per
+    window (dense), and a final [{"totals":{...}}] line.  Its window and
+    totals fields are {!to_json}'s, minus the derived throughput. *)
+val to_snapshot : t -> string
 
 (** Rendered markdown: throughput curve, per-phase quantiles per window,
     commit/abort mix, staleness trajectory, alert overlay and the knee
@@ -72,8 +52,7 @@ val to_json : t -> string
     alert-log records) are appended as an alert-timeline section when
     non-empty; [blame_lines] (a pre-rendered markdown blame section,
     e.g. [Cloudtx_core.Blame.to_markdown_lines]) follow it — the blame
-    decomposition rides on the markdown view only, so {!to_json} stays
-    a pure function of the series and the online/offline byte-identity
-    gate is unaffected. *)
+    decomposition rides on the markdown view only, so {!to_json} and
+    {!to_snapshot} stay pure functions of the series. *)
 val to_markdown :
   ?alert_lines:string list -> ?blame_lines:string list -> t -> string

@@ -1,6 +1,5 @@
 let phase_names = [| "execute"; "commit"; "decide"; "total" |]
 let n_phases = Array.length phase_names
-let format_version = 1
 
 type window = {
   mutable w_begun : int;
@@ -271,70 +270,3 @@ let totals t =
     alerts_open = !fired - !resolved;
     phases = phases_of merged;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Snapshot                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let stats_json (s : stats) =
-  Json.obj
-    [
-      ("count", string_of_int s.count);
-      ("p50", Json.number s.p50);
-      ("p99", Json.number s.p99);
-      ("p999", Json.number s.p999);
-      ("max", Json.number s.max);
-    ]
-
-let phases_json phases =
-  Json.obj (List.map (fun (name, s) -> (name, stats_json s)) phases)
-
-let to_jsonl t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Json.obj
-       [
-         ("metrics", {|"cloudtx"|});
-         ("version", string_of_int format_version);
-         ("width_ms", Json.number t.width_ms);
-       ]);
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun (c : cell) ->
-      Buffer.add_string buf
-        (Json.obj
-           [
-             ("window", string_of_int c.index);
-             ("start_ms", Json.number c.start_ms);
-             ("begun", string_of_int c.begun);
-             ("commits", string_of_int c.commits);
-             ("aborts", string_of_int c.aborts);
-             ("killed", string_of_int c.killed);
-             ("staleness", string_of_int c.staleness);
-             ("alerts_fired", string_of_int c.alerts_fired);
-             ("alerts_resolved", string_of_int c.alerts_resolved);
-             ("alerts_open", string_of_int c.alerts_open);
-             ("phases", phases_json c.phases);
-           ]);
-      Buffer.add_char buf '\n')
-    (cells t);
-  let tot = totals t in
-  Buffer.add_string buf
-    (Json.obj
-       [
-         ( "totals",
-           Json.obj
-             [
-               ("begun", string_of_int tot.begun);
-               ("commits", string_of_int tot.commits);
-               ("aborts", string_of_int tot.aborts);
-               ("killed", string_of_int tot.killed);
-               ("staleness", string_of_int tot.staleness);
-               ("alerts_fired", string_of_int tot.alerts_fired);
-               ("alerts_resolved", string_of_int tot.alerts_resolved);
-               ("alerts_open", string_of_int tot.alerts_open);
-               ("phases", phases_json tot.phases);
-             ] );
-       ]);
-  Buffer.add_char buf '\n';
-  Buffer.contents buf

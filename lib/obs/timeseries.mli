@@ -18,7 +18,10 @@
     so reordered journal records land in the right window.
 
     Memory is O(windows × bins): every window holds at most four
-    sketches and a handful of counters, never raw samples. *)
+    sketches and a handful of counters, never raw samples.
+
+    The series only aggregates.  {!Report} is its view and renders it:
+    the report JSON and markdown, and the [--metrics-out] snapshot. *)
 
 type t
 
@@ -75,19 +78,7 @@ type totals = {
 }
 
 (** The dense window list, indices [0 .. max]: windows nothing landed in
-    are rendered (all-zero), not skipped.  Empty when no event arrived. *)
+    are listed (all-zero), not skipped.  Empty when no event arrived. *)
 val cells : t -> cell list
 
 val totals : t -> totals
-
-(** {1 Snapshot} *)
-
-(** Snapshot-format version; bump on any line-shape change. *)
-val format_version : int
-
-(** The JSONL snapshot ([--metrics-out]): a header line
-    [{"metrics":"cloudtx","version":V,"width_ms":W}], one line per
-    window (dense), and a final [{"totals":{...}}] line.  The snapshot
-    carries everything [Report] reads, so a report built from it equals
-    one built from this series directly. *)
-val to_jsonl : t -> string

@@ -8,38 +8,8 @@ type stats = {
   applied : (string * bool) list;
 }
 
-module Tracer = Cloudtx_obs.Tracer
-module Registry = Cloudtx_obs.Registry
-
-let run ?obs variant ~votes =
+let run variant ~votes =
   if votes = [] then invalid_arg "Tpc_run.run: no participants";
-  let tracer, registry =
-    match obs with
-    | None -> (Tracer.noop, Registry.noop)
-    | Some (tracer, registry) -> (tracer, registry)
-  in
-  let root =
-    if Tracer.enabled tracer then begin
-      let span = Tracer.start tracer ~track:"tpc" "2pc" in
-      Tracer.set_attr tracer span "variant" (Tpc.variant_name variant);
-      span
-    end
-    else Tracer.no_span
-  in
-  let observe_action origin action =
-    if Tracer.enabled tracer then begin
-      let track =
-        match origin with `Coordinator -> "coordinator" | `Node n -> n
-      in
-      Tracer.instant tracer ~parent:root ~track (Tpc.action_label action)
-    end;
-    if Registry.enabled registry then
-      Registry.incr registry "tpc_actions_total"
-        [
-          ("variant", Tpc.variant_name variant);
-          ("action", Tpc.action_label action);
-        ]
-  in
   let names = List.map fst votes in
   let coord = Tpc.coordinator ~txn:"t1" ~participants:names variant in
   let parts =
@@ -59,7 +29,6 @@ let run ?obs variant ~votes =
   push `Coordinator (Tpc.coord_start coord);
   while not (Queue.is_empty queue) do
     let origin, action = Queue.take queue in
-    observe_action origin action;
     match action with
     | Tpc.Send { dst; msg } -> (
       incr messages;
@@ -104,10 +73,6 @@ let run ?obs variant ~votes =
   let outcome =
     match !outcome with Some o -> o | None -> failwith "2PC did not decide"
   in
-  if Tracer.enabled tracer then
-    Tracer.finish tracer
-      ~attrs:[ ("outcome", if outcome then "commit" else "abort") ]
-      root;
   {
     outcome;
     messages = !messages;

@@ -17,13 +17,5 @@ type stats = {
 
 (** [run variant ~votes] plays one complete instance where participant [p]
     votes [List.assoc p votes]. Raises [Invalid_argument] on an empty vote
-    list.
-
-    [obs] (off by default) mirrors every interpreted action into a tracer
-    (instants under one ["2pc"] root span, one track per node) and a
-    registry ([tpc_actions_total] by variant and action). *)
-val run :
-  ?obs:Cloudtx_obs.Tracer.t * Cloudtx_obs.Registry.t ->
-  Tpc.variant ->
-  votes:(string * bool) list ->
-  stats
+    list. *)
+val run : Tpc.variant -> votes:(string * bool) list -> stats

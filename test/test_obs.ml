@@ -267,30 +267,6 @@ let test_chrome_export_well_formed () =
     in
     Alcotest.(check (option int)) "ts in us" (Some 1500) query_ts
 
-let test_jsonl_export () =
-  let t = sample_tracer () in
-  let lines =
-    Export.to_jsonl t |> String.split_on_char '\n'
-    |> List.filter (fun l -> l <> "")
-  in
-  Alcotest.(check int) "one line per span" 4 (List.length lines);
-  List.iter
-    (fun line ->
-      match Json.parse line with
-      | Error e -> Alcotest.failf "jsonl line does not parse: %s (%s)" e line
-      | Ok _ -> ())
-    lines;
-  (* The open span must carry a null end_ms. *)
-  let has_null_end =
-    List.exists
-      (fun line ->
-        match Json.parse line with
-        | Ok doc -> Json.member "end_ms" doc = Ok Json.Null
-        | Error _ -> false)
-      lines
-  in
-  Alcotest.(check bool) "open span end_ms is null" true has_null_end
-
 let test_sim_trace_jsonl () =
   let module Trace = Cloudtx_sim.Trace in
   let entries =
@@ -986,7 +962,6 @@ let () =
         [
           Alcotest.test_case "chrome well-formed" `Quick
             test_chrome_export_well_formed;
-          Alcotest.test_case "jsonl" `Quick test_jsonl_export;
           Alcotest.test_case "sim trace jsonl" `Quick test_sim_trace_jsonl;
           Alcotest.test_case "registry json" `Quick test_registry_json;
           Alcotest.test_case "number rendering" `Quick test_json_number_rendering;

@@ -21,6 +21,10 @@ module Outcome = Cloudtx_protocol.Outcome
 module Scenario = Cloudtx_workload.Scenario
 module Transport = Cloudtx_sim.Transport
 module Sample_set = Cloudtx_metrics.Sample_set
+module Churn = Cloudtx_workload.Churn
+module Experiment = Cloudtx_workload.Experiment
+module Generator = Cloudtx_workload.Generator
+module Splitmix = Cloudtx_sim.Splitmix
 
 (* ------------------------------------------------------------------ *)
 (* Sketch vs exact percentiles                                         *)
@@ -219,7 +223,7 @@ let test_latency_feeds_phase_sketches () =
 
 let mk_window ~index ~commits ~p99 =
   {
-    Report.index;
+    Timeseries.index;
     start_ms = 100. *. float_of_int index;
     begun = commits;
     commits;
@@ -230,12 +234,16 @@ let mk_window ~index ~commits ~p99 =
     alerts_resolved = 0;
     alerts_open = 0;
     phases =
-      [ ("total", { Report.count = commits; p50 = p99; p99; p999 = p99; max = p99 }) ];
+      [
+        ( "total",
+          { Timeseries.count = commits; p50 = p99; p99; p999 = p99; max = p99 }
+        );
+      ];
   }
 
 let mk_totals commits =
   {
-    Report.begun = commits;
+    Timeseries.begun = commits;
     commits;
     aborts = 0;
     killed = 0;
@@ -316,42 +324,62 @@ let test_online_equals_offline_all_cells () =
       in
       let journal, ts, outcome = run_cell scheme level in
       Alcotest.(check bool) (what ^ ": committed") true outcome.Outcome.committed;
-      let live = Report.to_json (Report.of_timeseries ts) in
+      let live = Report.of_timeseries ts in
       (* Offline: replay the journal file through a fresh bridge. *)
       let offline =
         with_temp_journal (Journal.to_string journal) (fun path ->
             match Report_io.of_journal ~width_ms:20. path with
-            | Ok (r, _monitor) -> Report.to_json r
+            | Ok (r, _monitor) -> r
             | Error why -> Alcotest.failf "%s: offline replay failed: %s" what why)
       in
-      Alcotest.(check string) (what ^ ": online = offline report JSON") live
-        offline;
-      (* Live snapshot artifact: parsing --metrics-out JSONL rebuilds the
-         same report too. *)
-      match Report_io.of_snapshot (Timeseries.to_jsonl ts) with
-      | Error why -> Alcotest.failf "%s: snapshot rejected: %s" what why
-      | Ok r ->
-        Alcotest.(check string)
-          (what ^ ": snapshot round-trips to the same JSON")
-          live (Report.to_json r))
+      Alcotest.(check string) (what ^ ": online = offline report JSON")
+        (Report.to_json live) (Report.to_json offline);
+      (* The live --metrics-out artifact is the offline replay's snapshot,
+         byte for byte: what `report JOURNAL --metrics` checks. *)
+      Alcotest.(check string) (what ^ ": online = offline snapshot")
+        (Report.to_snapshot live) (Report.to_snapshot offline))
     all_cells
 
-let test_snapshot_rejects_garbage () =
-  (match Report_io.of_snapshot "" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "empty snapshot accepted");
-  (match Report_io.of_snapshot {|{"metrics":"cloudtx","version":1,"width_ms":100}|} with
-  | Error why ->
-    Alcotest.(check bool) "names the missing totals" true
-      (String.length why > 0)
-  | Ok _ -> Alcotest.fail "headerless body accepted");
-  match
-    Report_io.of_snapshot
-      {|{"metrics":"cloudtx","version":999,"width_ms":100}
-{"totals":{}}|}
-  with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "future version accepted"
+(* A run under policy churn, journaled: replicas lag the master between
+   refreshes, so a zero-version staleness bound fires and resolves
+   alerts over and over. *)
+let churn_journal () =
+  let scenario = Scenario.retail ~seed:1L ~n_servers:4 ~n_subjects:4 () in
+  let journal =
+    Transport.enable_journal (Cluster.transport scenario.Scenario.cluster)
+  in
+  Churn.policy_refresh scenario ~period:10. ~propagation:(0.5, 8.) ~count:50;
+  let rng = Splitmix.create 2L in
+  ignore
+    (Experiment.run_sequential scenario
+       (Manager.config Scheme.Continuous Consistency.Global)
+       ~n:10
+       (fun ~i ->
+         Generator.generate scenario rng Generator.default
+           ~id:(Printf.sprintf "t%d" i)));
+  Journal.to_string journal
+
+(* The report's alert timeline is what `watch` prints: each transition's
+   console line as it was emitted, not re-rendered from the alert record
+   after a resolve has rewritten its evidence. *)
+let test_alert_timeline_is_console () =
+  let rules = { Slo.default with Slo.staleness_versions = 0 } in
+  with_temp_journal (churn_journal ()) (fun path ->
+      let printed = ref [] in
+      let watch =
+        Monitor.create ~rules ~console:(fun l -> printed := l :: !printed) ()
+      in
+      (match Health.of_file path watch with
+      | Ok _ -> ()
+      | Error why -> Alcotest.failf "watch replay failed: %s" why);
+      match Report_io.of_journal ~rules path with
+      | Error why -> Alcotest.failf "report replay failed: %s" why
+      | Ok (_, monitor) ->
+        let timeline = Report_io.alert_lines_of_monitor monitor in
+        Alcotest.(check bool) "an alert resolved" true
+          (List.exists (String.starts_with ~prefix:"RESOLVED") timeline);
+        Alcotest.(check (list string)) "timeline = watch console"
+          (List.rev !printed) timeline)
 
 let () =
   Alcotest.run "timeseries"
@@ -385,8 +413,8 @@ let () =
           Alcotest.test_case "knee detected" `Quick test_knee_detected;
           Alcotest.test_case "knee absent under load growth" `Quick
             test_knee_absent_when_throughput_grows;
-          Alcotest.test_case "snapshot rejects garbage" `Quick
-            test_snapshot_rejects_garbage;
+          Alcotest.test_case "alert timeline is the console transcript"
+            `Quick test_alert_timeline_is_console;
         ] );
       ( "agreement",
         [
