@@ -159,6 +159,90 @@ let test_shrunk_journal_rejected_by_audit () =
         true
         (String.length why >= 4 && String.equal (String.sub why 0 4) "seq "))
 
+(* ------------------------------------------------------------------ *)
+(* Late deliveries to a finished coordinator                           *)
+(* ------------------------------------------------------------------ *)
+
+module Journal = Cloudtx_obs.Journal
+module Journal_io = Cloudtx_core.Journal_io
+module Codec_bin = Cloudtx_protocol.Codec_bin
+module Tm = Cloudtx_protocol.Tm_machine
+module Message = Cloudtx_protocol.Message
+
+(* Plan 1163 on continuous:view, the run that
+   [cloudtx chaos --cell continuous:view --seeds 1 --base-seed 1163 --certify
+   --journal-out J] records.  tm-t1 aborts on its vote timeout, and the
+   participants' inquiry timers fire while its decision is in flight: the
+   last ack lands with three inquiries still on the wire. *)
+let late_cell = { Campaign.scheme = Scheme.Continuous; level = Consistency.View }
+
+let plan_1163_journal format =
+  let path = Filename.temp_file "plan-1163" ".journal" in
+  let result =
+    Campaign.run_plan ~certify:true ~journal_format:format ~journal_path:path
+      late_cell (Plan.random ~seed:1163L ())
+  in
+  let contents = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  (match result with
+  | Ok () -> ()
+  | Error f -> Alcotest.fail ("plan 1163: " ^ f.Campaign.what));
+  contents
+
+let describe_tm_record (r : Journal_io.record) =
+  match r.Journal_io.body with
+  | Journal_io.Payload (Codec_bin.Tm_input (Tm.Deliver { src; msg })) ->
+    Printf.sprintf "deliver %s from %s" (Message.label msg) src
+  | Journal_io.Payload (Codec_bin.Tm_input Tm.Retry_fired) -> "retry-fired"
+  | Journal_io.Payload (Codec_bin.Tm_action (Tm.Send { dst; msg })) ->
+    Printf.sprintf "send %s to %s" (Message.label msg) dst
+  | Journal_io.Payload (Codec_bin.Tm_action (Tm.Finish _)) -> "finish"
+  | Journal_io.Payload p -> Codec_bin.payload_dir p
+  | Journal_io.Event _ -> "event"
+  | Journal_io.Undecodable m -> "undecodable " ^ m
+
+(* Every tm-t1 record from its finish action on, in journal order. *)
+let tm_t1_after_finish contents =
+  let step (after, acc) (r : Journal_io.record) =
+    if not (String.equal r.Journal_io.node "tm-t1") then (after, acc)
+    else
+      match describe_tm_record r with
+      | "finish" -> (true, [ "finish" ])
+      | d -> if after then (true, d :: acc) else (false, acc)
+  in
+  match Journal_io.fold contents ~init:(fun _ -> (false, [])) step with
+  | Ok (_, acc) -> List.rev acc
+  | Error m -> Alcotest.fail m
+
+let test_late_deliveries_reach_finished_tm () =
+  let jsonl = plan_1163_journal Journal.Jsonl in
+  let bin = plan_1163_journal Journal.Binary in
+  Alcotest.(check (list string))
+    "stale inquiries answered, late acks and a retry after finish"
+    [
+      "finish";
+      "deliver inquiry from server-1";
+      "send decision-abort to server-1";
+      "deliver inquiry from server-3";
+      "send decision-abort to server-3";
+      "deliver inquiry from server-2";
+      "send decision-abort to server-2";
+      "deliver decision-ack from server-1";
+      "deliver decision-ack from server-3";
+      "deliver decision-ack from server-2";
+      "retry-fired";
+    ]
+    (tm_t1_after_finish jsonl);
+  Alcotest.(check (list string))
+    "binary journal holds the same records" (tm_t1_after_finish jsonl)
+    (tm_t1_after_finish bin);
+  Alcotest.(check string) "JSONL journal digest"
+    "3cdbc414b11fe55ff623dce272fedacd"
+    (Digest.to_hex (Digest.string jsonl));
+  Alcotest.(check string) "binary journal digest"
+    "61b3da6519c10283b7f9b18eb26500b1"
+    (Digest.to_hex (Digest.string bin))
+
 let () =
   Alcotest.run "chaos"
     [
@@ -183,5 +267,10 @@ let () =
             test_shrink_to_minimal_plan;
           Alcotest.test_case "audit rejects the captured journal" `Slow
             test_shrunk_journal_rejected_by_audit;
+        ] );
+      ( "late delivery",
+        [
+          Alcotest.test_case "plan 1163 reaches a finished TM" `Quick
+            test_late_deliveries_reach_finished_tm;
         ] );
     ]
