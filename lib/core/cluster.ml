@@ -24,6 +24,7 @@ type t = {
   cas : (string * Ca.t) list;
   context : Rule.fact list ref;
   domain_of : string -> string;
+  variant : Cloudtx_txn.Tpc.variant;
   prop_rng : Splitmix.t;
   proofs : (string, int ref) Hashtbl.t; (* txn in flight -> proofs so far *)
 }
@@ -31,7 +32,8 @@ type t = {
 let master_name = "master"
 
 let create ?(seed = 1L) ?(latency = Latency.lan) ?ocsp_latency ?(cas = [])
-    ?(context_facts = []) ?domain_of ?variant ?proof_cache ?dedup
+    ?(context_facts = []) ?domain_of ?(variant = Cloudtx_txn.Tpc.Basic)
+    ?proof_cache ?dedup
     ?inquiry_timeout ~servers ~domains () =
   if servers = [] then invalid_arg "Cluster.create: no servers";
   if domains = [] then invalid_arg "Cluster.create: no domains";
@@ -90,7 +92,7 @@ let create ?(seed = 1L) ?(latency = Latency.lan) ?ocsp_latency ?(cas = [])
           admins;
         let participant =
           Participant.create ~transport ~server ~env ~domain_of ~on_proof
-            ?variant ?ocsp_delay ?proof_cache ?dedup ?inquiry_timeout ()
+            ~variant ?ocsp_delay ?proof_cache ?dedup ?inquiry_timeout ()
         in
         (spec.s_name, participant))
       servers
@@ -104,11 +106,13 @@ let create ?(seed = 1L) ?(latency = Latency.lan) ?ocsp_latency ?(cas = [])
     cas;
     context;
     domain_of;
+    variant;
     prop_rng;
     proofs;
   }
 
 let transport t = t.transport
+let variant t = t.variant
 let master t = t.master
 let participants t = List.map snd t.participants
 

@@ -56,6 +56,9 @@ val create :
   t
 
 val transport : t -> Message.t Transport.t
+
+(** The participants' decision-logging discipline (default Basic). *)
+val variant : t -> Cloudtx_txn.Tpc.variant
 val master : t -> Master.t
 val participants : t -> Participant.t list
 val participant : t -> string -> Participant.t

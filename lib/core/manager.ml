@@ -37,8 +37,6 @@ type driver = {
   name : string;
   txn_id : string;
   on_done : Outcome.t -> unit;
-  dedup : bool;
-  seen : (int, unit) Hashtbl.t; (* delivered wire seqs, for idempotence *)
   adaptive : bool; (* non-Fixed timeout policy: measure and feed RTTs *)
   rtt_sent : (string, float) Hashtbl.t;
       (* per-peer time of the latest outstanding send, consumed by the
@@ -179,6 +177,21 @@ let finish d (cfg : config) ~committed ~reason ~commit_rounds =
   d.on_done outcome
   end
 
+(* 2PC lets a coordinator forget a transaction once every participant
+   owed the decision has acknowledged it.  Forgetting here also needs
+   each of them to have forced the decision: one that did not can lose
+   it in a crash, come back in doubt and inquire again.  The transport
+   keeps the node until nothing is in flight to or from it, so late
+   acks, stale inquiries and the answers to them still land. *)
+let forget d =
+  match Tm.decision d.machine with
+  | Some commit
+    when Tm.acknowledged d.machine
+         && Cloudtx_txn.Tpc.decision_forced (Cluster.variant d.cluster) ~commit
+    ->
+    Transport.retire (transport d) d.name
+  | Some _ | None -> ()
+
 let rec perform d (cfg : config) (a : Tm.action) =
   match a with
   | Tm.Send { dst; msg } ->
@@ -208,7 +221,8 @@ let rec perform d (cfg : config) (a : Tm.action) =
         m "%s: finished %s (%s)" d.name
           (if committed then "COMMIT" else "ABORT")
           (Outcome.reason_name reason));
-    finish d cfg ~committed ~reason ~commit_rounds
+    finish d cfg ~committed ~reason ~commit_rounds;
+    forget d
 
 and dispatch d cfg input =
   let j = journal d in
@@ -270,8 +284,6 @@ let reject_fast cluster (cfg : config) txn ~submitted_at ~reason ~on_done =
       name = "tm-" ^ txn.Transaction.id;
       txn_id = txn.Transaction.id;
       on_done;
-      dedup = false;
-      seen = Hashtbl.create 1;
       adaptive = false;
       rtt_sent = Hashtbl.create 1;
       machine_dead = true;
@@ -329,8 +341,6 @@ let submit_handle ?ts ?(dedup = true) ?resilience cluster (cfg : config) txn
       name;
       txn_id = txn.Transaction.id;
       on_done;
-      dedup;
-      seen = Hashtbl.create 32;
       adaptive =
         (match cfg.timeout_policy with
         | Cloudtx_protocol.Timeout_policy.Fixed -> false
@@ -347,14 +357,8 @@ let submit_handle ?ts ?(dedup = true) ?resilience cluster (cfg : config) txn
       decided_at = Float.nan;
     }
   in
-  Transport.register_seq transport name (fun ~src ~seq msg ->
-      if d.machine_dead then ()
-      else if d.dedup && Hashtbl.mem d.seen seq then begin
-        if Tracer.enabled (Transport.tracer transport) then
-          Transport.mark transport ~node:name ("dedup:" ^ Message.label msg)
-      end
-      else begin
-        if d.dedup then Hashtbl.replace d.seen seq ();
+  Transport.register ~dedup transport name (fun ~src msg ->
+      if not d.machine_dead then begin
         (* Measured request->first-reply RTT feeds the adaptive timeout
            policy's per-peer sketch; journaled as a machine input so
            replay sees identical estimates (and identical delays). *)

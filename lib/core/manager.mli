@@ -12,7 +12,15 @@
     + at commit runs 2PVC (Algorithm 2) — or plain 2PC when the scheme
       already established consistency (Section V-C);
     + force-logs its decision, distributes it and collects acks, and
-      answers recovering participants' [Inquiry] messages afterwards. *)
+      answers recovering participants' [Inquiry] messages afterwards.
+
+    Once every participant owed the decision has acknowledged it, and
+    each forced it to its log (always under Basic 2PC), no participant
+    can inquire again, and the TM retires its node
+    ({!Cloudtx_sim.Transport.retire}): it is forgotten when the last
+    message to or from it settles.  A TM that finished because its
+    adaptive retry budget ran out stays registered and keeps answering
+    inquiries. *)
 
 type master_mode =
   [ `Once  (** Fetch the master version once per 2PVC run. *)
@@ -93,10 +101,11 @@ type handle
 
 (** Like {!submit}, returning the coordinator handle.
 
-    [dedup] (default true) drops re-delivered wire messages on their
-    transport sequence number — the coordinator-side half of idempotent
-    delivery under duplication.  [false] is an escape hatch for chaos
-    tests demonstrating the failure mode.
+    [dedup] (default true) registers the TM with the transport's
+    duplicate suppression, so copies of one send that the network
+    duplicated reach the machine once — the coordinator-side half of
+    idempotent delivery under duplication.  [false] is an escape hatch
+    for chaos tests demonstrating the failure mode.
 
     [resilience] gates the submit through shared circuit breakers and
     admission control ({!Resilience}).  A rejected transaction fails fast

@@ -41,12 +41,6 @@ type t = {
   ocsp_delay : (unit -> float) option;
   on_proof : txn:string -> unit;
   proof_cache : (string, string list) Hashtbl.t option;
-  dedup : bool;
-  seen : (int, unit) Hashtbl.t;
-      (* wire seqs already delivered; duplicated or retransmitted copies
-         are dropped here, before journaling, so journals stay replayable.
-         Kept across crashes: the machine's [expected]-count NACK covers
-         the state actually lost. *)
   inquiry_timeout : float;
   waits : (string, wait) Hashtbl.t; (* txn -> open lock.wait *)
   mutable releases : (string option * Lock_manager.release) list;
@@ -222,7 +216,7 @@ and perform t (a : Ps.action) =
   | Ps.Send { dst; msg; after_proofs; credentials } ->
     let delay = float_of_int after_proofs *. status_check_delay t credentials in
     if delay <= 0. then send t ~dst msg
-    else Transport.at t.transport ~delay (fun () -> send t ~dst msg)
+    else Transport.send_after t.transport ~delay ~src:(name t) ~dst msg
   | Ps.Begin_work { txn; ts } ->
     Server.begin_work t.server ~txn ~ts ~time:(now t)
   | Ps.Exec { txn; ts; query; evaluate; reply_to; snapshot } ->
@@ -341,21 +335,16 @@ let create ~transport ~server ~env ~domain_of ~on_proof ?(variant = Tpc.Basic)
       ocsp_delay;
       on_proof;
       proof_cache = (if proof_cache then Some (Hashtbl.create 64) else None);
-      dedup;
-      seen = Hashtbl.create 64;
       inquiry_timeout;
       waits = Hashtbl.create 8;
       releases = [];
     }
   in
-  Transport.register_seq transport (Server.name server) (fun ~src ~seq msg ->
-      if t.dedup && Hashtbl.mem t.seen seq then begin
-        if Tracer.enabled (tracer t) then mark t ("dedup:" ^ Message.label msg)
-      end
-      else begin
-        if t.dedup then Hashtbl.replace t.seen seq ();
-        handle t ~src msg
-      end);
+  (* The transport drops duplicated copies before they reach [handle],
+     so journals stay replayable.  The filter outlives a crash: the
+     machine's [expected]-count NACK covers the state actually lost. *)
+  Transport.register ~dedup transport (Server.name server) (fun ~src msg ->
+      handle t ~src msg);
   (* Store-layer hooks read the transport's tracer/registry dynamically:
      the CLI enables observability after the cluster is built, and the
      enabled checks keep the default path allocation-free. *)

@@ -32,11 +32,12 @@ type t
     had to check (the responses still arrive in order per sender pair).
     Default: status checks are free, which is what Table I prices.
 
-    [dedup] (default true) drops re-delivered wire messages on their
-    transport sequence number, making delivery idempotent under message
-    duplication and at-least-once decision retransmission.  The [false]
-    escape hatch exists for chaos tests that need to demonstrate the
-    failure mode dedup prevents.
+    [dedup] (default true) registers the node with the transport's
+    duplicate suppression ({!Cloudtx_sim.Transport.register}): the
+    copies of one send that the network duplicated reach the machine
+    once.  Retransmissions are new sends, which the machine itself
+    answers idempotently.  The [false] escape hatch exists for chaos
+    tests that need to demonstrate the failure mode dedup prevents.
 
     [inquiry_timeout] > 0 arms the termination protocol: a transaction
     silent for that long makes a prepared participant send [Inquiry] to

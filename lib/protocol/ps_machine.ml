@@ -494,12 +494,7 @@ let dispatch t ~src msg =
   | Message.Decision { txn; commit } -> (
     match Hashtbl.find_opt t.txns txn with
     | Some st ->
-      let forced =
-        match (t.variant, commit) with
-        | Tpc.Basic, _ -> true
-        | Tpc.Presumed_abort, commit -> commit
-        | Tpc.Presumed_commit, commit -> not commit
-      in
+      let forced = Tpc.decision_forced t.variant ~commit in
       if forced then mark t ("log_force:decision:" ^ txn);
       let writes = if commit then commit_writes t st else [] in
       emit t (Apply { txn; commit; forced; writes });

@@ -144,6 +144,9 @@ let reason s = s.reason
 let commit_rounds s = s.commit_rounds
 let decision_targets s = s.decision_targets
 
+let acknowledged s =
+  s.phase = Finished && List.length s.acked = List.length s.decision_targets
+
 let emit s a = s.out <- a :: s.out
 let send s ~dst msg = emit s (Send { dst; msg })
 let mark s label = emit s (Mark label)

@@ -136,3 +136,9 @@ val submitted_at : t -> float
 val reason : t -> Outcome.reason
 val commit_rounds : t -> int
 val decision_targets : t -> string list
+
+(** The machine has finished and every decision target has acknowledged
+    the decision: 2PC's point at which a coordinator may forget the
+    transaction.  False for a machine that finished because its adaptive
+    retry budget ran out, which keeps answering inquiries. *)
+val acknowledged : t -> bool

@@ -1,13 +1,36 @@
 module Obs = Cloudtx_obs
 
+(* One registration of a node.  [in_flight] counts the message copies
+   scheduled to or from it that have not settled yet (and the delayed
+   sends of {!send_after}); a retiring node leaves the table when it
+   reaches 0. *)
+type 'msg node = {
+  name : string;
+  handler : src:string -> 'msg -> unit;
+  dedup : bool;
+  mutable in_flight : int;
+  mutable retiring : bool;
+}
+
+(* The duplicate filter shared by the copies of one send that the
+   network duplicated.  [taker] is the registration that last took a
+   copy with dedup on ([nobody] until then); [copies] counts the copies
+   still to settle. *)
+type 'msg filter = { mutable copies : int; mutable taker : 'msg node }
+
 type 'msg t = {
   engine : Engine.t;
   network : Network.t;
   label_of : 'msg -> string;
-  handlers : (string, src:string -> seq:int -> 'msg -> unit) Hashtbl.t;
+  handlers : (string, 'msg node) Hashtbl.t;
+  nobody : 'msg node;
+      (** What a lookup of an unregistered name returns, so lookups on the
+          send and delivery path allocate no option.  Its count is never
+          read. *)
+  no_filter : 'msg filter;  (** Carried by a send's only copy. *)
+  mutable filters : int;
   crashed : (string, unit) Hashtbl.t;
   rng : Splitmix.t;
-  mutable next_seq : int;
   mutable tracer : Obs.Tracer.t;
   mutable registry : Obs.Registry.t;
   sent : (string, Obs.Registry.counter) Hashtbl.t;
@@ -19,14 +42,25 @@ type 'msg t = {
 let create ?(seed = 42L) ?(latency = Latency.lan) ?(drop = 0.) ~label_of () =
   let rng = Splitmix.create seed in
   let net_rng = Splitmix.split rng in
+  let nobody =
+    {
+      name = "";
+      handler = (fun ~src:_ _ -> ());
+      dedup = false;
+      in_flight = 0;
+      retiring = false;
+    }
+  in
   {
     engine = Engine.create ();
     network = Network.create ~drop ~latency ~rng:net_rng ();
     label_of;
     handlers = Hashtbl.create 16;
+    nobody;
+    no_filter = { copies = 0; taker = nobody };
+    filters = 0;
     crashed = Hashtbl.create 4;
     rng;
-    next_seq = 0;
     tracer = Obs.Tracer.noop;
     registry = Obs.Registry.noop;
     sent = Hashtbl.create 16;
@@ -89,16 +123,40 @@ let enable_journal ?format ?max_buffer_bytes ?path t =
   end;
   t.journal
 
-let register_seq t name handler =
+let find t name =
+  match Hashtbl.find t.handlers name with
+  | node -> node
+  | exception Not_found -> t.nobody
+
+let register ?(dedup = false) t name handler =
   if Hashtbl.mem t.handlers name then
     invalid_arg (Printf.sprintf "Transport.register: duplicate node %s" name);
-  Hashtbl.add t.handlers name handler
-
-let register t name handler =
-  register_seq t name (fun ~src ~seq:_ msg -> handler ~src msg)
+  Hashtbl.add t.handlers name
+    { name; handler; dedup; in_flight = 0; retiring = false }
 
 let unregister t name = Hashtbl.remove t.handlers name
 let registered t name = Hashtbl.mem t.handlers name
+
+(* A node that re-registered under the same name is another registration:
+   the old one's count never removes it. *)
+let remove_if_current t node =
+  if find t node.name == node then Hashtbl.remove t.handlers node.name
+
+let retire t name =
+  let node = find t name in
+  if node != t.nobody then begin
+    node.retiring <- true;
+    if node.in_flight = 0 then Hashtbl.remove t.handlers name
+  end
+
+let hold node = node.in_flight <- node.in_flight + 1
+
+let settle t node =
+  node.in_flight <- node.in_flight - 1;
+  if node.retiring && node.in_flight = 0 then remove_if_current t node
+
+let in_flight t name = (find t name).in_flight
+let filters t = t.filters
 let crash t name = Hashtbl.replace t.crashed name ()
 let recover t name = Hashtbl.remove t.crashed name
 let crashed t name = Hashtbl.mem t.crashed name
@@ -119,40 +177,80 @@ let sent_cell t label =
     Hashtbl.add t.sent label c;
     c
 
+let mark t ~node label =
+  if traced t then Trace.emit t.tracer (Trace.Mark { node; label })
+
+(* One copy arriving at [to_]'s name, which was registered when the copy
+   was scheduled.  The handler is looked up now, so a node that
+   re-registered after a restart sees the traffic.  The copy settles only
+   after the handler returns: whatever the handler sends is counted
+   before the copy stops holding either end. *)
+let deliver t ~src ~from ~to_ ~filter msg =
+  let dst = to_.name in
+  let node = find t dst in
+  if node == t.nobody || Hashtbl.mem t.crashed dst then begin
+    if traced t then
+      Trace.emit t.tracer (Trace.Drop { src; dst; label = t.label_of msg })
+  end
+  else begin
+    if traced t then
+      Trace.emit t.tracer (Trace.Recv { src; dst; label = t.label_of msg });
+    if filter == t.no_filter || not node.dedup then node.handler ~src msg
+    else if filter.taker == node then
+      mark t ~node:dst ("dedup:" ^ t.label_of msg)
+    else begin
+      filter.taker <- node;
+      node.handler ~src msg
+    end
+  end;
+  settle t from;
+  settle t to_;
+  if filter != t.no_filter then begin
+    filter.copies <- filter.copies - 1;
+    if filter.copies = 0 then t.filters <- t.filters - 1
+  end
+
 let send t ~src ~dst msg =
   let label = t.label_of msg in
   if Obs.Registry.enabled t.registry then
     Obs.Registry.incr_cell (sent_cell t label);
   if traced t then Trace.emit t.tracer (Trace.Send { src; dst; label });
-  match Hashtbl.find_opt t.handlers dst with
-  | None ->
+  let to_ = find t dst in
+  if to_ == t.nobody then begin
+    (* No [Network.fate]: a send to an unregistered node draws nothing
+       from the network's RNG. *)
     if traced t then Trace.emit t.tracer (Trace.Drop { src; dst; label })
-  | Some _ -> (
+  end
+  else
     match Network.fate t.network ~src ~dst with
     | `Lost ->
       if traced t then Trace.emit t.tracer (Trace.Drop { src; dst; label })
     | `Deliver_each delays ->
-      (* Every copy of this logical send shares one wire seq, so receivers
-         can recognise duplicates. Handlers are looked up at delivery time:
-         a node that re-registered after a restart sees the traffic. *)
-      let seq = t.next_seq in
-      t.next_seq <- seq + 1;
+      let from = find t src in
+      let filter =
+        match delays with
+        | [ _ ] -> t.no_filter
+        | _ ->
+          t.filters <- t.filters + 1;
+          { copies = List.length delays; taker = t.nobody }
+      in
       List.iter
         (fun delay ->
+          hold from;
+          hold to_;
           Engine.schedule t.engine ~delay (fun () ->
-              match Hashtbl.find_opt t.handlers dst with
-              | Some handler when not (Hashtbl.mem t.crashed dst) ->
-                if traced t then
-                  Trace.emit t.tracer (Trace.Recv { src; dst; label });
-                handler ~src ~seq msg
-              | _ ->
-                if traced t then
-                  Trace.emit t.tracer (Trace.Drop { src; dst; label })))
-        delays)
+              deliver t ~src ~from ~to_ ~filter msg))
+        delays
+
+let send_after t ~delay ~src ~dst msg =
+  let from = find t src and to_ = find t dst in
+  hold from;
+  hold to_;
+  Engine.schedule t.engine ~delay (fun () ->
+      send t ~src ~dst msg;
+      settle t from;
+      settle t to_)
 
 let at t ~delay f = Engine.schedule t.engine ~delay f
-
-let mark t ~node label =
-  if traced t then Trace.emit t.tracer (Trace.Mark { node; label })
 
 let run ?until ?max_steps t = Engine.run ?until ?max_steps t.engine

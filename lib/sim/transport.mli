@@ -10,7 +10,43 @@
     metric).
 
     Crashed nodes silently swallow traffic, modelling fail-stop servers for
-    the recovery experiments. *)
+    the recovery experiments.
+
+    {2 Node lifecycle}
+
+    A node is {!register}ed under its name and stays until it is
+    {!unregister}ed (a coordinator restart swaps in a new handler that
+    way) or {!retire}d.  For each registration the fabric counts the
+    message copies in flight to or from it: a copy counts from when
+    {!send} schedules it until it is dropped (crashed or unregistered
+    receiver) or the receiver's handler returns, and a {!send_after}
+    counts from when it is scheduled.  [retire] removes the node at once
+    when nothing is in flight, or else when its last copy settles; until
+    then a retiring node still sends and receives as before.
+
+    Retirement never makes a send find its receiver gone.  Only a copy in
+    flight can make a node reply, and a retiring node outlives every copy
+    to or from it, including those its handler answers while retiring.
+    That matters for determinism: a send to an unregistered node is
+    dropped without consulting {!Network.fate}, so it draws nothing from
+    the network's RNG, and a node forgotten too early would shift every
+    later latency sample of the run.  A registration's count belongs to
+    that registration: copies scheduled before a node re-registered
+    under the same name never remove the new registration.
+
+    {2 Duplicate suppression}
+
+    The network may deliver one send several times ({!Network.set_duplicate}).
+    Those copies share one duplicate filter, which lives exactly as long
+    as the copies ({!filters} counts the live ones); a send with one copy
+    carries none.  A registration made with [~dedup:true] takes the first
+    copy that reaches it and sees the later ones suppressed: they are
+    traced as received, then marked [dedup:<label>] on the receiver, and
+    its handler does not run.  Suppression compares against the
+    registration that took a copy, so a node that re-registered after a
+    restart still sees later copies, and a node that only crashed (its
+    registration kept) still suppresses them.  A copy swallowed by a
+    crashed receiver was not delivered and does not count. *)
 
 type 'msg t
 
@@ -83,24 +119,34 @@ val now : _ t -> float
 (** A private RNG stream split off the fabric seed, for workloads. *)
 val fork_rng : _ t -> Splitmix.t
 
-(** [register t name handler] installs the node. Raises [Invalid_argument]
-    on duplicate names. Handler receives [(src, msg)]. *)
-val register : 'msg t -> string -> (src:string -> 'msg -> unit) -> unit
+(** [register ?dedup t name handler] installs the node.  Raises
+    [Invalid_argument] on duplicate names.  Handler receives
+    [(src, msg)].  With [dedup] (default false) the node sees each send
+    once however many copies the network makes (see above). *)
+val register :
+  ?dedup:bool -> 'msg t -> string -> (src:string -> 'msg -> unit) -> unit
 
-(** [register_seq t name handler] is {!register} but the handler also
-    receives the message's wire sequence number.  Every copy of one
-    logical [send] (the original and any network-level duplicates) carries
-    the same [seq], so receivers can deduplicate re-deliveries. *)
-val register_seq :
-  'msg t -> string -> (src:string -> seq:int -> 'msg -> unit) -> unit
-
-(** [unregister t name] removes the node's handler (e.g. to swap in a
-    recovery handler after a restart). In-flight messages to [name] are
-    delivered to whichever handler is registered at delivery time, or
+(** [unregister t name] removes the node's handler at once (e.g. to swap
+    in a recovery handler after a restart).  In-flight messages to [name]
+    are delivered to whichever handler is registered at delivery time, or
     dropped if none is. *)
 val unregister : _ t -> string -> unit
 
+(** [retire t name] removes the node once no copy is in flight to or from
+    it: at once if none is, else when the last one settles.  No-op for an
+    unregistered name.  A coordinator retires when nothing can reach it
+    any more. *)
+val retire : _ t -> string -> unit
+
 val registered : _ t -> string -> bool
+
+(** Copies (and {!send_after} sends) in flight to or from the node's
+    current registration; 0 for an unregistered name. *)
+val in_flight : _ t -> string -> int
+
+(** Duplicate filters alive: sends the network duplicated whose copies
+    have not all settled. *)
+val filters : _ t -> int
 
 (** [crash t name] makes the node drop all incoming traffic (fail-stop). *)
 val crash : _ t -> string -> unit
@@ -115,6 +161,12 @@ val crashed : _ t -> string -> bool
     tracer on it emits the send and, later, each delivery or drop.
     Unknown destinations are traced as drops. *)
 val send : 'msg t -> src:string -> dst:string -> 'msg -> unit
+
+(** [send_after t ~delay ~src ~dst msg] is [send t ~src ~dst msg] run
+    [delay] ms from now (a reply that waits on local work), counted in
+    flight at both ends from now on, so neither retires in between. *)
+val send_after :
+  'msg t -> delay:float -> src:string -> dst:string -> 'msg -> unit
 
 (** [at t ~delay f] schedules local work (not a message, not counted). *)
 val at : _ t -> delay:float -> (unit -> unit) -> unit

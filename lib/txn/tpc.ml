@@ -71,19 +71,18 @@ let coord_start c =
   prelude @ broadcast c Vote_request
 
 (* Forced/non-forced decision logging and ack expectations per variant. *)
-let decision_log variant commit =
-  match (variant, commit) with
-  | Basic, _ -> Force_log (if commit then "commit" else "abort")
-  | Presumed_abort, true -> Force_log "commit"
-  | Presumed_abort, false -> Write_log "abort"
-  | Presumed_commit, true -> Write_log "commit"
-  | Presumed_commit, false -> Force_log "abort"
+let decision_forced variant ~commit =
+  match variant with
+  | Basic -> true
+  | Presumed_abort -> commit
+  | Presumed_commit -> not commit
 
-let acks_expected variant commit =
-  match (variant, commit) with
-  | Basic, _ -> true
-  | Presumed_abort, commit -> commit
-  | Presumed_commit, commit -> not commit
+let decision_log variant commit =
+  let tag = if commit then "commit" else "abort" in
+  if decision_forced variant ~commit then Force_log tag else Write_log tag
+
+(* Acks are expected exactly for the decisions participants force. *)
+let acks_expected variant commit = decision_forced variant ~commit
 
 let decide c commit =
   c.decision <- Some commit;
@@ -171,14 +170,7 @@ let part_on_decision p ~commit =
   | P_init -> invalid_arg "Tpc.part_on_decision: decision before vote"
   | P_prepared ->
     p.pstate <- P_done;
-    let log =
-      match (p.p_variant, commit) with
-      | Basic, _ -> Force_log (if commit then "commit" else "abort")
-      | Presumed_abort, true -> Force_log "commit"
-      | Presumed_abort, false -> Write_log "abort"
-      | Presumed_commit, true -> Write_log "commit"
-      | Presumed_commit, false -> Force_log "abort"
-    in
+    let log = decision_log p.p_variant commit in
     let ack =
       if acks_expected p.p_variant commit then
         [ Send { dst = `Coordinator; msg = Ack } ]

@@ -28,6 +28,12 @@ type variant = Basic | Presumed_abort | Presumed_commit
 
 val variant_name : variant -> string
 
+(** Whether the decision record is forced under [variant]: always under
+    Basic, for commits under presumed abort, for aborts under presumed
+    commit.  A participant that forced its decision never recovers in
+    doubt, so it never inquires again. *)
+val decision_forced : variant -> commit:bool -> bool
+
 (** Wire messages. [Vote_request] is the "Prepare" of Figure 7. *)
 type msg =
   | Vote_request
