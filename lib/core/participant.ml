@@ -427,40 +427,29 @@ let recover t =
      decided transactions (so a retransmitted [Decision] is re-acked, not
      re-applied) and the in-doubt ones with the integrity vote their
      force-logged [Prepared] record carries. *)
-  let entries = Wal.entries (Server.wal t.server) in
-  let vote_of txn =
+  (* One pass: each transaction's last prepared record, and the decided
+     ones in first-decision order. *)
+  let prepared = Hashtbl.create 16 in
+  let decided = Hashtbl.create 16 in
+  let decided_order =
     List.fold_left
-      (fun acc (e : Wal.entry) ->
+      (fun order (e : Wal.entry) ->
         match e.Wal.record with
-        | Wal.Prepared { txn = p; integrity_vote; _ } when String.equal p txn
-          ->
-          integrity_vote
-        | _ -> acc)
-      false entries
+        | Wal.Prepared { txn; integrity_vote; writes; _ } ->
+          Hashtbl.replace prepared txn (integrity_vote, writes);
+          order
+        | Wal.Decision { txn; _ } when not (Hashtbl.mem decided txn) ->
+          Hashtbl.add decided txn ();
+          txn :: order
+        | _ -> order)
+      [] (Wal.entries (Server.wal t.server))
   in
-  let writes_of txn =
-    List.fold_left
-      (fun acc (e : Wal.entry) ->
-        match e.Wal.record with
-        | Wal.Prepared { txn = p; writes; _ } when String.equal p txn ->
-          List.map fst writes
-        | _ -> acc)
-      [] entries
-  in
-  let decided =
-    List.fold_left
-      (fun acc (e : Wal.entry) ->
-        match e.Wal.record with
-        | Wal.Decision { txn; _ } when not (List.mem txn acc) -> txn :: acc
-        | _ -> acc)
-      [] entries
-    |> List.rev
+  let seed txn =
+    match Hashtbl.find_opt prepared txn with
+    | Some (vote, writes) -> (txn, vote, List.map fst writes)
+    | None -> (txn, false, [])
   in
   dispatch t
     (Ps.Recovered
-       {
-         decided;
-         in_doubt =
-           List.map (fun txn -> (txn, vote_of txn, writes_of txn)) in_doubt;
-       });
+       { decided = List.rev decided_order; in_doubt = List.map seed in_doubt });
   drain_releases t

@@ -284,19 +284,16 @@ let crash t =
 let recover t ~time =
   Lock_manager.clear t.locks;
   let in_doubt = ref [] in
-  let seen = Hashtbl.create 16 in
+  (* One analysis pass.  The redo pass visits the transactions in the
+     order of a table filled in log order, which fixes the order of its
+     End_txn appends. *)
+  let states = Hashtbl.create 16 in
   List.iter
-    (fun (e : Wal.entry) ->
-      let note txn = Hashtbl.replace seen txn () in
-      match e.Wal.record with
-      | Wal.Begin_txn { txn } | Wal.Decision { txn; _ } | Wal.End_txn { txn } ->
-        note txn
-      | Wal.Prepared { txn; _ } -> note txn
-      | Wal.Checkpoint _ -> ())
-    (Wal.entries t.wal);
+    (fun (txn, state) -> Hashtbl.replace states txn state)
+    (Wal.recover_all t.wal);
   Hashtbl.iter
-    (fun txn () ->
-      match Wal.recover_txn t.wal ~txn with
+    (fun txn state ->
+      match state with
       | `Prepared (writes, _) ->
         (* In doubt: hold exclusive locks until the coordinator answers. *)
         List.iter
@@ -317,5 +314,5 @@ let recover t ~time =
         apply_writes t writes;
         ignore (Wal.append t.wal ~time ~forced:false (Wal.End_txn { txn }))
       | `No_trace | `Active | `Aborted | `Finished -> ())
-    seen;
+    states;
   List.sort String.compare !in_doubt

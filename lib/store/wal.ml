@@ -247,29 +247,67 @@ let load data =
     lines;
   (t, !dropped)
 
-let recover_txn t ~txn =
-  (* Scan oldest-to-newest, tracking the latest state transition. *)
-  let state = ref `No_trace in
-  let prepared = ref ([], []) in
-  List.iter
-    (fun e ->
-      if String.equal (txn_of e.record) txn then begin
-        match e.record with
-        | Begin_txn _ -> if !state = `No_trace then state := `Active
-        | Prepared { writes; policy_versions; _ } ->
-          prepared := (writes, policy_versions);
-          state := `Prepared
-        | Decision { commit; _ } -> state := if commit then `Committed else `Aborted
-        | End_txn _ -> state := `Finished
-        | Checkpoint _ -> ()
-      end)
-    (entries t);
-  match !state with
+(* One transaction's analysis, advanced record by record in log order:
+   the latest state transition, and the last prepared record's writes. *)
+type analysis = {
+  mutable status : [ `No_trace | `Active | `Prepared | `Committed | `Aborted | `Finished ];
+  mutable prepared : (string * Value.t) list * (string * int) list;
+}
+
+type state =
+  [ `No_trace
+  | `Active
+  | `Prepared of (string * Value.t) list * (string * int) list
+  | `Committed of (string * Value.t) list
+  | `Aborted
+  | `Finished ]
+
+let fresh () = { status = `No_trace; prepared = ([], []) }
+
+let analyze a = function
+  | Begin_txn _ -> if a.status = `No_trace then a.status <- `Active
+  | Prepared { writes; policy_versions; _ } ->
+    a.prepared <- (writes, policy_versions);
+    a.status <- `Prepared
+  | Decision { commit; _ } -> a.status <- (if commit then `Committed else `Aborted)
+  | End_txn _ -> a.status <- `Finished
+  | Checkpoint _ -> ()
+
+let state_of a : state =
+  match a.status with
   | `No_trace -> `No_trace
   | `Active -> `Active
-  | `Prepared ->
-    let writes, versions = !prepared in
-    `Prepared (writes, versions)
-  | `Committed -> `Committed (fst !prepared)
+  | `Prepared -> `Prepared a.prepared
+  | `Committed -> `Committed (fst a.prepared)
   | `Aborted -> `Aborted
   | `Finished -> `Finished
+
+let recover_txn t ~txn =
+  let a = fresh () in
+  List.iter
+    (fun e -> if String.equal (txn_of e.record) txn then analyze a e.record)
+    (entries t);
+  state_of a
+
+let recover_all t =
+  let by_txn = Hashtbl.create 16 in
+  let order =
+    List.fold_left
+      (fun order e ->
+        match e.record with
+        | Checkpoint _ -> order
+        | r ->
+          let txn = txn_of r in
+          let a, order =
+            match Hashtbl.find_opt by_txn txn with
+            | Some a -> (a, order)
+            | None ->
+              let a = fresh () in
+              Hashtbl.add by_txn txn a;
+              (a, (txn, a) :: order)
+          in
+          analyze a r;
+          order)
+      [] (entries t)
+  in
+  List.rev_map (fun (txn, a) -> (txn, state_of a)) order

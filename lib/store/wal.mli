@@ -77,15 +77,21 @@ val serialize : t -> string
     lines dropped (0 = clean). *)
 val load : string -> t * int
 
-(** Analysis pass over the log, as a recovering participant would run it:
-    for [txn], the last relevant state. *)
-val recover_txn :
-  t ->
-  txn:string ->
+(** A transaction's last relevant state in the log. *)
+type state =
   [ `No_trace  (** Never logged: presume per protocol variant. *)
   | `Active  (** Begin seen, no prepare: abort. *)
   | `Prepared of (string * Value.t) list * (string * int) list
     (** In doubt: must ask the coordinator. *)
   | `Committed of (string * Value.t) list
+    (** The writes of its last [Prepared] record. *)
   | `Aborted
   | `Finished ]
+
+(** Analysis pass over the log, as a recovering participant would run it:
+    for [txn], the last relevant state. *)
+val recover_txn : t -> txn:string -> state
+
+(** [recover_all t] is {!recover_txn} for every transaction the log's
+    records name, in order of first appearance, in one pass. *)
+val recover_all : t -> (string * state) list

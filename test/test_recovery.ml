@@ -300,6 +300,193 @@ let test_forced_log_counts_2pvc () =
   in
   Alcotest.(check int) "TM forces its decision" 1 tm_forces
 
+(* ------------------------------------------------------------------ *)
+(* Recovery is one pass over the log                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The recovery analysis as it was before it became one pass: one
+   reverse-and-scan of the whole log per transaction, and a [List.mem]
+   per decision.  Kept to pin the one-pass version's output. *)
+module Reference = struct
+  let recover_txn wal ~txn =
+    let txn_of = function
+      | Wal.Begin_txn { txn } | Wal.Decision { txn; _ } | Wal.End_txn { txn } ->
+        txn
+      | Wal.Prepared { txn; _ } -> txn
+      | Wal.Checkpoint _ -> ""
+    in
+    let state = ref `No_trace in
+    let prepared = ref ([], []) in
+    List.iter
+      (fun (e : Wal.entry) ->
+        if String.equal (txn_of e.Wal.record) txn then begin
+          match e.Wal.record with
+          | Wal.Begin_txn _ -> if !state = `No_trace then state := `Active
+          | Wal.Prepared { writes; policy_versions; _ } ->
+            prepared := (writes, policy_versions);
+            state := `Prepared
+          | Wal.Decision { commit; _ } ->
+            state := if commit then `Committed else `Aborted
+          | Wal.End_txn _ -> state := `Finished
+          | Wal.Checkpoint _ -> ()
+        end)
+      (Wal.entries wal);
+    match !state with
+    | `No_trace -> `No_trace
+    | `Active -> `Active
+    | `Prepared -> `Prepared (fst !prepared)
+    | `Committed -> `Committed (fst !prepared)
+    | `Aborted -> `Aborted
+    | `Finished -> `Finished
+
+  (* [Server.recover]'s analysis and redo on [wal], applying committed
+     writes to [data]: the in-doubt transactions, sorted. *)
+  let server_recover wal data ~time =
+    let in_doubt = ref [] in
+    let seen = Hashtbl.create 16 in
+    List.iter
+      (fun (e : Wal.entry) ->
+        let note txn = Hashtbl.replace seen txn () in
+        match e.Wal.record with
+        | Wal.Begin_txn { txn } | Wal.Decision { txn; _ } | Wal.End_txn { txn }
+          ->
+          note txn
+        | Wal.Prepared { txn; _ } -> note txn
+        | Wal.Checkpoint _ -> ())
+      (Wal.entries wal);
+    Hashtbl.iter
+      (fun txn () ->
+        match recover_txn wal ~txn with
+        | `Prepared _ -> in_doubt := txn :: !in_doubt
+        | `Committed writes ->
+          List.iter (fun (k, v) -> Hashtbl.replace data k v) writes;
+          ignore (Wal.append wal ~time ~forced:false (Wal.End_txn { txn }))
+        | `No_trace | `Active | `Aborted | `Finished -> ())
+      seen;
+    List.sort String.compare !in_doubt
+
+  (* [Participant.recover]'s re-seed of the machine. *)
+  let seed wal in_doubt =
+    let entries = Wal.entries wal in
+    let vote_of txn =
+      List.fold_left
+        (fun acc (e : Wal.entry) ->
+          match e.Wal.record with
+          | Wal.Prepared { txn = p; integrity_vote; _ } when String.equal p txn
+            ->
+            integrity_vote
+          | _ -> acc)
+        false entries
+    in
+    let writes_of txn =
+      List.fold_left
+        (fun acc (e : Wal.entry) ->
+          match e.Wal.record with
+          | Wal.Prepared { txn = p; writes; _ } when String.equal p txn ->
+            List.map fst writes
+          | _ -> acc)
+        [] entries
+    in
+    let decided =
+      List.fold_left
+        (fun acc (e : Wal.entry) ->
+          match e.Wal.record with
+          | Wal.Decision { txn; _ } when not (List.mem txn acc) -> txn :: acc
+          | _ -> acc)
+        [] entries
+      |> List.rev
+    in
+    (decided, List.map (fun txn -> (txn, vote_of txn, writes_of txn)) in_doubt)
+end
+
+module Journal_io = Cloudtx_core.Journal_io
+module Codec_bin = Cloudtx_protocol.Codec_bin
+module Ps = Cloudtx_protocol.Ps_machine
+
+let recovery_keys = [ "s1-k1"; "s1-k2"; "s1-k3" ]
+
+(* Random logs over three keys: repeated and conflicting decisions,
+   prepares with no decision, commits with no end record, and
+   checkpoints, in any order.  Up to 40 transactions, so the redo pass's
+   table grows and shares buckets, where its visiting order shows. *)
+let gen_log =
+  let open QCheck.Gen in
+  let txn = map (Printf.sprintf "t%d") (int_bound 39) in
+  let key = oneofl recovery_keys in
+  let write = pair key (map (fun n -> Value.Int n) (int_bound 9)) in
+  let record =
+    frequency
+      [
+        (2, map (fun txn -> Wal.Begin_txn { txn }) txn);
+        ( 3,
+          map3
+            (fun txn writes integrity_vote ->
+              Wal.Prepared
+                {
+                  txn;
+                  writes;
+                  integrity_vote;
+                  proof_truth = true;
+                  policy_versions = [ ("retail", 1) ];
+                })
+            txn (list_size (int_bound 2) write) bool );
+        (3, map2 (fun txn commit -> Wal.Decision { txn; commit }) txn bool);
+        (1, map (fun txn -> Wal.End_txn { txn }) txn);
+        (1, map (fun active -> Wal.Checkpoint { active }) (list_size (int_bound 2) txn));
+      ]
+  in
+  list_size (int_bound 120) record
+
+let print_log records =
+  String.concat "\n" (List.map Wal.record_tag records)
+  ^ "\n" ^ string_of_int (List.length records) ^ " record(s)"
+
+let records_of wal = List.map (fun (e : Wal.entry) -> e.Wal.record) (Wal.entries wal)
+
+(* The one-pass recovery of a real participant against [Reference] on the
+   same log: the machine's [Recovered] input, the log after redo (its
+   End_txn appends in order) and the store's values. *)
+let recovery_matches_reference records =
+  let s = Scenario.retail ~n_servers:1 ~items_per_server:3 () in
+  let p = Cluster.participant s.Scenario.cluster "server-1" in
+  let server = Participant.server p in
+  List.iter
+    (fun r -> ignore (Wal.append (Server.wal server) ~time:0. ~forced:true r))
+    records;
+  let journal = Transport.enable_journal (Cluster.transport s.Scenario.cluster) in
+  Participant.recover p;
+  let recovered =
+    match
+      Journal_io.fold (Cloudtx_obs.Journal.to_string journal)
+        ~init:(fun _ -> None)
+        (fun acc (r : Journal_io.record) ->
+          match r.Journal_io.body with
+          | Journal_io.Payload
+              (Codec_bin.Ps_input (Ps.Recovered { decided; in_doubt })) ->
+            Some (decided, in_doubt)
+          | _ -> acc)
+    with
+    | Ok (Some seed) -> seed
+    | Ok None -> QCheck.Test.fail_report "no recovered input journaled"
+    | Error m -> QCheck.Test.fail_report m
+  in
+  let wal = Wal.create () in
+  List.iter (fun r -> ignore (Wal.append wal ~time:0. ~forced:true r)) records;
+  let data = Hashtbl.create 4 in
+  List.iter (fun k -> Hashtbl.replace data k (Value.Int 100)) recovery_keys;
+  let in_doubt = Reference.server_recover wal data ~time:0. in
+  recovered = Reference.seed wal in_doubt
+  && records_of (Server.wal server) = records_of wal
+  && List.for_all
+       (fun k -> Server.get server k = Hashtbl.find_opt data k)
+       recovery_keys
+
+let prop_recovery_one_pass =
+  QCheck.Test.make ~name:"one-pass recovery = per-transaction scans"
+    ~count:300
+    (QCheck.make ~print:print_log gen_log)
+    recovery_matches_reference
+
 let () =
   Alcotest.run "recovery"
     [
@@ -326,5 +513,6 @@ let () =
         [
           Alcotest.test_case "2PVC log complexity 2n+1" `Quick
             test_forced_log_counts_2pvc;
+          QCheck_alcotest.to_alcotest prop_recovery_one_pass;
         ] );
     ]
