@@ -474,6 +474,217 @@ let test_deterministic_replay () =
   in
   Alcotest.(check string) "identical traces" (run ()) (run ())
 
+(* ------------------------------------------------------------------ *)
+(* Node lifecycle: retirement                                          *)
+(* ------------------------------------------------------------------ *)
+
+let quiet t name = Transport.register t name (fun ~src:_ _ -> ())
+
+let test_retire_idle () =
+  let t = make_transport () in
+  quiet t "a";
+  Transport.retire t "a";
+  Alcotest.(check bool) "removed at once" false (Transport.registered t "a");
+  Transport.retire t "ghost";
+  Alcotest.(check bool) "unknown name: no-op" false
+    (Transport.registered t "ghost")
+
+(* A copy in flight to the node: the retiring node still receives it, and
+   is removed when it settles. *)
+let test_retire_waits_for_inbound () =
+  let t = make_transport () in
+  let got = ref [] in
+  Transport.register t "a" (fun ~src:_ msg -> got := msg :: !got);
+  quiet t "b";
+  Transport.send t ~src:"b" ~dst:"a" "late";
+  Transport.retire t "a";
+  Alcotest.(check bool) "kept while a copy is in flight" true
+    (Transport.registered t "a");
+  Alcotest.(check int) "one copy in flight" 1 (Transport.in_flight t "a");
+  ignore (Transport.run t);
+  Alcotest.(check (list string)) "retiring node received" [ "late" ] !got;
+  Alcotest.(check bool) "removed after the last copy" false
+    (Transport.registered t "a")
+
+(* A copy in flight from the node: its peer's answer is sent inside the
+   handler, before that copy settles, so it still reaches the retiring
+   node — and its own answer is counted in turn. *)
+let test_retire_waits_for_outbound () =
+  let t = make_transport () in
+  let got = ref [] in
+  Transport.register t "a" (fun ~src:_ msg -> got := msg :: !got);
+  Transport.register t "b" (fun ~src msg ->
+      if String.equal msg "inquiry" then Transport.send t ~src:"b" ~dst:src "ack");
+  Transport.send t ~src:"a" ~dst:"b" "inquiry";
+  Transport.retire t "a";
+  ignore (Transport.run ~max_steps:1 t);
+  Alcotest.(check bool) "kept: the answer is in flight" true
+    (Transport.registered t "a");
+  ignore (Transport.run t);
+  Alcotest.(check (list string)) "answer delivered" [ "ack" ] !got;
+  Alcotest.(check bool) "removed after the answer" false
+    (Transport.registered t "a");
+  Alcotest.(check int) "nothing in flight at b" 0 (Transport.in_flight t "b")
+
+let test_retiring_node_still_sends () =
+  let t = make_transport () in
+  let at_b = ref 0 in
+  Transport.register t "a" (fun ~src msg ->
+      Transport.send t ~src:"a" ~dst:src ("re:" ^ msg));
+  Transport.register t "b" (fun ~src:_ _ -> incr at_b);
+  Transport.send t ~src:"b" ~dst:"a" "q1";
+  Transport.send t ~src:"b" ~dst:"a" "q2";
+  Transport.retire t "a";
+  ignore (Transport.run t);
+  Alcotest.(check int) "both answered" 2 !at_b;
+  Alcotest.(check bool) "then removed" false (Transport.registered t "a")
+
+(* An old registration's count never removes the node that re-registered
+   under the same name (a coordinator restart). *)
+let test_reregistered_node_survives () =
+  let t = make_transport () in
+  quiet t "a";
+  quiet t "b";
+  Transport.send t ~src:"a" ~dst:"b" "m";
+  Transport.retire t "a";
+  Transport.unregister t "a";
+  let got = ref 0 in
+  Transport.register t "a" (fun ~src:_ _ -> incr got);
+  ignore (Transport.run t);
+  Alcotest.(check bool) "new registration kept" true
+    (Transport.registered t "a");
+  Transport.send t ~src:"b" ~dst:"a" "later";
+  ignore (Transport.run t);
+  Alcotest.(check int) "and receives" 1 !got
+
+(* A reply that waits on local work (a participant's proof-delayed
+   answer) holds its receiver from when it is scheduled. *)
+let test_delayed_reply_keeps_receiver () =
+  let t = make_transport () in
+  let got = ref 0 in
+  Transport.register t "tm" (fun ~src:_ _ -> incr got);
+  quiet t "p";
+  Transport.send_after t ~delay:5. ~src:"p" ~dst:"tm" "reply";
+  Transport.retire t "tm";
+  Alcotest.(check int) "held by the delayed send" 1 (Transport.in_flight t "tm");
+  ignore (Transport.run t);
+  Alcotest.(check int) "reply delivered" 1 !got;
+  Alcotest.(check bool) "removed after it" false (Transport.registered t "tm")
+
+(* ------------------------------------------------------------------ *)
+(* Duplicate suppression                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A fabric whose network duplicates half the sends and spreads copies
+   over 10 ms, with a receiver [a] that counts deliveries per message. *)
+let duplicating ~dedup =
+  let t =
+    Transport.create ~seed:5L ~latency:(Latency.Constant 1.) ~label_of:Fun.id ()
+  in
+  Network.set_duplicate (Transport.network t) 0.5;
+  Network.set_reorder_jitter (Transport.network t)
+    (Some (Latency.Uniform { lo = 0.; hi = 10. }));
+  let tracer = Transport.enable_tracing t in
+  let handled = Hashtbl.create 16 in
+  Transport.register ~dedup t "a" (fun ~src:_ msg ->
+      Hashtbl.replace handled msg
+        (1 + Option.value ~default:0 (Hashtbl.find_opt handled msg)));
+  quiet t "b";
+  (t, tracer, handled)
+
+let messages = List.init 30 (Printf.sprintf "m%d")
+
+(* Per message: copies received, copies dropped, dedup marks. *)
+let copies tracer msg =
+  List.fold_left
+    (fun (recv, drop, dedup) (e : Trace.entry) ->
+      match e.Trace.kind with
+      | Trace.Recv { label; _ } when label = msg -> (recv + 1, drop, dedup)
+      | Trace.Drop { label; _ } when label = msg -> (recv, drop + 1, dedup)
+      | Trace.Mark { node = "a"; label } when label = "dedup:" ^ msg ->
+        (recv, drop, dedup + 1)
+      | _ -> (recv, drop, dedup))
+    (0, 0, 0) (Trace.of_tracer tracer)
+
+let handled_count handled msg =
+  Option.value ~default:0 (Hashtbl.find_opt handled msg)
+
+let test_duplicates_suppressed () =
+  let t, tracer, handled = duplicating ~dedup:true in
+  List.iter (fun m -> Transport.send t ~src:"b" ~dst:"a" m) messages;
+  Alcotest.(check bool) "some sends duplicated" true (Transport.filters t > 0);
+  ignore (Transport.run t);
+  List.iter
+    (fun m ->
+      let recv, _, dedup = copies tracer m in
+      Alcotest.(check int) (m ^ ": handled once") 1 (handled_count handled m);
+      Alcotest.(check int) (m ^ ": later copies marked") (recv - 1) dedup)
+    messages;
+  Alcotest.(check int) "every filter died with its last copy" 0
+    (Transport.filters t)
+
+let test_filter_lives_with_copies () =
+  let t, tracer, _ = duplicating ~dedup:true in
+  (* Send one message at a time until the network duplicates one. *)
+  let rec find = function
+    | [] -> Alcotest.fail "no send was duplicated"
+    | m :: rest ->
+      Transport.send t ~src:"b" ~dst:"a" m;
+      if Transport.filters t = 0 then begin
+        ignore (Transport.run t);
+        find rest
+      end
+      else m
+  in
+  let m = find messages in
+  let rec step () =
+    if Transport.filters t > 0 then begin
+      ignore (Transport.run ~max_steps:1 t);
+      step ()
+    end
+  in
+  step ();
+  let recv, _, _ = copies tracer m in
+  Alcotest.(check bool) "several copies" true (recv > 1);
+  Alcotest.(check int) "nothing left in flight once the filter is gone" 0
+    (Transport.in_flight t "a")
+
+(* [a] is down for the first 5 ms: a copy it swallowed was not delivered,
+   so the first copy after it recovers reaches the handler. *)
+let test_crashed_copy_not_delivered () =
+  let t, tracer, handled = duplicating ~dedup:true in
+  Transport.crash t "a";
+  Transport.at t ~delay:5. (fun () -> Transport.recover t "a");
+  List.iter (fun m -> Transport.send t ~src:"b" ~dst:"a" m) messages;
+  ignore (Transport.run t);
+  let straddled = ref 0 in
+  List.iter
+    (fun m ->
+      let recv, drop, dedup = copies tracer m in
+      if recv > 0 && drop > 0 then incr straddled;
+      Alcotest.(check int) (m ^ ": handled iff a copy arrived")
+        (if recv > 0 then 1 else 0)
+        (handled_count handled m);
+      Alcotest.(check int) (m ^ ": marks") (max 0 (recv - 1)) dedup)
+    messages;
+  Alcotest.(check bool) "some message lost a copy, then delivered one" true
+    (!straddled > 0)
+
+let test_no_dedup_delivers_every_copy () =
+  let t, tracer, handled = duplicating ~dedup:false in
+  List.iter (fun m -> Transport.send t ~src:"b" ~dst:"a" m) messages;
+  ignore (Transport.run t);
+  let extra = ref 0 in
+  List.iter
+    (fun m ->
+      let recv, _, dedup = copies tracer m in
+      extra := !extra + recv - 1;
+      Alcotest.(check int) (m ^ ": every copy handled") recv
+        (handled_count handled m);
+      Alcotest.(check int) (m ^ ": no marks") 0 dedup)
+    messages;
+  Alcotest.(check bool) "some copies were duplicates" true (!extra > 0)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "sim"
@@ -533,5 +744,30 @@ let () =
             test_transport_flat_memory;
           Alcotest.test_case "deterministic replay" `Quick
             test_deterministic_replay;
+        ] );
+      ( "node lifecycle",
+        [
+          Alcotest.test_case "retire idle node" `Quick test_retire_idle;
+          Alcotest.test_case "retire waits for inbound copies" `Quick
+            test_retire_waits_for_inbound;
+          Alcotest.test_case "retire waits for outbound copies" `Quick
+            test_retire_waits_for_outbound;
+          Alcotest.test_case "retiring node still sends" `Quick
+            test_retiring_node_still_sends;
+          Alcotest.test_case "re-registered node survives" `Quick
+            test_reregistered_node_survives;
+          Alcotest.test_case "delayed reply keeps receiver" `Quick
+            test_delayed_reply_keeps_receiver;
+        ] );
+      ( "duplicate suppression",
+        [
+          Alcotest.test_case "later copies suppressed" `Quick
+            test_duplicates_suppressed;
+          Alcotest.test_case "filter lives with its copies" `Quick
+            test_filter_lives_with_copies;
+          Alcotest.test_case "crashed copy not delivered" `Quick
+            test_crashed_copy_not_delivered;
+          Alcotest.test_case "no dedup delivers every copy" `Quick
+            test_no_dedup_delivers_every_copy;
         ] );
     ]

@@ -255,6 +255,51 @@ let test_run_closed () =
     (Printf.sprintf "parallel beats serial (%.0f vs %.0f)" tps tps1)
     true (tps > tps1)
 
+(* Memory grows with work in flight, not with history: after a closed
+   loop of 2 000 transactions on bench/e2e's closed-bare shape (4 x 64
+   keys, deferred/view, 8 clients) no coordinator is left registered, and
+   what the run leaves reachable with its cluster alive stays under 400
+   words per committed transaction.  Keeping every finished coordinator
+   and per-message duplicate filter cost about 700. *)
+let test_closed_loop_forgets_coordinators () =
+  let s = Scenario.retail ~seed:1L ~n_servers:4 ~items_per_server:64 () in
+  let params =
+    { Generator.queries_per_txn = 3; write_ratio = 0.3; zipf_s = 0.; spread = `Round_robin }
+  in
+  let rng = Splitmix.create 1_000_001L in
+  let total = 2_000 in
+  let txns =
+    Array.init total (fun i ->
+        Generator.generate s rng params ~id:(Printf.sprintf "t%d" i))
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live_words () in
+  let stats, _ =
+    Experiment.run_closed s
+      (Manager.config Scheme.Deferred Consistency.View)
+      ~clients:8 ~total
+      (fun ~i -> txns.(i))
+  in
+  let retained = live_words () - before in
+  ignore (Sys.opaque_identity s);
+  let tr = Cluster.transport s.Scenario.cluster in
+  let left =
+    Array.to_list txns
+    |> List.filter (fun (txn : Transaction.t) ->
+           Cloudtx_sim.Transport.registered tr ("tm-" ^ txn.Transaction.id))
+  in
+  Alcotest.(check int) "no coordinator left registered" 0 (List.length left);
+  let committed = stats.Experiment.committed in
+  Alcotest.(check bool) "most transactions commit" true (committed > total / 2);
+  let per_txn = float_of_int retained /. float_of_int committed in
+  Alcotest.(check bool)
+    (Printf.sprintf "retained %.0f words per committed transaction (< 400)"
+       per_txn)
+    true (per_txn < 400.)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "workload"
@@ -287,5 +332,7 @@ let () =
           Alcotest.test_case "sequential stats" `Quick test_run_sequential_stats;
           Alcotest.test_case "open concurrent" `Quick test_run_open_concurrent;
           Alcotest.test_case "closed loop" `Quick test_run_closed;
+          Alcotest.test_case "closed loop forgets coordinators" `Quick
+            test_closed_loop_forgets_coordinators;
         ] );
     ]
