@@ -33,8 +33,7 @@ let master_name = "master"
 
 let create ?(seed = 1L) ?(latency = Latency.lan) ?ocsp_latency ?(cas = [])
     ?(context_facts = []) ?domain_of ?(variant = Cloudtx_txn.Tpc.Basic)
-    ?proof_cache ?dedup
-    ?inquiry_timeout ~servers ~domains () =
+    ?proof_cache ?dedup ?inquiry_timeout ~servers ~domains () =
   if servers = [] then invalid_arg "Cluster.create: no servers";
   if domains = [] then invalid_arg "Cluster.create: no domains";
   let domain_of =

@@ -25,8 +25,8 @@ type 'msg t = {
   handlers : (string, 'msg node) Hashtbl.t;
   nobody : 'msg node;
       (** What a lookup of an unregistered name returns, so lookups on the
-          send and delivery path allocate no option.  Its count is never
-          read. *)
+          send and delivery path allocate no option.  Copies from an
+          unregistered sender count on it, and nothing reads that count. *)
   no_filter : 'msg filter;  (** Carried by a send's only copy. *)
   mutable filters : int;
   crashed : (string, unit) Hashtbl.t;
@@ -155,7 +155,6 @@ let settle t node =
   node.in_flight <- node.in_flight - 1;
   if node.retiring && node.in_flight = 0 then remove_if_current t node
 
-let in_flight t name = (find t name).in_flight
 let filters t = t.filters
 let crash t name = Hashtbl.replace t.crashed name ()
 let recover t name = Hashtbl.remove t.crashed name

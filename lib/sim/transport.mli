@@ -24,13 +24,16 @@
     when nothing is in flight, or else when its last copy settles; until
     then a retiring node still sends and receives as before.
 
-    Retirement never makes a send find its receiver gone.  Only a copy in
-    flight can make a node reply, and a retiring node outlives every copy
-    to or from it, including those its handler answers while retiring.
-    That matters for determinism: a send to an unregistered node is
-    dropped without consulting {!Network.fate}, so it draws nothing from
-    the network's RNG, and a node forgotten too early would shift every
-    later latency sample of the run.  A registration's count belongs to
+    Why retirement never makes a send find its receiver gone: a caller
+    retires a node only once nothing but a reply can still reach it (a
+    coordinator whose participants all acknowledged a forced decision),
+    and every reply is caused by a copy in flight or a pending
+    {!send_after}.  A retiring node outlives all of those, including the
+    copies its own handler sends while retiring, so every reply still
+    finds it.  That matters for determinism: a send to an unregistered
+    node is dropped without consulting {!Network.fate}, so it draws
+    nothing from the network's RNG, and a node forgotten too early would
+    shift every later latency sample of the run.  A registration's count belongs to
     that registration: copies scheduled before a node re-registered
     under the same name never remove the new registration.
 
@@ -139,10 +142,6 @@ val unregister : _ t -> string -> unit
 val retire : _ t -> string -> unit
 
 val registered : _ t -> string -> bool
-
-(** Copies (and {!send_after} sends) in flight to or from the node's
-    current registration; 0 for an unregistered name. *)
-val in_flight : _ t -> string -> int
 
 (** Duplicate filters alive: sends the network duplicated whose copies
     have not all settled. *)

@@ -259,8 +259,8 @@ let test_run_closed () =
    loop of 2 000 transactions on bench/e2e's closed-bare shape (4 x 64
    keys, deferred/view, 8 clients) no coordinator is left registered, and
    what the run leaves reachable with its cluster alive stays under 400
-   words per committed transaction.  Keeping every finished coordinator
-   and per-message duplicate filter cost about 700. *)
+   words per committed transaction.  A run that kept every finished
+   coordinator and per-message duplicate filter would retain about 700. *)
 let test_closed_loop_forgets_coordinators () =
   let s = Scenario.retail ~seed:1L ~n_servers:4 ~items_per_server:64 () in
   let params =
