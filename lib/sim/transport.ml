@@ -1,5 +1,9 @@
 module Obs = Cloudtx_obs
 
+(* Node names key the tables every send and delivery reads: string
+   hashing and equality, not the polymorphic ones. *)
+module Names = Hashtbl.Make (String)
+
 (* One registration of a node.  [in_flight] counts the message copies
    scheduled to or from it that have not settled yet (and the delayed
    sends of {!send_after}); a retiring node leaves the table when it
@@ -22,14 +26,14 @@ type 'msg t = {
   engine : Engine.t;
   network : Network.t;
   label_of : 'msg -> string;
-  handlers : (string, 'msg node) Hashtbl.t;
+  handlers : 'msg node Names.t;
   nobody : 'msg node;
       (** What a lookup of an unregistered name returns, so lookups on the
           send and delivery path allocate no option.  Copies from an
           unregistered sender count on it, and nothing reads that count. *)
   no_filter : 'msg filter;  (** Carried by a send's only copy. *)
   mutable filters : int;
-  crashed : (string, unit) Hashtbl.t;
+  crashed : unit Names.t;
   rng : Splitmix.t;
   mutable tracer : Obs.Tracer.t;
   mutable registry : Obs.Registry.t;
@@ -55,11 +59,11 @@ let create ?(seed = 42L) ?(latency = Latency.lan) ?(drop = 0.) ~label_of () =
     engine = Engine.create ();
     network = Network.create ~drop ~latency ~rng:net_rng ();
     label_of;
-    handlers = Hashtbl.create 16;
+    handlers = Names.create 16;
     nobody;
     no_filter = { copies = 0; taker = nobody };
     filters = 0;
-    crashed = Hashtbl.create 4;
+    crashed = Names.create 4;
     rng;
     tracer = Obs.Tracer.noop;
     registry = Obs.Registry.noop;
@@ -124,29 +128,29 @@ let enable_journal ?format ?max_buffer_bytes ?path t =
   t.journal
 
 let find t name =
-  match Hashtbl.find t.handlers name with
+  match Names.find t.handlers name with
   | node -> node
   | exception Not_found -> t.nobody
 
 let register ?(dedup = false) t name handler =
-  if Hashtbl.mem t.handlers name then
+  if Names.mem t.handlers name then
     invalid_arg (Printf.sprintf "Transport.register: duplicate node %s" name);
-  Hashtbl.add t.handlers name
+  Names.add t.handlers name
     { name; handler; dedup; in_flight = 0; retiring = false }
 
-let unregister t name = Hashtbl.remove t.handlers name
-let registered t name = Hashtbl.mem t.handlers name
+let unregister t name = Names.remove t.handlers name
+let registered t name = Names.mem t.handlers name
 
 (* A node that re-registered under the same name is another registration:
    the old one's count never removes it. *)
 let remove_if_current t node =
-  if find t node.name == node then Hashtbl.remove t.handlers node.name
+  if find t node.name == node then Names.remove t.handlers node.name
 
 let retire t name =
   let node = find t name in
   if node != t.nobody then begin
     node.retiring <- true;
-    if node.in_flight = 0 then Hashtbl.remove t.handlers name
+    if node.in_flight = 0 then Names.remove t.handlers name
   end
 
 let hold node = node.in_flight <- node.in_flight + 1
@@ -156,9 +160,9 @@ let settle t node =
   if node.retiring && node.in_flight = 0 then remove_if_current t node
 
 let filters t = t.filters
-let crash t name = Hashtbl.replace t.crashed name ()
-let recover t name = Hashtbl.remove t.crashed name
-let crashed t name = Hashtbl.mem t.crashed name
+let crash t name = Names.replace t.crashed name ()
+let recover t name = Names.remove t.crashed name
+let crashed t name = Names.mem t.crashed name
 
 (* Wire events are tracer instants, so one exported artifact carries both
    the protocol spans and the wire view ({!Trace.of_tracer} reads it back).
@@ -187,7 +191,7 @@ let mark t ~node label =
 let deliver t ~src ~from ~to_ ~filter msg =
   let dst = to_.name in
   let node = find t dst in
-  if node == t.nobody || Hashtbl.mem t.crashed dst then begin
+  if node == t.nobody || Names.mem t.crashed dst then begin
     if traced t then
       Trace.emit t.tracer (Trace.Drop { src; dst; label = t.label_of msg })
   end
