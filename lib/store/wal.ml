@@ -247,13 +247,6 @@ let load data =
     lines;
   (t, !dropped)
 
-(* One transaction's analysis, advanced record by record in log order:
-   the latest state transition, and the last prepared record's writes. *)
-type analysis = {
-  mutable status : [ `No_trace | `Active | `Prepared | `Committed | `Aborted | `Finished ];
-  mutable prepared : (string * Value.t) list * (string * int) list;
-}
-
 type state =
   [ `No_trace
   | `Active
@@ -262,32 +255,33 @@ type state =
   | `Aborted
   | `Finished ]
 
-let fresh () = { status = `No_trace; prepared = ([], []) }
+(* One transaction's analysis, advanced record by record in log order:
+   its state so far, and the last prepared record's writes and versions,
+   which a later decision commits. *)
+type analysis = {
+  mutable state : state;
+  mutable prepared : (string * Value.t) list * (string * int) list;
+}
+
+let fresh () = { state = `No_trace; prepared = ([], []) }
 
 let analyze a = function
-  | Begin_txn _ -> if a.status = `No_trace then a.status <- `Active
+  | Begin_txn _ -> (
+    match a.state with `No_trace -> a.state <- `Active | _ -> ())
   | Prepared { writes; policy_versions; _ } ->
     a.prepared <- (writes, policy_versions);
-    a.status <- `Prepared
-  | Decision { commit; _ } -> a.status <- (if commit then `Committed else `Aborted)
-  | End_txn _ -> a.status <- `Finished
+    a.state <- `Prepared a.prepared
+  | Decision { commit; _ } ->
+    a.state <- (if commit then `Committed (fst a.prepared) else `Aborted)
+  | End_txn _ -> a.state <- `Finished
   | Checkpoint _ -> ()
-
-let state_of a : state =
-  match a.status with
-  | `No_trace -> `No_trace
-  | `Active -> `Active
-  | `Prepared -> `Prepared a.prepared
-  | `Committed -> `Committed (fst a.prepared)
-  | `Aborted -> `Aborted
-  | `Finished -> `Finished
 
 let recover_txn t ~txn =
   let a = fresh () in
   List.iter
     (fun e -> if String.equal (txn_of e.record) txn then analyze a e.record)
     (entries t);
-  state_of a
+  a.state
 
 let recover_all t =
   let by_txn = Hashtbl.create 16 in
@@ -310,4 +304,4 @@ let recover_all t =
           order)
       [] (entries t)
   in
-  List.rev_map (fun (txn, a) -> (txn, state_of a)) order
+  List.rev_map (fun (txn, a) -> (txn, a.state)) order

@@ -334,7 +334,7 @@ module Reference = struct
     match !state with
     | `No_trace -> `No_trace
     | `Active -> `Active
-    | `Prepared -> `Prepared (fst !prepared)
+    | `Prepared -> `Prepared !prepared
     | `Committed -> `Committed (fst !prepared)
     | `Aborted -> `Aborted
     | `Finished -> `Finished
@@ -444,8 +444,8 @@ let print_log records =
 let records_of wal = List.map (fun (e : Wal.entry) -> e.Wal.record) (Wal.entries wal)
 
 (* The one-pass recovery of a real participant against [Reference] on the
-   same log: the machine's [Recovered] input, the log after redo (its
-   End_txn appends in order) and the store's values. *)
+   same log: the log analysis, the machine's [Recovered] input, the log
+   after redo (its End_txn appends in order) and the store's values. *)
 let recovery_matches_reference records =
   let s = Scenario.retail ~n_servers:1 ~items_per_server:3 () in
   let p = Cluster.participant s.Scenario.cluster "server-1" in
@@ -472,10 +472,33 @@ let recovery_matches_reference records =
   in
   let wal = Wal.create () in
   List.iter (fun r -> ignore (Wal.append wal ~time:0. ~forced:true r)) records;
+  (* The log analysis alone, before the reference's redo appends: every
+     transaction, in order of first appearance, in its scanned state. *)
+  let all = Wal.recover_all wal in
+  let first_appearance =
+    List.fold_left
+      (fun acc (e : Wal.entry) ->
+        match e.Wal.record with
+        | Wal.Checkpoint _ -> acc
+        | Wal.Begin_txn { txn } | Wal.Decision { txn; _ } | Wal.End_txn { txn }
+        | Wal.Prepared { txn; _ } ->
+          if List.mem txn acc then acc else txn :: acc)
+      [] (Wal.entries wal)
+    |> List.rev
+  in
+  let analysis_ok =
+    List.map fst all = first_appearance
+    && List.for_all
+      (fun (txn, state) ->
+        let expected = Reference.recover_txn wal ~txn in
+        state = expected && Wal.recover_txn wal ~txn = expected)
+      all
+  in
   let data = Hashtbl.create 4 in
   List.iter (fun k -> Hashtbl.replace data k (Value.Int 100)) recovery_keys;
   let in_doubt = Reference.server_recover wal data ~time:0. in
-  recovered = Reference.seed wal in_doubt
+  analysis_ok
+  && recovered = Reference.seed wal in_doubt
   && records_of (Server.wal server) = records_of wal
   && List.for_all
        (fun k -> Server.get server k = Hashtbl.find_opt data k)
