@@ -300,6 +300,30 @@ let test_forced_log_counts_2pvc () =
   in
   Alcotest.(check int) "TM forces its decision" 1 tm_forces
 
+(* A coordinator is forgotten only once every participant owed the
+   decision has forced it: one that loses an unforced decision in a crash
+   comes back in doubt and inquires again, and must find its TM. *)
+let test_forget_needs_forced_decisions () =
+  let run variant =
+    let s =
+      Scenario.retail ~variant ~latency:(Latency.Constant 1.) ~n_servers:3
+        ~n_subjects:1 ()
+    in
+    let cluster = s.Scenario.cluster in
+    let o =
+      Manager.run_one cluster
+        (Manager.config Scheme.Deferred Consistency.View)
+        (txn_of s)
+    in
+    (o.Outcome.committed, Transport.registered (Cluster.transport cluster) "tm-t1")
+  in
+  let check = Alcotest.(check (pair bool bool)) in
+  check "basic: committed, forgotten" (true, false) (run Cloudtx_txn.Tpc.Basic);
+  check "presumed abort forces commits: forgotten" (true, false)
+    (run Cloudtx_txn.Tpc.Presumed_abort);
+  check "presumed commit does not: kept" (true, true)
+    (run Cloudtx_txn.Tpc.Presumed_commit)
+
 (* ------------------------------------------------------------------ *)
 (* Recovery is one pass over the log                                   *)
 (* ------------------------------------------------------------------ *)
@@ -531,6 +555,8 @@ let () =
             test_crash_during_execution_times_out;
           Alcotest.test_case "continuous 2PV crash times out" `Quick
             test_crash_during_continuous_2pv_times_out;
+          Alcotest.test_case "forgetting needs forced decisions" `Quick
+            test_forget_needs_forced_decisions;
         ] );
       ( "logging",
         [
