@@ -33,23 +33,26 @@
     finds it.  That matters for determinism: a send to an unregistered
     node is dropped without consulting {!Network.fate}, so it draws
     nothing from the network's RNG, and a node forgotten too early would
-    shift every later latency sample of the run.  A registration's count belongs to
-    that registration: copies scheduled before a node re-registered
-    under the same name never remove the new registration.
+    shift every later latency sample of the run.
+
+    A registration's count belongs to that registration: copies
+    scheduled before a node re-registered under the same name never
+    remove the new registration.
 
     {2 Duplicate suppression}
 
-    The network may deliver one send several times ({!Network.set_duplicate}).
-    Those copies share one duplicate filter, which lives exactly as long
-    as the copies ({!filters} counts the live ones); a send with one copy
-    carries none.  A registration made with [~dedup:true] takes the first
-    copy that reaches it and sees the later ones suppressed: they are
-    traced as received, then marked [dedup:<label>] on the receiver, and
-    its handler does not run.  Suppression compares against the
-    registration that took a copy, so a node that re-registered after a
-    restart still sees later copies, and a node that only crashed (its
-    registration kept) still suppresses them.  A copy swallowed by a
-    crashed receiver was not delivered and does not count. *)
+    The network may deliver one send several times
+    ({!Network.set_duplicate}).  Those copies share one duplicate filter,
+    which lives exactly as long as the copies ({!filters} counts the live
+    ones); a send with one copy carries none.  A registration made with
+    [~dedup:true] takes the first copy that reaches it and sees the later
+    ones suppressed: they are traced as received, then marked
+    [dedup:<label>] on the receiver, and its handler does not run.
+    Suppression compares against the registration that took a copy, so a
+    node that re-registered after a restart still sees later copies, and
+    a node that only crashed (its registration kept) still suppresses
+    them.  A copy swallowed by a crashed receiver was not delivered and
+    does not count. *)
 
 type 'msg t
 
