@@ -748,7 +748,7 @@ let () =
           Alcotest.test_case "deterministic replay" `Quick
             test_deterministic_replay;
         ] );
-      ( "node lifecycle",
+      ( "lifecycle",
         [
           Alcotest.test_case "retire idle node" `Quick test_retire_idle;
           Alcotest.test_case "retire waits for inbound copies" `Quick
@@ -762,7 +762,7 @@ let () =
           Alcotest.test_case "delayed reply keeps receiver" `Quick
             test_delayed_reply_keeps_receiver;
         ] );
-      ( "duplicate suppression",
+      ( "dedup",
         [
           Alcotest.test_case "later copies suppressed" `Quick
             test_duplicates_suppressed;
