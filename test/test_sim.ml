@@ -688,6 +688,120 @@ let test_no_dedup_delivers_every_copy () =
     messages;
   Alcotest.(check bool) "some copies were duplicates" true (!extra > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Goldens: streams and schedules pinned byte for byte                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Every generator entry point on one seed, then on a split-off child,
+   in this order: int64s in hex, floats as exact hex literals. *)
+let splitmix_stream seed =
+  let out = ref [] in
+  let put s = out := s :: !out in
+  let i64 rng = put (Printf.sprintf "%016Lx" (Splitmix.next_int64 rng)) in
+  let fl x = put (Printf.sprintf "%h" x) in
+  let rng = Splitmix.create seed in
+  i64 rng;
+  i64 rng;
+  fl (Splitmix.float rng);
+  fl (Splitmix.uniform rng ~lo:0.3 ~hi:0.8);
+  fl (Splitmix.exponential rng ~mean:8.);
+  put (string_of_int (Splitmix.int rng 1000));
+  put (string_of_int (Splitmix.int rng max_int));
+  put (string_of_bool (Splitmix.bool rng ~p:0.5));
+  put (string_of_bool (Splitmix.bool rng ~p:0.5));
+  let child = Splitmix.split rng in
+  i64 child;
+  fl (Splitmix.float child);
+  i64 rng;
+  List.rev !out
+
+let test_splitmix_golden () =
+  Alcotest.(check (list (list string)))
+    "streams"
+    [
+      [
+        "910a2dec89025cc1"; "beeb8da1658eec67"; "0x1.f12745ddf664ap-1";
+        "0x1.0b5b202a87dc6p-1"; "0x1.9f6743baf77f3p+2"; "512";
+        "4046056672035966761"; "false"; "true"; "905db5ffcc1ffba5";
+        "0x1.c07c607ab54c1p-1"; "6775dc7701564f61";
+      ];
+      [
+        "bdd732262feb6e95"; "28efe333b266f103"; "0x1.1d499d5c4c3e6p-2";
+        "0x1.e36cf7314fc8fp-2"; "0x1.a27ae5afb651ap+4"; "265";
+        "1007216178194406231"; "false"; "true"; "009120d21d0da7a9";
+        "0x1.e573d4499962cp-2"; "3474724a775b19bf";
+      ];
+      [
+        "6e789e6aa1b965f4"; "06c45d188009454f"; "0x1.f1177150e499p-1";
+        "0x1.69a64607d6841p-2"; "0x1.1de6907abfd07p+3"; "728";
+        "3558130466400086735"; "true"; "false"; "a7c30633227200be";
+        "0x1.ce9aa78ac7d3dp-1"; "c2d326e0055bdef6";
+      ];
+    ]
+    (List.map splitmix_stream [ 1L; 42L; 0x9E3779B97F4A7C15L ])
+
+(* A seeded sequence of sends through three phases: a quiet network, one
+   with every fault at once (loss, directional loss, duplication,
+   reorder jitter, a WAN link, a partition, a slow node, a latency
+   burst), then the faults cleared again.  Half the nodes suppress
+   duplicates, short messages are answered, and one destination was
+   never registered.  Every delivery's time, endpoints and payload go
+   into one digest. *)
+let transport_schedule () =
+  let t = Transport.create ~seed:2024L ~label_of:Fun.id () in
+  let net = Transport.network t in
+  let nodes = [| "n0"; "n1"; "n2"; "n3"; "n4"; "ghost" |] in
+  let log = Buffer.create 4096 in
+  let deliveries = ref 0 in
+  Array.iteri
+    (fun i name ->
+      if i < 5 then
+        Transport.register ~dedup:(i mod 2 = 0) t name (fun ~src msg ->
+            incr deliveries;
+            Buffer.add_string log
+              (Printf.sprintf "%h %s>%s %s\n" (Transport.now t) src name msg);
+            if String.length msg < 5 then
+              Transport.send t ~src:name ~dst:src (msg ^ "r")))
+    nodes;
+  let faults () =
+    Network.set_drop net 0.05;
+    Network.set_duplicate net 0.3;
+    Network.set_reorder_jitter net (Some (Latency.Uniform { lo = 0.; hi = 2. }));
+    Network.set_link net "n0" "n3" Latency.wan;
+    Network.set_link_drop net ~src:"n1" ~dst:"n2" 0.3;
+    Network.set_slowdown net "n2" 1.5;
+    Network.set_burst_extra net 0.25;
+    Network.partition net "n0" "n4"
+  in
+  let clear () =
+    Network.set_drop net 0.;
+    Network.set_duplicate net 0.;
+    Network.set_reorder_jitter net None;
+    Network.clear_link net "n0" "n3";
+    Network.clear_link_drop net ~src:"n1" ~dst:"n2";
+    Network.clear_slowdown net "n2";
+    Network.set_burst_extra net 0.;
+    Network.heal_all net
+  in
+  let rng = Splitmix.create 99L in
+  for k = 0 to 239 do
+    if k = 80 then faults ();
+    if k = 160 then clear ();
+    let src = nodes.(Splitmix.int rng 5) in
+    let dst = nodes.(Splitmix.int rng 6) in
+    Transport.send t ~src ~dst (Printf.sprintf "m%d" k);
+    if k mod 16 = 15 then
+      ignore (Transport.run ~until:(Transport.now t +. 1.) t)
+  done;
+  ignore (Transport.run t);
+  (!deliveries, Digest.to_hex (Digest.string (Buffer.contents log)))
+
+let test_transport_golden () =
+  Alcotest.(check (pair int string))
+    "deliveries and digest"
+    (518, "1f3db8b4ff276f10a1a2d418a0f330e2")
+    (transport_schedule ())
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "sim"
@@ -772,5 +886,11 @@ let () =
             test_crashed_copy_not_delivered;
           Alcotest.test_case "no dedup delivers every copy" `Quick
             test_no_dedup_delivers_every_copy;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "splitmix streams" `Quick test_splitmix_golden;
+          Alcotest.test_case "transport deliveries" `Quick
+            test_transport_golden;
         ] );
     ]
