@@ -30,7 +30,12 @@ let failf fmt = Printf.ksprintf (fun m -> raise (Fail m)) fmt
 type replayed = Rtm of Tm.action | Rps of Ps.action
 
 type tm_state = { cfg : Tm.config; txn_id : string; m : Tm.t }
-type kind = Tm_node of tm_state | Ps_node of { mutable ps : Ps.t }
+
+(* [incarnation] counts the participant's repeated create records: each
+   one is a crash reset. *)
+type kind =
+  | Tm_node of tm_state
+  | Ps_node of { mutable ps : Ps.t; mutable incarnation : int }
 
 type node = {
   node_name : string;
@@ -40,10 +45,19 @@ type node = {
   mutable last_seq : int;  (* seq of this node's latest replayed record *)
 }
 
+(* One participant's logged decision. *)
+type apply = {
+  node : string;
+  at : int;  (* seq *)
+  commit : bool;
+  forced : bool;
+  incarnation : int;
+}
+
 (* Everything the protocol checks accumulate about one transaction. *)
 type txn_stats = {
   mutable finish : (int * bool) option;  (* TM Finish: seq, committed *)
-  mutable applies : (string * int * bool) list;  (* node, seq, commit *)
+  mutable applies : apply list;  (* latest first *)
   mutable prepared_nodes : string list;  (* nodes with a Prepare action *)
   mutable first_no_vote : int option;  (* seq of a Prepared{vote=false} *)
   latest : (string, int) Hashtbl.t;
@@ -136,7 +150,14 @@ let check_tm_action st ~seq ~node (t : tm_state) = function
     else st.aborts <- st.aborts + 1
   | Tm.Arm_watchdog _ | Tm.Arm_retry _ | Tm.Mark _ | Tm.Obs _ -> ()
 
-let check_ps_action st ~seq ~node = function
+(* AC3 lets a node decide a transaction again only to redo the same
+   decision after a crash lost its unforced log record: presumed commit
+   logs commits unforced, so the node recovers in doubt, inquires and
+   applies the same commit once more. *)
+let redo_after_crash ~commit ~incarnation prev =
+  prev.commit = commit && (not prev.forced) && prev.incarnation <> incarnation
+
+let check_ps_action st ~seq ~node ~incarnation = function
   | Ps.Send { msg; _ } ->
     if is_protocol msg then st.protocol_messages <- st.protocol_messages + 1
   | Ps.Prepare { txn; _ } ->
@@ -147,12 +168,14 @@ let check_ps_action st ~seq ~node = function
   | Ps.Apply { txn; commit; forced; writes = _ } ->
     if forced then st.forced_logs <- st.forced_logs + 1;
     let s = txn_stats st txn in
-    if List.exists (fun (n, _, _) -> String.equal n node) s.applies then
-      failf "seq %d (%s): AC3 violated: node decides %s twice" seq node txn;
+    (match List.find_opt (fun a -> String.equal a.node node) s.applies with
+    | Some prev when not (redo_after_crash ~commit ~incarnation prev) ->
+      failf "seq %d (%s): AC3 violated: node decides %s twice" seq node txn
+    | Some _ | None -> ());
     if commit && not (List.mem node s.prepared_nodes) then
       failf "seq %d (%s): commit of %s not preceded by prepare on this node" seq
         node txn;
-    s.applies <- (node, seq, commit) :: s.applies
+    s.applies <- { node; at = seq; commit; forced; incarnation } :: s.applies
   | Ps.Begin_work _ | Ps.Exec _ | Ps.Eval _ | Ps.Check_read_only _ | Ps.Forget _
   | Ps.Install _ | Ps.Wait_open _ | Ps.Wait_close _ | Ps.Arm_inquiry _
   | Ps.Mark _ -> ()
@@ -217,14 +240,21 @@ let create_ps st ~seq ~node_name ~variant ~inquiry_timeout =
   match Hashtbl.find_opt st.nodes node_name with
   | None ->
     Hashtbl.add st.nodes node_name
-      { node_name; kind = Ps_node { ps = fresh () }; pending = []; last_seq = seq }
+      {
+        node_name;
+        kind = Ps_node { ps = fresh (); incarnation = 0 };
+        pending = [];
+        last_seq = seq;
+      }
   | Some n -> (
     (* A repeated participant create mirrors a crash reset. *)
     if n.pending <> [] then
       failf "seq %d (%s): create while %d recorded action(s) unmatched" seq
         node_name (List.length n.pending);
     match n.kind with
-    | Ps_node p -> p.ps <- fresh ()
+    | Ps_node p ->
+      p.ps <- fresh ();
+      p.incarnation <- p.incarnation + 1
     | Tm_node _ -> failf "seq %d (%s): participant create over a TM" seq node_name)
 
 let node_of st ~seq name =
@@ -275,8 +305,10 @@ let match_action st ~seq ~node_name got =
     n.pending <- rest;
     (match (expected, n.kind) with
     | Rtm a, Tm_node t -> check_tm_action st ~seq ~node:node_name t a
-    | Rps a, _ -> check_ps_action st ~seq ~node:node_name a
-    | Rtm _, Ps_node _ -> failf "seq %d (%s): internal kind mismatch" seq node_name)
+    | Rps a, Ps_node p ->
+      check_ps_action st ~seq ~node:node_name ~incarnation:p.incarnation a
+    | Rtm _, Ps_node _ | Rps _, Tm_node _ ->
+      failf "seq %d (%s): internal kind mismatch" seq node_name)
 
 let replay st (r : Journal_io.record) =
   let seq = r.Journal_io.seq and node_name = r.Journal_io.node in
@@ -320,20 +352,21 @@ let check_final st =
       (* AC1: everyone who decided this transaction decided the same. *)
       (match s.applies with
       | [] -> ()
-      | (_, _, first) :: _ ->
+      | first :: _ ->
         List.iter
-          (fun (node, seq, commit) ->
-            if commit <> first then
-              failf "seq %d (%s): AC1 violated: nodes disagree on %s" seq node txn)
+          (fun a ->
+            if a.commit <> first.commit then
+              failf "seq %d (%s): AC1 violated: nodes disagree on %s" a.at a.node
+                txn)
           s.applies);
       (match (s.finish, s.applies) with
-      | Some (fseq, committed), (_, _, applied) :: _ when committed <> applied ->
+      | Some (fseq, committed), first :: _ when committed <> first.commit ->
         failf "seq %d: AC1 violated: TM and participants disagree on %s" fseq txn
       | _ -> ());
       (* AC2: a commit requires unanimous YES votes. *)
       let committed =
         (match s.finish with Some (_, c) -> c | None -> false)
-        || List.exists (fun (_, _, c) -> c) s.applies
+        || List.exists (fun a -> a.commit) s.applies
       in
       match (committed, s.first_no_vote) with
       | true, Some seq ->

@@ -11,6 +11,7 @@ module Plan = Cloudtx_chaos.Plan
 module Campaign = Cloudtx_chaos.Campaign
 module Shrink = Cloudtx_chaos.Shrink
 module Audit = Cloudtx_core.Audit
+module Tpc = Cloudtx_txn.Tpc
 module Scheme = Cloudtx_protocol.Scheme
 module Consistency = Cloudtx_protocol.Consistency
 
@@ -243,6 +244,224 @@ let test_late_deliveries_reach_finished_tm () =
     "61b3da6519c10283b7f9b18eb26500b1"
     (Digest.to_hex (Digest.string bin))
 
+(* ------------------------------------------------------------------ *)
+(* 2PC variants: AC3 and a redone decision                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Every cell on plans 5000-5029 under each decision-logging variant.
+   Presumed commit logs commits unforced, so a participant that crashes
+   after one recovers in doubt and applies the same commit again: the
+   audit accepts that redo, and only that. *)
+let test_variants_clean () =
+  List.iter
+    (fun (name, variant) ->
+      let failures = ref [] in
+      List.iter
+        (fun cell ->
+          for seed = 5000 to 5029 do
+            let plan = Plan.random ~seed:(Int64.of_int seed) () in
+            match Campaign.run_plan ~certify:true ~variant cell plan with
+            | Ok () -> ()
+            | Error f ->
+              failures :=
+                Printf.sprintf "%s seed=%d: %s" (Campaign.cell_name cell) seed
+                  f.Campaign.what
+                :: !failures
+          done)
+        Campaign.all_cells;
+      Alcotest.(check (list string)) (name ^ ": no violation") [] !failures)
+    [
+      ("basic", Tpc.Basic);
+      ("presumed abort", Tpc.Presumed_abort);
+      ("presumed commit", Tpc.Presumed_commit);
+    ]
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1)) in
+  go 0
+
+let index_of s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i =
+    if i + m > n then raise Not_found
+    else if String.equal (String.sub s i m) sub then i
+    else go (i + 1)
+  in
+  go 0
+
+(* [line] with its first [old_sub] replaced. *)
+let replace line ~old_sub ~new_sub =
+  let i = index_of line old_sub in
+  String.sub line 0 i ^ new_sub
+  ^ String.sub line (i + String.length old_sub)
+      (String.length line - i - String.length old_sub)
+
+(* Plan 5001 on deferred:view under presumed commit.  server-2 applies
+   t3's commit unforced, crashes and loses that record, recovers with t3
+   in doubt, inquires and applies the same commit again. *)
+let redo_journal () =
+  let path = Filename.temp_file "plan-5001" ".jsonl" in
+  let result =
+    Campaign.run_plan ~certify:true ~variant:Tpc.Presumed_commit
+      ~journal_path:path
+      { Campaign.scheme = Scheme.Deferred; level = Consistency.View }
+      (Plan.random ~seed:5001L ())
+  in
+  let lines =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> not (String.equal l ""))
+    |> Array.of_list
+  in
+  Sys.remove path;
+  (match result with
+  | Ok () -> ()
+  | Error f -> Alcotest.fail ("plan 5001: " ^ f.Campaign.what));
+  lines
+
+let on_server_2 l = contains l "\"node\":\"server-2\""
+let is_create l = on_server_2 l && contains l "\"dir\":\"create\""
+
+let is_commit_apply l =
+  on_server_2 l && contains l "{\"t\":\"apply\"" && contains l "\"commit\":true"
+
+(* The indices of server-2's two applies of t3 and of its create record
+   between them (the crash reset). *)
+let redo_points lines =
+  let find from pred =
+    let rec go i = if pred lines.(i) then i else go (i + 1) in
+    go from
+  in
+  let t3 l = is_commit_apply l && contains l "\"txn\":\"t3\"" in
+  let first = find 0 t3 in
+  let restart = find first is_create in
+  let second = find restart t3 in
+  (first, restart, second)
+
+(* Renumbers the records 1, 2, ... after lines were added or removed. *)
+let renumber lines =
+  let seq = ref 0 in
+  List.map
+    (fun l ->
+      if String.starts_with ~prefix:"{\"seq\":" l then begin
+        incr seq;
+        let comma = String.index l ',' in
+        Printf.sprintf "{\"seq\":%d%s" !seq
+          (String.sub l comma (String.length l - comma))
+      end
+      else l)
+    lines
+
+(* The force mark a participant records before a forced decision,
+   stamped like [apply]. *)
+let force_mark apply ~txn =
+  let cut = index_of apply "\"payload\":" + String.length "\"payload\":" in
+  String.sub apply 0 cut
+  ^ Printf.sprintf "{\"t\":\"mark\",\"label\":\"log_force:decision:%s\"}}" txn
+
+let expect_ac3 what lines =
+  match Audit.run ~lines:(renumber lines) with
+  | Ok _ -> Alcotest.failf "%s: the audit accepted it" what
+  | Error e ->
+    if not (contains e "AC3 violated: node decides t3 twice") then
+      Alcotest.failf "%s: rejected for another reason: %s" what e
+
+let test_redo_audits_clean () =
+  let lines = redo_journal () in
+  let _, _, second = redo_points lines in
+  Alcotest.(check bool) "the redo is unforced" true
+    (contains lines.(second) "\"forced\":false");
+  match Audit.run ~lines:(Array.to_list lines) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e
+
+(* [writes] (a JSON array of key/version pairs) with every version one
+   higher. *)
+let bump_versions writes =
+  let b = Buffer.create (String.length writes) in
+  let tag = "\"version\":" in
+  let rec go i =
+    match index_of (String.sub writes i (String.length writes - i)) tag with
+    | exception Not_found -> Buffer.add_substring b writes i (String.length writes - i)
+    | k ->
+      let start = i + k + String.length tag in
+      let stop = ref start in
+      while !stop < String.length writes && writes.[!stop] >= '0' && writes.[!stop] <= '9' do
+        incr stop
+      done;
+      Buffer.add_substring b writes i (start - i);
+      Buffer.add_string b
+        (string_of_int (int_of_string (String.sub writes start (!stop - start)) + 1));
+      go !stop
+  in
+  go 0;
+  Buffer.contents b
+
+(* Without the crash reset, the second apply repeats a decision the node
+   still had; its versions continue from the first apply's. *)
+let test_redo_same_incarnation () =
+  let lines = redo_journal () in
+  let first, restart, second = redo_points lines in
+  let writes l =
+    let i = index_of l "\"writes\":" in
+    (String.sub l 0 i, String.sub l i (String.length l - i))
+  in
+  let redo = fst (writes lines.(second)) ^ bump_versions (snd (writes lines.(first))) in
+  expect_ac3 "same incarnation"
+    (List.concat
+       (List.mapi
+          (fun i l ->
+            if i = restart then [] else if i = second then [ redo ] else [ l ])
+          (Array.to_list lines)))
+
+(* The recovered node is told to abort what it committed before the
+   crash, and logs the abort (forced, as presumed commit does). *)
+let test_redo_disagrees () =
+  let lines = redo_journal () in
+  let _, _, second = redo_points lines in
+  let apply = lines.(second) in
+  let aborted =
+    String.sub apply 0 (index_of apply "\"commit\":true")
+    ^ "\"commit\":false,\"forced\":true,\"writes\":[]}}"
+  in
+  expect_ac3 "disagreeing redo"
+    (List.concat
+       (List.mapi
+          (fun i l ->
+            if i = second - 1 then
+              [ replace l ~old_sub:"\"commit\":true" ~new_sub:"\"commit\":false" ]
+            else if i = second then [ force_mark apply ~txn:"t3"; aborted ]
+            else [ l ])
+          (Array.to_list lines)))
+
+(* server-2's first incarnation runs Basic 2PC, which forces every
+   decision: the record of t3's commit survived the crash, so applying it
+   again is a second decision. *)
+let test_redo_after_forced () =
+  let lines = redo_journal () in
+  let _, restart, _ = redo_points lines in
+  let first_create = ref true in
+  expect_ac3 "redo after a forced apply"
+    (List.concat
+       (List.mapi
+          (fun i l ->
+            if i < restart && is_create l && !first_create then begin
+              first_create := false;
+              [ replace l ~old_sub:"\"presumed-commit\"" ~new_sub:"\"basic\"" ]
+            end
+            else if i < restart && is_commit_apply l then
+              let txn_at = index_of l "\"txn\":\"" + String.length "\"txn\":\"" in
+              let txn =
+                String.sub l txn_at (String.index_from l txn_at '"' - txn_at)
+              in
+              [
+                force_mark l ~txn;
+                replace l ~old_sub:"\"forced\":false" ~new_sub:"\"forced\":true";
+              ]
+            else [ l ])
+          (Array.to_list lines)))
+
 let () =
   Alcotest.run "chaos"
     [
@@ -272,5 +491,17 @@ let () =
         [
           Alcotest.test_case "plan 1163 reaches a finished TM" `Quick
             test_late_deliveries_reach_finished_tm;
+        ] );
+      ( "variants",
+        [
+          Alcotest.test_case "every variant audits clean" `Slow
+            test_variants_clean;
+          Alcotest.test_case "redo after a crash audits" `Quick
+            test_redo_audits_clean;
+          Alcotest.test_case "redo, same incarnation" `Quick
+            test_redo_same_incarnation;
+          Alcotest.test_case "redo that disagrees" `Quick test_redo_disagrees;
+          Alcotest.test_case "redo after a forced apply" `Quick
+            test_redo_after_forced;
         ] );
     ]
