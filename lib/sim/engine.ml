@@ -24,9 +24,10 @@ let steps t = t.steps
 let pending t = Event_heap.size t.heap
 
 let step t =
-  match Event_heap.pop t.heap with
-  | None -> false
-  | Some (time, _seq, f) ->
+  if Event_heap.is_empty t.heap then false
+  else begin
+    let time = Event_heap.min_time t.heap in
+    let f = Event_heap.take t.heap in
     t.now <- time;
     t.steps <- t.steps + 1;
     (match t.observer with
@@ -34,15 +35,13 @@ let step t =
     | Some obs -> obs ~now:time ~pending:(Event_heap.size t.heap));
     f ();
     true
+  end
 
 let run ?until ?max_steps t =
   let over_time () =
     match until with
     | None -> false
-    | Some limit -> (
-      match Event_heap.peek_time t.heap with
-      | None -> false
-      | Some next -> next > limit)
+    | Some limit -> Event_heap.min_time t.heap > limit
   in
   let over_steps executed =
     match max_steps with None -> false | Some m -> executed >= m

@@ -1,72 +1,123 @@
-type 'a entry = { time : float; seq : int; value : 'a }
+(* A struct of arrays: entry [i] is [(times.(i), seqs.(i), values.(i))].
+   The times sit unboxed in a float array, so once the arrays have grown
+   a push allocates nothing.  Sifting moves a hole rather than swapping,
+   with the same comparisons as swapping makes, so entries land where a
+   swapping heap would put them. *)
+type 'a t = {
+  mutable times : Float.Array.t;
+  mutable seqs : int array;
+  mutable values : 'a array;
+  mutable len : int;
+}
 
-type 'a t = { mutable data : 'a entry array; mutable len : int }
+(* What every value slot at or past [len] holds, so no popped value (the
+   simulator's event closure) stays reachable from the array.  Those
+   slots are never read, so its value, typed as any ['a], is never
+   seen. *)
+let vacant () : 'a = Obj.magic ()
 
-let create () = { data = [||]; len = 0 }
+let create () =
+  { times = Float.Array.create 0; seqs = [||]; values = [||]; len = 0 }
+
 let is_empty h = h.len = 0
 let size h = h.len
 
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-(* What every slot at or past [len] holds, so no popped entry (and the
-   closure it carries) stays reachable from the array.  Those slots are
-   never read, so its value, typed as any ['a], is never seen. *)
-let vacant = { time = 0.; seq = 0; value = () }
-let vacant () : 'a entry = Obj.magic vacant
-
 let grow h =
-  let capacity = Array.length h.data in
-  if h.len = capacity then begin
-    let bigger = Array.make (max 16 (2 * capacity)) (vacant ()) in
-    Array.blit h.data 0 bigger 0 h.len;
-    h.data <- bigger
-  end
+  let capacity = max 16 (2 * h.len) in
+  let times = Float.Array.create capacity in
+  Float.Array.blit h.times 0 times 0 h.len;
+  let seqs = Array.make capacity 0 in
+  Array.blit h.seqs 0 seqs 0 h.len;
+  let values = Array.make capacity (vacant ()) in
+  Array.blit h.values 0 values 0 h.len;
+  h.times <- times;
+  h.seqs <- seqs;
+  h.values <- values
+
+let[@inline] before h i ~time ~seq =
+  let ti = Float.Array.unsafe_get h.times i in
+  ti < time || (ti = time && Array.unsafe_get h.seqs i < seq)
+
+let[@inline] move h ~src ~dst =
+  Float.Array.unsafe_set h.times dst (Float.Array.unsafe_get h.times src);
+  Array.unsafe_set h.seqs dst (Array.unsafe_get h.seqs src);
+  Array.unsafe_set h.values dst (Array.unsafe_get h.values src)
+
+let[@inline] put h i ~time ~seq value =
+  Float.Array.unsafe_set h.times i time;
+  Array.unsafe_set h.seqs i seq;
+  Array.unsafe_set h.values i value
 
 let push h ~time ~seq value =
-  grow h;
-  h.data.(h.len) <- { time; seq; value };
+  if h.len = Array.length h.seqs then grow h;
+  (* Sift the hole up from the new last slot. *)
+  let i = ref h.len in
   h.len <- h.len + 1;
-  (* Sift up. *)
-  let i = ref (h.len - 1) in
-  while
-    !i > 0
-    &&
+  let continue = ref true in
+  while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    before h.data.(!i) h.data.(parent)
-  do
-    let parent = (!i - 1) / 2 in
-    let tmp = h.data.(parent) in
-    h.data.(parent) <- h.data.(!i);
-    h.data.(!i) <- tmp;
-    i := parent
-  done
+    let tp = Float.Array.unsafe_get h.times parent in
+    if time < tp || (time = tp && seq < Array.unsafe_get h.seqs parent) then begin
+      move h ~src:parent ~dst:!i;
+      i := parent
+    end
+    else continue := false
+  done;
+  put h !i ~time ~seq value
+
+(* Removes the root: the last entry fills the hole that sifts down from
+   it. *)
+let remove_min h =
+  let last = h.len - 1 in
+  h.len <- last;
+  if last > 0 then begin
+    let time = Float.Array.unsafe_get h.times last
+    and seq = Array.unsafe_get h.seqs last
+    and value = Array.unsafe_get h.values last in
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      (* [smallest] is the child that precedes the moving entry and its
+         sibling, or -1 when neither precedes it. *)
+      let smallest = if l < last && before h l ~time ~seq then l else -1 in
+      let smallest =
+        if r < last then
+          if smallest < 0 then if before h r ~time ~seq then r else -1
+          else if
+            before h r
+              ~time:(Float.Array.unsafe_get h.times l)
+              ~seq:(Array.unsafe_get h.seqs l)
+          then r
+          else l
+        else smallest
+      in
+      if smallest < 0 then continue := false
+      else begin
+        move h ~src:smallest ~dst:!i;
+        i := smallest
+      end
+    done;
+    put h !i ~time ~seq value
+  end;
+  Array.unsafe_set h.values last (vacant ())
+
+let min_time h =
+  if h.len = 0 then invalid_arg "Event_heap.min_time: empty heap";
+  Float.Array.unsafe_get h.times 0
+
+let take h =
+  if h.len = 0 then invalid_arg "Event_heap.take: empty heap";
+  let value = Array.unsafe_get h.values 0 in
+  remove_min h;
+  value
 
 let pop h =
   if h.len = 0 then None
   else begin
-    let top = h.data.(0) in
-    h.len <- h.len - 1;
-    h.data.(0) <- h.data.(h.len);
-    h.data.(h.len) <- vacant ();
-    if h.len > 0 then begin
-      (* Sift down. *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.len && before h.data.(l) h.data.(!smallest) then smallest := l;
-        if r < h.len && before h.data.(r) h.data.(!smallest) then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          let tmp = h.data.(!smallest) in
-          h.data.(!smallest) <- h.data.(!i);
-          h.data.(!i) <- tmp;
-          i := !smallest
-        end
-      done
-    end;
-    Some (top.time, top.seq, top.value)
+    let time = Float.Array.unsafe_get h.times 0
+    and seq = Array.unsafe_get h.seqs 0 in
+    Some (time, seq, take h)
   end
 
-let peek_time h = if h.len = 0 then None else Some h.data.(0).time
+let peek_time h = if h.len = 0 then None else Some (Float.Array.get h.times 0)
