@@ -20,6 +20,11 @@ type t = {
   mutable burst_extra : float;  (* global extra delay per delivery *)
   slowdowns : (string, float) Hashtbl.t;
       (* per-node extra delay, applied when the node sends or receives *)
+  (* The message [first_copy] delivered last, while [next_copy] may still
+     duplicate it: its latency model and deterministic extra delay. *)
+  mutable copying : bool;
+  mutable copy_model : Latency.t;
+  mutable copy_extra : float;
 }
 
 let create ?(drop = 0.) ?(duplicate = 0.) ?reorder_jitter ~latency ~rng () =
@@ -34,6 +39,9 @@ let create ?(drop = 0.) ?(duplicate = 0.) ?reorder_jitter ~latency ~rng () =
     link_drop = Hashtbl.create 8;
     burst_extra = 0.;
     slowdowns = Hashtbl.create 8;
+    copying = false;
+    copy_model = latency;
+    copy_extra = 0.;
   }
 
 let set_drop t p = t.drop <- p
@@ -63,44 +71,65 @@ let heal t a b = t.partitions <- Pair_set.remove (canonical a b) t.partitions
 let heal_all t = t.partitions <- Pair_set.empty
 let partitioned t a b = Pair_set.mem (canonical a b) t.partitions
 
-let fate t ~src ~dst =
-  if String.equal src dst then `Deliver_each [ 0. ]
-  else if partitioned t src dst then `Lost
-  else if
-    (* Directional lossy-link coin: drawn only when an entry exists, so
-       runs without the fault consume no extra RNG. *)
-    match Hashtbl.find_opt t.link_drop (src, dst) with
-    | Some p -> Splitmix.bool t.rng ~p
-    | None -> false
-  then `Lost
-  else if t.drop > 0. && Splitmix.bool t.rng ~p:t.drop then `Lost
+(* Each fault below is looked up only while it is set, so a quiet network
+   reads no table and builds no key: a send pays for the faults in force,
+   and draws exactly what it drew before they existed. *)
+
+let lost = -1.
+
+(* Directional lossy-link coin: drawn only when an entry exists, so runs
+   without the fault consume no extra RNG. *)
+let link_lost t ~src ~dst =
+  Hashtbl.length t.link_drop > 0
+  &&
+  match Hashtbl.find_opt t.link_drop (src, dst) with
+  | Some p -> Splitmix.bool t.rng ~p
+  | None -> false
+
+let model t ~src ~dst =
+  if Hashtbl.length t.links = 0 then t.latency
+  else
+    match Hashtbl.find_opt t.links (canonical src dst) with
+    | Some link -> link
+    | None -> t.latency
+
+let[@inline] slowdown t node =
+  if Hashtbl.length t.slowdowns = 0 then 0.
+  else match Hashtbl.find_opt t.slowdowns node with Some d -> d | None -> 0.
+
+(* With the reorder jitter off this draws exactly one latency sample.  The
+   deterministic extra is added last, as one sum. *)
+let[@inline] sample t model ~extra =
+  let d = Latency.sample model t.rng in
+  (match t.reorder_jitter with
+  | None -> d
+  | Some j -> d +. Latency.sample j t.rng)
+  +. extra
+
+let first_copy t ~src ~dst =
+  t.copying <- false;
+  if String.equal src dst then 0.
+  else if (not (Pair_set.is_empty t.partitions)) && partitioned t src dst then
+    lost
+  else if link_lost t ~src ~dst then lost
+  else if t.drop > 0. && Splitmix.bool t.rng ~p:t.drop then lost
   else begin
-    let model =
-      match Hashtbl.find_opt t.links (canonical src dst) with
-      | Some link -> link
-      | None -> t.latency
-    in
-    (* Deterministic additive slow-path delay: a global latency burst
-       plus per-node slowdowns on either endpoint.  No RNG. *)
-    let extra =
-      t.burst_extra
-      +. (match Hashtbl.find_opt t.slowdowns src with Some d -> d | None -> 0.)
-      +. (match Hashtbl.find_opt t.slowdowns dst with Some d -> d | None -> 0.)
-    in
-    (* With both knobs at their defaults this draws exactly one latency
-       sample, so pre-existing runs consume the RNG identically. *)
-    let sample () =
-      let d = Latency.sample model t.rng in
-      (match t.reorder_jitter with
-      | None -> d
-      | Some j -> d +. Latency.sample j t.rng)
-      +. extra
-    in
-    let first = sample () in
-    let rec dups acc =
-      if t.duplicate > 0. && Splitmix.bool t.rng ~p:t.duplicate then
-        dups (sample () :: acc)
-      else List.rev acc
-    in
-    `Deliver_each (first :: dups [])
+    let model = model t ~src ~dst in
+    (* Deterministic additive slow-path delay: a global latency burst plus
+       per-node slowdowns on either endpoint.  No RNG. *)
+    let extra = t.burst_extra +. slowdown t src +. slowdown t dst in
+    if t.duplicate > 0. then begin
+      t.copying <- true;
+      t.copy_model <- model;
+      t.copy_extra <- extra
+    end;
+    sample t model ~extra
+  end
+
+let next_copy t =
+  if t.copying && t.duplicate > 0. && Splitmix.bool t.rng ~p:t.duplicate then
+    sample t t.copy_model ~extra:t.copy_extra
+  else begin
+    t.copying <- false;
+    lost
   end

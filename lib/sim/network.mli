@@ -75,9 +75,22 @@ val heal_all : t -> unit
 
 val partitioned : t -> string -> string -> bool
 
-(** [fate t ~src ~dst] decides what happens to one message: each element of
-    the returned list is one delivery of the message after that delay (the
-    head is the "original", the rest are duplicates), or the message is
-    lost entirely.  Messages from a node to itself are delivered once with
-    zero delay and never lost or duplicated. *)
-val fate : t -> src:string -> dst:string -> [ `Deliver_each of float list | `Lost ]
+(** {2 A message's fate}
+
+    The fabric asks for a message's copies one at a time: {!first_copy},
+    then {!next_copy} until it answers none.  A delay is never negative,
+    so a negative answer means none: the message is lost, or it has no
+    further copy.  Both draw from the network's RNG only for the faults
+    in force, in the same order whichever way the copies are consumed. *)
+
+(** [first_copy t ~src ~dst] decides what happens to one message: the
+    delay of its first delivery, or a negative number when it is lost.
+    A message from a node to itself is delivered once with zero delay and
+    is never lost or duplicated. *)
+val first_copy : t -> src:string -> dst:string -> float
+
+(** [next_copy t] is the delay of one more delivery (a duplicate) of the
+    message {!first_copy} last decided, each with its own latency draw and
+    another duplication coin flip, or a negative number when there is no
+    further copy.  Without duplication it draws nothing. *)
+val next_copy : t -> float

@@ -213,37 +213,52 @@ let deliver t ~src ~from ~to_ ~filter msg =
     if filter.copies = 0 then t.filters <- t.filters - 1
   end
 
+let drop t ~src ~dst msg =
+  if traced t then
+    Trace.emit t.tracer (Trace.Drop { src; dst; label = t.label_of msg })
+
+let schedule_copy t ~src ~from ~to_ ~filter msg ~delay =
+  hold from;
+  hold to_;
+  Engine.schedule t.engine ~delay (fun () ->
+      deliver t ~src ~from ~to_ ~filter msg)
+
+(* The label is rendered only for the sinks that are on.  A send with
+   one copy allocates its delivery closure and float boxes, nothing
+   else; the copies of a duplicated send share a filter. *)
 let send t ~src ~dst msg =
-  let label = t.label_of msg in
-  if Obs.Registry.enabled t.registry then
-    Obs.Registry.incr_cell (sent_cell t label);
-  if traced t then Trace.emit t.tracer (Trace.Send { src; dst; label });
+  if Obs.Registry.enabled t.registry || traced t then begin
+    let label = t.label_of msg in
+    if Obs.Registry.enabled t.registry then
+      Obs.Registry.incr_cell (sent_cell t label);
+    if traced t then Trace.emit t.tracer (Trace.Send { src; dst; label })
+  end;
   let to_ = find t dst in
-  if to_ == t.nobody then begin
-    (* No [Network.fate]: a send to an unregistered node draws nothing
-       from the network's RNG. *)
-    if traced t then Trace.emit t.tracer (Trace.Drop { src; dst; label })
-  end
+  (* No [Network.first_copy]: a send to an unregistered node draws
+     nothing from the network's RNG. *)
+  if to_ == t.nobody then drop t ~src ~dst msg
   else
-    match Network.fate t.network ~src ~dst with
-    | `Lost ->
-      if traced t then Trace.emit t.tracer (Trace.Drop { src; dst; label })
-    | `Deliver_each delays ->
+    let delay = Network.first_copy t.network ~src ~dst in
+    if delay < 0. then drop t ~src ~dst msg
+    else begin
       let from = find t src in
-      let filter =
-        match delays with
-        | [ _ ] -> t.no_filter
-        | _ ->
-          t.filters <- t.filters + 1;
-          { copies = List.length delays; taker = t.nobody }
-      in
-      List.iter
-        (fun delay ->
-          hold from;
-          hold to_;
-          Engine.schedule t.engine ~delay (fun () ->
-              deliver t ~src ~from ~to_ ~filter msg))
-        delays
+      let again = Network.next_copy t.network in
+      if again < 0. then
+        schedule_copy t ~src ~from ~to_ ~filter:t.no_filter msg ~delay
+      else begin
+        let filter = { copies = 1; taker = t.nobody } in
+        t.filters <- t.filters + 1;
+        schedule_copy t ~src ~from ~to_ ~filter msg ~delay;
+        let rec copies delay =
+          if delay >= 0. then begin
+            filter.copies <- filter.copies + 1;
+            schedule_copy t ~src ~from ~to_ ~filter msg ~delay;
+            copies (Network.next_copy t.network)
+          end
+        in
+        copies again
+      end
+    end
 
 let send_after t ~delay ~src ~dst msg =
   let from = find t src and to_ = find t dst in

@@ -232,18 +232,30 @@ let prop_latency_nonneg =
       && Latency.sample Latency.wan rng >= 0.
       && Latency.sample (Latency.Constant 3.) rng = 3.)
 
+(* A message's fate with every copy pulled: the delays in order, or
+   [`Lost]. *)
+let fate net ~src ~dst =
+  let first = Network.first_copy net ~src ~dst in
+  if first < 0. then `Lost
+  else
+    let rec copies acc =
+      let delay = Network.next_copy net in
+      if delay < 0. then `Deliver_each (List.rev acc) else copies (delay :: acc)
+    in
+    copies [ first ]
+
 let test_network_partition () =
   let rng = Splitmix.create 3L in
   let net = Network.create ~latency:(Latency.Constant 1.) ~rng () in
   Alcotest.(check bool) "initially connected" true
-    (match Network.fate net ~src:"a" ~dst:"b" with
+    (match fate net ~src:"a" ~dst:"b" with
     | `Deliver_each _ -> true
     | `Lost -> false);
   Network.partition net "a" "b";
   Alcotest.(check bool) "partitioned symmetric" true
     (Network.partitioned net "b" "a");
   Alcotest.(check bool) "lost" true
-    (Network.fate net ~src:"b" ~dst:"a" = `Lost);
+    (fate net ~src:"b" ~dst:"a" = `Lost);
   Network.heal net "a" "b";
   Alcotest.(check bool) "healed" false (Network.partitioned net "a" "b")
 
@@ -252,24 +264,24 @@ let test_network_self_delivery () =
   let net = Network.create ~drop:1.0 ~latency:(Latency.Constant 9.) ~rng () in
   (* Even with 100% drop, self-messages are instant and reliable. *)
   Alcotest.(check bool) "self" true
-    (Network.fate net ~src:"a" ~dst:"a" = `Deliver_each [ 0. ])
+    (fate net ~src:"a" ~dst:"a" = `Deliver_each [ 0. ])
 
 let test_network_link_override () =
   let rng = Splitmix.create 3L in
   let net = Network.create ~latency:(Latency.Constant 1.) ~rng () in
   Network.set_link net "east" "west" (Latency.Constant 25.);
   Alcotest.(check bool) "overridden link" true
-    (Network.fate net ~src:"west" ~dst:"east" = `Deliver_each [ 25. ]);
+    (fate net ~src:"west" ~dst:"east" = `Deliver_each [ 25. ]);
   Alcotest.(check bool) "other links unchanged" true
-    (Network.fate net ~src:"east" ~dst:"east2" = `Deliver_each [ 1. ]);
+    (fate net ~src:"east" ~dst:"east2" = `Deliver_each [ 1. ]);
   Network.clear_link net "east" "west";
   Alcotest.(check bool) "cleared" true
-    (Network.fate net ~src:"east" ~dst:"west" = `Deliver_each [ 1. ])
+    (fate net ~src:"east" ~dst:"west" = `Deliver_each [ 1. ])
 
 let test_network_drop_all () =
   let rng = Splitmix.create 3L in
   let net = Network.create ~drop:1.0 ~latency:(Latency.Constant 1.) ~rng () in
-  Alcotest.(check bool) "dropped" true (Network.fate net ~src:"a" ~dst:"b" = `Lost)
+  Alcotest.(check bool) "dropped" true (fate net ~src:"a" ~dst:"b" = `Lost)
 
 let test_network_duplicate_all () =
   let rng = Splitmix.create 3L in
@@ -278,7 +290,7 @@ let test_network_duplicate_all () =
   in
   let max_copies = ref 0 in
   for _ = 1 to 50 do
-    match Network.fate net ~src:"a" ~dst:"b" with
+    match fate net ~src:"a" ~dst:"b" with
     | `Deliver_each delays ->
       max_copies := max !max_copies (List.length delays);
       List.iter
@@ -289,7 +301,7 @@ let test_network_duplicate_all () =
   Alcotest.(check bool) "some message was duplicated" true (!max_copies >= 2);
   Network.set_duplicate net 0.;
   Alcotest.(check bool) "default restored: single copy" true
-    (Network.fate net ~src:"a" ~dst:"b" = `Deliver_each [ 1. ])
+    (fate net ~src:"a" ~dst:"b" = `Deliver_each [ 1. ])
 
 let test_network_reorder_jitter () =
   let rng = Splitmix.create 3L in
@@ -297,7 +309,7 @@ let test_network_reorder_jitter () =
   Network.set_reorder_jitter net (Some (Latency.Uniform { lo = 0.; hi = 10. }));
   let saw_jitter = ref false in
   for _ = 1 to 20 do
-    match Network.fate net ~src:"a" ~dst:"b" with
+    match fate net ~src:"a" ~dst:"b" with
     | `Deliver_each [ d ] ->
       Alcotest.(check bool) "at least base latency" true (d >= 1.);
       if d > 1. then saw_jitter := true
@@ -306,7 +318,7 @@ let test_network_reorder_jitter () =
   Alcotest.(check bool) "jitter applied" true !saw_jitter;
   Network.set_reorder_jitter net None;
   Alcotest.(check bool) "jitter cleared" true
-    (Network.fate net ~src:"a" ~dst:"b" = `Deliver_each [ 1. ])
+    (fate net ~src:"a" ~dst:"b" = `Deliver_each [ 1. ])
 
 let test_network_defaults_identical_draws () =
   (* Same seed, with and without the (disabled) fault knobs: identical
@@ -319,7 +331,7 @@ let test_network_defaults_identical_draws () =
       else Network.create ~latency:Latency.lan ~rng ()
     in
     List.init 40 (fun _ ->
-        match Network.fate net ~src:"a" ~dst:"b" with
+        match fate net ~src:"a" ~dst:"b" with
         | `Deliver_each delays -> delays
         | `Lost -> [])
   in
