@@ -814,6 +814,309 @@ let test_transport_golden () =
     (518, "1f3db8b4ff276f10a1a2d418a0f330e2")
     (transport_schedule ())
 
+(* ------------------------------------------------------------------ *)
+(* Reference: the list-returning network and the record heap           *)
+(* ------------------------------------------------------------------ *)
+
+(* The network model and the event heap as they were before the pull
+   API and the struct-of-arrays heap.  Kept to pin the rewritten layers'
+   draws, delays and pop order. *)
+module Reference = struct
+  module Network = struct
+    module Pair_set = Set.Make (struct
+      type t = string * string
+
+      let compare = compare
+    end)
+
+    type t = {
+      latency : Latency.t;
+      rng : Splitmix.t;
+      mutable drop : float;
+      mutable duplicate : float;
+      mutable reorder_jitter : Latency.t option;
+      mutable partitions : Pair_set.t;
+      links : (string * string, Latency.t) Hashtbl.t;
+      link_drop : (string * string, float) Hashtbl.t;
+      mutable burst_extra : float;
+      slowdowns : (string, float) Hashtbl.t;
+    }
+
+    let create ~latency ~rng =
+      {
+        latency;
+        rng;
+        drop = 0.;
+        duplicate = 0.;
+        reorder_jitter = None;
+        partitions = Pair_set.empty;
+        links = Hashtbl.create 8;
+        link_drop = Hashtbl.create 8;
+        burst_extra = 0.;
+        slowdowns = Hashtbl.create 8;
+      }
+
+    let canonical a b = if String.compare a b <= 0 then (a, b) else (b, a)
+    let set_link t a b model = Hashtbl.replace t.links (canonical a b) model
+
+    let set_link_drop t ~src ~dst p =
+      if p <= 0. then Hashtbl.remove t.link_drop (src, dst)
+      else Hashtbl.replace t.link_drop (src, dst) p
+
+    let set_slowdown t node d =
+      if d <= 0. then Hashtbl.remove t.slowdowns node
+      else Hashtbl.replace t.slowdowns node d
+
+    let partition t a b =
+      t.partitions <- Pair_set.add (canonical a b) t.partitions
+
+    let partitioned t a b = Pair_set.mem (canonical a b) t.partitions
+
+    let fate t ~src ~dst =
+      if String.equal src dst then `Deliver_each [ 0. ]
+      else if partitioned t src dst then `Lost
+      else if
+        match Hashtbl.find_opt t.link_drop (src, dst) with
+        | Some p -> Splitmix.bool t.rng ~p
+        | None -> false
+      then `Lost
+      else if t.drop > 0. && Splitmix.bool t.rng ~p:t.drop then `Lost
+      else begin
+        let model =
+          match Hashtbl.find_opt t.links (canonical src dst) with
+          | Some link -> link
+          | None -> t.latency
+        in
+        let extra =
+          t.burst_extra
+          +. (match Hashtbl.find_opt t.slowdowns src with
+             | Some d -> d
+             | None -> 0.)
+          +. (match Hashtbl.find_opt t.slowdowns dst with
+             | Some d -> d
+             | None -> 0.)
+        in
+        let sample () =
+          let d = Latency.sample model t.rng in
+          (match t.reorder_jitter with
+          | None -> d
+          | Some j -> d +. Latency.sample j t.rng)
+          +. extra
+        in
+        let first = sample () in
+        let rec dups acc =
+          if t.duplicate > 0. && Splitmix.bool t.rng ~p:t.duplicate then
+            dups (sample () :: acc)
+          else List.rev acc
+        in
+        `Deliver_each (first :: dups [])
+      end
+  end
+
+  module Event_heap = struct
+    type 'a entry = { time : float; seq : int; value : 'a }
+    type 'a t = { mutable data : 'a entry array; mutable len : int }
+
+    let create () = { data = [||]; len = 0 }
+    let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+
+    let push h ~time ~seq value =
+      let entry = { time; seq; value } in
+      if h.len = Array.length h.data then begin
+        let bigger = Array.make (max 16 (2 * h.len)) entry in
+        Array.blit h.data 0 bigger 0 h.len;
+        h.data <- bigger
+      end;
+      h.data.(h.len) <- entry;
+      h.len <- h.len + 1;
+      let i = ref (h.len - 1) in
+      while !i > 0 && before h.data.(!i) h.data.((!i - 1) / 2) do
+        let parent = (!i - 1) / 2 in
+        let tmp = h.data.(parent) in
+        h.data.(parent) <- h.data.(!i);
+        h.data.(!i) <- tmp;
+        i := parent
+      done
+
+    let pop h =
+      if h.len = 0 then None
+      else begin
+        let top = h.data.(0) in
+        h.len <- h.len - 1;
+        h.data.(0) <- h.data.(h.len);
+        let i = ref 0 and continue = ref true in
+        while !continue do
+          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+          let smallest = ref !i in
+          if l < h.len && before h.data.(l) h.data.(!smallest) then smallest := l;
+          if r < h.len && before h.data.(r) h.data.(!smallest) then smallest := r;
+          if !smallest = !i then continue := false
+          else begin
+            let tmp = h.data.(!smallest) in
+            h.data.(!smallest) <- h.data.(!i);
+            h.data.(!i) <- tmp;
+            i := !smallest
+          end
+        done;
+        Some (top.time, top.seq, top.value)
+      end
+  end
+end
+
+(* One random fault setting, applied alike to both networks. *)
+type faults = {
+  drop : float;
+  duplicate : float;
+  jitter : Latency.t option;
+  burst : float;
+  partitions : (int * int) list;
+  links : (int * int * Latency.t) list;
+  link_drops : (int * int * float) list;
+  slowdowns : (int * float) list;
+}
+
+let node i = Printf.sprintf "n%d" i
+
+let gen_faults =
+  let open QCheck.Gen in
+  let p = oneof [ return 0.; float_range 0. 0.6 ] in
+  let model =
+    oneof
+      [
+        map (fun d -> Latency.Constant d) (float_range 0. 5.);
+        map2
+          (fun lo w -> Latency.Uniform { lo; hi = lo +. w +. 0.01 })
+          (float_range 0. 3.) (float_range 0. 3.);
+        map2
+          (fun base mean -> Latency.Exponential { base; mean = mean +. 0.1 })
+          (float_range 0. 20.) (float_range 0. 8.);
+      ]
+  in
+  let link = pair (int_bound 4) (int_bound 4) in
+  let triple x = map2 (fun (a, b) x -> (a, b, x)) link x in
+  let* drop = p and* duplicate = p in
+  let* burst = oneof [ return 0.; float_range 0. 10. ] in
+  let* jitter = opt model in
+  let* partitions = list_size (int_bound 2) link in
+  let* links = list_size (int_bound 3) (triple model) in
+  let* link_drops = list_size (int_bound 3) (triple p) in
+  let+ slowdowns =
+    list_size (int_bound 2) (pair (int_bound 4) (float_range 0. 5.))
+  in
+  { drop; duplicate; jitter; burst; partitions; links; link_drops; slowdowns }
+
+let print_faults f =
+  Printf.sprintf
+    "drop=%g duplicate=%g jitter=%b burst=%g partitions=%d links=%d \
+     link_drops=%d slowdowns=%d"
+    f.drop f.duplicate (f.jitter <> None) f.burst (List.length f.partitions)
+    (List.length f.links) (List.length f.link_drops) (List.length f.slowdowns)
+
+(* Both networks under the same faults and seed send the same 60
+   messages (self-sends included); halfway, the directional losses and
+   the slowdowns are cleared, emptying their tables again.  Every
+   message's copies match, and the generators end in the same state. *)
+let prop_network_matches_reference =
+  QCheck.Test.make ~name:"pulled copies = reference fate" ~count:300
+    QCheck.(pair int64 (make ~print:print_faults gen_faults))
+    (fun (seed, f) ->
+      let rng = Splitmix.create seed and old_rng = Splitmix.create seed in
+      let net = Network.create ~latency:Latency.lan ~rng () in
+      let old = Reference.Network.create ~latency:Latency.lan ~rng:old_rng in
+      Network.set_drop net f.drop;
+      old.drop <- f.drop;
+      Network.set_duplicate net f.duplicate;
+      old.duplicate <- f.duplicate;
+      Network.set_reorder_jitter net f.jitter;
+      old.reorder_jitter <- f.jitter;
+      Network.set_burst_extra net f.burst;
+      old.burst_extra <- f.burst;
+      List.iter
+        (fun (a, b) ->
+          Network.partition net (node a) (node b);
+          Reference.Network.partition old (node a) (node b))
+        f.partitions;
+      List.iter
+        (fun (a, b, m) ->
+          Network.set_link net (node a) (node b) m;
+          Reference.Network.set_link old (node a) (node b) m)
+        f.links;
+      let link_drops p =
+        List.iter
+          (fun (a, b, q) ->
+            let p = Option.value p ~default:q in
+            Network.set_link_drop net ~src:(node a) ~dst:(node b) p;
+            Reference.Network.set_link_drop old ~src:(node a) ~dst:(node b) p)
+          f.link_drops
+      in
+      let slowdowns d =
+        List.iter
+          (fun (n, e) ->
+            let d = Option.value d ~default:e in
+            Network.set_slowdown net (node n) d;
+            Reference.Network.set_slowdown old (node n) d)
+          f.slowdowns
+      in
+      link_drops None;
+      slowdowns None;
+      let pairs = Splitmix.create (Int64.add seed 1L) in
+      let same = ref true in
+      for k = 1 to 60 do
+        if k = 31 then begin
+          link_drops (Some 0.);
+          slowdowns (Some 0.)
+        end;
+        let src = node (Splitmix.int pairs 5) in
+        let dst = node (Splitmix.int pairs 5) in
+        if fate net ~src ~dst <> Reference.Network.fate old ~src ~dst then
+          same := false
+      done;
+      !same && Int64.equal (Splitmix.next_int64 rng) (Splitmix.next_int64 old_rng))
+
+(* Pushes and pops interleaved at random, with ties on time and on seq:
+   [Some (time, seq)] pushes the next value, [None] pops, alternately
+   with [pop] and with [min_time] then [take]. *)
+let prop_heap_matches_reference =
+  QCheck.Test.make ~name:"pops = reference heap" ~count:300
+    QCheck.(
+      list_of_size
+        Gen.(0 -- 200)
+        (option (pair (int_bound 6) (int_bound 3))))
+    (fun ops ->
+      let h = Event_heap.create () and old = Reference.Event_heap.create () in
+      let pushed = ref 0 and pops = ref 0 in
+      let pop () =
+        incr pops;
+        if !pops mod 2 = 0 || Event_heap.is_empty h then Event_heap.pop h
+        else begin
+          let time = Event_heap.min_time h in
+          (* [take] reports no seq: the value, unique, names the entry. *)
+          Some (time, -1, Event_heap.take h)
+        end
+      in
+      let agree () =
+        match (pop (), Reference.Event_heap.pop old) with
+        | Some (t, -1, v), Some (t', _, v') -> t = t' && v = v'
+        | got, expected -> got = expected
+      in
+      let steps =
+        List.for_all
+          (function
+            | Some (time, seq) ->
+              let time = float_of_int time /. 2. in
+              Event_heap.push h ~time ~seq !pushed;
+              Reference.Event_heap.push old ~time ~seq !pushed;
+              incr pushed;
+              true
+            | None -> agree ())
+          ops
+      in
+      let rec drain () =
+        Event_heap.is_empty h && Reference.Event_heap.pop old = None
+        || (agree () && drain ())
+      in
+      steps && drain ())
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "sim"
@@ -905,4 +1208,6 @@ let () =
           Alcotest.test_case "transport deliveries" `Quick
             test_transport_golden;
         ] );
+      ( "reference",
+        [ qc prop_network_matches_reference; qc prop_heap_matches_reference ] );
     ]
