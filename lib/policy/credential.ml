@@ -4,6 +4,8 @@ type kind =
   | Attribute
   | Access of { action : string; item : string }
 
+type check = Unchecked | Signed | Forged
+
 type t = {
   id : id;
   subject : string;
@@ -13,6 +15,7 @@ type t = {
   issued_at : float;
   expires_at : float;
   signature : string;
+  mutable check : check;
 }
 
 let payload ~id ~subject ~issuer ~kind ~facts ~issued_at ~expires_at =
@@ -39,21 +42,30 @@ let make ~id ~subject ~issuer ~kind ~facts ~issued_at ~expires_at =
     facts;
   let body = payload ~id ~subject ~issuer ~kind ~facts ~issued_at ~expires_at in
   { id; subject; issuer; kind; facts; issued_at; expires_at;
-    signature = sign ~issuer body }
+    signature = sign ~issuer body; check = Unchecked }
 
-let forge t ~facts = { t with facts }
+let forge t ~facts = { t with facts; check = Unchecked }
 
 let of_wire ~id ~subject ~issuer ~kind ~facts ~issued_at ~expires_at ~signature =
   if expires_at <= issued_at then
     invalid_arg "Credential.of_wire: expires_at must follow issued_at";
-  { id; subject; issuer; kind; facts; issued_at; expires_at; signature }
+  { id; subject; issuer; kind; facts; issued_at; expires_at; signature;
+    check = Unchecked }
 
+(* The other fields never change, so neither does the verdict: render the
+   payload and digest it once per value. *)
 let signature_valid t =
-  let body =
-    payload ~id:t.id ~subject:t.subject ~issuer:t.issuer ~kind:t.kind
-      ~facts:t.facts ~issued_at:t.issued_at ~expires_at:t.expires_at
-  in
-  String.equal t.signature (sign ~issuer:t.issuer body)
+  match t.check with
+  | Signed -> true
+  | Forged -> false
+  | Unchecked ->
+    let body =
+      payload ~id:t.id ~subject:t.subject ~issuer:t.issuer ~kind:t.kind
+        ~facts:t.facts ~issued_at:t.issued_at ~expires_at:t.expires_at
+    in
+    let valid = String.equal t.signature (sign ~issuer:t.issuer body) in
+    t.check <- (if valid then Signed else Forged);
+    valid
 
 type syntactic_failure = Not_yet_valid | Expired | Bad_signature
 

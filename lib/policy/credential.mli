@@ -22,6 +22,9 @@ type kind =
           authorization for [action] on [item] (like Bob's read credential
           in the paper's Figure 1). *)
 
+(** What {!signature_valid} found, once it has looked. *)
+type check = Unchecked | Signed | Forged
+
 type t = private {
   id : id;
   subject : string;
@@ -31,6 +34,12 @@ type t = private {
   issued_at : float;  (** alpha(c) *)
   expires_at : float;  (** omega(c) *)
   signature : string;
+  mutable check : check;
+      (** {!signature_valid}'s verdict, filled in at the credential's
+          first check and kept for the later ones: the other fields never
+          change.  Every constructor starts [Unchecked], {!forge} and
+          {!of_wire} included.  A cache, not content: structural equality
+          sees it, so compare credentials by their other fields. *)
 }
 
 (** [make ~id ~subject ~issuer ~kind ~facts ~issued_at ~expires_at] builds
@@ -64,6 +73,9 @@ val of_wire :
   signature:string ->
   t
 
+(** [signature_valid t] recomputes the issuer-keyed digest of [t]'s
+    payload at the first call and compares it with [t]'s signature; later
+    calls return the recorded verdict. *)
 val signature_valid : t -> bool
 
 type syntactic_failure =

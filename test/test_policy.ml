@@ -9,6 +9,7 @@ module Policy = Cloudtx_policy.Policy
 module Admin = Cloudtx_policy.Admin
 module Replica = Cloudtx_policy.Replica
 module Proof = Cloudtx_policy.Proof
+module Codec = Cloudtx_policy.Codec
 
 (* ------------------------------------------------------------------ *)
 (* Rules                                                               *)
@@ -288,6 +289,63 @@ let test_credential_forgery () =
     (Credential.syntactically_valid forged ~at:50.
     = Error Credential.Bad_signature)
 
+(* A copy of [c] that has never been checked. *)
+let unchecked (c : Credential.t) =
+  Credential.of_wire ~id:c.Credential.id ~subject:c.Credential.subject
+    ~issuer:c.Credential.issuer ~kind:c.Credential.kind
+    ~facts:c.Credential.facts ~issued_at:c.Credential.issued_at
+    ~expires_at:c.Credential.expires_at ~signature:c.Credential.signature
+
+(* The verdict recorded for a genuine credential does not carry over to
+   a forged copy of it. *)
+let test_memo_forged_copy () =
+  let c = cred () in
+  Alcotest.(check bool) "genuine" true (Credential.signature_valid c);
+  Alcotest.(check bool) "verdict recorded" true
+    (c.Credential.check = Credential.Signed);
+  let forged = Credential.forge c ~facts:[ Rule.fact "role" [ "bob"; "admin" ] ] in
+  Alcotest.(check bool) "forged copy unchecked" true
+    (forged.Credential.check = Credential.Unchecked);
+  Alcotest.(check bool) "forged copy rejected" true
+    (Credential.syntactically_valid forged ~at:50.
+    = Error Credential.Bad_signature);
+  Alcotest.(check bool) "original still genuine" true
+    (Credential.signature_valid c)
+
+(* Nor to a copy that crossed the wire: an untouched copy checks out on
+   its own, a tampered one fails. *)
+let test_memo_tampered_wire_copy () =
+  let c = cred () in
+  Alcotest.(check bool) "genuine" true (Credential.signature_valid c);
+  let wire = Codec.credential_to_string c in
+  let decode text =
+    match Codec.credential_of_string text with
+    | Ok back -> back
+    | Error e -> Alcotest.fail e
+  in
+  let back = decode wire in
+  Alcotest.(check bool) "decoded copy unchecked" true
+    (back.Credential.check = Credential.Unchecked);
+  Alcotest.(check bool) "untouched copy genuine" true
+    (Credential.signature_valid back);
+  let subject = "\"subject\":\"bob\"" in
+  let i =
+    let rec find i =
+      if String.sub wire i (String.length subject) = subject then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let tampered =
+    decode
+      (String.sub wire 0 i ^ "\"subject\":\"eve\""
+      ^ String.sub wire (i + String.length subject)
+          (String.length wire - i - String.length subject))
+  in
+  Alcotest.(check bool) "tampered copy rejected" true
+    (Credential.syntactically_valid tampered ~at:50.
+    = Error Credential.Bad_signature)
+
 let test_credential_bad_interval () =
   Alcotest.check_raises "empty interval"
     (Invalid_argument "Credential.make: expires_at must follow issued_at")
@@ -565,6 +623,54 @@ let test_proof_expired_credential_fails_whole_proof () =
       ~at:10. request
   in
   Alcotest.(check bool) "strict" false p.Proof.result
+
+(* Genuine, forged, expired and revoked credentials, alone and mixed,
+   at instants on either side of the expiry and the revocation: proofs
+   over credentials whose verdicts are recorded equal proofs over copies
+   never checked.  The validity window and the revocation status are
+   judged at every evaluation. *)
+let test_proof_memo_preserves_proofs () =
+  let ca = Ca.create "corp" in
+  let issue id ~ttl =
+    Ca.issue ca ~id ~subject:"bob"
+      ~facts:[ Rule.fact "role" [ "bob"; "clerk" ] ]
+      ~now:0. ~ttl
+  in
+  let genuine = issue "genuine" ~ttl:100. in
+  let forged =
+    Credential.forge (issue "forged" ~ttl:100.)
+      ~facts:[ Rule.fact "role" [ "bob"; "admin" ] ]
+  in
+  let expired = issue "expired" ~ttl:1. in
+  let revoked = issue "revoked" ~ttl:100. in
+  Ca.revoke ca "revoked" ~at:5.;
+  let env = proof_env ~cas:[ ("corp", ca) ] () in
+  let evaluate creds ~at =
+    Proof.evaluate ~query_id:"q1" ~server:"s1" ~policy:(clerk_policy ())
+      ~creds ~env ~at request
+  in
+  List.iter
+    (fun at ->
+      List.iter
+        (fun creds ->
+          let fresh = evaluate (List.map unchecked creds) ~at in
+          let what = Format.asprintf "at %g: %a" at Proof.pp fresh in
+          Alcotest.(check bool) (what ^ ", first check") true
+            (evaluate creds ~at = fresh);
+          Alcotest.(check bool) (what ^ ", recorded") true
+            (evaluate creds ~at = fresh))
+        [
+          [ genuine ];
+          [ forged ];
+          [ expired ];
+          [ revoked ];
+          [ genuine; forged ];
+          [ expired; genuine; revoked ];
+        ])
+    [ 0.5; 3.; 10.; 150. ];
+  Alcotest.(check bool) "verdicts recorded" true
+    (genuine.Credential.check = Credential.Signed
+    && forged.Credential.check = Credential.Forged)
 
 let test_proof_untrusted_issuer () =
   let c =
@@ -925,6 +1031,9 @@ let () =
           Alcotest.test_case "validity window" `Quick test_credential_window;
           Alcotest.test_case "forgery" `Quick test_credential_forgery;
           Alcotest.test_case "bad interval" `Quick test_credential_bad_interval;
+          Alcotest.test_case "memo: forged copy" `Quick test_memo_forged_copy;
+          Alcotest.test_case "memo: tampered wire copy" `Quick
+            test_memo_tampered_wire_copy;
         ] );
       ( "ca",
         [
@@ -962,5 +1071,7 @@ let () =
           Alcotest.test_case "untrusted issuer" `Quick test_proof_untrusted_issuer;
           Alcotest.test_case "capability" `Quick test_proof_capability_from_server;
           Alcotest.test_case "context facts" `Quick test_proof_context_facts;
+          Alcotest.test_case "memo keeps every proof" `Quick
+            test_proof_memo_preserves_proofs;
         ] );
     ]
