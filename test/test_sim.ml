@@ -471,6 +471,29 @@ let test_transport_flat_memory () =
   Alcotest.(check int) "reachable words" after_10
     (Obj.reachable_words (Obj.repr t))
 
+(* A quiet send allocates its delivery closure and a few float boxes, and
+   the engine takes the event back without an option or a tuple: 1 000
+   sends, then [run], stay within 24 minor words a send.  A send that
+   built a fate list, tuple keys and a heap entry took 72. *)
+let test_transport_send_allocation () =
+  let t = Transport.create ~seed:11L ~label_of:Fun.id () in
+  Transport.register t "a" (fun ~src:_ _ -> ());
+  Transport.register t "b" (fun ~src:_ _ -> ());
+  let sends = 1_000 in
+  let cycle () =
+    for _ = 1 to sends do
+      Transport.send t ~src:"a" ~dst:"b" "ping"
+    done;
+    ignore (Transport.run t)
+  in
+  (* The first cycle grows the event heap's arrays. *)
+  cycle ();
+  let before = Gc.minor_words () in
+  cycle ();
+  let per_send = (Gc.minor_words () -. before) /. float_of_int sends in
+  if per_send > 24. then
+    Alcotest.failf "%.1f minor words per send, at most 24 expected" per_send
+
 let test_deterministic_replay () =
   (* Two transports with the same seed produce identical traces. *)
   let run () =
@@ -1174,6 +1197,8 @@ let () =
           Alcotest.test_case "trace exporters" `Quick test_trace_exporters;
           Alcotest.test_case "keeps nothing per message" `Quick
             test_transport_flat_memory;
+          Alcotest.test_case "allocation per send" `Quick
+            test_transport_send_allocation;
           Alcotest.test_case "deterministic replay" `Quick
             test_deterministic_replay;
         ] );
