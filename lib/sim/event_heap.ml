@@ -66,7 +66,7 @@ let push h ~time ~seq value =
   put h !i ~time ~seq value
 
 (* Removes the root: the last entry fills the hole that sifts down from
-   it. *)
+   it, past the earlier child while that child precedes it. *)
 let remove_min h =
   let last = h.len - 1 in
   h.len <- last;
@@ -77,26 +77,21 @@ let remove_min h =
     let i = ref 0 in
     let continue = ref true in
     while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      (* [smallest] is the child that precedes the moving entry and its
-         sibling, or -1 when neither precedes it. *)
-      let smallest = if l < last && before h l ~time ~seq then l else -1 in
-      let smallest =
-        if r < last then
-          if smallest < 0 then if before h r ~time ~seq then r else -1
-          else if
-            before h r
-              ~time:(Float.Array.unsafe_get h.times l)
-              ~seq:(Array.unsafe_get h.seqs l)
-          then r
-          else l
-        else smallest
+      let l = (2 * !i) + 1 in
+      let child =
+        if
+          l + 1 < last
+          && before h (l + 1)
+               ~time:(Float.Array.unsafe_get h.times l)
+               ~seq:(Array.unsafe_get h.seqs l)
+        then l + 1
+        else l
       in
-      if smallest < 0 then continue := false
-      else begin
-        move h ~src:smallest ~dst:!i;
-        i := smallest
+      if child < last && before h child ~time ~seq then begin
+        move h ~src:child ~dst:!i;
+        i := child
       end
+      else continue := false
     done;
     put h !i ~time ~seq value
   end;
