@@ -14,7 +14,11 @@
     - {b Atomic commitment}: AC1 (all nodes that decide a transaction
       decide the same value), AC2 (commit only when no participant voted
       NO), AC3 (no node decides twice), and every [Apply{commit}] on a
-      node is preceded by that node's [Prepare] (forced vote record);
+      node is preceded by that node's [Prepare] (forced vote record).
+      AC3 lets a node apply a decision again only to redo it after a
+      crash lost the record: the second apply agrees with the first,
+      the first was logged unforced (presumed commit's commits), and the
+      node was created again in between;
     - {b Soundness}: at every commit the TM's proof view satisfies the
       scheme's trusted-transaction definition ({!Trusted.check}), with
       master versions reconstructed from the [Master_version_reply]

@@ -4,7 +4,10 @@
     states so that a run is a pure function of its seed: identical seeds give
     identical traces, which the tests rely on.  [split] derives an
     independent stream, letting subsystems (network latency, workload
-    arrivals, policy churn) draw without perturbing each other. *)
+    arrivals, policy churn) draw without perturbing each other.
+
+    The state is kept unboxed, so a draw allocates nothing beyond its
+    result: an [int] or a [bool] allocates nothing at all. *)
 
 type t
 

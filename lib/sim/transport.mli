@@ -31,7 +31,7 @@
     {!send_after}.  A retiring node outlives all of those, including the
     copies its own handler sends while retiring, so every reply still
     finds it.  That matters for determinism: a send to an unregistered
-    node is dropped without consulting {!Network.fate}, so it draws
+    node is dropped without consulting {!Network.first_copy}, so it draws
     nothing from the network's RNG, and a node forgotten too early would
     shift every later latency sample of the run.
 
@@ -161,7 +161,9 @@ val crashed : _ t -> string -> bool
 (** [send t ~src ~dst msg] schedules delivery per the network model.
     With the registry on it bumps [messages_total{type=<label>}]; with the
     tracer on it emits the send and, later, each delivery or drop.
-    Unknown destinations are traced as drops. *)
+    Unknown destinations are traced as drops.  [label_of] runs only for
+    the sinks that are on, so with them off a send that the network
+    delivers once allocates its delivery event and a few float boxes. *)
 val send : 'msg t -> src:string -> dst:string -> 'msg -> unit
 
 (** [send_after t ~delay ~src ~dst msg] is [send t ~src ~dst msg] run
