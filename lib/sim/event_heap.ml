@@ -34,19 +34,20 @@ let grow h =
   h.seqs <- seqs;
   h.values <- values
 
-let[@inline] before h i ~time ~seq =
-  let ti = Float.Array.unsafe_get h.times i in
-  ti < time || (ti = time && Array.unsafe_get h.seqs i < seq)
-
-let[@inline] move h ~src ~dst =
-  Float.Array.unsafe_set h.times dst (Float.Array.unsafe_get h.times src);
-  Array.unsafe_set h.seqs dst (Array.unsafe_get h.seqs src);
-  Array.unsafe_set h.values dst (Array.unsafe_get h.values src)
+(* Entry order: by time, then by seq. *)
+let[@inline] precedes (t1 : float) (s1 : int) t2 s2 =
+  t1 < t2 || (t1 = t2 && s1 < s2)
+let[@inline] time_at h i = Float.Array.unsafe_get h.times i
+let[@inline] seq_at h i = Array.unsafe_get h.seqs i
 
 let[@inline] put h i ~time ~seq value =
   Float.Array.unsafe_set h.times i time;
   Array.unsafe_set h.seqs i seq;
   Array.unsafe_set h.values i value
+
+let[@inline] move h ~src ~dst =
+  put h dst ~time:(time_at h src) ~seq:(seq_at h src)
+    (Array.unsafe_get h.values src)
 
 let push h ~time ~seq value =
   if h.len = Array.length h.seqs then grow h;
@@ -56,8 +57,7 @@ let push h ~time ~seq value =
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    let tp = Float.Array.unsafe_get h.times parent in
-    if time < tp || (time = tp && seq < Array.unsafe_get h.seqs parent) then begin
+    if precedes time seq (time_at h parent) (seq_at h parent) then begin
       move h ~src:parent ~dst:!i;
       i := parent
     end
@@ -71,8 +71,8 @@ let remove_min h =
   let last = h.len - 1 in
   h.len <- last;
   if last > 0 then begin
-    let time = Float.Array.unsafe_get h.times last
-    and seq = Array.unsafe_get h.seqs last
+    let time = time_at h last
+    and seq = seq_at h last
     and value = Array.unsafe_get h.values last in
     let i = ref 0 in
     let continue = ref true in
@@ -81,13 +81,13 @@ let remove_min h =
       let child =
         if
           l + 1 < last
-          && before h (l + 1)
-               ~time:(Float.Array.unsafe_get h.times l)
-               ~seq:(Array.unsafe_get h.seqs l)
+          && precedes (time_at h (l + 1)) (seq_at h (l + 1)) (time_at h l)
+               (seq_at h l)
         then l + 1
         else l
       in
-      if child < last && before h child ~time ~seq then begin
+      if child < last && precedes (time_at h child) (seq_at h child) time seq
+      then begin
         move h ~src:child ~dst:!i;
         i := child
       end
@@ -99,7 +99,7 @@ let remove_min h =
 
 let min_time h =
   if h.len = 0 then invalid_arg "Event_heap.min_time: empty heap";
-  Float.Array.unsafe_get h.times 0
+  time_at h 0
 
 let take h =
   if h.len = 0 then invalid_arg "Event_heap.take: empty heap";
@@ -110,9 +110,8 @@ let take h =
 let pop h =
   if h.len = 0 then None
   else begin
-    let time = Float.Array.unsafe_get h.times 0
-    and seq = Array.unsafe_get h.seqs 0 in
+    let time = time_at h 0 and seq = seq_at h 0 in
     Some (time, seq, take h)
   end
 
-let peek_time h = if h.len = 0 then None else Some (Float.Array.get h.times 0)
+let peek_time h = if h.len = 0 then None else Some (time_at h 0)
