@@ -356,8 +356,8 @@ let check_final st =
         List.iter
           (fun a ->
             if a.commit <> first.commit then
-              failf "seq %d (%s): AC1 violated: nodes disagree on %s" a.at a.node
-                txn)
+              failf "seq %d (%s): AC1 violated: nodes disagree on %s" a.at
+                a.node txn)
           s.applies);
       (match (s.finish, s.applies) with
       | Some (fseq, committed), first :: _ when committed <> first.commit ->

@@ -278,7 +278,9 @@ let test_variants_clean () =
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1)) in
+  let rec go i =
+    i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1))
+  in
   go 0
 
 let index_of s sub =
@@ -378,25 +380,21 @@ let test_redo_audits_clean () =
 
 (* [writes] (a JSON array of key/version pairs) with every version one
    higher. *)
-let bump_versions writes =
-  let b = Buffer.create (String.length writes) in
+let rec bump_versions writes =
   let tag = "\"version\":" in
-  let rec go i =
-    match index_of (String.sub writes i (String.length writes - i)) tag with
-    | exception Not_found -> Buffer.add_substring b writes i (String.length writes - i)
-    | k ->
-      let start = i + k + String.length tag in
-      let stop = ref start in
-      while !stop < String.length writes && writes.[!stop] >= '0' && writes.[!stop] <= '9' do
-        incr stop
-      done;
-      Buffer.add_substring b writes i (start - i);
-      Buffer.add_string b
-        (string_of_int (int_of_string (String.sub writes start (!stop - start)) + 1));
-      go !stop
-  in
-  go 0;
-  Buffer.contents b
+  match index_of writes tag with
+  | exception Not_found -> writes
+  | i ->
+    let start = i + String.length tag in
+    let stop = ref start in
+    let n = String.length writes in
+    while !stop < n && '0' <= writes.[!stop] && writes.[!stop] <= '9' do
+      incr stop
+    done;
+    let version = int_of_string (String.sub writes start (!stop - start)) in
+    String.sub writes 0 start
+    ^ string_of_int (version + 1)
+    ^ bump_versions (String.sub writes !stop (n - !stop))
 
 (* Without the crash reset, the second apply repeats a decision the node
    still had; its versions continue from the first apply's. *)
@@ -407,7 +405,9 @@ let test_redo_same_incarnation () =
     let i = index_of l "\"writes\":" in
     (String.sub l 0 i, String.sub l i (String.length l - i))
   in
-  let redo = fst (writes lines.(second)) ^ bump_versions (snd (writes lines.(first))) in
+  let redo =
+    fst (writes lines.(second)) ^ bump_versions (snd (writes lines.(first)))
+  in
   expect_ac3 "same incarnation"
     (List.concat
        (List.mapi
@@ -430,7 +430,10 @@ let test_redo_disagrees () =
        (List.mapi
           (fun i l ->
             if i = second - 1 then
-              [ replace l ~old_sub:"\"commit\":true" ~new_sub:"\"commit\":false" ]
+              [
+                replace l ~old_sub:"\"commit\":true"
+                  ~new_sub:"\"commit\":false";
+              ]
             else if i = second then [ force_mark apply ~txn:"t3"; aborted ]
             else [ l ])
           (Array.to_list lines)))
@@ -451,13 +454,13 @@ let test_redo_after_forced () =
               [ replace l ~old_sub:"\"presumed-commit\"" ~new_sub:"\"basic\"" ]
             end
             else if i < restart && is_commit_apply l then
-              let txn_at = index_of l "\"txn\":\"" + String.length "\"txn\":\"" in
-              let txn =
-                String.sub l txn_at (String.index_from l txn_at '"' - txn_at)
-              in
+              let tag = "\"txn\":\"" in
+              let at = index_of l tag + String.length tag in
+              let txn = String.sub l at (String.index_from l at '"' - at) in
               [
                 force_mark l ~txn;
-                replace l ~old_sub:"\"forced\":false" ~new_sub:"\"forced\":true";
+                replace l ~old_sub:"\"forced\":false"
+                  ~new_sub:"\"forced\":true";
               ]
             else [ l ])
           (Array.to_list lines)))

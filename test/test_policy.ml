@@ -303,7 +303,9 @@ let test_memo_forged_copy () =
   Alcotest.(check bool) "genuine" true (Credential.signature_valid c);
   Alcotest.(check bool) "verdict recorded" true
     (c.Credential.check = Credential.Signed);
-  let forged = Credential.forge c ~facts:[ Rule.fact "role" [ "bob"; "admin" ] ] in
+  let forged =
+    Credential.forge c ~facts:[ Rule.fact "role" [ "bob"; "admin" ] ]
+  in
   Alcotest.(check bool) "forged copy unchecked" true
     (forged.Credential.check = Credential.Unchecked);
   Alcotest.(check bool) "forged copy rejected" true

@@ -801,7 +801,8 @@ let transport_schedule () =
   let faults () =
     Network.set_drop net 0.05;
     Network.set_duplicate net 0.3;
-    Network.set_reorder_jitter net (Some (Latency.Uniform { lo = 0.; hi = 2. }));
+    Network.set_reorder_jitter net
+      (Some (Latency.Uniform { lo = 0.; hi = 2. }));
     Network.set_link net "n0" "n3" Latency.wan;
     Network.set_link_drop net ~src:"n1" ~dst:"n2" 0.3;
     Network.set_slowdown net "n2" 1.5;
@@ -971,8 +972,10 @@ module Reference = struct
         while !continue do
           let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
           let smallest = ref !i in
-          if l < h.len && before h.data.(l) h.data.(!smallest) then smallest := l;
-          if r < h.len && before h.data.(r) h.data.(!smallest) then smallest := r;
+          if l < h.len && before h.data.(l) h.data.(!smallest) then
+            smallest := l;
+          if r < h.len && before h.data.(r) h.data.(!smallest) then
+            smallest := r;
           if !smallest = !i then continue := false
           else begin
             let tmp = h.data.(!smallest) in
@@ -1094,7 +1097,8 @@ let prop_network_matches_reference =
         if fate net ~src ~dst <> Reference.Network.fate old ~src ~dst then
           same := false
       done;
-      !same && Int64.equal (Splitmix.next_int64 rng) (Splitmix.next_int64 old_rng))
+      !same
+      && Int64.equal (Splitmix.next_int64 rng) (Splitmix.next_int64 old_rng))
 
 (* Pushes and pops interleaved at random, with ties on time and on seq:
    [Some (time, seq)] pushes the next value, [None] pops, alternately
