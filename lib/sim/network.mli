@@ -81,7 +81,9 @@ val partitioned : t -> string -> string -> bool
     then {!next_copy} until it answers none.  A delay is never negative,
     so a negative answer means none: the message is lost, or it has no
     further copy.  Both draw from the network's RNG only for the faults
-    in force, in the same order whichever way the copies are consumed. *)
+    in force, and a quiet network (no partition, link override, link
+    loss or slowdown) reads no fault table: with no loss, duplication or
+    jitter set, a message costs one latency draw. *)
 
 (** [first_copy t ~src ~dst] decides what happens to one message: the
     delay of its first delivery, or a negative number when it is lost.
