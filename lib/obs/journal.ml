@@ -306,8 +306,11 @@ let room t n =
     c
   end
 
+(* [seq] is read once: an observer that records makes [t.seq] move on
+   before the later observers of this record are called. *)
 let notify t ~time_ms ~node ~dir payload =
-  List.iter (fun f -> f ~seq:t.seq ~time_ms ~node ~dir ~payload) t.observers
+  let seq = t.seq in
+  List.iter (fun f -> f ~seq ~time_ms ~node ~dir ~payload) t.observers
 
 (* Binary record: the whole frame is built in the reused writer
    (checksum straight over its backing bytes), then blitted into the
