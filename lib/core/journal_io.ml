@@ -193,10 +193,55 @@ let read_file path =
 
 let fold_file path ~init f = Result.bind (read_file path) (fun s -> fold s ~init f)
 
-(* The journal's one decoding observer: each record is decoded once and
-   the same value handed to every consumer, in attach order. *)
-type consumers = { mutable consumers : (record -> unit) list }
+(* The journal's one decoding observer, kept with the journal as its
+   [Decoded] tap and shared by every consumer, in attach order.
+
+   [record] hands the tap the typed payload it is about to write, keyed
+   by the seq that record will get, so the observer delivers the
+   driver's own value instead of decoding the bytes it was just
+   rendered to; events and raw [Journal.record] writes fill no slot and
+   are decoded.  The observer empties the slot before any consumer
+   runs, so a record written from inside a consumer finds it free; such
+   a record waits in [pending] until the record being delivered has
+   reached every consumer, so each consumer sees the records in seq
+   order. *)
+type consumers = {
+  mutable consumers : (record -> unit) list;
+  mutable handed_seq : int;  (** [0] when the slot is empty. *)
+  mutable handed : Codec_bin.payload;
+  pending : record Queue.t;
+  mutable delivering : bool;
+}
+
 type Journal.tap += Decoded of consumers
+
+(* What an empty slot holds: a constant, so emptying it allocates
+   nothing and keeps no delivered payload alive. *)
+let no_payload = Codec_bin.Tm_input Tm_machine.Retry_fired
+
+let rec feed r = function
+  | [] -> ()
+  | f :: fs ->
+    f r;
+    feed r fs
+
+let deliver d r =
+  if d.delivering then Queue.push r d.pending
+  else begin
+    d.delivering <- true;
+    match
+      feed r d.consumers;
+      while not (Queue.is_empty d.pending) do
+        feed (Queue.pop d.pending) d.consumers
+      done
+    with
+    | () -> d.delivering <- false
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Queue.clear d.pending;
+      d.delivering <- false;
+      Printexc.raise_with_backtrace e bt
+  end
 
 let attach journal f =
   match
@@ -206,37 +251,78 @@ let attach journal f =
   with
   | Some d -> d.consumers <- d.consumers @ [ f ]
   | None when Journal.enabled journal ->
-    let d = { consumers = [ f ] } in
+    let d =
+      {
+        consumers = [ f ];
+        handed_seq = 0;
+        handed = no_payload;
+        pending = Queue.create ();
+        delivering = false;
+      }
+    in
     Journal.add_tap journal (Decoded d);
-    let decode =
+    (* On a JSONL journal a handed create still records its node's kind,
+       so a raw write for that node decodes as it would after a decoded
+       create. *)
+    let decode, note_kind =
       match Journal.format journal with
-      | Journal.Binary -> fun ~node:_ ~dir payload -> decode_frame ~dir payload
+      | Journal.Binary ->
+        ( (fun ~node:_ ~dir payload -> decode_frame ~dir payload),
+          fun ~node:_ _ -> () )
       | Journal.Jsonl ->
         let kinds = Hashtbl.create 16 in
-        fun ~node ~dir payload ->
-          match Json.parse payload with
-          | Ok j ->
-            decode_json ~version:Journal.format_version kinds ~node ~dir j
-          | Error m -> Undecodable m
+        ( (fun ~node ~dir payload ->
+            match Json.parse payload with
+            | Ok j ->
+              decode_json ~version:Journal.format_version kinds ~node ~dir j
+            | Error m -> Undecodable m),
+          fun ~node -> function
+            | Codec_bin.Create_tm _ -> Hashtbl.replace kinds node Codec_bin.Tm
+            | Codec_bin.Create_ps _ -> Hashtbl.replace kinds node Codec_bin.Ps
+            | _ -> () )
     in
     Journal.add_observer journal (fun ~seq ~time_ms ~node ~dir ~payload ->
-        let r = { seq; time_ms; node; body = decode ~node ~dir payload } in
-        List.iter (fun f -> f r) d.consumers)
+        let body =
+          if d.handed_seq = seq then begin
+            let p = d.handed in
+            d.handed_seq <- 0;
+            d.handed <- no_payload;
+            note_kind ~node p;
+            Payload p
+          end
+          else decode ~node ~dir payload
+        in
+        deliver d { seq; time_ms; node; body })
   | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Recording: the one place a record's encoding is chosen              *)
 (* ------------------------------------------------------------------ *)
 
+(* Hand [p] to the journal's decoding observer, if it has one, for the
+   record about to be written with [seq].  Done once nothing is left
+   that could fail before the journal takes the record, so no later
+   record can find the slot still filled for its seq. *)
+let rec hand_over taps ~seq p =
+  match taps with
+  | Decoded d :: _ ->
+    d.handed_seq <- seq;
+    d.handed <- p
+  | _ :: taps -> hand_over taps ~seq p
+  | [] -> ()
+
 let record journal ~node p =
   if Journal.enabled journal then
     let dir = Codec_bin.payload_dir p in
+    let seq = Journal.length journal + 1 in
     match Journal.format journal with
     | Journal.Binary ->
+      hand_over (Journal.taps journal) ~seq p;
       Journal.record_frame journal ~node ~dir ~emit:Codec_bin.emit_payload p
     | Journal.Jsonl ->
-      Journal.record journal ~node ~dir
-        ~payload:(Codec.to_string (Codec_bin.payload_to_json p))
+      let payload = Codec.to_string (Codec_bin.payload_to_json p) in
+      hand_over (Journal.taps journal) ~seq p;
+      Journal.record journal ~node ~dir ~payload
 
 (* An event is JSON text in both formats (a binary frame carries the
    text as its raw payload, which [decode_frame] parses back). *)

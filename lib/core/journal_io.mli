@@ -88,6 +88,11 @@ val record_event : Journal.t -> node:string -> Cloudtx_policy.Json.t -> unit
 
 (** {1 Canonical JSONL and conversion} *)
 
+(** [render r] is [r]'s canonical JSONL line, byte-identical to what a
+    JSONL journal records for it; [Error] names an [Undecodable]
+    record's seq. *)
+val render : record -> (string, string) result
+
 (** A journal rendered as canonical JSONL. *)
 type t = {
   format : Journal.format;  (** Detected input format. *)
