@@ -25,6 +25,12 @@ module Splitmix = Cloudtx_sim.Splitmix
 module Scenario = Cloudtx_workload.Scenario
 module Generator = Cloudtx_workload.Generator
 module Experiment = Cloudtx_workload.Experiment
+module Participant = Cloudtx_core.Participant
+module Resilience = Cloudtx_core.Resilience
+module Timeout_policy = Cloudtx_protocol.Timeout_policy
+module Message = Cloudtx_protocol.Message
+module Codec = Cloudtx_protocol.Codec
+module Json = Cloudtx_policy.Json
 
 (* One protocol run recorded natively in [format]; the journal bytes. *)
 let record_cell ?(txns = 4) ~format scheme level =
@@ -416,6 +422,287 @@ let test_negative_zero_cross_format () =
     (convert Journal.Jsonl bin)
 
 (* ------------------------------------------------------------------ *)
+(* The live tap: typed records handed over, events and raw writes      *)
+(* decoded                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* What a body is, down to the payload's constructor: JSON alone does
+   not tell a TM input from a PS one. *)
+let body_kind = function
+  | Journal_io.Payload (Codec_bin.Create_tm _) -> "create-tm"
+  | Journal_io.Payload (Codec_bin.Create_ps _) -> "create-ps"
+  | Journal_io.Payload (Codec_bin.Tm_input _) -> "tm-input"
+  | Journal_io.Payload (Codec_bin.Tm_action _) -> "tm-action"
+  | Journal_io.Payload (Codec_bin.Ps_input _) -> "ps-input"
+  | Journal_io.Payload (Codec_bin.Ps_action _) -> "ps-action"
+  | Journal_io.Event _ -> "event"
+  | Journal_io.Undecodable m -> "undecodable: " ^ m
+
+let rendered what r =
+  match Journal_io.render r with
+  | Ok line -> line
+  | Error m ->
+    Alcotest.failf "%s: seq %d does not render: %s" what r.Journal_io.seq m
+
+(* A run recorded in [format] with a collector on the live tap: the
+   journal's bytes and the records the tap delivered, in order.  The
+   faulted run loses server-2 between its vote and the decision and
+   brings it back, under adaptive timeouts (RTT samples are float
+   inputs) and a resilience gate that admits two transactions at a time,
+   so rejections and breaker transitions land in the journal as events. *)
+let live_run ?(faulted = false) ~format scheme level =
+  let scenario = Scenario.retail ~seed:91L ~n_servers:3 ~n_subjects:3 () in
+  let cluster = scenario.Scenario.cluster in
+  let transport = Cluster.transport cluster in
+  let journal = Transport.enable_journal ~format transport in
+  let live = ref [] in
+  Journal_io.attach journal (fun r -> live := r :: !live);
+  let rng = Splitmix.create 17L in
+  let params =
+    { Generator.default with queries_per_txn = 3; write_ratio = 0.5 }
+  in
+  let txn i =
+    Generator.generate scenario rng params ~id:(Printf.sprintf "t%d" i)
+  in
+  if faulted then begin
+    let victim = Cluster.participant cluster "server-2" in
+    Transport.at transport ~delay:6.5 (fun () -> Participant.crash victim);
+    Transport.at transport ~delay:60. (fun () -> Participant.recover victim);
+    let gate =
+      Resilience.create ~journal
+        (Resilience.config ~failure_threshold:1 ~max_in_flight:2 ())
+    in
+    let config =
+      Manager.config ~decision_retry:5.
+        ~timeout_policy:(Timeout_policy.adaptive ()) scheme level
+    in
+    for i = 0 to 5 do
+      Manager.submit ~resilience:gate cluster config (txn i) ~on_done:ignore
+    done;
+    ignore (Cluster.run cluster)
+  end
+  else
+    ignore
+      (Experiment.run_sequential scenario (Manager.config scheme level) ~n:4
+         (fun ~i -> txn i));
+  (Journal.to_string journal, List.rev !live)
+
+(* Live = offline, record by record: what the tap hands its consumers is
+   what a fold over the written journal decodes — the same envelope, the
+   same kind of body and the same rendering, and on a binary journal the
+   typed payload re-encodes to the frame's own bytes.  The live tap used
+   to decode every record from its bytes, which made this check on every
+   run; now it hands typed records over, so this test makes it. *)
+let check_live_equals_offline what ~format (contents, live) =
+  let offline =
+    match
+      Journal_io.fold contents ~init:(fun _ -> []) (fun acc r -> r :: acc)
+    with
+    | Ok rs -> List.rev rs
+    | Error m -> Alcotest.failf "%s: fold failed: %s" what m
+  in
+  Alcotest.(check (list int))
+    (what ^ ": live seqs = offline seqs")
+    (List.map (fun r -> r.Journal_io.seq) offline)
+    (List.map (fun r -> r.Journal_io.seq) live);
+  let frames =
+    match format with
+    | Journal.Binary -> Some (Array.of_list (decode_ok contents).Journal.frames)
+    | Journal.Jsonl -> None
+  in
+  List.iteri
+    (fun i (l, o) ->
+      let at = Printf.sprintf "%s: seq %d" what o.Journal_io.seq in
+      Alcotest.(check (float 0.)) (at ^ " time_ms") o.Journal_io.time_ms
+        l.Journal_io.time_ms;
+      Alcotest.(check string) (at ^ " node") o.Journal_io.node
+        l.Journal_io.node;
+      Alcotest.(check string) (at ^ " body") (body_kind o.Journal_io.body)
+        (body_kind l.Journal_io.body);
+      Alcotest.(check string) (at ^ " rendering") (rendered at o)
+        (rendered at l);
+      match (frames, l.Journal_io.body) with
+      | Some frames, Journal_io.Payload p ->
+        Alcotest.(check string) (at ^ " payload bytes")
+          frames.(i).Journal.payload (Codec_bin.payload_to_string p)
+      | _ -> ())
+    (List.combine live offline)
+
+let formats = [ Journal.Jsonl; Journal.Binary ]
+
+let test_live_equals_offline_cells () =
+  List.iter
+    (fun format ->
+      List.iter
+        (fun scheme ->
+          List.iter
+            (fun level ->
+              let what =
+                Printf.sprintf "%s %s/%s" (Journal.format_name format)
+                  (Scheme.name scheme) (Consistency.name level)
+              in
+              check_live_equals_offline what ~format
+                (live_run ~format scheme level))
+            [ Consistency.View; Consistency.Global ])
+        Scheme.all)
+    formats
+
+let test_live_equals_offline_faulted () =
+  List.iter
+    (fun format ->
+      let what = Journal.format_name format ^ " faulted" in
+      let ((_, live) as run) =
+        live_run ~faulted:true ~format Scheme.Continuous Consistency.Global
+      in
+      let count kind node =
+        List.length
+          (List.filter
+             (fun r ->
+               String.equal (body_kind r.Journal_io.body) kind
+               && (node = None || node = Some r.Journal_io.node))
+             live)
+      in
+      Alcotest.(check bool) (what ^ ": events journaled") true
+        (count "event" None > 0);
+      Alcotest.(check bool) (what ^ ": server-2 created again on recovery") true
+        (count "create-ps" (Some "server-2") > 1);
+      check_live_equals_offline what ~format run)
+    formats
+
+(* The typed payloads of a real run, in journal order. *)
+let run_payloads =
+  lazy
+    (let contents =
+       record_cell ~format:Journal.Binary Scheme.Continuous Consistency.Global
+     in
+     match
+       Journal_io.fold contents ~init:(fun _ -> []) (fun acc r ->
+           match r.Journal_io.body with
+           | Journal_io.Payload p -> (r.Journal_io.node, p) :: acc
+           | Journal_io.Event _ | Journal_io.Undecodable _ -> acc)
+     with
+     | Ok ps -> List.rev ps
+     | Error m -> Alcotest.failf "corpus unreadable: %s" m)
+
+(* Minor words per record to re-record [payloads] into a fresh journal,
+   with one consumer on its live tap or none. *)
+let words_per_record ~format ~tapped payloads =
+  let journal = Journal.create ~clock:(fun () -> 0.) ~format () in
+  if tapped then Journal_io.attach journal ignore;
+  let before = Gc.minor_words () in
+  List.iter (fun (node, p) -> Journal_io.record journal ~node p) payloads;
+  (Gc.minor_words () -. before) /. float_of_int (List.length payloads)
+
+(* What a consumer on the live tap adds to recording a typed record: the
+   delivered record, its body and the observer call; on a binary journal
+   also the copy of the payload bytes the journal hands its observers.
+   Decoding the bytes back instead took hundreds of words a record on
+   JSONL (parse, decode, canonical re-render) and 59 more on binary. *)
+let test_tap_allocation format () =
+  let payloads = Lazy.force run_payloads in
+  let words tapped = words_per_record ~format ~tapped payloads in
+  (* The journal's copy of a binary payload for its observers: a string
+     of n bytes takes a header word and (n + 8) / 8 words. *)
+  let copy =
+    match format with
+    | Journal.Jsonl -> 0.
+    | Journal.Binary ->
+      let words (_, p) =
+        1 + ((String.length (Codec_bin.payload_to_string p) + 8) / 8)
+      in
+      float_of_int (List.fold_left (fun acc p -> acc + words p) 0 payloads)
+      /. float_of_int (List.length payloads)
+  in
+  let extra = words true -. words false -. copy in
+  if extra > 16. then
+    Alcotest.failf "%s: a live consumer adds %.1f minor words a record besides \
+                    the payload copy, at most 16 expected"
+      (Journal.format_name format) extra
+
+(* A consumer that writes from inside its callback, and a raw write
+   between typed ones: every consumer still sees every seq once, in
+   order, with the body written at that seq, and both consumers get the
+   one record value. *)
+let test_reentrant_consumers format () =
+  let journal = Journal.create ~clock:(fun () -> 0.) ~format () in
+  let node = "tm-t1" in
+  (* Each write notes its body under the seq it takes before it is
+     made: a consumer may write more records before it returns. *)
+  let written = Hashtbl.create 16 in
+  let write body f =
+    Hashtbl.replace written (Journal.length journal + 1) body;
+    f ()
+  in
+  let record p =
+    write (body_kind (Journal_io.Payload p)) (fun () ->
+        Journal_io.record journal ~node p)
+  in
+  let first = ref [] and raw = ref [] and second = ref [] in
+  Journal_io.attach journal (fun r ->
+      first := r :: !first;
+      match r.Journal_io.body with
+      | Journal_io.Payload (Codec_bin.Tm_input Tm_machine.Retry_fired) ->
+        record (Codec_bin.Tm_action (Tm_machine.Arm_retry { delay = 8. }));
+        write "event" (fun () ->
+            Journal_io.record_event journal ~node:"resilience"
+              (Json.Obj [ ("event", Json.String "reentrant") ]))
+      | _ -> ());
+  Journal.add_observer journal (fun ~seq ~time_ms:_ ~node:_ ~dir:_ ~payload:_ ->
+      raw := seq :: !raw);
+  Journal_io.attach journal (fun r -> second := r :: !second);
+  let txn =
+    Cloudtx_txn.Transaction.make ~id:"t1" ~subject:"alice"
+      [
+        Cloudtx_txn.Query.make ~id:"t1-q1" ~server:"server-1" ~reads:[ "k" ] ();
+      ]
+  in
+  record
+    (Codec_bin.Create_tm
+       {
+         config = Tm_machine.config Scheme.Deferred Consistency.View;
+         txn;
+         submitted_at = 0.;
+       });
+  record (Codec_bin.Tm_input Tm_machine.Retry_fired);
+  (* A raw write of a TM input whose JSON a PS input shares: the node's
+     kind comes from the handed-over create. *)
+  let raw_input =
+    Codec_bin.Tm_input
+      (Tm_machine.Deliver
+         { src = "server-1"; msg = Message.Decision_ack { txn = "t1" } })
+  in
+  write "tm-input" (fun () ->
+      Journal.record journal ~node ~dir:"input"
+        ~payload:
+          (match format with
+          | Journal.Jsonl ->
+            Codec.to_string (Codec_bin.payload_to_json raw_input)
+          | Journal.Binary -> Codec_bin.payload_to_string raw_input));
+  record (Codec_bin.Tm_input Tm_machine.Retry_fired);
+  record (Codec_bin.Tm_action Tm_machine.Force_log);
+  let n = Journal.length journal in
+  let every = List.init n (fun i -> i + 1) in
+  Alcotest.(check int) "every write journaled" n (Hashtbl.length written);
+  let check_consumer name records =
+    let records = List.rev records in
+    Alcotest.(check (list int)) (name ^ ": every seq once, in order") every
+      (List.map (fun r -> r.Journal_io.seq) records);
+    List.iter
+      (fun r ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s: seq %d body" name r.Journal_io.seq)
+          (Hashtbl.find written r.Journal_io.seq)
+          (body_kind r.Journal_io.body))
+      records
+  in
+  check_consumer "first consumer" !first;
+  check_consumer "second consumer" !second;
+  Alcotest.(check (list int)) "raw observer: every seq once" every
+    (List.sort compare !raw);
+  Alcotest.(check bool) "both consumers get the same record value" true
+    (List.for_all2 ( == ) !first !second)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "journal_bin"
@@ -446,4 +733,19 @@ let () =
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest
           [ prop_jsonl_mutation; prop_binary_mutation ] );
+      ( "live",
+        [
+          Alcotest.test_case "live = offline, all cells" `Quick
+            test_live_equals_offline_cells;
+          Alcotest.test_case "live = offline, faulted" `Quick
+            test_live_equals_offline_faulted;
+          Alcotest.test_case "tap allocation (JSONL)" `Quick
+            (test_tap_allocation Journal.Jsonl);
+          Alcotest.test_case "tap allocation (binary)" `Quick
+            (test_tap_allocation Journal.Binary);
+          Alcotest.test_case "re-entrant consumers (JSONL)" `Quick
+            (test_reentrant_consumers Journal.Jsonl);
+          Alcotest.test_case "re-entrant consumers (binary)" `Quick
+            (test_reentrant_consumers Journal.Binary);
+        ] );
     ]
