@@ -42,9 +42,10 @@ val create : ?keep_timelines:bool -> ?top_k:int -> unit -> t
 (** Feed one decoded journal record. *)
 val step : t -> Journal_io.record -> unit
 
-(** [attach journal] registers a collector on the journal's decoded
+(** [attach journal] registers a collector on the journal's live
     records through {!Journal_io.attach} — the live path.  Composes with
-    {!Health.attach}, sharing each record's one decode. *)
+    {!Health.attach}, sharing each record value: a typed record as it
+    was written, an event or raw write decoded once. *)
 val attach : ?keep_timelines:bool -> ?top_k:int -> Cloudtx_obs.Journal.t -> t
 
 (** Replay journal lines (header first).  [Error] names the first line

@@ -31,11 +31,12 @@ val step : t -> Journal_io.record -> unit
 (** Records whose payload failed to decode so far. *)
 val decode_errors : t -> int
 
-(** [attach journal monitor] feeds [monitor] from [journal]'s decoded
+(** [attach journal monitor] feeds [monitor] from [journal]'s live
     records ({!Journal_io.attach}) — the live [--monitor] path.  Shares
-    each record's one decode with the journal's other consumers (e.g. a
-    [Blame] collector), in attach order.  Returns the bridge for
-    {!decode_errors}. *)
+    each record value with the journal's other consumers (e.g. a
+    [Blame] collector), in attach order: a typed record as it was
+    written, an event or raw write decoded once.  Returns the bridge
+    for {!decode_errors}. *)
 val attach :
   ?timeseries:Cloudtx_obs.Timeseries.t ->
   Cloudtx_obs.Journal.t ->

@@ -22,7 +22,9 @@
       recorded text.
 
     Both paths yield the same records for the same run, so no consumer
-    can tell the formats apart.  Canonical JSONL text is a rendering of
+    can tell the formats apart.  Live ({!attach}), a record written by
+    {!val:record} arrives as the typed payload it was written from, with
+    no decoding at all.  Canonical JSONL text is a rendering of
     the records ({!of_contents}, {!convert}), used by [journal cat] and
     [journal convert]. *)
 
@@ -59,13 +61,21 @@ val fold_file :
   string -> init:(int -> 'a) -> ('a -> record -> 'a) -> ('a, string) result
 
 (** [attach journal f] feeds [f] every record [journal] records from
-    now on, decoded, as it is recorded.  A journal has one decoding
-    observer ([Journal.add_observer]), registered by its first [attach]
-    and kept with the journal ([Journal.add_tap]): each record is
-    decoded once and the same record value is handed to every attached
-    [f], in attach order.  So all decoded consumers see a record at the
-    first [attach]'s place among the journal's raw observers.  No-op on
-    a disabled journal such as [Journal.noop], which keeps nothing. *)
+    now on, as it is recorded.  A journal has one decoding observer
+    ([Journal.add_observer]), registered by its first [attach] and kept
+    with the journal ([Journal.add_tap]).  A record written by
+    {!val:record} reaches it with the typed payload it was written
+    from, handed over as recorded, so it is neither parsed nor decoded;
+    only events ({!record_event}) and raw [Journal.record] writes are
+    decoded from their bytes, once each.  Either way, the same record
+    value is handed to every attached [f], in attach order, and it
+    renders exactly as the record {!fold} reads back from the written
+    journal.  So all
+    consumers see a record at the first [attach]'s place among the
+    journal's raw observers.  A record written from inside an [f] is
+    delivered once the current record has reached every [f], so each
+    [f] sees the records in seq order.  No-op on a disabled journal
+    such as [Journal.noop], which keeps nothing. *)
 val attach : Journal.t -> (record -> unit) -> unit
 
 (** {1 Recording}
@@ -77,7 +87,8 @@ val attach : Journal.t -> (record -> unit) -> unit
 (** [record journal ~node p] appends one machine step under
     [Codec_bin.payload_dir p]: on a JSONL journal
     [Codec_bin.payload_to_json p] rendered with [Codec.to_string], on a
-    binary one [Codec_bin.emit_payload] run inside the frame writer. *)
+    binary one [Codec_bin.emit_payload] run inside the frame writer.
+    The journal's {!attach} consumers receive [p] itself. *)
 val record :
   Journal.t -> node:string -> Cloudtx_protocol.Codec_bin.payload -> unit
 

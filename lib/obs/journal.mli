@@ -85,12 +85,16 @@ val format : t -> format
 (** [add_observer t f] registers a streaming tap: [f] is called once per
     record, after it is journaled, with the envelope fields and the raw
     payload ({e in the journal's format} — JSON text for a JSONL journal,
-    [Codec_bin] bytes for a binary one).  This is how the live health
-    monitor ([run --monitor]) and the blame collector see the same
-    stream a [watch <file>] replay does.  Observers form a list and are
-    invoked in registration order, so the monitor, time-series bridge
-    and blame collector compose without hand-threading one bridge; an
-    empty list costs a single branch per record.  No-op on {!noop}. *)
+    [Codec_bin] bytes for a binary one).  [Cloudtx_core.Journal_io.attach]
+    registers one such observer, the journal's decoding observer, which
+    feeds the live health monitor ([run --monitor]), the blame collector
+    and the chaos assertions the same records a [watch <file>] replay
+    reads; for the records [Journal_io.record] writes it takes the typed
+    payload handed over through its tap (below) rather than these
+    bytes.  Observers form a list and are invoked in registration order;
+    each is handed the record's own [seq], even when an earlier observer
+    has recorded since.  An empty list costs a single branch per record.
+    No-op on {!noop}. *)
 val add_observer :
   t ->
   (seq:int -> time_ms:float -> node:string -> dir:string -> payload:string -> unit) ->
@@ -101,7 +105,8 @@ val add_observer :
     A layer above can keep its state for a journal with the journal
     itself, so that state lives exactly as long as the journal does
     ([Cloudtx_core.Journal_io.attach] keeps its one decoding observer
-    here). *)
+    here, with the slot through which [Journal_io.record] hands it the
+    typed payload of the record being written). *)
 
 type tap = ..
 
