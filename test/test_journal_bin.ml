@@ -32,16 +32,46 @@ module Message = Cloudtx_protocol.Message
 module Codec = Cloudtx_protocol.Codec
 module Json = Cloudtx_policy.Json
 
-(* One protocol run recorded natively in [format]; the journal bytes. *)
-let record_cell ?(txns = 4) ~format scheme level =
+(* One protocol run recorded natively in [format]; the journal bytes.
+   [attach] sees the journal before the run starts.  A [faulted] run
+   submits its transactions at once and loses server-2 between its vote
+   and the decision, then brings it back, under adaptive timeouts (RTT
+   samples are float inputs) and a resilience gate that admits two
+   transactions at a time, so rejections and breaker transitions are
+   journaled as events. *)
+let record_cell ?(txns = 4) ?(attach = ignore) ?(faulted = false) ~format
+    scheme level =
   let scenario = Scenario.retail ~seed:91L ~n_servers:3 ~n_subjects:3 () in
-  let transport = Cluster.transport scenario.Scenario.cluster in
+  let cluster = scenario.Scenario.cluster in
+  let transport = Cluster.transport cluster in
   let journal = Transport.enable_journal ~format transport in
+  attach journal;
   let rng = Splitmix.create 17L in
   let params = { Generator.default with queries_per_txn = 3; write_ratio = 0.5 } in
-  ignore
-    (Experiment.run_sequential scenario (Manager.config scheme level) ~n:txns
-       (fun ~i -> Generator.generate scenario rng params ~id:(Printf.sprintf "t%d" i)));
+  let txn i =
+    Generator.generate scenario rng params ~id:(Printf.sprintf "t%d" i)
+  in
+  if faulted then begin
+    let victim = Cluster.participant cluster "server-2" in
+    Transport.at transport ~delay:6.5 (fun () -> Participant.crash victim);
+    Transport.at transport ~delay:60. (fun () -> Participant.recover victim);
+    let gate =
+      Resilience.create ~journal
+        (Resilience.config ~failure_threshold:1 ~max_in_flight:2 ())
+    in
+    let config =
+      Manager.config ~decision_retry:5.
+        ~timeout_policy:(Timeout_policy.adaptive ()) scheme level
+    in
+    for i = 0 to txns - 1 do
+      Manager.submit ~resilience:gate cluster config (txn i) ~on_done:ignore
+    done;
+    ignore (Cluster.run cluster)
+  end
+  else
+    ignore
+      (Experiment.run_sequential scenario (Manager.config scheme level)
+         ~n:txns (fun ~i -> txn i));
   Journal.to_string journal
 
 let decode_ok contents =
@@ -444,55 +474,22 @@ let rendered what r =
   | Error m ->
     Alcotest.failf "%s: seq %d does not render: %s" what r.Journal_io.seq m
 
-(* A run recorded in [format] with a collector on the live tap: the
-   journal's bytes and the records the tap delivered, in order.  The
-   faulted run loses server-2 between its vote and the decision and
-   brings it back, under adaptive timeouts (RTT samples are float
-   inputs) and a resilience gate that admits two transactions at a time,
-   so rejections and breaker transitions land in the journal as events. *)
-let live_run ?(faulted = false) ~format scheme level =
-  let scenario = Scenario.retail ~seed:91L ~n_servers:3 ~n_subjects:3 () in
-  let cluster = scenario.Scenario.cluster in
-  let transport = Cluster.transport cluster in
-  let journal = Transport.enable_journal ~format transport in
+(* [record_cell]'s run with a collector on the live tap: the journal's
+   bytes and the records the tap delivered, in order. *)
+let live_run ?txns ?faulted ~format scheme level =
   let live = ref [] in
-  Journal_io.attach journal (fun r -> live := r :: !live);
-  let rng = Splitmix.create 17L in
-  let params =
-    { Generator.default with queries_per_txn = 3; write_ratio = 0.5 }
+  let contents =
+    record_cell ?txns ?faulted ~format scheme level ~attach:(fun journal ->
+        Journal_io.attach journal (fun r -> live := r :: !live))
   in
-  let txn i =
-    Generator.generate scenario rng params ~id:(Printf.sprintf "t%d" i)
-  in
-  if faulted then begin
-    let victim = Cluster.participant cluster "server-2" in
-    Transport.at transport ~delay:6.5 (fun () -> Participant.crash victim);
-    Transport.at transport ~delay:60. (fun () -> Participant.recover victim);
-    let gate =
-      Resilience.create ~journal
-        (Resilience.config ~failure_threshold:1 ~max_in_flight:2 ())
-    in
-    let config =
-      Manager.config ~decision_retry:5.
-        ~timeout_policy:(Timeout_policy.adaptive ()) scheme level
-    in
-    for i = 0 to 5 do
-      Manager.submit ~resilience:gate cluster config (txn i) ~on_done:ignore
-    done;
-    ignore (Cluster.run cluster)
-  end
-  else
-    ignore
-      (Experiment.run_sequential scenario (Manager.config scheme level) ~n:4
-         (fun ~i -> txn i));
-  (Journal.to_string journal, List.rev !live)
+  (contents, List.rev !live)
 
 (* Live = offline, record by record: what the tap hands its consumers is
    what a fold over the written journal decodes — the same envelope, the
    same kind of body and the same rendering, and on a binary journal the
-   typed payload re-encodes to the frame's own bytes.  The live tap used
-   to decode every record from its bytes, which made this check on every
-   run; now it hands typed records over, so this test makes it. *)
+   typed payload re-encodes to the frame's own bytes.  The tap hands
+   typed records over undecoded, so no run checks the codec against the
+   records its consumers saw; this test does. *)
 let check_live_equals_offline what ~format (contents, live) =
   let offline =
     match
@@ -552,7 +549,8 @@ let test_live_equals_offline_faulted () =
     (fun format ->
       let what = Journal.format_name format ^ " faulted" in
       let ((_, live) as run) =
-        live_run ~faulted:true ~format Scheme.Continuous Consistency.Global
+        live_run ~txns:6 ~faulted:true ~format Scheme.Continuous
+          Consistency.Global
       in
       let count kind node =
         List.length
@@ -596,8 +594,9 @@ let words_per_record ~format ~tapped payloads =
 (* What a consumer on the live tap adds to recording a typed record: the
    delivered record, its body and the observer call; on a binary journal
    also the copy of the payload bytes the journal hands its observers.
-   Decoding the bytes back instead took hundreds of words a record on
-   JSONL (parse, decode, canonical re-render) and 59 more on binary. *)
+   A tap that decoded the bytes back would add hundreds of words a record
+   on JSONL (parse, decode, canonical re-render) and about a hundred on
+   binary. *)
 let test_tap_allocation format () =
   let payloads = Lazy.force run_payloads in
   let words tapped = words_per_record ~format ~tapped payloads in
@@ -697,10 +696,32 @@ let test_reentrant_consumers format () =
   in
   check_consumer "first consumer" !first;
   check_consumer "second consumer" !second;
+  (* Raw observers are called as each record is written, so one after
+     the tap sees a record written from inside a consumer first. *)
   Alcotest.(check (list int)) "raw observer: every seq once" every
     (List.sort compare !raw);
   Alcotest.(check bool) "both consumers get the same record value" true
     (List.for_all2 ( == ) !first !second)
+
+(* A consumer's exception reaches the writer, and the records written
+   after it are still delivered, in order, to every consumer. *)
+let test_consumer_exception () =
+  let journal = Journal.create ~clock:(fun () -> 0.) () in
+  let seen = ref [] in
+  Journal_io.attach journal (fun r ->
+      if r.Journal_io.seq = 1 then failwith "consumer";
+      seen := r.Journal_io.seq :: !seen);
+  let record () =
+    Journal_io.record journal ~node:"tm-t1"
+      (Codec_bin.Tm_input Tm_machine.Retry_fired)
+  in
+  (match record () with
+  | () -> Alcotest.fail "the consumer's exception was lost"
+  | exception Failure _ -> ());
+  record ();
+  record ();
+  Alcotest.(check (list int)) "later records delivered" [ 2; 3 ]
+    (List.rev !seen)
 
 (* ------------------------------------------------------------------ *)
 
@@ -747,5 +768,7 @@ let () =
             (test_reentrant_consumers Journal.Jsonl);
           Alcotest.test_case "re-entrant consumers (binary)" `Quick
             (test_reentrant_consumers Journal.Binary);
+          Alcotest.test_case "a consumer's exception" `Quick
+            test_consumer_exception;
         ] );
     ]
