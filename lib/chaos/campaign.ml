@@ -77,9 +77,9 @@ let run_plan ?(dedup = true) ?(certify = false) ?variant ?journal_format
   let journal =
     Transport.enable_journal ?format:journal_format ?path:journal_path tr
   in
-  (* The journal's record stream is decoded once, as it is recorded, and
-     feeds the assertion layers that read it: the retry-budget count, the
-     audit and the certifier. *)
+  (* The journal's records feed the assertion layers that read them as
+     they are recorded, each typed record as the driver wrote it: the
+     retry-budget count, the audit and the certifier. *)
   let audit = Audit.create ~version:Journal.format_version in
   let cert = Certify.create () in
   let peak_retries = Hashtbl.create 8 in
