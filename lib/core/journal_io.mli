@@ -70,12 +70,11 @@ val fold_file :
     decoded from their bytes, once each.  Either way, the same record
     value is handed to every attached [f], in attach order, and it
     renders exactly as the record {!fold} reads back from the written
-    journal.  So all
-    consumers see a record at the first [attach]'s place among the
-    journal's raw observers.  A record written from inside an [f] is
-    delivered once the current record has reached every [f], so each
-    [f] sees the records in seq order.  No-op on a disabled journal
-    such as [Journal.noop], which keeps nothing. *)
+    journal.  So all consumers see a record at the first [attach]'s
+    place among the journal's raw observers.  A record written from
+    inside an [f] is delivered once the current record has reached
+    every [f], so each [f] sees the records in seq order.  No-op on a
+    disabled journal such as [Journal.noop], which keeps nothing. *)
 val attach : Journal.t -> (record -> unit) -> unit
 
 (** {1 Recording}
