@@ -3,7 +3,10 @@
 # snapshot (`run --metrics-out`), the report that `report JOURNAL
 # --metrics SNAPSHOT` renders from it (stdout, JSON, markdown), and the
 # online/offline gate failing on a tampered snapshot and on a mismatched
-# window width.  test/golden_flight_deck.txt pins it.
+# window width.  It also pins the same cell's registry exports
+# (`--metrics-prom`, `--metrics-json`) with the phase table, and the
+# markdown reports of a run whose staleness rule fires on every lag.
+# test/golden_flight_deck.txt pins it.
 # Usage: flight_deck.sh CLI
 set -e
 cli=$1
@@ -35,3 +38,21 @@ status=0
 "$cli" report j.jsonl --metrics m.jsonl --window 100 \
   --json w.json 2>&1 >/dev/null || status=$?
 echo "exit $status"
+echo "=== run --scheme continuous --level global --txns 20 --update-period 10 (registry)"
+"$cli" run --scheme continuous --level global --txns 20 --update-period 10 \
+  --metrics-prom p.prom --metrics-json p.json
+echo "=== p.prom"
+cat p.prom
+echo "=== p.json"
+cat p.json
+echo "=== run --scheme continuous --level global --txns 20 --update-period 10 --staleness-versions 0"
+"$cli" run --scheme continuous --level global --txns 20 --update-period 10 \
+  --staleness-versions 0 --journal-out ja.jsonl --alerts-out a.jsonl \
+  > run-a.txt
+grep -v -e '^ALERT ' -e '^RESOLVED ' run-a.txt
+echo "=== report ja.jsonl --alerts a.jsonl"
+"$cli" report ja.jsonl --alerts a.jsonl --md ra.md
+cat ra.md
+echo "=== report ja.jsonl --staleness-versions 0"
+"$cli" report ja.jsonl --staleness-versions 0 --md rs.md
+cat rs.md
