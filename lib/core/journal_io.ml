@@ -201,16 +201,15 @@ let fold_file path ~init f = Result.bind (read_file path) (fun s -> fold s ~init
    driver's own value instead of decoding the bytes it was just
    rendered to; events and raw [Journal.record] writes fill no slot and
    are decoded.  The observer empties the slot before any consumer
-   runs, so a record written from inside a consumer finds it free; such
-   a record waits in [pending] until the record being delivered has
-   reached every consumer, so each consumer sees the records in seq
-   order. *)
+   runs, so a record written from inside a consumer finds it free; the
+   journal delivers such a record once the current one has reached every
+   observer.  If one delivery writes two typed records, the second
+   refills the slot before the first is delivered, so the first is
+   decoded from its bytes, to the same value. *)
 type consumers = {
   mutable consumers : (record -> unit) list;
   mutable handed_seq : int;  (** [0] when the slot is empty. *)
   mutable handed : Codec_bin.payload;
-  pending : record Queue.t;
-  mutable delivering : bool;
 }
 
 type Journal.tap += Decoded of consumers
@@ -225,24 +224,6 @@ let rec feed r = function
     f r;
     feed r fs
 
-let deliver d r =
-  if d.delivering then Queue.push r d.pending
-  else begin
-    d.delivering <- true;
-    match
-      feed r d.consumers;
-      while not (Queue.is_empty d.pending) do
-        feed (Queue.pop d.pending) d.consumers
-      done
-    with
-    | () -> d.delivering <- false
-    | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      Queue.clear d.pending;
-      d.delivering <- false;
-      Printexc.raise_with_backtrace e bt
-  end
-
 let attach journal f =
   match
     List.find_map
@@ -251,15 +232,7 @@ let attach journal f =
   with
   | Some d -> d.consumers <- d.consumers @ [ f ]
   | None when Journal.enabled journal ->
-    let d =
-      {
-        consumers = [ f ];
-        handed_seq = 0;
-        handed = no_payload;
-        pending = Queue.create ();
-        delivering = false;
-      }
-    in
+    let d = { consumers = [ f ]; handed_seq = 0; handed = no_payload } in
     Journal.add_tap journal (Decoded d);
     (* On a JSONL journal a handed create still records its node's kind,
        so a raw write for that node decodes as it would after a decoded
@@ -292,7 +265,7 @@ let attach journal f =
           end
           else decode ~node ~dir payload
         in
-        deliver d { seq; time_ms; node; body })
+        feed { seq; time_ms; node; body } d.consumers)
   | None -> ()
 
 (* ------------------------------------------------------------------ *)

@@ -73,8 +73,9 @@ val fold_file :
     journal.  So all consumers see a record at the first [attach]'s
     place among the journal's raw observers.  A record written from
     inside an [f] is delivered once the current record has reached
-    every [f], so each [f] sees the records in seq order.  No-op on a
-    disabled journal such as [Journal.noop], which keeps nothing. *)
+    every [f] and every raw observer, so each sees the records in seq
+    order.  No-op on a disabled journal such as [Journal.noop], which
+    keeps nothing. *)
 val attach : Journal.t -> (record -> unit) -> unit
 
 (** {1 Recording}

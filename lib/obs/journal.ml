@@ -180,6 +180,9 @@ type t = {
     (seq:int -> time_ms:float -> node:string -> dir:string -> payload:string -> unit)
     list;
       (** Registration order; fan-out per record.  Empty = zero cost. *)
+  queued : (unit -> unit) Queue.t;
+      (** Deliveries of records written from inside an observer. *)
+  mutable delivering : bool;  (** An observer is running. *)
   mutable taps : tap list;
   mutable on_drop : (int -> unit) option;
   scratch : Buffer.t;  (** JSONL line under construction. *)
@@ -200,6 +203,8 @@ let noop =
     seq = 0;
     oc = None;
     observers = [];
+    queued = Queue.create ();
+    delivering = false;
     taps = [];
     on_drop = None;
     scratch = Buffer.create 0;
@@ -221,6 +226,8 @@ let create ~clock ?(format = Jsonl) ?(max_buffer_bytes = max_int) ?path () =
       seq = 0;
       oc = None;
       observers = [];
+      queued = Queue.create ();
+      delivering = false;
       taps = [];
       on_drop = None;
       scratch = Buffer.create 256;
@@ -306,11 +313,37 @@ let room t n =
     c
   end
 
-(* [seq] is read once: an observer that records makes [t.seq] move on
-   before the later observers of this record are called. *)
+let rec call_each ~seq ~time_ms ~node ~dir ~payload = function
+  | [] -> ()
+  | f :: fs ->
+    f ~seq ~time_ms ~node ~dir ~payload;
+    call_each ~seq ~time_ms ~node ~dir ~payload fs
+
+(* A record written from inside an observer waits in [queued] until the
+   record being delivered has reached every observer, so each observer
+   sees the records in seq order.  If an observer raises, the records
+   still waiting are dropped, and the next record starts afresh. *)
 let notify t ~time_ms ~node ~dir payload =
   let seq = t.seq in
-  List.iter (fun f -> f ~seq ~time_ms ~node ~dir ~payload) t.observers
+  if t.delivering then
+    Queue.push
+      (fun () -> call_each ~seq ~time_ms ~node ~dir ~payload t.observers)
+      t.queued
+  else begin
+    t.delivering <- true;
+    match
+      call_each ~seq ~time_ms ~node ~dir ~payload t.observers;
+      while not (Queue.is_empty t.queued) do
+        Queue.pop t.queued ()
+      done
+    with
+    | () -> t.delivering <- false
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Queue.clear t.queued;
+      t.delivering <- false;
+      Printexc.raise_with_backtrace e bt
+  end
 
 (* Binary record: the whole frame is built in the reused writer
    (checksum straight over its backing bytes), then blitted into the

@@ -91,9 +91,12 @@ val format : t -> format
     and the chaos assertions the same records a [watch <file>] replay
     reads; for the records [Journal_io.record] writes it takes the typed
     payload handed over through its tap (below) rather than these
-    bytes.  Observers form a list and are invoked in registration order;
-    each is handed the record's own [seq], even when an earlier observer
-    has recorded since.  An empty list costs a single branch per record.
+    bytes.  Observers form a list and are invoked in registration order.
+    A record written from inside an observer is delivered once the
+    current record has reached every observer, so each observer sees the
+    records in seq order.  If an observer raises, the exception reaches
+    the writer of the record being delivered, and records still waiting
+    are not delivered.  An empty list costs a single branch per record.
     No-op on {!noop}. *)
 val add_observer :
   t ->
