@@ -55,7 +55,7 @@ module Campaign = Cloudtx_chaos.Campaign
 module Certify = Cloudtx_core.Certify
 module Blame = Cloudtx_core.Blame
 module Critical_path = Cloudtx_obs.Critical_path
-module Obs_histogram = Cloudtx_obs.Histogram
+module Sketch = Cloudtx_obs.Sketch
 
 (* Optional artifact destinations, set by command-line flags (parsed at
    the bottom of this file). *)
@@ -918,40 +918,6 @@ let ablation_snapshot_reads () =
     "  snapshot readers hold no shared locks: they cannot die, and writers";
   print_endline "  never queue behind them."
 
-let section_throughput () =
-  print_newline ();
-  print_endline
-    "== Throughput -- closed-loop concurrency scaling (deferred/view) ==";
-  let rows =
-    List.map
-      (fun clients ->
-        let scenario = Scenario.retail ~seed:61L ~n_servers:4 ~n_subjects:4 () in
-        let rng = Splitmix.create 3L in
-        let params =
-          { Generator.default with queries_per_txn = 3; write_ratio = 0.3; zipf_s = 0.5 }
-        in
-        let stats, tps =
-          Experiment.run_closed scenario
-            (Manager.config Scheme.Deferred Consistency.View)
-            ~clients ~total:120
-            (fun ~i -> Generator.generate scenario rng params ~id:(Printf.sprintf "t%d" i))
-        in
-        [
-          string_of_int clients;
-          Printf.sprintf "%.0f" tps;
-          Printf.sprintf "%.0f%%" (100. *. Experiment.commit_ratio stats);
-          Printf.sprintf "%.2f" (Sample_set.mean stats.Experiment.latency_ms);
-          Printf.sprintf "%.2f" (Sample_set.percentile stats.Experiment.latency_ms 95.);
-        ])
-      [ 1; 2; 4; 8; 16 ]
-  in
-  Table.print ~title:"120 transactions, 4 servers, 30% writes"
-    ~headers:[ "clients"; "txn/s (sim)"; "commit"; "lat ms"; "p95 ms" ]
-    rows;
-  print_endline
-    "  throughput scales with clients until lock contention and wait-die";
-  print_endline "  aborts flatten the curve."
-
 let section_ablations () =
   print_newline ();
   print_endline "== Ablations -- design knobs beyond the paper's core ==";
@@ -1420,7 +1386,7 @@ let section_blame () =
         in
         let registry_total =
           match Registry.histogram registry "txn_latency_ms" labels with
-          | Some h -> Obs_histogram.sum h
+          | Some h -> Sketch.sum h
           | None -> 0.
         in
         let blame_total = c.Critical_path.cell_total_ms in
@@ -1814,10 +1780,9 @@ let section_obs () =
     !obs_journal_out;
   (* --- quantile sketch vs exact sample store ------------------------ *)
   (* A deterministic heavy-tailed stream (no RNG dependency): the same
-     values feed both backends, so accuracy and retention are pure
+     values feed the sketch and an exact sample store, the reference its
+     quantiles are checked against, so accuracy and retention are pure
      functions of the stream. *)
-  let module Sketch = Cloudtx_obs.Sketch in
-  let module Histogram = Cloudtx_obs.Histogram in
   let n_stream = 50_000 in
   (* Period 10k: the 10k and 50k streams cover the same value set, so
      retention flatness compares like with like. *)
@@ -1825,24 +1790,30 @@ let section_obs () =
     let x = float_of_int ((i * 7919 mod 10_000) + 1) in
     0.05 *. (x ** 1.5) /. 100.
   in
-  let record backend n =
-    let h = Histogram.create ~backend () in
+  let ns_per_observe n t0 = (Sys.time () -. t0) *. 1e9 /. float_of_int n in
+  let exact = Sample_set.create () in
+  let t0 = Sys.time () in
+  for i = 0 to n_stream - 1 do
+    Sample_set.add exact (value i)
+  done;
+  let exact_ns = ns_per_observe n_stream t0 in
+  (* Taken before any percentile query caches a sorted copy. *)
+  let exact_words_50k = Obj.reachable_words (Obj.repr exact) in
+  let record n =
+    let sk = Sketch.create () in
     let t0 = Sys.time () in
     for i = 0 to n - 1 do
-      Histogram.observe h (value i)
+      Sketch.observe sk (value i)
     done;
-    let elapsed = Sys.time () -. t0 in
-    (h, elapsed *. 1e9 /. float_of_int n)
+    (sk, ns_per_observe n t0)
   in
-  let exact, exact_ns = record Histogram.Exact n_stream in
-  let sk, sketch_ns = record Histogram.Sketch n_stream in
+  let sk, sketch_ns = record n_stream in
   (* Bounded memory: the sketch's footprint must be flat from 10k to 50k
      observations over the same dynamic range, while the exact store
      grows linearly.  Gated (deterministic). *)
-  let sk10, _ = record Histogram.Sketch 10_000 in
-  let sketch_words_10k = Histogram.retained_words sk10 in
-  let sketch_words_50k = Histogram.retained_words sk in
-  let exact_words_50k = Histogram.retained_words exact in
+  let sk10, _ = record 10_000 in
+  let sketch_words_10k = Sketch.memory_words sk10 in
+  let sketch_words_50k = Sketch.memory_words sk in
   if sketch_words_50k > sketch_words_10k then begin
     Printf.eprintf
       "obs bench: sketch memory grew with the stream (%d -> %d words)\n"
@@ -1851,16 +1822,12 @@ let section_obs () =
   end;
   (* Accuracy: every reported quantile within the documented relative
      error bound of the exact percentile.  Gated (deterministic). *)
-  let bound =
-    match Histogram.sketch sk with
-    | Some s -> Sketch.error_bound s
-    | None -> assert false
-  in
+  let bound = Sketch.error_bound sk in
   let worst_rel_err =
     List.fold_left
       (fun acc p ->
-        let e = Histogram.percentile exact p
-        and g = Histogram.percentile sk p in
+        let e = Sample_set.percentile exact p
+        and g = Sketch.percentile sk p in
         Float.max acc (Float.abs (g -. e) /. e))
       0.
       [ 1.; 25.; 50.; 90.; 99.; 99.9; 100. ]
@@ -2027,7 +1994,6 @@ let sections =
     ("figure7", section_figure7);
     ("tradeoff", section_tradeoff);
     ("logging", section_logging);
-    ("throughput", section_throughput);
     ("ablations", section_ablations);
     ("obs", section_obs);
     ("certify", section_certify);

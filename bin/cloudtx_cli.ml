@@ -39,6 +39,7 @@ module Monitor = Cloudtx_obs.Monitor
 module Slo = Cloudtx_obs.Slo
 module Health = Cloudtx_core.Health
 module Timeseries = Cloudtx_obs.Timeseries
+module Sketch = Cloudtx_obs.Sketch
 module Report = Cloudtx_obs.Report
 module Report_io = Cloudtx_core.Report_io
 module Blame = Cloudtx_core.Blame
@@ -484,10 +485,10 @@ let obs_summary reg ~scheme ~level ~servers ~queries ~txns =
           Some
             [
               label;
-              string_of_int (Cloudtx_obs.Histogram.count h);
-              Printf.sprintf "%.2f" (Cloudtx_obs.Histogram.percentile h 50.);
-              Printf.sprintf "%.2f" (Cloudtx_obs.Histogram.percentile h 95.);
-              Printf.sprintf "%.2f" (Cloudtx_obs.Histogram.percentile h 99.);
+              string_of_int (Sketch.count h);
+              Printf.sprintf "%.2f" (Sketch.percentile h 50.);
+              Printf.sprintf "%.2f" (Sketch.percentile h 95.);
+              Printf.sprintf "%.2f" (Sketch.percentile h 99.);
             ])
       [
         ("execute", "phase_execute_ms");
@@ -801,7 +802,7 @@ let watch_term =
 (* report: journal -> flight-deck report, checked against a snapshot   *)
 (* ------------------------------------------------------------------ *)
 
-let report_cmd journal metrics alerts window rules json_out md_out =
+let report_cmd journal metrics window rules json_out md_out =
   let report, monitor =
     match Report_io.of_journal ~rules ?width_ms:window journal with
     | Ok pair -> pair
@@ -838,16 +839,7 @@ let report_cmd journal metrics alerts window rules json_out md_out =
       end;
       Format.printf "online/offline reports agree (%d window(s))@." windows)
     metrics;
-  let alert_lines =
-    match alerts with
-    | Some path -> (
-      match Report_io.alert_lines_of_file path with
-      | Ok lines -> lines
-      | Error why ->
-        Format.eprintf "%s: cannot parse alerts file@.  %s@." path why;
-        exit 2)
-    | None -> Report_io.alert_lines_of_monitor monitor
-  in
+  let alert_lines = Report_io.alert_lines_of_monitor monitor in
   (* The blame decomposition (DESIGN §9) rides on the markdown view
      only, so the snapshot gate above stays a pure function of the
      windowed series. *)
@@ -892,15 +884,6 @@ let report_term =
                live path's artifact.  It must equal, byte for byte, the \
                snapshot of the $(i,JOURNAL) replay — exit 2 on divergence, \
                a damaged or foreign file included.")
-    $ Arg.(
-        value
-        & opt (some file) None
-        & info [ "alerts" ] ~docv:"FILE"
-            ~doc:
-              "Alert-transition JSONL written by $(b,--alerts-out); rendered \
-               as the markdown report's alert timeline.  Default: the \
-               journal replay's own alert transitions, as $(b,cloudtx \
-               watch) prints them.")
     $ Arg.(
         value
         & opt (some float) None
@@ -1111,9 +1094,9 @@ let health_cmd verbose servers queries txns seed update_period rules alerts_out
                     ( Scheme.name scheme,
                       Consistency.name level,
                       phase,
-                      Cloudtx_obs.Histogram.count h,
-                      Cloudtx_obs.Histogram.percentile h 50.,
-                      Cloudtx_obs.Histogram.percentile h 99. ))
+                      Sketch.count h,
+                      Sketch.percentile h 50.,
+                      Sketch.percentile h 99. ))
               [
                 ("execute", "phase_execute_ms");
                 ("commit", "phase_commit_ms");

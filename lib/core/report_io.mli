@@ -7,7 +7,9 @@
     (either format) through {!Health} into a fresh monitor and
     {!Cloudtx_obs.Timeseries}.  A [--metrics-out] snapshot is never read
     back: [cloudtx report JOURNAL --metrics SNAPSHOT] compares its bytes
-    with {!Cloudtx_obs.Report.to_snapshot} of the replay. *)
+    with {!Cloudtx_obs.Report.to_snapshot} of the replay.  Nor is an
+    [--alerts-out] log: the alert timeline is the replay monitor's
+    ({!alert_lines_of_monitor}). *)
 
 (** [of_journal path] — [rules] (default {!Cloudtx_obs.Slo.default})
     drive the Watchtower evaluation whose alert transitions land in the
@@ -20,11 +22,8 @@ val of_journal :
   string ->
   (Cloudtx_obs.Report.t * Cloudtx_obs.Monitor.t, string) result
 
-(** Alert-timeline lines for {!Cloudtx_obs.Report.to_markdown}: one
-    human-readable line per transition record of an [--alerts-out]
-    JSONL file (header skipped). *)
-val alert_lines_of_file : string -> (string list, string) result
-
-(** The same timeline for a monitor: its {!Cloudtx_obs.Monitor.console_lines},
-    the lines [watch] prints, in the order they were emitted. *)
+(** The alert timeline for {!Cloudtx_obs.Report.to_markdown}: the
+    monitor's {!Cloudtx_obs.Monitor.console_lines}, the lines [watch]
+    prints, in the order they were emitted.  The report renders no other
+    alert source, so its timeline always matches its alert counts. *)
 val alert_lines_of_monitor : Cloudtx_obs.Monitor.t -> string list

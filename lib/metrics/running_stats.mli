@@ -1,7 +1,7 @@
-(** Online mean / variance / extrema accumulator (Welford's algorithm).
+(** Online mean accumulator (Welford's update).
 
     Used by the benchmark harness to summarize per-run measurements
-    (latencies, message counts, proof counts) without storing samples. *)
+    (message counts, proof counts) without storing samples. *)
 
 type t
 
@@ -11,28 +11,5 @@ val create : unit -> t
 (** [add t x] folds the observation [x] into [t]. *)
 val add : t -> float -> unit
 
-(** Number of observations folded in so far. *)
-val count : t -> int
-
 (** Arithmetic mean; 0 when empty. *)
 val mean : t -> float
-
-(** Unbiased sample variance; 0 when fewer than two observations. *)
-val variance : t -> float
-
-(** Sample standard deviation. *)
-val stddev : t -> float
-
-(** Smallest observation; [infinity] when empty. *)
-val min : t -> float
-
-(** Largest observation; [neg_infinity] when empty. *)
-val max : t -> float
-
-(** Sum of all observations. *)
-val total : t -> float
-
-(** [merge a b] is a fresh accumulator equivalent to folding both streams. *)
-val merge : t -> t -> t
-
-val pp : Format.formatter -> t -> unit

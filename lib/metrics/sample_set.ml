@@ -63,5 +63,3 @@ let percentile t p =
 let median t = percentile t 50.
 let min t = t.running_min
 let max t = t.running_max
-
-let to_list t = Array.to_list (Array.sub t.samples 0 t.len)

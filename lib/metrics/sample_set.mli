@@ -21,6 +21,3 @@ val median : t -> float
 val min : t -> float
 
 val max : t -> float
-
-(** All observations in insertion order. *)
-val to_list : t -> float list

@@ -6,22 +6,13 @@ type gauge = { mutable value : float }
 type cell =
   | Counter of counter
   | Gauge of gauge
-  | Hist of Histogram.t
+  | Hist of Sketch.t
 
-type t = {
-  enabled : bool;
-  histogram : Histogram.backend;
-  cells : (string * labels, cell) Hashtbl.t;
-}
+type t = { enabled : bool; cells : (string * labels, cell) Hashtbl.t }
 
-let noop =
-  { enabled = false; histogram = Histogram.Exact; cells = Hashtbl.create 1 }
-
-let create ?(histogram = Histogram.Exact) () =
-  { enabled = true; histogram; cells = Hashtbl.create 64 }
-
+let noop = { enabled = false; cells = Hashtbl.create 1 }
+let create () = { enabled = true; cells = Hashtbl.create 64 }
 let enabled t = t.enabled
-let histogram_backend t = t.histogram
 
 let canonical labels =
   List.sort (fun (a, _) (b, _) -> String.compare a b) labels
@@ -58,11 +49,8 @@ let set_gauge t name labels v =
 
 let observe t name labels v =
   if t.enabled then
-    match
-      cell t name labels (fun () ->
-          Hist (Histogram.create ~backend:t.histogram ()))
-    with
-    | Hist h -> Histogram.observe h v
+    match cell t name labels (fun () -> Hist (Sketch.create ())) with
+    | Hist h -> Sketch.observe h v
     | c -> type_error name c "histogram"
 
 let counter_cell t name labels =
@@ -130,14 +118,14 @@ let to_rows t =
       | `Gauge g -> [ name; ls; ""; Printf.sprintf "%g" g; ""; ""; "" ]
       | `Histogram h ->
         let p q =
-          if Histogram.count h = 0 then "-"
-          else Printf.sprintf "%.2f" (Histogram.percentile h q)
+          if Sketch.count h = 0 then "-"
+          else Printf.sprintf "%.2f" (Sketch.percentile h q)
         in
         [
           name;
           ls;
-          string_of_int (Histogram.count h);
-          Printf.sprintf "%.2f" (Histogram.mean h);
+          string_of_int (Sketch.count h);
+          Printf.sprintf "%.2f" (Sketch.mean h);
           p 50.;
           p 95.;
           p 99.;
@@ -257,7 +245,7 @@ let to_prometheus t =
         Buffer.add_string buf
           (Printf.sprintf "%s%s %s\n" pname (prom_labels labels) (prom_number g))
       | `Histogram h ->
-        let count = Histogram.count h in
+        let count = Sketch.count h in
         let cumulative = ref 0 in
         List.iter
           (fun (le, n) ->
@@ -266,14 +254,14 @@ let to_prometheus t =
               (Printf.sprintf "%s_bucket%s %d\n" pname
                  (prom_labels (labels @ [ ("le", prom_number le) ]))
                  !cumulative))
-          (Histogram.buckets h);
+          (Sketch.bins h);
         Buffer.add_string buf
           (Printf.sprintf "%s_bucket%s %d\n" pname
              (prom_labels (labels @ [ ("le", "+Inf") ]))
              count);
         Buffer.add_string buf
           (Printf.sprintf "%s_sum%s %s\n" pname (prom_labels labels)
-             (prom_number (Histogram.sum h)));
+             (prom_number (Sketch.sum h)));
         Buffer.add_string buf
           (Printf.sprintf "%s_count%s %d\n" pname (prom_labels labels) count))
     (series t);
@@ -296,15 +284,15 @@ let to_json t =
         | `Gauge g -> [ ("type", {|"gauge"|}); ("value", Json.number g) ]
         | `Histogram h ->
           let p q =
-            if Histogram.count h = 0 then "null"
-            else Json.number (Histogram.percentile h q)
+            if Sketch.count h = 0 then "null"
+            else Json.number (Sketch.percentile h q)
           in
           [
             ("type", {|"histogram"|});
-            ("count", string_of_int (Histogram.count h));
-            ("mean", Json.number (Histogram.mean h));
-            ("min", if Histogram.count h = 0 then "null" else Json.number (Histogram.min h));
-            ("max", if Histogram.count h = 0 then "null" else Json.number (Histogram.max h));
+            ("count", string_of_int (Sketch.count h));
+            ("mean", Json.number (Sketch.mean h));
+            ("min", if Sketch.count h = 0 then "null" else Json.number (Sketch.min h));
+            ("max", if Sketch.count h = 0 then "null" else Json.number (Sketch.max h));
             ("p50", p 50.);
             ("p95", p 95.);
             ("p99", p 99.);
@@ -315,7 +303,7 @@ let to_json t =
                      (fun (le, n) ->
                        Json.obj
                          [ ("le", Json.number le); ("count", string_of_int n) ])
-                     (Histogram.buckets h))
+                     (Sketch.bins h))
               ^ "]" );
           ]
       in

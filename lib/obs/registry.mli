@@ -1,6 +1,7 @@
-(** Labeled metrics registry: counters, gauges and histograms
-    ({!Histogram} — exact percentiles by default, or bounded-memory
-    sketches when created with the [Sketch] backend).
+(** Labeled metrics registry: counters, gauges and histograms.  A
+    histogram is a bounded-memory {!Sketch}: its percentiles carry the
+    sketch's relative error bound ({!Sketch.error_bound}) and its memory
+    does not grow with the number of observations.
 
     A time series is identified by a metric name plus a label set such as
     [[("scheme", "deferred"); ("level", "view")]].  Label order does not
@@ -17,16 +18,8 @@ type labels = (string * string) list
 (** Shared disabled registry; every write is a no-op. *)
 val noop : t
 
-(** [create ()] — [histogram] selects the storage backend for every
-    histogram this registry creates: {!Histogram.Exact} (default, exact
-    percentiles, O(n) memory) or {!Histogram.Sketch} (bounded-memory
-    log-linear sketch for big runs). *)
-val create : ?histogram:Histogram.backend -> unit -> t
-
+val create : unit -> t
 val enabled : t -> bool
-
-(** The backend new histograms are created with. *)
-val histogram_backend : t -> Histogram.backend
 
 (** {1 Writes} *)
 
@@ -65,28 +58,33 @@ val counter : t -> string -> labels -> int
 val counter_total : t -> string -> int
 
 val gauge : t -> string -> labels -> float option
-val histogram : t -> string -> labels -> Histogram.t option
+val histogram : t -> string -> labels -> Sketch.t option
 
 (** Every series as [(name, canonical labels, cell)], sorted by name then
     labels. *)
 val series :
   t ->
-  (string * labels * [ `Counter of int | `Gauge of float | `Histogram of Histogram.t ])
+  (string * labels * [ `Counter of int | `Gauge of float | `Histogram of Sketch.t ])
   list
 
 (** {1 Snapshots} *)
 
-(** Rows for {!Cloudtx_metrics.Table.render} with headers
+(** Rows for [Cloudtx_metrics.Table.render] with headers
     [metric | labels | count | value/mean | p50 | p95 | p99]. *)
 val to_rows : t -> string list list
 
 (** JSON snapshot: an array of series objects with [metric], [labels] and
     either [value] (counter/gauge) or [count]/[mean]/[min]/[max]/
-    [p50]/[p95]/[p99]/[buckets] (histogram). *)
+    [p50]/[p95]/[p99]/[buckets] (histogram).  [buckets] are the
+    sketch's non-empty bins ({!Sketch.bins}), each with its own count. *)
 val to_json : t -> string
 
 (** Prometheus text exposition format (0.0.4): [# HELP] / [# TYPE] lines
     per metric, histograms as cumulative [_bucket] series plus [_sum] and
-    [_count].  Metric and label names are sanitised to the Prometheus
-    charset (dots become underscores); label values are escaped. *)
+    [_count].  The [le] bounds are the upper edges of the sketch's
+    non-empty bins ({!Sketch.bins}; non-positive values report [le="0"]).
+    Bins are lower-inclusive, so a value exactly on an edge counts toward
+    the next [le], not the one it equals.  [_sum] is the exact running
+    sum.  Metric and label names are sanitised to the Prometheus charset
+    (dots become underscores); label values are escaped. *)
 val to_prometheus : t -> string

@@ -1,5 +1,5 @@
-(* Octave o covers [2^(lo_exp + o), 2^(lo_exp + o + 1)); the exponent
-   range matches Histogram's log2 buckets so the two stay comparable. *)
+(* Octave o covers [2^(lo_exp + o), 2^(lo_exp + o + 1)): sub-microsecond
+   through multi-hour latencies in milliseconds. *)
 let lo_exp = -16
 let hi_exp = 47
 let n_octaves = hi_exp - lo_exp + 1

@@ -16,7 +16,8 @@
     Memory is O(bins): octave rows are allocated lazily on first touch,
     so a sketch holds at most [n_octaves * 2^sub_bits] counters no
     matter how many values it absorbs ({!memory_words}), unlike
-    {!Cloudtx_metrics.Sample_set} which retains every observation.
+    [Cloudtx_metrics.Sample_set] which retains every observation.  Every
+    histogram in a {!Registry} is a sketch.
 
     Sketches with equal [sub_bits] merge by adding bin counts
     ({!merge_into}), which is exact: a merged sketch equals the sketch
@@ -47,7 +48,7 @@ val max : t -> float
 
 (** [percentile t p] interpolates between the bin midpoints holding the
     order statistics of ranks [floor r] and [ceil r], [r = p/100*(n-1)]
-    — the same rank convention as {!Cloudtx_metrics.Sample_set}, so the
+    — the same rank convention as [Cloudtx_metrics.Sample_set], so the
     result is within {!error_bound} (relative) of the exact
     interpolation's bracketing order statistics.  Raises
     [Invalid_argument] when empty or [p] outside [0, 100]. *)
@@ -58,8 +59,10 @@ val percentile : t -> float -> float
 val merge_into : t -> t -> unit
 
 (** Non-empty bins as [(upper_bound, count)], ascending; the zero bin
-    (non-positive values) reports upper bound [0.].  Suitable as
-    cumulative Prometheus [_bucket] boundaries. *)
+    (non-positive values) reports upper bound [0.].  A bin includes its
+    lower edge and excludes its upper bound, so a value equal to an upper
+    bound counts in the next bin.  Suitable as cumulative Prometheus
+    [_bucket] boundaries. *)
 val bins : t -> (float * int) list
 
 (** Words currently retained (bins plus bookkeeping) — the bounded-memory

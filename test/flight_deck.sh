@@ -5,7 +5,7 @@
 # online/offline gate failing on a tampered snapshot and on a mismatched
 # window width.  It also pins the same cell's registry exports
 # (`--metrics-prom`, `--metrics-json`) with the phase table, and the
-# markdown reports of a run whose staleness rule fires on every lag.
+# markdown report of a run whose staleness rule fires on every lag.
 # test/golden_flight_deck.txt pins it.
 # Usage: flight_deck.sh CLI
 set -e
@@ -50,9 +50,6 @@ echo "=== run --scheme continuous --level global --txns 20 --update-period 10 --
   --staleness-versions 0 --journal-out ja.jsonl --alerts-out a.jsonl \
   > run-a.txt
 grep -v -e '^ALERT ' -e '^RESOLVED ' run-a.txt
-echo "=== report ja.jsonl --alerts a.jsonl"
-"$cli" report ja.jsonl --alerts a.jsonl --md ra.md
-cat ra.md
 echo "=== report ja.jsonl --staleness-versions 0"
 "$cli" report ja.jsonl --staleness-versions 0 --md rs.md
 cat rs.md

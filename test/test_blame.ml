@@ -18,7 +18,7 @@ module Monitor = Cloudtx_obs.Monitor
 module Cp = Cloudtx_obs.Critical_path
 module Journal = Cloudtx_obs.Journal
 module Registry = Cloudtx_obs.Registry
-module Histogram = Cloudtx_obs.Histogram
+module Sketch = Cloudtx_obs.Sketch
 module Cluster = Cloudtx_core.Cluster
 module Manager = Cloudtx_core.Manager
 module Scheme = Cloudtx_protocol.Scheme
@@ -354,7 +354,7 @@ let test_live_equals_offline_all_cells () =
 
 let hist_sum what reg name labels =
   match Registry.histogram reg name labels with
-  | Some h -> Histogram.sum h
+  | Some h -> Sketch.sum h
   | None -> Alcotest.failf "%s: histogram %s missing" what name
 
 let test_registry_reconciliation_all_cells () =

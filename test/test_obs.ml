@@ -1,11 +1,11 @@
-(* Unit tests for cloudtx_obs: span tracing, the metrics registry, the
-   log2 histogram and the Chrome/JSONL exporters.  Exported JSON is
+(* Unit tests for cloudtx_obs: span tracing, the metrics registry, its
+   sketch histograms and the Chrome/JSONL exporters.  Exported JSON is
    validated with the policy wire codec's parser, which is a full JSON
    reader. *)
 
 module Tracer = Cloudtx_obs.Tracer
 module Registry = Cloudtx_obs.Registry
-module Histogram = Cloudtx_obs.Histogram
+module Sketch = Cloudtx_obs.Sketch
 module Export = Cloudtx_obs.Export
 module Obs_json = Cloudtx_obs.Json
 module Json = Cloudtx_policy.Json
@@ -123,9 +123,9 @@ let test_registry_cells () =
   (match Registry.histogram r "lat" [ ("s", "a") ] with
   | None -> Alcotest.fail "histogram missing"
   | Some h ->
-    Alcotest.(check int) "count" 2 (Histogram.count h);
-    Alcotest.(check (float 1e-9)) "mean" 20. (Histogram.mean h);
-    Alcotest.(check (float 0.)) "exact running sum" 40. (Histogram.sum h));
+    Alcotest.(check int) "count" 2 (Sketch.count h);
+    Alcotest.(check (float 1e-9)) "mean" 20. (Sketch.mean h);
+    Alcotest.(check (float 0.)) "exact running sum" 40. (Sketch.sum h));
   Alcotest.check_raises "type mismatch"
     (Invalid_argument "Registry: depth is a gauge, not a counter") (fun () ->
       Registry.incr r "depth" [])
@@ -178,44 +178,15 @@ let test_registry_resolved_cells () =
 (* Histogram                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_histogram_bucket_boundaries () =
-  let h = Histogram.create () in
-  (* Exact powers of two sit on bucket boundaries; each must land in the
-     bucket whose upper bound equals the value. *)
-  List.iter (Histogram.observe h) [ 0.5; 1.; 2.; 4. ];
-  Alcotest.(check (list (pair (float 1e-12) int)))
-    "one per boundary bucket"
-    [ (0.5, 1); (1., 1); (2., 1); (4., 1) ]
-    (Histogram.buckets h);
-  (* Just above a boundary moves up one bucket. *)
-  let h2 = Histogram.create () in
-  Histogram.observe h2 2.0001;
-  Alcotest.(check (list (pair (float 1e-12) int)))
-    "above boundary" [ (4., 1) ] (Histogram.buckets h2)
-
-let test_histogram_percentiles_exact () =
-  let h = Histogram.create () in
-  for i = 1 to 100 do
-    Histogram.observe h (float_of_int i)
-  done;
-  (* Percentiles come from the exact sample store (linear interpolation
-     over n-1 intervals), not from bucket edges. *)
-  Alcotest.(check (float 1e-9)) "p50" 50.5 (Histogram.percentile h 50.);
-  Alcotest.(check (float 1e-9)) "p95" 95.05 (Histogram.percentile h 95.);
-  Alcotest.(check (float 1e-9)) "p99" 99.01 (Histogram.percentile h 99.);
-  Alcotest.(check (float 1e-9)) "p100" 100. (Histogram.percentile h 100.);
-  Alcotest.(check (float 1e-9)) "min" 1. (Histogram.min h);
-  Alcotest.(check (float 1e-9)) "max" 100. (Histogram.max h)
-
 let test_histogram_extremes () =
-  let h = Histogram.create () in
-  Histogram.observe h 0.;
-  Histogram.observe h (-5.);
-  Histogram.observe h 1e30;
-  Alcotest.(check int) "count" 3 (Histogram.count h);
-  (* 0 and -5 share the lowest bucket; 1e30 gets its own. *)
-  Alcotest.(check int) "two buckets" 2 (List.length (Histogram.buckets h));
-  Alcotest.(check (float 0.)) "min tracks negatives" (-5.) (Histogram.min h)
+  let h = Sketch.create () in
+  Sketch.observe h 0.;
+  Sketch.observe h (-5.);
+  Sketch.observe h 1e30;
+  Alcotest.(check int) "count" 3 (Sketch.count h);
+  (* 0 and -5 share the zero bin; 1e30 clamps to the top bin. *)
+  Alcotest.(check int) "two bins" 2 (List.length (Sketch.bins h));
+  Alcotest.(check (float 0.)) "min tracks negatives" (-5.) (Sketch.min h)
 
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                           *)
@@ -333,8 +304,8 @@ let test_prometheus_export () =
            label values are escaped, metric names sanitised to the
            Prometheus charset, HELP emitted for the known vocabulary. *)
         "# TYPE lat histogram";
-        "lat_bucket{s=\"a\\\"b\",le=\"0.5\"} 1";
-        "lat_bucket{s=\"a\\\"b\",le=\"4\"} 2";
+        "lat_bucket{s=\"a\\\"b\",le=\"0.515625\"} 1";
+        "lat_bucket{s=\"a\\\"b\",le=\"3.0625\"} 2";
         "lat_bucket{s=\"a\\\"b\",le=\"+Inf\"} 2";
         "lat_sum{s=\"a\\\"b\"} 3.5";
         "lat_count{s=\"a\\\"b\"} 2";
@@ -357,96 +328,55 @@ let test_prometheus_empty_histogram_sum () =
     (Registry.to_prometheus r);
   Alcotest.(check string) "empty registry" "" (Registry.to_prometheus (Registry.create ()))
 
-(* Whatever the backend, the Prometheus rendering must be internally
+(* The Prometheus rendering of a histogram must be internally
    consistent: cumulative non-decreasing _bucket series, +Inf == _count,
-   and _sum the exact running sum (both backends track it exactly). *)
+   and _sum the exact running sum (the sketch tracks it beside its
+   bins). *)
 let test_prometheus_backend_consistency () =
-  List.iter
-    (fun backend ->
-      let what =
-        match backend with
-        | Histogram.Exact -> "exact"
-        | Histogram.Sketch -> "sketch"
-      in
-      let r = Registry.create ~histogram:backend () in
-      let values = List.init 200 (fun i -> 0.25 *. float_of_int (i + 1)) in
-      List.iter (Registry.observe r "lat" []) values;
-      let lines =
-        Registry.to_prometheus r |> String.split_on_char '\n'
-        |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-      in
-      let value_of line =
-        match String.rindex_opt line ' ' with
-        | Some i ->
-          String.sub line (i + 1) (String.length line - i - 1)
-          |> float_of_string
-        | None -> Alcotest.failf "%s: unparsable line %s" what line
-      in
-      let starts p l = String.length l >= String.length p
-                       && String.sub l 0 (String.length p) = p in
-      let contains s sub =
-        let n = String.length s and m = String.length sub in
-        let rec go i =
-          i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1))
-        in
-        go 0
-      in
-      let buckets = List.filter (starts "lat_bucket") lines in
-      Alcotest.(check bool) (what ^ ": has buckets") true (buckets <> []);
-      let counts = List.map value_of buckets in
-      ignore
-        (List.fold_left
-           (fun prev c ->
-             if c < prev then
-               Alcotest.failf "%s: cumulative buckets decreased" what;
-             c)
-           0. counts);
-      let count = value_of (List.find (starts "lat_count") lines) in
-      let sum = value_of (List.find (starts "lat_sum") lines) in
-      let inf =
-        List.find (fun l -> starts "lat_bucket" l && contains l "+Inf") lines
-        |> value_of
-      in
-      Alcotest.(check (float 0.)) (what ^ ": +Inf bucket = count") count inf;
-      Alcotest.(check (float 0.))
-        (what ^ ": every observation below some finite bucket")
-        count
-        (List.nth counts (List.length counts - 2));
-      Alcotest.(check (float 1e-6)) (what ^ ": sum exact")
-        (List.fold_left ( +. ) 0. values)
-        sum;
-      Alcotest.(check int) (what ^ ": count") (List.length values)
-        (int_of_float count))
-    [ Histogram.Exact; Histogram.Sketch ]
-
-(* The sketch backend answers the same questions as the exact one, at
-   bounded memory. *)
-let test_histogram_sketch_backend () =
-  let h = Histogram.create ~backend:Histogram.Sketch () in
-  let values = List.init 1000 (fun i -> float_of_int (i + 1)) in
-  List.iter (Histogram.observe h) values;
-  Alcotest.(check int) "count" 1000 (Histogram.count h);
-  Alcotest.(check (float 1e-6)) "sum exact" 500_500. (Histogram.sum h);
-  Alcotest.(check (float 0.)) "max exact" 1000. (Histogram.max h);
-  let p50 = Histogram.percentile h 50. in
-  Alcotest.(check bool) "p50 within sketch bound" true
-    (Float.abs (p50 -. 500.5) <= 500.5 /. 64.);
-  Alcotest.(check bool) "samples absent" true (Histogram.samples h = None);
-  Alcotest.(check bool) "sketch exposed" true (Histogram.sketch h <> None);
-  (* Bounded retention vs the exact backend's linear growth. *)
-  let words_at n =
-    let h = Histogram.create ~backend:Histogram.Sketch () in
-    for i = 1 to n do
-      Histogram.observe h (float_of_int (i mod 1000) +. 0.5)
-    done;
-    Histogram.retained_words h
+  let r = Registry.create () in
+  let values = List.init 200 (fun i -> 0.25 *. float_of_int (i + 1)) in
+  List.iter (Registry.observe r "lat" []) values;
+  let lines =
+    Registry.to_prometheus r |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
   in
-  Alcotest.(check int) "retention flat from 10k to 50k" (words_at 10_000)
-    (words_at 50_000);
-  let exact = Histogram.create () in
-  List.iter (Histogram.observe exact) values;
-  Alcotest.(check bool) "exact backend retains every sample" true
-    (Histogram.retained_words exact > 1000)
+  let value_of line =
+    match String.rindex_opt line ' ' with
+    | Some i ->
+      String.sub line (i + 1) (String.length line - i - 1) |> float_of_string
+    | None -> Alcotest.failf "unparsable line %s" line
+  in
+  let starts p l =
+    String.length l >= String.length p && String.sub l 0 (String.length p) = p
+  in
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i =
+      i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1))
+    in
+    go 0
+  in
+  let buckets = List.filter (starts "lat_bucket") lines in
+  Alcotest.(check bool) "has buckets" true (buckets <> []);
+  let counts = List.map value_of buckets in
+  ignore
+    (List.fold_left
+       (fun prev c ->
+         if c < prev then Alcotest.fail "cumulative buckets decreased";
+         c)
+       0. counts);
+  let count = value_of (List.find (starts "lat_count") lines) in
+  let sum = value_of (List.find (starts "lat_sum") lines) in
+  let inf =
+    List.find (fun l -> starts "lat_bucket" l && contains l "+Inf") lines
+    |> value_of
+  in
+  Alcotest.(check (float 0.)) "+Inf bucket = count" count inf;
+  Alcotest.(check (float 0.)) "every observation below some finite bucket"
+    count
+    (List.nth counts (List.length counts - 2));
+  Alcotest.(check (float 1e-6)) "sum exact" (List.fold_left ( +. ) 0. values) sum;
+  Alcotest.(check int) "count" (List.length values) (int_of_float count)
 
 (* ------------------------------------------------------------------ *)
 (* Wiring: simulator clock feeds spans                                 *)
@@ -952,10 +882,6 @@ let () =
         ] );
       ( "histogram",
         [
-          Alcotest.test_case "bucket boundaries" `Quick
-            test_histogram_bucket_boundaries;
-          Alcotest.test_case "exact percentiles" `Quick
-            test_histogram_percentiles_exact;
           Alcotest.test_case "extremes" `Quick test_histogram_extremes;
         ] );
       ( "export",
@@ -971,8 +897,6 @@ let () =
             test_prometheus_empty_histogram_sum;
           Alcotest.test_case "prometheus backend consistency" `Quick
             test_prometheus_backend_consistency;
-          Alcotest.test_case "sketch histogram backend" `Quick
-            test_histogram_sketch_backend;
         ] );
       ( "wiring",
         [
