@@ -346,16 +346,7 @@ let test_prometheus_backend_consistency () =
       String.sub line (i + 1) (String.length line - i - 1) |> float_of_string
     | None -> Alcotest.failf "unparsable line %s" line
   in
-  let starts p l =
-    String.length l >= String.length p && String.sub l 0 (String.length p) = p
-  in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i =
-      i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1))
-    in
-    go 0
-  in
+  let starts prefix = String.starts_with ~prefix in
   let buckets = List.filter (starts "lat_bucket") lines in
   Alcotest.(check bool) "has buckets" true (buckets <> []);
   let counts = List.map value_of buckets in
@@ -367,10 +358,7 @@ let test_prometheus_backend_consistency () =
        0. counts);
   let count = value_of (List.find (starts "lat_count") lines) in
   let sum = value_of (List.find (starts "lat_sum") lines) in
-  let inf =
-    List.find (fun l -> starts "lat_bucket" l && contains l "+Inf") lines
-    |> value_of
-  in
+  let inf = value_of (List.find (starts {|lat_bucket{le="+Inf"}|}) lines) in
   Alcotest.(check (float 0.)) "+Inf bucket = count" count inf;
   Alcotest.(check (float 0.)) "every observation below some finite bucket"
     count
