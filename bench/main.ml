@@ -1155,12 +1155,12 @@ let section_micro () =
   in
   Table.print ~title:"time per run" ~headers:[ "benchmark"; "ns/run"; "ms/run" ] rows;
   print_endline
-    "  proof-cache trade-off: memoizing the inference step is ~30x faster on";
+    "  proof-cache trade-off: memoizing the inference step is ~12x faster on";
   print_endline
     "  derivation-heavy policies (proof_eval_heavy) but the memo key itself";
   print_endline
-    "  costs more than the tiny retail policy's saturation — enable per";
-  print_endline "  deployment."
+    "  costs more than the tiny retail policy's whole proof (proof_evaluation)";
+  print_endline "  — enable per deployment."
 
 (* ------------------------------------------------------------------ *)
 (* Certify: serializability checking throughput over the 8-cell grid   *)

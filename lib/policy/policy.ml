@@ -53,11 +53,17 @@ let plan t =
 let forget_plan t = t.plan <- None
 
 let permits t ~facts ~subject ~action ~item =
-  Infer.holds (Infer.run (plan t) ~facts) (goal ~subject ~action ~item)
+  Infer.holds3 (Infer.run (plan t) ~facts) "permit" subject action item
+
+let rec denied db ~subject ~action = function
+  | [] -> []
+  | item :: rest ->
+    if Infer.holds3 db "permit" subject action item then
+      denied db ~subject ~action rest
+    else item :: denied db ~subject ~action rest
 
 let permits_all t ~facts ~subject ~action ~items =
-  let db = Infer.run (plan t) ~facts in
-  List.filter (fun item -> not (Infer.holds db (goal ~subject ~action ~item))) items
+  denied (Infer.run (plan t) ~facts) ~subject ~action items
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>policy %s v%d (%d rules%s)@]" t.domain t.version

@@ -50,14 +50,16 @@ val effective_rules : t -> Rule.t list
 val forget_plan : t -> unit
 
 (** [permits t ~facts ~subject ~action ~item] — single saturation, single
-    goal.  The first evaluation of a policy value compiles its rules
-    ({!Infer.compile}) and raises [Invalid_argument] if they recurse
+    goal, looked up in the [permit] rows ({!Infer.holds3}) without building
+    the goal atom.  The first evaluation of a policy value compiles its
+    rules ({!Infer.compile}) and raises [Invalid_argument] if they recurse
     through negation. *)
 val permits :
   t -> facts:Rule.fact list -> subject:string -> action:string -> item:string -> bool
 
 (** [permits_all t ~facts ~subject ~action ~items] checks every item
-    against one saturation; returns the items denied (empty = granted). *)
+    against the [permit] rows of one saturation, as {!permits} does;
+    returns the items denied, in order (empty = granted). *)
 val permits_all :
   t ->
   facts:Rule.fact list ->

@@ -42,27 +42,36 @@ let vet env ~at (cred : Credential.t) : (Rule.fact list, failure) result =
       else Error (Untrusted_issuer cred.Credential.id)
     | None, Credential.Attribute -> Error (Untrusted_issuer cred.Credential.id))
 
+(* The facts of the credentials in [creds] that pass [vet], in order,
+   ahead of [tail]; the failures of the others go to [failed], newest
+   first. *)
+let rec vet_all env ~at failed tail = function
+  | [] -> tail
+  | cred :: rest -> (
+    match vet env ~at cred with
+    | Error f ->
+      failed := f :: !failed;
+      vet_all env ~at failed tail rest
+    | Ok claims -> (
+      match vet_all env ~at failed tail rest with
+      | [] -> claims
+      | facts -> claims @ facts))
+
+let request_fact pred value = { Rule.pred; args = [ Rule.Const value ] }
+
 let evaluate ?cache ~query_id ~server ~policy ~creds ~env ~at request =
-  let vetted = List.map (fun cred -> (cred, vet env ~at cred)) creds in
-  let cred_failures =
-    List.filter_map
-      (fun (_, r) -> match r with Error f -> Some f | Ok _ -> None)
-      vetted
-  in
+  let failed = ref [] in
+  let claims = vet_all env ~at failed [] creds in
   (* Facts describing the request itself, so range-restricted rules can
      bind their head variables: permit(S,A,I) :- role(S, clerk),
      req_action(A), req_item(I). *)
-  let request_facts =
-    Rule.fact "req_subject" [ request.subject ]
-    :: Rule.fact "req_action" [ request.action ]
-    :: List.map (fun item -> Rule.fact "req_item" [ item ]) request.items
-  in
   let facts =
-    request_facts
-    @ env.context ()
-    @ List.concat_map
-        (fun (_, r) -> match r with Ok facts -> facts | Error _ -> [])
-        vetted
+    request_fact "req_subject" request.subject
+    :: request_fact "req_action" request.action
+    :: List.fold_right
+         (fun item facts -> request_fact "req_item" item :: facts)
+         request.items
+         (env.context () @ claims)
   in
   let saturate_and_check () =
     Policy.permits_all policy ~facts ~subject:request.subject
@@ -89,7 +98,9 @@ let evaluate ?cache ~query_id ~server ~policy ~creds ~env ~at request =
         Hashtbl.replace table key denied;
         denied)
   in
-  let failures = cred_failures @ List.map (fun item -> Denied item) denied in
+  let failures =
+    List.rev_append !failed (List.map (fun item -> Denied item) denied)
+  in
   (* The proof is valid only when every credential passed and every item is
      permitted: a transaction built on a partly-invalid credential set must
      not count as trusted. *)

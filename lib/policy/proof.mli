@@ -19,7 +19,10 @@
     [req_subject(subject)], [req_action(action)] and one [req_item(i)]
     per touched item — so that range-restricted rules can bind their head
     variables, e.g.
-    {[ permit(S, A, I) :- role(S, clerk), req_action(A), req_item(I). ]} *)
+    {[ permit(S, A, I) :- role(S, clerk), req_action(A), req_item(I). ]}
+    The fact base is those facts, then the environment's context facts,
+    then the facts of each credential that passes, in credential order;
+    it is built in one pass over the credentials. *)
 
 type request = {
   subject : string;
