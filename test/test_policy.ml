@@ -584,7 +584,7 @@ let test_proof_grant () =
 (* One proof over the retail clerk policy, one credential and one item
    builds no hash table: 1 000 proofs stay within 121 minor words a proof
    (110 measured).  One that saturated into a fresh hash-table database
-   and built a goal atom per item took 351. *)
+   and built a goal atom per item took 354. *)
 let test_proof_allocation () =
   let ca = Ca.create "corp" in
   let c =
