@@ -13,7 +13,9 @@
     body left to right over the rows of the predicate each atom names.  A
     proof builds no hash table: a predicate holds a few rows, so testing
     whether a fact is known scans that predicate's rows, which costs
-    their number.  Facts of predicates no rule mentions are kept aside as
+    their number.  Building a relation of n rows thus costs about n{^2}/2
+    comparisons: cheaper than hashing for the rows of a request of up to
+    a few dozen items, dearer beyond.  Facts of predicates no rule mentions are kept aside as
     given and only read by {!facts}, {!size}, {!holds} and {!query}.
 
     A stratum whose rules read nothing it derives takes one pass.  A
