@@ -28,7 +28,7 @@ type stratum = { rules : crule array; recursive : bool }
 
 type plan = {
   preds : string array;  (* every predicate a rule mentions, by index *)
-  index : (string, int) Hashtbl.t;  (* and back *)
+  index : (string, int) Hashtbl.t;  (* and back; read-only after [compile] *)
   strata : stratum array;  (* lowest first *)
   slots : int;  (* the most variables one rule binds *)
 }
