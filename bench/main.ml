@@ -936,7 +936,7 @@ let section_ablations () =
 let micro_tests () =
   let open Bechamel in
   (* Table I / proof machinery: one proof evaluation. *)
-  let proof_eval =
+  let proof_eval ~cached =
     let module Rule = Cloudtx_policy.Rule in
     let module Ca = Cloudtx_policy.Ca in
     let module Policy = Cloudtx_policy.Policy in
@@ -967,11 +967,13 @@ let micro_tests () =
       }
     in
     let request = { Proof.subject = "bob"; action = "read"; items = [ "x" ] } in
-    Test.make ~name:"proof_evaluation"
+    let cache = if cached then Some (Proof.cache ()) else None in
+    Test.make
+      ~name:(if cached then "proof_evaluation_cached" else "proof_evaluation")
       (Staged.stage (fun () ->
            ignore
-             (Proof.evaluate ~query_id:"q" ~server:"s" ~policy ~creds:[ cred ]
-                ~env ~at:1. request)))
+             (Proof.evaluate ?cache ~query_id:"q" ~server:"s" ~policy
+                ~creds:[ cred ] ~env ~at:1. request)))
   in
   (* One full simulated transaction per scheme (n = u = 4). *)
   let txn_bench ?(proof_cache = false) ?suffix scheme level =
@@ -1040,7 +1042,7 @@ let micro_tests () =
       }
     in
     let request = { Proof.subject = "bob"; action = "read"; items = [ "x" ] } in
-    let cache = if cached then Some (Hashtbl.create 16) else None in
+    let cache = if cached then Some (Proof.cache ()) else None in
     Test.make
       ~name:
         (if cached then "proof_eval_heavy_cached" else "proof_eval_heavy")
@@ -1111,7 +1113,8 @@ let micro_tests () =
   in
   Test.make_grouped ~name:"cloudtx"
     ([
-       proof_eval;
+       proof_eval ~cached:false;
+       proof_eval ~cached:true;
        heavy_proof_eval ~cached:false;
        heavy_proof_eval ~cached:true;
        tpc_bench;

@@ -35,18 +35,28 @@ let ( let* ) = Result.bind
 
 (* Binary payloads are self-tagged, so decoding needs no per-node state.
    Event frames carry the event's JSON text as their raw bytes. *)
+let event_body text =
+  match Json.parse text with
+  | Ok j -> Event j
+  | Error m -> Undecodable ("event payload: " ^ m)
+
+let payload_body ~dir = function
+  | Error m -> Undecodable m
+  | Ok p ->
+    let tagged = Codec_bin.payload_dir p in
+    if String.equal tagged dir then Payload p
+    else Undecodable (Printf.sprintf "dir %S carries a %s payload" dir tagged)
+
+(* A frame's bytes handed to the live tap: decoded with nothing shared. *)
 let decode_frame ~dir payload =
-  if String.equal dir "event" then
-    match Json.parse payload with
-    | Ok j -> Event j
-    | Error m -> Undecodable ("event payload: " ^ m)
-  else
-    match Codec_bin.payload_of_string payload with
-    | Error m -> Undecodable m
-    | Ok p ->
-      let tagged = Codec_bin.payload_dir p in
-      if String.equal tagged dir then Payload p
-      else Undecodable (Printf.sprintf "dir %S carries a %s payload" dir tagged)
+  if String.equal dir "event" then event_body payload
+  else payload_body ~dir (Codec_bin.payload_of_string payload)
+
+(* A frame of a journal being read, decoded where it lies in [s] through
+   the read's context. *)
+let decode_span context ~dir s ~pos ~len =
+  if String.equal dir "event" then event_body (String.sub s pos len)
+  else payload_body ~dir (Codec_bin.payload_of_span context s ~pos ~len)
 
 (* An action record must be the canonical encoding — at the journal's
    version — of the action it decodes to: the auditor compares the
@@ -162,24 +172,20 @@ let rec lines_from s i () =
     in
     Seq.Cons (String.sub s i (j - i), lines_from s (j + 1))
 
-(* Frames are decoded as the fold reaches them; returns the version, the
-   result and the torn byte count. *)
+(* Frames are decoded in place as the fold reaches them, through one
+   decode context for the whole read; returns the version, the result and
+   the torn byte count. *)
 let fold_frames s ~init f =
-  Journal.fold_binary s
+  let context = Codec_bin.context () in
+  Journal.fold_binary_in_place s
     ~init:(fun version ->
       if version < 3 || version > Journal.format_version then
         Error
           (Printf.sprintf "binary journal header: unsupported version %d"
              version)
       else Ok (init version))
-    (fun acc (fr : Journal.frame) ->
-      f acc
-        {
-          seq = fr.Journal.seq;
-          time_ms = fr.Journal.time_ms;
-          node = fr.Journal.node;
-          body = decode_frame ~dir:fr.Journal.dir fr.Journal.payload;
-        })
+    (fun acc ~seq ~time_ms ~node ~dir ~pos ~len ->
+      f acc { seq; time_ms; node; body = decode_span context ~dir s ~pos ~len })
 
 let fold s ~init f =
   if Journal.is_binary s then

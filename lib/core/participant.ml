@@ -40,7 +40,7 @@ type t = {
          first journaled step (and again after a crash reset). *)
   ocsp_delay : (unit -> float) option;
   on_proof : txn:string -> unit;
-  proof_cache : (string, string list) Hashtbl.t option;
+  proof_cache : Proof.cache option;
   inquiry_timeout : float;
   waits : (string, wait) Hashtbl.t; (* txn -> open lock.wait *)
   mutable releases : (string option * Lock_manager.release) list;
@@ -334,7 +334,7 @@ let create ~transport ~server ~env ~domain_of ~on_proof ?(variant = Tpc.Basic)
       journaled = false;
       ocsp_delay;
       on_proof;
-      proof_cache = (if proof_cache then Some (Hashtbl.create 64) else None);
+      proof_cache = (if proof_cache then Some (Proof.cache ()) else None);
       inquiry_timeout;
       waits = Hashtbl.create 8;
       releases = [];

@@ -451,19 +451,22 @@ type decoded = {
 
 exception Bad_frame of string
 
-let read_varint s pos limit =
-  let n = ref 0 and shift = ref 0 and p = ref pos in
-  let fin = ref (-1) in
-  while !fin < 0 do
-    if !p >= limit then raise (Bad_frame "varint runs past frame end");
+(* Where the one frame parser is in the file; one per fold, so reading a
+   field returns just the field. *)
+type cursor = { mutable at : int }
+
+let read_varint s c limit =
+  let n = ref 0 and shift = ref 0 and fin = ref false in
+  while not !fin do
+    if c.at >= limit then raise (Bad_frame "varint runs past frame end");
     if !shift > 56 then raise (Bad_frame "varint too wide");
-    let b = Char.code (String.unsafe_get s !p) in
-    incr p;
+    let b = Char.code (String.unsafe_get s c.at) in
+    c.at <- c.at + 1;
     n := !n lor ((b land 0x7f) lsl !shift);
     shift := !shift + 7;
-    if b land 0x80 = 0 then fin := !n
+    if b land 0x80 = 0 then fin := true
   done;
-  (!fin, !p)
+  !n
 
 let read_u32_le s pos =
   Char.code s.[pos]
@@ -471,35 +474,27 @@ let read_u32_le s pos =
   lor (Char.code s.[pos + 2] lsl 16)
   lor (Char.code s.[pos + 3] lsl 24)
 
-let read_f64_le s pos limit =
-  if pos + 8 > limit then raise (Bad_frame "f64 runs past frame end");
-  let b = Bytes.unsafe_of_string s in
-  (Int64.float_of_bits (Bytes.get_int64_le b pos), pos + 8)
+let read_f64_le s c limit =
+  if c.at + 8 > limit then raise (Bad_frame "f64 runs past frame end");
+  let v = Int64.float_of_bits (Bytes.get_int64_le (Bytes.unsafe_of_string s) c.at) in
+  c.at <- c.at + 8;
+  v
 
-let decode_frame_body s pos len =
-  let limit = pos + len in
-  let seq, p = read_varint s pos limit in
-  let time_ms, p = read_f64_le s p limit in
-  let node_len, p = read_varint s p limit in
-  if p + node_len > limit then raise (Bad_frame "node runs past frame end");
-  let node = String.sub s p node_len in
-  let p = p + node_len in
-  if p >= limit then raise (Bad_frame "missing dir byte");
-  let code = Char.code s.[p] in
-  let p = p + 1 in
-  let dir, p =
-    match dir_name code with
-    | Some d -> (d, p)
-    | None ->
-      if code <> dir_other then
-        raise (Bad_frame (Printf.sprintf "unknown dir code %d" code));
-      let dlen, p = read_varint s p limit in
-      if p + dlen > limit then raise (Bad_frame "dir runs past frame end");
-      (String.sub s p dlen, p + dlen)
-  in
-  { seq; time_ms; node; dir; payload = String.sub s p (limit - p) }
+(* [len] bytes of [s] from [c.at], checked against [limit]; [what] names
+   the field in the error.  A nine-byte varint decodes negative. *)
+let take s c limit len what =
+  if len < 0 || len > limit - c.at then
+    raise (Bad_frame (what ^ " runs past frame end"));
+  let v = String.sub s c.at len in
+  c.at <- c.at + len;
+  v
 
-let fold_binary s ~init f =
+let rec same_bytes s pos t i =
+  i >= String.length t
+  || (String.unsafe_get s (pos + i) = String.unsafe_get t i
+     && same_bytes s pos t (i + 1))
+
+let fold_binary_in_place s ~init f =
   let magic_len = String.length binary_magic in
   if not (is_binary s) then Error "not a binary journal: bad magic"
   else if String.length s < magic_len + 1 then
@@ -513,43 +508,63 @@ let fold_binary s ~init f =
       let total = String.length s in
       let count = ref 0 in
       let last_seq = ref 0 in
-      let pos = ref (magic_len + 1) in
       let torn = ref 0 in
-      let bad what =
-        Bad_frame
-          (Printf.sprintf "frame %d (expected seq %d): %s" (!count + 1)
-             (!last_seq + 1) what)
-      in
+      (* Most frames are for the node of the frame before. *)
+      let last_node = ref "" in
+      let c = { at = magic_len + 1 } in
       try
-        while !pos < total do
-          if !pos + 4 > total then begin
-            torn := total - !pos;
-            pos := total
+        while c.at < total do
+          let len = if c.at + 4 > total then -1 else read_u32_le s c.at in
+          if len < 0 || c.at + 4 + len + 4 > total then begin
+            torn := total - c.at;
+            c.at <- total
           end
           else begin
-            let len = read_u32_le s !pos in
-            if !pos + 4 + len + 4 > total then begin
-              torn := total - !pos;
-              pos := total
-            end
-            else begin
-              let body_pos = !pos + 4 in
-              let want = read_u32_le s (body_pos + len) in
-              let got = fnv1a_32 (Bytes.unsafe_of_string s) body_pos len in
-              if want <> got then raise (bad "checksum mismatch");
-              let fr =
-                try decode_frame_body s body_pos len
-                with Bad_frame m -> raise (bad m)
-              in
-              last_seq := fr.seq;
-              incr count;
-              acc := f !acc fr;
-              pos := body_pos + len + 4
-            end
+            let limit = c.at + 4 + len in
+            c.at <- c.at + 4;
+            if read_u32_le s limit <> fnv1a_32 (Bytes.unsafe_of_string s) c.at len
+            then raise (Bad_frame "checksum mismatch");
+            let seq = read_varint s c limit in
+            let time_ms = read_f64_le s c limit in
+            let node_len = read_varint s c limit in
+            let node =
+              if
+                String.length !last_node = node_len
+                && node_len <= limit - c.at
+                && same_bytes s c.at !last_node 0
+              then begin
+                c.at <- c.at + node_len;
+                !last_node
+              end
+              else take s c limit node_len "node"
+            in
+            last_node := node;
+            if c.at >= limit then raise (Bad_frame "missing dir byte");
+            let code = Char.code s.[c.at] in
+            c.at <- c.at + 1;
+            let dir =
+              match dir_name code with
+              | Some d -> d
+              | None ->
+                if code <> dir_other then
+                  raise (Bad_frame (Printf.sprintf "unknown dir code %d" code));
+                take s c limit (read_varint s c limit) "dir"
+            in
+            last_seq := seq;
+            incr count;
+            acc := f !acc ~seq ~time_ms ~node ~dir ~pos:c.at ~len:(limit - c.at);
+            c.at <- limit + 4
           end
         done;
         Ok (version, !acc, !torn)
-      with Bad_frame m -> Error m)
+      with Bad_frame m ->
+        Error
+          (Printf.sprintf "frame %d (expected seq %d): %s" (!count + 1)
+             (!last_seq + 1) m))
+
+let fold_binary s ~init f =
+  fold_binary_in_place s ~init (fun acc ~seq ~time_ms ~node ~dir ~pos ~len ->
+      f acc { seq; time_ms; node; dir; payload = String.sub s pos len })
 
 let decode_binary s =
   Result.map

@@ -231,18 +231,38 @@ type decoded = {
           file ends on a frame boundary. *)
 }
 
-(** Decode a whole binary journal (header plus frames).  A truncated
-    final frame is tolerated and reported via [torn_bytes]; a {e
-    complete} frame whose checksum does not match its body is an error
-    naming the frame and the seq it was expected to carry. *)
-val decode_binary : string -> (decoded, string) result
-
-(** [fold_binary s ~init f] — {!decode_binary} one frame at a time,
-    without building the frame list: [init] sees the header's version
-    (an [Error] stops there), then [f] folds over the frames in order.
+(** [fold_binary_in_place s ~init f] is the one binary frame parser:
+    [init] sees the header's version (an [Error] stops there), then [f]
+    folds over the frames in order, each handed over in place — the
+    envelope fields, and the payload as the [len] bytes of [s] from
+    [pos], not copied.  A frame whose node name has the bytes of the
+    frame before's gets that frame's string.  A truncated final frame
+    is tolerated and its length returned; a {e complete} frame whose
+    checksum does not match its body, or whose envelope is malformed,
+    is an error naming the frame and the seq it was expected to carry.
     Returns the version, the result and the torn byte count. *)
+val fold_binary_in_place :
+  string ->
+  init:(int -> ('a, string) result) ->
+  ('a ->
+  seq:int ->
+  time_ms:float ->
+  node:string ->
+  dir:string ->
+  pos:int ->
+  len:int ->
+  'a) ->
+  (int * 'a * int, string) result
+
+(** {!fold_binary_in_place} with each payload copied into its
+    {!frame}. *)
 val fold_binary :
   string ->
   init:(int -> ('a, string) result) ->
   ('a -> frame -> 'a) ->
   (int * 'a * int, string) result
+
+(** Decode a whole binary journal (header plus frames) into its frame
+    list, through {!fold_binary}: the same torn-tail tolerance and the
+    same errors. *)
+val decode_binary : string -> (decoded, string) result

@@ -72,7 +72,24 @@ let add_list emit b l =
   add_varint b (List.length l);
   emit_each emit b l
 
-type reader = { s : string; limit : int; mutable pos : int }
+(* What one journal read has decoded, for {!interned}: each policy and
+   credential with the bytes it was decoded from, by their hash. *)
+type 'a seen = (int, string * 'a) Hashtbl.t
+
+type shared = {
+  policies : Policy.t seen;
+  credentials : Credential.t seen;
+}
+
+(* A payload being decoded: the bytes [s.[pos .. limit - 1]].  A decode
+   context's reader is reused from payload to payload, and carries the
+   values its read has decoded so far in [shared]. *)
+type reader = {
+  mutable s : string;
+  mutable limit : int;
+  mutable pos : int;
+  shared : shared option;
+}
 
 exception Corrupt of string
 
@@ -130,14 +147,101 @@ let read_opt f r =
   | 1 -> Some (f r)
   | n -> corrupt "option: bad byte %d" n
 
+(* In order, and without a reversed copy. *)
+let[@tail_mod_cons] rec read_n f r n =
+  if n = 0 then []
+  else
+    let x = f r in
+    x :: read_n f r (n - 1)
+
 let read_list f r =
   let n = read_varint r in
   if n < 0 || n > r.limit - r.pos then corrupt "list count %d out of range" n;
-  let acc = ref [] in
+  read_n f r n
+
+(* Skipping a value checks the same bounds and tags as reading it, and
+   allocates nothing unless the bytes are malformed. *)
+let skip_str r =
+  let len = read_varint r in
+  if len < 0 || len > r.limit - r.pos then
+    corrupt "unexpected end of payload in string";
+  r.pos <- r.pos + len
+
+let skip_list skip r =
+  let n = read_varint r in
+  if n < 0 || n > r.limit - r.pos then corrupt "list count %d out of range" n;
   for _ = 1 to n do
-    acc := f r :: !acc
+    skip r
+  done
+
+let skip_tag r ~max what =
+  let n = byte r in
+  if n > max then corrupt "%s: bad tag %d" what n;
+  n
+
+(* Spans are hashed and compared eight bytes at a time; the loads stay
+   unboxed.  The hash keeps 63 of each word's bits and the comparison
+   all 64. *)
+external get64 : string -> int -> int64 = "%caml_string_get64u"
+
+(* A multiply-xor hash of [s.[start .. stop - 1]], its length first. *)
+let hash_span s start stop =
+  let h = ref (stop - start) in
+  let i = ref start in
+  while !i + 8 <= stop do
+    h := (!h lxor Int64.to_int (get64 s !i)) * 0x100000001b3;
+    i := !i + 8
   done;
-  List.rev !acc
+  while !i < stop do
+    h := (!h lxor Char.code (String.unsafe_get s !i)) * 0x100000001b3;
+    incr i
+  done;
+  !h lxor (!h lsr 29)
+
+(* Do the [String.length t] bytes of [s] from [pos] equal [t]? *)
+let same_span s pos t =
+  let n = String.length t in
+  let i = ref 0 in
+  while !i + 8 <= n && Int64.equal (get64 s (pos + !i)) (get64 t !i) do
+    i := !i + 8
+  done;
+  if !i + 8 <= n then false
+  else begin
+    while !i < n && String.unsafe_get s (pos + !i) = String.unsafe_get t !i do
+      incr i
+    done;
+    !i = n
+  end
+
+(* [interned seen skip read r] — what [read r] decodes, but a value whose
+   bytes this read has decoded before is that same value.  [skip] finds
+   the value's end; bytes it cannot skip are left to [read], so an error
+   reads as it would without sharing.  Only a value [read] decoded from
+   exactly the skipped bytes is kept, and a hit compares the bytes in
+   full, so a hit is what [read] would have returned. *)
+let interned (seen : 'a seen) skip read r =
+  let start = r.pos in
+  match skip r with
+  | exception Corrupt _ ->
+    r.pos <- start;
+    read r
+  | () -> (
+    let stop = r.pos in
+    let h = hash_span r.s start stop in
+    match Hashtbl.find seen h with
+    | bytes, v
+      when String.length bytes = stop - start && same_span r.s start bytes ->
+      v
+    | _ ->
+      (* Another value with the same hash: decode this one afresh. *)
+      r.pos <- start;
+      read r
+    | exception Not_found ->
+      r.pos <- start;
+      let v = read r in
+      if r.pos = stop then
+        Hashtbl.add seen h (String.sub r.s start (stop - start), v);
+      v)
 
 (* ------------------------------------------------------------------ *)
 (* Store values and queries                                            *)
@@ -253,13 +357,40 @@ let emit_policy b (p : Policy.t) =
   add_bool b p.Policy.accept_capabilities;
   add_list emit_rule b p.Policy.rules
 
-let read_policy r =
+let read_policy_bytes r =
   let domain = read_str r in
   let version = read_int r in
   let accept_capabilities = read_bool r in
   let rules = read_list read_rule r in
   try Policy.of_wire ~domain ~version ~accept_capabilities rules
   with Invalid_argument m -> corrupt "policy: %s" m
+
+let skip_term r =
+  ignore (skip_tag r ~max:1 "term" : int);
+  skip_str r
+
+let skip_atom r =
+  skip_str r;
+  skip_list skip_term r
+
+let skip_literal r =
+  ignore (skip_tag r ~max:1 "literal" : int);
+  skip_atom r
+
+let skip_rule r =
+  skip_atom r;
+  skip_list skip_literal r
+
+let skip_policy r =
+  skip_str r;
+  ignore (read_varint r : int);
+  ignore (skip_tag r ~max:1 "bool" : int);
+  skip_list skip_rule r
+
+let read_policy r =
+  match r.shared with
+  | None -> read_policy_bytes r
+  | Some sh -> interned sh.policies skip_policy read_policy_bytes r
 
 let emit_cred_kind b = function
   | Credential.Attribute -> add_tag b 0
@@ -287,7 +418,7 @@ let emit_credential b (c : Credential.t) =
   add_f64 b c.Credential.expires_at;
   add_str b c.Credential.signature
 
-let read_credential r =
+let read_credential_bytes r =
   let id = read_str r in
   let subject = read_str r in
   let issuer = read_str r in
@@ -303,6 +434,28 @@ let read_credential r =
     Credential.of_wire ~id ~subject ~issuer ~kind ~facts ~issued_at ~expires_at
       ~signature
   with Invalid_argument m -> corrupt "credential: %s" m
+
+let skip_f64 r =
+  if r.pos + 8 > r.limit then corrupt "unexpected end of payload in float";
+  r.pos <- r.pos + 8
+
+let skip_credential r =
+  skip_str r;
+  skip_str r;
+  skip_str r;
+  if skip_tag r ~max:1 "credential kind" = 1 then begin
+    skip_str r;
+    skip_str r
+  end;
+  skip_list skip_atom r;
+  skip_f64 r;
+  skip_f64 r;
+  skip_str r
+
+let read_credential r =
+  match r.shared with
+  | None -> read_credential_bytes r
+  | Some sh -> interned sh.credentials skip_credential read_credential_bytes r
 
 let emit_credentials b creds = add_list emit_credential b creds
 let read_credentials r = read_list read_credential r
@@ -1323,8 +1476,7 @@ let read_payload r =
   | 5 -> Ps_action (read_ps_action r)
   | n -> corrupt "payload: bad kind tag %d" n
 
-let payload_of_string s =
-  let r = { s; limit = String.length s; pos = 0 } in
+let decode r =
   match read_payload r with
   | p ->
     if r.pos <> r.limit then
@@ -1333,6 +1485,28 @@ let payload_of_string s =
            (r.limit - r.pos))
     else Ok p
   | exception Corrupt m -> Error m
+
+let payload_of_string s =
+  decode { s; limit = String.length s; pos = 0; shared = None }
+
+type context = reader
+
+let context () =
+  {
+    s = "";
+    limit = 0;
+    pos = 0;
+    shared =
+      Some { policies = Hashtbl.create 8; credentials = Hashtbl.create 8 };
+  }
+
+let payload_of_span r s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Codec_bin.payload_of_span";
+  r.s <- s;
+  r.pos <- pos;
+  r.limit <- pos + len;
+  decode r
 
 let payload_dir = function
   | Create_tm _ | Create_ps _ -> "create"

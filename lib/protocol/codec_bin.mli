@@ -65,8 +65,44 @@ val emit_payload : Wbuf.t -> payload -> unit
 val payload_to_string : payload -> string
 
 (** Decode one payload; trailing bytes are an error (frames delimit
-    payloads exactly). *)
+    payloads exactly).  Shares nothing: every policy and credential is
+    a fresh value, as the live tap needs. *)
 val payload_of_string : string -> (payload, string) result
+
+(** {1 Decoding a whole journal}
+
+    A journal repeats a few policies and credentials thousands of times:
+    every [eval] action carries the subject's credentials, every
+    [evaluated] input the policies it used.  A decode context belongs to
+    one read of one journal ([Cloudtx_core.Journal_io] makes one per
+    read) and decodes each distinct policy and credential once.
+
+    - {!payload_of_span} decodes in place, from the payload's bytes in
+      the journal string itself.
+    - A policy or credential whose bytes the same context has decoded
+      before is the value decoded then.  Its bytes are found by a skip
+      that checks bounds and allocates nothing, hashed where they lie
+      and compared in full with the bytes that value came from, so two
+      values share only when every byte agrees.  Bytes the skip cannot
+      get through are decoded as {!payload_of_string} does, so an error
+      reads the same.
+    - Consumers cannot tell: the only mutable fields of [Policy.t] and
+      [Credential.t] are the compiled-plan and signature-verdict memos,
+      and each follows from the value's other fields.
+    - The context's tables hold one entry per distinct policy and
+      credential the read met, and go with the context. *)
+
+type context
+
+(** A fresh context, for one read. *)
+val context : unit -> context
+
+(** [payload_of_span c s ~pos ~len] is {!payload_of_string} of the [len]
+    bytes of [s] from [pos], without copying them, sharing policies and
+    credentials through [c]: the same payload, or the same error.
+    @raise Invalid_argument if the span is not within [s]. *)
+val payload_of_span :
+  context -> string -> pos:int -> len:int -> (payload, string) result
 
 (** {1 JSON bridge} *)
 
