@@ -3,9 +3,10 @@
    that picks an encoding.  Every consumer (audit, certify, watch,
    blame, report, the chaos campaign, the CLI) reads a journal back
    through here as a stream of typed records: a binary journal decodes
-   frame by frame straight to [Codec_bin.payload]s with no JSON at all,
-   a JSONL journal parses each line once and decodes its payload with
-   the node kinds learned from create records.  Canonical JSONL text is
+   frame by frame, in place, straight to [Codec_bin.payload]s with no
+   JSON at all, through one decode context per read; a JSONL journal
+   parses each line once and decodes its payload with the node kinds
+   learned from create records.  Canonical JSONL text is
    one rendering of those records ([of_contents], [convert]). *)
 
 module Journal = Cloudtx_obs.Journal

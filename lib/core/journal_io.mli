@@ -9,9 +9,13 @@
     whose payload is already the typed
     {!Cloudtx_protocol.Codec_bin.payload}:
 
-    - a binary journal decodes one frame at a time
-      ([Journal.fold_binary]) → [Codec_bin.payload_of_string], with no
-      JSON on the way;
+    - a binary journal decodes one frame at a time, in place
+      ([Journal.fold_binary_in_place] → [Codec_bin.payload_of_span]),
+      with no JSON on the way and no copy of the payload.  Each read
+      ({!fold}, {!fold_file}, {!of_contents}) makes one
+      [Codec_bin.context], so each distinct policy and credential in
+      the file is decoded once and shared by the records that carry it;
+      the context goes with the read;
     - a JSONL journal parses each line once and decodes its payload with
       [Codec_bin.payload_of_json], telling TM from PS records by the
       node kinds learned from create records (a node whose create is
@@ -22,9 +26,11 @@
       recorded text.
 
     Both paths yield the same records for the same run, so no consumer
-    can tell the formats apart.  Live ({!attach}), a record written by
-    {!val:record} arrives as the typed payload it was written from, with
-    no decoding at all.  Canonical JSONL text is a rendering of
+    can tell the formats apart.  JSONL reads share nothing, as before.
+    Live ({!attach}), a record written by {!val:record} arrives as the
+    typed payload it was written from, with no decoding at all; the
+    bytes the tap does decode go through [Codec_bin.payload_of_string],
+    which shares nothing.  Canonical JSONL text is a rendering of
     the records ({!of_contents}, {!convert}), used by [journal cat] and
     [journal convert]. *)
 

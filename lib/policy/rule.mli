@@ -68,6 +68,6 @@ val pp_atom : Format.formatter -> atom -> unit
 val pp : Format.formatter -> t -> unit
 
 (** The text of an atom, as [pp_atom] prints it. Credential signature
-    payloads and proof-cache keys are built from it. *)
+    payloads are built from it. *)
 val atom_to_string : atom -> string
 val to_string : t -> string

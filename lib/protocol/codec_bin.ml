@@ -5,8 +5,10 @@
    [Cloudtx_obs.Wbuf.t] — the journal's reused frame writer — with no
    intermediate JSON or string copies, which is what makes the binary
    journal's hot path allocation-lean.  Decoders rebuild the typed value
-   and never raise; [payload_to_json] renders a payload as the
-   canonical JSON a JSONL journal records.
+   and never raise; a journal read decodes through one [context], which
+   hands back a policy or credential it has already decoded from the
+   same bytes.  [payload_to_json] renders a payload as the canonical
+   JSON a JSONL journal records.
    See codec_bin.mli. *)
 
 module Wbuf = Cloudtx_obs.Wbuf
@@ -202,7 +204,7 @@ let hash_span s start stop =
 let same_span s pos t =
   let n = String.length t in
   let i = ref 0 in
-  while !i + 8 <= n && Int64.equal (get64 s (pos + !i)) (get64 t !i) do
+  while !i + 8 <= n && (get64 s (pos + !i) : int64) = get64 t !i do
     i := !i + 8
   done;
   if !i + 8 <= n then false

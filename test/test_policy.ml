@@ -1201,7 +1201,7 @@ let gen_atom =
   map2 Rule.atom (oneofl [ "p"; "permit"; "req_item" ]) (list_size (0 -- 12) term)
 
 (* The atom printer as it was written with [Format]: credential signature
-   payloads, proof-cache keys and journals carry its bytes. *)
+   payloads and journals carry its bytes. *)
 let reference_atom (a : Rule.atom) =
   let needs_quoting s =
     let ident_char c =
