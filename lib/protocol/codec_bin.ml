@@ -74,9 +74,13 @@ let add_list emit b l =
   add_varint b (List.length l);
   emit_each emit b l
 
-(* What one journal read has decoded, for {!interned}: each policy and
-   credential with the bytes it was decoded from, by their hash. *)
-type 'a seen = (int, string * 'a) Hashtbl.t
+(* What one journal read has decoded of one kind, for {!interned}: each
+   value with the bytes it was decoded from, by their hash, and the one
+   it handed out last. *)
+type 'a seen = {
+  by_hash : (int, string * 'a) Hashtbl.t;
+  mutable last : (string * 'a) option;
+}
 
 type shared = {
   policies : Policy.t seen;
@@ -216,34 +220,49 @@ let same_span s pos t =
   end
 
 (* [interned seen skip read r] — what [read r] decodes, but a value whose
-   bytes this read has decoded before is that same value.  [skip] finds
-   the value's end; bytes it cannot skip are left to [read], so an error
-   reads as it would without sharing.  Only a value [read] decoded from
-   exactly the skipped bytes is kept, and a hit compares the bytes in
-   full, so a hit is what [read] would have returned. *)
-let interned (seen : 'a seen) skip read r =
+   bytes this read has decoded before is that same value.
+
+   A value's encoding is prefix-free and its reader looks at nothing but
+   its bytes, so bytes that begin with the whole of an earlier value's
+   bytes are that value: the value handed out last is tried that way
+   first.  Otherwise [skip] finds the value's end and the bytes are
+   looked up by their hash and compared in full.  Bytes [skip] cannot
+   get through are left to [read], so an error reads as it would
+   without sharing, and only a value [read] decoded from exactly the
+   skipped bytes is kept. *)
+let interned seen skip read r =
   let start = r.pos in
-  match skip r with
-  | exception Corrupt _ ->
-    r.pos <- start;
-    read r
-  | () -> (
-    let stop = r.pos in
-    let h = hash_span r.s start stop in
-    match Hashtbl.find seen h with
-    | bytes, v
-      when String.length bytes = stop - start && same_span r.s start bytes ->
-      v
-    | _ ->
-      (* Another value with the same hash: decode this one afresh. *)
+  match seen.last with
+  | Some (bytes, v)
+    when String.length bytes <= r.limit - start && same_span r.s start bytes ->
+    r.pos <- start + String.length bytes;
+    v
+  | _ -> (
+    match skip r with
+    | exception Corrupt _ ->
       r.pos <- start;
       read r
-    | exception Not_found ->
-      r.pos <- start;
-      let v = read r in
-      if r.pos = stop then
-        Hashtbl.add seen h (String.sub r.s start (stop - start), v);
-      v)
+    | () -> (
+      let stop = r.pos in
+      let h = hash_span r.s start stop in
+      match Hashtbl.find seen.by_hash h with
+      | (bytes, v) as entry
+        when String.length bytes = stop - start && same_span r.s start bytes ->
+        seen.last <- Some entry;
+        v
+      | _ ->
+        (* Another value with the same hash: decode this one afresh. *)
+        r.pos <- start;
+        read r
+      | exception Not_found ->
+        r.pos <- start;
+        let v = read r in
+        if r.pos = stop then begin
+          let entry = (String.sub r.s start (stop - start), v) in
+          Hashtbl.add seen.by_hash h entry;
+          seen.last <- Some entry
+        end;
+        v))
 
 (* ------------------------------------------------------------------ *)
 (* Store values and queries                                            *)
@@ -1499,7 +1518,11 @@ let context () =
     limit = 0;
     pos = 0;
     shared =
-      Some { policies = Hashtbl.create 8; credentials = Hashtbl.create 8 };
+      Some
+        {
+          policies = { by_hash = Hashtbl.create 8; last = None };
+          credentials = { by_hash = Hashtbl.create 8; last = None };
+        };
   }
 
 let payload_of_span r s ~pos ~len =

@@ -80,12 +80,14 @@ val payload_of_string : string -> (payload, string) result
     - {!payload_of_span} decodes in place, from the payload's bytes in
       the journal string itself.
     - A policy or credential whose bytes the same context has decoded
-      before is the value decoded then.  Its bytes are found by a skip
-      that checks bounds and allocates nothing, hashed where they lie
-      and compared in full with the bytes that value came from, so two
-      values share only when every byte agrees.  Bytes the skip cannot
-      get through are decoded as {!payload_of_string} does, so an error
-      reads the same.
+      before is the value decoded then, and two values share only when
+      every byte agrees.  The bytes are first compared with those of
+      the value of that kind handed out last: encodings are prefix-free,
+      so bytes that begin with all of them are that value.  Otherwise
+      they are found by a skip that checks bounds and allocates nothing,
+      hashed where they lie, looked up and compared in full.  Bytes the
+      skip cannot get through are decoded as {!payload_of_string} does,
+      so an error reads the same.
     - Consumers cannot tell: the only mutable fields of [Policy.t] and
       [Credential.t] are the compiled-plan and signature-verdict memos,
       and each follows from the value's other fields.
