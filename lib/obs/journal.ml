@@ -455,18 +455,21 @@ exception Bad_frame of string
    field returns just the field. *)
 type cursor = { mutable at : int }
 
+(* A varint whose value comes out negative reads on, so it is an error:
+   past the frame's end or too wide. *)
 let read_varint s c limit =
-  let n = ref 0 and shift = ref 0 and fin = ref false in
-  while not !fin do
+  let n = ref 0 and shift = ref 0 in
+  let fin = ref (-1) in
+  while !fin < 0 do
     if c.at >= limit then raise (Bad_frame "varint runs past frame end");
     if !shift > 56 then raise (Bad_frame "varint too wide");
     let b = Char.code (String.unsafe_get s c.at) in
     c.at <- c.at + 1;
     n := !n lor ((b land 0x7f) lsl !shift);
     shift := !shift + 7;
-    if b land 0x80 = 0 then fin := true
+    if b land 0x80 = 0 then fin := !n
   done;
-  !n
+  !fin
 
 let read_u32_le s pos =
   Char.code s.[pos]
@@ -481,10 +484,9 @@ let read_f64_le s c limit =
   v
 
 (* [len] bytes of [s] from [c.at], checked against [limit]; [what] names
-   the field in the error.  A nine-byte varint decodes negative. *)
+   the field in the error. *)
 let take s c limit len what =
-  if len < 0 || len > limit - c.at then
-    raise (Bad_frame (what ^ " runs past frame end"));
+  if c.at + len > limit then raise (Bad_frame (what ^ " runs past frame end"));
   let v = String.sub s c.at len in
   c.at <- c.at + len;
   v

@@ -358,9 +358,23 @@ let decodes_or_names_position contents =
         !undecodable (Certify.finish c).Certify.decode_errors
     | Error why -> QCheck.Test.fail_reportf "second decode disagreed: %s" why)
 
+(* The frame checksum: FNV-1a 32 over 4-byte little-endian words, the
+   0-3 trailing bytes folded one at a time. *)
+let fnv1a_32 b =
+  let h = ref 0x811c9dc5 and i = ref 0 in
+  while !i + 4 <= Bytes.length b do
+    h := (!h lxor (Int32.to_int (Bytes.get_int32_le b !i) land 0xffffffff)) * 0x01000193;
+    i := !i + 4
+  done;
+  while !i < Bytes.length b do
+    h := (!h lxor Char.code (Bytes.get b !i)) * 0x01000193;
+    incr i
+  done;
+  !h land 0xffffffff
+
 (* A nine-byte varint decodes negative.  As a string length or a list
-   count it is an [Error], not an exception out of [String.sub] and not
-   an empty list. *)
+   count, in a payload or a frame's envelope, it is an [Error], not an
+   exception out of [String.sub] and not an empty list. *)
 let test_negative_length_rejected () =
   let negative = String.make 8 '\xff' ^ "\x7f" in
   List.iter
@@ -376,7 +390,25 @@ let test_negative_length_rejected () =
       ("string length", "\003\004" ^ negative, "in string");
       (* A PS input's [Evaluated]: the txn, then the proof list. *)
       ("list count", "\004\002\001t" ^ negative, "list count");
-    ]
+    ];
+  (* In a frame's envelope, under a checksum that matches, such a node
+     length reads on into the name and is too wide. *)
+  let body = "\001" ^ String.make 8 '\000' ^ negative ^ "server-1\001" in
+  let frame = Bytes.create (String.length body + 8) in
+  Bytes.set_int32_le frame 0 (Int32.of_int (String.length body));
+  Bytes.blit_string body 0 frame 4 (String.length body);
+  Bytes.set_int32_le frame
+    (4 + String.length body)
+    (Int32.of_int (fnv1a_32 (Bytes.of_string body)));
+  match
+    Journal.decode_binary
+      (Journal.binary_header ~version:Journal.format_version
+      ^ Bytes.to_string frame)
+  with
+  | Error "frame 1 (expected seq 1): varint too wide" -> ()
+  | Error m -> Alcotest.failf "node length: unexpected error %S" m
+  | Ok _ -> Alcotest.fail "node length: decoded"
+  | exception e -> Alcotest.failf "node length: raised %s" (Printexc.to_string e)
 
 (* 1-4 bytes overwritten with arbitrary values at arbitrary offsets. *)
 let mutations =
