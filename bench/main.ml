@@ -1158,12 +1158,12 @@ let section_micro () =
   in
   Table.print ~title:"time per run" ~headers:[ "benchmark"; "ns/run"; "ms/run" ] rows;
   print_endline
-    "  proof-cache trade-off: memoizing the inference step is ~12x faster on";
+    "  proof-cache trade-off: memoizing the inference step is ~20x faster on";
   print_endline
-    "  derivation-heavy policies (proof_eval_heavy) but the memo key itself";
+    "  derivation-heavy policies (proof_eval_heavy) and ~1.6x on the tiny";
   print_endline
-    "  costs more than the tiny retail policy's whole proof (proof_evaluation)";
-  print_endline "  — enable per deployment."
+    "  retail policy (proof_evaluation), but a server's memo keeps every";
+  print_endline "  distinct fact base it sees — enable per deployment."
 
 (* ------------------------------------------------------------------ *)
 (* Certify: serializability checking throughput over the 8-cell grid   *)
