@@ -1139,9 +1139,12 @@ let health_cmd verbose servers queries txns seed update_period rules alerts_out
   (* Certify the whole grid's history off the capped in-memory journal:
      the snapshot's fourth line of defence after metrics/staleness/alerts. *)
   let certified =
-    Result.bind
-      (Journal_io.of_contents (Journal.to_string journal))
-      (fun loaded -> Certify.run ~lines:loaded.Journal_io.lines)
+    Journal_io.fold (Journal.to_string journal)
+      ~init:(fun _ -> Certify.create ())
+      (fun cert r ->
+        Certify.step cert r;
+        cert)
+    |> Result.map Certify.finish
   in
   (match certified with
   | Ok report -> Format.printf "certify   : %s@." (Certify.summary report)

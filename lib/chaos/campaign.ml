@@ -18,8 +18,6 @@ module Monitor = Cloudtx_obs.Monitor
 module Timeseries = Cloudtx_obs.Timeseries
 module Report = Cloudtx_obs.Report
 module Health = Cloudtx_core.Health
-module Server = Cloudtx_store.Server
-module Wal = Cloudtx_store.Wal
 module Tpc = Cloudtx_txn.Tpc
 module Resilience = Cloudtx_core.Resilience
 module Timeout_policy = Cloudtx_protocol.Timeout_policy
@@ -328,73 +326,23 @@ let run_plan ?(dedup = true) ?(certify = false) ?variant ?journal_format
                (Printf.sprintf "liveness: %s never reached an outcome"
                   txn_ids.(i))))
       outcomes;
-    (* Safety over terminal state. *)
-    let participants =
-      List.map (fun s -> (s, Cluster.participant cluster s)) sc.Scenario.servers
-    in
-    let decisions_for server txn =
-      let wal = Server.wal (Participant.server server) in
-      List.filter_map
-        (fun (e : Wal.entry) ->
-          match e.Wal.record with
-          | Wal.Decision { txn = t; commit } when String.equal t txn ->
-            Some commit
-          | _ -> None)
-        (Wal.entries wal)
-    in
-    let prepared_before_commit server txn =
-      let wal = Server.wal (Participant.server server) in
-      let prepared = ref false in
-      let ok = ref true in
-      List.iter
-        (fun (e : Wal.entry) ->
-          match e.Wal.record with
-          | Wal.Prepared { txn = t; _ } when String.equal t txn ->
-            prepared := true
-          | Wal.Decision { txn = t; commit = true } when String.equal t txn ->
-            if not !prepared then ok := false
-          | _ -> ())
-        (Wal.entries wal);
-      !ok
-    in
+    (* Termination: nobody is left in doubt after all heals.  AC1 and
+       commit-after-prepare are the audit's, from the same run's journal. *)
+    List.iter
+      (fun s ->
+        match Participant.in_doubt (Cluster.participant cluster s) with
+        | [] -> ()
+        | txn :: _ ->
+          raise
+            (Violation
+               (Printf.sprintf "termination: %s still in doubt about %s" s txn)))
+      sc.Scenario.servers;
     let master = Cluster.master cluster in
     let latest domain = Master.latest master ~domain in
     Array.iteri
       (fun i o ->
         let o = Option.get o in
         let txn = txn_ids.(i) in
-        List.iter
-          (fun (name, p) ->
-            let ds = decisions_for p txn in
-            (* AC1: no participant may record a decision disagreeing with
-               the coordinator's outcome. *)
-            if List.exists (fun commit -> commit <> o.Outcome.committed) ds then
-              raise
-                (Violation
-                   (Printf.sprintf
-                      "AC1: %s logged %s for %s but the coordinator decided %s"
-                      name
-                      (if o.Outcome.committed then "abort" else "commit")
-                      txn
-                      (if o.Outcome.committed then "commit" else "abort")));
-            (* Commit must be preceded by this node's forced prepare. *)
-            if not (prepared_before_commit p txn) then
-              raise
-                (Violation
-                   (Printf.sprintf
-                      "AC2: %s committed %s without a prior prepare record"
-                      name txn));
-            (* Termination: nobody is left in doubt after all heals. *)
-            (match
-               Wal.recover_txn (Server.wal (Participant.server p)) ~txn
-             with
-            | `Prepared _ ->
-              raise
-                (Violation
-                   (Printf.sprintf "termination: %s still in doubt about %s"
-                      name txn))
-            | _ -> ()))
-          participants;
         (* A committed transaction must be trusted per the cell's scheme
            and consistency level (Definitions 5–9). *)
         if o.Outcome.committed then

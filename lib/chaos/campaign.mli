@@ -11,12 +11,12 @@
     faults ended (timers, retransmission and the Inquiry termination
     protocol must unwedge every crash/partition the plan produced).
 
-    {b Safety} — at every terminal state: participants' logged decisions
-    agree with the coordinator's outcome (AC1); a commit record is
-    preceded by that node's forced prepare (AC2); no participant is left
-    in doubt after heals; committed transactions pass
-    {!Cloudtx_core.Trusted.check} for the cell's scheme and level; and
-    the run's journal replays clean under {!Cloudtx_core.Audit}.
+    {b Safety} — at every terminal state no participant is left in doubt
+    ({!Cloudtx_core.Participant.in_doubt}) and committed transactions
+    pass {!Cloudtx_core.Trusted.check} for the cell's scheme and level;
+    the run's journal replays clean under {!Cloudtx_core.Audit}, which
+    owns AC1–AC3, commit after prepare and each recovered participant's
+    in-doubt set.  The evidence is the journal: nothing here reads a WAL.
 
     Determinism: a plan's seed drives both plan generation and the
     simulated run, so identical seeds give identical verdicts. *)
@@ -39,10 +39,10 @@ type failure = {
   journal : string list;  (** The failing run's flight-recorder lines. *)
 }
 
-(** [run_plan cell plan] — one plan in one cell.  [dedup:false] disables
-    driver-side idempotent delivery (the chaos escape hatch);
-    [certify:true] adds a fourth assertion layer after
-    liveness/safety/audit: the run's journal must certify serializable
+(** [run_plan cell plan] — one plan in one cell, checked for liveness,
+    safety, then by the audit.  [dedup:false] disables driver-side
+    idempotent delivery (the chaos escape hatch); [certify:true] adds a
+    fourth layer: the journal must certify serializable
     ({!Cloudtx_core.Certify});
     [journal_format] selects the flight recorder's encoding (default
     JSONL) — audit/certify assertions and [failure.journal] lines are

@@ -32,10 +32,15 @@ type replayed = Rtm of Tm.action | Rps of Ps.action
 type tm_state = { cfg : Tm.config; txn_id : string; m : Tm.t }
 
 (* [incarnation] counts the participant's repeated create records: each
-   one is a crash reset. *)
-type kind =
-  | Tm_node of tm_state
-  | Ps_node of { mutable ps : Ps.t; mutable incarnation : int }
+   one is a crash reset; [last_forced], the seq of its latest forced
+   record, outlives them as the WAL does. *)
+type ps_state = {
+  mutable ps : Ps.t;
+  mutable incarnation : int;
+  mutable last_forced : int;
+}
+
+type kind = Tm_node of tm_state | Ps_node of ps_state
 
 type node = {
   node_name : string;
@@ -157,17 +162,22 @@ let check_tm_action st ~seq ~node (t : tm_state) = function
 let redo_after_crash ~commit ~incarnation prev =
   prev.commit = commit && (not prev.forced) && prev.incarnation <> incarnation
 
-let check_ps_action st ~seq ~node ~incarnation = function
+let check_ps_action st ~seq ~node (p : ps_state) = function
   | Ps.Send { msg; _ } ->
     if is_protocol msg then st.protocol_messages <- st.protocol_messages + 1
   | Ps.Prepare { txn; _ } ->
     (* Server.prepare always forces the vote record to the WAL. *)
     st.forced_logs <- st.forced_logs + 1;
+    p.last_forced <- seq;
     let s = txn_stats st txn in
     s.prepared_nodes <- node :: s.prepared_nodes
   | Ps.Apply { txn; commit; forced; writes = _ } ->
-    if forced then st.forced_logs <- st.forced_logs + 1;
+    if forced then begin
+      st.forced_logs <- st.forced_logs + 1;
+      p.last_forced <- seq
+    end;
     let s = txn_stats st txn in
+    let incarnation = p.incarnation in
     (match List.find_opt (fun a -> String.equal a.node node) s.applies with
     | Some prev when not (redo_after_crash ~commit ~incarnation prev) ->
       failf "seq %d (%s): AC3 violated: node decides %s twice" seq node txn
@@ -205,7 +215,7 @@ let note_tm_input st ~seq ~node (t : tm_state) = function
     | _ -> ())
   | Tm.Watchdog_fired _ | Tm.Retry_fired | Tm.Rtt_sample _ -> ()
 
-let note_ps_input st ~seq = function
+let note_ps_input st ~seq ~node p = function
   | Ps.Deliver { src; msg } ->
     if is_protocol msg && not (Hashtbl.mem st.nodes src) then
       st.protocol_messages <- st.protocol_messages + 1
@@ -215,8 +225,28 @@ let note_ps_input st ~seq = function
       let s = txn_stats st txn in
       if s.first_no_vote = None then s.first_no_vote <- Some seq
     end
+  | Ps.Recovered { in_doubt; _ } ->
+    (* In doubt: what the node prepared without a durable decision.  Its
+       WAL survives up to its last forced record, so a decision is durable
+       once its [Apply] or a later record of the node was forced. *)
+    let durable a = String.equal a.node node && a.at <= p.last_forced in
+    let want =
+      Hashtbl.fold
+        (fun txn s acc ->
+          let prepared = List.mem node s.prepared_nodes in
+          if prepared && not (List.exists durable s.applies) then txn :: acc
+          else acc)
+        st.txns []
+      |> List.sort String.compare
+    in
+    let got =
+      List.sort String.compare (List.map (fun (txn, _, _) -> txn) in_doubt)
+    in
+    if got <> want then
+      failf "seq %d (%s): recovered in doubt [%s], journal shows [%s]" seq node
+        (String.concat ", " got) (String.concat ", " want)
   | Ps.Exec_result _ | Ps.Read_only_result _ | Ps.Release _
-  | Ps.Inquiry_fired _ | Ps.Recovered _ -> ()
+  | Ps.Inquiry_fired _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Record replay                                                       *)
@@ -242,7 +272,7 @@ let create_ps st ~seq ~node_name ~variant ~inquiry_timeout =
     Hashtbl.add st.nodes node_name
       {
         node_name;
-        kind = Ps_node { ps = fresh (); incarnation = 0 };
+        kind = Ps_node { ps = fresh (); incarnation = 0; last_forced = 0 };
         pending = [];
         last_seq = seq;
       }
@@ -281,7 +311,7 @@ let replay_input st ~seq ~node_name payload =
       note_tm_input st ~seq ~node:node_name t input;
       List.map (fun a -> Rtm a) (step Tm.handle t.m input)
     | Ps_node p, Codec_bin.Ps_input input ->
-      note_ps_input st ~seq input;
+      note_ps_input st ~seq ~node:node_name p input;
       List.map (fun a -> Rps a) (step Ps.handle p.ps input)
     | _ -> failf "seq %d (%s): input for the other machine kind" seq node_name)
 
@@ -305,8 +335,7 @@ let match_action st ~seq ~node_name got =
     n.pending <- rest;
     (match (expected, n.kind) with
     | Rtm a, Tm_node t -> check_tm_action st ~seq ~node:node_name t a
-    | Rps a, Ps_node p ->
-      check_ps_action st ~seq ~node:node_name ~incarnation:p.incarnation a
+    | Rps a, Ps_node p -> check_ps_action st ~seq ~node:node_name p a
     | Rtm _, Ps_node _ | Rps _, Tm_node _ ->
       failf "seq %d (%s): internal kind mismatch" seq node_name)
 

@@ -19,6 +19,9 @@
       crash lost the record: the second apply agrees with the first,
       the first was logged unforced (presumed commit's commits), and the
       node was created again in between;
+    - {b Recovery}: a restarted participant recovers in doubt exactly the
+      transactions it journaled a [Prepare] for without a durable
+      decision (one whose [Apply], or a later record of the node, was forced);
     - {b Soundness}: at every commit the TM's proof view satisfies the
       scheme's trusted-transaction definition ({!Trusted.check}), with
       master versions reconstructed from the [Master_version_reply]

@@ -52,6 +52,7 @@ type t = {
 let name t = Server.name t.server
 let server t = t.server
 let queries_of t ~txn = Ps.queries_of t.machine ~txn
+let in_doubt t = Ps.in_doubt t.machine
 let now t = Transport.now t.transport
 let send t ~dst msg = Transport.send t.transport ~src:(name t) ~dst msg
 let mark t label = Transport.mark t.transport ~node:(name t) label

@@ -63,6 +63,9 @@ val server : t -> Cloudtx_store.Server.t
 (** Queries executed here for [txn], oldest first. *)
 val queries_of : t -> txn:string -> Cloudtx_txn.Query.t list
 
+(** The machine's {!Cloudtx_protocol.Ps_machine.in_doubt} transactions. *)
+val in_doubt : t -> string list
+
 (** Fail-stop crash: wipes volatile state (workspaces, parked queries,
     lock table, unforced log tail) and stops receiving messages. *)
 val crash : t -> unit

@@ -172,6 +172,12 @@ let queries_of t ~txn =
   | Some st -> st.queries
   | None -> []
 
+let in_doubt t =
+  Hashtbl.fold
+    (fun txn st acc -> if st.integrity = None then acc else txn :: acc)
+    t.txns []
+  |> List.sort String.compare
+
 let reset t =
   Hashtbl.reset t.txns;
   Hashtbl.reset t.decided;

@@ -176,5 +176,9 @@ val name : t -> string
 (** Queries executed here for [txn], oldest first. *)
 val queries_of : t -> txn:string -> Cloudtx_txn.Query.t list
 
+(** Transactions this participant voted on and still awaits a decision
+    for (the in-doubt ones), sorted. *)
+val in_doubt : t -> string list
+
 (** Fail-stop crash: wipe all per-transaction protocol state. *)
 val reset : t -> unit

@@ -248,33 +248,61 @@ let test_late_deliveries_reach_finished_tm () =
 (* 2PC variants: AC3 and a redone decision                             *)
 (* ------------------------------------------------------------------ *)
 
+module Ps = Cloudtx_protocol.Ps_machine
+
+(* The records of a journal file in which a participant recovers with a
+   transaction in doubt. *)
+let in_doubt_recoveries path =
+  match
+    Journal_io.fold_file path ~init:(fun _ -> 0) (fun n r ->
+        match r.Journal_io.body with
+        | Journal_io.Payload
+            (Codec_bin.Ps_input (Ps.Recovered { in_doubt = _ :: _; _ })) ->
+          n + 1
+        | _ -> n)
+  with
+  | Ok n -> n
+  | Error m -> Alcotest.fail m
+
 (* Every cell on plans 5000-5029 under each decision-logging variant.
    Presumed commit logs commits unforced, so a participant that crashes
    after one recovers in doubt and applies the same commit again: the
-   audit accepts that redo, and only that. *)
+   audit accepts that redo, and only that.  Each sweep must recover some
+   node with a transaction in doubt, or the audit's recovery check would
+   pass without checking anything. *)
 let test_variants_clean () =
+  let path = Filename.temp_file "variants" ".jsonl" in
   List.iter
     (fun (name, variant) ->
       let failures = ref [] in
+      let recoveries = ref 0 in
       List.iter
         (fun cell ->
           for seed = 5000 to 5029 do
             let plan = Plan.random ~seed:(Int64.of_int seed) () in
-            match Campaign.run_plan ~certify:true ~variant cell plan with
+            (match
+               Campaign.run_plan ~certify:true ~variant ~journal_path:path cell
+                 plan
+             with
             | Ok () -> ()
             | Error f ->
               failures :=
                 Printf.sprintf "%s seed=%d: %s" (Campaign.cell_name cell) seed
                   f.Campaign.what
-                :: !failures
+                :: !failures);
+            recoveries := !recoveries + in_doubt_recoveries path
           done)
         Campaign.all_cells;
-      Alcotest.(check (list string)) (name ^ ": no violation") [] !failures)
+      Alcotest.(check (list string)) (name ^ ": no violation") [] !failures;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d recoveries in doubt" name !recoveries)
+        true (!recoveries > 0))
     [
       ("basic", Tpc.Basic);
       ("presumed abort", Tpc.Presumed_abort);
       ("presumed commit", Tpc.Presumed_commit);
-    ]
+    ];
+  Sys.remove path
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -324,6 +352,12 @@ let redo_journal () =
 
 let on_server_2 l = contains l "\"node\":\"server-2\""
 let is_create l = on_server_2 l && contains l "\"dir\":\"create\""
+let is_recovered l = on_server_2 l && contains l "{\"t\":\"recovered\""
+
+(* The seq of a record line. *)
+let seq_of l =
+  let start = String.length "{\"seq\":" in
+  int_of_string (String.sub l start (String.index l ',' - start))
 
 let is_commit_apply l =
   on_server_2 l && contains l "{\"t\":\"apply\"" && contains l "\"commit\":true"
@@ -362,21 +396,59 @@ let force_mark apply ~txn =
   String.sub apply 0 cut
   ^ Printf.sprintf "{\"t\":\"mark\",\"label\":\"log_force:decision:%s\"}}" txn
 
-let expect_ac3 what lines =
+let expect_rejected what ~reason lines =
   match Audit.run ~lines:(renumber lines) with
   | Ok _ -> Alcotest.failf "%s: the audit accepted it" what
   | Error e ->
-    if not (contains e "AC3 violated: node decides t3 twice") then
+    if not (contains e reason) then
       Alcotest.failf "%s: rejected for another reason: %s" what e
+
+let expect_ac3 what lines =
+  expect_rejected what ~reason:"AC3 violated: node decides t3 twice" lines
+
+(* The audit must reject [lines] at server-2's recovery record, whose seq
+   it names once the lines are renumbered. *)
+let expect_bad_recovery what ~got ~journal lines =
+  let lines = renumber lines in
+  let seq = seq_of (List.find is_recovered lines) in
+  expect_rejected what lines
+    ~reason:
+      (Printf.sprintf
+         "seq %d (server-2): recovered in doubt [%s], journal shows [%s]" seq
+         got journal)
+
+(* A recovery record's in-doubt list, and the entries it can hold. *)
+let in_doubt entries = "\"in_doubt\":[" ^ String.concat "," entries ^ "]"
+let t3 = "{\"txn\":\"t3\",\"vote\":true,\"writes\":[\"s2-k2\"]}"
+let t4 = "{\"txn\":\"t4\",\"vote\":true,\"writes\":[]}"
 
 let test_redo_audits_clean () =
   let lines = redo_journal () in
-  let _, _, second = redo_points lines in
+  let _, restart, second = redo_points lines in
   Alcotest.(check bool) "the redo is unforced" true
     (contains lines.(second) "\"forced\":false");
+  let recovered = lines.(restart + 1) in
+  Alcotest.(check bool) "server-2 recovers t3 in doubt" true
+    (is_recovered recovered && contains recovered (in_doubt [ t3 ]));
   match Audit.run ~lines:(Array.to_list lines) with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e
+
+(* [lines] with server-2's recovery record edited by [f]. *)
+let edit_recovery lines f =
+  List.map (fun l -> if is_recovered l then f l else l) (Array.to_list lines)
+
+(* The recovery forgets t3, whose commit the crash lost. *)
+let test_recovery_drops_in_doubt () =
+  expect_bad_recovery "t3 dropped" ~got:"" ~journal:"t3"
+    (edit_recovery (redo_journal ()) (fun l ->
+         replace l ~old_sub:(in_doubt [ t3 ]) ~new_sub:(in_doubt [])))
+
+(* The recovery names a transaction server-2 never prepared. *)
+let test_recovery_adds_in_doubt () =
+  expect_bad_recovery "t4 added" ~got:"t3, t4" ~journal:"t3"
+    (edit_recovery (redo_journal ()) (fun l ->
+         replace l ~old_sub:(in_doubt [ t3 ]) ~new_sub:(in_doubt [ t3; t4 ])))
 
 (* [writes] (a JSON array of key/version pairs) with every version one
    higher. *)
@@ -439,13 +511,14 @@ let test_redo_disagrees () =
           (Array.to_list lines)))
 
 (* server-2's first incarnation runs Basic 2PC, which forces every
-   decision: the record of t3's commit survived the crash, so applying it
-   again is a second decision. *)
+   decision: the record of t3's commit survived the crash, so the recovery
+   that still names t3 in doubt is the first record the audit rejects
+   (applying t3 again would be a second decision). *)
 let test_redo_after_forced () =
   let lines = redo_journal () in
   let _, restart, _ = redo_points lines in
   let first_create = ref true in
-  expect_ac3 "redo after a forced apply"
+  expect_bad_recovery "redo after a forced apply" ~got:"t3" ~journal:""
     (List.concat
        (List.mapi
           (fun i l ->
@@ -506,5 +579,9 @@ let () =
           Alcotest.test_case "redo that disagrees" `Quick test_redo_disagrees;
           Alcotest.test_case "redo after a forced apply" `Quick
             test_redo_after_forced;
+          Alcotest.test_case "recovery that forgets a prepared txn" `Quick
+            test_recovery_drops_in_doubt;
+          Alcotest.test_case "recovery that invents a prepared txn" `Quick
+            test_recovery_adds_in_doubt;
         ] );
     ]

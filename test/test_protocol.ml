@@ -646,6 +646,88 @@ let test_random_workload_soundness () =
         stats.Experiment.outcomes)
     Scheme.all
 
+(* ------------------------------------------------------------------ *)
+(* The participant machine's in-doubt set                              *)
+(* ------------------------------------------------------------------ *)
+
+module Ps = Cloudtx_protocol.Ps_machine
+module Query = Cloudtx_txn.Query
+
+(* One write on one participant, driven through the machine by hand: the
+   transaction is in doubt from its vote until its decision, and again
+   once a restart re-seeds it from the log. *)
+let test_in_doubt_follows_the_vote () =
+  let m = Ps.create ~name:"server-1" () in
+  let tm = "tm-t1" and txn = "t1" in
+  let handle input = Ps.handle m input in
+  let deliver msg = handle (Ps.Deliver { src = tm; msg }) in
+  let emits what is actions =
+    Alcotest.(check bool) what true (List.exists is actions)
+  in
+  let in_doubt what want =
+    Alcotest.(check (list string)) what want (Ps.in_doubt m)
+  in
+  let query =
+    Query.make ~id:"t1-q1" ~server:"server-1"
+      ~writes:[ ("k1", Value.Set (Value.Int 1)) ]
+      ()
+  in
+  ignore
+    (deliver
+       (Message.Execute
+          {
+            txn;
+            ts = 0.;
+            query;
+            subject = "alice";
+            credentials = [];
+            evaluate_proof = false;
+            snapshot = false;
+          }));
+  ignore
+    (handle
+       (Ps.Exec_result
+          {
+            txn;
+            query;
+            evaluate = false;
+            reply_to = tm;
+            result = Ps.Executed [];
+          }));
+  ignore
+    (deliver
+       (Message.Commit_request
+          {
+            txn;
+            round = 1;
+            validate = true;
+            allow_read_only = false;
+            expected = 1;
+          }));
+  emits "the evaluation asks for the prepared record"
+    (function Ps.Prepare _ -> true | _ -> false)
+    (handle
+       (Ps.Evaluated
+          {
+            txn;
+            proofs = [];
+            policies = [];
+            cont = Ps.To_commit_reply { reply_to = tm; round = 1 };
+          }));
+  in_doubt "not yet voted" [];
+  ignore (handle (Ps.Prepared { txn; vote = true }));
+  in_doubt "voted" [ txn ];
+  emits "the decision is applied"
+    (function Ps.Apply _ -> true | _ -> false)
+    (deliver (Message.Decision { txn; commit = true }));
+  in_doubt "decided" [];
+  Ps.reset m;
+  in_doubt "crashed" [];
+  ignore
+    (handle
+       (Ps.Recovered { decided = []; in_doubt = [ (txn, true, [ "k1" ]) ] }));
+  in_doubt "recovered in doubt" [ txn ]
+
 let () =
   Alcotest.run "protocol"
     [
@@ -704,6 +786,11 @@ let () =
             test_integrity_violation_aborts;
           Alcotest.test_case "wait-die progress under contention" `Quick
             test_contention_wait_die_progress;
+        ] );
+      ( "participant",
+        [
+          Alcotest.test_case "in doubt from vote to decision" `Quick
+            test_in_doubt_follows_the_vote;
         ] );
       ( "soundness",
         [
