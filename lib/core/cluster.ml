@@ -5,7 +5,6 @@ module Server = Cloudtx_store.Server
 module Admin = Cloudtx_policy.Admin
 module Ca = Cloudtx_policy.Ca
 module Proof = Cloudtx_policy.Proof
-module Rule = Cloudtx_policy.Rule
 
 type server_spec = {
   s_name : string;
@@ -22,7 +21,6 @@ type t = {
   participants : (string * Participant.t) list;
   admins : (string * Admin.t) list;
   cas : (string * Ca.t) list;
-  context : Rule.fact list ref;
   domain_of : string -> string;
   variant : Cloudtx_txn.Tpc.variant;
   prop_rng : Splitmix.t;
@@ -53,15 +51,14 @@ let create ?(seed = 1L) ?(latency = Latency.lan) ?ocsp_latency ?(cas = [])
     Master.create ~transport ~name:master_name ~admins:(List.map snd admins)
   in
   let cas = List.map (fun ca -> (Ca.name ca, ca)) cas in
-  let context = ref context_facts in
   let server_names = List.map (fun s -> s.s_name) servers in
-  (* One shared environment: issuer resolution is cluster-wide and the
-     context facts are read through the mutable cell at evaluation time. *)
+  (* One shared environment: issuer resolution and the context facts are
+     cluster-wide. *)
   let env =
     {
       Proof.find_ca = (fun issuer -> List.assoc_opt issuer cas);
       trusted_server = (fun issuer -> List.mem issuer server_names);
-      context = (fun () -> !context);
+      context = (fun () -> context_facts);
     }
   in
   let ocsp_delay =
@@ -103,7 +100,6 @@ let create ?(seed = 1L) ?(latency = Latency.lan) ?ocsp_latency ?(cas = [])
     participants;
     admins;
     cas;
-    context;
     domain_of;
     variant;
     prop_rng;
@@ -122,7 +118,6 @@ let participant t name =
 
 let ca t name = List.assoc_opt name t.cas
 let domain_of t item = t.domain_of item
-let set_context t facts = t.context := facts
 let track_proofs t ~txn = Hashtbl.replace t.proofs txn (ref 0)
 
 let take_proofs t ~txn =

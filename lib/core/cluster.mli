@@ -33,8 +33,8 @@ type t
     - [cas]: certificate authorities available for credential status
       checks (shared objects — the paper's "online method" abstracted from
       messaging).
-    - [context_facts]: session/environment facts visible to every proof
-      (mutable via {!set_context}).
+    - [context_facts]: session/environment facts visible to every proof,
+      fixed for the cluster's lifetime.
     - [seed]/[latency]: simulation determinism and network regime.
     - [dedup]/[inquiry_timeout]: forwarded to every
       {!Participant.create} — idempotent delivery (default on) and the
@@ -64,10 +64,6 @@ val participants : t -> Participant.t list
 val participant : t -> string -> Participant.t
 val ca : t -> string -> Cloudtx_policy.Ca.t option
 val domain_of : t -> string -> string
-
-(** Replace the environment facts every subsequent proof evaluation sees
-    (e.g. the requester moved to another region). *)
-val set_context : t -> Cloudtx_policy.Rule.fact list -> unit
 
 (** Per-transaction proof tallies, the source of
     [Outcome.proofs_evaluated].  [track_proofs t ~txn] starts counting the

@@ -27,7 +27,4 @@ let create ~transport ~name ~admins =
 let name t = t.name
 let admin t ~domain = List.assoc_opt domain t.admins
 
-let latest_versions t =
-  List.map (fun (d, a) -> (d, Admin.latest_version a)) t.admins
-
 let latest t ~domain = Option.map Admin.latest_version (admin t ~domain)

@@ -20,7 +20,4 @@ val name : t -> string
 
 val admin : t -> domain:string -> Cloudtx_policy.Admin.t option
 
-(** Latest version per domain, the ψ-consistency reference. *)
-val latest_versions : t -> (string * Cloudtx_policy.Policy.version) list
-
 val latest : t -> domain:string -> Cloudtx_policy.Policy.version option

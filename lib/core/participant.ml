@@ -422,35 +422,11 @@ let crash t =
 
 let recover t =
   Transport.recover t.transport (name t);
-  let in_doubt = Server.recover t.server ~time:(now t) in
+  let decided, in_doubt = Server.restart t.server ~time:(now t) in
   mark t "recover";
   (* Re-seed the fresh machine's protocol memory from the recovered log:
      decided transactions (so a retransmitted [Decision] is re-acked, not
      re-applied) and the in-doubt ones with the integrity vote their
      force-logged [Prepared] record carries. *)
-  (* One pass: each transaction's last prepared record, and the decided
-     ones in first-decision order. *)
-  let prepared = Hashtbl.create 16 in
-  let decided = Hashtbl.create 16 in
-  let decided_order =
-    List.fold_left
-      (fun order (e : Wal.entry) ->
-        match e.Wal.record with
-        | Wal.Prepared { txn; integrity_vote; writes; _ } ->
-          Hashtbl.replace prepared txn (integrity_vote, writes);
-          order
-        | Wal.Decision { txn; _ } when not (Hashtbl.mem decided txn) ->
-          Hashtbl.add decided txn ();
-          txn :: order
-        | _ -> order)
-      [] (Wal.entries (Server.wal t.server))
-  in
-  let seed txn =
-    match Hashtbl.find_opt prepared txn with
-    | Some (vote, writes) -> (txn, vote, List.map fst writes)
-    | None -> (txn, false, [])
-  in
-  dispatch t
-    (Ps.Recovered
-       { decided = List.rev decided_order; in_doubt = List.map seed in_doubt });
+  dispatch t (Ps.Recovered { decided; in_doubt });
   drain_releases t

@@ -357,8 +357,6 @@ let agg_slowest agg =
       { slow_timeline = tl; slow_dominant = k; slow_dominant_ms = ms })
     agg.slowest
 
-let agg_txns agg = agg.txns
-
 let row_to_json r =
   Json.obj
     [

@@ -140,8 +140,6 @@ val agg_cells : agg -> cell list
 (** Top-k slowest transactions, slowest first (ties by txn id). *)
 val agg_slowest : agg -> slow list
 
-val agg_txns : agg -> int
-
 (** Deterministic rendering — a pure function of the observed
     timelines, so live and offline collections agree byte-for-byte. *)
 val agg_to_json : ?extra:(string * string) list -> agg -> string

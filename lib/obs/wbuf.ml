@@ -115,10 +115,5 @@ let lstr w s =
     str w s
   end
 
-let add_wbuf dst src =
-  reserve dst src.pos;
-  Bytes.blit src.bytes 0 dst.bytes dst.pos src.pos;
-  dst.pos <- dst.pos + src.pos
-
 let contents w = Bytes.sub_string w.bytes 0 w.pos
 let sub_string w pos len = Bytes.sub_string w.bytes pos len

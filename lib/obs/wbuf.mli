@@ -54,8 +54,5 @@ val str : t -> string -> unit
     string field, fused into a single bounds check. *)
 val lstr : t -> string -> unit
 
-(** [add_wbuf dst src] appends [src]'s written bytes to [dst]. *)
-val add_wbuf : t -> t -> unit
-
 val contents : t -> string
 val sub_string : t -> int -> int -> string

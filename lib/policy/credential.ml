@@ -78,8 +78,3 @@ let syntactically_valid t ~at =
 let pp ppf t =
   Format.fprintf ppf "credential %s: subject=%s issuer=%s [%g, %g)" t.id
     t.subject t.issuer t.issued_at t.expires_at
-
-let pp_syntactic_failure ppf = function
-  | Not_yet_valid -> Format.fprintf ppf "not yet valid"
-  | Expired -> Format.fprintf ppf "expired"
-  | Bad_signature -> Format.fprintf ppf "bad signature"

@@ -87,4 +87,3 @@ type syntactic_failure =
 val syntactically_valid : t -> at:float -> (unit, syntactic_failure) result
 
 val pp : Format.formatter -> t -> unit
-val pp_syntactic_failure : Format.formatter -> syntactic_failure -> unit

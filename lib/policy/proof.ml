@@ -179,13 +179,6 @@ let evaluate ?cache ~query_id ~server ~policy ~creds ~env ~at request =
     failures;
   }
 
-let pp_failure ppf = function
-  | Syntactic (id, why) ->
-    Format.fprintf ppf "credential %s %a" id Credential.pp_syntactic_failure why
-  | Revoked id -> Format.fprintf ppf "credential %s revoked" id
-  | Untrusted_issuer id -> Format.fprintf ppf "credential %s: untrusted issuer" id
-  | Denied item -> Format.fprintf ppf "access to %s denied by policy" item
-
 let pp ppf t =
   Format.fprintf ppf "proof[%s@%s %s v%d t=%g %s]" t.query_id t.server t.domain
     t.policy_version t.evaluated_at

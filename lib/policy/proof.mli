@@ -94,5 +94,4 @@ val evaluate :
   request ->
   t
 
-val pp_failure : Format.formatter -> failure -> unit
 val pp : Format.formatter -> t -> unit

@@ -264,35 +264,24 @@ let forget t ~txn ~time =
   ignore (Wal.append t.wal ~time ~forced:false (Wal.End_txn { txn }));
   Lock_manager.release_all t.locks ~txn
 
-let checkpoint t ~time =
-  let active = Hashtbl.fold (fun txn _ acc -> txn :: acc) t.workspaces [] in
-  ignore (Wal.checkpoint t.wal ~time ~active:(List.sort String.compare active));
-  Wal.truncate_to_checkpoint t.wal
-
 let crash t =
   Hashtbl.reset t.workspaces;
-  (* Lose the unforced tail: keep records up to the last forced one. *)
-  let last_forced =
-    List.fold_left
-      (fun acc (e : Wal.entry) -> if e.Wal.forced then e.Wal.lsn else acc)
-      (-1) (Wal.entries t.wal)
-  in
-  Wal.truncate_after t.wal last_forced;
+  Wal.crash t.wal;
   (* The lock table is volatile. *)
   Lock_manager.clear t.locks
 
-let recover t ~time =
+let restart t ~time =
   Lock_manager.clear t.locks;
+  let log = Wal.recover t.wal in
   let in_doubt = ref [] in
-  (* One analysis pass.  The redo pass visits the transactions in the
-     order of a table filled in log order, which fixes the order of its
-     End_txn appends. *)
+  (* The redo pass visits the transactions in the order of a table filled
+     in log order, which fixes the order of its End_txn appends. *)
   let states = Hashtbl.create 16 in
   List.iter
-    (fun (txn, state) -> Hashtbl.replace states txn state)
-    (Wal.recover_all t.wal);
+    (fun (txn, state, vote) -> Hashtbl.replace states txn (state, vote))
+    log.Wal.txns;
   Hashtbl.iter
-    (fun txn state ->
+    (fun txn (state, vote) ->
       match state with
       | `Prepared (writes, _) ->
         (* In doubt: hold exclusive locks until the coordinator answers. *)
@@ -306,7 +295,7 @@ let recover t ~time =
           { ts = 0.; writes = List.map (fun (k, v) -> (k, Value.Set v)) writes }
         in
         Hashtbl.replace t.workspaces txn w;
-        in_doubt := txn :: !in_doubt
+        in_doubt := (txn, vote, List.map fst writes) :: !in_doubt
       | `Committed writes ->
         (* Redo: committed data survives crashes in this model, but redo is
            idempotent so re-applying is safe and covers decisions logged
@@ -315,4 +304,7 @@ let recover t ~time =
         ignore (Wal.append t.wal ~time ~forced:false (Wal.End_txn { txn }))
       | `No_trace | `Active | `Aborted | `Finished -> ())
     states;
-  List.sort String.compare !in_doubt
+  ( log.Wal.decided,
+    List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) !in_doubt )
+
+let recover t ~time = List.map (fun (txn, _, _) -> txn) (snd (restart t ~time))

@@ -126,11 +126,6 @@ val is_read_only : t -> txn:string -> bool
     outcome. *)
 val forget : t -> txn:string -> time:float -> Lock_manager.release
 
-(** [checkpoint t ~time] force-writes a checkpoint naming the transactions
-    with open workspaces and reclaims the log prefix before it (their
-    records survive). Returns the number of records reclaimed. *)
-val checkpoint : t -> time:float -> int
-
 (** {1 Crash and recovery} *)
 
 (** [crash t] wipes volatile state (workspaces, lock table) and loses the
@@ -141,5 +136,13 @@ val crash : t -> unit
 (** [recover t ~time] replays the log: re-applies committed-but-unfinished
     transactions, drops aborted ones, and re-acquires exclusive locks for
     in-doubt (prepared, undecided) transactions. Returns the in-doubt
-    transaction ids that must be resolved with the coordinator. *)
+    transaction ids, sorted, that must be resolved with the coordinator. *)
 val recover : t -> time:float -> string list
+
+(** [restart t ~time] is {!recover}, returning what a participant's
+    protocol machine is re-seeded with, all read in {!recover}'s one pass
+    over the log: the transactions with a decision record, in the order of
+    their first one, and the in-doubt transactions, sorted, each with the
+    integrity vote and the keys of its last [Prepared] record. *)
+val restart :
+  t -> time:float -> string list * (string * bool * string list) list

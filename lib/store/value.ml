@@ -22,6 +22,3 @@ let apply update prev =
   | Add k, Some (Int n) -> Some (Int (n + k))
   | Add _, (Some (Text _) | None) -> None
 
-let pp_update ppf = function
-  | Set v -> Format.fprintf ppf ":= %a" pp v
-  | Add k -> Format.fprintf ppf "+= %d" k

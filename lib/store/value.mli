@@ -25,5 +25,3 @@ type update =
 
 (** [apply update prev] — the value after the update. *)
 val apply : update -> t option -> t option
-
-val pp_update : Format.formatter -> update -> unit

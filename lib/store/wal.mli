@@ -19,9 +19,6 @@ type record =
     }
   | Decision of { txn : string; commit : bool }
   | End_txn of { txn : string }
-  | Checkpoint of { active : string list }
-      (** Fuzzy checkpoint: committed data is on disk; [active] names the
-          transactions whose records must survive truncation. *)
 
 type entry = { lsn : int; time : float; forced : bool; record : record }
 
@@ -51,31 +48,10 @@ val length : t -> int
 (** Entries in LSN order. *)
 val entries : t -> entry list
 
-(** [truncate_after t lsn] drops every record with LSN > [lsn]; models the
-    tail lost in a crash before unforced records hit disk. *)
-val truncate_after : t -> int -> unit
-
-(** [checkpoint t ~time ~active] force-writes a [Checkpoint] record naming
-    the currently active transactions; returns its LSN. *)
-val checkpoint : t -> time:float -> active:string list -> int
-
-(** [truncate_to_checkpoint t] reclaims the log prefix before the most
-    recent checkpoint, keeping (a) the checkpoint itself and everything
-    after it and (b) all records of the transactions the checkpoint names
-    as active. No-op when no checkpoint exists. Returns records
-    reclaimed. *)
-val truncate_to_checkpoint : t -> int
-
-(** Durable representation: one checksummed line per entry, LSN order.
-    Append-only, so a crash can only damage the tail. *)
-val serialize : t -> string
-
-(** [load data] rebuilds a log from {!serialize} output, tolerating a torn
-    tail: the first line whose checksum, JSON or schema fails to validate
-    — a record cut mid-write by a crash — ends the log, and the longest
-    valid prefix is recovered.  Returns the log and the number of
-    lines dropped (0 = clean). *)
-val load : string -> t * int
+(** [crash t] drops every record after the last forced one: the tail a
+    crash loses before unforced records reach disk.  Costs the records it
+    drops, not the log's length. *)
+val crash : t -> unit
 
 (** A transaction's last relevant state in the log. *)
 type state =
@@ -92,6 +68,16 @@ type state =
     for [txn], the last relevant state. *)
 val recover_txn : t -> txn:string -> state
 
-(** [recover_all t] is {!recover_txn} for every transaction the log's
-    records name, in order of first appearance, in one pass. *)
-val recover_all : t -> (string * state) list
+(** What a restart reads back from the log. *)
+type recovery = {
+  txns : (string * state * bool) list;
+      (** Every transaction the records name, in order of first
+          appearance: its {!recover_txn} state and the integrity vote of
+          its last [Prepared] record ([false] without one). *)
+  decided : string list;
+      (** The transactions with a [Decision] record, in the order of their
+          first one. *)
+}
+
+(** [recover t] is the restart's analysis, in one pass over the log. *)
+val recover : t -> recovery

@@ -3,7 +3,7 @@
    rejection of malformed or non-well-formed inputs.  The parser is held
    to a character-at-a-time reference on generated, mutated and recorded
    input, and the text decoders built on it (plans, policies,
-   credentials, WAL lines) are fuzzed with byte mutations. *)
+   credentials) are fuzzed with byte mutations. *)
 
 module Json = Cloudtx_policy.Json
 module Codec = Cloudtx_policy.Codec
@@ -13,8 +13,6 @@ module Credential = Cloudtx_policy.Credential
 module Ca = Cloudtx_policy.Ca
 module Plan = Cloudtx_chaos.Plan
 module Campaign = Cloudtx_chaos.Campaign
-module Wal = Cloudtx_store.Wal
-module Value = Cloudtx_store.Value
 
 let ok = function Ok v -> v | Error m -> Alcotest.failf "unexpected error: %s" m
 
@@ -890,62 +888,6 @@ let prop_plan_fuzz =
   fuzz_corpus ~name:"plan decoder under damage" ~count:1000 plan_corpus
     ~decode:Plan.of_string ~render:Plan.to_string
 
-(* A WAL line is "%08x payload", the hex FNV-1a 32 of the payload.  The
-   fuzzer re-checksums a damaged payload so the damage reaches the JSON
-   and schema decoders behind the checksum. *)
-let fnv1a s =
-  String.fold_left
-    (fun h c -> (h lxor Char.code c) * 0x01000193 land 0xffffffff)
-    0x811c9dc5 s
-
-let wal_lines =
-  lazy
-    (let wal = Wal.create () in
-     let append ~time ~forced r = ignore (Wal.append wal ~time ~forced r) in
-     append ~time:0. ~forced:false (Wal.Begin_txn { txn = "t1" });
-     append ~time:1.5 ~forced:true
-       (Wal.Prepared
-          {
-            txn = "t1";
-            writes = [ ("k1", Value.Int (-7)); ("k2", Value.Text "a\"b\n") ];
-            integrity_vote = true;
-            proof_truth = false;
-            policy_versions = [ ("retail", 3) ];
-          });
-     append ~time:2.25 ~forced:true
-       (Wal.Decision { txn = "t1"; commit = true });
-     append ~time:3. ~forced:false (Wal.End_txn { txn = "t1" });
-     ignore (Wal.checkpoint wal ~time:4. ~active:[ "t2"; "t3" ]);
-     String.split_on_char '\n' (Wal.serialize wal)
-     |> List.filter (fun l -> l <> "")
-     |> Array.of_list)
-
-let checksummed payload = Printf.sprintf "%08x %s" (fnv1a payload) payload
-
-let test_wal_checksum_reproduced () =
-  Array.iter
-    (fun line ->
-      let payload = String.sub line 9 (String.length line - 9) in
-      Alcotest.(check string) "same line" line (checksummed payload))
-    (Lazy.force wal_lines);
-  let text = String.concat "\n" (Array.to_list (Lazy.force wal_lines)) in
-  let _, dropped = Wal.load text in
-  Alcotest.(check int) "every line loads" 0 dropped
-
-let prop_wal_fuzz =
-  QCheck.Test.make ~name:"WAL loader under damage" ~count:1000
-    (QCheck.make QCheck.Gen.(pair small_nat gen_damage))
-    (fun (i, d) ->
-      let lines = Array.copy (Lazy.force wal_lines) in
-      let i = i mod Array.length lines in
-      let line = lines.(i) in
-      let payload = String.sub line 9 (String.length line - 9) in
-      lines.(i) <- checksummed (damage payload d);
-      decodes_stably
-        ~decode:(fun text -> Ok (fst (Wal.load text)))
-        ~render:Wal.serialize
-        (String.concat "\n" (Array.to_list lines)))
-
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "codec"
@@ -993,11 +935,8 @@ let () =
         ] );
       ( "fuzz",
         [
-          Alcotest.test_case "WAL checksum reproduced" `Quick
-            test_wal_checksum_reproduced;
           qc prop_policy_fuzz;
           qc prop_credential_fuzz;
           qc prop_plan_fuzz;
-          qc prop_wal_fuzz;
         ] );
     ]

@@ -332,13 +332,31 @@ let test_forget_needs_forced_decisions () =
    reverse-and-scan of the whole log per transaction, and a [List.mem]
    per decision.  Kept to pin the one-pass version's output. *)
 module Reference = struct
-  let recover_txn wal ~txn =
-    let txn_of = function
-      | Wal.Begin_txn { txn } | Wal.Decision { txn; _ } | Wal.End_txn { txn } ->
-        txn
-      | Wal.Prepared { txn; _ } -> txn
-      | Wal.Checkpoint _ -> ""
+  let txn_of = function
+    | Wal.Begin_txn { txn } | Wal.Decision { txn; _ } | Wal.End_txn { txn } ->
+      txn
+    | Wal.Prepared { txn; _ } -> txn
+
+  (* [Server.crash]'s loss of the unforced tail as it was found before
+     [Wal.crash]: a scan of the whole log for the last forced LSN, then
+     every record after it dropped. *)
+  let crash wal =
+    let last_forced =
+      List.fold_left
+        (fun acc (e : Wal.entry) -> if e.Wal.forced then e.Wal.lsn else acc)
+        (-1) (Wal.entries wal)
     in
+    let kept = Wal.create () in
+    List.iter
+      (fun (e : Wal.entry) ->
+        if e.Wal.lsn <= last_forced then
+          ignore
+            (Wal.append kept ~time:e.Wal.time ~forced:e.Wal.forced
+               e.Wal.record))
+      (Wal.entries wal);
+    kept
+
+  let recover_txn wal ~txn =
     let state = ref `No_trace in
     let prepared = ref ([], []) in
     List.iter
@@ -352,7 +370,6 @@ module Reference = struct
           | Wal.Decision { commit; _ } ->
             state := if commit then `Committed else `Aborted
           | Wal.End_txn _ -> state := `Finished
-          | Wal.Checkpoint _ -> ()
         end)
       (Wal.entries wal);
     match !state with
@@ -369,14 +386,7 @@ module Reference = struct
     let in_doubt = ref [] in
     let seen = Hashtbl.create 16 in
     List.iter
-      (fun (e : Wal.entry) ->
-        let note txn = Hashtbl.replace seen txn () in
-        match e.Wal.record with
-        | Wal.Begin_txn { txn } | Wal.Decision { txn; _ } | Wal.End_txn { txn }
-          ->
-          note txn
-        | Wal.Prepared { txn; _ } -> note txn
-        | Wal.Checkpoint _ -> ())
+      (fun (e : Wal.entry) -> Hashtbl.replace seen (txn_of e.Wal.record) ())
       (Wal.entries wal);
     Hashtbl.iter
       (fun txn () ->
@@ -389,19 +399,19 @@ module Reference = struct
       seen;
     List.sort String.compare !in_doubt
 
+  (* The integrity vote of [txn]'s last prepared record. *)
+  let vote_of wal txn =
+    List.fold_left
+      (fun acc (e : Wal.entry) ->
+        match e.Wal.record with
+        | Wal.Prepared { txn = p; integrity_vote; _ } when String.equal p txn ->
+          integrity_vote
+        | _ -> acc)
+      false (Wal.entries wal)
+
   (* [Participant.recover]'s re-seed of the machine. *)
   let seed wal in_doubt =
     let entries = Wal.entries wal in
-    let vote_of txn =
-      List.fold_left
-        (fun acc (e : Wal.entry) ->
-          match e.Wal.record with
-          | Wal.Prepared { txn = p; integrity_vote; _ } when String.equal p txn
-            ->
-            integrity_vote
-          | _ -> acc)
-        false entries
-    in
     let writes_of txn =
       List.fold_left
         (fun acc (e : Wal.entry) ->
@@ -420,7 +430,8 @@ module Reference = struct
         [] entries
       |> List.rev
     in
-    (decided, List.map (fun txn -> (txn, vote_of txn, writes_of txn)) in_doubt)
+    ( decided,
+      List.map (fun txn -> (txn, vote_of wal txn, writes_of txn)) in_doubt )
 end
 
 module Journal_io = Cloudtx_core.Journal_io
@@ -430,9 +441,10 @@ module Ps = Cloudtx_protocol.Ps_machine
 let recovery_keys = [ "s1-k1"; "s1-k2"; "s1-k3" ]
 
 (* Random logs over three keys: repeated and conflicting decisions,
-   prepares with no decision, commits with no end record, and
-   checkpoints, in any order.  Up to 40 transactions, so the redo pass's
-   table grows and shares buckets, where its visiting order shows. *)
+   prepares with no decision and commits with no end record, in any
+   order, each record forced or not, so a crash loses a random tail.  Up
+   to 40 transactions, so the redo pass's table grows and shares buckets,
+   where its visiting order shows. *)
 let gen_log =
   let open QCheck.Gen in
   let txn = map (Printf.sprintf "t%d") (int_bound 39) in
@@ -456,27 +468,33 @@ let gen_log =
             txn (list_size (int_bound 2) write) bool );
         (3, map2 (fun txn commit -> Wal.Decision { txn; commit }) txn bool);
         (1, map (fun txn -> Wal.End_txn { txn }) txn);
-        (1, map (fun active -> Wal.Checkpoint { active }) (list_size (int_bound 2) txn));
       ]
   in
-  list_size (int_bound 120) record
+  list_size (int_bound 120) (pair record bool)
 
 let print_log records =
-  String.concat "\n" (List.map Wal.record_tag records)
+  String.concat "\n"
+    (List.map
+       (fun (r, forced) ->
+         Wal.record_tag r ^ if forced then " (forced)" else "")
+       records)
   ^ "\n" ^ string_of_int (List.length records) ^ " record(s)"
 
 let records_of wal = List.map (fun (e : Wal.entry) -> e.Wal.record) (Wal.entries wal)
 
-(* The one-pass recovery of a real participant against [Reference] on the
-   same log: the log analysis, the machine's [Recovered] input, the log
+(* The one-pass recovery of a real participant, crashed with [records] in
+   its log, against [Reference] on the same log: the tail the crash
+   loses, the log analysis, the machine's [Recovered] input, the log
    after redo (its End_txn appends in order) and the store's values. *)
 let recovery_matches_reference records =
   let s = Scenario.retail ~n_servers:1 ~items_per_server:3 () in
   let p = Cluster.participant s.Scenario.cluster "server-1" in
   let server = Participant.server p in
   List.iter
-    (fun r -> ignore (Wal.append (Server.wal server) ~time:0. ~forced:true r))
+    (fun (r, forced) ->
+      ignore (Wal.append (Server.wal server) ~time:0. ~forced r))
     records;
+  Participant.crash p;
   let journal = Transport.enable_journal (Cluster.transport s.Scenario.cluster) in
   Participant.recover p;
   let recovered =
@@ -495,28 +513,32 @@ let recovery_matches_reference records =
     | Error m -> QCheck.Test.fail_report m
   in
   let wal = Wal.create () in
-  List.iter (fun r -> ignore (Wal.append wal ~time:0. ~forced:true r)) records;
+  List.iter
+    (fun (r, forced) -> ignore (Wal.append wal ~time:0. ~forced r))
+    records;
+  let wal = Reference.crash wal in
   (* The log analysis alone, before the reference's redo appends: every
-     transaction, in order of first appearance, in its scanned state. *)
-  let all = Wal.recover_all wal in
+     transaction, in order of first appearance, in its scanned state with
+     its last vote. *)
+  let log = Wal.recover wal in
   let first_appearance =
     List.fold_left
       (fun acc (e : Wal.entry) ->
-        match e.Wal.record with
-        | Wal.Checkpoint _ -> acc
-        | Wal.Begin_txn { txn } | Wal.Decision { txn; _ } | Wal.End_txn { txn }
-        | Wal.Prepared { txn; _ } ->
-          if List.mem txn acc then acc else txn :: acc)
+        let txn = Reference.txn_of e.Wal.record in
+        if List.mem txn acc then acc else txn :: acc)
       [] (Wal.entries wal)
     |> List.rev
   in
   let analysis_ok =
-    List.map fst all = first_appearance
+    List.map (fun (txn, _, _) -> txn) log.Wal.txns = first_appearance
     && List.for_all
-      (fun (txn, state) ->
+      (fun (txn, state, vote) ->
         let expected = Reference.recover_txn wal ~txn in
-        state = expected && Wal.recover_txn wal ~txn = expected)
-      all
+        state = expected
+        && Wal.recover_txn wal ~txn = expected
+        && vote = Reference.vote_of wal txn)
+      log.Wal.txns
+    && log.Wal.decided = fst (Reference.seed wal [])
   in
   let data = Hashtbl.create 4 in
   List.iter (fun k -> Hashtbl.replace data k (Value.Int 100)) recovery_keys;

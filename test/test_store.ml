@@ -235,127 +235,22 @@ let test_wal_recover_states () =
   | _ -> Alcotest.fail "expected Prepared");
   Alcotest.(check bool) "finished" true (Wal.recover_txn wal ~txn:"done" = `Finished)
 
-let test_wal_serialize_round_trip () =
-  let wal = Wal.create () in
-  ignore (Wal.append wal ~time:0. ~forced:false (Wal.Begin_txn { txn = "t" }));
-  ignore
-    (Wal.append wal ~time:1. ~forced:true
-       (Wal.Prepared
-          {
-            txn = "t";
-            writes = [ ("k", Value.Int 1); ("s", Value.Text "v") ];
-            integrity_vote = true;
-            proof_truth = false;
-            policy_versions = [ ("retail", 3) ];
-          }));
-  ignore
-    (Wal.append wal ~time:2. ~forced:true (Wal.Decision { txn = "t"; commit = true }));
-  ignore (Wal.append wal ~time:3. ~forced:false (Wal.End_txn { txn = "t" }));
-  let loaded, dropped = Wal.load (Wal.serialize wal) in
-  Alcotest.(check int) "nothing dropped" 0 dropped;
-  Alcotest.(check int) "length preserved" (Wal.length wal) (Wal.length loaded);
-  Alcotest.(check int) "forces preserved" (Wal.force_count wal)
-    (Wal.force_count loaded);
-  Alcotest.(check bool) "same analysis" true
-    (Wal.recover_txn wal ~txn:"t" = Wal.recover_txn loaded ~txn:"t");
-  Alcotest.(check string) "stable rendering" (Wal.serialize wal)
-    (Wal.serialize loaded)
-
-let test_wal_torn_tail () =
-  let wal = Wal.create () in
-  ignore (Wal.append wal ~time:0. ~forced:false (Wal.Begin_txn { txn = "t" }));
-  ignore
-    (Wal.append wal ~time:1. ~forced:true
-       (Wal.Prepared
-          {
-            txn = "t";
-            writes = [ ("k", Value.Int 1) ];
-            integrity_vote = true;
-            proof_truth = true;
-            policy_versions = [];
-          }));
-  ignore
-    (Wal.append wal ~time:2. ~forced:true (Wal.Decision { txn = "t"; commit = true }));
-  let data = Wal.serialize wal in
-  (* Tear the final record mid-line, as a crash during the write would. *)
-  let cut = String.length data - (String.length data / 4) in
-  let torn = String.sub data 0 cut in
-  let loaded, dropped = Wal.load torn in
-  Alcotest.(check int) "torn line dropped" 1 dropped;
-  Alcotest.(check int) "valid prefix kept" 2 (Wal.length loaded);
-  Alcotest.(check bool) "analysis falls back to in-doubt" true
-    (match Wal.recover_txn loaded ~txn:"t" with `Prepared _ -> true | _ -> false);
-  (* A corrupted byte inside the tail line is also caught by the checksum. *)
-  let flipped = Bytes.of_string data in
-  Bytes.set flipped (String.length data - 10) '#';
-  let loaded, dropped = Wal.load (Bytes.to_string flipped) in
-  Alcotest.(check int) "corrupt line dropped" 1 dropped;
-  Alcotest.(check int) "prefix before corruption kept" 2 (Wal.length loaded)
-
 let test_wal_truncate () =
   let wal = Wal.create () in
-  ignore (Wal.append wal ~time:0. ~forced:true (Wal.Begin_txn { txn = "a" }));
-  let keep = Wal.append wal ~time:1. ~forced:true (Wal.Decision { txn = "a"; commit = true }) in
+  ignore (Wal.append wal ~time:0. ~forced:false (Wal.Begin_txn { txn = "a" }));
+  ignore
+    (Wal.append wal ~time:1. ~forced:true
+       (Wal.Decision { txn = "a"; commit = true }));
   ignore (Wal.append wal ~time:2. ~forced:false (Wal.End_txn { txn = "a" }));
-  Wal.truncate_after wal keep;
+  Wal.crash wal;
+  (* The forced decision forces the record before it too. *)
   Alcotest.(check int) "tail dropped" 2 (Wal.length wal);
   Alcotest.(check bool) "state now committed" true
-    (match Wal.recover_txn wal ~txn:"a" with `Committed _ -> true | _ -> false)
-
-let test_wal_checkpoint_truncation () =
+    (match Wal.recover_txn wal ~txn:"a" with `Committed _ -> true | _ -> false);
   let wal = Wal.create () in
-  let prepared txn =
-    Wal.Prepared
-      {
-        txn;
-        writes = [ (txn ^ "-k", Value.Int 1) ];
-        integrity_vote = true;
-        proof_truth = true;
-        policy_versions = [];
-      }
-  in
-  (* A finished transaction and an in-doubt one, then a checkpoint. *)
-  ignore (Wal.append wal ~time:0. ~forced:false (Wal.Begin_txn { txn = "done" }));
-  ignore (Wal.append wal ~time:1. ~forced:true (prepared "done"));
-  ignore (Wal.append wal ~time:2. ~forced:true (Wal.Decision { txn = "done"; commit = true }));
-  ignore (Wal.append wal ~time:3. ~forced:false (Wal.End_txn { txn = "done" }));
-  ignore (Wal.append wal ~time:4. ~forced:false (Wal.Begin_txn { txn = "doubt" }));
-  ignore (Wal.append wal ~time:5. ~forced:true (prepared "doubt"));
-  ignore (Wal.checkpoint wal ~time:6. ~active:[ "doubt" ]);
-  let reclaimed = Wal.truncate_to_checkpoint wal in
-  (* The four "done" records go; "doubt"'s two stay. *)
-  Alcotest.(check int) "reclaimed" 4 reclaimed;
-  Alcotest.(check bool) "done presumed" true (Wal.recover_txn wal ~txn:"done" = `No_trace);
-  Alcotest.(check bool) "doubt still recoverable" true
-    (match Wal.recover_txn wal ~txn:"doubt" with `Prepared _ -> true | _ -> false);
-  (* No checkpoint: no-op. *)
-  Alcotest.(check int) "no checkpoint" 0 (Wal.truncate_to_checkpoint (Wal.create ()))
-
-let test_server_checkpoint () =
-  let s =
-    Server.create ~name:"s" ~items:[ ("x", Value.Int 1); ("y", Value.Int 2) ] ()
-  in
-  (* Finish one transaction, leave another open, checkpoint. *)
-  Server.begin_work s ~txn:"t1" ~ts:1. ~time:0.;
-  ignore (Server.execute s ~txn:"t1" ~reads:[] ~writes:[ ("x", Value.Set (Value.Int 9)) ]);
-  ignore (Server.prepare s ~txn:"t1" ~time:1. ~proof_truth:true ~policy_versions:[]);
-  ignore (Server.commit s ~txn:"t1" ~time:2.);
-  Server.finish s ~txn:"t1" ~time:3.;
-  Server.begin_work s ~txn:"t2" ~ts:2. ~time:4.;
-  ignore (Server.execute s ~txn:"t2" ~reads:[] ~writes:[ ("y", Value.Set (Value.Int 8)) ]);
-  ignore (Server.prepare s ~txn:"t2" ~time:5. ~proof_truth:true ~policy_versions:[]);
-  let reclaimed = Server.checkpoint s ~time:6. in
-  Alcotest.(check bool) "reclaimed t1's records" true (reclaimed >= 4);
-  (* Crash + recover: the open transaction is still in doubt, data
-     survives. *)
-  Server.crash s;
-  let in_doubt = Server.recover s ~time:7. in
-  Alcotest.(check (list string)) "t2 in doubt" [ "t2" ] in_doubt;
-  Alcotest.(check bool) "committed data intact" true
-    (Server.get s "x" = Some (Value.Int 9));
-  ignore (Server.commit s ~txn:"t2" ~time:8.);
-  Alcotest.(check bool) "t2 applied after recovery" true
-    (Server.get s "y" = Some (Value.Int 8))
+  ignore (Wal.append wal ~time:0. ~forced:false (Wal.Begin_txn { txn = "b" }));
+  Wal.crash wal;
+  Alcotest.(check int) "nothing forced, nothing kept" 0 (Wal.length wal)
 
 (* ------------------------------------------------------------------ *)
 (* Server                                                              *)
@@ -827,13 +722,7 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_wal_basics;
           Alcotest.test_case "recover states" `Quick test_wal_recover_states;
-          Alcotest.test_case "serialize round trip" `Quick
-            test_wal_serialize_round_trip;
-          Alcotest.test_case "torn tail recovery" `Quick test_wal_torn_tail;
           Alcotest.test_case "truncate" `Quick test_wal_truncate;
-          Alcotest.test_case "checkpoint truncation" `Quick
-            test_wal_checkpoint_truncation;
-          Alcotest.test_case "server checkpoint" `Quick test_server_checkpoint;
         ] );
       ( "server",
         [

@@ -209,7 +209,7 @@ let test_outcomes_agree_with_wals () =
               (Printf.sprintf "%s: abort decision for %s matches TM" name txn)
               false
               (List.mem txn committed_ids)
-          | Wal.Begin_txn _ | Wal.End_txn _ | Wal.Checkpoint _ -> ())
+          | Wal.Begin_txn _ | Wal.End_txn _ -> ())
         (Wal.entries wal);
       (* Replayed state equals the server's committed state. *)
       List.iter
