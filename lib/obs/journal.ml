@@ -34,27 +34,29 @@ let is_binary s =
    j <= 31 of a word flips bit j of the following product (the prime is
    odd, and lower bits are unchanged, so there is no carry into j), and
    that difference persists through every later step into the low 32
-   bits kept at the end.  The per-step mask is skipped for the same
-   reason as in byte-wise FNV: low 32 bits of the state never depend on
-   higher bits.  The unaligned 32-bit load's [int32] stays unboxed
-   because it is converted to a tagged int at once. *)
+   bits kept at the end.  The state is an [int32] ref, which the
+   compiler keeps unboxed: [Int32.mul] is the recurrence mod 2^32, so
+   no mask, tag or untag sits on the multiply chain, and the unaligned
+   32-bit load feeds it as it is. *)
 external unsafe_get_32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 
 let fnv1a_32 b pos len =
-  let h = ref 0x811c9dc5 in
+  let h = ref 0x811c9dc5l in
   let i = ref pos in
   let last_word = pos + len - 4 in
   while !i <= last_word do
-    let word = Int32.to_int (unsafe_get_32 b !i) land 0xffffffff in
-    h := (!h lxor word) * 0x01000193;
+    h := Int32.mul (Int32.logxor !h (unsafe_get_32 b !i)) 0x01000193l;
     i := !i + 4
   done;
   let limit = pos + len in
   while !i < limit do
-    h := (!h lxor Char.code (Bytes.unsafe_get b !i)) * 0x01000193;
+    h :=
+      Int32.mul
+        (Int32.logxor !h (Int32.of_int (Char.code (Bytes.unsafe_get b !i))))
+        0x01000193l;
     incr i
   done;
-  !h land 0xffffffff
+  Int32.to_int !h land 0xffffffff
 
 let dir_create = 0
 let dir_input = 1

@@ -186,6 +186,12 @@ val binary_header : version:int -> string
 (** [is_binary s] — does [s] start with the binary magic? *)
 val is_binary : string -> bool
 
+(** [fnv1a_32 b pos len] — a frame's checksum over [len] bytes of [b]
+    from [pos]: 32-bit FNV-1a over 4-byte little-endian words, the 0-3
+    trailing bytes folded one at a time; in [\[0, 2^32)].  Allocates
+    nothing. *)
+val fnv1a_32 : Bytes.t -> int -> int -> int
+
 (** [encode_frame buf ~seq ~time_ms ~node ~dir ~emit] appends one
     complete binary frame (length prefix, body, checksum) to [buf];
     [emit] writes the raw payload bytes into the frame-body writer.

@@ -74,6 +74,19 @@ let add_list emit b l =
   add_varint b (List.length l);
   emit_each emit b l
 
+(* The [same_*] comparators below decide, without allocating, whether
+   their emitters write the same bytes for two values: floats by their
+   bits, policies and credentials by the fields they encode (their plan
+   and signature-verdict memos are not encoded, so [=] is wrong for
+   them), and values that hold no float, policy or credential by [=]. *)
+let same_f64 x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let rec same_list same xs ys =
+  match (xs, ys) with
+  | [], [] -> true
+  | x :: xs, y :: ys -> same x y && same_list same xs ys
+  | _ -> false
+
 (* What one journal read has decoded of one kind, for {!interned}: each
    value with the bytes it was decoded from, by their hash, and the one
    it handed out last. *)
@@ -413,6 +426,13 @@ let read_policy r =
   | None -> read_policy_bytes r
   | Some sh -> interned sh.policies skip_policy read_policy_bytes r
 
+let same_policy (p : Policy.t) (q : Policy.t) =
+  p == q
+  || String.equal p.Policy.domain q.Policy.domain
+     && p.Policy.version = q.Policy.version
+     && p.Policy.accept_capabilities = q.Policy.accept_capabilities
+     && p.Policy.rules = q.Policy.rules
+
 let emit_cred_kind b = function
   | Credential.Attribute -> add_tag b 0
   | Credential.Access { action; item } ->
@@ -477,6 +497,17 @@ let read_credential r =
   match r.shared with
   | None -> read_credential_bytes r
   | Some sh -> interned sh.credentials skip_credential read_credential_bytes r
+
+let same_credential (c : Credential.t) (d : Credential.t) =
+  c == d
+  || String.equal c.Credential.id d.Credential.id
+     && String.equal c.Credential.subject d.Credential.subject
+     && String.equal c.Credential.issuer d.Credential.issuer
+     && c.Credential.kind = d.Credential.kind
+     && c.Credential.facts = d.Credential.facts
+     && same_f64 c.Credential.issued_at d.Credential.issued_at
+     && same_f64 c.Credential.expires_at d.Credential.expires_at
+     && String.equal c.Credential.signature d.Credential.signature
 
 let emit_credentials b creds = add_list emit_credential b creds
 let read_credentials r = read_list read_credential r
@@ -584,6 +615,11 @@ let read_proof r =
 
 let emit_proofs b ps = add_list emit_proof b ps
 let read_proofs r = read_list read_proof r
+
+(* [compare] is 0 on two floats with the same bits, NaNs included. *)
+let same_proof (p : Proof.t) (q : Proof.t) =
+  p == q
+  || (same_f64 p.Proof.evaluated_at q.Proof.evaluated_at && compare p q = 0)
 
 (* (key, value option) read sets. *)
 let emit_reads b reads =
@@ -759,6 +795,43 @@ let read_message r =
   | 11 -> Message.Propagate_policy { policy = read_policy r }
   | 12 -> Message.Inquiry { txn = read_str r }
   | n -> corrupt "message: bad tag %d" n
+
+let same_message a b =
+  match (a, b) with
+  | Message.Execute x, Message.Execute y ->
+    String.equal x.txn y.txn && same_f64 x.ts y.ts && x.query = y.query
+    && String.equal x.subject y.subject
+    && same_list same_credential x.credentials y.credentials
+    && x.evaluate_proof = y.evaluate_proof && x.snapshot = y.snapshot
+  | ( Message.Execute_reply ({ outcome = Message.Executed o; _ } as x),
+      Message.Execute_reply ({ outcome = Message.Executed p; _ } as y) ) ->
+    String.equal x.txn y.txn && String.equal x.query_id y.query_id
+    && o.reads = p.reads
+    && Option.equal same_proof o.proof p.proof
+  | Message.Validate_reply x, Message.Validate_reply y ->
+    String.equal x.txn y.txn && x.round = y.round
+    && same_list same_proof x.proofs y.proofs
+    && same_list same_policy x.policies y.policies
+  | Message.Commit_reply x, Message.Commit_reply y ->
+    String.equal x.txn y.txn && x.round = y.round && x.integrity = y.integrity
+    && x.read_only = y.read_only
+    && same_list same_proof x.proofs y.proofs
+    && same_list same_policy x.policies y.policies
+  | Message.Policy_update x, Message.Policy_update y ->
+    String.equal x.txn y.txn && x.round = y.round
+    && same_list same_policy x.policies y.policies
+    && x.reply_with = y.reply_with
+  | Message.Master_version_reply x, Message.Master_version_reply y ->
+    String.equal x.txn y.txn && same_list same_policy x.policies y.policies
+  | Message.Propagate_policy x, Message.Propagate_policy y ->
+    same_policy x.policy y.policy
+  | ( ( Message.Execute_reply { outcome = Message.Exec_die; _ }
+      | Message.Validate_request _ | Message.Commit_request _
+      | Message.Decision _ | Message.Decision_ack _
+      | Message.Master_version_request _ | Message.Inquiry _ ),
+      _ ) ->
+    a = b
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* TM configuration                                                    *)
@@ -1048,6 +1121,19 @@ let read_tm_action r =
     let commit_rounds = read_int r in
     Tm_machine.Finish { committed; reason; commit_rounds }
   | n -> corrupt "TM action: bad tag %d" n
+
+let same_tm_action a b =
+  match (a, b) with
+  | Tm_machine.Send x, Tm_machine.Send y ->
+    String.equal x.dst y.dst && same_message x.msg y.msg
+  | Tm_machine.Arm_watchdog x, Tm_machine.Arm_watchdog y ->
+    x.epoch = y.epoch && same_f64 x.delay y.delay
+  | Tm_machine.Arm_retry x, Tm_machine.Arm_retry y -> same_f64 x.delay y.delay
+  | ( ( Tm_machine.Force_log | Tm_machine.Mark _ | Tm_machine.Obs _
+      | Tm_machine.Finish _ ),
+      _ ) ->
+    a = b
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* PS inputs and actions                                               *)
@@ -1424,6 +1510,33 @@ let read_ps_action r =
     Ps_machine.Arm_inquiry { txn; epoch; delay }
   | 12 -> Ps_machine.Mark (read_str r)
   | n -> corrupt "PS action: bad tag %d" n
+
+let same_ps_action a b =
+  match (a, b) with
+  | Ps_machine.Send x, Ps_machine.Send y ->
+    String.equal x.dst y.dst && same_message x.msg y.msg
+    && x.after_proofs = y.after_proofs
+    && same_list same_credential x.credentials y.credentials
+  | Ps_machine.Begin_work x, Ps_machine.Begin_work y ->
+    String.equal x.txn y.txn && same_f64 x.ts y.ts
+  | Ps_machine.Exec x, Ps_machine.Exec y ->
+    same_f64 x.ts y.ts && compare a b = 0
+  | Ps_machine.Eval x, Ps_machine.Eval y ->
+    String.equal x.txn y.txn
+    && String.equal x.subject y.subject
+    && same_list same_credential x.credentials y.credentials
+    && x.queries = y.queries && x.with_proofs = y.with_proofs
+    && x.with_policies = y.with_policies && x.cont = y.cont
+  | Ps_machine.Install x, Ps_machine.Install y ->
+    same_list same_policy x.policies y.policies && x.announce = y.announce
+  | Ps_machine.Arm_inquiry x, Ps_machine.Arm_inquiry y ->
+    String.equal x.txn y.txn && x.epoch = y.epoch && same_f64 x.delay y.delay
+  | ( ( Ps_machine.Check_read_only _ | Ps_machine.Prepare _ | Ps_machine.Apply _
+      | Ps_machine.Forget _ | Ps_machine.Wait_open _ | Ps_machine.Wait_close _
+      | Ps_machine.Mark _ ),
+      _ ) ->
+    a = b
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Self-describing journal payloads                                    *)

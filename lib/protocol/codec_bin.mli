@@ -64,6 +64,17 @@ val payload_dir : payload -> string
 val emit_payload : Wbuf.t -> payload -> unit
 val payload_to_string : payload -> string
 
+(** [same_tm_action a b] iff {!emit_payload} writes the same bytes for
+    [Tm_action a] and [Tm_action b]; [same_ps_action] likewise.  Floats
+    compare by their bits, policies and credentials by the fields they
+    encode (their memos are not encoded), and nothing is allocated.  Two
+    actions' JSON renderings agree exactly when these do, except for
+    NaNs with different payload bits, which render alike; a JSONL
+    journal carries no NaN. *)
+val same_tm_action : Tm_machine.action -> Tm_machine.action -> bool
+
+val same_ps_action : Ps_machine.action -> Ps_machine.action -> bool
+
 (** Decode one payload; trailing bytes are an error (frames delimit
     payloads exactly).  Shares nothing: every policy and credential is
     a fresh value, as the live tap needs. *)

@@ -36,6 +36,9 @@ module Credential = Cloudtx_policy.Credential
 module Rule = Cloudtx_policy.Rule
 module Ps_machine = Cloudtx_protocol.Ps_machine
 module Query = Cloudtx_txn.Query
+module Proof = Cloudtx_policy.Proof
+module Campaign = Cloudtx_chaos.Campaign
+module Plan = Cloudtx_chaos.Plan
 
 (* One protocol run recorded natively in [format]; the journal bytes.
    [attach] sees the journal before the run starts.  A [faulted] run
@@ -358,19 +361,43 @@ let decodes_or_names_position contents =
         !undecodable (Certify.finish c).Certify.decode_errors
     | Error why -> QCheck.Test.fail_reportf "second decode disagreed: %s" why)
 
-(* The frame checksum: FNV-1a 32 over 4-byte little-endian words, the
-   0-3 trailing bytes folded one at a time. *)
-let fnv1a_32 b =
-  let h = ref 0x811c9dc5 and i = ref 0 in
-  while !i + 4 <= Bytes.length b do
-    h := (!h lxor (Int32.to_int (Bytes.get_int32_le b !i) land 0xffffffff)) * 0x01000193;
-    i := !i + 4
+(* The frame checksum, a byte at a time: FNV-1a 32 over 4-byte
+   little-endian words put together from their bytes, the 0-3 trailing
+   bytes folded one at a time, the state kept below 2^32. *)
+let fnv1a_32 b pos len =
+  let byte k = Char.code (Bytes.get b (pos + k)) in
+  let step h x = ((h lxor x) * 0x01000193) land 0xffffffff in
+  let h = ref 0x811c9dc5 and k = ref 0 in
+  while !k + 4 <= len do
+    h :=
+      step !h
+        (byte !k lor (byte (!k + 1) lsl 8) lor (byte (!k + 2) lsl 16)
+        lor (byte (!k + 3) lsl 24));
+    k := !k + 4
   done;
-  while !i < Bytes.length b do
-    h := (!h lxor Char.code (Bytes.get b !i)) * 0x01000193;
-    incr i
+  while !k < len do
+    h := step !h (byte !k);
+    incr k
   done;
-  !h land 0xffffffff
+  !h
+
+(* The journal's checksum is the reference's, at any offset into the
+   bytes and for every length up to 64. *)
+let prop_checksum =
+  QCheck.Test.make ~name:"frame checksum = byte-at-a-time FNV-1a" ~count:1000
+    QCheck.(
+      make
+        ~print:(fun (s, pos, len) ->
+          Printf.sprintf "%S pos %d len %d" s pos len)
+        Gen.(
+          let* len = 0 -- 64 in
+          let* pos = 0 -- 16 in
+          let* slack = 0 -- 8 in
+          let* s = string_size ~gen:char (return (pos + len + slack)) in
+          return (s, pos, len)))
+    (fun (s, pos, len) ->
+      let b = Bytes.of_string s in
+      Journal.fnv1a_32 b pos len = fnv1a_32 b pos len)
 
 (* A nine-byte varint decodes negative.  As a string length or a list
    count, in a payload or a frame's envelope, it is an [Error], not an
@@ -399,7 +426,7 @@ let test_negative_length_rejected () =
   Bytes.blit_string body 0 frame 4 (String.length body);
   Bytes.set_int32_le frame
     (4 + String.length body)
-    (Int32.of_int (fnv1a_32 (Bytes.of_string body)));
+    (Int32.of_int (fnv1a_32 (Bytes.of_string body) 0 (String.length body)));
   match
     Journal.decode_binary
       (Journal.binary_header ~version:Journal.format_version
@@ -1083,6 +1110,442 @@ let test_read_allocation () =
     Alcotest.failf "%.1f minor words a record read, at most 42 expected" words
 
 (* ------------------------------------------------------------------ *)
+(* Comparing actions by their encoding                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* [Codec_bin.same_*_action] on two actions of one kind. *)
+let same_payload p q =
+  match (p, q) with
+  | Codec_bin.Tm_action a, Codec_bin.Tm_action b ->
+    Codec_bin.same_tm_action a b
+  | Codec_bin.Ps_action a, Codec_bin.Ps_action b ->
+    Codec_bin.same_ps_action a b
+  | _ -> invalid_arg "same_payload"
+
+(* The comparator's contract: it holds exactly when the two actions
+   encode to the same bytes, and that is exactly when their JSON
+   renderings agree. *)
+let agree p q =
+  let same = same_payload p q in
+  let bytes =
+    String.equal
+      (Codec_bin.payload_to_string p)
+      (Codec_bin.payload_to_string q)
+  in
+  let json =
+    Json.same_rendering
+      (Codec_bin.payload_to_json p)
+      (Codec_bin.payload_to_json q)
+  in
+  if same = bytes && bytes = json then Ok same
+  else
+    Error
+      (Printf.sprintf "same %b, bytes %b, JSON %b:\n  %s\n  %s" same bytes json
+         (rendered_payload p) (rendered_payload q))
+
+(* Floats that differ by their sign alone ([0.] renders [0], [-0.]
+   renders [-0.0]) or by one ulp. *)
+let float_pool = [| 0.; -0.; 2.5; Float.succ 2.5 |]
+
+(* A policy value whose rules are compiled, and a copy without them; a
+   credential whose signature verdict is memoised, and a copy without
+   it.  Neither memo is encoded. *)
+let memo_policies () =
+  let copy (p : Policy.t) =
+    Policy.of_wire ~domain:p.Policy.domain ~version:p.Policy.version
+      ~accept_capabilities:p.Policy.accept_capabilities p.Policy.rules
+  in
+  let compiled = copy policy_pool.(0) in
+  ignore
+    (Policy.permits compiled ~facts:[] ~subject:"bob" ~action:"read"
+       ~item:"db1");
+  (compiled, copy policy_pool.(0))
+
+let memo_credentials () =
+  let checked = credential () in
+  ignore (Credential.signature_valid checked);
+  (checked, credential ())
+
+(* The genuine credential's fields, its signature kept, at other times. *)
+let retimed ~issued_at ~expires_at =
+  let c = credential () in
+  Credential.of_wire ~id:c.Credential.id ~subject:c.Credential.subject
+    ~issuer:c.Credential.issuer ~kind:c.Credential.kind
+    ~facts:c.Credential.facts ~issued_at ~expires_at
+    ~signature:c.Credential.signature
+
+let proof ?(result = true) evaluated_at =
+  {
+    Proof.query_id = "q0";
+    server = "server-1";
+    domain = "retail";
+    policy_version = 1;
+    evaluated_at;
+    credential_ids = [ "c1" ];
+    request = { Proof.subject = "bob"; action = "read"; items = [ "a" ] };
+    result;
+    failures = (if result then [] else [ Proof.Denied "a" ]);
+  }
+
+let query = Query.make ~id:"q0" ~server:"server-1" ~reads:[ "a" ] ()
+
+let execute ~ts credentials =
+  Message.Execute
+    {
+      txn = "t1";
+      ts;
+      query;
+      subject = "bob";
+      credentials;
+      evaluate_proof = true;
+      snapshot = false;
+    }
+
+let tm_send msg =
+  Codec_bin.Tm_action (Tm_machine.Send { dst = "server-1"; msg })
+
+let ps_send ?(credentials = []) msg =
+  Codec_bin.Ps_action
+    (Ps_machine.Send { dst = "tm-t1"; msg; after_proofs = 0; credentials })
+
+let ps_eval credentials =
+  Codec_bin.Ps_action
+    (Ps_machine.Eval
+       {
+         txn = "t1";
+         subject = "bob";
+         credentials;
+         queries = [ query ];
+         with_proofs = true;
+         with_policies = true;
+         cont;
+       })
+
+let validate_reply proofs =
+  Message.Validate_reply { txn = "t1"; round = 1; proofs; policies = [] }
+
+let tm a = Codec_bin.Tm_action a
+let ps a = Codec_bin.Ps_action a
+let exec ~ts query evaluate =
+  ps
+    (Ps_machine.Exec
+       { txn = "t1"; ts; query; evaluate; reply_to = "tm-t1"; snapshot = false })
+
+let commit_reply ~integrity proofs policies =
+  Message.Commit_reply
+    { txn = "t1"; round = 1; integrity; read_only = false; proofs; policies }
+
+let executed reads proof =
+  Message.Execute_reply
+    { txn = "t1"; query_id = "q0"; outcome = Message.Executed { reads; proof } }
+
+(* Every float an action encodes, each as the one thing two actions
+   differ in. *)
+let float_builders =
+  [|
+    (fun x -> tm (Tm_machine.Arm_watchdog { epoch = 1; delay = x }));
+    (fun x -> tm (Tm_machine.Arm_retry { delay = x }));
+    (fun x -> tm_send (execute ~ts:x []));
+    (fun x -> tm_send (execute ~ts:1. [ retimed ~issued_at:x ~expires_at:100. ]));
+    (fun x -> ps (Ps_machine.Begin_work { txn = "t1"; ts = x }));
+    (fun x -> exec ~ts:x query true);
+    (fun x -> ps (Ps_machine.Arm_inquiry { txn = "t1"; epoch = 1; delay = x }));
+    (fun x -> ps_eval [ retimed ~issued_at:x ~expires_at:100. ]);
+    (fun x -> ps_eval [ retimed ~issued_at:(-1.) ~expires_at:x ]);
+    (fun x -> ps_send (validate_reply [ proof x ]));
+    (fun x -> ps_send (commit_reply ~integrity:true [ proof ~result:false x ] []));
+    (fun x -> ps_send (executed [ ("a", None) ] (Some (proof x))));
+    (fun x ->
+      ps_send
+        ~credentials:[ retimed ~issued_at:x ~expires_at:100. ]
+        (Message.Inquiry { txn = "t1" }));
+  |]
+
+(* Actions of every constructor, each field drawn from a pool of two to
+   a few values, so that two draws often agree. *)
+let action_gens =
+  let open QCheck.Gen in
+  let compiled, plain = memo_policies () in
+  let checked, unchecked = memo_credentials () in
+  let policy = oneofa (Array.append policy_pool [| compiled; plain |]) in
+  let cred =
+    oneofa
+      (Array.append credential_pool
+         [| checked; unchecked; retimed ~issued_at:(-0.) ~expires_at:100. |])
+  in
+  let some g = list_size (0 -- 2) g in
+  let f = oneofa float_pool in
+  let txn = oneofl [ "t1"; "t2" ] in
+  let round = 1 -- 2 in
+  let proof = map2 (fun result x -> proof ~result x) bool f in
+  let query =
+    oneofl
+      [
+        query;
+        Query.make ~id:"q1" ~server:"server-1"
+          ~writes:[ ("a", Cloudtx_store.Value.Add 1) ]
+          ();
+      ]
+  in
+  let reads =
+    oneofl
+      [ []; [ ("a", None) ]; [ ("a", Some (Cloudtx_store.Value.Int 1)) ] ]
+  in
+  let message =
+    oneof
+      [
+        map2 (fun ts credentials -> execute ~ts credentials) f (some cred);
+        map2 executed reads (opt proof);
+        return
+          (Message.Execute_reply
+             { txn = "t1"; query_id = "q0"; outcome = Message.Exec_die });
+        map2 (fun txn round -> Message.Validate_request { txn; round }) txn round;
+        map3
+          (fun round proofs policies ->
+            Message.Validate_reply { txn = "t1"; round; proofs; policies })
+          round (some proof) (some policy);
+        map2
+          (fun validate expected ->
+            Message.Commit_request
+              { txn = "t1"; round = 1; validate; allow_read_only = false; expected })
+          bool (1 -- 2);
+        map3
+          (fun integrity -> commit_reply ~integrity)
+          bool (some proof) (some policy);
+        map2
+          (fun policies reply_with ->
+            Message.Policy_update { txn = "t1"; round = 1; policies; reply_with })
+          (some policy)
+          (oneofl [ `Validate; `Commit ]);
+        map2 (fun txn commit -> Message.Decision { txn; commit }) txn bool;
+        map (fun txn -> Message.Decision_ack { txn }) txn;
+        map (fun txn -> Message.Master_version_request { txn }) txn;
+        map
+          (fun policies -> Message.Master_version_reply { txn = "t1"; policies })
+          (some policy);
+        map (fun policy -> Message.Propagate_policy { policy }) policy;
+        map (fun txn -> Message.Inquiry { txn }) txn;
+      ]
+  in
+  let round_open query =
+    Tm_machine.Round_open
+      { parent = `Txn; span_name = "2pv.round"; round = 1; query }
+  in
+  [|
+    map2
+      (fun dst msg -> tm (Tm_machine.Send { dst; msg }))
+      (oneofl [ "server-1"; "server-2" ])
+      message;
+    map2
+      (fun epoch delay -> tm (Tm_machine.Arm_watchdog { epoch; delay }))
+      (1 -- 2) f;
+    map (fun delay -> tm (Tm_machine.Arm_retry { delay })) f;
+    return (tm Tm_machine.Force_log);
+    map (fun l -> tm (Tm_machine.Mark l)) (oneofl [ "a"; "b" ]);
+    map
+      (fun o -> tm (Tm_machine.Obs o))
+      (oneofl
+         [
+           Tm_machine.Query_open { index = 0; server = "server-1" };
+           round_open None;
+           round_open (Some 0);
+           Tm_machine.Phase_close;
+         ]);
+    map2
+      (fun committed commit_rounds ->
+        tm
+          (Tm_machine.Finish
+             {
+               committed;
+               reason = Cloudtx_protocol.Outcome.Committed;
+               commit_rounds;
+             }))
+      bool (1 -- 2);
+    map3
+      (fun msg after_proofs credentials ->
+        ps (Ps_machine.Send { dst = "tm-t1"; msg; after_proofs; credentials }))
+      message (0 -- 1) (some cred);
+    map2 (fun txn ts -> ps (Ps_machine.Begin_work { txn; ts })) txn f;
+    map3 (fun ts -> exec ~ts) f query bool;
+    map3
+      (fun credentials queries with_policies ->
+        ps
+          (Ps_machine.Eval
+             {
+               txn = "t1";
+               subject = "bob";
+               credentials;
+               queries;
+               with_proofs = true;
+               with_policies;
+               cont;
+             }))
+      (some cred) (some query) bool;
+    map
+      (fun round ->
+        ps (Ps_machine.Check_read_only { txn = "t1"; reply_to = "tm-t1"; round }))
+      round;
+    map2
+      (fun proof_truth policy_versions ->
+        ps (Ps_machine.Prepare { txn = "t1"; proof_truth; policy_versions }))
+      bool
+      (oneofl [ []; [ ("retail", 1) ]; [ ("retail", 2) ] ]);
+    map2
+      (fun commit writes ->
+        ps (Ps_machine.Apply { txn = "t1"; commit; forced = true; writes }))
+      bool
+      (oneofl [ []; [ ("a", 1) ]; [ ("a", 2) ] ]);
+    map (fun txn -> ps (Ps_machine.Forget { txn })) txn;
+    map2
+      (fun policies announce -> ps (Ps_machine.Install { policies; announce }))
+      (some policy) bool;
+    map
+      (fun query_id -> ps (Ps_machine.Wait_open { txn = "t1"; query_id }))
+      (oneofl [ "q0"; "q1" ]);
+    map
+      (fun killed_by ->
+        ps (Ps_machine.Wait_close { txn = "t1"; outcome = "die"; killed_by }))
+      (opt txn);
+    map2
+      (fun epoch delay ->
+        ps (Ps_machine.Arm_inquiry { txn = "t1"; epoch; delay }))
+      (1 -- 2) f;
+    map (fun l -> ps (Ps_machine.Mark l)) (oneofl [ "a"; "b" ]);
+  |]
+
+(* What the binary decoder makes of [p]'s bytes: equal, and sharing no
+   value with [p]. *)
+let decoded_copy p =
+  match Codec_bin.payload_of_string (Codec_bin.payload_to_string p) with
+  | Ok q -> q
+  | Error m -> failwith m
+
+(* Two actions of one constructor: differing in one float, drawn
+   independently, or one the decoded copy of the other. *)
+let gen_action_pair =
+  let open QCheck.Gen in
+  frequency
+    [
+      ( 2,
+        let* build = oneofa float_builders in
+        let f = oneofa float_pool in
+        map (fun (x, y) -> (build x, build y)) (pair f f) );
+      (2, oneofa action_gens >>= fun g -> pair g g);
+      (1, oneofa action_gens >>= fun g -> map (fun p -> (p, decoded_copy p)) g);
+    ]
+
+let prop_same_action =
+  QCheck.Test.make ~name:"same action = same bytes = same rendering" ~count:3000
+    (QCheck.make
+       ~print:(fun (p, q) -> rendered_payload p ^ "\n" ^ rendered_payload q)
+       gen_action_pair)
+    (fun (p, q) ->
+      match agree p q with Ok _ -> true | Error m -> QCheck.Test.fail_report m)
+
+(* The compiled plan and the signature verdict are not compared: a
+   policy that has been evaluated is the same as a copy that has not,
+   and so is a credential. *)
+let test_memos_not_compared () =
+  let compiled, plain = memo_policies () in
+  let checked, unchecked = memo_credentials () in
+  Alcotest.(check bool) "the plan is compiled" true
+    (Option.is_some compiled.Policy.plan);
+  Alcotest.(check bool) "the copy's is not" true
+    (Option.is_none plain.Policy.plan);
+  Alcotest.(check bool) "the verdict is memoised" true
+    (checked.Credential.check = Credential.Signed);
+  Alcotest.(check bool) "the copy's is not" true
+    (unchecked.Credential.check = Credential.Unchecked);
+  List.iter
+    (fun (what, p, q) ->
+      match agree p q with
+      | Ok same -> Alcotest.(check bool) what true same
+      | Error m -> Alcotest.failf "%s: %s" what m)
+    [
+      ("install", install [ compiled ], install [ plain ]);
+      ("eval", ps_eval [ checked ], ps_eval [ unchecked ]);
+    ]
+
+(* The actions of a journal, in order: TM ones and PS ones apart. *)
+let actions_of_file path =
+  match
+    Journal_io.fold_file path ~init:(fun _ -> ([], [])) (fun (tm, ps) r ->
+        match r.Journal_io.body with
+        | Journal_io.Payload (Codec_bin.Tm_action _ as p) -> (p :: tm, ps)
+        | Journal_io.Payload (Codec_bin.Ps_action _ as p) -> (tm, p :: ps)
+        | _ -> (tm, ps))
+  with
+  | Ok (tm, ps) -> [ Array.of_list (List.rev tm); Array.of_list (List.rev ps) ]
+  | Error m -> Alcotest.failf "%s unreadable: %s" path m
+
+(* The first 40 transactions of bench/e2e's closed-bare stream, read
+   back with policies and credentials shared as a read shares them. *)
+let closed_bare_actions () =
+  with_temp_file (Closed_bare.journal 40) actions_of_file
+
+(* A small gray sweep, two plans in every cell under adaptive timeouts
+   and the resilience gate, recorded as JSONL: crashes, recoveries,
+   inquiries and RTT-sized delays, and every value decoded afresh. *)
+let chaos_actions () =
+  let path = Filename.temp_file "same-action" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      List.concat_map
+        (fun cell ->
+          List.concat_map
+            (fun seed ->
+              ignore
+                (Campaign.run_plan ~journal_path:path
+                   ~policy:(Timeout_policy.adaptive ())
+                   ~resilience:(Resilience.config ()) cell
+                   (Plan.random ~seed ()));
+              actions_of_file path)
+            [ 1000L; 1001L ])
+        Campaign.all_cells)
+
+(* Every pair of actions of one kind at most 25 apart in a real run: the
+   comparator agrees with the bytes and the renderings, and allocates
+   nothing. *)
+let test_corpus_pairs () =
+  let window = 25 in
+  let corpora = closed_bare_actions () @ chaos_actions () in
+  let pairs = ref 0 and equal = ref 0 in
+  List.iter
+    (fun actions ->
+      let n = Array.length actions in
+      let bytes = Array.map Codec_bin.payload_to_string actions in
+      let json = Array.map Codec_bin.payload_to_json actions in
+      for i = 0 to n - 1 do
+        for j = i + 1 to min (n - 1) (i + window) do
+          let same = same_payload actions.(i) actions.(j) in
+          let b = String.equal bytes.(i) bytes.(j) in
+          if same <> b || b <> Json.same_rendering json.(i) json.(j) then
+            Alcotest.failf "same %b, bytes %b:\n  %s\n  %s" same b
+              (rendered_payload actions.(i)) (rendered_payload actions.(j));
+          incr pairs;
+          if same then incr equal
+        done
+      done)
+    corpora;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d pairs, %d equal" !pairs !equal)
+    true
+    (!equal > 1000 && !pairs - !equal > 10_000);
+  let words =
+    List.fold_left
+      (fun acc actions ->
+        let before = Gc.minor_words () in
+        for i = 0 to Array.length actions - 2 do
+          ignore
+            (Sys.opaque_identity (same_payload actions.(i) actions.(i + 1)))
+        done;
+        acc +. (Gc.minor_words () -. before))
+      0. corpora
+  in
+  Alcotest.(check (float 0.)) "minor words comparing" 0. words
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "journal_bin"
@@ -1112,7 +1575,7 @@ let () =
         ] );
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_jsonl_mutation; prop_binary_mutation ] );
+          [ prop_jsonl_mutation; prop_binary_mutation; prop_checksum ] );
       ( "live",
         [
           Alcotest.test_case "live = offline, all cells" `Quick
@@ -1142,5 +1605,12 @@ let () =
             test_sharing_pinned;
           Alcotest.test_case "allocation per record read" `Quick
             test_read_allocation;
+        ] );
+      ( "same action",
+        [
+          QCheck_alcotest.to_alcotest prop_same_action;
+          Alcotest.test_case "memos not compared" `Quick
+            test_memos_not_compared;
+          Alcotest.test_case "recorded pairs" `Quick test_corpus_pairs;
         ] );
     ]
