@@ -337,10 +337,10 @@ let on_tm_action t st ~time_ms = function
     finish_txn t st ~time_ms ~committed ~reason:(Outcome.reason_name reason)
   | _ -> ()
 
-(* A TM record closes the gap on its node ([cls = None]: a transparent
-   record that leaves it open). *)
-let on_tm t ~seq ~time_ms st cls =
-  match cls with
+(* A TM input closes the gap on its node ([None]: a transparent record
+   that leaves it open); an action closes it as [Other]. *)
+let on_tm_input t ~seq ~time_ms st input =
+  match classify_tm_input st input with
   | None -> ()
   | Some cls ->
     if time_ms > st.t_last then emit_gap t st ~seq ~time_ms cls;
@@ -361,16 +361,13 @@ let on_ps_input t ~time_ms ~node = function
     close_interval t.open_evals ~server:node ~txn ~time_ms ~detail:""
   | _ -> ()
 
+(* The transaction state of TM [node]; [Not_found] for a TM whose create
+   this stream never saw (evicted from a capped buffer), or whose
+   transaction already finished, which is skipped. *)
+let tm_state t node = Hashtbl.find t.txns (Hashtbl.find t.node_txns node)
+
 let step t (r : Journal_io.record) =
   let { Journal_io.seq; time_ms; node; body } = r in
-  (* A TM whose create this stream never saw (evicted from a capped
-     buffer), or whose transaction already finished, is skipped. *)
-  let with_txn f =
-    match Hashtbl.find_opt t.node_txns node with
-    | None -> ()
-    | Some txn -> (
-      match Hashtbl.find_opt t.txns txn with None -> () | Some st -> f st)
-  in
   match body with
   | Journal_io.Undecodable _ -> t.decode_errors <- t.decode_errors + 1
   (* Driver-side resilience events: not machine steps, no latency edge. *)
@@ -383,12 +380,17 @@ let step t (r : Journal_io.record) =
       ~level:(Consistency.name config.Tm.level)
       ~submitted_at
   | Journal_io.Payload (Codec_bin.Create_ps _) -> ()
-  | Journal_io.Payload (Codec_bin.Tm_input input) ->
-    with_txn (fun st -> on_tm t ~seq ~time_ms st (classify_tm_input st input))
-  | Journal_io.Payload (Codec_bin.Tm_action action) ->
-    with_txn (fun st ->
-        on_tm t ~seq ~time_ms st (Some (plain Cp.Other));
-        on_tm_action t st ~time_ms action)
+  | Journal_io.Payload (Codec_bin.Tm_input input) -> (
+    match tm_state t node with
+    | st -> on_tm_input t ~seq ~time_ms st input
+    | exception Not_found -> ())
+  | Journal_io.Payload (Codec_bin.Tm_action action) -> (
+    match tm_state t node with
+    | st ->
+      if time_ms > st.t_last then emit_gap t st ~seq ~time_ms (plain Cp.Other);
+      st.t_last <- time_ms;
+      on_tm_action t st ~time_ms action
+    | exception Not_found -> ())
   | Journal_io.Payload (Codec_bin.Ps_input input) ->
     on_ps_input t ~time_ms ~node input
   | Journal_io.Payload (Codec_bin.Ps_action action) ->

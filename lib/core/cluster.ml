@@ -15,6 +15,8 @@ type server_spec = {
 let server_spec ~name ?(constraints = []) ~items () =
   { s_name = name; s_items = items; s_constraints = constraints }
 
+type slot = ..
+
 type t = {
   transport : Message.t Transport.t;
   master : Master.t;
@@ -25,6 +27,7 @@ type t = {
   variant : Cloudtx_txn.Tpc.variant;
   prop_rng : Splitmix.t;
   proofs : (string, int ref) Hashtbl.t; (* txn in flight -> proofs so far *)
+  mutable slots : slot list;
 }
 
 let master_name = "master"
@@ -104,6 +107,7 @@ let create ?(seed = 1L) ?(latency = Latency.lan) ?ocsp_latency ?(cas = [])
     variant;
     prop_rng;
     proofs;
+    slots = [];
   }
 
 let transport t = t.transport
@@ -118,6 +122,8 @@ let participant t name =
 
 let ca t name = List.assoc_opt name t.cas
 let domain_of t item = t.domain_of item
+let slots t = t.slots
+let add_slot t x = t.slots <- x :: t.slots
 let track_proofs t ~txn = Hashtbl.replace t.proofs txn (ref 0)
 
 let take_proofs t ~txn =

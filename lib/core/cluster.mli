@@ -75,6 +75,13 @@ val track_proofs : t -> txn:string -> unit
 
 val take_proofs : t -> txn:string -> int
 
+(** State a layer above keeps with the cluster, for as long as the
+    cluster lives ({!Manager} keeps its registry cells here). *)
+type slot = ..
+
+val slots : t -> slot list
+val add_slot : t -> slot -> unit
+
 (** [publish t ~domain ~delay rules] publishes the next policy version at
     the master and schedules its propagation to each server: [delay]
     returns the per-server lag in milliseconds — [infinity] means the

@@ -199,28 +199,29 @@ let on_event t ~seq ~time_ms ~node payload =
   | Ok _ -> emit t ~seq ~time_ms (Monitor.Activity { node })
   | Error _ -> malformed ()
 
+let activity t ~seq ~time_ms node =
+  emit t ~seq ~time_ms (Monitor.Activity { node })
+
 (* A TM record from a node whose create this stream never saw (evicted
    from a capped buffer) only advances the monitor's clock. *)
 let step t (r : Journal_io.record) =
   let { Journal_io.seq; time_ms; node; body } = r in
-  let activity () = emit t ~seq ~time_ms (Monitor.Activity { node }) in
-  let with_txn f =
-    match Hashtbl.find_opt t.tms node with
-    | Some txn -> f txn
-    | None -> activity ()
-  in
   match body with
   | Journal_io.Undecodable _ ->
     t.decode_errors <- t.decode_errors + 1;
-    activity ()
+    activity t ~seq ~time_ms node
   | Journal_io.Event payload -> on_event t ~seq ~time_ms ~node payload
   | Journal_io.Payload (Codec_bin.Create_tm { config; txn; _ }) ->
     on_create_tm t ~seq ~time_ms ~node config txn
-  | Journal_io.Payload (Codec_bin.Create_ps _) -> activity ()
-  | Journal_io.Payload (Codec_bin.Tm_input input) ->
-    with_txn (fun txn -> on_tm_input t ~seq ~time_ms ~txn input)
-  | Journal_io.Payload (Codec_bin.Tm_action action) ->
-    with_txn (fun txn -> on_tm_action t ~seq ~time_ms ~node ~txn action)
+  | Journal_io.Payload (Codec_bin.Create_ps _) -> activity t ~seq ~time_ms node
+  | Journal_io.Payload (Codec_bin.Tm_input input) -> (
+    match Hashtbl.find t.tms node with
+    | txn -> on_tm_input t ~seq ~time_ms ~txn input
+    | exception Not_found -> activity t ~seq ~time_ms node)
+  | Journal_io.Payload (Codec_bin.Tm_action action) -> (
+    match Hashtbl.find t.tms node with
+    | txn -> on_tm_action t ~seq ~time_ms ~node ~txn action
+    | exception Not_found -> activity t ~seq ~time_ms node)
   | Journal_io.Payload (Codec_bin.Ps_input input) ->
     on_ps_input t ~seq ~time_ms ~node input
   | Journal_io.Payload (Codec_bin.Ps_action action) ->

@@ -261,7 +261,8 @@ let attach journal f =
             | Codec_bin.Create_ps _ -> Hashtbl.replace kinds node Codec_bin.Ps
             | _ -> () )
     in
-    Journal.add_observer journal (fun ~seq ~time_ms ~node ~dir ~payload ->
+    Journal.add_observer journal
+      (fun ~seq ~time_ms ~node ~dir ~payload ~pos ~len ->
         let body =
           if d.handed_seq = seq then begin
             let p = d.handed in
@@ -270,7 +271,7 @@ let attach journal f =
             note_kind ~node p;
             Payload p
           end
-          else decode ~node ~dir payload
+          else decode ~node ~dir (String.sub payload pos len)
         in
         feed { seq; time_ms; node; body } d.consumers)
   | None -> ()

@@ -5,6 +5,7 @@
 module Transport = Cloudtx_sim.Transport
 module Tracer = Cloudtx_obs.Tracer
 module Registry = Cloudtx_obs.Registry
+module Sketch = Cloudtx_obs.Sketch
 module Journal = Cloudtx_obs.Journal
 module Transaction = Cloudtx_txn.Transaction
 module Tm = Cloudtx_protocol.Tm_machine
@@ -79,6 +80,57 @@ let scheme_labels (cfg : config) =
     ("consistency", Consistency.name cfg.level);
   ]
 
+(* The registry cells a coordinator writes, for one scheme and level:
+   kept with the cluster, whose registry they are in, and each resolved
+   at its first write, so a run lists just the series it wrote. *)
+type cells = {
+  scheme : Scheme.t;
+  level : Consistency.level;
+  commits : Registry.counter Lazy.t;
+  aborts : Registry.counter Lazy.t;
+  latency : Sketch.t Lazy.t;
+  rounds : Sketch.t Lazy.t;
+  proofs : Sketch.t Lazy.t;
+  execute : Sketch.t Lazy.t;
+  commit : Sketch.t Lazy.t;
+  decide : Sketch.t Lazy.t;
+  forces : Registry.counter Lazy.t;
+}
+
+type Cluster.slot += Cells of cells
+
+let cells cluster (cfg : config) =
+  let rec find = function
+    | Cells c :: _ when c.scheme = cfg.scheme && c.level = cfg.level -> c
+    | _ :: slots -> find slots
+    | [] ->
+      let reg () = Transport.registry (Cluster.transport cluster) in
+      let labels = scheme_labels cfg in
+      let counter name labels =
+        lazy (Registry.counter_cell (reg ()) name labels)
+      and hist name = lazy (Registry.histogram_cell (reg ()) name labels) in
+      let c =
+        {
+          scheme = cfg.scheme;
+          level = cfg.level;
+          commits = counter "txn_total" (("outcome", "commit") :: labels);
+          aborts = counter "txn_total" (("outcome", "abort") :: labels);
+          latency = hist "txn_latency_ms";
+          rounds = hist "commit_rounds";
+          proofs = hist "proofs_per_txn";
+          execute = hist "phase_execute_ms";
+          commit = hist "phase_commit_ms";
+          decide = hist "phase_decide_ms";
+          forces = counter "log_force_total" [ ("site", "tm") ];
+        }
+      in
+      Cluster.add_slot cluster (Cells c);
+      c
+  in
+  find (Cluster.slots cluster)
+
+let observe cell v = Sketch.observe (Lazy.force cell) v
+
 let perform_obs d (o : Tm.obs) =
   let tr = tracer d in
   match o with
@@ -143,22 +195,19 @@ let finish d (cfg : config) ~committed ~reason ~commit_rounds =
   let reg = registry d in
   let submitted_at = Tm.submitted_at d.machine in
   if Registry.enabled reg then begin
-    let labels = scheme_labels cfg in
+    let c = cells d.cluster cfg in
     let finished_at = now d in
-    Registry.incr reg "txn_total"
-      (("outcome", if committed then "commit" else "abort") :: labels);
-    Registry.observe reg "txn_latency_ms" labels (finished_at -. submitted_at);
-    Registry.observe reg "commit_rounds" labels (float_of_int commit_rounds);
-    Registry.observe reg "proofs_per_txn" labels (float_of_int proofs);
+    Registry.incr_cell (Lazy.force (if committed then c.commits else c.aborts));
+    observe c.latency (finished_at -. submitted_at);
+    observe c.rounds (float_of_int commit_rounds);
+    observe c.proofs (float_of_int proofs);
     if Float.is_finite d.commit_started_at then begin
-      Registry.observe reg "phase_execute_ms" labels
-        (d.commit_started_at -. submitted_at);
+      observe c.execute (d.commit_started_at -. submitted_at);
       if Float.is_finite d.decided_at then
-        Registry.observe reg "phase_commit_ms" labels
-          (d.decided_at -. d.commit_started_at)
+        observe c.commit (d.decided_at -. d.commit_started_at)
     end;
     if Float.is_finite d.decided_at then
-      Registry.observe reg "phase_decide_ms" labels (finished_at -. d.decided_at)
+      observe c.decide (finished_at -. d.decided_at)
   end;
   let outcome =
     {
@@ -213,7 +262,7 @@ let rec perform d (cfg : config) (a : Tm.action) =
         Some (commit, Tm.reason d.machine, Tm.decision_targets d.machine)
     | None -> ());
     if Registry.enabled (registry d) then
-      Registry.incr (registry d) "log_force_total" [ ("site", "tm") ]
+      Registry.incr_cell (Lazy.force (cells d.cluster cfg).forces)
   | Tm.Mark label -> Transport.mark (transport d) ~node:d.name label
   | Tm.Obs o -> perform_obs d o
   | Tm.Finish { committed; reason; commit_rounds } ->
@@ -258,10 +307,8 @@ let txn_servers txn =
    no-ops. *)
 let reject_fast cluster (cfg : config) txn ~submitted_at ~reason ~on_done =
   let transport = Cluster.transport cluster in
-  let reg = Transport.registry transport in
-  if Registry.enabled reg then
-    Registry.incr reg "txn_total"
-      (("outcome", "abort") :: scheme_labels cfg);
+  if Registry.enabled (Transport.registry transport) then
+    Registry.incr_cell (Lazy.force (cells cluster cfg).aborts);
   let outcome =
     {
       Outcome.txn = txn.Transaction.id;

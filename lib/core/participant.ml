@@ -15,6 +15,7 @@ module Lock_manager = Cloudtx_store.Lock_manager
 module Wal = Cloudtx_store.Wal
 module Tracer = Cloudtx_obs.Tracer
 module Registry = Cloudtx_obs.Registry
+module Sketch = Cloudtx_obs.Sketch
 module Journal = Cloudtx_obs.Journal
 module Ps = Cloudtx_protocol.Ps_machine
 module Codec_bin = Cloudtx_protocol.Codec_bin
@@ -47,6 +48,9 @@ type t = {
       (* lock releases queued during action interpretation, FIFO; drained
          only after the current input is fully interpreted so decision
          acks stay ahead of retried queries on the wire *)
+  proofs_total : Registry.counter Lazy.t;
+  lock_wait_ms : Sketch.t Lazy.t;
+      (* registry cells, resolved at their first write *)
 }
 
 let name t = Server.name t.server
@@ -125,20 +129,19 @@ let evaluate_proof_fn t ~txn ~subject ~credentials (q : Query.t) =
           ("version", string_of_int proof.Proof.policy_version);
         ]
       span;
-  let reg = registry t in
-  if Registry.enabled reg then
-    Registry.incr reg "proofs_total" [ ("server", name t) ];
+  if Registry.enabled (registry t) then
+    Registry.incr_cell (Lazy.force t.proofs_total);
   proof
 
 (* Distinct policies currently in force for [queries]. *)
 let policies_used t queries =
-  let policies = Hashtbl.create 4 in
-  List.iter
-    (fun (q : Query.t) ->
+  List.fold_left
+    (fun acc (q : Query.t) ->
       let domain = domain_of_query t q in
-      Hashtbl.replace policies domain (policy_for t domain))
-    queries;
-  Hashtbl.fold (fun _ p acc -> p :: acc) policies []
+      if List.exists (fun (p : Policy.t) -> String.equal p.domain domain) acc
+      then acc
+      else policy_for t domain :: acc)
+    [] queries
   |> List.sort (fun (a : Policy.t) b ->
          String.compare a.Policy.domain b.Policy.domain)
 
@@ -185,11 +188,8 @@ let settle_wait t ~txn ~outcome ~killed_by =
       in
       Tracer.finish tr ~attrs w.w_span
     end;
-    let reg = registry t in
-    if Registry.enabled reg then
-      Registry.observe reg "lock_wait_ms"
-        [ ("server", name t) ]
-        (now t -. w.w_blocked_at)
+    if Registry.enabled (registry t) then
+      Sketch.observe (Lazy.force t.lock_wait_ms) (now t -. w.w_blocked_at)
 
 (* Flight recorder: same input-then-actions-then-perform ordering as
    {!Manager.dispatch}, so each input's action records are contiguous in
@@ -323,6 +323,15 @@ let handle t ~src msg =
 let create ~transport ~server ~env ~domain_of ~on_proof ?(variant = Tpc.Basic)
     ?ocsp_delay ?(proof_cache = false) ?(dedup = true) ?(inquiry_timeout = 0.)
     () =
+  (* Store-layer hooks read the transport's tracer/registry dynamically:
+     the CLI enables observability after the cluster is built, and the
+     enabled checks keep the default path allocation-free.  Registry
+     cells are resolved at their first write. *)
+  let node = Server.name server in
+  let cell make name labels =
+    lazy (make (Transport.registry transport) name (("server", node) :: labels))
+  in
+  let counter = cell Registry.counter_cell in
   let t =
     {
       transport;
@@ -339,6 +348,8 @@ let create ~transport ~server ~env ~domain_of ~on_proof ?(variant = Tpc.Basic)
       inquiry_timeout;
       waits = Hashtbl.create 8;
       releases = [];
+      proofs_total = counter "proofs_total" [];
+      lock_wait_ms = cell Registry.histogram_cell "lock_wait_ms" [];
     }
   in
   (* The transport drops duplicated copies before they reach [handle],
@@ -346,16 +357,11 @@ let create ~transport ~server ~env ~domain_of ~on_proof ?(variant = Tpc.Basic)
      machine's [expected]-count NACK covers the state actually lost. *)
   Transport.register ~dedup transport (Server.name server) (fun ~src msg ->
       handle t ~src msg);
-  (* Store-layer hooks read the transport's tracer/registry dynamically:
-     the CLI enables observability after the cluster is built, and the
-     enabled checks keep the default path allocation-free. *)
-  let node = Server.name server in
-  (* Registry cells, resolved at their first write. *)
   let appends = Hashtbl.create 8 in
   let append_cell reg tag =
-    match Hashtbl.find_opt appends tag with
-    | Some c -> c
-    | None ->
+    match Hashtbl.find appends tag with
+    | c -> c
+    | exception Not_found ->
       let c =
         Registry.counter_cell reg "wal_append_total"
           [ ("server", node); ("record", tag) ]
@@ -367,6 +373,14 @@ let create ~transport ~server ~env ~domain_of ~on_proof ?(variant = Tpc.Basic)
     lazy
       (Registry.counter_cell (Transport.registry transport) "log_force_total"
          [ ("site", node) ])
+  and granted = counter "lock_acquire_total" [ ("outcome", "granted") ]
+  and queued = counter "lock_acquire_total" [ ("outcome", "queued") ]
+  and die = counter "lock_acquire_total" [ ("outcome", "die") ]
+  and promoted = counter "lock_promoted_total" []
+  and killed = counter "lock_killed_total" [] in
+  let incr cell =
+    if Registry.enabled (Transport.registry transport) then
+      Registry.incr_cell (Lazy.force cell)
   in
   Wal.set_observer (Server.wal server)
     (Some
@@ -385,27 +399,13 @@ let create ~transport ~server ~env ~domain_of ~on_proof ?(variant = Tpc.Basic)
        {
          Lock_manager.on_acquire =
            (fun ~txn:_ ~key:_ ~mode:_ ~outcome ->
-             let reg = Transport.registry transport in
-             if Registry.enabled reg then
-               Registry.incr reg "lock_acquire_total"
-                 [
-                   ("server", node);
-                   ( "outcome",
-                     match outcome with
-                     | Lock_manager.Granted -> "granted"
-                     | Lock_manager.Queued -> "queued"
-                     | Lock_manager.Die -> "die" );
-                 ]);
-         on_promoted =
-           (fun ~txn:_ ~key:_ ~mode:_ ->
-             let reg = Transport.registry transport in
-             if Registry.enabled reg then
-               Registry.incr reg "lock_promoted_total" [ ("server", node) ]);
-         on_killed =
-           (fun ~txn:_ ~key:_ ->
-             let reg = Transport.registry transport in
-             if Registry.enabled reg then
-               Registry.incr reg "lock_killed_total" [ ("server", node) ]);
+             incr
+               (match outcome with
+               | Lock_manager.Granted -> granted
+               | Lock_manager.Queued -> queued
+               | Lock_manager.Die -> die));
+         on_promoted = (fun ~txn:_ ~key:_ ~mode:_ -> incr promoted);
+         on_killed = (fun ~txn:_ ~key:_ -> incr killed);
        });
   t
 

@@ -179,7 +179,8 @@ type t = {
   mutable seq : int;
   mutable oc : out_channel option;
   mutable observers :
-    (seq:int -> time_ms:float -> node:string -> dir:string -> payload:string -> unit)
+    (seq:int -> time_ms:float -> node:string -> dir:string -> payload:string ->
+    pos:int -> len:int -> unit)
     list;
       (** Registration order; fan-out per record.  Empty = zero cost. *)
   queued : (unit -> unit) Queue.t;
@@ -315,26 +316,31 @@ let room t n =
     c
   end
 
-let rec call_each ~seq ~time_ms ~node ~dir ~payload = function
+let rec call_each ~seq ~time_ms ~node ~dir ~payload ~pos ~len = function
   | [] -> ()
   | f :: fs ->
-    f ~seq ~time_ms ~node ~dir ~payload;
-    call_each ~seq ~time_ms ~node ~dir ~payload fs
+    f ~seq ~time_ms ~node ~dir ~payload ~pos ~len;
+    call_each ~seq ~time_ms ~node ~dir ~payload ~pos ~len fs
 
-(* A record written from inside an observer waits in [queued] until the
-   record being delivered has reached every observer, so each observer
-   sees the records in seq order.  If an observer raises, the records
-   still waiting are dropped, and the next record starts afresh. *)
-let notify t ~time_ms ~node ~dir payload =
+(* Observers read the payload in place, [len] bytes of [payload] from
+   [pos].  A record written from inside an observer waits in [queued],
+   with a copy of its bytes, until the record being delivered has
+   reached every observer, so each observer sees the records in seq
+   order.  If an observer raises, the records still waiting are dropped,
+   and the next record starts afresh. *)
+let notify t ~time_ms ~node ~dir payload ~pos ~len =
   let seq = t.seq in
-  if t.delivering then
+  if t.delivering then begin
+    let payload = String.sub payload pos len in
     Queue.push
-      (fun () -> call_each ~seq ~time_ms ~node ~dir ~payload t.observers)
+      (fun () ->
+        call_each ~seq ~time_ms ~node ~dir ~payload ~pos:0 ~len t.observers)
       t.queued
+  end
   else begin
     t.delivering <- true;
     match
-      call_each ~seq ~time_ms ~node ~dir ~payload t.observers;
+      call_each ~seq ~time_ms ~node ~dir ~payload ~pos ~len t.observers;
       while not (Queue.is_empty t.queued) do
         Queue.pop t.queued ()
       done
@@ -358,7 +364,9 @@ let record_frame t ~node ~dir ~emit v =
     | Jsonl -> invalid_arg "Journal.record_frame: JSONL journal");
     t.seq <- t.seq + 1;
     let time_ms = t.clock () in
-    let w = t.wbody in
+    (* A record written while one is delivered gets a writer of its own:
+       the observers are reading the other one's payload in [wbody]. *)
+    let w = if t.delivering then Wbuf.create 256 else t.wbody in
     Wbuf.clear w;
     let start = frame_open w ~seq:t.seq ~time_ms ~node ~dir in
     let p0 = Wbuf.length w in
@@ -376,7 +384,10 @@ let record_frame t ~node ~dir ~emit v =
     | Some oc -> output oc (Wbuf.unsafe_bytes w) 0 n);
     match t.observers with
     | [] -> ()
-    | _ -> notify t ~time_ms ~node ~dir (Wbuf.sub_string w p0 (p1 - p0))
+    | _ ->
+      notify t ~time_ms ~node ~dir
+        (Bytes.unsafe_to_string (Wbuf.unsafe_bytes w))
+        ~pos:p0 ~len:(p1 - p0)
   end
 
 (* A JSONL line is built in the reused scratch buffer; observers get
@@ -403,7 +414,9 @@ let record t ~node ~dir ~payload =
       (match t.oc with None -> () | Some oc -> Buffer.output_buffer oc buf);
       (match t.observers with
       | [] -> ()
-      | _ -> notify t ~time_ms ~node ~dir payload)
+      | _ ->
+        notify t ~time_ms ~node ~dir payload ~pos:0
+          ~len:(String.length payload))
 
 let length t = t.seq
 let dropped t = t.dropped

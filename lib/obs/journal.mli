@@ -84,23 +84,28 @@ val format : t -> format
 
 (** [add_observer t f] registers a streaming tap: [f] is called once per
     record, after it is journaled, with the envelope fields and the raw
-    payload ({e in the journal's format} — JSON text for a JSONL journal,
-    [Codec_bin] bytes for a binary one).  [Cloudtx_core.Journal_io.attach]
-    registers one such observer, the journal's decoding observer, which
-    feeds the live health monitor ([run --monitor]), the blame collector
-    and the chaos assertions the same records a [watch <file>] replay
-    reads; for the records [Journal_io.record] writes it takes the typed
-    payload handed over through its tap (below) rather than these
-    bytes.  Observers form a list and are invoked in registration order.
-    A record written from inside an observer is delivered once the
-    current record has reached every observer, so each observer sees the
-    records in seq order.  If an observer raises, the exception reaches
-    the writer of the record being delivered, and records still waiting
-    are not delivered.  An empty list costs a single branch per record.
-    No-op on {!noop}. *)
+    payload ({e in the journal's format} — JSON text for a JSONL
+    journal, [Codec_bin] bytes for a binary one) as the [len] bytes of
+    [payload] from [pos].  The span is the journal's own and is valid
+    only during the call: an observer that keeps the bytes copies them.
+    [Cloudtx_core.Journal_io.attach] registers one such observer, the
+    journal's decoding observer, which feeds the live health monitor
+    ([run --monitor]), the blame collector and the chaos assertions the
+    same records a [watch <file>] replay reads; for the records
+    [Journal_io.record] writes it takes the typed payload handed over
+    through its tap (below) rather than these bytes.  Observers form a
+    list and are invoked in registration order.  A record written from
+    inside an observer is framed apart, so the span being delivered
+    stays valid for every observer, and is delivered, from a copy of
+    its bytes, once the current record has reached every observer, so
+    each observer sees the records in seq order.  If an observer raises,
+    the exception reaches the writer of the record being delivered, and
+    records still waiting are not delivered.  An empty list costs a
+    single branch per record.  No-op on {!noop}. *)
 val add_observer :
   t ->
-  (seq:int -> time_ms:float -> node:string -> dir:string -> payload:string -> unit) ->
+  (seq:int -> time_ms:float -> node:string -> dir:string -> payload:string ->
+  pos:int -> len:int -> unit) ->
   unit
 
 (** {1 Per-journal state}
@@ -132,7 +137,8 @@ val dropped : t -> int
     it holds no newline: the buffer finds a line's end by its newline),
     or the raw [Codec_bin] payload bytes for a binary one.  On a binary
     journal a JSON text payload is stored as the frame's raw bytes, as
-    for resilience events.  Observers are handed [payload] itself. *)
+    for resilience events.  A JSONL journal's observers are handed
+    [payload] itself. *)
 val record : t -> node:string -> dir:string -> payload:string -> unit
 
 (** [record_frame t ~node ~dir ~emit v] — allocation-lean append for

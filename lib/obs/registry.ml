@@ -35,24 +35,6 @@ let type_error name cell want =
   invalid_arg
     (Printf.sprintf "Registry: %s is a %s, not a %s" name (kind_name cell) want)
 
-let incr ?(by = 1) t name labels =
-  if t.enabled then
-    match cell t name labels (fun () -> Counter (ref 0)) with
-    | Counter r -> r := !r + by
-    | c -> type_error name c "counter"
-
-let set_gauge t name labels v =
-  if t.enabled then
-    match cell t name labels (fun () -> Gauge { value = 0. }) with
-    | Gauge g -> g.value <- v
-    | c -> type_error name c "gauge"
-
-let observe t name labels v =
-  if t.enabled then
-    match cell t name labels (fun () -> Hist (Sketch.create ())) with
-    | Hist h -> Sketch.observe h v
-    | c -> type_error name c "histogram"
-
 let counter_cell t name labels =
   if not t.enabled then ref 0
   else
@@ -61,6 +43,7 @@ let counter_cell t name labels =
     | c -> type_error name c "counter"
 
 let incr_cell r = r := !r + 1
+let add_cell r n = r := !r + n
 
 let gauge_cell t name labels =
   if not t.enabled then { value = 0. }
@@ -70,6 +53,22 @@ let gauge_cell t name labels =
     | c -> type_error name c "gauge"
 
 let set_cell g v = g.value <- v
+
+let histogram_cell t name labels =
+  if not t.enabled then Sketch.create ()
+  else
+    match cell t name labels (fun () -> Hist (Sketch.create ())) with
+    | Hist h -> h
+    | c -> type_error name c "histogram"
+
+let incr ?(by = 1) t name labels =
+  if t.enabled then add_cell (counter_cell t name labels) by
+
+let set_gauge t name labels v =
+  if t.enabled then set_cell (gauge_cell t name labels) v
+
+let observe t name labels v =
+  if t.enabled then Sketch.observe (histogram_cell t name labels) v
 
 let find t name labels = Hashtbl.find_opt t.cells (name, canonical labels)
 

@@ -31,10 +31,10 @@ val observe : t -> string -> labels -> float -> unit
 
     A write site on a hot path can resolve its series once and then
     write the cell directly; the series and every export are exactly
-    what {!incr} and {!set_gauge} would produce.  Resolving creates the
-    series (at 0), so resolve a cell at its first write, after checking
-    {!enabled}: on a disabled registry the cell is detached and its
-    writes go nowhere. *)
+    what {!incr}, {!set_gauge} and {!observe} would produce.  Resolving
+    creates the series (empty), so resolve a cell at its first write,
+    after checking {!enabled}: on a disabled registry the cell is
+    detached and its writes go nowhere. *)
 
 type counter
 type gauge
@@ -43,11 +43,16 @@ type gauge
 val counter_cell : t -> string -> labels -> counter
 
 val incr_cell : counter -> unit
+val add_cell : counter -> int -> unit
 
 (** @raise Invalid_argument if the series exists with another type. *)
 val gauge_cell : t -> string -> labels -> gauge
 
 val set_cell : gauge -> float -> unit
+
+(** The histogram itself: {!observe} is [Sketch.observe] on it.
+    @raise Invalid_argument if the series exists with another type. *)
+val histogram_cell : t -> string -> labels -> Sketch.t
 
 (** {1 Reads} *)
 

@@ -4,15 +4,17 @@ let lo_exp = -16
 let hi_exp = 47
 let n_octaves = hi_exp - lo_exp + 1
 
+(* An all-float record keeps its fields unboxed, so updating them
+   allocates nothing. *)
+type totals = { mutable sum : float; mutable min : float; mutable max : float }
+
 type t = {
   sub_bits : int;
   sub : int;  (* 2^sub_bits sub-buckets per octave *)
   octaves : int array option array;  (* lazily allocated rows *)
   mutable zero : int;  (* non-positive / NaN observations *)
   mutable count : int;
-  mutable sum : float;
-  mutable min : float;
-  mutable max : float;
+  totals : totals;
 }
 
 let create ?(sub_bits = 5) () =
@@ -24,33 +26,16 @@ let create ?(sub_bits = 5) () =
     octaves = Array.make n_octaves None;
     zero = 0;
     count = 0;
-    sum = 0.;
-    min = Float.infinity;
-    max = Float.neg_infinity;
+    totals = { sum = 0.; min = Float.infinity; max = Float.neg_infinity };
   }
 
 let sub_bits t = t.sub_bits
 let error_bound t = 1. /. float_of_int (2 * t.sub)
 let count t = t.count
-let sum t = t.sum
-let mean t = if t.count = 0 then 0. else t.sum /. float_of_int t.count
-let min t = t.min
-let max t = t.max
-
-(* The octave exponent k with 2^k <= v < 2^(k+1): frexp gives
-   v = m * 2^e, m in [0.5, 1), so k = e - 1 (exact powers of two have
-   m = 0.5 and stay in their own octave's first sub-bucket). *)
-let locate t v =
-  let _, e = Float.frexp v in
-  let k = e - 1 in
-  if k < lo_exp then (0, 0)
-  else if k > hi_exp then (n_octaves - 1, t.sub - 1)
-  else begin
-    let frac = Float.ldexp v (-k) -. 1. in
-    (* frac in [0, 1) *)
-    let s = Stdlib.min (t.sub - 1) (int_of_float (frac *. float_of_int t.sub)) in
-    (k - lo_exp, s)
-  end
+let sum t = t.totals.sum
+let mean t = if t.count = 0 then 0. else t.totals.sum /. float_of_int t.count
+let min t = t.totals.min
+let max t = t.totals.max
 
 let row t o =
   match t.octaves.(o) with
@@ -60,16 +45,28 @@ let row t o =
     t.octaves.(o) <- Some r;
     r
 
+let bump r s = r.(s) <- r.(s) + 1
+
+(* A positive finite v = 1.m * 2^k lies in octave k at sub-bucket
+   floor(0.m * sub): the unbiased exponent and the top [sub_bits]
+   mantissa bits of its IEEE bits, read without boxing a float.
+   Subnormals (and anything below 2^lo_exp) clamp to the lowest bin,
+   +infinity (and anything from 2^(hi_exp + 1)) to the highest. *)
 let observe t v =
   t.count <- t.count + 1;
-  t.sum <- t.sum +. v;
-  if v < t.min then t.min <- v;
-  if v > t.max then t.max <- v;
+  let m = t.totals in
+  m.sum <- m.sum +. v;
+  if v < m.min then m.min <- v;
+  if v > m.max then m.max <- v;
   if v <= 0. || Float.is_nan v then t.zero <- t.zero + 1
   else begin
-    let o, s = locate t v in
-    let r = row t o in
-    r.(s) <- r.(s) + 1
+    let bits = Int64.to_int (Int64.bits_of_float v) in
+    let k = (bits lsr 52) - 1023 in
+    if k < lo_exp then bump (row t 0) 0
+    else if k > hi_exp then bump (row t (n_octaves - 1)) (t.sub - 1)
+    else
+      bump (row t (k - lo_exp))
+        ((bits land 0xF_FFFF_FFFF_FFFF) lsr (52 - t.sub_bits))
   end
 
 (* Midpoint of sub-bucket (o, s): the bucket spans
@@ -101,7 +98,7 @@ let value_at_rank t i =
            done
        done
      with Exit -> ());
-    if Float.is_nan !hit then t.max (* i beyond the bins: clamp *)
+    if Float.is_nan !hit then t.totals.max (* i beyond the bins: clamp *)
     else !hit
   end
 
@@ -123,9 +120,10 @@ let merge_into dst src =
     invalid_arg "Sketch.merge_into: sub_bits differ";
   dst.zero <- dst.zero + src.zero;
   dst.count <- dst.count + src.count;
-  dst.sum <- dst.sum +. src.sum;
-  if src.min < dst.min then dst.min <- src.min;
-  if src.max > dst.max then dst.max <- src.max;
+  let d = dst.totals and s = src.totals in
+  d.sum <- d.sum +. s.sum;
+  if s.min < d.min then d.min <- s.min;
+  if s.max > d.max then d.max <- s.max;
   Array.iteri
     (fun o src_row ->
       match src_row with

@@ -9,9 +9,10 @@
     value inside the sketch's dynamic range
     [[2^lo_exp, 2^(hi_exp + 1))] — with the defaults, sub-microsecond
     through multi-hour latencies in milliseconds at <= 1.6% error.
-    Values outside the range clamp to the extreme bins (the bound does
-    not hold for them); non-positive or NaN values land in a dedicated
-    zero bin reported as [0].
+    Values outside the range (+infinity too) clamp to the extreme bins
+    (the bound does not hold for them); non-positive or NaN values land
+    in a dedicated zero bin reported as [0].  {!observe} allocates
+    nothing once the octave row it lands in exists.
 
     Memory is O(bins): octave rows are allocated lazily on first touch,
     so a sketch holds at most [n_octaves * 2^sub_bits] counters no

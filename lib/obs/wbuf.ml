@@ -116,4 +116,3 @@ let lstr w s =
   end
 
 let contents w = Bytes.sub_string w.bytes 0 w.pos
-let sub_string w pos len = Bytes.sub_string w.bytes pos len

@@ -55,4 +55,3 @@ val str : t -> string -> unit
 val lstr : t -> string -> unit
 
 val contents : t -> string
-val sub_string : t -> int -> int -> string

@@ -377,11 +377,12 @@ let on_prepared t ~txn ~vote =
    wait-die re-checks at promotion time may kill parked waiters, whose
    TMs must be told to abort. *)
 let on_release t ~by (release : Lock_manager.release) =
-  let killed = Hashtbl.create 4 in
+  let seen txn txns = List.exists (String.equal txn) !txns in
+  let killed = ref [] in
   List.iter
     (fun (txn, _key) ->
-      if not (Hashtbl.mem killed txn) then begin
-        Hashtbl.add killed txn ();
+      if not (seen txn killed) then begin
+        killed := txn :: !killed;
         match Hashtbl.find_opt t.txns txn with
         | Some ({ pending = Some p; _ } as st) ->
           st.pending <- None;
@@ -392,11 +393,11 @@ let on_release t ~by (release : Lock_manager.release) =
         | Some { pending = None; _ } | None -> ()
       end)
     release.Lock_manager.killed;
-  let retried = Hashtbl.create 4 in
+  let retried = ref [] in
   List.iter
     (fun (txn, _key, _mode) ->
-      if (not (Hashtbl.mem retried txn)) && not (Hashtbl.mem killed txn) then begin
-        Hashtbl.add retried txn ();
+      if not (seen txn retried || seen txn killed) then begin
+        retried := txn :: !retried;
         match Hashtbl.find_opt t.txns txn with
         | Some ({ pending = Some p; _ } as st) ->
           emit t (Wait_close { txn; outcome = "granted"; killed_by = None });

@@ -193,14 +193,10 @@ let arm_watchdog s =
 
 (* Distinct servers of queries 0..k inclusive, in first-use order. *)
 let servers_upto s k =
-  let seen = Hashtbl.create 8 in
   let out = ref [] in
   for i = 0 to k do
     let server = s.queries.(i).Query.server in
-    if not (Hashtbl.mem seen server) then begin
-      Hashtbl.add seen server ();
-      out := server :: !out
-    end
+    if not (List.exists (String.equal server) !out) then out := server :: !out
   done;
   List.rev !out
 

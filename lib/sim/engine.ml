@@ -3,7 +3,7 @@ type t = {
   mutable now : float;
   mutable seq : int;
   mutable steps : int;
-  mutable observer : (now:float -> pending:int -> unit) option;
+  mutable observer : (pending:int -> unit) option;
 }
 
 let create () =
@@ -32,7 +32,7 @@ let step t =
     t.steps <- t.steps + 1;
     (match t.observer with
     | None -> ()
-    | Some obs -> obs ~now:time ~pending:(Event_heap.size t.heap));
+    | Some obs -> obs ~pending:(Event_heap.size t.heap));
     f ();
     true
   end

@@ -29,11 +29,12 @@ val pending : t -> int
 (** [step t] executes the next event; false when the queue is empty. *)
 val step : t -> bool
 
-(** [set_observer t (Some f)] calls [f ~now ~pending] before each event
-    executes ([pending] excludes the event itself); [None] (the default)
-    disables the hook.  Used by the observability layer to sample queue
-    depth without the engine depending on it. *)
-val set_observer : t -> (now:float -> pending:int -> unit) option -> unit
+(** [set_observer t (Some f)] calls [f ~pending] before each event
+    executes, the clock already at its time ([pending] excludes the
+    event itself); [None] (the default) disables the hook.  Used by the
+    observability layer to sample queue depth without the engine
+    depending on it. *)
+val set_observer : t -> (pending:int -> unit) option -> unit
 
 (** [run ?until ?max_steps t] executes events until quiescence, until the
     clock would pass [until], or until [max_steps] events have run —

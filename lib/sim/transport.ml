@@ -37,7 +37,7 @@ type 'msg t = {
   rng : Splitmix.t;
   mutable tracer : Obs.Tracer.t;
   mutable registry : Obs.Registry.t;
-  sent : (string, Obs.Registry.counter) Hashtbl.t;
+  sent : Obs.Registry.counter Names.t;
       (** [messages_total{type}] cells by label, resolved at first send. *)
   mutable journal : Obs.Journal.t;
   mutable timeseries : Obs.Timeseries.t option;
@@ -67,7 +67,7 @@ let create ?(seed = 42L) ?(latency = Latency.lan) ?(drop = 0.) ~label_of () =
     rng;
     tracer = Obs.Tracer.noop;
     registry = Obs.Registry.noop;
-    sent = Hashtbl.create 16;
+    sent = Names.create 16;
     journal = Obs.Journal.noop;
     timeseries = None;
   }
@@ -94,7 +94,7 @@ let enable_metrics t =
     in
     Engine.set_observer t.engine
       (Some
-         (fun ~now:_ ~pending ->
+         (fun ~pending ->
            Obs.Registry.set_cell (Lazy.force gauge) (float_of_int pending)))
   end;
   t.registry
@@ -118,11 +118,14 @@ let enable_journal ?format ?max_buffer_bytes ?path t =
         ~clock:(fun () -> Engine.now t.engine)
         ?format ?max_buffer_bytes ?path ()
     in
-    (* The registry may be enabled after the journal: look it up at drop
-       time, not at wiring time. *)
+    (* The registry may be enabled after the journal: resolve the cell
+       at the first drop it is on for, not at wiring time. *)
+    let dropped =
+      lazy (Obs.Registry.counter_cell t.registry "journal.dropped" [])
+    in
     Obs.Journal.set_on_drop journal (fun n ->
         if Obs.Registry.enabled t.registry then
-          Obs.Registry.incr t.registry ~by:n "journal.dropped" []);
+          Obs.Registry.add_cell (Lazy.force dropped) n);
     t.journal <- journal
   end;
   t.journal
@@ -171,13 +174,13 @@ let crashed t name = Names.mem t.crashed name
 let traced t = Obs.Tracer.enabled t.tracer
 
 let sent_cell t label =
-  match Hashtbl.find_opt t.sent label with
-  | Some c -> c
-  | None ->
+  match Names.find t.sent label with
+  | c -> c
+  | exception Not_found ->
     let c =
       Obs.Registry.counter_cell t.registry "messages_total" [ ("type", label) ]
     in
-    Hashtbl.add t.sent label c;
+    Names.add t.sent label c;
     c
 
 let mark t ~node label =

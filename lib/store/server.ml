@@ -200,15 +200,12 @@ let resolved_writes t ~txn =
   match Hashtbl.find_opt t.workspaces txn with
   | None -> []
   | Some w ->
-    let seen = Hashtbl.create 8 in
-    List.filter_map
-      (fun (k, _) ->
-        if Hashtbl.mem seen k then None
-        else begin
-          Hashtbl.add seen k ();
-          Some (k, overlay t ~txn k)
-        end)
-      w.writes
+    List.fold_left
+      (fun acc (k, _) ->
+        if List.exists (fun (k', _) -> String.equal k k') acc then acc
+        else (k, overlay t ~txn k) :: acc)
+      [] w.writes
+    |> List.rev
 
 let prepare t ~txn ~time ~proof_truth ~policy_versions =
   ignore (workspace t txn);

@@ -399,7 +399,8 @@ let test_observer_fan_out () =
   let cluster = scenario.Scenario.cluster in
   let journal = Transport.enable_journal (Cluster.transport cluster) in
   let seen = ref 0 in
-  Journal.add_observer journal (fun ~seq:_ ~time_ms:_ ~node:_ ~dir:_ ~payload:_ ->
+  Journal.add_observer journal (fun ~seq:_ ~time_ms:_ ~node:_ ~dir:_ ~payload:_
+        ~pos:_ ~len:_ ->
       incr seen);
   let a = Blame.attach journal in
   let b = Blame.attach journal in
@@ -426,7 +427,8 @@ let test_shared_decode format () =
   let journal = Transport.enable_journal ~format (Cluster.transport cluster) in
   let first = ref [] and raw = ref [] and second = ref [] in
   Journal_io.attach journal (fun r -> first := r :: !first);
-  Journal.add_observer journal (fun ~seq ~time_ms:_ ~node:_ ~dir:_ ~payload:_ ->
+  Journal.add_observer journal (fun ~seq ~time_ms:_ ~node:_ ~dir:_ ~payload:_
+        ~pos:_ ~len:_ ->
       raw := seq :: !raw);
   Journal_io.attach journal (fun r -> second := r :: !second);
   let txn =

@@ -162,6 +162,11 @@ let test_registry_resolved_cells () =
   Registry.incr_cell sent;
   Registry.incr by_cell "messages_total" labels;
   Registry.set_cell (Registry.gauge_cell by_cell "sim.pending_events" []) 3.;
+  Registry.incr by_name ~by:5 "journal.dropped" [];
+  Registry.add_cell (Registry.counter_cell by_cell "journal.dropped" []) 5;
+  let server = [ ("server", "s1") ] in
+  Registry.observe by_name "lock_wait_ms" server 2.5;
+  Sketch.observe (Registry.histogram_cell by_cell "lock_wait_ms" server) 2.5;
   Alcotest.(check string) "same Prometheus exposition"
     (Registry.to_prometheus by_name) (Registry.to_prometheus by_cell);
   Alcotest.(check string) "same JSON snapshot" (Registry.to_json by_name)
@@ -170,7 +175,12 @@ let test_registry_resolved_cells () =
     (Invalid_argument
        "Registry: sim.pending_events is a gauge, not a counter") (fun () ->
       ignore (Registry.counter_cell by_cell "sim.pending_events" []));
+  Alcotest.check_raises "a counter is not a histogram"
+    (Invalid_argument
+       "Registry: journal.dropped is a counter, not a histogram") (fun () ->
+      ignore (Registry.histogram_cell by_cell "journal.dropped" []));
   Registry.incr_cell (Registry.counter_cell Registry.noop "c" []);
+  Sketch.observe (Registry.histogram_cell Registry.noop "h" []) 1.;
   Alcotest.(check int) "noop keeps no series" 0
     (List.length (Registry.series Registry.noop))
 
@@ -538,7 +548,8 @@ module Journal = Cloudtx_obs.Journal
 let test_journal_buffer_cap () =
   let journal = Journal.create ~clock:(fun () -> 0.) ~max_buffer_bytes:512 () in
   let observed = ref 0 and last_seq = ref 0 and drop_calls = ref 0 in
-  Journal.add_observer journal (fun ~seq ~time_ms:_ ~node:_ ~dir:_ ~payload:_ ->
+  Journal.add_observer journal (fun ~seq ~time_ms:_ ~node:_ ~dir:_ ~payload:_
+        ~pos:_ ~len:_ ->
       incr observed;
       last_seq := seq);
   Journal.set_on_drop journal (fun n -> drop_calls := !drop_calls + n);
@@ -653,35 +664,109 @@ let test_record_frame_needs_binary () =
     ~emit:(fun _ () -> Alcotest.fail "emit ran on a disabled journal")
     ()
 
+(* A one-server cluster and a transaction that writes its one key. *)
+let one_server_cluster () =
+  Cluster.create
+    ~servers:[ Cluster.server_spec ~name:"s1" ~items:[ ("k", Value.Int 0) ] () ]
+    ~domains:[ ("d", []) ] ()
+
+let one_write_txn id =
+  Transaction.make ~id ~subject:"s"
+    [
+      Query.make ~id:"q1" ~server:"s1"
+        ~writes:[ ("k", Value.Set (Value.Int 1)) ]
+        ();
+    ]
+
+let deferred_view =
+  Manager.config Cloudtx_protocol.Scheme.Deferred
+    Cloudtx_protocol.Consistency.View
+
+(* Through the transport: evictions land on the registry's
+   journal.dropped counter, whichever of the two is enabled first. *)
 let test_journal_dropped_counter_wired () =
-  (* Through the transport: evictions land on the registry's
-     journal.dropped counter. *)
-  let cluster =
-    Cluster.create
-      ~servers:[ Cluster.server_spec ~name:"s1" ~items:[ ("k", Value.Int 0) ] () ]
-      ~domains:[ ("d", []) ] ()
+  List.iter
+    (fun metrics_first ->
+      let cluster = one_server_cluster () in
+      let transport = Cluster.transport cluster in
+      let enable_metrics () = Transport.enable_metrics transport in
+      let reg = if metrics_first then enable_metrics () else Registry.noop in
+      let journal = Transport.enable_journal ~max_buffer_bytes:512 transport in
+      let reg = if metrics_first then reg else enable_metrics () in
+      ignore (Manager.run_one cluster deferred_view (one_write_txn "t1"));
+      let what = if metrics_first then "metrics first" else "journal first" in
+      Alcotest.(check bool) (what ^ ": the run overflowed the cap") true
+        (Journal.dropped journal > 0);
+      Alcotest.(check int)
+        (what ^ ": journal.dropped counter tracks evictions")
+        (Journal.dropped journal)
+        (Registry.counter_total reg "journal.dropped"))
+    [ true; false ]
+
+(* Once its cell is resolved, counting an eviction allocates nothing:
+   recording into a full capped journal costs the same words with the
+   registry on as with it off. *)
+let test_capped_recording_words () =
+  let words ~metrics =
+    let transport = Cluster.transport (one_server_cluster ()) in
+    if metrics then ignore (Transport.enable_metrics transport);
+    let journal =
+      Transport.enable_journal ~format:Journal.Binary ~max_buffer_bytes:256
+        transport
+    in
+    let record () =
+      Journal.record journal ~node:"server-1" ~dir:"input" ~payload:"payload"
+    in
+    for _ = 1 to 50 do
+      record ()
+    done;
+    let before = Gc.minor_words () in
+    for _ = 1 to 1_000 do
+      record ()
+    done;
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check bool) "the measured records evicted" true
+      (Journal.dropped journal > 1_000);
+    words
   in
-  let transport = Cluster.transport cluster in
-  let reg = Transport.enable_metrics transport in
-  let journal = Transport.enable_journal ~max_buffer_bytes:512 transport in
-  let config =
-    Manager.config Cloudtx_protocol.Scheme.Deferred
-      Cloudtx_protocol.Consistency.View
+  Alcotest.(check (float 0.)) "same words with metrics on as off"
+    (words ~metrics:false) (words ~metrics:true)
+
+(* Cells are resolved at their first write: a run lists the series it
+   wrote and no other, so no counter or histogram reads zero, and a run
+   in which no lock dies has no die series. *)
+let test_no_unwritten_series () =
+  let cluster = one_server_cluster () in
+  let reg = Transport.enable_metrics (Cluster.transport cluster) in
+  ignore (Manager.run_one cluster deferred_view (one_write_txn "t1"));
+  ignore (Manager.run_one cluster deferred_view (one_write_txn "t2"));
+  let series = Registry.series reg in
+  let named name =
+    List.filter (fun (n, _, _) -> String.equal n name) series
   in
-  let txn =
-    Transaction.make ~id:"t1" ~subject:"s"
-      [
-        Query.make ~id:"q1" ~server:"s1"
-          ~writes:[ ("k", Value.Set (Value.Int 1)) ]
-          ();
-      ]
-  in
-  ignore (Manager.run_one cluster config txn);
-  Alcotest.(check bool) "the run overflowed the cap" true
-    (Journal.dropped journal > 0);
-  Alcotest.(check int) "journal.dropped counter tracks evictions"
-    (Journal.dropped journal)
-    (Registry.counter_total reg "journal.dropped")
+  Alcotest.(check int) "locks were granted" 1
+    (List.length (named "lock_acquire_total"));
+  (* Both transactions end the same way: one outcome's series only. *)
+  Alcotest.(check int) "one txn_total series" 1
+    (List.length (named "txn_total"));
+  Alcotest.(check int) "both transactions counted" 2
+    (Registry.counter_total reg "txn_total");
+  Alcotest.(check (list string)) "no die or kill series" []
+    (List.filter_map
+       (fun (name, labels, _) ->
+         if List.mem ("outcome", "die") labels
+            || String.equal name "lock_killed_total"
+         then Some name
+         else None)
+       series);
+  List.iter
+    (fun (name, _, v) ->
+      match v with
+      | `Counter 0 -> Alcotest.failf "counter %s reads 0" name
+      | `Histogram h when Sketch.count h = 0 ->
+        Alcotest.failf "histogram %s is empty" name
+      | `Counter _ | `Gauge _ | `Histogram _ -> ())
+    series
 
 (* ------------------------------------------------------------------ *)
 (* Chunked buffer = the string-queue buffer it replaced                *)
@@ -906,6 +991,10 @@ let () =
             test_record_frame_needs_binary;
           Alcotest.test_case "dropped counter wired" `Quick
             test_journal_dropped_counter_wired;
+          Alcotest.test_case "capped recording words, metrics on = off" `Quick
+            test_capped_recording_words;
+          Alcotest.test_case "no series a run did not write" `Quick
+            test_no_unwritten_series;
           QCheck_alcotest.to_alcotest test_chunked_buffer_matches_queue;
         ] );
     ]

@@ -113,6 +113,85 @@ let test_sketch_zero_and_memory () =
   Alcotest.(check int) "memory flat over same range" before
     (Sketch.memory_words bounded)
 
+(* The bin a sketch (32 sub-buckets by default, [sub_bits] of them as a
+   power of two) put a positive value in when it located it through
+   frexp: octave k = e - 1 for v = m * 2^e, sub-bucket
+   floor((v / 2^k - 1) * sub), clamped to octaves -16..47 — reported as
+   the bin's upper edge, as [Sketch.bins] reports it. *)
+let frexp_edge ~sub_bits v =
+  let sub = 1 lsl sub_bits in
+  let _, e = Float.frexp v in
+  let k = e - 1 in
+  let o, s =
+    if k < -16 then (0, 0)
+    else if k > 47 then (63, sub - 1)
+    else
+      let frac = Float.ldexp v (-k) -. 1. in
+      (k + 16, min (sub - 1) (int_of_float (frac *. float_of_int sub)))
+  in
+  Float.ldexp (1. +. (float_of_int (s + 1) /. float_of_int sub)) (o - 16)
+
+let gen_positive =
+  let open QCheck.Gen in
+  let scaled lo hi =
+    map2 (fun f e -> Float.ldexp (1. +. f) e) (float_bound_exclusive 1.)
+      (int_range lo hi)
+  in
+  frequency
+    [
+      (2, map (fun e -> Float.ldexp 1. e) (int_range (-1074) 1023));
+      (* subnormals: a zero exponent and any non-zero mantissa *)
+      ( 2,
+        map
+          (fun m -> Int64.float_of_bits (Int64.of_int m))
+          (int_range 1 ((1 lsl 52) - 1)) );
+      (2, scaled 48 1023);
+      (2, scaled (-1022) (-17));
+      (3, scaled (-16) 47);
+      (* any positive finite double *)
+      ( 2,
+        map
+          (fun (e, m) ->
+            Int64.(float_of_bits (logor (shift_left (of_int e) 52) (of_int m))))
+          (pair (int_range 0 2046) (int_range 0 ((1 lsl 52) - 1))) );
+      (1, float_range 1e-3 1e6);
+    ]
+
+let test_sketch_bins_match_frexp =
+  QCheck.Test.make ~count:2000 ~name:"sketch bins = the frexp formula's"
+    QCheck.(
+      pair
+        (make ~print:(Printf.sprintf "%h") gen_positive)
+        (make ~print:string_of_int Gen.(int_range 0 12)))
+    (fun (v, sub_bits) ->
+      let s = Sketch.create ~sub_bits () in
+      Sketch.observe s v;
+      Sketch.bins s = [ (frexp_edge ~sub_bits v, 1) ])
+
+let test_sketch_infinity_top_bin () =
+  let s = Sketch.create () in
+  Sketch.observe s Float.infinity;
+  Sketch.observe s 1e300;
+  Alcotest.(check (list (pair (float 0.) int)))
+    "+infinity and 1e300 share the top bin, below 2^48"
+    [ (Float.ldexp 1. 48, 2) ]
+    (Sketch.bins s);
+  Alcotest.(check (float 0.)) "max is exact" Float.infinity (Sketch.max s)
+
+let test_sketch_observe_allocates_nothing () =
+  let s = Sketch.create () in
+  let values = [ 1e-9; 0.37; 1.; 5.5; 1e3; 2e9; 1e30; -1.; Float.nan ] in
+  let observe = Sketch.observe s in
+  (* The first pass allocates the rows these values land in. *)
+  List.iter observe values;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    List.iter observe values
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 0. then
+    Alcotest.failf "90 000 observations allocated %.0f minor words" words
+
 (* ------------------------------------------------------------------ *)
 (* Window semantics                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -394,6 +473,11 @@ let () =
             test_sketch_merge_sub_bits_mismatch;
           Alcotest.test_case "zero bin and bounded memory" `Quick
             test_sketch_zero_and_memory;
+          QCheck_alcotest.to_alcotest test_sketch_bins_match_frexp;
+          Alcotest.test_case "+infinity in the top bin" `Quick
+            test_sketch_infinity_top_bin;
+          Alcotest.test_case "observe allocates nothing" `Quick
+            test_sketch_observe_allocates_nothing;
         ] );
       ( "windows",
         [
