@@ -6,7 +6,9 @@ module Cp = Cloudtx_obs.Critical_path
 (* A server-side interval carved out of the enclosing TM round-trip gap:
    a wait-die park ([lock.wait]) or a proof evaluation ([proof.eval]).
    [i_end] is NaN until the closing record arrives; [i_used] stops an
-   interval from being attributed to two gaps. *)
+   interval from being attributed to two gaps.  A close reaches only the
+   newest interval its server opened for the transaction: an older one
+   still open was superseded and stays open. *)
 type interval = {
   i_server : string;
   i_start : float;
@@ -36,10 +38,14 @@ type t = {
   keep : bool;
   node_txns : (string, string) Hashtbl.t;  (** TM node → transaction. *)
   txns : (string, txn_state) Hashtbl.t;
-  waits : (string, interval list ref) Hashtbl.t;  (** txn → closed+open. *)
+  mutable found : bool;
+      (** [found_node]'s state is [found_st]: the last TM record's, kept
+          for the run of records from one node until [node_txns] or
+          [txns] changes. *)
+  mutable found_node : string;
+  mutable found_st : txn_state option;
+  waits : (string, interval list ref) Hashtbl.t;  (** txn → newest first. *)
   evals : (string, interval list ref) Hashtbl.t;
-  open_waits : (string, interval) Hashtbl.t;  (** server^NUL^txn. *)
-  open_evals : (string, interval) Hashtbl.t;
   store : (string, Cp.timeline) Hashtbl.t;  (** When [keep]. *)
   mutable order : string list;  (** Finish order, reversed ([keep]). *)
   mutable violations : Cp.timeline list;  (** Coverage failures. *)
@@ -53,10 +59,11 @@ let create ?(keep_timelines = false) ?top_k () =
     keep = keep_timelines;
     node_txns = Hashtbl.create 16;
     txns = Hashtbl.create 16;
+    found = false;
+    found_node = "";
+    found_st = None;
     waits = Hashtbl.create 16;
     evals = Hashtbl.create 16;
-    open_waits = Hashtbl.create 16;
-    open_evals = Hashtbl.create 16;
     store = Hashtbl.create 16;
     order = [];
     violations = [];
@@ -81,41 +88,33 @@ let slowest t =
 (* Server-side interval tracking                                       *)
 (* ------------------------------------------------------------------ *)
 
-let interval_key ~server ~txn = server ^ "\x00" ^ txn
-
-let open_interval intervals opens ~server ~txn ~time_ms ~detail =
+let open_interval intervals ~server ~txn ~time_ms ~detail =
   let iv =
     { i_server = server; i_start = time_ms; i_end = Float.nan;
       i_detail = detail; i_used = false }
   in
-  Hashtbl.replace opens (interval_key ~server ~txn) iv;
-  (match Hashtbl.find_opt intervals txn with
-  | Some l -> l := iv :: !l
-  | None -> Hashtbl.replace intervals txn (ref [ iv ]))
+  match Hashtbl.find intervals txn with
+  | l -> l := iv :: !l
+  | exception Not_found -> Hashtbl.add intervals txn (ref [ iv ])
 
-let close_interval opens ~server ~txn ~time_ms ~detail =
-  let key = interval_key ~server ~txn in
-  match Hashtbl.find_opt opens key with
-  | None -> ()
-  | Some iv ->
-    Hashtbl.remove opens key;
-    iv.i_end <- time_ms;
-    if detail <> "" then iv.i_detail <- detail
+let rec newest_at server = function
+  | [] -> None
+  | iv :: rest ->
+    if String.equal iv.i_server server then Some iv else newest_at server rest
+
+let close_interval intervals ~server ~txn ~time_ms ~detail =
+  match Hashtbl.find intervals txn with
+  | exception Not_found -> ()
+  | l -> (
+    match newest_at server !l with
+    | Some iv when Float.is_nan iv.i_end ->
+      iv.i_end <- time_ms;
+      if detail <> "" then iv.i_detail <- detail
+    | Some _ | None -> ())
 
 let drop_txn_intervals t txn =
-  let drop intervals opens =
-    match Hashtbl.find_opt intervals txn with
-    | None -> ()
-    | Some l ->
-      List.iter
-        (fun iv ->
-          if Float.is_nan iv.i_end then
-            Hashtbl.remove opens (interval_key ~server:iv.i_server ~txn))
-        !l;
-      Hashtbl.remove intervals txn
-  in
-  drop t.waits t.open_waits;
-  drop t.evals t.open_evals
+  Hashtbl.remove t.waits txn;
+  Hashtbl.remove t.evals txn
 
 (* Closed, unused intervals for [txn] at [server] clipped to the gap,
    sorted by start and de-overlapped; consumed intervals are marked
@@ -139,115 +138,59 @@ let take_carves intervals ~txn ~server ~g0 ~g1 kind =
     |> List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b)
 
 (* ------------------------------------------------------------------ *)
-(* Gap classification (the causal-edge matching rules of DESIGN §9)    *)
+(* Gap segments                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* What the record closing a TM-node gap blames it on.  [carve] names
-   the peer server whose lock-wait / proof-eval intervals are carved
-   out of the gap. *)
-type classification = {
-  c_kind : Cp.kind;
-  c_peer : string;
-  c_detail : string;
-  c_carve : string option;
-}
-
-let plain kind = { c_kind = kind; c_peer = ""; c_detail = ""; c_carve = None }
-
-(* [None] marks a transparent record — one that must not close the gap
-   (an [Rtt_sample] is journaled at the same instant as the delivery it
-   measures; letting it close the gap would steal the delivery's
-   attribution). *)
-let classify_tm_input st = function
-  | Tm.Rtt_sample _ -> None
-  | Tm.Watchdog_fired _ -> Some (plain Cp.Timeout_stall)
-  | Tm.Retry_fired ->
-    (* Blame the silence on the participants still owing a decision ack. *)
-    Some
-      {
-        c_kind = Cp.Retry_stall;
-        c_peer = String.concat "," (List.sort compare st.t_pending_decision);
-        c_detail = "";
-        c_carve = None;
-      }
-  | Tm.Deliver { src; msg } -> (
-    match msg with
-    | Message.Master_version_reply _ ->
-      Some
-        { c_kind = Cp.Policy_fetch; c_peer = src; c_detail = ""; c_carve = None }
-    | Message.Execute_reply { query_id; _ } ->
-      Some
-        { c_kind = Cp.Exec; c_peer = src; c_detail = query_id; c_carve = Some src }
-    | Message.Validate_reply { round; _ } ->
-      Some
-        {
-          c_kind = Cp.Validate_round;
-          c_peer = src;
-          c_detail = "round " ^ string_of_int round;
-          c_carve = Some src;
-        }
-    | Message.Commit_reply { round; _ } ->
-      Some
-        {
-          c_kind = Cp.Vote_round;
-          c_peer = src;
-          c_detail = "round " ^ string_of_int round;
-          c_carve = Some src;
-        }
-    | Message.Decision_ack _ ->
-      st.t_pending_decision <-
-        List.filter (fun p -> not (String.equal p src)) st.t_pending_decision;
-      Some { c_kind = Cp.Decide; c_peer = src; c_detail = ""; c_carve = None }
-    | Message.Inquiry _ ->
-      Some
-        { c_kind = Cp.Inquiry_stall; c_peer = src; c_detail = ""; c_carve = None }
-    | _ -> Some (plain Cp.Other))
+let push_segment st ~seq ~peer kind detail s0 s1 =
+  if s1 > s0 then
+    st.t_segments <-
+      { Cp.kind; peer; detail; phase = st.t_phase; start_ms = s0; end_ms = s1; seq }
+      :: st.t_segments
 
 (* Close the wall-clock gap [st.t_last, time_ms] on the TM's node as one
-   classified segment, with the peer server's lock-wait and proof-eval
-   intervals carved out (tiling preserved: carves and remainders
-   partition the gap). *)
-let emit_gap t st ~seq ~time_ms cls =
+   segment of [kind], blamed on [peer].  With [carve], the peer server's
+   proof-eval intervals (and, for a query round-trip, its lock-wait
+   intervals) are carved out of it, tiling preserved: carves and
+   remainders partition the gap. *)
+let emit_gap t st ~seq ~time_ms ~peer ~detail ~carve kind =
   let g0 = st.t_last and g1 = time_ms in
-  let push kind peer detail s0 s1 =
-    if s1 > s0 then
-      st.t_segments <-
-        {
-          Cp.kind;
-          peer;
-          detail;
-          phase = st.t_phase;
-          start_ms = s0;
-          end_ms = s1;
-          seq;
-        }
-        :: st.t_segments
-  in
   let carves =
-    match cls.c_carve with
-    | None -> []
-    | Some server ->
+    if not carve then []
+    else
       let waits =
-        if cls.c_kind = Cp.Exec then
-          take_carves t.waits ~txn:st.t_txn ~server ~g0 ~g1 Cp.Lock_wait
+        if kind = Cp.Exec then
+          take_carves t.waits ~txn:st.t_txn ~server:peer ~g0 ~g1 Cp.Lock_wait
         else []
       in
-      let evals = take_carves t.evals ~txn:st.t_txn ~server ~g0 ~g1 Cp.Proof_eval in
+      let evals =
+        take_carves t.evals ~txn:st.t_txn ~server:peer ~g0 ~g1 Cp.Proof_eval
+      in
       List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) (waits @ evals)
   in
   let cursor =
-    List.fold_left
-      (fun cursor (c0, c1, kind, detail) ->
-        let c0 = Float.max c0 cursor and c1 = Float.min c1 g1 in
-        if c1 > c0 then begin
-          push cls.c_kind cls.c_peer cls.c_detail cursor c0;
-          push kind cls.c_peer detail c0 c1;
-          c1
-        end
-        else cursor)
-      g0 carves
+    match carves with
+    | [] -> g0
+    | _ ->
+      List.fold_left
+        (fun cursor (c0, c1, carved, carved_detail) ->
+          let c0 = Float.max c0 cursor and c1 = Float.min c1 g1 in
+          if c1 > c0 then begin
+            push_segment st ~seq ~peer kind detail cursor c0;
+            push_segment st ~seq ~peer carved carved_detail c0 c1;
+            c1
+          end
+          else cursor)
+        g0 carves
   in
-  push cls.c_kind cls.c_peer cls.c_detail cursor g1
+  push_segment st ~seq ~peer kind detail cursor g1
+
+(* The record at [time_ms] ends the gap: blame it as [emit_gap] does. *)
+let close_gap t st ~seq ~time_ms ~peer ~detail ~carve kind =
+  if time_ms > st.t_last then emit_gap t st ~seq ~time_ms ~peer ~detail ~carve kind;
+  st.t_last <- time_ms
+
+let close_plain t st ~seq ~time_ms kind =
+  close_gap t st ~seq ~time_ms ~peer:"" ~detail:"" ~carve:false kind
 
 (* ------------------------------------------------------------------ *)
 (* Record handlers                                                     *)
@@ -258,8 +201,7 @@ let on_tm_create t ~seq ~time_ms ~node ~txn ~scheme ~level ~submitted_at =
   | Some st ->
     (* Coordinator restart (chaos): the silence since the last record is
        a recovery gap; the timeline keeps its original origin. *)
-    if time_ms > st.t_last then emit_gap t st ~seq ~time_ms (plain Cp.Recovery);
-    st.t_last <- time_ms;
+    close_plain t st ~seq ~time_ms Cp.Recovery;
     st.t_scheme <- scheme;
     st.t_level <- level
   | None ->
@@ -292,7 +234,8 @@ let on_tm_create t ~seq ~time_ms ~node ~txn ~scheme ~level ~submitted_at =
             seq;
           };
         ];
-    Hashtbl.replace t.txns txn st
+    Hashtbl.replace t.txns txn st;
+    t.found <- false
 
 let finish_txn t st ~time_ms ~committed ~reason =
   let tl =
@@ -309,6 +252,7 @@ let finish_txn t st ~time_ms ~committed ~reason =
     }
   in
   Hashtbl.remove t.txns st.t_txn;
+  t.found <- false;
   drop_txn_intervals t st.t_txn;
   t.finished <- t.finished + 1;
   Cp.agg_observe t.agg tl;
@@ -337,34 +281,69 @@ let on_tm_action t st ~time_ms = function
     finish_txn t st ~time_ms ~committed ~reason:(Outcome.reason_name reason)
   | _ -> ()
 
-(* A TM input closes the gap on its node ([None]: a transparent record
-   that leaves it open); an action closes it as [Other]. *)
-let on_tm_input t ~seq ~time_ms st input =
-  match classify_tm_input st input with
-  | None -> ()
-  | Some cls ->
-    if time_ms > st.t_last then emit_gap t st ~seq ~time_ms cls;
-    st.t_last <- time_ms
+(* A TM input closes the gap on its node, blamed on what it delivers (the
+   causal-edge matching rules of DESIGN §9); an action closes it as
+   [Other].  An [Rtt_sample] is transparent: it is journaled at the same
+   instant as the delivery it measures, and closing the gap would steal
+   the delivery's attribution. *)
+let on_tm_input t ~seq ~time_ms st = function
+  | Tm.Rtt_sample _ -> ()
+  | Tm.Watchdog_fired _ -> close_plain t st ~seq ~time_ms Cp.Timeout_stall
+  | Tm.Retry_fired ->
+    (* Blame the silence on the participants still owing a decision ack. *)
+    close_gap t st ~seq ~time_ms
+      ~peer:(String.concat "," (List.sort compare st.t_pending_decision))
+      ~detail:"" ~carve:false Cp.Retry_stall
+  | Tm.Deliver { src = peer; msg } -> (
+    match msg with
+    | Message.Master_version_reply _ ->
+      close_gap t st ~seq ~time_ms ~peer ~detail:"" ~carve:false Cp.Policy_fetch
+    | Message.Execute_reply { query_id; _ } ->
+      close_gap t st ~seq ~time_ms ~peer ~detail:query_id ~carve:true Cp.Exec
+    | Message.Validate_reply { round; _ } ->
+      close_gap t st ~seq ~time_ms ~peer
+        ~detail:("round " ^ string_of_int round)
+        ~carve:true Cp.Validate_round
+    | Message.Commit_reply { round; _ } ->
+      close_gap t st ~seq ~time_ms ~peer
+        ~detail:("round " ^ string_of_int round)
+        ~carve:true Cp.Vote_round
+    | Message.Decision_ack _ ->
+      st.t_pending_decision <-
+        List.filter (fun p -> not (String.equal p peer)) st.t_pending_decision;
+      close_gap t st ~seq ~time_ms ~peer ~detail:"" ~carve:false Cp.Decide
+    | Message.Inquiry _ ->
+      close_gap t st ~seq ~time_ms ~peer ~detail:"" ~carve:false Cp.Inquiry_stall
+    | _ -> close_plain t st ~seq ~time_ms Cp.Other)
 
 let on_ps_action t ~time_ms ~node = function
   | Ps.Wait_open { txn; query_id } ->
-    open_interval t.waits t.open_waits ~server:node ~txn ~time_ms
+    open_interval t.waits ~server:node ~txn ~time_ms
       ~detail:query_id
   | Ps.Wait_close { txn; outcome; _ } ->
-    close_interval t.open_waits ~server:node ~txn ~time_ms ~detail:outcome
+    close_interval t.waits ~server:node ~txn ~time_ms ~detail:outcome
   | Ps.Eval { txn; _ } ->
-    open_interval t.evals t.open_evals ~server:node ~txn ~time_ms ~detail:""
+    open_interval t.evals ~server:node ~txn ~time_ms ~detail:""
   | _ -> ()
 
 let on_ps_input t ~time_ms ~node = function
   | Ps.Evaluated { txn; _ } ->
-    close_interval t.open_evals ~server:node ~txn ~time_ms ~detail:""
+    close_interval t.evals ~server:node ~txn ~time_ms ~detail:""
   | _ -> ()
 
-(* The transaction state of TM [node]; [Not_found] for a TM whose create
-   this stream never saw (evicted from a capped buffer), or whose
-   transaction already finished, which is skipped. *)
-let tm_state t node = Hashtbl.find t.txns (Hashtbl.find t.node_txns node)
+(* The transaction state of TM [node]; [None] for a TM whose create this
+   stream never saw (evicted from a capped buffer), or whose transaction
+   already finished, which is skipped. *)
+let tm_state t node =
+  if not (t.found && String.equal node t.found_node) then begin
+    t.found <- true;
+    t.found_node <- node;
+    t.found_st <-
+      (match Hashtbl.find t.node_txns node with
+      | txn -> Hashtbl.find_opt t.txns txn
+      | exception Not_found -> None)
+  end;
+  t.found_st
 
 let step t (r : Journal_io.record) =
   let { Journal_io.seq; time_ms; node; body } = r in
@@ -375,6 +354,7 @@ let step t (r : Journal_io.record) =
   | Journal_io.Payload (Codec_bin.Create_tm { config; txn; submitted_at }) ->
     let txn = txn.Cloudtx_txn.Transaction.id in
     Hashtbl.replace t.node_txns node txn;
+    t.found <- false;
     on_tm_create t ~seq ~time_ms ~node ~txn
       ~scheme:(Scheme.name config.Tm.scheme)
       ~level:(Consistency.name config.Tm.level)
@@ -382,15 +362,14 @@ let step t (r : Journal_io.record) =
   | Journal_io.Payload (Codec_bin.Create_ps _) -> ()
   | Journal_io.Payload (Codec_bin.Tm_input input) -> (
     match tm_state t node with
-    | st -> on_tm_input t ~seq ~time_ms st input
-    | exception Not_found -> ())
+    | Some st -> on_tm_input t ~seq ~time_ms st input
+    | None -> ())
   | Journal_io.Payload (Codec_bin.Tm_action action) -> (
     match tm_state t node with
-    | st ->
-      if time_ms > st.t_last then emit_gap t st ~seq ~time_ms (plain Cp.Other);
-      st.t_last <- time_ms;
+    | Some st ->
+      close_plain t st ~seq ~time_ms Cp.Other;
       on_tm_action t st ~time_ms action
-    | exception Not_found -> ())
+    | None -> ())
   | Journal_io.Payload (Codec_bin.Ps_input input) ->
     on_ps_input t ~time_ms ~node input
   | Journal_io.Payload (Codec_bin.Ps_action action) ->

@@ -35,12 +35,23 @@ let all_kinds =
     Other;
   ]
 
-let kind_index k =
-  let rec go i = function
-    | [] -> i
-    | k' :: rest -> if k' = k then i else go (i + 1) rest
-  in
-  go 0 all_kinds
+(* A kind's position in [all_kinds]. *)
+let kind_index = function
+  | Queueing -> 0
+  | Policy_fetch -> 1
+  | Exec -> 2
+  | Lock_wait -> 3
+  | Proof_eval -> 4
+  | Validate_round -> 5
+  | Vote_round -> 6
+  | Decide -> 7
+  | Retry_stall -> 8
+  | Timeout_stall -> 9
+  | Inquiry_stall -> 10
+  | Recovery -> 11
+  | Other -> 12
+
+let n_kinds = List.length all_kinds
 
 type segment = {
   kind : kind;
@@ -198,7 +209,7 @@ type cell_stats = {
   mutable cs_txns : int;
   mutable cs_committed : int;
   mutable cs_total : float;
-  cs_kinds : (kind, kind_stats) Hashtbl.t;
+  cs_kinds : kind_stats option array;  (** By [kind_index]. *)
 }
 
 type agg = {
@@ -206,23 +217,37 @@ type agg = {
   cells : (string * string, cell_stats) Hashtbl.t;
   mutable slowest : timeline list;  (** Slowest first, at most [top_k]. *)
   mutable txns : int;
+  spans : int array;  (** One timeline's segments per kind... *)
+  sums : float array;  (** ...and their time, summed in segment order. *)
 }
 
 let agg_create ?(top_k = 5) () =
-  { top_k = max 0 top_k; cells = Hashtbl.create 8; slowest = []; txns = 0 }
+  {
+    top_k = max 0 top_k;
+    cells = Hashtbl.create 8;
+    slowest = [];
+    txns = 0;
+    spans = Array.make n_kinds 0;
+    sums = Array.make n_kinds 0.;
+  }
 
 let cell_stats agg key =
   match Hashtbl.find_opt agg.cells key with
   | Some cs -> cs
   | None ->
     let cs =
-      { cs_txns = 0; cs_committed = 0; cs_total = 0.; cs_kinds = Hashtbl.create 8 }
+      {
+        cs_txns = 0;
+        cs_committed = 0;
+        cs_total = 0.;
+        cs_kinds = Array.make n_kinds None;
+      }
     in
     Hashtbl.add agg.cells key cs;
     cs
 
-let kind_stats cs kind =
-  match Hashtbl.find_opt cs.cs_kinds kind with
+let kind_stats cs i =
+  match cs.cs_kinds.(i) with
   | Some ks -> ks
   | None ->
     let ks =
@@ -234,7 +259,7 @@ let kind_stats cs kind =
         ks_sketch = Sketch.create ();
       }
     in
-    Hashtbl.add cs.cs_kinds kind ks;
+    cs.cs_kinds.(i) <- Some ks;
     ks
 
 (* Slowest-first insertion sort capped at [top_k]; ties break on txn id
@@ -244,8 +269,16 @@ let slower a b =
   | 0 -> compare a.txn b.txn
   | c -> c
 
+let rec last = function [ x ] -> x | _ :: rest -> last rest | [] -> raise Not_found
+
 let note_slowest agg tl =
-  if agg.top_k > 0 then begin
+  (* A full list keeps no timeline that would sort after its last. *)
+  if
+    agg.top_k > 0
+    && not
+         (List.length agg.slowest >= agg.top_k
+         && slower tl (last agg.slowest) >= 0)
+  then begin
     let rec insert = function
       | [] -> [ tl ]
       | hd :: rest -> if slower tl hd < 0 then tl :: hd :: rest else hd :: insert rest
@@ -263,20 +296,27 @@ let agg_observe agg tl =
   cs.cs_txns <- cs.cs_txns + 1;
   if tl.committed then cs.cs_committed <- cs.cs_committed + 1;
   cs.cs_total <- cs.cs_total +. total_ms tl;
-  (* Span counts per segment, per-txn totals into the sketches. *)
+  (* Span counts per kind, and per-txn totals (the sums [by_kind] makes)
+     into the sketches. *)
+  let spans = agg.spans and sums = agg.sums in
+  Array.fill spans 0 n_kinds 0;
+  Array.fill sums 0 n_kinds 0.;
   List.iter
     (fun s ->
-      let ks = kind_stats cs s.kind in
-      ks.ks_spans <- ks.ks_spans + 1)
+      let i = kind_index s.kind in
+      spans.(i) <- spans.(i) + 1;
+      sums.(i) <- sums.(i) +. segment_ms s)
     tl.segments;
-  List.iter
-    (fun (k, ms) ->
-      let ks = kind_stats cs k in
+  for i = 0 to n_kinds - 1 do
+    if spans.(i) > 0 then begin
+      let ks = kind_stats cs i and ms = sums.(i) in
+      ks.ks_spans <- ks.ks_spans + spans.(i);
       ks.ks_txns <- ks.ks_txns + 1;
       ks.ks_total <- ks.ks_total +. ms;
       if ms > ks.ks_max then ks.ks_max <- ms;
-      Sketch.observe ks.ks_sketch ms)
-    (by_kind tl);
+      Sketch.observe ks.ks_sketch ms
+    end
+  done;
   note_slowest agg tl
 
 type row = {
@@ -308,8 +348,11 @@ type slow = {
 
 let cell_of_stats (scheme, level) cs =
   let rows =
-    Hashtbl.fold
-      (fun kind ks acc ->
+    List.fold_left
+      (fun acc kind ->
+        match cs.cs_kinds.(kind_index kind) with
+        | None -> acc
+        | Some ks ->
         {
           row_kind = kind;
           row_txns = ks.ks_txns;
@@ -327,7 +370,7 @@ let cell_of_stats (scheme, level) cs =
           row_max_ms = ks.ks_max;
         }
         :: acc)
-      cs.cs_kinds []
+      [] all_kinds
     |> List.sort (fun a b ->
            match compare b.row_total_ms a.row_total_ms with
            | 0 -> compare (kind_index a.row_kind) (kind_index b.row_kind)

@@ -2,13 +2,6 @@ type event =
   | Txn_begin of { txn : string; node : string; scheme : string; level : string }
   | Txn_step of { txn : string }
   | Txn_end of { txn : string; committed : bool; reason : string; killed : bool }
-  | Txn_latency of {
-      txn : string;
-      total_ms : float;
-      execute_ms : float option;
-      commit_ms : float option;
-      decide_ms : float option;
-    }
   | Master_version of { domain : string; version : int }
   | Replica_version of { node : string; domain : string; version : int }
   | Vote of { txn : string; node : string; vote : bool }
@@ -21,15 +14,32 @@ type event =
     }
   | Breaker_transition of { server : string; from_ : string; to_ : string }
   | Admission_reject of { txn : string; reason : string; server : string option }
-  | Activity of { node : string }
 
-type txn_state = {
+type txn = {
+  txn : string;
   tm_node : string;
   mutable last_step_at : float;
   mutable last_step_seq : int;
+  mutable is_open : bool;  (* false once ended or begun again *)
 }
 
-type replica_state = {
+(* A domain's observed master version: 0 until one above 0 is seen. *)
+type master = { mutable master_version : int }
+
+(* A node's worst replica lag over the run (0: none yet) and its
+   replicas, one per domain. *)
+type node = {
+  name : string;
+  mutable worst : int;
+  mutable worst_domain : string;
+  mutable replicas : replica list;
+}
+
+and replica = {
+  owner : node;
+  domain : string;
+  subject : string;  (* "node/domain", the staleness alert's subject *)
+  master : master;
   mutable held : int;
   mutable lag_since : float option;  (* when the replica started lagging *)
 }
@@ -41,12 +51,14 @@ type t = {
   console : string -> unit;
   notify : [ `Fire | `Resolve ] -> Slo.alert -> unit;
   (* rule state *)
-  txns : (string, txn_state) Hashtbl.t;  (* open transactions *)
+  txns : (string, txn) Hashtbl.t;  (* open transactions *)
   mutable oldest_step : float;
       (* a lower bound on every open transaction's [last_step_at] *)
-  master : (string, int) Hashtbl.t;  (* domain -> observed master version *)
-  replicas : (string * string, replica_state) Hashtbl.t;  (* node, domain *)
-  peak_lag : (string, int * string) Hashtbl.t;  (* node -> worst lag, domain *)
+  masters : (string, master) Hashtbl.t;  (* domain -> its master *)
+  nodes : (string, node) Hashtbl.t;
+  replicas : (string * string, replica) Hashtbl.t;
+      (* (node, domain), written once per replica: the staleness checks
+         that walk every replica go in this table's order *)
   window : bool Queue.t;  (* last abort_window outcomes; true = abort *)
   mutable window_aborts : int;
   kills : (string, int) Hashtbl.t;  (* base txn -> consecutive wait-die *)
@@ -73,9 +85,9 @@ let create ?(rules = Slo.default) ?(registry = Registry.noop)
     notify;
     txns = Hashtbl.create 16;
     oldest_step = infinity;
-    master = Hashtbl.create 4;
+    masters = Hashtbl.create 4;
+    nodes = Hashtbl.create 16;
     replicas = Hashtbl.create 16;
-    peak_lag = Hashtbl.create 16;
     window = Queue.create ();
     window_aborts = 0;
     kills = Hashtbl.create 8;
@@ -101,7 +113,10 @@ let unresolved_critical t =
        (open_alerts t))
 
 let staleness_peak t =
-  Hashtbl.fold (fun node worst acc -> (node, worst) :: acc) t.peak_lag []
+  Hashtbl.fold
+    (fun name n acc ->
+      if n.worst > 0 then (name, (n.worst, n.worst_domain)) :: acc else acc)
+    t.nodes []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let open_txns t =
@@ -190,7 +205,7 @@ let sweep_stuck t ~seq ~time_ms =
   if Float.is_finite stuck_ms && time_ms -. t.oldest_step > stuck_ms then begin
     let oldest = ref infinity in
     Hashtbl.iter
-      (fun txn (s : txn_state) ->
+      (fun txn (s : txn) ->
         oldest := Float.min !oldest s.last_step_at;
         let idle = time_ms -. s.last_step_at in
         if idle > stuck_ms then
@@ -204,79 +219,121 @@ let sweep_stuck t ~seq ~time_ms =
     t.oldest_step <- !oldest
   end
 
+(* Stores only a lower bound: most steps leave it, and a float field is
+   written boxed. *)
 let note_step t ~time_ms =
-  t.oldest_step <- Float.min t.oldest_step time_ms
-
-let staleness_subject node domain = node ^ "/" ^ domain
+  let oldest = Float.min t.oldest_step time_ms in
+  if oldest <> t.oldest_step then t.oldest_step <- oldest
 
 (* policy_staleness: replica lags the observed master by more than
    [staleness_versions] versions, or by any amount for longer than
-   [staleness_ms]. *)
-let check_staleness t ~seq ~time_ms node domain =
-  match Hashtbl.find_opt t.master domain with
-  | None -> ()
-  | Some master -> (
-    match Hashtbl.find_opt t.replicas (node, domain) with
-    | None -> ()
-    | Some r ->
-      let lag = master - r.held in
-      (match Hashtbl.find_opt t.peak_lag node with
-      | Some (worst, _) when worst >= lag -> ()
-      | _ -> if lag > 0 then Hashtbl.replace t.peak_lag node (lag, domain));
-      if lag <= 0 then begin
-        r.lag_since <- None;
-        resolve t ~seq ~time_ms ~rule:"policy_staleness"
-          ~subject:(staleness_subject node domain)
+   [staleness_ms].  Returns the lag the time series keeps — that of a
+   replica seen at a version above 0 — or 0. *)
+let check_staleness t ~seq ~time_ms r =
+  let master = r.master.master_version in
+  if master = 0 then 0
+  else begin
+    let lag = master - r.held in
+    let n = r.owner in
+    if lag > n.worst then begin
+      n.worst <- lag;
+      n.worst_domain <- r.domain
+    end;
+    if lag <= 0 then begin
+      r.lag_since <- None;
+      (* Most replicas are current: build no detail unless an alert is
+         open. *)
+      if Hashtbl.length t.active > 0 then
+        resolve t ~seq ~time_ms ~rule:"policy_staleness" ~subject:r.subject
           ~detail:(fun () ->
             Printf.sprintf "replica caught up to master v%d" master)
-      end
-      else begin
-        if r.lag_since = None then r.lag_since <- Some time_ms;
-        let since = Option.value ~default:time_ms r.lag_since in
-        if lag > t.rules.Slo.staleness_versions then
-          fire t ~seq ~time_ms ~rule:"policy_staleness" ~severity:Slo.Warning
-            ~subject:(staleness_subject node domain)
-            ~node
-            ~detail:
-              (Printf.sprintf "replica holds v%d, master at v%d (%d versions)"
-                 r.held master lag)
-        else if time_ms -. since > t.rules.Slo.staleness_ms then
-          fire t ~seq ~time_ms ~rule:"policy_staleness" ~severity:Slo.Warning
-            ~subject:(staleness_subject node domain)
-            ~node
-            ~detail:
-              (Printf.sprintf "replica holds v%d, master at v%d for %.1fms"
-                 r.held master (time_ms -. since))
-      end)
+    end
+    else begin
+      if r.lag_since = None then r.lag_since <- Some time_ms;
+      let since = Option.value ~default:time_ms r.lag_since in
+      if lag > t.rules.Slo.staleness_versions then
+        fire t ~seq ~time_ms ~rule:"policy_staleness" ~severity:Slo.Warning
+          ~subject:r.subject ~node:n.name
+          ~detail:
+            (Printf.sprintf "replica holds v%d, master at v%d (%d versions)"
+               r.held master lag)
+      else if time_ms -. since > t.rules.Slo.staleness_ms then
+        fire t ~seq ~time_ms ~rule:"policy_staleness" ~severity:Slo.Warning
+          ~subject:r.subject ~node:n.name
+          ~detail:
+            (Printf.sprintf "replica holds v%d, master at v%d for %.1fms"
+               r.held master (time_ms -. since))
+    end;
+    if r.held > 0 then lag else 0
+  end
 
 let sweep_staleness t ~seq ~time_ms =
   (* Only the timed arm needs a clock-driven sweep; the version arm is
      re-checked on every version observation. *)
   if Float.is_finite t.rules.Slo.staleness_ms then
     Hashtbl.iter
-      (fun (node, domain) (r : replica_state) ->
-        if r.lag_since <> None then check_staleness t ~seq ~time_ms node domain)
+      (fun _ r ->
+        if r.lag_since <> None then ignore (check_staleness t ~seq ~time_ms r))
       t.replicas
 
-let note_master t ~seq ~time_ms domain version =
-  let prev = Option.value ~default:0 (Hashtbl.find_opt t.master domain) in
-  if version > prev then begin
-    Hashtbl.replace t.master domain version;
-    Hashtbl.iter
-      (fun (node, d) _ ->
-        if String.equal d domain then check_staleness t ~seq ~time_ms node domain)
-      t.replicas
+let master t domain =
+  match Hashtbl.find t.masters domain with
+  | m -> m
+  | exception Not_found ->
+    let m = { master_version = 0 } in
+    Hashtbl.add t.masters domain m;
+    m
+
+let note_master t ~seq ~time_ms m version =
+  if version > m.master_version then begin
+    m.master_version <- version;
+    Hashtbl.fold
+      (fun _ r worst ->
+        if r.master == m then Int.max worst (check_staleness t ~seq ~time_ms r)
+        else worst)
+      t.replicas 0
   end
+  else 0
+
+let rec replica_of domain = function
+  | [] -> raise Not_found
+  | r :: rest -> if String.equal r.domain domain then r else replica_of domain rest
+
+(* The one lookup a version observation makes: [node]'s replica of
+   [domain], created holding [version] when first seen. *)
+let replica t node domain version =
+  let n =
+    match Hashtbl.find t.nodes node with
+    | n -> n
+    | exception Not_found ->
+      let n = { name = node; worst = 0; worst_domain = ""; replicas = [] } in
+      Hashtbl.add t.nodes node n;
+      n
+  in
+  match replica_of domain n.replicas with
+  | r -> r
+  | exception Not_found ->
+    let r =
+      {
+        owner = n;
+        domain;
+        subject = node ^ "/" ^ domain;
+        master = master t domain;
+        held = version;
+        lag_since = None;
+      }
+    in
+    n.replicas <- r :: n.replicas;
+    Hashtbl.add t.replicas (node, domain) r;
+    r
 
 let note_replica t ~seq ~time_ms node domain version =
-  (match Hashtbl.find_opt t.replicas (node, domain) with
-  | Some r -> if version > r.held then r.held <- version
-  | None ->
-    Hashtbl.replace t.replicas (node, domain) { held = version; lag_since = None });
+  let r = replica t node domain version in
+  if version > r.held then r.held <- version;
   (* A replica can only have evaluated against a version the master once
      published. *)
-  note_master t ~seq ~time_ms domain version;
-  check_staleness t ~seq ~time_ms node domain
+  let by_master = note_master t ~seq ~time_ms r.master version in
+  Int.max by_master (check_staleness t ~seq ~time_ms r)
 
 (* abort_storm: abort fraction over the sliding outcome window. *)
 let note_outcome t ~seq ~time_ms ~committed =
@@ -423,52 +480,98 @@ let note_reject t ~seq ~time_ms ~txn ~reason ~server =
   end
 
 let forget_txn t txn =
-  Hashtbl.remove t.txns txn;
+  (match Hashtbl.find t.txns txn with
+  | s ->
+    s.is_open <- false;
+    Hashtbl.remove t.txns txn
+  | exception Not_found -> ());
   Hashtbl.remove t.yes_votes txn
 
 (* ------------------------------------------------------------------ *)
-(* Event dispatch                                                      *)
+(* Observations                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let observe t ~seq ~time_ms event =
-  (match event with
-  | Txn_begin { txn; node; scheme = _; level = _ } ->
-    Hashtbl.replace t.txns txn
-      { tm_node = node; last_step_at = time_ms; last_step_seq = seq };
-    note_step t ~time_ms
-  | Txn_step { txn } -> (
-    match Hashtbl.find_opt t.txns txn with
-    | None -> ()
-    | Some s ->
-      s.last_step_at <- time_ms;
-      s.last_step_seq <- seq;
-      note_step t ~time_ms;
-      resolve t ~seq ~time_ms ~rule:"stuck_txn" ~subject:txn
-        ~detail:(fun () -> "machine stepped again"))
-  | Txn_end { txn; committed; reason; killed } ->
-    resolve t ~seq ~time_ms ~rule:"stuck_txn" ~subject:txn
-      ~detail:(fun () ->
-        Printf.sprintf "transaction finished (%s)"
-          (if committed then "commit" else "abort: " ^ reason));
-    if not committed then
-      (* The abort contained whatever the YES vote would have admitted. *)
-      resolve t ~seq ~time_ms ~rule:"vote_anomaly" ~subject:txn
-        ~detail:(fun () -> Printf.sprintf "transaction aborted (%s)" reason);
-    forget_txn t txn;
-    note_outcome t ~seq ~time_ms ~committed;
-    note_kill t ~seq ~time_ms txn ~killed ~committed
-  | Master_version { domain; version } -> note_master t ~seq ~time_ms domain version
-  | Replica_version { node; domain; version } ->
-    note_replica t ~seq ~time_ms node domain version
-  | Txn_latency _ -> ()  (* consumed by Timeseries, not by any rule *)
-  | Vote { txn; node; vote } -> note_vote t ~seq txn node vote
-  | Proof_result { txn; node; domain; version; result } ->
-    note_replica t ~seq ~time_ms node domain version;
-    note_proof t ~seq ~time_ms txn node domain ~result
-  | Breaker_transition { server; from_; to_ } ->
-    note_breaker t ~seq ~time_ms server ~from_ ~to_
-  | Admission_reject { txn; reason; server } ->
-    note_reject t ~seq ~time_ms ~txn ~reason ~server
-  | Activity _ -> ());
+(* Every observation ends with the clock-driven sweeps. *)
+let tick t ~seq ~time_ms =
   sweep_stuck t ~seq ~time_ms;
   sweep_staleness t ~seq ~time_ms
+
+let txn_begin t ~seq ~time_ms ~txn ~node =
+  (match Hashtbl.find t.txns txn with
+  | s -> s.is_open <- false
+  | exception Not_found -> ());
+  let s =
+    { txn; tm_node = node; last_step_at = time_ms; last_step_seq = seq;
+      is_open = true }
+  in
+  Hashtbl.replace t.txns txn s;
+  note_step t ~time_ms;
+  tick t ~seq ~time_ms;
+  s
+
+let txn_step t ~seq ~time_ms (s : txn) =
+  if s.is_open then begin
+    s.last_step_at <- time_ms;
+    s.last_step_seq <- seq;
+    note_step t ~time_ms;
+    resolve t ~seq ~time_ms ~rule:"stuck_txn" ~subject:s.txn
+      ~detail:(fun () -> "machine stepped again")
+  end;
+  tick t ~seq ~time_ms
+
+let txn_end t ~seq ~time_ms ~txn ~committed ~reason ~killed =
+  resolve t ~seq ~time_ms ~rule:"stuck_txn" ~subject:txn
+    ~detail:(fun () ->
+      Printf.sprintf "transaction finished (%s)"
+        (if committed then "commit" else "abort: " ^ reason));
+  if not committed then
+    (* The abort contained whatever the YES vote would have admitted. *)
+    resolve t ~seq ~time_ms ~rule:"vote_anomaly" ~subject:txn
+      ~detail:(fun () -> Printf.sprintf "transaction aborted (%s)" reason);
+  forget_txn t txn;
+  note_outcome t ~seq ~time_ms ~committed;
+  note_kill t ~seq ~time_ms txn ~killed ~committed;
+  tick t ~seq ~time_ms
+
+let master_version t ~seq ~time_ms ~domain ~version =
+  let lag = note_master t ~seq ~time_ms (master t domain) version in
+  tick t ~seq ~time_ms;
+  lag
+
+let replica_version t ~seq ~time_ms ~node ~domain ~version =
+  let lag = note_replica t ~seq ~time_ms node domain version in
+  tick t ~seq ~time_ms;
+  lag
+
+let proof_result t ~seq ~time_ms ~txn ~node ~domain ~version ~result =
+  let lag = note_replica t ~seq ~time_ms node domain version in
+  note_proof t ~seq ~time_ms txn node domain ~result;
+  tick t ~seq ~time_ms;
+  lag
+
+let vote t ~seq ~time_ms ~txn ~node ~vote =
+  note_vote t ~seq txn node vote;
+  tick t ~seq ~time_ms
+
+let observe t ~seq ~time_ms = function
+  | Txn_begin { txn; node; scheme = _; level = _ } ->
+    ignore (txn_begin t ~seq ~time_ms ~txn ~node)
+  | Txn_step { txn } -> (
+    match Hashtbl.find t.txns txn with
+    | s -> txn_step t ~seq ~time_ms s
+    | exception Not_found -> tick t ~seq ~time_ms)
+  | Txn_end { txn; committed; reason; killed } ->
+    txn_end t ~seq ~time_ms ~txn ~committed ~reason ~killed
+  | Master_version { domain; version } ->
+    ignore (master_version t ~seq ~time_ms ~domain ~version)
+  | Replica_version { node; domain; version } ->
+    ignore (replica_version t ~seq ~time_ms ~node ~domain ~version)
+  | Vote { txn; node; vote = v } -> vote t ~seq ~time_ms ~txn ~node ~vote:v
+  | Proof_result { txn; node; domain; version; result } ->
+    ignore (proof_result t ~seq ~time_ms ~txn ~node ~domain ~version ~result)
+  | Breaker_transition { server; from_; to_ } ->
+    note_breaker t ~seq ~time_ms server ~from_ ~to_;
+    tick t ~seq ~time_ms
+  | Admission_reject { txn; reason; server } ->
+    note_reject t ~seq ~time_ms ~txn ~reason ~server;
+    tick t ~seq ~time_ms

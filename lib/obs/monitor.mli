@@ -19,9 +19,8 @@
     journal records into events lives in [Cloudtx_core.Health], above
     this library in the dependency order. *)
 
-(** One observation, extracted from one journal record.  [Activity] is
-    any record that proves a node made progress without carrying other
-    health information — it still advances the monitor's clock. *)
+(** One observation, extracted from one journal record.  A record that
+    carries none still advances the monitor's clock: see {!tick}. *)
 type event =
   | Txn_begin of { txn : string; node : string; scheme : string; level : string }
   | Txn_step of { txn : string }  (** The transaction's TM took a step. *)
@@ -31,15 +30,6 @@ type event =
       reason : string;
       killed : bool;  (** Wait-die victim (feeds the livelock rule). *)
     }
-  | Txn_latency of {
-      txn : string;
-      total_ms : float;  (** Submit-to-finish. *)
-      execute_ms : float option;  (** Submit to 2PVC prepare open. *)
-      commit_ms : float option;  (** Prepare open to decision. *)
-      decide_ms : float option;  (** Decision to finish. *)
-    }
-      (** Per-phase latency breakdown derived at transaction finish —
-          no rule consumes it; it exists for {!Timeseries}. *)
   | Master_version of { domain : string; version : int }
       (** The policy master was observed to hold this version. *)
   | Replica_version of { node : string; domain : string; version : int }
@@ -61,7 +51,6 @@ type event =
           ([reason = "admission-rejected"]) or an open breaker
           ([reason = "breaker-open"], [server] named) — feeds the
           [admission_storm] rule. *)
-  | Activity of { node : string }
 
 type t
 
@@ -85,6 +74,43 @@ val rules : t -> Slo.rules
 (** Feed one event.  [seq] and [time_ms] come from the journal record
     envelope; events must arrive in journal order. *)
 val observe : t -> seq:int -> time_ms:float -> event -> unit
+
+(** {1 Observations one at a time}
+
+    Each function below is {!observe} of one event, without building
+    it: the ones a journal bridge makes for most records.  The version observations
+    return the largest replica lag they computed for a replica seen at a
+    version above 0 (0 when none lags): the staleness a
+    {!Timeseries.staleness} window keeps.  The timed sweep's lags are
+    not returned. *)
+
+(** A record that carries no event: only the clock-driven sweeps run. *)
+val tick : t -> seq:int -> time_ms:float -> unit
+
+(** An open transaction's state, returned by {!txn_begin}. *)
+type txn
+
+val txn_begin : t -> seq:int -> time_ms:float -> txn:string -> node:string -> txn
+
+(** [Txn_step] of the transaction [txn_begin] returned; only the sweeps
+    run once it has ended or begun again. *)
+val txn_step : t -> seq:int -> time_ms:float -> txn -> unit
+
+val master_version : t -> seq:int -> time_ms:float -> domain:string -> version:int -> int
+
+val replica_version :
+  t -> seq:int -> time_ms:float -> node:string -> domain:string -> version:int -> int
+
+val proof_result :
+  t ->
+  seq:int ->
+  time_ms:float ->
+  txn:string ->
+  node:string ->
+  domain:string ->
+  version:int ->
+  result:bool ->
+  int
 
 (** Every alert ever fired, in firing order. *)
 val alerts : t -> Slo.alert list

@@ -15,12 +15,8 @@ type window = {
 type t = {
   width_ms : float;
   mutable windows : window option array;
-  mutable max_index : int;  (* -1 until the first event *)
-  mutable events : int;
+  mutable max_index : int;  (* -1 until the first observation *)
   mutable staleness_peak : int;
-  (* domain -> observed master version; (node, domain) -> replica version *)
-  master : (string, int) Hashtbl.t;
-  replicas : (string * string, int) Hashtbl.t;
 }
 
 let create ?(width_ms = 100.) () =
@@ -29,14 +25,10 @@ let create ?(width_ms = 100.) () =
     width_ms;
     windows = Array.make 16 None;
     max_index = -1;
-    events = 0;
     staleness_peak = 0;
-    master = Hashtbl.create 4;
-    replicas = Hashtbl.create 16;
   }
 
 let width_ms t = t.width_ms
-let events t = t.events
 
 let fresh_window () =
   {
@@ -53,7 +45,8 @@ let fresh_window () =
 (* Window i covers [i*w, (i+1)*w): an observation exactly on an edge
    belongs to the window that starts there. *)
 let index_of t time_ms =
-  Stdlib.max 0 (int_of_float (Float.floor (time_ms /. t.width_ms)))
+  let i = int_of_float (Float.floor (time_ms /. t.width_ms)) in
+  if i < 0 then 0 else i
 
 let window_at t i =
   if i >= Array.length t.windows then begin
@@ -84,71 +77,43 @@ let sketch_at w phase =
 let record_phase w phase v = Sketch.observe (sketch_at w phase) v
 
 (* ------------------------------------------------------------------ *)
-(* Staleness tracking                                                  *)
+(* Observations                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let note_lag t w node domain =
-  match Hashtbl.find_opt t.master domain with
-  | None -> ()
-  | Some master -> (
-    match Hashtbl.find_opt t.replicas (node, domain) with
-    | None -> ()
-    | Some held ->
-      let lag = master - held in
-      if lag > w.w_staleness then w.w_staleness <- lag;
-      if lag > t.staleness_peak then t.staleness_peak <- lag)
+let at t time_ms = window_at t (index_of t time_ms)
+let tick t ~time_ms = ignore (at t time_ms)
 
-let note_master t w domain version =
-  let prev = Option.value ~default:0 (Hashtbl.find_opt t.master domain) in
-  if version > prev then begin
-    Hashtbl.replace t.master domain version;
-    Hashtbl.iter
-      (fun (node, d) _ -> if String.equal d domain then note_lag t w node domain)
-      t.replicas
+let txn_begin t ~time_ms =
+  let w = at t time_ms in
+  w.w_begun <- w.w_begun + 1
+
+let txn_end t ~time_ms ~committed ~killed =
+  let w = at t time_ms in
+  if committed then w.w_commits <- w.w_commits + 1
+  else begin
+    w.w_aborts <- w.w_aborts + 1;
+    if killed then w.w_killed <- w.w_killed + 1
   end
 
-let note_replica t w node domain version =
-  let prev = Option.value ~default:0 (Hashtbl.find_opt t.replicas (node, domain)) in
-  if version > prev then Hashtbl.replace t.replicas (node, domain) version;
-  (* A replica can only hold a version the master once published. *)
-  note_master t w domain version;
-  note_lag t w node domain
+let latency t ~time_ms ~total_ms ~execute_ms ~commit_ms ~decide_ms =
+  let w = at t time_ms in
+  Option.iter (record_phase w 0) execute_ms;
+  Option.iter (record_phase w 1) commit_ms;
+  Option.iter (record_phase w 2) decide_ms;
+  record_phase w 3 total_ms
 
-(* ------------------------------------------------------------------ *)
-(* Event dispatch                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let observe t ~seq:_ ~time_ms event =
-  t.events <- t.events + 1;
-  let w = window_at t (index_of t time_ms) in
-  match event with
-  | Monitor.Txn_begin _ -> w.w_begun <- w.w_begun + 1
-  | Monitor.Txn_end { committed; killed; _ } ->
-    if committed then w.w_commits <- w.w_commits + 1
-    else begin
-      w.w_aborts <- w.w_aborts + 1;
-      if killed then w.w_killed <- w.w_killed + 1
-    end
-  | Monitor.Txn_latency { total_ms; execute_ms; commit_ms; decide_ms; _ } ->
-    Option.iter (record_phase w 0) execute_ms;
-    Option.iter (record_phase w 1) commit_ms;
-    Option.iter (record_phase w 2) decide_ms;
-    record_phase w 3 total_ms
-  | Monitor.Master_version { domain; version } -> note_master t w domain version
-  | Monitor.Replica_version { node; domain; version }
-  | Monitor.Proof_result { node; domain; version; _ } ->
-    note_replica t w node domain version
-  | Monitor.Txn_step _ | Monitor.Vote _ | Monitor.Activity _
-  | Monitor.Breaker_transition _ | Monitor.Admission_reject _ -> ()
+let staleness t ~time_ms lag =
+  let w = at t time_ms in
+  if lag > w.w_staleness then w.w_staleness <- lag;
+  if lag > t.staleness_peak then t.staleness_peak <- lag
 
 let note_alert t transition (a : Slo.alert) =
   match transition with
   | `Fire ->
-    let w = window_at t (index_of t a.Slo.fired_at) in
+    let w = at t a.Slo.fired_at in
     w.w_fired <- w.w_fired + 1
   | `Resolve ->
-    let at = Option.value ~default:a.Slo.fired_at a.Slo.resolved_at in
-    let w = window_at t (index_of t at) in
+    let w = at t (Option.value ~default:a.Slo.fired_at a.Slo.resolved_at) in
     w.w_resolved <- w.w_resolved + 1
 
 (* ------------------------------------------------------------------ *)

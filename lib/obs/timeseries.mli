@@ -4,18 +4,21 @@
     covers [[i*width_ms, (i+1)*width_ms)] — an observation exactly on an
     edge belongs to the window that {e starts} there) and accumulates,
     per window: transaction begin/commit/abort/kill counts, per-phase
-    latency {!Sketch}es (fed by {!Monitor.Txn_latency}, attributed to
-    the finish time like the registry's phase histograms), the worst
-    policy-replica staleness observed inside the window, and alert
-    fire/resolve transitions (via {!note_alert}, wired through
-    {!Monitor.create}'s [notify]).
+    latency {!Sketch}es (fed by {!latency}, attributed to the finish
+    time like the registry's phase histograms), the worst policy-replica
+    staleness observed inside the window, and alert fire/resolve
+    transitions (via {!note_alert}, wired through {!Monitor.create}'s
+    [notify]).
 
-    It consumes the same neutral {!Monitor.event} stream the Watchtower
-    does, so the two canonical feeds — live through
-    [Journal.add_observer]/[Cloudtx_core.Health.attach], and offline by
+    It is fed by the same bridge as the Watchtower
+    ([Cloudtx_core.Health]), record by record, so the two canonical
+    feeds — live through [Cloudtx_core.Health.attach], and offline by
     replaying a journal file — produce identical series by construction.
-    Window assignment is purely a function of each record's [time_ms],
-    so reordered journal records land in the right window.
+    The staleness it keeps is the lag the monitor's version
+    observations compute ({!Monitor.replica_version} and its siblings
+    return it); the series tracks no policy versions itself.  Window
+    assignment is purely a function of each record's [time_ms], so
+    reordered journal records land in the right window.
 
     Memory is O(windows × bins): every window holds at most four
     sketches and a handful of counters, never raw samples.
@@ -31,11 +34,33 @@ val create : ?width_ms:float -> unit -> t
 
 val width_ms : t -> float
 
-(** Events consumed so far. *)
-val events : t -> int
+(** {1 Observations}
 
-(** Feed one event; [time_ms] selects the window. *)
-val observe : t -> seq:int -> time_ms:float -> Monitor.event -> unit
+    [time_ms] selects the window of each. *)
+
+(** A record with nothing to count: the series still reaches its
+    window. *)
+val tick : t -> time_ms:float -> unit
+
+val txn_begin : t -> time_ms:float -> unit
+
+(** [killed]: a wait-die victim (counted only when not [committed]). *)
+val txn_end : t -> time_ms:float -> committed:bool -> killed:bool -> unit
+
+(** One finished transaction's phase breakdown: [total_ms] from submit
+    to finish, [execute_ms] to 2PVC prepare open, [commit_ms] from there
+    to the decision, [decide_ms] from the decision to finish. *)
+val latency :
+  t ->
+  time_ms:float ->
+  total_ms:float ->
+  execute_ms:float option ->
+  commit_ms:float option ->
+  decide_ms:float option ->
+  unit
+
+(** A replica lag (in versions) that the monitor computed at [time_ms]. *)
+val staleness : t -> time_ms:float -> int -> unit
 
 (** Record an alert transition in the window of its transition time
     ([fired_at] for [`Fire], [resolved_at] for [`Resolve]). *)

@@ -3,6 +3,8 @@ type mode = Shared | Exclusive
 type request = { txn : string; ts : float; mode : mode }
 
 type lock_state = {
+  key : string;
+  stamp : int;  (* insertion order into the table *)
   mutable holders : request list; (* all Shared, or a single Exclusive *)
   mutable queue : request list; (* oldest-ts first *)
 }
@@ -15,21 +17,50 @@ type observer = {
   on_killed : txn:string -> key:string -> unit;
 }
 
+(* [footprint] lists, per transaction, the states it has held or waited
+   on since its last release (a waiter killed at a promotion stays
+   listed), so a release visits only those.  It must visit them in the
+   order an iteration over [table] would — the order the promotions and
+   kills go back in — so [buckets] follows the table's bucket count: 64
+   from [create] and [Hashtbl.reset], doubled when an insertion takes
+   the table past twice its buckets. *)
 type t = {
   table : (string, lock_state) Hashtbl.t;
+  footprint : (string, lock_state list) Hashtbl.t;
+  mutable buckets : int;
+  mutable stamps : int;
   mutable observer : observer option;
 }
 
-let create () = { table = Hashtbl.create 64; observer = None }
+let initial_buckets = 64
+
+let create () =
+  {
+    table = Hashtbl.create initial_buckets;
+    footprint = Hashtbl.create 16;
+    buckets = initial_buckets;
+    stamps = 0;
+    observer = None;
+  }
+
 let set_observer t obs = t.observer <- obs
 
 let state t key =
-  match Hashtbl.find_opt t.table key with
-  | Some s -> s
-  | None ->
-    let s = { holders = []; queue = [] } in
+  match Hashtbl.find t.table key with
+  | s -> s
+  | exception Not_found ->
+    let s = { key; stamp = t.stamps; holders = []; queue = [] } in
+    t.stamps <- t.stamps + 1;
     Hashtbl.add t.table key s;
+    if Hashtbl.length t.table > 2 * t.buckets then t.buckets <- 2 * t.buckets;
     s
+
+let footprint t txn =
+  match Hashtbl.find t.footprint txn with l -> l | exception Not_found -> []
+
+let enter t txn s =
+  let l = footprint t txn in
+  if not (List.memq s l) then Hashtbl.replace t.footprint txn (s :: l)
 
 let compatible requested holders =
   match requested with
@@ -76,6 +107,7 @@ let acquire_locked t ~txn ~ts ~key mode =
     let req = { txn; ts; mode } in
     if compatible mode s.holders && s.queue = [] then begin
       s.holders <- req :: s.holders;
+      enter t txn s;
       Granted
     end
     else if compatible mode s.holders
@@ -84,6 +116,7 @@ let acquire_locked t ~txn ~ts ~key mode =
       (* No conflicting holder and strictly older than every waiter: jump
          the queue rather than deadlock behind a younger upgrade. *)
       s.holders <- req :: s.holders;
+      enter t txn s;
       Granted
     end
     else begin
@@ -94,6 +127,7 @@ let acquire_locked t ~txn ~ts ~key mode =
       match wait_die req blockers with
       | Queued ->
         s.queue <- insert_by_ts req s.queue;
+        enter t txn s;
         Queued
       | other -> other
     end
@@ -155,20 +189,35 @@ let promote key s granted killed =
   in
   s.queue <- List.filter survives s.queue
 
+(* The order an iteration over [table] takes: bucket ascending, and
+   within a bucket the newest insertion first (a resize keeps each
+   bucket's order). *)
+let table_order t a b =
+  let bucket s = Hashtbl.hash s.key land (t.buckets - 1) in
+  match Int.compare (bucket a) (bucket b) with
+  | 0 -> Int.compare b.stamp a.stamp
+  | c -> c
+
 let release_all t ~txn =
   let granted = ref [] in
   let killed = ref [] in
   let mine r = String.equal r.txn txn in
   let others r = not (mine r) in
+  let states =
+    match footprint t txn with
+    | ([] | [ _ ]) as states -> states
+    | states -> List.sort (table_order t) states
+  in
+  Hashtbl.remove t.footprint txn;
   (* Key order matters: the promotions and kills go back in this order. *)
-  Hashtbl.iter
-    (fun key s ->
+  List.iter
+    (fun s ->
       if List.exists mine s.holders || List.exists mine s.queue then begin
         s.holders <- List.filter others s.holders;
         s.queue <- List.filter others s.queue;
-        promote key s granted killed
+        promote s.key s granted killed
       end)
-    t.table;
+    states;
   let result = { granted = List.rev !granted; killed = List.rev !killed } in
   (match t.observer with
   | None -> ()
@@ -189,12 +238,15 @@ let waiters t ~key =
   | None -> []
   | Some s -> List.map (fun r -> r.txn) s.queue
 
-let clear t = Hashtbl.reset t.table
+let clear t =
+  Hashtbl.reset t.table;
+  Hashtbl.reset t.footprint;
+  t.buckets <- initial_buckets
 
 let held_by t ~txn =
-  Hashtbl.fold
-    (fun key s acc ->
-      if List.exists (fun r -> String.equal r.txn txn) s.holders then key :: acc
-      else acc)
-    t.table []
+  List.filter_map
+    (fun s ->
+      if List.exists (fun r -> String.equal r.txn txn) s.holders then Some s.key
+      else None)
+    (footprint t txn)
   |> List.sort String.compare

@@ -65,9 +65,9 @@ let test_stuck_txn () =
     (Monitor.Txn_begin
        { txn = "t1"; node = "tm-t1"; scheme = "deferred"; level = "view" });
   Monitor.observe m ~seq:2 ~time_ms:50. (Monitor.Txn_step { txn = "t1" });
-  Monitor.observe m ~seq:3 ~time_ms:120. (Monitor.Activity { node = "other" });
+  Monitor.tick m ~seq:3 ~time_ms:120.;
   Alcotest.(check int) "within deadline: nothing fires" 0 (Monitor.fired_total m);
-  Monitor.observe m ~seq:4 ~time_ms:200. (Monitor.Activity { node = "other" });
+  Monitor.tick m ~seq:4 ~time_ms:200.;
   let a =
     alert_shape "stuck" ~open_:true ~rule:"stuck_txn" ~severity:Slo.Critical
       ~subject:"t1" m
@@ -87,7 +87,7 @@ let test_stuck_resolves_on_finish () =
   Monitor.observe m ~seq:1 ~time_ms:0.
     (Monitor.Txn_begin
        { txn = "t1"; node = "tm-t1"; scheme = "deferred"; level = "view" });
-  Monitor.observe m ~seq:2 ~time_ms:500. (Monitor.Activity { node = "other" });
+  Monitor.tick m ~seq:2 ~time_ms:500.;
   Monitor.observe m ~seq:3 ~time_ms:510.
     (Monitor.Txn_end
        { txn = "t1"; committed = true; reason = "committed"; killed = false });
@@ -126,9 +126,9 @@ let test_staleness_timed () =
     (Monitor.Replica_version { node = "server-2"; domain = "retail"; version = 1 });
   Monitor.observe m ~seq:2 ~time_ms:0.
     (Monitor.Master_version { domain = "retail"; version = 2 });
-  Monitor.observe m ~seq:3 ~time_ms:90. (Monitor.Activity { node = "other" });
+  Monitor.tick m ~seq:3 ~time_ms:90.;
   Alcotest.(check int) "lag younger than bound" 0 (Monitor.fired_total m);
-  Monitor.observe m ~seq:4 ~time_ms:200. (Monitor.Activity { node = "other" });
+  Monitor.tick m ~seq:4 ~time_ms:200.;
   ignore
     (alert_shape "timed staleness" ~open_:true ~rule:"policy_staleness"
        ~severity:Slo.Warning ~subject:"server-2/retail" m)
@@ -254,7 +254,7 @@ let test_sinks () =
   Monitor.observe m ~seq:1 ~time_ms:0.
     (Monitor.Txn_begin
        { txn = "t1"; node = "tm-t1"; scheme = "deferred"; level = "view" });
-  Monitor.observe m ~seq:2 ~time_ms:500. (Monitor.Activity { node = "x" });
+  Monitor.tick m ~seq:2 ~time_ms:500.;
   Alcotest.(check int) "counter: fired once" 1
     (Registry.counter registry "alerts_total"
        [ ("rule", "stuck_txn"); ("severity", "critical") ]);
@@ -450,13 +450,6 @@ module Naive = struct
     | Txn_begin of { txn : string; node : string; scheme : string; level : string }
     | Txn_step of { txn : string }
     | Txn_end of { txn : string; committed : bool; reason : string; killed : bool }
-    | Txn_latency of {
-        txn : string;
-        total_ms : float;
-        execute_ms : float option;
-        commit_ms : float option;
-        decide_ms : float option;
-      }
     | Master_version of { domain : string; version : int }
     | Replica_version of { node : string; domain : string; version : int }
     | Vote of { txn : string; node : string; vote : bool }
@@ -469,7 +462,6 @@ module Naive = struct
       }
     | Breaker_transition of { server : string; from_ : string; to_ : string }
     | Admission_reject of { txn : string; reason : string; server : string option }
-    | Activity of { node : string }
 
   type txn_state = {
     tm_node : string;
@@ -872,7 +864,6 @@ module Naive = struct
     | Master_version { domain; version } -> note_master t ~seq ~time_ms domain version
     | Replica_version { node; domain; version } ->
       note_replica t ~seq ~time_ms node domain version
-    | Txn_latency _ -> ()  (* consumed by Timeseries, not by any rule *)
     | Vote { txn; node; vote } -> note_vote t ~seq txn node vote
     | Proof_result { txn; node; domain; version; result } ->
       note_replica t ~seq ~time_ms node domain version;
@@ -880,8 +871,12 @@ module Naive = struct
     | Breaker_transition { server; from_; to_ } ->
       note_breaker t ~seq ~time_ms server ~from_ ~to_
     | Admission_reject { txn; reason; server } ->
-      note_reject t ~seq ~time_ms ~txn ~reason ~server
-    | Activity _ -> ());
+      note_reject t ~seq ~time_ms ~txn ~reason ~server);
+    sweep_stuck t ~seq ~time_ms;
+    sweep_staleness t ~seq ~time_ms
+
+  (* A record without an event: the sweeps alone. *)
+  let tick t ~seq ~time_ms =
     sweep_stuck t ~seq ~time_ms;
     sweep_staleness t ~seq ~time_ms
 end
@@ -912,83 +907,93 @@ let sinks () =
         ((match transition with `Fire -> "fire " | `Resolve -> "resolve ")
         ^ render_alert a) )
 
+(* One record's worth of input: an event, or a record that carries
+   none. *)
+type step = Event of Monitor.event | Tick
+
+(* Equal to the pool's string but not physically shared with it, as
+   each record of a replayed journal decodes its own copy. *)
+let fresh s = Bytes.to_string (Bytes.of_string s)
+
 let gen_event =
   let open QCheck.Gen in
-  let txn = oneofl [ "t1"; "t2"; "t3"; "t1-r1"; "t1-r2"; "t2-r1" ] in
-  let node = oneofl [ "server-1"; "server-2"; "server-3" ] in
-  let domain = oneofl [ "d1"; "d2" ] in
-  let version = int_bound 6 in
+  let txn = map fresh (oneofl [ "t1"; "t2"; "t3"; "t1-r1"; "t1-r2"; "t2-r1" ]) in
+  let node = map fresh (oneofl [ "server-1"; "server-2"; "server-3" ]) in
+  let domain = map fresh (oneofl [ "d1"; "d2" ]) in
+  let version = int_range (-1) 6 in
   let breaker = oneofl [ "closed"; "open"; "half-open" ] in
+  let event g = map (fun ev -> Event ev) g in
   frequency
     [
       ( 3,
-        map2
-          (fun txn node ->
-            Monitor.Txn_begin
-              { txn; node = "tm-" ^ node; scheme = "s"; level = "l" })
-          txn node );
-      (6, map (fun txn -> Monitor.Txn_step { txn }) txn);
+        event
+          (map2
+             (fun txn node ->
+               Monitor.Txn_begin
+                 { txn; node = "tm-" ^ node; scheme = "s"; level = "l" })
+             txn node) );
+      (6, event (map (fun txn -> Monitor.Txn_step { txn }) txn));
       ( 3,
-        map3
-          (fun txn committed (reason, killed) ->
-            Monitor.Txn_end { txn; committed; reason; killed })
-          txn bool
-          (oneofl
-             [ ("wait-die", true); ("integrity", false); ("commit", false) ]) );
-      ( 1,
-        map
-          (fun txn ->
-            Monitor.Txn_latency
-              {
-                txn;
-                total_ms = 1.;
-                execute_ms = None;
-                commit_ms = None;
-                decide_ms = None;
-              })
-          txn );
+        event
+          (map3
+             (fun txn committed (reason, killed) ->
+               Monitor.Txn_end { txn; committed; reason; killed })
+             txn bool
+             (oneofl
+                [ ("wait-die", true); ("integrity", false); ("commit", false) ]))
+      );
       ( 2,
-        map2
-          (fun domain version -> Monitor.Master_version { domain; version })
-          domain version );
+        event
+          (map2
+             (fun domain version -> Monitor.Master_version { domain; version })
+             domain version) );
       ( 2,
-        map3
-          (fun node domain version ->
-            Monitor.Replica_version { node; domain; version })
-          node domain version );
+        event
+          (map3
+             (fun node domain version ->
+               Monitor.Replica_version { node; domain; version })
+             node domain version) );
       ( 3,
-        map3
-          (fun txn node vote -> Monitor.Vote { txn; node; vote })
-          txn node bool );
+        event
+          (map3
+             (fun txn node vote -> Monitor.Vote { txn; node; vote })
+             txn node bool) );
       ( 3,
-        map3
-          (fun (txn, node) (domain, version) result ->
-            Monitor.Proof_result { txn; node; domain; version; result })
-          (pair txn node) (pair domain version) bool );
+        event
+          (map3
+             (fun (txn, node) (domain, version) result ->
+               Monitor.Proof_result { txn; node; domain; version; result })
+             (pair txn node) (pair domain version) bool) );
       ( 2,
-        map3
-          (fun server from_ to_ ->
-            Monitor.Breaker_transition { server; from_; to_ })
-          node breaker breaker );
+        event
+          (map3
+             (fun server from_ to_ ->
+               Monitor.Breaker_transition { server; from_; to_ })
+             node breaker breaker) );
       ( 2,
-        map3
-          (fun txn reason server ->
-            Monitor.Admission_reject { txn; reason; server })
-          txn
-          (oneofl [ "admission-rejected"; "breaker-open" ])
-          (opt node) );
-      (2, map (fun node -> Monitor.Activity { node }) node);
+        event
+          (map3
+             (fun txn reason server ->
+               Monitor.Admission_reject { txn; reason; server })
+             txn
+             (oneofl [ "admission-rejected"; "breaker-open" ])
+             (opt node)) );
+      (3, return Tick);
     ]
 
 (* Thresholds small enough that every rule fires and resolves within a
    short stream; the clock advances 0-3 ms per event, so open
    transactions cross [stuck_ms] and leave it again.  Now and then it
-   steps back, as a hand-edited journal replayed by [watch] can. *)
+   steps back, as a hand-edited journal replayed by [watch] can.  With
+   [via_handles] the fast monitor is fed as the journal bridge feeds it:
+   each transaction steps through the state its latest begin returned,
+   ended or not. *)
 let gen_stream =
   let open QCheck.Gen in
   let* stuck_ms = oneofl [ 2.; 5.; 12.; infinity ] in
   let* staleness_ms = oneofl [ 3.; infinity ] in
   let* staleness_versions = int_range 1 3 in
+  let* via_handles = bool in
   let rules =
     {
       Slo.stuck_ms;
@@ -1007,14 +1012,15 @@ let gen_stream =
     frequency [ (9, float_bound_inclusive 3.); (1, float_range (-3.) 0.) ]
   in
   let* events = list_size (int_range 1 200) (pair dt gen_event) in
-  return (rules, events)
+  return (rules, via_handles, events)
 
-let print_stream (rules, events) =
-  Printf.sprintf "stuck_ms=%g staleness_ms=%g versions=%d, %d events"
+let print_stream (rules, via_handles, events) =
+  Printf.sprintf "stuck_ms=%g staleness_ms=%g versions=%d%s, %d events"
     rules.Slo.stuck_ms rules.Slo.staleness_ms rules.Slo.staleness_versions
+    (if via_handles then " via handles" else "")
     (List.length events)
 
-let prop_monitor_matches_naive (rules, events) =
+let prop_monitor_matches_naive (rules, via_handles, events) =
   let fast_tr, fast_reg, log, console, notify = sinks () in
   let fast =
     Monitor.create ~rules ~registry:fast_reg ~log ~console ~notify ()
@@ -1026,12 +1032,29 @@ let prop_monitor_matches_naive (rules, events) =
   let note tr alerts =
     tr.states <- String.concat "\n" (List.map render_alert alerts) :: tr.states
   in
+  let handles = Hashtbl.create 8 in
+  let feed_fast ~seq ~time_ms ev =
+    match ev with
+    | Monitor.Txn_begin { txn; node; _ } when via_handles ->
+      Hashtbl.replace handles txn (Monitor.txn_begin fast ~seq ~time_ms ~txn ~node)
+    | Monitor.Txn_step { txn } when via_handles -> (
+      match Hashtbl.find_opt handles txn with
+      | Some h -> Monitor.txn_step fast ~seq ~time_ms h
+      | None -> Monitor.tick fast ~seq ~time_ms)
+    | ev -> Monitor.observe fast ~seq ~time_ms ev
+  in
   let time = ref 0. in
   List.iteri
-    (fun i (dt, ev) ->
+    (fun i (dt, step) ->
       time := !time +. (Float.round (dt *. 4.) /. 4.);
-      Monitor.observe fast ~seq:(i + 1) ~time_ms:!time ev;
-      Naive.observe naive ~seq:(i + 1) ~time_ms:!time ev;
+      let seq = i + 1 and time_ms = !time in
+      (match step with
+      | Event ev ->
+        feed_fast ~seq ~time_ms ev;
+        Naive.observe naive ~seq ~time_ms ev
+      | Tick ->
+        Monitor.tick fast ~seq ~time_ms;
+        Naive.tick naive ~seq ~time_ms);
       note fast_tr (Monitor.alerts fast);
       note naive_tr (Naive.alerts naive))
     events;

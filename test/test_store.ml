@@ -149,6 +149,449 @@ let prop_wait_die_no_deadlock =
         ops)
 
 (* ------------------------------------------------------------------ *)
+(* Release order = the full-scan lock manager's                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference: the lock manager as it was when a release walked the
+   whole table with [Hashtbl.iter], verbatim.  The promotions and kills
+   a release returns go back to the participants in this order, so a
+   release that visits only the transaction's own states must visit
+   them in the table's iteration order. *)
+module Full_scan = struct
+  type mode = Shared | Exclusive
+
+  type request = { txn : string; ts : float; mode : mode }
+
+  type lock_state = {
+    mutable holders : request list; (* all Shared, or a single Exclusive *)
+    mutable queue : request list; (* oldest-ts first *)
+  }
+
+  type outcome = Granted | Queued | Die
+
+  type observer = {
+    on_acquire : txn:string -> key:string -> mode:mode -> outcome:outcome -> unit;
+    on_promoted : txn:string -> key:string -> mode:mode -> unit;
+    on_killed : txn:string -> key:string -> unit;
+  }
+
+  type t = {
+    table : (string, lock_state) Hashtbl.t;
+    mutable observer : observer option;
+  }
+
+  let create () = { table = Hashtbl.create 64; observer = None }
+  let set_observer t obs = t.observer <- obs
+
+  let state t key =
+    match Hashtbl.find_opt t.table key with
+    | Some s -> s
+    | None ->
+      let s = { holders = []; queue = [] } in
+      Hashtbl.add t.table key s;
+      s
+
+  let compatible requested holders =
+    match requested with
+    | Shared -> List.for_all (fun r -> r.mode = Shared) holders
+    | Exclusive -> holders = []
+
+  let insert_by_ts req queue =
+    let rec go = function
+      | [] -> [ req ]
+      | r :: rest when r.ts <= req.ts -> r :: go rest
+      | rest -> req :: rest
+    in
+    go queue
+
+  (* Wait-die: the requester may wait only if it is older (strictly smaller
+     timestamp) than every conflicting holder; equal or younger dies.  Equal
+     timestamps die to break symmetry deterministically. *)
+  let wait_die requester holders =
+    if List.for_all (fun h -> requester.ts < h.ts) holders then Queued else Die
+
+  let acquire_locked t ~txn ~ts ~key mode =
+    let s = state t key in
+    let mine, others = List.partition (fun r -> String.equal r.txn txn) s.holders in
+    match (mine, mode) with
+    | [ held ], Shared ->
+      ignore held;
+      Granted
+    | [ held ], Exclusive ->
+      if held.mode = Exclusive then Granted
+      else if others = [] then begin
+        (* Upgrade: sole Shared holder becomes Exclusive. *)
+        s.holders <- [ { held with mode = Exclusive } ];
+        Granted
+      end
+      else begin
+        let req = { txn; ts; mode } in
+        match wait_die req others with
+        | Queued ->
+          s.queue <- insert_by_ts req s.queue;
+          Queued
+        | other -> other
+      end
+    | [], _ ->
+      let req = { txn; ts; mode } in
+      if compatible mode s.holders && s.queue = [] then begin
+        s.holders <- req :: s.holders;
+        Granted
+      end
+      else if compatible mode s.holders
+              && List.for_all (fun q -> q.ts > ts) s.queue
+      then begin
+        (* No conflicting holder and strictly older than every waiter: jump
+           the queue rather than deadlock behind a younger upgrade. *)
+        s.holders <- req :: s.holders;
+        Granted
+      end
+      else begin
+        let conflicting =
+          List.filter (fun h -> not (compatible mode [ h ])) s.holders
+        in
+        let blockers = if conflicting = [] then s.queue else conflicting in
+        match wait_die req blockers with
+        | Queued ->
+          s.queue <- insert_by_ts req s.queue;
+          Queued
+        | other -> other
+      end
+    | _ :: _ :: _, _ -> assert false (* one request per txn per key *)
+
+  let acquire t ~txn ~ts ~key mode =
+    let outcome = acquire_locked t ~txn ~ts ~key mode in
+    (match t.observer with
+    | None -> ()
+    | Some obs -> obs.on_acquire ~txn ~key ~mode ~outcome);
+    outcome
+
+  type release = {
+    granted : (string * string * mode) list;
+    killed : (string * string) list;
+  }
+
+  (* Promote queued requests that have become compatible, respecting queue
+     order (no barging past an incompatible older waiter); then re-apply
+     wait-die to the survivors — a waiter younger than a conflicting current
+     holder would be a young-waits-for-old edge, which admits deadlock, so
+     it dies now. *)
+  let promote key s granted killed =
+    let rec go () =
+      match s.queue with
+      | [] -> ()
+      | req :: rest ->
+        (* Upgrade waiting in queue: holder already has Shared on this key. *)
+        let own, others =
+          List.partition (fun h -> String.equal h.txn req.txn) s.holders
+        in
+        let can_grant =
+          match (own, req.mode) with
+          | [ _ ], Exclusive -> others = []
+          | [ _ ], Shared -> true
+          | [], m -> compatible m s.holders
+          | _ :: _ :: _, _ -> assert false
+        in
+        if can_grant then begin
+          s.holders <- req :: List.filter (fun h -> not (String.equal h.txn req.txn)) s.holders;
+          s.queue <- rest;
+          granted := (req.txn, key, req.mode) :: !granted;
+          go ()
+        end
+    in
+    go ();
+    let survives req =
+      let conflicting =
+        List.filter
+          (fun h ->
+            (not (String.equal h.txn req.txn)) && not (compatible req.mode [ h ]))
+          s.holders
+      in
+      if List.for_all (fun h -> req.ts < h.ts) conflicting then true
+      else begin
+        killed := (req.txn, key) :: !killed;
+        false
+      end
+    in
+    s.queue <- List.filter survives s.queue
+
+  let release_all t ~txn =
+    let granted = ref [] in
+    let killed = ref [] in
+    let mine r = String.equal r.txn txn in
+    let others r = not (mine r) in
+    (* Key order matters: the promotions and kills go back in this order. *)
+    Hashtbl.iter
+      (fun key s ->
+        if List.exists mine s.holders || List.exists mine s.queue then begin
+          s.holders <- List.filter others s.holders;
+          s.queue <- List.filter others s.queue;
+          promote key s granted killed
+        end)
+      t.table;
+    let result = { granted = List.rev !granted; killed = List.rev !killed } in
+    (match t.observer with
+    | None -> ()
+    | Some obs ->
+      List.iter
+        (fun (txn, key, mode) -> obs.on_promoted ~txn ~key ~mode)
+        result.granted;
+      List.iter (fun (txn, key) -> obs.on_killed ~txn ~key) result.killed);
+    result
+
+  let holders t ~key =
+    match Hashtbl.find_opt t.table key with
+    | None -> []
+    | Some s -> List.map (fun r -> (r.txn, r.mode)) s.holders
+
+  let waiters t ~key =
+    match Hashtbl.find_opt t.table key with
+    | None -> []
+    | Some s -> List.map (fun r -> r.txn) s.queue
+
+  let clear t = Hashtbl.reset t.table
+
+  let held_by t ~txn =
+    Hashtbl.fold
+      (fun key s acc ->
+        if List.exists (fun r -> String.equal r.txn txn) s.holders then key :: acc
+        else acc)
+      t.table []
+    |> List.sort String.compare
+end
+
+type lock_op =
+  | Acquire of int * int * bool  (* txn, key, exclusive *)
+  | Fill of int * int list  (* txn, cold keys it takes shared *)
+  | Release of int
+  | Clear
+
+let n_txns = 8
+
+(* A few hot keys contend; a cold pool of 600 grows the table past the
+   128 keys that double its 64 buckets, and past 256, one key at a time
+   or 64 at once.  Half the streams also clear the table now and then,
+   which takes it back to 64 buckets, often after it has doubled. *)
+let gen_lock_ops =
+  let open QCheck.Gen in
+  let* clears = bool in
+  let txn = int_bound (n_txns - 1) and cold = int_range 8 607 in
+  let key = frequency [ (1, int_bound 7); (1, cold) ] in
+  let acquire = map3 (fun t k x -> Acquire (t, k, x)) txn key bool in
+  let fill = map2 (fun t ks -> Fill (t, ks)) txn (list_repeat 64 cold) in
+  let release = map (fun t -> Release t) txn in
+  let op =
+    frequency
+      ((30, acquire) :: (2, fill) :: (10, release)
+      :: (if clears then [ (1, return Clear) ] else []))
+  in
+  (* Timestamps from a small range: equal ones die, older ones wait. *)
+  pair (array_size (return n_txns) (int_bound 5)) (list_size (int_range 1 900) op)
+
+(* The hot keys come in pairs that share a bucket of the 64 a table
+   starts with (equal [Hashtbl.hash land 63]), so the order within a
+   bucket matters to a release, and the bucket count does: a pair splits
+   across buckets once the table has doubled when their hashes differ
+   in the next bit. *)
+let hot_keys =
+  let by_bucket = Hashtbl.create 64 in
+  let rec pairs acc i =
+    if List.length acc = 8 then Array.of_list (List.rev acc)
+    else begin
+      let name = Printf.sprintf "h%d" i in
+      let b = Hashtbl.hash name land 63 in
+      match Hashtbl.find_opt by_bucket b with
+      | Some other when not (List.mem other acc) -> pairs (name :: other :: acc) (i + 1)
+      | Some _ -> pairs acc (i + 1)
+      | None ->
+        Hashtbl.replace by_bucket b name;
+        pairs acc (i + 1)
+    end
+  in
+  pairs [] 0
+
+let lock_key k = if k < 8 then hot_keys.(k) else Printf.sprintf "k%d" k
+let lock_txn t = Printf.sprintf "t%d" t
+
+type lock_trace = { mutable lines : string list }
+
+let trace_observer tr ~name_mode ~name_outcome =
+  let line s = tr.lines <- s :: tr.lines in
+  ( (fun ~txn ~key ~mode ~outcome ->
+      line (Printf.sprintf "acquire %s %s %s %s" txn key (name_mode mode)
+              (name_outcome outcome))),
+    (fun ~txn ~key ~mode ->
+      line (Printf.sprintf "promoted %s %s %s" txn key (name_mode mode))),
+    fun ~txn ~key -> line (Printf.sprintf "killed %s %s" txn key) )
+
+(* Run [ops] on both managers; the first difference, if any. *)
+let lock_ops_diverge (ts, ops) =
+  let lm = Lock_manager.create () and full = Full_scan.create () in
+  let tr = { lines = [] } and tr_full = { lines = [] } in
+  let on_acquire, on_promoted, on_killed =
+    trace_observer tr
+      ~name_mode:(function Lock_manager.Shared -> "S" | Lock_manager.Exclusive -> "X")
+      ~name_outcome:(function
+        | Lock_manager.Granted -> "granted"
+        | Lock_manager.Queued -> "queued"
+        | Lock_manager.Die -> "die")
+  in
+  Lock_manager.set_observer lm
+    (Some { Lock_manager.on_acquire; on_promoted; on_killed });
+  let on_acquire, on_promoted, on_killed =
+    trace_observer tr_full
+      ~name_mode:(function Full_scan.Shared -> "S" | Full_scan.Exclusive -> "X")
+      ~name_outcome:(function
+        | Full_scan.Granted -> "granted"
+        | Full_scan.Queued -> "queued"
+        | Full_scan.Die -> "die")
+  in
+  Full_scan.set_observer full
+    (Some { Full_scan.on_acquire; on_promoted; on_killed });
+  let released (r : Lock_manager.release) =
+    List.map
+      (fun (t, k, m) -> Printf.sprintf "%s %s %b" t k (m = Lock_manager.Exclusive))
+      r.Lock_manager.granted
+    @ List.map (fun (t, k) -> Printf.sprintf "%s %s killed" t k) r.Lock_manager.killed
+  and released_full (r : Full_scan.release) =
+    List.map
+      (fun (t, k, m) -> Printf.sprintf "%s %s %b" t k (m = Full_scan.Exclusive))
+      r.Full_scan.granted
+    @ List.map (fun (t, k) -> Printf.sprintf "%s %s killed" t k) r.Full_scan.killed
+  in
+  let rec go i = function
+    | [] -> None
+    | op :: rest -> (
+      let step =
+        match op with
+        | Acquire (t, k, x) ->
+          ignore
+            (Lock_manager.acquire lm ~txn:(lock_txn t) ~ts:(float_of_int ts.(t))
+               ~key:(lock_key k)
+               (if x then Lock_manager.Exclusive else Lock_manager.Shared));
+          ignore
+            (Full_scan.acquire full ~txn:(lock_txn t) ~ts:(float_of_int ts.(t))
+               ~key:(lock_key k)
+               (if x then Full_scan.Exclusive else Full_scan.Shared));
+          None
+        | Fill (t, ks) ->
+          List.iter
+            (fun k ->
+              ignore
+                (Lock_manager.acquire lm ~txn:(lock_txn t)
+                   ~ts:(float_of_int ts.(t)) ~key:(lock_key k) Lock_manager.Shared);
+              ignore
+                (Full_scan.acquire full ~txn:(lock_txn t)
+                   ~ts:(float_of_int ts.(t)) ~key:(lock_key k) Full_scan.Shared))
+            ks;
+          None
+        | Release t ->
+          let a = released (Lock_manager.release_all lm ~txn:(lock_txn t))
+          and b = released_full (Full_scan.release_all full ~txn:(lock_txn t)) in
+          if a = b then None
+          else
+            Some
+              (Printf.sprintf "release %s: [%s] against [%s]" (lock_txn t)
+                 (String.concat "; " a) (String.concat "; " b))
+        | Clear ->
+          Lock_manager.clear lm;
+          Full_scan.clear full;
+          None
+      in
+      (* held_by of the acquiring transaction, or of every one. *)
+      let txns =
+        match op with
+        | Acquire (t, _, _) | Fill (t, _) -> [ t ]
+        | Release _ | Clear -> List.init n_txns Fun.id
+      in
+      let held =
+        List.find_map
+          (fun t ->
+            let txn = lock_txn t in
+            let a = Lock_manager.held_by lm ~txn and b = Full_scan.held_by full ~txn in
+            if a = b then None
+            else
+              Some
+                (Printf.sprintf "held_by %s: [%s] against [%s]" txn
+                   (String.concat " " a) (String.concat " " b)))
+          txns
+      in
+      let queues =
+        List.find_map
+          (fun k ->
+            let key = lock_key k in
+            let a =
+              List.map
+                (fun (t, m) -> (t, m = Lock_manager.Exclusive))
+                (Lock_manager.holders lm ~key)
+            and b =
+              List.map
+                (fun (t, m) -> (t, m = Full_scan.Exclusive))
+                (Full_scan.holders full ~key)
+            in
+            if a = b && Lock_manager.waiters lm ~key = Full_scan.waiters full ~key
+            then None
+            else Some (Printf.sprintf "holders or waiters of %s differ" key))
+          (List.init 8 Fun.id)
+      in
+      match (step, held, queues) with
+      | Some d, _, _ | None, Some d, _ | None, None, Some d ->
+        Some (Printf.sprintf "op %d: %s" i d)
+      | None, None, None ->
+        if tr.lines <> tr_full.lines then
+          Some (Printf.sprintf "op %d: observer calls differ" i)
+        else go (i + 1) rest)
+  in
+  go 0 ops
+
+let test_release_order_matches_full_scan =
+  QCheck.Test.make ~name:"release order = full-scan release" ~count:120
+    (QCheck.make
+       ~print:(fun (_, ops) -> Printf.sprintf "%d ops" (List.length ops))
+       gen_lock_ops)
+    (fun case ->
+      match lock_ops_diverge case with
+      | None -> true
+      | Some d -> QCheck.Test.fail_report d)
+
+(* The oracle's streams reach what the order depends on: tables past
+   each resize, and waiters killed at promotion. *)
+let test_release_oracle_coverage () =
+  let rand = Random.State.make [| 33 |] in
+  let most_keys = ref 0 and cleared_past_128 = ref 0 in
+  let kills = ref 0 and promotions = ref 0 in
+  for _ = 1 to 300 do
+    let ts, ops = gen_lock_ops rand in
+    let full = Full_scan.create () in
+    let keys = Hashtbl.create 64 in
+    let acquire t k mode =
+      Hashtbl.replace keys k ();
+      most_keys := max !most_keys (Hashtbl.length keys);
+      ignore
+        (Full_scan.acquire full ~txn:(lock_txn t) ~ts:(float_of_int ts.(t))
+           ~key:(lock_key k) mode)
+    in
+    List.iter
+      (function
+        | Acquire (t, k, x) ->
+          acquire t k (if x then Full_scan.Exclusive else Full_scan.Shared)
+        | Fill (t, ks) -> List.iter (fun k -> acquire t k Full_scan.Shared) ks
+        | Release t ->
+          let r = Full_scan.release_all full ~txn:(lock_txn t) in
+          kills := !kills + List.length r.Full_scan.killed;
+          promotions := !promotions + List.length r.Full_scan.granted
+        | Clear ->
+          if Hashtbl.length keys > 128 then incr cleared_past_128;
+          Hashtbl.reset keys;
+          Full_scan.clear full)
+      ops
+  done;
+  Alcotest.(check bool) "a table past 256 keys" true (!most_keys > 256);
+  Alcotest.(check bool) "tables cleared after doubling" true (!cleared_past_128 > 0);
+  Alcotest.(check bool) "waiters killed at promotion" true (!kills > 0);
+  Alcotest.(check bool) "waiters promoted" true (!promotions > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Integrity                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -706,6 +1149,9 @@ let () =
           Alcotest.test_case "promotion re-applies wait-die" `Quick
             test_promotion_reapplies_wait_die;
           Alcotest.test_case "held_by and clear" `Quick test_held_by_and_clear;
+          qc test_release_order_matches_full_scan;
+          Alcotest.test_case "release oracle coverage" `Quick
+            test_release_oracle_coverage;
           qc prop_wait_die_no_deadlock;
         ] );
       ( "integrity",

@@ -196,13 +196,10 @@ let test_sketch_observe_allocates_nothing () =
 (* Window semantics                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let begin_ev txn = Monitor.Txn_begin { txn; node = "tm"; scheme = "s"; level = "l" }
-let end_ev txn = Monitor.Txn_end { txn; committed = true; reason = ""; killed = false }
-
 let test_edge_observation_starts_window () =
   let ts = Timeseries.create ~width_ms:100. () in
-  Timeseries.observe ts ~seq:1 ~time_ms:99.999 (begin_ev "a");
-  Timeseries.observe ts ~seq:2 ~time_ms:100. (begin_ev "b");
+  Timeseries.txn_begin ts ~time_ms:99.999;
+  Timeseries.txn_begin ts ~time_ms:100.;
   match Timeseries.cells ts with
   | [ w0; w1 ] ->
     Alcotest.(check int) "99.999 in window 0" 1 w0.Timeseries.begun;
@@ -214,8 +211,8 @@ let test_edge_observation_starts_window () =
 
 let test_empty_windows_rendered () =
   let ts = Timeseries.create ~width_ms:100. () in
-  Timeseries.observe ts ~seq:1 ~time_ms:10. (begin_ev "a");
-  Timeseries.observe ts ~seq:2 ~time_ms:350. (end_ev "a");
+  Timeseries.txn_begin ts ~time_ms:10.;
+  Timeseries.txn_end ts ~time_ms:350. ~committed:true ~killed:false;
   let cells = Timeseries.cells ts in
   Alcotest.(check int) "dense to the max index" 4 (List.length cells);
   List.iteri
@@ -229,8 +226,8 @@ let test_empty_windows_rendered () =
 
 let test_out_of_order_time () =
   let ts = Timeseries.create ~width_ms:100. () in
-  Timeseries.observe ts ~seq:5 ~time_ms:250. (begin_ev "late");
-  Timeseries.observe ts ~seq:6 ~time_ms:50. (begin_ev "early");
+  Timeseries.txn_begin ts ~time_ms:250.;
+  Timeseries.txn_begin ts ~time_ms:50.;
   let cells = Timeseries.cells ts in
   Alcotest.(check int) "three windows" 3 (List.length cells);
   Alcotest.(check int) "early landed in window 0" 1
@@ -238,7 +235,7 @@ let test_out_of_order_time () =
   Alcotest.(check int) "late landed in window 2" 1
     (List.nth cells 2).Timeseries.begun;
   (* Negative time clamps to window 0 rather than crashing. *)
-  Timeseries.observe ts ~seq:7 ~time_ms:(-3.) (begin_ev "clamped");
+  Timeseries.txn_begin ts ~time_ms:(-3.);
   Alcotest.(check int) "negative time clamps into window 0" 2
     (List.nth (Timeseries.cells ts) 0).Timeseries.begun
 
@@ -258,7 +255,7 @@ let mk_alert ~fired_at ~resolved_at =
 
 let test_alert_gauges_cumulative () =
   let ts = Timeseries.create ~width_ms:100. () in
-  Timeseries.observe ts ~seq:1 ~time_ms:250. (begin_ev "pad");
+  Timeseries.txn_begin ts ~time_ms:250.;
   let a = mk_alert ~fired_at:10. ~resolved_at:None in
   Timeseries.note_alert ts `Fire a;
   a.Slo.resolved_at <- Some 230.;
@@ -276,15 +273,8 @@ let test_alert_gauges_cumulative () =
 
 let test_latency_feeds_phase_sketches () =
   let ts = Timeseries.create ~width_ms:100. () in
-  Timeseries.observe ts ~seq:1 ~time_ms:20.
-    (Monitor.Txn_latency
-       {
-         txn = "t1";
-         total_ms = 10.;
-         execute_ms = Some 6.;
-         commit_ms = Some 3.;
-         decide_ms = Some 1.;
-       });
+  Timeseries.latency ts ~time_ms:20. ~total_ms:10. ~execute_ms:(Some 6.)
+    ~commit_ms:(Some 3.) ~decide_ms:(Some 1.);
   let w = List.hd (Timeseries.cells ts) in
   let phase name = List.assoc name w.Timeseries.phases in
   Alcotest.(check int) "total count" 1 (phase "total").Timeseries.count;
@@ -295,6 +285,144 @@ let test_latency_feeds_phase_sketches () =
   let t = Timeseries.totals ts in
   Alcotest.(check int) "totals merged" 1
     (List.assoc "total" t.Timeseries.phases).Timeseries.count
+
+(* ------------------------------------------------------------------ *)
+(* Staleness = the series' own version tracking                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference: the staleness a series tracked with master and replica
+   tables of its own, before it took the lags the monitor computes.
+   [window] stands for the series window of the observation's time. *)
+module Own_versions = struct
+  type window = { mutable w_staleness : int }
+
+  type t = {
+    mutable staleness_peak : int;
+    master : (string, int) Hashtbl.t;
+    replicas : (string * string, int) Hashtbl.t;
+  }
+
+  let create () =
+    { staleness_peak = 0; master = Hashtbl.create 4; replicas = Hashtbl.create 16 }
+
+  let note_lag t w node domain =
+    match Hashtbl.find_opt t.master domain with
+    | None -> ()
+    | Some master -> (
+      match Hashtbl.find_opt t.replicas (node, domain) with
+      | None -> ()
+      | Some held ->
+        let lag = master - held in
+        if lag > w.w_staleness then w.w_staleness <- lag;
+        if lag > t.staleness_peak then t.staleness_peak <- lag)
+
+  let note_master t w domain version =
+    let prev = Option.value ~default:0 (Hashtbl.find_opt t.master domain) in
+    if version > prev then begin
+      Hashtbl.replace t.master domain version;
+      Hashtbl.iter
+        (fun (node, d) _ -> if String.equal d domain then note_lag t w node domain)
+        t.replicas
+    end
+
+  let note_replica t w node domain version =
+    let prev = Option.value ~default:0 (Hashtbl.find_opt t.replicas (node, domain)) in
+    if version > prev then Hashtbl.replace t.replicas (node, domain) version;
+    (* A replica can only hold a version the master once published. *)
+    note_master t w domain version;
+    note_lag t w node domain
+end
+
+type version_step =
+  | Master of string * int
+  | Replica of string * string * int
+  | Proof of string * string * int
+  | Tick
+
+(* Equal to the pool's string but not physically shared with it. *)
+let fresh s = Bytes.to_string (Bytes.of_string s)
+
+(* Servers and domains interleaved at random, versions from -1 (below
+   anything a master publishes) to 6, and a clock that crosses windows
+   and now and then steps back. *)
+let gen_version_stream =
+  let open QCheck.Gen in
+  let node = map fresh (oneofl [ "server-1"; "server-2"; "server-3" ]) in
+  let domain = map fresh (oneofl [ "retail"; "bank"; "hr" ]) in
+  let version = int_range (-1) 6 in
+  let step =
+    frequency
+      [
+        (2, map2 (fun d v -> Master (d, v)) domain version);
+        (3, map3 (fun n d v -> Replica (n, d, v)) node domain version);
+        (3, map3 (fun n d v -> Proof (n, d, v)) node domain version);
+        (1, return Tick);
+      ]
+  in
+  let dt = frequency [ (9, float_bound_inclusive 4.); (1, float_range (-6.) 0.) ] in
+  let* staleness_ms = oneofl [ 1.; infinity ] in
+  let* staleness_versions = int_range 0 3 in
+  let* steps = list_size (int_range 1 150) (pair dt step) in
+  return ({ Slo.default with Slo.staleness_ms; staleness_versions }, steps)
+
+let prop_staleness_matches_own_versions (rules, steps) =
+  let ts = Timeseries.create ~width_ms:10. () in
+  let monitor = Monitor.create ~rules () in
+  let own = Own_versions.create () in
+  let windows = Hashtbl.create 16 in
+  let max_index = ref (-1) in
+  let time = ref 0. in
+  List.iteri
+    (fun i (dt, step) ->
+      time := !time +. dt;
+      let seq = i + 1 and time_ms = !time in
+      let index = Int.max 0 (int_of_float (Float.floor (time_ms /. 10.))) in
+      max_index := Int.max !max_index index;
+      let w =
+        match Hashtbl.find_opt windows index with
+        | Some w -> w
+        | None ->
+          let w = { Own_versions.w_staleness = 0 } in
+          Hashtbl.replace windows index w;
+          w
+      in
+      match step with
+      | Master (domain, version) ->
+        Own_versions.note_master own w domain version;
+        Timeseries.staleness ts ~time_ms
+          (Monitor.master_version monitor ~seq ~time_ms ~domain ~version)
+      | Replica (node, domain, version) ->
+        Own_versions.note_replica own w node domain version;
+        Timeseries.staleness ts ~time_ms
+          (Monitor.replica_version monitor ~seq ~time_ms ~node ~domain ~version)
+      | Proof (node, domain, version) ->
+        Own_versions.note_replica own w node domain version;
+        Timeseries.staleness ts ~time_ms
+          (Monitor.proof_result monitor ~seq ~time_ms ~txn:"t" ~node ~domain
+             ~version ~result:true)
+      | Tick ->
+        Monitor.tick monitor ~seq ~time_ms;
+        Timeseries.tick ts ~time_ms)
+    steps;
+  let expected =
+    List.init (!max_index + 1) (fun i ->
+        match Hashtbl.find_opt windows i with
+        | Some w -> w.Own_versions.w_staleness
+        | None -> 0)
+  in
+  List.map (fun (c : Timeseries.cell) -> c.Timeseries.staleness) (Timeseries.cells ts)
+  = expected
+  && (Timeseries.totals ts).Timeseries.staleness = own.Own_versions.staleness_peak
+
+let test_staleness_matches_own_versions =
+  QCheck.Test.make ~name:"staleness = the series' own version tracking"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (rules, steps) ->
+         Printf.sprintf "staleness_ms=%g versions=%d, %d steps"
+           rules.Slo.staleness_ms rules.Slo.staleness_versions (List.length steps))
+       gen_version_stream)
+    prop_staleness_matches_own_versions
 
 (* ------------------------------------------------------------------ *)
 (* Knee detection                                                      *)
@@ -489,6 +617,7 @@ let () =
             test_out_of_order_time;
           Alcotest.test_case "alert gauges cumulative" `Quick
             test_alert_gauges_cumulative;
+          QCheck_alcotest.to_alcotest test_staleness_matches_own_versions;
           Alcotest.test_case "latency feeds phase sketches" `Quick
             test_latency_feeds_phase_sketches;
         ] );
