@@ -936,7 +936,7 @@ let section_ablations () =
 let micro_tests () =
   let open Bechamel in
   (* Table I / proof machinery: one proof evaluation. *)
-  let proof_eval ~cached =
+  let proof_eval =
     let module Rule = Cloudtx_policy.Rule in
     let module Ca = Cloudtx_policy.Ca in
     let module Policy = Cloudtx_policy.Policy in
@@ -967,25 +967,20 @@ let micro_tests () =
       }
     in
     let request = { Proof.subject = "bob"; action = "read"; items = [ "x" ] } in
-    let cache = if cached then Some (Proof.cache ()) else None in
-    Test.make
-      ~name:(if cached then "proof_evaluation_cached" else "proof_evaluation")
+    Test.make ~name:"proof_evaluation"
       (Staged.stage (fun () ->
            ignore
-             (Proof.evaluate ?cache ~query_id:"q" ~server:"s" ~policy
-                ~creds:[ cred ] ~env ~at:1. request)))
+             (Proof.evaluate ~query_id:"q" ~server:"s" ~policy ~creds:[ cred ]
+                ~env ~at:1. request)))
   in
   (* One full simulated transaction per scheme (n = u = 4). *)
-  let txn_bench ?(proof_cache = false) ?suffix scheme level =
+  let txn_bench scheme level =
     let name =
-      Printf.sprintf "txn_%s_%s%s" (Scheme.name scheme) (Consistency.name level)
-        (Option.value ~default:"" suffix)
+      Printf.sprintf "txn_%s_%s" (Scheme.name scheme) (Consistency.name level)
     in
     Test.make ~name
       (Staged.stage (fun () ->
-           let scenario =
-             Scenario.retail ~proof_cache ~n_servers:4 ~n_subjects:1 ()
-           in
+           let scenario = Scenario.retail ~n_servers:4 ~n_subjects:1 () in
            let txn =
              Scenario.spread_transaction scenario ~id:"t1" ~subject:"clerk-1"
                ~queries:4 ()
@@ -995,9 +990,9 @@ let micro_tests () =
                 (Manager.config scheme level)
                 txn)))
   in
-  (* A policy whose derivation is genuinely expensive (transitive closure
-     over a 12-node chain): here memoizing the inference step pays. *)
-  let heavy_proof_eval ~cached =
+  (* A policy whose derivation is genuinely expensive: transitive closure
+     over a 12-node chain. *)
+  let heavy_proof_eval =
     let module Rule = Cloudtx_policy.Rule in
     let module Ca = Cloudtx_policy.Ca in
     let module Policy = Cloudtx_policy.Policy in
@@ -1042,14 +1037,11 @@ let micro_tests () =
       }
     in
     let request = { Proof.subject = "bob"; action = "read"; items = [ "x" ] } in
-    let cache = if cached then Some (Proof.cache ()) else None in
-    Test.make
-      ~name:
-        (if cached then "proof_eval_heavy_cached" else "proof_eval_heavy")
+    Test.make ~name:"proof_eval_heavy"
       (Staged.stage (fun () ->
            ignore
-             (Proof.evaluate ?cache ~query_id:"q" ~server:"s" ~policy
-                ~creds:[ cred ] ~env ~at:1. request)))
+             (Proof.evaluate ~query_id:"q" ~server:"s" ~policy ~creds:[ cred ]
+                ~env ~at:1. request)))
   in
   let tpc_bench =
     Test.make ~name:"pure_2pc_n4"
@@ -1113,21 +1105,15 @@ let micro_tests () =
   in
   Test.make_grouped ~name:"cloudtx"
     ([
-       proof_eval ~cached:false;
-       proof_eval ~cached:true;
-       heavy_proof_eval ~cached:false;
-       heavy_proof_eval ~cached:true;
+       proof_eval;
+       heavy_proof_eval;
        tpc_bench;
        infer_bench;
        codec_bench;
        datalog_bench;
      ]
     @ List.map (fun s -> txn_bench s Consistency.View) Scheme.all
-    @ [
-        txn_bench Scheme.Deferred Consistency.Global;
-        txn_bench ~proof_cache:true ~suffix:"_cached" Scheme.Continuous
-          Consistency.View;
-      ])
+    @ [ txn_bench Scheme.Deferred Consistency.Global ])
 
 let section_micro () =
   print_newline ();
@@ -1156,14 +1142,7 @@ let section_micro () =
       results []
     |> List.sort compare
   in
-  Table.print ~title:"time per run" ~headers:[ "benchmark"; "ns/run"; "ms/run" ] rows;
-  print_endline
-    "  proof-cache trade-off: memoizing the inference step is ~20x faster on";
-  print_endline
-    "  derivation-heavy policies (proof_eval_heavy) and ~1.6x on the tiny";
-  print_endline
-    "  retail policy (proof_evaluation), but a server's memo keeps every";
-  print_endline "  distinct fact base it sees — enable per deployment."
+  Table.print ~title:"time per run" ~headers:[ "benchmark"; "ns/run"; "ms/run" ] rows
 
 (* ------------------------------------------------------------------ *)
 (* Certify: serializability checking throughput over the 8-cell grid   *)

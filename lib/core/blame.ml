@@ -36,7 +36,8 @@ type txn_state = {
 type t = {
   agg : Cp.agg;
   keep : bool;
-  node_txns : (string, string) Hashtbl.t;  (** TM node → transaction. *)
+  node_txns : (string, string) Hashtbl.t;
+      (** TM node → transaction, until it finishes. *)
   txns : (string, txn_state) Hashtbl.t;
   mutable found : bool;
       (** [found_node]'s state is [found_st]: the last TM record's, kept
@@ -252,6 +253,7 @@ let finish_txn t st ~time_ms ~committed ~reason =
     }
   in
   Hashtbl.remove t.txns st.t_txn;
+  Hashtbl.remove t.node_txns st.t_node;
   t.found <- false;
   drop_txn_intervals t st.t_txn;
   t.finished <- t.finished + 1;

@@ -94,7 +94,8 @@ type event =
       (* Forget: workspace gone without an Apply *)
 
 type ex = {
-  tms : (string, string) Hashtbl.t;  (* TM node -> its transaction *)
+  tms : (string, string) Hashtbl.t;  (* TM node -> its transaction, until
+                                        it finishes *)
   epochs : (string, int) Hashtbl.t;  (* PS node -> create count *)
   pending_exec : (string * string * string, bool * float) Hashtbl.t;
       (* (node, txn, query id) -> (snapshot, start ts) of the last Exec *)
@@ -167,9 +168,11 @@ let on_ps_action ex ~seq ~time_ms ~node action =
   | Ps.Forget { txn } -> push ex (Settle { s_seq = seq; s_node = node; s_txn = txn })
   | _ -> ()
 
-let on_tm_action ex ~txn action =
+let on_tm_action ex ~node ~txn action =
   match action with
-  | Tm.Finish { committed; _ } -> Hashtbl.replace ex.tm_outcome txn committed
+  | Tm.Finish { committed; _ } ->
+    Hashtbl.remove ex.tms node;
+    Hashtbl.replace ex.tm_outcome txn committed
   | _ -> ()
 
 let step ex (r : Journal_io.record) =
@@ -190,7 +193,7 @@ let step ex (r : Journal_io.record) =
     on_ps_action ex ~seq ~time_ms:r.Journal_io.time_ms ~node action
   | Journal_io.Payload (Codec_bin.Tm_action action) -> (
     match Hashtbl.find_opt ex.tms node with
-    | Some txn -> on_tm_action ex ~txn action
+    | Some txn -> on_tm_action ex ~node ~txn action
     | None -> ())
   | Journal_io.Payload (Codec_bin.Tm_input _) -> ()
 

@@ -34,7 +34,7 @@ let master_name = "master"
 
 let create ?(seed = 1L) ?(latency = Latency.lan) ?ocsp_latency ?(cas = [])
     ?(context_facts = []) ?domain_of ?(variant = Cloudtx_txn.Tpc.Basic)
-    ?proof_cache ?dedup ?inquiry_timeout ~servers ~domains () =
+    ?dedup ?inquiry_timeout ~servers ~domains () =
   if servers = [] then invalid_arg "Cluster.create: no servers";
   if domains = [] then invalid_arg "Cluster.create: no domains";
   let domain_of =
@@ -91,7 +91,7 @@ let create ?(seed = 1L) ?(latency = Latency.lan) ?ocsp_latency ?(cas = [])
           admins;
         let participant =
           Participant.create ~transport ~server ~env ~domain_of ~on_proof
-            ~variant ?ocsp_delay ?proof_cache ?dedup ?inquiry_timeout ()
+            ~variant ?ocsp_delay ?dedup ?inquiry_timeout ()
         in
         (spec.s_name, participant))
       servers

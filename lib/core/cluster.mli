@@ -47,7 +47,6 @@ val create :
   ?context_facts:Cloudtx_policy.Rule.fact list ->
   ?domain_of:(string -> string) ->
   ?variant:Cloudtx_txn.Tpc.variant ->
-  ?proof_cache:bool ->
   ?dedup:bool ->
   ?inquiry_timeout:float ->
   servers:server_spec list ->

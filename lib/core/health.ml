@@ -22,7 +22,8 @@ type timing = {
 type t = {
   monitor : Monitor.t;
   timeseries : Timeseries.t option;
-  tms : (string, string) Hashtbl.t;  (* TM node -> its transaction *)
+  tms : (string, string) Hashtbl.t;  (* TM node -> its transaction, until
+                                        it finishes *)
   timings : (string, timing) Hashtbl.t;  (* until the transaction finishes *)
   (* The last TM record's node, its transaction and that transaction's
      timing: found once for a run of records from one node, forgotten
@@ -159,7 +160,7 @@ let emit_latency t ~seq ~time_ms txn (pt : timing) =
         | _ -> None)
       ~decide_ms:(Option.map (fun d -> time_ms -. d) pt.decided_at)
 
-let on_tm_action t ~seq ~time_ms = function
+let on_tm_action t ~seq ~time_ms ~node = function
   | Tm.Obs (Tm.Phase_open { span_name; _ }) ->
     (match t.found_timing with
     | Some pt -> (
@@ -174,6 +175,8 @@ let on_tm_action t ~seq ~time_ms = function
     tick t ~seq ~time_ms
   | Tm.Finish { committed; reason; _ } -> (
     let txn = t.found_txn in
+    Hashtbl.remove t.tms node;
+    t.found <- false;
     Option.iter (emit_latency t ~seq ~time_ms txn) t.found_timing;
     let killed = reason = Outcome.Wait_die in
     Monitor.observe t.monitor ~seq ~time_ms
@@ -237,7 +240,8 @@ let on_event t ~seq ~time_ms payload =
   | Error _ -> malformed ()
 
 (* A TM record from a node whose create this stream never saw (evicted
-   from a capped buffer) only ticks. *)
+   from a capped buffer), or whose transaction already finished, only
+   ticks. *)
 let step t (r : Journal_io.record) =
   let { Journal_io.seq; time_ms; node; body } = r in
   match body with
@@ -252,7 +256,7 @@ let step t (r : Journal_io.record) =
     if find_tm t node then on_tm_input t ~seq ~time_ms input
     else tick t ~seq ~time_ms
   | Journal_io.Payload (Codec_bin.Tm_action action) ->
-    if find_tm t node then on_tm_action t ~seq ~time_ms action
+    if find_tm t node then on_tm_action t ~seq ~time_ms ~node action
     else tick t ~seq ~time_ms
   | Journal_io.Payload (Codec_bin.Ps_input input) ->
     on_ps_input t ~seq ~time_ms ~node input

@@ -9,20 +9,24 @@
     begin/step/end, master and replica policy versions, prepare votes and
     proof evaluations.
 
-    Best-effort: an [Undecodable] record still advances the monitor's
-    clock (as [Activity]) and is counted in {!decode_errors}, as is a
-    malformed resilience event; the bridge never raises on malformed
-    input. *)
+    A record that carries no event ticks the monitor: it advances the
+    monitor's clock and nothing else.  So does a TM record from a node
+    whose create the stream never saw (evicted from a capped buffer) or
+    whose transaction already finished.
+
+    Best-effort: an [Undecodable] record ticks and is counted in
+    {!decode_errors}, as is a malformed resilience event; the bridge
+    never raises on malformed input. *)
 
 type t
 
-(** [create monitor] — [timeseries], when given, receives every emitted
-    event too (after the monitor), so one journal pass feeds both the
-    Watchtower and the windowed series.  The bridge also derives a
-    {!Cloudtx_obs.Monitor.Txn_latency} per finished transaction from
-    the journaled TM lifecycle (creation, the [2pvc.*] phase-open
-    marks, finish) — the same clock points the live registry's phase
-    histograms sample, so offline replay reproduces them exactly. *)
+(** [create monitor] — [timeseries], when given, is fed from the same
+    pass after the monitor (transaction begins and ends, staleness lags,
+    ticks), so one journal pass feeds both the Watchtower and the
+    windowed series.  The series' per-transaction latencies come from the
+    journaled TM lifecycle (creation, the [2pvc.*] phase-open marks,
+    finish) — the same clock points the live registry's phase histograms
+    sample, so offline replay reproduces them exactly. *)
 val create : ?timeseries:Cloudtx_obs.Timeseries.t -> Cloudtx_obs.Monitor.t -> t
 
 (** Feed one decoded journal record. *)

@@ -367,7 +367,7 @@ let of_file path = Result.bind (read_file path) of_contents
    versions, undecodable payloads) errors out rather than silently
    rewriting history. *)
 let jsonl_to_binary lines =
-  let buf = Buffer.create 4096 in
+  let w = Cloudtx_obs.Wbuf.create 4096 in
   let* converted =
     fold_lines lines
       ~init:(fun version ->
@@ -378,14 +378,14 @@ let jsonl_to_binary lines =
                 v%d-only (older versions encode some records differently)"
                version Journal.format_version)
         else begin
-          Buffer.add_string buf (Journal.binary_header ~version);
+          Cloudtx_obs.Wbuf.str w (Journal.binary_header ~version);
           Ok ()
         end)
       (fun acc r ->
         let* () = acc in
         let frame ~dir emit =
-          Journal.encode_frame buf ~seq:r.seq ~time_ms:r.time_ms ~node:r.node
-            ~dir ~emit;
+          Journal.encode_frame_into w ~seq:r.seq ~time_ms:r.time_ms
+            ~node:r.node ~dir ~emit;
           Ok ()
         in
         match r.body with
@@ -398,7 +398,7 @@ let jsonl_to_binary lines =
         | Undecodable m -> Error (Printf.sprintf "seq %d: %s" r.seq m))
   in
   let* () = converted in
-  Ok (Buffer.contents buf)
+  Ok (Cloudtx_obs.Wbuf.contents w)
 
 let convert ~to_ contents =
   let* loaded = of_contents contents in

@@ -41,7 +41,6 @@ type t = {
          first journaled step (and again after a crash reset). *)
   ocsp_delay : (unit -> float) option;
   on_proof : txn:string -> unit;
-  proof_cache : Proof.cache option;
   inquiry_timeout : float;
   waits : (string, wait) Hashtbl.t; (* txn -> open lock.wait *)
   mutable releases : (string option * Lock_manager.release) list;
@@ -118,8 +117,8 @@ let evaluate_proof_fn t ~txn ~subject ~credentials (q : Query.t) =
     { Proof.subject; action = Query.action q; items = Query.items q }
   in
   let proof =
-    Proof.evaluate ?cache:t.proof_cache ~query_id:q.Query.id ~server:(name t)
-      ~policy ~creds:credentials ~env:t.env ~at:(now t) request
+    Proof.evaluate ~query_id:q.Query.id ~server:(name t) ~policy
+      ~creds:credentials ~env:t.env ~at:(now t) request
   in
   if Tracer.enabled tr then
     Tracer.finish tr
@@ -321,8 +320,7 @@ let handle t ~src msg =
   drain_releases t
 
 let create ~transport ~server ~env ~domain_of ~on_proof ?(variant = Tpc.Basic)
-    ?ocsp_delay ?(proof_cache = false) ?(dedup = true) ?(inquiry_timeout = 0.)
-    () =
+    ?ocsp_delay ?(dedup = true) ?(inquiry_timeout = 0.) () =
   (* Store-layer hooks read the transport's tracer/registry dynamically:
      the CLI enables observability after the cluster is built, and the
      enabled checks keep the default path allocation-free.  Registry
@@ -344,7 +342,6 @@ let create ~transport ~server ~env ~domain_of ~on_proof ?(variant = Tpc.Basic)
       journaled = false;
       ocsp_delay;
       on_proof;
-      proof_cache = (if proof_cache then Some (Proof.cache ()) else None);
       inquiry_timeout;
       waits = Hashtbl.create 8;
       releases = [];

@@ -22,10 +22,6 @@ type t
     [variant] selects the decision-logging discipline (default
     {!Cloudtx_txn.Tpc.Basic}).
 
-    [proof_cache] memoizes the inference step of proof evaluation (see
-    {!Cloudtx_policy.Proof.evaluate}); truth values are unchanged, only
-    repeated saturations are skipped. Default false.
-
     [ocsp_delay], when given, prices the paper's "online method" of
     checking credential status: each proof evaluation defers the
     participant's reply by one sampled delay per CA-issued credential it
@@ -51,7 +47,6 @@ val create :
   on_proof:(txn:string -> unit) ->
   ?variant:Cloudtx_txn.Tpc.variant ->
   ?ocsp_delay:(unit -> float) ->
-  ?proof_cache:bool ->
   ?dedup:bool ->
   ?inquiry_timeout:float ->
   unit ->

@@ -134,17 +134,6 @@ let encode_frame_into w ~seq ~time_ms ~node ~dir ~emit =
   emit w;
   frame_close w start
 
-(* Shared scratch for the standalone encoder (a journal sink uses its
-   own writer): encode_frame is not reentrant — [emit] must not itself
-   call encode_frame. *)
-let encode_scratch = Wbuf.create 512
-
-let encode_frame buf ~seq ~time_ms ~node ~dir ~emit =
-  let w = encode_scratch in
-  Wbuf.clear w;
-  encode_frame_into w ~seq ~time_ms ~node ~dir ~emit;
-  Buffer.add_subbytes buf (Wbuf.unsafe_bytes w) 0 (Wbuf.length w)
-
 (* ------------------------------------------------------------------ *)
 (* In-memory buffer                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -579,12 +568,10 @@ let fold_binary_in_place s ~init f =
           (Printf.sprintf "frame %d (expected seq %d): %s" (!count + 1)
              (!last_seq + 1) m))
 
-let fold_binary s ~init f =
-  fold_binary_in_place s ~init (fun acc ~seq ~time_ms ~node ~dir ~pos ~len ->
-      f acc { seq; time_ms; node; dir; payload = String.sub s pos len })
-
 let decode_binary s =
   Result.map
     (fun (version, frames, torn_bytes) ->
       { version; frames = List.rev frames; torn_bytes })
-    (fold_binary s ~init:(fun _ -> Ok []) (fun acc fr -> fr :: acc))
+    (fold_binary_in_place s ~init:(fun _ -> Ok [])
+       (fun acc ~seq ~time_ms ~node ~dir ~pos ~len ->
+         { seq; time_ms; node; dir; payload = String.sub s pos len } :: acc))

@@ -198,24 +198,10 @@ val is_binary : string -> bool
     nothing. *)
 val fnv1a_32 : Bytes.t -> int -> int -> int
 
-(** [encode_frame buf ~seq ~time_ms ~node ~dir ~emit] appends one
-    complete binary frame (length prefix, body, checksum) to [buf];
-    [emit] writes the raw payload bytes into the frame-body writer.
-    This is the converter's building block — the journal itself uses an
-    internal variant of the same encoding.  Not reentrant: [emit] must
-    not itself call [encode_frame]. *)
-val encode_frame :
-  Buffer.t ->
-  seq:int ->
-  time_ms:float ->
-  node:string ->
-  dir:string ->
-  emit:(Wbuf.t -> unit) ->
-  unit
-
-(** [encode_frame_into w ...] appends the frame to [w] itself (at its
-    current position, no intermediate copy), built as the binary sink
-    builds its frames — the zero-copy variant, for streaming encoders. *)
+(** [encode_frame_into w ~seq ~time_ms ~node ~dir ~emit] appends one
+    complete binary frame (length prefix, body, checksum) to [w] at its
+    current position, built as the binary sink builds its frames; [emit]
+    writes the raw payload bytes.  The converter's building block. *)
 val encode_frame_into :
   Wbuf.t ->
   seq:int ->
@@ -266,15 +252,7 @@ val fold_binary_in_place :
   'a) ->
   (int * 'a * int, string) result
 
-(** {!fold_binary_in_place} with each payload copied into its
-    {!frame}. *)
-val fold_binary :
-  string ->
-  init:(int -> ('a, string) result) ->
-  ('a -> frame -> 'a) ->
-  (int * 'a * int, string) result
-
 (** Decode a whole binary journal (header plus frames) into its frame
-    list, through {!fold_binary}: the same torn-tail tolerance and the
-    same errors. *)
+    list, through {!fold_binary_in_place} with each payload copied: the
+    same torn-tail tolerance and the same errors. *)
 val decode_binary : string -> (decoded, string) result

@@ -59,69 +59,7 @@ let rec vet_all env ~at failed tail = function
 
 let request_fact pred value = { Rule.pred; args = [ Rule.Const value ] }
 
-(* The memo's key is everything the inference step reads: the policy's
-   identity and the fact base, sorted so that the order credentials come
-   in does not matter. *)
-type key = {
-  domain : string;
-  version : Policy.version;
-  accept_capabilities : bool;
-  facts : Rule.fact list;
-}
-
-(* Keyed by a hash of the whole key; the entry keeps its key, so a hit is
-   checked in full. *)
-type cache = (int, key * string list) Hashtbl.t
-
-let cache () = Hashtbl.create 64
-
-let mix h x = (h * 0x100000001b3) lxor x
-
-let hash_string h s =
-  let h = ref (mix h (String.length s)) in
-  for i = 0 to String.length s - 1 do
-    h := mix !h (Char.code (String.unsafe_get s i))
-  done;
-  !h
-
-let hash_term h = function
-  | Rule.Const c -> hash_string (mix h 1) c
-  | Rule.Var v -> hash_string (mix h 2) v
-
-let hash_fact h (f : Rule.fact) =
-  List.fold_left hash_term (hash_string h f.Rule.pred) f.Rule.args
-
-let hash_key k =
-  List.fold_left hash_fact
-    (mix
-       (mix (hash_string 0 k.domain) k.version)
-       (Bool.to_int k.accept_capabilities))
-    k.facts
-
-let compare_term a b =
-  match (a, b) with
-  | Rule.Const x, Rule.Const y | Rule.Var x, Rule.Var y -> String.compare x y
-  | Rule.Const _, Rule.Var _ -> -1
-  | Rule.Var _, Rule.Const _ -> 1
-
-let compare_fact (a : Rule.fact) (b : Rule.fact) =
-  match String.compare a.Rule.pred b.Rule.pred with
-  | 0 -> List.compare compare_term a.Rule.args b.Rule.args
-  | c -> c
-
-let same_key a b =
-  a.version = b.version
-  && a.accept_capabilities = b.accept_capabilities
-  && String.equal a.domain b.domain
-  && List.equal Rule.atom_equal a.facts b.facts
-
-(* [denied] as the request lists its items: a key does not see their
-   order. *)
-let in_request_order request = function
-  | [] -> []
-  | denied -> List.filter (fun item -> List.mem item denied) request.items
-
-let evaluate ?cache ~query_id ~server ~policy ~creds ~env ~at request =
+let evaluate ~query_id ~server ~policy ~creds ~env ~at request =
   let failed = ref [] in
   let claims = vet_all env ~at failed [] creds in
   (* Facts describing the request itself, so range-restricted rules can
@@ -135,30 +73,9 @@ let evaluate ?cache ~query_id ~server ~policy ~creds ~env ~at request =
          request.items
          (env.context () @ claims)
   in
-  let saturate_and_check () =
+  let denied =
     Policy.permits_all policy ~facts ~subject:request.subject
       ~action:request.action ~items:request.items
-  in
-  let denied =
-    match cache with
-    | None -> saturate_and_check ()
-    | Some table -> (
-      let key =
-        {
-          domain = policy.Policy.domain;
-          version = policy.Policy.version;
-          accept_capabilities = policy.Policy.accept_capabilities;
-          facts = List.sort compare_fact facts;
-        }
-      in
-      let h = hash_key key in
-      match Hashtbl.find table h with
-      | k, denied when same_key k key -> in_request_order request denied
-      | _ -> saturate_and_check ()
-      | exception Not_found ->
-        let denied = saturate_and_check () in
-        Hashtbl.add table h (key, denied);
-        denied)
   in
   let failures =
     List.rev_append !failed (List.map (fun item -> Denied item) denied)

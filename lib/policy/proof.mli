@@ -60,31 +60,13 @@ type t = {
   failures : failure list;  (** Empty iff [result]. *)
 }
 
-(** A memo of the inference step (rule satisfiability) for {!evaluate},
-    keyed by policy domain, version and [accept_capabilities] and the
-    sorted fact base, and hashed over all of it.  A hit compares the
-    whole key. *)
-type cache
-
-val cache : unit -> cache
-
 (** [evaluate ~query_id ~server ~policy ~creds ~env ~at request] runs the
     full three-step validation and returns the proof record.  Facts from
     invalid credentials are excluded from the derivation, and — because the
     paper's validity definition quantifies over every credential in [C] —
     any credential failure makes the whole proof FALSE even if the
-    remaining credentials would satisfy the rules.
-
-    [cache], when given, memoizes the {e inference} step (rule
-    satisfiability) keyed by policy domain + version, request, and the
-    exact credential/context fact base; denied items come back in the
-    request's order.  Credential validity — the
-    time-dependent part of [eval(f, t)] — is always re-checked, so caching
-    never changes a proof's truth value, only the work done: Continuous
-    proofs of authorization re-derive the same conclusion up to u(u+1)/2
-    times per transaction otherwise. *)
+    remaining credentials would satisfy the rules. *)
 val evaluate :
-  ?cache:cache ->
   query_id:string ->
   server:string ->
   policy:Policy.t ->

@@ -27,13 +27,13 @@ type t = {
   mutable copy_extra : float;
 }
 
-let create ?(drop = 0.) ?(duplicate = 0.) ?reorder_jitter ~latency ~rng () =
+let create ~latency ~rng =
   {
     latency;
     rng;
-    drop;
-    duplicate;
-    reorder_jitter;
+    drop = 0.;
+    duplicate = 0.;
+    reorder_jitter = None;
     partitions = Pair_set.empty;
     links = Hashtbl.create 8;
     link_drop = Hashtbl.create 8;

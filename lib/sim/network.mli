@@ -6,22 +6,11 @@
 
 type t
 
-(** [create ~latency ~rng ()] builds a model. [drop] is an independent loss
-    probability per message (default 0: the commit protocols in the paper
-    assume reliable channels; loss is injected only in the failure tests).
-    [duplicate] is an independent per-message duplication probability —
-    each extra copy gets its own latency draw, and another duplication coin
-    flip, so bursts of copies are possible (default 0).  [reorder_jitter]
-    adds an extra randomized delay per delivery that can invert FIFO order
-    on a link (default none). *)
-val create :
-  ?drop:float ->
-  ?duplicate:float ->
-  ?reorder_jitter:Latency.t ->
-  latency:Latency.t ->
-  rng:Splitmix.t ->
-  unit ->
-  t
+(** [create ~latency ~rng] builds a model with reliable, in-order links:
+    the commit protocols in the paper assume reliable channels, and faults
+    are injected only through the setters below (the failure tests and the
+    chaos campaign). *)
+val create : latency:Latency.t -> rng:Splitmix.t -> t
 
 (** [set_link t a b model] overrides the latency of the (undirected) link
     between [a] and [b] — e.g. a WAN hop between regions while everything
@@ -31,14 +20,18 @@ val set_link : t -> string -> string -> Latency.t -> unit
 (** Remove a per-link override. *)
 val clear_link : t -> string -> string -> unit
 
-(** [set_drop t p] changes the loss probability. *)
+(** [set_drop t p] sets an independent loss probability per message
+    (initially 0). *)
 val set_drop : t -> float -> unit
 
-(** [set_duplicate t p] changes the duplication probability. *)
+(** [set_duplicate t p] sets an independent per-message duplication
+    probability (initially 0): each extra copy gets its own latency draw,
+    and another duplication coin flip, so bursts of copies are possible. *)
 val set_duplicate : t -> float -> unit
 
-(** [set_reorder_jitter t model] changes the reorder jitter ([None]
-    disables it). *)
+(** [set_reorder_jitter t model] adds an extra randomized delay per
+    delivery that can invert FIFO order on a link ([None], the initial
+    setting, disables it). *)
 val set_reorder_jitter : t -> Latency.t option -> unit
 
 (** [set_link_drop t ~src ~dst p] sets a {e directional} loss probability

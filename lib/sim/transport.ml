@@ -43,7 +43,7 @@ type 'msg t = {
   mutable timeseries : Obs.Timeseries.t option;
 }
 
-let create ?(seed = 42L) ?(latency = Latency.lan) ?(drop = 0.) ~label_of () =
+let create ?(seed = 42L) ?(latency = Latency.lan) ~label_of () =
   let rng = Splitmix.create seed in
   let net_rng = Splitmix.split rng in
   let nobody =
@@ -57,7 +57,7 @@ let create ?(seed = 42L) ?(latency = Latency.lan) ?(drop = 0.) ~label_of () =
   in
   {
     engine = Engine.create ();
-    network = Network.create ~drop ~latency ~rng:net_rng ();
+    network = Network.create ~latency ~rng:net_rng;
     label_of;
     handlers = Names.create 16;
     nobody;

@@ -62,7 +62,6 @@ type 'msg t
 val create :
   ?seed:int64 ->
   ?latency:Latency.t ->
-  ?drop:float ->
   label_of:('msg -> string) ->
   unit ->
   'msg t

@@ -7,12 +7,6 @@ let variant_name = function
 
 type msg = Vote_request | Vote of bool | Decision of bool | Ack
 
-let msg_label = function
-  | Vote_request -> "vote-request"
-  | Vote yes -> if yes then "vote-yes" else "vote-no"
-  | Decision commit -> if commit then "decision-commit" else "decision-abort"
-  | Ack -> "ack"
-
 type action =
   | Send of { dst : [ `Coordinator | `Node of string ]; msg : msg }
   | Force_log of string
@@ -20,14 +14,6 @@ type action =
   | Apply of bool
   | Outcome of bool
   | Done
-
-let action_label = function
-  | Send { msg; _ } -> "send:" ^ msg_label msg
-  | Force_log tag -> "force_log:" ^ tag
-  | Write_log tag -> "write_log:" ^ tag
-  | Apply commit -> if commit then "apply:commit" else "apply:abort"
-  | Outcome commit -> if commit then "outcome:commit" else "outcome:abort"
-  | Done -> "done"
 
 (* ------------------------------------------------------------------ *)
 (* Coordinator                                                         *)

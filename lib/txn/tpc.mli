@@ -41,8 +41,6 @@ type msg =
   | Decision of bool  (** commit / abort. *)
   | Ack
 
-val msg_label : msg -> string
-
 (** What a machine wants done. [dst] is a node name; the coordinator
     addresses participants and vice versa ([`Coordinator]). *)
 type action =
@@ -52,9 +50,6 @@ type action =
   | Apply of bool  (** Participant: commit (true) / abort the workspace. *)
   | Outcome of bool  (** Coordinator: global decision reached. *)
   | Done  (** Machine finished; resources releasable. *)
-
-(** Stable label for traces and counters, e.g. ["send:vote-request"]. *)
-val action_label : action -> string
 
 (** {1 Coordinator} *)
 

@@ -45,8 +45,8 @@ let branch_name b = Printf.sprintf "branch-%d" (b + 1)
 let account_name b j = Printf.sprintf "acct-%d-%d" (b + 1) (j + 1)
 
 let build ?(seed = 19L) ?(latency = Cloudtx_sim.Latency.lan) ?(n_branches = 3)
-    ?(accounts_per_branch = 6) ?(n_customers = 3) ?(n_tellers = 1)
-    ?(opening_balance = 100) () =
+    ?(accounts_per_branch = 6) () =
+  let n_customers = 3 and opening_balance = 100 in
   let domain = "bank" in
   let ca = Ca.create "bank-ca" in
   let accounts b = List.init accounts_per_branch (account_name b) in
@@ -64,7 +64,7 @@ let build ?(seed = 19L) ?(latency = Cloudtx_sim.Latency.lan) ?(n_branches = 3)
       ()
   in
   let customers = List.init n_customers (fun i -> Printf.sprintf "cust-%d" (i + 1)) in
-  let tellers = List.init n_tellers (fun i -> Printf.sprintf "teller-%d" (i + 1)) in
+  let tellers = [ "teller-1" ] in
   let auditors = [ "auditor-1" ] in
   let owner_of account =
     (* acct-<b>-<j> belongs to cust-((j-1) mod n_customers + 1). *)

@@ -23,7 +23,7 @@ type t = {
   domain : string;
   branches : string list;  (** Server names, ["branch-1"] ... *)
   accounts_of : string -> string list;  (** Accounts per branch. *)
-  customers : string list;  (** ["cust-1"] ...; cust-i owns acct-i-*. *)
+  customers : string list;  (** ["cust-1"] ...; {!build} says who owns what. *)
   tellers : string list;
   auditors : string list;
   credentials_of : string -> Cloudtx_policy.Credential.t list;
@@ -32,18 +32,16 @@ type t = {
 }
 
 (** [build ()] creates [n_branches] branch servers, each hosting
-    [accounts_per_branch] accounts with [opening_balance] (default 100).
-    Customer [i] owns account [j] of branch [b] when [j mod n_customers =
-    i]; every branch enforces per-account non-negativity and whole-branch
-    conservation is checked by {!conserved}. *)
+    [accounts_per_branch] accounts that open at 100.  There are three
+    customers, one teller and one auditor; customer [i] owns account [j]
+    of every branch when [j mod 3 = i].  Every branch enforces
+    per-account non-negativity and whole-branch conservation is checked
+    by {!conserved}. *)
 val build :
   ?seed:int64 ->
   ?latency:Cloudtx_sim.Latency.t ->
   ?n_branches:int ->
   ?accounts_per_branch:int ->
-  ?n_customers:int ->
-  ?n_tellers:int ->
-  ?opening_balance:int ->
   unit ->
   t
 

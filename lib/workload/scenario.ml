@@ -71,8 +71,8 @@ let server_name i = Printf.sprintf "server-%d" (i + 1)
 let key_name si ki = Printf.sprintf "s%d-k%d" (si + 1) (ki + 1)
 
 let retail ?(seed = 7L) ?(latency = Cloudtx_sim.Latency.lan) ?ocsp_latency
-    ?proof_cache ?variant ?dedup ?inquiry_timeout ?(n_servers = 4)
-    ?(items_per_server = 8) ?(n_subjects = 4) () =
+    ?variant ?dedup ?inquiry_timeout ?(n_servers = 4) ?(items_per_server = 8)
+    ?(n_subjects = 4) () =
   let domain = "retail" in
   let ca = Ca.create "corp-ca" in
   let keys =
@@ -85,8 +85,8 @@ let retail ?(seed = 7L) ?(latency = Cloudtx_sim.Latency.lan) ?ocsp_latency
         Cluster.server_spec ~name:(server_name si) ~constraints ~items ())
   in
   let cluster =
-    Cluster.create ~seed ~latency ?ocsp_latency ?proof_cache ?variant ?dedup
-      ?inquiry_timeout ~cas:[ ca ] ~servers:specs
+    Cluster.create ~seed ~latency ?ocsp_latency ?variant ?dedup ?inquiry_timeout
+      ~cas:[ ca ] ~servers:specs
       ~domains:[ (domain, clerk_rules) ]
       ()
   in

@@ -59,7 +59,6 @@ val retail :
   ?seed:int64 ->
   ?latency:Cloudtx_sim.Latency.t ->
   ?ocsp_latency:Cloudtx_sim.Latency.t ->
-  ?proof_cache:bool ->
   ?variant:Cloudtx_txn.Tpc.variant ->
   ?dedup:bool ->
   ?inquiry_timeout:float ->

@@ -564,6 +564,43 @@ let test_consumer_allocation () =
       "health and blame allocate %.1f minor words a record, at most 10 expected"
       words
 
+(* Words a live Health bridge (no time series) and a Blame collector
+   hold after a sequential deferred/view run of [n] transactions of one
+   shape over a constant-latency network: no wait-die victims, and every
+   timeline the same, so the aggregate's sketches and slowest list hold
+   the same words whatever [n].  Both forget a coordinator at its
+   Finish, so what they hold does not grow with the run: 564 and 1 300
+   words here.  While their TM node tables kept every transaction, 200
+   transactions left 2 471 and 3 182 words and 800 left 8 255 and
+   8 966. *)
+let consumer_words_after n =
+  let scenario =
+    Scenario.retail ~latency:(Cloudtx_sim.Latency.Constant 0.5) ~n_servers:4
+      ~n_subjects:1 ()
+  in
+  let cluster = scenario.Scenario.cluster in
+  let journal =
+    Transport.enable_journal ~max_buffer_bytes:4096 (Cluster.transport cluster)
+  in
+  let health = Health.attach journal (Monitor.create ()) in
+  let blame = Blame.attach journal in
+  let cfg = Manager.config Scheme.Deferred Consistency.View in
+  for i = 1 to n do
+    let txn =
+      Scenario.spread_transaction scenario ~id:(Printf.sprintf "t%04d" i)
+        ~subject:"clerk-1" ~queries:4 ()
+    in
+    let o = Manager.run_one cluster cfg txn in
+    if not o.Outcome.committed then Alcotest.failf "t%04d did not commit" i
+  done;
+  (Obj.reachable_words (Obj.repr health), Obj.reachable_words (Obj.repr blame))
+
+let test_consumers_forget_finished () =
+  let health_200, blame_200 = consumer_words_after 200 in
+  let health_800, blame_800 = consumer_words_after 800 in
+  Alcotest.(check int) "health words, 200 = 800 txns" health_200 health_800;
+  Alcotest.(check int) "blame words, 200 = 800 txns" blame_200 blame_800
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -604,5 +641,7 @@ let () =
         [
           Alcotest.test_case "health and blame words a record" `Quick
             test_consumer_allocation;
+          Alcotest.test_case "health and blame keep no finished txn" `Quick
+            test_consumers_forget_finished;
         ] );
     ]

@@ -422,50 +422,6 @@ let test_snapshot_repeatable_read () =
     (Outcome.reason_name (Hashtbl.find results "r").Outcome.reason)
 
 (* ------------------------------------------------------------------ *)
-(* Proof-satisfiability cache                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_proof_cache_preserves_outcomes () =
-  (* Identical workload with and without the cache, under policy churn
-     (version bumps must miss the cache) and a tightening (the new
-     version's denials must not be masked by stale entries): outcomes,
-     proof counts and rounds are identical. *)
-  let module Churn = Cloudtx_workload.Churn in
-  let module Generator = Cloudtx_workload.Generator in
-  let module Experiment = Cloudtx_workload.Experiment in
-  let module Splitmix = Cloudtx_sim.Splitmix in
-  let run ~cache =
-    let scenario =
-      Scenario.retail ~seed:99L ~proof_cache:cache ~n_servers:4 ~n_subjects:3 ()
-    in
-    Churn.policy_refresh scenario ~period:20. ~propagation:(0., 15.) ~count:10;
-    Churn.tighten_at scenario ~time:120. ~propagation:(0., 5.);
-    let rng = Splitmix.create 123L in
-    let params = { Generator.default with queries_per_txn = 3; write_ratio = 0.5 } in
-    let stats =
-      Experiment.run_sequential scenario
-        (Manager.config Scheme.Continuous Consistency.View)
-        ~n:20
-        (fun ~i -> Generator.generate scenario rng params ~id:(Printf.sprintf "t%d" i))
-    in
-    List.map
-      (fun (o : Outcome.t) ->
-        (o.Outcome.txn, o.Outcome.committed, Outcome.reason_name o.Outcome.reason,
-         o.Outcome.proofs_evaluated, o.Outcome.commit_rounds))
-      stats.Experiment.outcomes
-  in
-  let plain = run ~cache:false in
-  let cached = run ~cache:true in
-  List.iter2
-    (fun (t1, c1, r1, p1, k1) (t2, c2, r2, p2, k2) ->
-      Alcotest.(check string) "same txn" t1 t2;
-      Alcotest.(check bool) (t1 ^ " same decision") c1 c2;
-      Alcotest.(check string) (t1 ^ " same reason") r1 r2;
-      Alcotest.(check int) (t1 ^ " same proof count") p1 p2;
-      Alcotest.(check int) (t1 ^ " same rounds") k1 k2)
-    plain cached
-
-(* ------------------------------------------------------------------ *)
 (* Gossip anti-entropy                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -525,11 +481,6 @@ let () =
           Alcotest.test_case "readers never die" `Quick
             test_snapshot_readers_never_die;
           Alcotest.test_case "repeatable read" `Quick test_snapshot_repeatable_read;
-        ] );
-      ( "proof_cache",
-        [
-          Alcotest.test_case "outcomes preserved" `Quick
-            test_proof_cache_preserves_outcomes;
         ] );
       ( "gossip",
         [ Alcotest.test_case "converges" `Quick test_gossip_converges ] );

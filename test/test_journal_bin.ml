@@ -92,18 +92,18 @@ let decode_ok contents =
 (* ------------------------------------------------------------------ *)
 
 let test_frame_roundtrip () =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Journal.binary_header ~version:Journal.format_version);
+  let buf = Wbuf.create 256 in
+  Wbuf.str buf (Journal.binary_header ~version:Journal.format_version);
   let payloads = [ ""; "x"; String.make 200 '\xff'; "{\"k\":1}" ] in
   List.iteri
     (fun i payload ->
-      Journal.encode_frame buf ~seq:(i + 1)
+      Journal.encode_frame_into buf ~seq:(i + 1)
         ~time_ms:(float_of_int i *. 0.5)
         ~node:(Printf.sprintf "node-%d" i)
         ~dir:(if i mod 2 = 0 then "input" else "action")
         ~emit:(fun w -> Wbuf.str w payload))
     payloads;
-  let d = decode_ok (Buffer.contents buf) in
+  let d = decode_ok (Wbuf.contents buf) in
   Alcotest.(check int) "version" Journal.format_version d.Journal.version;
   Alcotest.(check int) "no torn tail" 0 d.Journal.torn_bytes;
   Alcotest.(check int) "all frames back" (List.length payloads)
@@ -206,11 +206,11 @@ let test_checksum_damage_named () =
 (* Single-bit flips anywhere in a frame body are always caught — the
    word-wise FNV-1a variant must not trade detection for speed. *)
 let test_single_bit_flips_caught () =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf (Journal.binary_header ~version:Journal.format_version);
-  Journal.encode_frame buf ~seq:1 ~time_ms:2.5 ~node:"nd" ~dir:"input"
+  let buf = Wbuf.create 64 in
+  Wbuf.str buf (Journal.binary_header ~version:Journal.format_version);
+  Journal.encode_frame_into buf ~seq:1 ~time_ms:2.5 ~node:"nd" ~dir:"input"
     ~emit:(fun w -> Wbuf.str w "payload-bytes!");
-  let clean = Buffer.contents buf in
+  let clean = Wbuf.contents buf in
   let header_len = String.length (Journal.binary_header ~version:Journal.format_version) in
   let body_start = header_len + 4 in
   let body_len = String.length clean - body_start - 4 in
@@ -464,20 +464,20 @@ let prop_binary_mutation =
       let _, bin = Lazy.force corpus in
       let frames = (decode_ok bin).Journal.frames in
       let target = frame_i mod List.length frames in
-      let buf = Buffer.create (String.length bin) in
-      Buffer.add_string buf (Journal.binary_header ~version:Journal.format_version);
+      let buf = Wbuf.create (String.length bin) in
+      Wbuf.str buf (Journal.binary_header ~version:Journal.format_version);
       List.iteri
         (fun i (f : Journal.frame) ->
           let payload =
             if i = target && f.Journal.payload <> "" then mutate f.Journal.payload edits
             else f.Journal.payload
           in
-          Journal.encode_frame buf ~seq:f.Journal.seq ~time_ms:f.Journal.time_ms
-            ~node:f.Journal.node ~dir:f.Journal.dir
+          Journal.encode_frame_into buf ~seq:f.Journal.seq
+            ~time_ms:f.Journal.time_ms ~node:f.Journal.node ~dir:f.Journal.dir
             ~emit:(fun w -> Wbuf.str w payload))
         frames;
       decodes_or_names_position (mutate bin edits)
-      && decodes_or_names_position (Buffer.contents buf))
+      && decodes_or_names_position (Wbuf.contents buf))
 
 (* A -0. keeps its sign through a JSONL journal: recorded natively in
    each format, each converts to the other byte for byte. *)
@@ -811,14 +811,14 @@ let test_consumer_exception () =
 (* A binary journal of [(node, dir, payload bytes)] frames, the bytes
    framed as they are. *)
 let journal_of frames =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Journal.binary_header ~version:Journal.format_version);
+  let buf = Wbuf.create 1024 in
+  Wbuf.str buf (Journal.binary_header ~version:Journal.format_version);
   List.iteri
     (fun i (node, dir, bytes) ->
-      Journal.encode_frame buf ~seq:(i + 1) ~time_ms:(float_of_int i) ~node
-        ~dir ~emit:(fun w -> Wbuf.str w bytes))
+      Journal.encode_frame_into buf ~seq:(i + 1) ~time_ms:(float_of_int i)
+        ~node ~dir ~emit:(fun w -> Wbuf.str w bytes))
     frames;
-  Buffer.contents buf
+  Wbuf.contents buf
 
 let frame_of p =
   ("server-1", Codec_bin.payload_dir p, Codec_bin.payload_to_string p)

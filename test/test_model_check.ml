@@ -21,7 +21,11 @@
    decision phase included — asserting, at every reachable leaf, AC1-AC3,
    termination, delivery-order independence of the outcome, and that every
    committed run satisfies {!Cloudtx_core.Trusted.check} (the phi/psi
-   trusted-transaction soundness obligation of Section V). *)
+   trusted-transaction soundness obligation of Section V).  The exhaustive
+   n = 2 exploration runs the participants under each 2PC variant (Basic,
+   presumed abort, presumed commit): a variant decides which decisions a
+   participant forces, which every leaf checks, and must not change a
+   message, so all three explore the same leaves to the same verdicts. *)
 
 module Tpc = Cloudtx_txn.Tpc
 module Validation = Cloudtx_protocol.Validation
@@ -281,10 +285,11 @@ type full_verdict = {
   f_reason : string;
   f_finishes : int;
   f_applied : (string * bool) list;  (** (server, decision applied). *)
+  f_forced : bool list;  (** Whether each apply forced its decision. *)
   f_view : View.t;
 }
 
-let run_full w ~scheme ~level ~master_mode ~choose =
+let run_full w ~variant ~scheme ~level ~master_mode ~choose =
   let n = Array.length w.w_versions in
   let versions = Array.copy w.w_versions in
   let queries =
@@ -298,9 +303,10 @@ let run_full w ~scheme ~level ~master_mode ~choose =
   let txn = Transaction.make ~id:"t" ~subject:"alice" queries in
   let cfg = Tm.config ~master_mode scheme level in
   let tm = Tm.create cfg txn ~submitted_at:0. in
-  let parts = Array.init n (fun i -> Ps.create ~name:(pname i) ()) in
+  let parts = Array.init n (fun i -> Ps.create ~name:(pname i) ~variant ()) in
   let flight = ref [] in
   let applied = ref [] in
+  let forced = ref [] in
   let finishes = ref 0 in
   let committed = ref false in
   let reason = ref "" in
@@ -349,7 +355,9 @@ let run_full w ~scheme ~level ~master_mode ~choose =
       ps_dispatch i
         (Ps.Read_only_result
            { txn; reply_to; round; read_only = false; integrity_ok = false })
-    | Ps.Apply { commit; _ } -> applied := (pname i, commit) :: !applied
+    | Ps.Apply { commit; forced = f; _ } ->
+      applied := (pname i, commit) :: !applied;
+      forced := f :: !forced
     | Ps.Forget _ -> ()
     | Ps.Install { policies; _ } ->
       List.iter
@@ -396,12 +404,14 @@ let run_full w ~scheme ~level ~master_mode ~choose =
     f_reason = !reason;
     f_finishes = !finishes;
     f_applied = !applied;
+    f_forced = !forced;
     f_view = Tm.view tm;
   }
 
-let check_full_verdict w ~scheme ~level v =
+let check_full_verdict w ~variant ~scheme ~level v =
   let ctx =
-    Printf.sprintf "%s/%s" (Scheme.name scheme) (Consistency.name level)
+    Printf.sprintf "%s/%s/%s" (Scheme.name scheme) (Consistency.name level)
+      (Tpc.variant_name variant)
   in
   (* AC3: the TM decides exactly once. *)
   if v.f_finishes <> 1 then
@@ -419,6 +429,14 @@ let check_full_verdict w ~scheme ~level v =
         Alcotest.failf "%s: %s applied %b against outcome %b" ctx server commit
           v.f_committed)
     v.f_applied;
+  (* Each participant forces exactly the decisions its variant forces. *)
+  List.iter
+    (fun forced ->
+      if forced <> Tpc.decision_forced variant ~commit:v.f_committed then
+        Alcotest.failf "%s: a %s was applied with forced = %b" ctx
+          (if v.f_committed then "commit" else "abort")
+          forced)
+    v.f_forced;
   let appliers = List.map fst v.f_applied in
   if List.length (List.sort_uniq compare appliers) <> List.length appliers then
     Alcotest.failf "%s: a server settled twice" ctx;
@@ -488,25 +506,49 @@ let all_combos =
         [ Consistency.View; Consistency.Global ])
     Scheme.all
 
+(* Every world x scheme x level, explored under each 2PC variant.  A
+   variant changes what a participant forces, never a message, so the
+   variants' leaves, in exploration order and as what each decided
+   (committed, reason, applied), must be equal. *)
 let test_full_2pvc_exhaustive_n2 () =
   let total = ref 0 in
   List.iter
     (fun (wname, w) ->
       List.iter
         (fun (scheme, level) ->
-          let explored =
-            explore_full
-              ~run:(run_full w ~scheme ~level ~master_mode:`Every_round)
-              ~check:(check_full_verdict w ~scheme ~level)
+          let ctx =
+            Printf.sprintf "%s/%s/%s" wname (Scheme.name scheme)
+              (Consistency.name level)
           in
-          if explored < 1 then
-            Alcotest.failf "%s/%s/%s: nothing explored" wname
-              (Scheme.name scheme) (Consistency.name level);
-          total := !total + explored)
+          let leaves variant =
+            let seen = ref [] in
+            ignore
+              (explore_full
+                 ~run:
+                   (run_full w ~variant ~scheme ~level ~master_mode:`Every_round)
+                 ~check:(fun v ->
+                   check_full_verdict w ~variant ~scheme ~level v;
+                   seen := (v.f_committed, v.f_reason, v.f_applied) :: !seen));
+            !seen
+          in
+          let basic = leaves Tpc.Basic in
+          if basic = [] then Alcotest.failf "%s: nothing explored" ctx;
+          total := !total + List.length basic;
+          List.iter
+            (fun variant ->
+              let other = leaves variant in
+              if other <> basic then
+                Alcotest.failf "%s: %s explored %d leaves, Basic %d%s" ctx
+                  (Tpc.variant_name variant) (List.length other)
+                  (List.length basic)
+                  (if List.length other = List.length basic then
+                     ", to other verdicts"
+                   else ""))
+            [ Tpc.Presumed_abort; Tpc.Presumed_commit ])
         all_combos)
     full_worlds;
   (* Sanity: the exploration is genuinely branching, not a single trace
-     per configuration (48 configurations in all). *)
+     per configuration (48 configurations in all, counted once). *)
   Alcotest.(check bool)
     (Printf.sprintf "explored a real state space (%d leaves)" !total)
     true (!total > 2_000)
@@ -518,8 +560,12 @@ let test_full_2pvc_exhaustive_master_once () =
     (fun scheme ->
       ignore
         (explore_full
-           ~run:(run_full w ~scheme ~level:Consistency.Global ~master_mode:`Once)
-           ~check:(check_full_verdict w ~scheme ~level:Consistency.Global)))
+           ~run:
+             (run_full w ~variant:Tpc.Basic ~scheme ~level:Consistency.Global
+                ~master_mode:`Once)
+           ~check:
+             (check_full_verdict w ~variant:Tpc.Basic ~scheme
+                ~level:Consistency.Global)))
     Scheme.all
 
 let test_full_2pvc_sampled_n4 () =
@@ -542,10 +588,10 @@ let test_full_2pvc_sampled_n4 () =
           let rng = Splitmix.create 4242L in
           for _ = 1 to 400 do
             let v =
-              run_full w ~scheme ~level ~master_mode:`Every_round
-                ~choose:(fun n -> Splitmix.int rng n)
+              run_full w ~variant:Tpc.Basic ~scheme ~level
+                ~master_mode:`Every_round ~choose:(fun n -> Splitmix.int rng n)
             in
-            check_full_verdict w ~scheme ~level v
+            check_full_verdict w ~variant:Tpc.Basic ~scheme ~level v
           done)
         all_combos)
     worlds

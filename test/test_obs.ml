@@ -625,10 +625,10 @@ let test_binary_cap_charges_encoded_bytes () =
   (* Re-encode every record standalone to learn its exact frame size,
      then compute the expected survivor suffix. *)
   let size i =
-    let buf = Buffer.create 64 in
-    Journal.encode_frame buf ~seq:i ~time_ms:0. ~node:"n" ~dir:"input"
+    let w = Cloudtx_obs.Wbuf.create 64 in
+    Journal.encode_frame_into w ~seq:i ~time_ms:0. ~node:"n" ~dir:"input"
       ~emit:(fun w -> Cloudtx_obs.Wbuf.str w (payload i));
-    Buffer.length buf
+    Cloudtx_obs.Wbuf.length w
   in
   let expected_dropped = ref 0 and total = ref 0 in
   for i = 100 downto 1 do
@@ -812,10 +812,10 @@ module Queue_buffer = struct
       match t.format with
       | Journal.Jsonl -> Journal.render_jsonl ~seq ~time_ms ~node ~dir ~payload
       | Journal.Binary ->
-        let buf = Buffer.create 64 in
-        Journal.encode_frame buf ~seq ~time_ms ~node ~dir ~emit:(fun w ->
+        let w = Cloudtx_obs.Wbuf.create 64 in
+        Journal.encode_frame_into w ~seq ~time_ms ~node ~dir ~emit:(fun w ->
             Cloudtx_obs.Wbuf.str w payload);
-        Buffer.contents buf
+        Cloudtx_obs.Wbuf.contents w
     in
     Queue.push entry t.entries;
     t.bytes <- t.bytes + cost t entry;

@@ -702,56 +702,6 @@ let test_proof_memo_preserves_proofs () =
     (genuine.Credential.check = Credential.Signed
     && forged.Credential.check = Credential.Forged)
 
-(* With a memo, a proof is the one evaluated without it, whatever the
-   memo already holds: the same items in another order, fact bases that
-   differ only past their tenth fact, another policy version. *)
-let test_proof_cache_exact () =
-  let ca = Ca.create "corp" in
-  let issue id n =
-    Ca.issue ca ~id ~subject:"bob"
-      ~facts:
-        (Rule.fact "role" [ "bob"; "clerk" ]
-        :: List.init n (fun k -> Rule.fact "open" [ Printf.sprintf "db%d" k ]))
-      ~now:0. ~ttl:100.
-  in
-  let policy version =
-    Policy.of_wire ~domain:"app" ~version ~accept_capabilities:false
-      [
-        Rule.rule
-          (Rule.atom "permit" [ Rule.v "s"; Rule.v "a"; Rule.v "i" ])
-          [
-            Rule.atom "role" [ Rule.v "s"; Rule.c "clerk" ];
-            Rule.atom "req_action" [ Rule.v "a" ];
-            Rule.atom "req_item" [ Rule.v "i" ];
-            Rule.atom "open" [ Rule.v "i" ];
-          ];
-      ]
-  in
-  let env = proof_env ~cas:[ ("corp", ca) ] () in
-  let cache = Proof.cache () in
-  List.iter
-    (fun version ->
-      List.iter
-        (fun creds ->
-          List.iter
-            (fun items ->
-              let request = { Proof.subject = "bob"; action = "read"; items } in
-              let evaluate ?cache () =
-                Proof.evaluate ?cache ~query_id:"q1" ~server:"s1"
-                  ~policy:(policy version) ~creds ~env ~at:10. request
-              in
-              let plain = evaluate () in
-              let what = Format.asprintf "v%d %a" version Proof.pp plain in
-              Alcotest.(check bool) what true (evaluate ~cache () = plain))
-            [
-              [ "db11"; "x"; "y" ];
-              [ "y"; "x"; "db11" ];
-              [ "x"; "y"; "db11" ];
-              [ "y"; "y"; "db0" ];
-            ])
-        [ [ issue "twelve" 12 ]; [ issue "eleven" 11 ] ])
-    [ 1; 2; 1 ]
-
 let test_proof_untrusted_issuer () =
   let c =
     Credential.make ~id:"x" ~subject:"bob" ~issuer:"shady"
@@ -1364,7 +1314,5 @@ let () =
           Alcotest.test_case "context facts" `Quick test_proof_context_facts;
           Alcotest.test_case "memo keeps every proof" `Quick
             test_proof_memo_preserves_proofs;
-          Alcotest.test_case "proof cache gives the uncached proof" `Quick
-            test_proof_cache_exact;
         ] );
     ]

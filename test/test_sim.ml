@@ -246,7 +246,7 @@ let fate net ~src ~dst =
 
 let test_network_partition () =
   let rng = Splitmix.create 3L in
-  let net = Network.create ~latency:(Latency.Constant 1.) ~rng () in
+  let net = Network.create ~latency:(Latency.Constant 1.) ~rng in
   Alcotest.(check bool) "initially connected" true
     (match fate net ~src:"a" ~dst:"b" with
     | `Deliver_each _ -> true
@@ -261,14 +261,15 @@ let test_network_partition () =
 
 let test_network_self_delivery () =
   let rng = Splitmix.create 3L in
-  let net = Network.create ~drop:1.0 ~latency:(Latency.Constant 9.) ~rng () in
+  let net = Network.create ~latency:(Latency.Constant 9.) ~rng in
+  Network.set_drop net 1.0;
   (* Even with 100% drop, self-messages are instant and reliable. *)
   Alcotest.(check bool) "self" true
     (fate net ~src:"a" ~dst:"a" = `Deliver_each [ 0. ])
 
 let test_network_link_override () =
   let rng = Splitmix.create 3L in
-  let net = Network.create ~latency:(Latency.Constant 1.) ~rng () in
+  let net = Network.create ~latency:(Latency.Constant 1.) ~rng in
   Network.set_link net "east" "west" (Latency.Constant 25.);
   Alcotest.(check bool) "overridden link" true
     (fate net ~src:"west" ~dst:"east" = `Deliver_each [ 25. ]);
@@ -280,14 +281,14 @@ let test_network_link_override () =
 
 let test_network_drop_all () =
   let rng = Splitmix.create 3L in
-  let net = Network.create ~drop:1.0 ~latency:(Latency.Constant 1.) ~rng () in
+  let net = Network.create ~latency:(Latency.Constant 1.) ~rng in
+  Network.set_drop net 1.0;
   Alcotest.(check bool) "dropped" true (fate net ~src:"a" ~dst:"b" = `Lost)
 
 let test_network_duplicate_all () =
   let rng = Splitmix.create 3L in
-  let net =
-    Network.create ~duplicate:0.5 ~latency:(Latency.Constant 1.) ~rng ()
-  in
+  let net = Network.create ~latency:(Latency.Constant 1.) ~rng in
+  Network.set_duplicate net 0.5;
   let max_copies = ref 0 in
   for _ = 1 to 50 do
     match fate net ~src:"a" ~dst:"b" with
@@ -305,7 +306,7 @@ let test_network_duplicate_all () =
 
 let test_network_reorder_jitter () =
   let rng = Splitmix.create 3L in
-  let net = Network.create ~latency:(Latency.Constant 1.) ~rng () in
+  let net = Network.create ~latency:(Latency.Constant 1.) ~rng in
   Network.set_reorder_jitter net (Some (Latency.Uniform { lo = 0.; hi = 10. }));
   let saw_jitter = ref false in
   for _ = 1 to 20 do
@@ -321,15 +322,15 @@ let test_network_reorder_jitter () =
     (fate net ~src:"a" ~dst:"b" = `Deliver_each [ 1. ])
 
 let test_network_defaults_identical_draws () =
-  (* Same seed, with and without the (disabled) fault knobs: identical
+  (* Same seed, with and without the fault knobs set to 0: identical
      RNG draw order, so existing runs stay bit-identical. *)
   let draws seed knobs =
     let rng = Splitmix.create seed in
-    let net =
-      if knobs then
-        Network.create ~drop:0. ~duplicate:0. ~latency:Latency.lan ~rng ()
-      else Network.create ~latency:Latency.lan ~rng ()
-    in
+    let net = Network.create ~latency:Latency.lan ~rng in
+    if knobs then begin
+      Network.set_drop net 0.;
+      Network.set_duplicate net 0.
+    end;
     List.init 40 (fun _ ->
         match fate net ~src:"a" ~dst:"b" with
         | `Deliver_each delays -> delays
@@ -1047,7 +1048,7 @@ let prop_network_matches_reference =
     QCheck.(pair int64 (make ~print:print_faults gen_faults))
     (fun (seed, f) ->
       let rng = Splitmix.create seed and old_rng = Splitmix.create seed in
-      let net = Network.create ~latency:Latency.lan ~rng () in
+      let net = Network.create ~latency:Latency.lan ~rng in
       let old = Reference.Network.create ~latency:Latency.lan ~rng:old_rng in
       Network.set_drop net f.drop;
       old.drop <- f.drop;
