@@ -159,17 +159,20 @@ let journal_format_conv =
   in
   Arg.conv (parse, fun ppf f -> Format.fprintf ppf "%s" (Journal.format_name f))
 
-let journal_format_arg =
+let journal_format_opt ~doc =
   Arg.(
     value
     & opt journal_format_conv Journal.Jsonl
-    & info [ "journal-format" ] ~docv:"FORMAT"
-        ~doc:
-          "Flight-recorder journal encoding: $(b,jsonl) (self-describing \
-           text, one JSON record per line) or $(b,bin) (length-prefixed \
-           checksummed binary frames; smaller and faster to record).  \
-           $(b,cloudtx audit), $(b,certify) and $(b,watch) auto-detect \
-           either; convert between them with $(b,cloudtx journal convert).")
+    & info [ "journal-format" ] ~docv:"FORMAT" ~doc)
+
+let journal_format_arg =
+  journal_format_opt
+    ~doc:
+      "Flight-recorder journal encoding: $(b,jsonl) (self-describing \
+       text, one JSON record per line) or $(b,bin) (length-prefixed \
+       checksummed binary frames; smaller and faster to record).  \
+       $(b,cloudtx audit), $(b,certify) and $(b,watch) auto-detect \
+       either; convert between them with $(b,cloudtx journal convert)."
 
 let monitor_arg =
   Arg.(
@@ -1697,16 +1700,25 @@ let chaos_term =
                ($(b,cloudtx certify) over the same history).  Verdicts \
                stay bit-reproducible — the check is a pure function of the \
                journal.")
-    $ journal_format_arg
+    $ journal_format_opt
+        ~doc:
+          "Encoding of the $(b,--journal-out) file: $(b,jsonl) \
+           (self-describing text, one JSON record per line) or $(b,bin) \
+           (length-prefixed checksummed binary frames).  A run that \
+           writes no file records its journal in binary whatever this \
+           says; its verdict and its $(b,--journal-dir) lines are the \
+           same in either format."
     $ Arg.(
         value
         & opt (some string) None
         & info [ "journal-out" ] ~docv:"FILE"
             ~doc:
               "Write every run's flight-recorder journal through to $(docv) \
-               whatever the verdict (each run overwrites it — pair with \
-               $(b,--seeds 1) and $(b,--cell) for a single run's artifact, \
-               e.g. to feed $(b,cloudtx report)).")
+               whatever the verdict, encoded as $(b,--journal-format) says \
+               (each run overwrites it — pair with $(b,--seeds 1) and \
+               $(b,--cell) for a single run's artifact, e.g. to feed \
+               $(b,cloudtx report)).  Without it a run records in binary, \
+               in memory only.")
     $ Arg.(
         value
         & opt (some float) None

@@ -72,8 +72,13 @@ let run_plan ?(dedup = true) ?(certify = false) ?variant ?journal_format
   in
   let cluster = sc.Scenario.cluster in
   let tr = Cluster.transport cluster in
+  (* [journal_format] is the file's encoding.  A journal that writes no
+     file is read only by the live tap and, for a failing run, rendered
+     to canonical JSONL lines, so it records in binary. *)
   let journal =
-    Transport.enable_journal ?format:journal_format ?path:journal_path tr
+    match journal_path with
+    | None -> Transport.enable_journal ~format:Journal_io.in_memory_format tr
+    | Some path -> Transport.enable_journal ?format:journal_format ~path tr
   in
   (* The journal's records feed the assertion layers that read them as
      they are recorded, each typed record as the driver wrote it: the

@@ -44,11 +44,14 @@ type failure = {
     idempotent delivery (the chaos escape hatch); [certify:true] adds a
     fourth layer: the journal must certify serializable
     ({!Cloudtx_core.Certify});
-    [journal_format] selects the flight recorder's encoding (default
-    JSONL) — audit/certify assertions and [failure.journal] lines are
-    identical either way, because binary journals decode to the same
-    canonical records;
-    [journal_path] additionally writes the journal through to a file;
+    [journal_path] writes the run's journal through to a file, in
+    [journal_format] (default JSONL).  A run given no [journal_path]
+    records in {!Cloudtx_core.Journal_io.in_memory_format} (binary)
+    whatever [journal_format] says: audit/certify assertions and
+    [failure.journal] lines are identical either way, because the live
+    tap hands every consumer the typed record and a failing run's
+    journal is rendered to the canonical JSONL lines a JSONL file
+    holds;
     [metrics_path] writes a windowed-metrics snapshot JSONL
     ({!Cloudtx_obs.Report.to_snapshot}, window width [metrics_width_ms])
     built live from the run's journal stream — written whatever the

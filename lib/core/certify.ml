@@ -98,7 +98,8 @@ type ex = {
                                         it finishes *)
   epochs : (string, int) Hashtbl.t;  (* PS node -> create count *)
   pending_exec : (string * string * string, bool * float) Hashtbl.t;
-      (* (node, txn, query id) -> (snapshot, start ts) of the last Exec *)
+      (* (node, txn, query id) -> (snapshot, start ts) of an Exec whose
+         result is still to come *)
   first_seq : (string, int) Hashtbl.t;  (* txn -> first appearance *)
   tm_outcome : (string, bool) Hashtbl.t;  (* TM Finish: txn -> committed *)
   mutable events : event list;  (* reversed *)
@@ -125,26 +126,36 @@ let note_txn ex ~seq txn =
 
 let epoch_of ex node = Option.value ~default:1 (Hashtbl.find_opt ex.epochs node)
 
+(* The participant dispatches each [Exec]'s result right after it, so an
+   entry is taken at its one [Exec_result]: a blocked query that is
+   granted its locks later is executed by a fresh [Exec]. *)
+let take_exec ex key =
+  match Hashtbl.find_opt ex.pending_exec key with
+  | None -> (false, 0.)
+  | Some exec ->
+    Hashtbl.remove ex.pending_exec key;
+    exec
+
 let on_ps_input ex ~seq ~node input =
   match input with
-  | Ps.Exec_result { txn; query; result = Ps.Executed reads; _ } ->
-    note_txn ex ~seq txn;
-    (* The store buffers the query's writes before computing the overlay
-       reads, so the Buffer events precede the Read events of the same
-       record: a read-modify-write query reads its own write. *)
-    List.iter
-      (fun (b_key, b_update) ->
-        push ex (Buffer { b_seq = seq; b_node = node; b_txn = txn; b_key; b_update }))
-      query.Query.writes;
-    let r_snapshot, r_ts =
-      Option.value ~default:(false, 0.)
-        (Hashtbl.find_opt ex.pending_exec (node, txn, query.Query.id))
-    in
-    List.iter
-      (fun (r_key, r_value) ->
-        push ex
-          (Read { r_seq = seq; r_node = node; r_txn = txn; r_key; r_value; r_snapshot; r_ts }))
-      reads
+  | Ps.Exec_result { txn; query; result; _ } -> (
+    let r_snapshot, r_ts = take_exec ex (node, txn, query.Query.id) in
+    match result with
+    | Ps.Executed reads ->
+      note_txn ex ~seq txn;
+      (* The store buffers the query's writes before computing the overlay
+         reads, so the Buffer events precede the Read events of the same
+         record: a read-modify-write query reads its own write. *)
+      List.iter
+        (fun (b_key, b_update) ->
+          push ex (Buffer { b_seq = seq; b_node = node; b_txn = txn; b_key; b_update }))
+        query.Query.writes;
+      List.iter
+        (fun (r_key, r_value) ->
+          push ex
+            (Read { r_seq = seq; r_node = node; r_txn = txn; r_key; r_value; r_snapshot; r_ts }))
+        reads
+    | Ps.Blocked | Ps.Die -> ())
   | _ -> ()
 
 let on_ps_action ex ~seq ~time_ms ~node action =

@@ -311,6 +311,10 @@ let record_event journal ~node j =
   if Journal.enabled journal then
     Journal.record journal ~node ~dir:"event" ~payload:(Codec.to_string j)
 
+(* Binary: nothing renders JSON on the way in, and [of_contents] renders
+   a kept buffer to the same canonical lines a JSONL journal records. *)
+let in_memory_format = Journal.Binary
+
 (* ------------------------------------------------------------------ *)
 (* Canonical JSONL: a rendering of the records                         *)
 (* ------------------------------------------------------------------ *)

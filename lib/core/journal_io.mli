@@ -103,6 +103,13 @@ val record :
     [Event j]. *)
 val record_event : Journal.t -> node:string -> Cloudtx_policy.Json.t -> unit
 
+(** The encoding for a journal that writes no file: binary.  Such a
+    journal is read only live, through {!attach}, and back from its
+    buffer through {!of_contents}, and neither can tell the formats
+    apart; binary records without rendering any JSON.  The chaos
+    campaign records in it whenever it is given no journal path. *)
+val in_memory_format : Journal.format
+
 (** {1 Canonical JSONL and conversion} *)
 
 (** [render r] is [r]'s canonical JSONL line, byte-identical to what a

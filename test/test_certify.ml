@@ -252,6 +252,90 @@ let test_every_cell_certifies_serializable () =
         Alcotest.failf "%s: clean run flagged: %s" what (Certify.describe_anomaly a))
     all_cells
 
+(* A snapshot read maps to the last version installed by its
+   transaction's start, which the certifier takes from the read's [Exec].
+   Reader r starts before writer w and reads s1-k1 again after w's commit
+   is applied: it still reads the value it started with, so the history
+   certifies as r then w.  Mapped by journal order instead, that last read
+   would have to return w's value. *)
+let test_snapshot_reads_certify () =
+  let module Latency = Cloudtx_sim.Latency in
+  let module Transaction = Cloudtx_txn.Transaction in
+  let module Journal_io = Cloudtx_core.Journal_io in
+  let module Codec_bin = Cloudtx_protocol.Codec_bin in
+  let scenario =
+    Scenario.retail ~latency:(Latency.Constant 1.) ~n_servers:1
+      ~items_per_server:4 ~n_subjects:2 ()
+  in
+  let cluster = scenario.Scenario.cluster in
+  let transport = Cluster.transport cluster in
+  let journal = Transport.enable_journal transport in
+  let txn id subject queries =
+    Transaction.make ~id ~subject
+      ~credentials:(scenario.Scenario.credentials_of subject) queries
+  in
+  let reader =
+    txn "r" "clerk-1"
+      (List.init 4 (fun i ->
+           Query.make ~id:(Printf.sprintf "r-q%d" (i + 1)) ~server:"server-1"
+             ~reads:[ "s1-k1" ] ()))
+  in
+  let writer =
+    txn "w" "clerk-2"
+      [ Query.make ~id:"w-q1" ~server:"server-1" ~writes:[ ("s1-k1", set 5) ] () ]
+  in
+  let config =
+    Manager.config ~snapshot_reads:true Scheme.Incremental_punctual
+      Consistency.View
+  in
+  let committed = ref [] in
+  let on_done (o : Outcome.t) =
+    if o.Outcome.committed then committed := o.Outcome.txn :: !committed
+  in
+  Manager.submit cluster config reader ~on_done;
+  Transport.at transport ~delay:0.5 (fun () ->
+      Manager.submit cluster config writer ~on_done);
+  ignore (Cluster.run cluster);
+  Alcotest.(check (list string)) "both committed" [ "r"; "w" ]
+    (List.sort String.compare !committed);
+  let lines = lines_of journal in
+  (* The premise: w's commit is applied before r's last read. *)
+  let seq_of pick =
+    match
+      Journal_io.fold_lines lines ~init:(fun _ -> None) (fun found r ->
+          match found with
+          | Some _ -> found
+          | None -> if pick r.Journal_io.body then Some r.Journal_io.seq else None)
+    with
+    | Ok (Some seq) -> seq
+    | Ok None -> Alcotest.fail "record not journaled"
+    | Error m -> Alcotest.fail m
+  in
+  let w_apply =
+    seq_of (function
+      | Journal_io.Payload (Codec_bin.Ps_action (Ps.Apply { txn = "w"; commit; _ })) ->
+        commit
+      | _ -> false)
+  in
+  let r_last_read =
+    seq_of (function
+      | Journal_io.Payload
+          (Codec_bin.Ps_input (Ps.Exec_result { txn = "r"; query; _ })) ->
+        String.equal query.Query.id "r-q4"
+      | _ -> false)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "w applied (seq %d) before r's last read (seq %d)" w_apply
+       r_last_read)
+    true (w_apply < r_last_read);
+  let r = certify "snapshot reads" lines in
+  Alcotest.(check int) "reads mapped" 4 r.Certify.reads_mapped;
+  match r.Certify.verdict with
+  | Certify.Serializable { order; _ } ->
+    Alcotest.(check (list string)) "witness order" [ "r"; "w" ] order
+  | Certify.Anomalous a ->
+    Alcotest.failf "snapshot reads flagged: %s" (Certify.describe_anomaly a)
+
 (* The fourth assertion layer: 3 plans x 8 cells = 24 chaos runs, each
    journal certified after liveness/safety/audit. *)
 let test_chaos_sweep_certifies () =
@@ -345,6 +429,8 @@ let () =
           Alcotest.test_case "every cell serializable" `Quick
             test_every_cell_certifies_serializable;
           Alcotest.test_case "chaos sweep certifies" `Quick test_chaos_sweep_certifies;
+          Alcotest.test_case "snapshot reads map by start time" `Quick
+            test_snapshot_reads_certify;
         ] );
       ( "formats",
         [

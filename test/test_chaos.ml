@@ -102,6 +102,19 @@ let find_failure () =
   in
   scan 7000 7160
 
+(* What a dedup-off replay of [p] violates, if anything. *)
+let dedup_off_fails p =
+  match Campaign.run_plan ~dedup:false fragile_cell p with
+  | Ok () -> None
+  | Error f -> Some f.Campaign.what
+
+(* [find_failure]'s plan shrunk, with its diagnosis. *)
+let minimal_failure () =
+  let plan, _ = find_failure () in
+  match Shrink.minimize ~fails:dedup_off_fails plan with
+  | None -> Alcotest.fail "plan stopped failing under replay"
+  | Some (minimal, what) -> (minimal, what)
+
 let test_dedup_off_finds_violation () =
   let plan, failure = find_failure () in
   (match Campaign.run_plan fragile_cell plan with
@@ -114,41 +127,20 @@ let test_dedup_off_finds_violation () =
     (List.length failure.Campaign.journal > 1)
 
 let test_shrink_to_minimal_plan () =
-  let shrink () =
-    let plan, _ = find_failure () in
-    let fails p =
-      match Campaign.run_plan ~dedup:false fragile_cell p with
-      | Ok () -> None
-      | Error f -> Some f.Campaign.what
-    in
-    match Shrink.minimize ~fails plan with
-    | None -> Alcotest.fail "plan stopped failing under replay"
-    | Some (minimal, what) -> (minimal, what)
-  in
-  let minimal, what = shrink () in
+  let minimal, what = minimal_failure () in
   Alcotest.(check bool)
     (Printf.sprintf "minimal plan has <= 3 ops (%s)" (Plan.to_string minimal))
     true
     (List.length minimal.Plan.ops <= 3);
   Alcotest.(check bool) "still a delivery failure" true (String.length what > 0);
   (* Determinism: the whole find + shrink pipeline replays identically. *)
-  let minimal', what' = shrink () in
+  let minimal', what' = minimal_failure () in
   Alcotest.(check string) "same minimal plan" (Plan.to_string minimal)
     (Plan.to_string minimal');
   Alcotest.(check string) "same diagnosis" what what'
 
 let test_shrunk_journal_rejected_by_audit () =
-  let plan, _ = find_failure () in
-  let fails p =
-    match Campaign.run_plan ~dedup:false fragile_cell p with
-    | Ok () -> None
-    | Error f -> Some f.Campaign.what
-  in
-  let minimal =
-    match Shrink.minimize ~fails plan with
-    | Some (m, _) -> m
-    | None -> Alcotest.fail "plan stopped failing under replay"
-  in
+  let minimal, _ = minimal_failure () in
   match Campaign.run_plan ~dedup:false fragile_cell minimal with
   | Ok () -> Alcotest.fail "minimal plan no longer fails"
   | Error failure -> (
@@ -243,6 +235,81 @@ let test_late_deliveries_reach_finished_tm () =
   Alcotest.(check string) "binary journal digest"
     "61b3da6519c10283b7f9b18eb26500b1"
     (Digest.to_hex (Digest.string bin))
+
+(* ------------------------------------------------------------------ *)
+(* The recording format                                                *)
+(* ------------------------------------------------------------------ *)
+
+module Timeout_policy = Cloudtx_protocol.Timeout_policy
+module Resilience = Cloudtx_core.Resilience
+
+let gray_run_plan ?journal_path cell plan =
+  Campaign.run_plan ~certify:true ~policy:(Timeout_policy.adaptive ())
+    ~resilience:(Resilience.config ()) ?journal_path cell plan
+
+let non_blank_lines s =
+  List.filter
+    (fun l -> not (String.equal (String.trim l) ""))
+    (String.split_on_char '\n' s)
+
+(* A run that writes no file and the same run writing a JSONL file must
+   reach the same verdict and carry the same failure journal, which for a
+   failing run is the file's own lines.  [run] runs the plan, given a
+   journal path or none. *)
+let check_recording_invisible name run =
+  let path = Filename.temp_file "recording" ".jsonl" in
+  let in_memory = run None in
+  let to_file = run (Some path) in
+  let file = non_blank_lines (In_channel.with_open_bin path In_channel.input_all) in
+  Sys.remove path;
+  match (in_memory, to_file) with
+  | Ok (), Ok () -> ()
+  | Error m, Error f ->
+    Alcotest.(check string) (name ^ ": same violation") f.Campaign.what
+      m.Campaign.what;
+    Alcotest.(check (list string)) (name ^ ": same failure journal")
+      f.Campaign.journal m.Campaign.journal;
+    Alcotest.(check (list string)) (name ^ ": the file's lines") file
+      f.Campaign.journal
+  | Ok (), Error f | Error f, Ok () ->
+    Alcotest.failf "%s: one run passed, the other failed: %s" name
+      f.Campaign.what
+
+let test_recording_invisible () =
+  let plan, _ = find_failure () in
+  let minimal, _ = minimal_failure () in
+  List.iter
+    (fun (name, plan) ->
+      check_recording_invisible name (fun journal_path ->
+          Campaign.run_plan ~dedup:false ?journal_path fragile_cell plan))
+    [ ("dedup-off plan", plan); ("shrunk plan", minimal) ];
+  check_recording_invisible "gray plan 1002" (fun journal_path ->
+      gray_run_plan ?journal_path fragile_cell (Plan.random ~seed:1002L ()))
+
+(* A gray run (adaptive timeouts, breakers, certify) whose journal goes to
+   no file allocates about 69 k minor words; one that renders every
+   record to JSON text reads about 310 k. *)
+let test_gray_run_words () =
+  let runs =
+    List.concat_map
+      (fun cell ->
+        List.map (fun seed -> (cell, Plan.random ~seed ())) [ 1000L; 1001L ])
+      Campaign.all_cells
+  in
+  let run (cell, plan) =
+    match gray_run_plan cell plan with
+    | Ok () -> ()
+    | Error f ->
+      Alcotest.failf "%s seed=%Ld: %s" (Campaign.cell_name cell) plan.Plan.seed
+        f.Campaign.what
+  in
+  run (List.hd runs);
+  let w0 = Gc.minor_words () in
+  List.iter run runs;
+  let per_run = (Gc.minor_words () -. w0) /. float_of_int (List.length runs) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words a gray run (< 100 000)" per_run)
+    true (per_run < 100_000.)
 
 (* ------------------------------------------------------------------ *)
 (* 2PC variants: AC3 and a redone decision                             *)
@@ -563,6 +630,13 @@ let () =
           Alcotest.test_case "audit rejects the captured journal" `Slow
             test_shrunk_journal_rejected_by_audit;
         ] );
+      ( "recording",
+        [
+          Alcotest.test_case "format invisible to verdicts and journals" `Slow
+            test_recording_invisible;
+        ] );
+      ( "allocation",
+        [ Alcotest.test_case "words a gray run" `Quick test_gray_run_words ] );
       ( "late delivery",
         [
           Alcotest.test_case "plan 1163 reaches a finished TM" `Quick
